@@ -24,6 +24,10 @@ cargo test --workspace -q
 step "interleaving stress suite (fixed seeds)"
 cargo test -q -p duet-runtime --test interleave
 
+step "kernel pool at width >= 2 (forked kernels bit-identical to naive loops; fork/join stress)"
+cargo test -q --test kernel_pool_width
+cargo test -q -p rayon --test pool_stress --test width_one
+
 step "allocation gate (tape+arena steady-state budget)"
 cargo run -q --release -p duet-bench --bin duet-alloc-gate
 
@@ -103,7 +107,11 @@ for family in \
   duet_serve_segment_us_bucket \
   duet_insight_traces_total \
   duet_insight_torn_reads_total \
-  duet_insight_dumps_total; do
+  duet_insight_dumps_total \
+  duet_kernel_pool_regions_total \
+  duet_kernel_pool_chunks_total \
+  duet_kernel_pool_parks_total \
+  duet_kernel_pool_migrations_total; do
   grep -q "^$family" "$METRICS_OUT" \
     || { echo "FAIL: /metrics family $family missing"; exit 1; }
 done

@@ -8,12 +8,21 @@
 //! plus medians is what makes a ratio gate (rather than an absolute
 //! latency gate) stable enough for CI: both populations absorb the same
 //! machine noise, and the floor sits well under the measured margins.
+//!
+//! The same method guards fork/join: one paper-scale and one serving-scale
+//! convolution, kernel pool vs regions forced inline. The pool must never
+//! cost more than 10 % — a mis-sized spin bound or fork gate shows here as a
+//! slowdown on the small conv long before it shows end to end. Skipped at pool
+//! width 1 (a one-CPU host), where there is no worker to fork to.
 
-use duet_bench::experiments::kernels::{geomean, micro_speedups};
+use duet_bench::experiments::kernels::{fork_join_speedups, geomean, micro_speedups};
 
 const PAIRS: usize = 9;
 const FLOOR_GEOMEAN: f64 = 2.0;
 const FLOOR_EACH: f64 = 1.25;
+const FORK_JOIN_PAIRS: usize = 25;
+/// Pooled may take at most this multiple of the inline time.
+const FORK_JOIN_MAX_SLOWDOWN: f64 = 1.1;
 
 fn main() {
     let benches = micro_speedups(PAIRS);
@@ -45,6 +54,30 @@ fn main() {
     if g < FLOOR_GEOMEAN {
         eprintln!("FAIL: geomean {g:.2}x is below the {FLOOR_GEOMEAN}x floor");
         failed = true;
+    }
+    // Width is `available_parallelism()` unless overridden: 1 on a one-CPU host.
+    let width = rayon::current_num_threads();
+    if width < 2 {
+        println!("fork/join guard skipped: kernel pool width {width}, no worker to fork to");
+    } else {
+        for b in fork_join_speedups(FORK_JOIN_PAIRS) {
+            println!(
+                "{:>14} {:<26} inline {:>9.1} us, pooled {:>9.1} us, {:.2}x at width {width}",
+                "fork/join",
+                b.what,
+                b.inline_us,
+                b.pooled_us,
+                b.speedup()
+            );
+            if b.pooled_us > FORK_JOIN_MAX_SLOWDOWN * b.inline_us {
+                eprintln!(
+                    "FAIL: {} is {:.2}x slower on the pool than inline (limit {FORK_JOIN_MAX_SLOWDOWN}x)",
+                    b.what,
+                    b.pooled_us / b.inline_us
+                );
+                failed = true;
+            }
+        }
     }
     if failed {
         std::process::exit(1);

@@ -65,30 +65,82 @@ fn time(f: &mut dyn FnMut()) -> f64 {
     start.elapsed().as_secs_f64() * 1e6
 }
 
-/// Run `f` `pairs` times per engine, alternating which engine goes first
-/// each pair, and return the (reference, vectorized) medians in µs. The
-/// reference flag is always restored to off.
-fn alternate(pairs: usize, f: &mut dyn FnMut()) -> (f64, f64) {
-    // One unmeasured warmup per engine: page in both code paths.
-    set_reference_mode(false);
-    f();
-    set_reference_mode(true);
-    f();
-    let mut reference = Vec::with_capacity(pairs);
-    let mut vectorized = Vec::with_capacity(pairs);
+/// Run `f(true)` and `f(false)` `pairs` times each, alternating which side
+/// goes first each pair, and return the (`true` side, `false` side) medians
+/// in µs, after one unmeasured warm-up per side.
+fn alternate_sides(pairs: usize, f: &mut dyn FnMut(bool)) -> (f64, f64) {
+    f(false);
+    f(true);
+    let mut on = Vec::with_capacity(pairs);
+    let mut off = Vec::with_capacity(pairs);
     for i in 0..pairs {
-        for &ref_first in &[i % 2 == 0, i % 2 != 0] {
-            set_reference_mode(ref_first);
-            let us = time(f);
-            if ref_first {
-                reference.push(us);
-            } else {
-                vectorized.push(us);
-            }
+        for &side in &[i % 2 == 0, i % 2 != 0] {
+            let us = time(&mut || f(side));
+            if side { &mut on } else { &mut off }.push(us);
         }
     }
+    (median(on), median(off))
+}
+
+/// [`alternate_sides`] over the kernel engine: (reference, vectorized)
+/// medians of `f`. The reference flag is always restored to off.
+fn alternate(pairs: usize, f: &mut dyn FnMut()) -> (f64, f64) {
+    let medians = alternate_sides(pairs, &mut |reference| {
+        set_reference_mode(reference);
+        f();
+    });
     set_reference_mode(false);
-    (median(reference), median(vectorized))
+    medians
+}
+
+/// One fork/join measurement: the same kernel with its parallel regions
+/// forced inline on the caller vs free to fork onto the pool.
+pub struct PoolBench {
+    pub what: &'static str,
+    pub inline_us: f64,
+    pub pooled_us: f64,
+}
+
+impl PoolBench {
+    pub fn speedup(&self) -> f64 {
+        self.inline_us / self.pooled_us
+    }
+}
+
+/// Fork/join guard shapes: the ResNet-18 layer1 convolution at paper scale
+/// (most of `infer_heavy`) and at serving scale (most of `serve_open`, and
+/// small enough that a mispriced fork shows). A trial is four back-to-back
+/// calls, as in a tape: the first may find the worker parked, the rest
+/// find it spinning.
+pub fn fork_join_speedups(pairs: usize) -> Vec<PoolBench> {
+    [
+        ("conv2d 64->64 56x56 k3 x4", 56),
+        ("conv2d 64->64 12x12 k3 x4", 12),
+    ]
+    .into_iter()
+    .map(|(what, hw)| {
+        let x = Tensor::randn(vec![1, 64, hw, hw], 1.0, 30);
+        let w = Tensor::randn(vec![64, 64, 3, 3], 0.05, 31);
+        let mut out = vec![0.0f32; 64 * hw * hw];
+        let mut convs = || {
+            for _ in 0..4 {
+                kernels::conv2d_into(&x, &w, None, 1, 1, &mut out).unwrap();
+            }
+        };
+        let (inline_us, pooled_us) = alternate_sides(pairs, &mut |inline| {
+            if inline {
+                rayon::inline_scope(&mut convs)
+            } else {
+                convs()
+            }
+        });
+        PoolBench {
+            what,
+            inline_us,
+            pooled_us,
+        }
+    })
+    .collect()
 }
 
 /// The per-family microbenchmarks. `pairs` trials per engine each.

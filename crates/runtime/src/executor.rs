@@ -102,22 +102,16 @@ pub struct HeterogeneousExecutor<'g> {
     trace: Option<duet_telemetry::TraceContext>,
 }
 
-/// Inter-op worker threads the executor runs: one per device (CPU, GPU).
-pub const DEVICE_WORKERS: usize = 2;
-
 impl<'g> HeterogeneousExecutor<'g> {
     /// Create an executor over a placed schedule.
     ///
-    /// Also pins the global kernel pool the first time any executor is
-    /// built: intra-op data parallelism gets `available_parallelism() -
-    /// DEVICE_WORKERS` threads (floored at 1), so kernel lanes and the two
-    /// device workers together never oversubscribe the machine. The pool
-    /// is process-wide and sized once — concurrent executors share it.
+    /// The executor runs one worker thread per device (CPU, GPU) and does
+    /// not size the kernel pool: that is as wide as the machine, by the one
+    /// rule in `vendor/rayon` ("Sizing"), and process-wide, so concurrent
+    /// executors share it. A device worker blocked on its queue costs no
+    /// CPU; only while both lanes are inside kernels at once does the
+    /// machine carry one runnable thread more than it has CPUs.
     pub fn new(graph: &'g Graph, placed: &'g [Placed], system: SystemModel) -> Self {
-        let hw = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        rayon::configure(hw.saturating_sub(DEVICE_WORKERS).max(1));
         HeterogeneousExecutor {
             graph,
             placed,

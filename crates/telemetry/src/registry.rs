@@ -539,9 +539,64 @@ pub fn histograms() -> &'static [&'static Histogram] {
     HISTOGRAMS
 }
 
-/// Render the full global registry in Prometheus text exposition format.
+/// Render the full global registry in Prometheus text exposition format,
+/// followed by the kernel pool's counters.
 pub fn prometheus_text() -> String {
-    render_prometheus(counters(), gauges(), histograms())
+    let mut out = render_prometheus(counters(), gauges(), histograms());
+    out.push_str(&kernel_pool_text());
+    out
+}
+
+/// The `duet_kernel_pool_*` families. The counters are plain atomics owned
+/// by the `rayon` stand-in (the pool cannot depend on this crate), read at
+/// exposition time: together they show whether the fork gate and the pool
+/// are work-conserving — regions forked vs kept inline, chunks run by
+/// workers vs by the submitting caller, and how often a worker parked.
+fn kernel_pool_text() -> String {
+    const REGIONS: &str = "Parallel kernel regions, by whether they were submitted to the pool \
+        or run inline on their caller (single chunk, width 1, or below the fork gate)";
+    const CHUNKS: &str = "Chunks of forked kernel regions, by the thread that ran them";
+    let s = rayon::pool_stats();
+    let families = [
+        (
+            Counter::with_label("duet_kernel_pool_regions_total", REGIONS, "mode", "forked"),
+            s.regions_forked,
+        ),
+        (
+            Counter::with_label("duet_kernel_pool_regions_total", REGIONS, "mode", "inline"),
+            s.regions_inline,
+        ),
+        (
+            Counter::with_label("duet_kernel_pool_chunks_total", CHUNKS, "by", "worker"),
+            s.chunks_by_worker,
+        ),
+        (
+            Counter::with_label("duet_kernel_pool_chunks_total", CHUNKS, "by", "caller"),
+            s.chunks_by_caller,
+        ),
+        (
+            Counter::new(
+                "duet_kernel_pool_parks_total",
+                "Times a pool worker stopped spinning for work and parked",
+            ),
+            s.parks,
+        ),
+        (
+            Counter::new(
+                "duet_kernel_pool_migrations_total",
+                "Times a pool worker woke on its submitter's CPU and moved itself off it",
+            ),
+            s.migrations,
+        ),
+    ];
+    let counters: Vec<&Counter> = families
+        .iter()
+        .map(|(counter, value)| {
+            counter.add(*value);
+            counter
+        })
+        .collect();
+    render_prometheus(&counters, &[], &[])
 }
 
 /// Render arbitrary metric sets in Prometheus text exposition format

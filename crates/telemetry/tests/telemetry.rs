@@ -79,12 +79,18 @@ fn global_exposition_contains_every_required_family() {
         "duet_serve_shed_total",
         "duet_serve_sojourn_us",
         "duet_serve_queue_depth",
+        "duet_kernel_pool_regions_total",
+        "duet_kernel_pool_chunks_total",
+        "duet_kernel_pool_parks_total",
+        "duet_kernel_pool_migrations_total",
     ] {
         assert!(text.contains(family), "missing family {family}");
     }
     // Labelled families carry their variants even at zero.
     assert!(text.contains("duet_arena_checkouts_total{result=\"reused\"}"));
     assert!(text.contains("duet_serve_shed_total{reason=\"expired\"}"));
+    assert!(text.contains("duet_kernel_pool_regions_total{mode=\"inline\"}"));
+    assert!(text.contains("duet_kernel_pool_chunks_total{by=\"worker\"}"));
 }
 
 #[test]

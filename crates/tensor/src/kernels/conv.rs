@@ -4,9 +4,12 @@
 //! backend uses as a baseline schedule — so its FLOP profile matches the
 //! analytic cost model in `duet-device`.
 
+use std::sync::Mutex;
+
 use rayon::prelude::*;
 
 use super::gemm::gemm_into;
+use super::micro::fork_if_worthwhile;
 use crate::{Tensor, TensorError};
 
 /// 2-D convolution. `x: [n, c_in, h, w]`, `weight: [c_out, c_in, kh, kw]`,
@@ -92,33 +95,69 @@ pub fn conv2d_into(
             actual: out.len(),
         });
     }
-    // One im2col buffer + GEMM per image; images are processed in parallel.
-    // No zero-fill pass: gemm_into overwrites every output element.
-    out.par_chunks_mut(c_out * opix)
-        .enumerate()
-        .for_each(|(img, oimg)| {
-            let ximg = &xd[img * c_in * h * w..(img + 1) * c_in * h * w];
-            let mut col = vec![0.0f32; patch * opix];
-            im2col(ximg, &mut col, c_in, h, w, kh, kw, stride, padding, oh, ow);
-            // weight [c_out, patch] x col [patch, opix] -> oimg [c_out, opix]
-            gemm_into(wd, &col, oimg, c_out, patch, opix);
-            if let Some(b) = bd {
-                for (co, chunk) in oimg.chunks_mut(opix).enumerate() {
-                    let bv = b[co];
-                    for v in chunk.iter_mut() {
-                        *v += bv;
+    // One im2col + GEMM per image. Images split across the pool; within an
+    // image the im2col and the GEMM each split again (a batch-1 conv has one
+    // image, so all its parallelism is inside). No zero-fill pass: im2col
+    // writes every col element and gemm_into every output element.
+    let pointwise = kh == 1 && kw == 1 && stride == 1 && padding == 0;
+    fork_if_worthwhile(n * c_out * patch * opix, || {
+        out.par_chunks_mut(c_out * opix)
+            .enumerate()
+            .for_each(|(img, oimg)| {
+                let ximg = &xd[img * c_in * h * w..(img + 1) * c_in * h * w];
+                // weight [c_out, patch] x col [patch, opix] -> oimg [c_out, opix]
+                if pointwise {
+                    // A 1x1 stride-1 conv's col matrix is the image itself.
+                    gemm_into(wd, ximg, oimg, c_out, patch, opix);
+                } else {
+                    with_col_scratch(patch * opix, |col| {
+                        im2col(ximg, col, h, w, kh, kw, stride, padding, oh, ow);
+                        gemm_into(wd, col, oimg, c_out, patch, opix);
+                    });
+                }
+                if let Some(b) = bd {
+                    for (co, chunk) in oimg.chunks_mut(opix).enumerate() {
+                        let bv = b[co];
+                        for v in chunk.iter_mut() {
+                            *v += bv;
+                        }
                     }
                 }
-            }
-        });
+            });
+    });
     Ok(())
 }
 
+/// Grow-only im2col buffers: a conv checks one out for the call and returns
+/// it, so steady-state inference allocates none. The list is process-wide
+/// rather than per-thread because the executor's device workers live for
+/// one inference; it never holds more buffers than convs ran at once.
+static COL_SCRATCH: Mutex<Vec<Vec<f32>>> = Mutex::new(Vec::new());
+
+fn with_col_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    const LOCK: &str = "col scratch list: push and pop cannot panic";
+    let mut buf = COL_SCRATCH.lock().expect(LOCK).pop().unwrap_or_default();
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    let result = f(&mut buf[..len]);
+    COL_SCRATCH.lock().expect(LOCK).push(buf);
+    result
+}
+
+/// Fork-gate weight of one im2col element, in GEMM multiply-adds: a
+/// row-at-a-time strided copy with its border logic moves ≈ 1 element per ns
+/// (903 k elements in 1.2 ms for the 128×28×28 3×3 conv), the tiled GEMM
+/// retires ≈ 20 multiply-adds in that time.
+const IM2COL_ELEMENT_WORK: usize = 16;
+
+/// `col[(ci*kh + ki)*kw + kj][oy*ow + ox] = x[ci][oy*stride + ki - padding][ox*stride + kj - padding]`
+/// (zero outside the image). Every element of `col` is written. The `kw`
+/// rows of one `(ci, ki)` pair are contiguous in `col` and make one chunk.
 #[allow(clippy::too_many_arguments)]
 fn im2col(
     x: &[f32],
     col: &mut [f32],
-    c: usize,
     h: usize,
     w: usize,
     kh: usize,
@@ -129,42 +168,43 @@ fn im2col(
     ow: usize,
 ) {
     let opix = oh * ow;
-    for ci in 0..c {
-        for ki in 0..kh {
-            for kj in 0..kw {
-                let row = (ci * kh + ki) * kw + kj;
-                let dst = &mut col[row * opix..(row + 1) * opix];
-                for oy in 0..oh {
-                    let iy = (oy * stride + ki) as isize - padding as isize;
-                    let drow = &mut dst[oy * ow..(oy + 1) * ow];
-                    if iy < 0 || iy as usize >= h {
-                        drow.fill(0.0);
-                        continue;
-                    }
-                    let xrow = &x[ci * h * w + iy as usize * w..ci * h * w + (iy as usize + 1) * w];
-                    if stride == 1 {
-                        // Contiguous tap: ix = ox + kj - padding, so the
-                        // in-bounds span is one memcpy with zero margins.
-                        let ox_lo = padding.saturating_sub(kj).min(ow);
-                        let ox_hi = (w + padding).saturating_sub(kj).min(ow).max(ox_lo);
-                        drow[..ox_lo].fill(0.0);
-                        drow[ox_hi..].fill(0.0);
-                        let ix0 = ox_lo + kj - padding;
-                        drow[ox_lo..ox_hi].copy_from_slice(&xrow[ix0..ix0 + (ox_hi - ox_lo)]);
-                    } else {
-                        for (ox, d) in drow.iter_mut().enumerate() {
-                            let ix = (ox * stride + kj) as isize - padding as isize;
-                            *d = if ix >= 0 && (ix as usize) < w {
-                                xrow[ix as usize]
-                            } else {
-                                0.0
-                            };
+    fork_if_worthwhile(col.len() * IM2COL_ELEMENT_WORK, || {
+        col.par_chunks_mut(kw * opix)
+            .enumerate()
+            .for_each(|(r, taps)| {
+                let (ci, ki) = (r / kh, r % kh);
+                let xplane = &x[ci * h * w..(ci + 1) * h * w];
+                for (kj, dst) in taps.chunks_mut(opix).enumerate() {
+                    for (oy, drow) in dst.chunks_mut(ow).enumerate() {
+                        let iy = (oy * stride + ki) as isize - padding as isize;
+                        if iy < 0 || iy as usize >= h {
+                            drow.fill(0.0);
+                            continue;
+                        }
+                        let xrow = &xplane[iy as usize * w..(iy as usize + 1) * w];
+                        if stride == 1 {
+                            // Contiguous tap: ix = ox + kj - padding, so the
+                            // in-bounds span is one memcpy with zero margins.
+                            let ox_lo = padding.saturating_sub(kj).min(ow);
+                            let ox_hi = (w + padding).saturating_sub(kj).min(ow).max(ox_lo);
+                            drow[..ox_lo].fill(0.0);
+                            drow[ox_hi..].fill(0.0);
+                            let ix0 = ox_lo + kj - padding;
+                            drow[ox_lo..ox_hi].copy_from_slice(&xrow[ix0..ix0 + (ox_hi - ox_lo)]);
+                        } else {
+                            for (ox, d) in drow.iter_mut().enumerate() {
+                                let ix = (ox * stride + kj) as isize - padding as isize;
+                                *d = if ix >= 0 && (ix as usize) < w {
+                                    xrow[ix as usize]
+                                } else {
+                                    0.0
+                                };
+                            }
                         }
                     }
                 }
-            }
-        }
-    }
+            });
+    });
 }
 
 fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {
@@ -203,23 +243,24 @@ fn pool2d(
     let ow = (w - window) / stride + 1;
     let xd = x.data();
     let mut out = vec![0.0f32; n * c * oh * ow];
-    out.par_chunks_mut(oh * ow)
-        .enumerate()
-        .for_each(|(plane, oplane)| {
-            let xplane = &xd[plane * h * w..(plane + 1) * h * w];
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = init;
-                    for ky in 0..window {
-                        for kx in 0..window {
-                            reduce(&mut acc, xplane[(oy * stride + ky) * w + ox * stride + kx]);
+    fork_if_worthwhile(out.len() * window * window, || {
+        out.par_chunks_mut(oh * ow)
+            .enumerate()
+            .for_each(|(plane, oplane)| {
+                let xplane = &xd[plane * h * w..(plane + 1) * h * w];
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut acc = init;
+                        for ky in 0..window {
+                            for kx in 0..window {
+                                reduce(&mut acc, xplane[(oy * stride + ky) * w + ox * stride + kx]);
+                            }
                         }
+                        oplane[oy * ow + ox] = finish(acc, window * window);
                     }
-                    oplane[oy * ow + ox] = finish(acc, window * window);
                 }
-            }
-        });
-    let _ = (n, c);
+            });
+    });
     Tensor::from_vec(vec![n, c, oh, ow], out)
 }
 
@@ -317,17 +358,19 @@ pub fn depthwise_conv2d(
     let bd = bias.map(Tensor::data);
     let mut out = vec![0.0f32; n * c * oh * ow];
     // Each (image, channel) plane is independent: parallelise over planes.
-    out.par_chunks_mut(oh * ow)
-        .enumerate()
-        .for_each(|(plane, oplane)| {
-            let ci = plane % c;
-            let xplane = &xd[plane * h * w..(plane + 1) * h * w];
-            let wplane = &wd[ci * kh * kw..(ci + 1) * kh * kw];
-            let bv = bd.map_or(0.0, |b| b[ci]);
-            depthwise_plane(
-                xplane, wplane, oplane, h, w, kh, kw, stride, padding, oh, ow, bv,
-            );
-        });
+    fork_if_worthwhile(out.len() * kh * kw, || {
+        out.par_chunks_mut(oh * ow)
+            .enumerate()
+            .for_each(|(plane, oplane)| {
+                let ci = plane % c;
+                let xplane = &xd[plane * h * w..(plane + 1) * h * w];
+                let wplane = &wd[ci * kh * kw..(ci + 1) * kh * kw];
+                let bv = bd.map_or(0.0, |b| b[ci]);
+                depthwise_plane(
+                    xplane, wplane, oplane, h, w, kh, kw, stride, padding, oh, ow, bv,
+                );
+            });
+    });
     Tensor::from_vec(vec![n, c, oh, ow], out)
 }
 

@@ -72,9 +72,11 @@ pub fn linear_into(
         }
         return;
     }
-    out.par_chunks_mut(nout)
-        .enumerate()
-        .for_each(|(i, orow)| micro::linear_row(&x[i * kin..(i + 1) * kin], w, bias, orow, kin));
+    micro::fork_if_worthwhile(m * kin * nout, || {
+        out.par_chunks_mut(nout).enumerate().for_each(|(i, orow)| {
+            micro::linear_row(&x[i * kin..(i + 1) * kin], w, bias, orow, kin)
+        });
+    });
 }
 
 /// Accumulating linear: `out[i,j] += x_i · w_j` (no bias). The LSTM/GRU
@@ -153,15 +155,17 @@ pub fn batched_matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     let ad = a.data();
     let bd = b.data();
     let mut out = vec![0.0f32; ba * m * n];
-    out.par_chunks_mut(m * n).enumerate().for_each(|(i, o)| {
-        gemm_into(
-            &ad[i * m * k..(i + 1) * m * k],
-            &bd[i * k * n..(i + 1) * k * n],
-            o,
-            m,
-            k,
-            n,
-        );
+    micro::fork_if_worthwhile(ba * m * k * n, || {
+        out.par_chunks_mut(m * n).enumerate().for_each(|(i, o)| {
+            gemm_into(
+                &ad[i * m * k..(i + 1) * m * k],
+                &bd[i * k * n..(i + 1) * k * n],
+                o,
+                m,
+                k,
+                n,
+            );
+        });
     });
     Tensor::from_vec(vec![ba, m, n], out)
 }

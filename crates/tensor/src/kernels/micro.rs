@@ -26,6 +26,8 @@
 //!   structure is fixed, so the same inputs give the same bits on every
 //!   run, ISA and thread count.
 
+use rayon::TileMut;
+
 /// Number of parallel f32 accumulator lanes for lane-split reductions.
 /// Eight f32 lanes fill one AVX2 register and half an AVX-512 register;
 /// on narrower ISAs LLVM legalizes the same code to multiple registers
@@ -38,8 +40,42 @@ pub const MR: usize = 4;
 /// two AVX2 vectors).
 pub const NR: usize = 16;
 
-/// Rows per parallel work unit for the row-split GEMM drivers.
+/// Rows per parallel work unit of the GEMM drivers: one block's rows of A
+/// (32 × k floats) stay L2-resident while its column tiles stream B.
 pub(crate) const ROW_BLOCK: usize = 32;
+
+/// Chunks a GEMM region aims for per pool thread. With the two chunks per
+/// region the old 32-row split gave a 64-row GEMM, a worker that arrives
+/// late costs the caller half the kernel; at four per thread a straggler
+/// costs at most an eighth of it on two threads.
+const CHUNKS_PER_THREAD: usize = 4;
+
+/// The fork gate: estimated inner-loop operations (multiply-adds for GEMM,
+/// convolution and linear; window taps for pooling and depthwise; weighted
+/// element moves for im2col) below which a parallel region runs inline on
+/// its caller. On the 2-vCPU benchmark host a fork/join costs ≈ 1 µs while
+/// a worker is still spinning (0.9 µs for an empty 8-chunk region) and, once
+/// it has parked, a futex wake plus a helper that arrives 50–100 µs late.
+/// The tiled GEMM retires ≈ 20 multiply-adds per ns on one thread, so 2²⁰
+/// operations are ≈ 50 µs of GEMM: the least work whose halving repays a
+/// cold fork. Slower-per-operation kernels (pooling, depthwise) take longer
+/// than that at the gate, which only errs towards forking later.
+/// `duet-kernel-floor` guards the choice: a serving-scale conv (5.3 M
+/// multiply-adds) must not run slower on the pool than inline.
+pub(crate) const FORK_MIN_WORK: usize = 1 << 20;
+
+/// Run `region` — code that submits `par_chunks_mut` / `par_tiles_mut`
+/// regions — on the pool if its estimated `work` passes [`FORK_MIN_WORK`],
+/// inline otherwise. `work` must be a function of the input's shape alone.
+/// Every parallel call site in this crate goes through here.
+#[inline]
+pub(crate) fn fork_if_worthwhile<R>(work: usize, region: impl FnOnce() -> R) -> R {
+    if work >= FORK_MIN_WORK {
+        region()
+    } else {
+        rayon::inline_scope(region)
+    }
+}
 
 /// Fixed lane-combination order shared by every lane-split reduction:
 /// pairwise tree `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`.
@@ -176,11 +212,14 @@ pub fn linear_row_acc(xrow: &[f32], w: &[f32], orow: &mut [f32], kin: usize) {
 ///
 /// **Exact contract**: each `c[i][j]` is one scalar accumulation chain in
 /// strictly k-ascending order — bit-identical to the naive triple loop for
-/// every tile shape, row split and thread count. The tiling only decides
+/// every tile shape, chunk split and thread count. The tiling only decides
 /// which [`MR`]×[`NR`] block of independent chains advances together, so
 /// the per-element order never changes; what it buys is keeping those
 /// MR×NR accumulators in vector registers across the whole k loop instead
 /// of streaming the C row through memory k times.
+///
+/// The parallel work unit is a [`ROW_BLOCK`]-row × NR-multiple column panel
+/// of C (see [`chunk_cols`]); each chunk computes whole chains.
 pub fn gemm_tiled(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     use rayon::prelude::*;
     debug_assert_eq!(a.len(), m * k);
@@ -189,72 +228,83 @@ pub fn gemm_tiled(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: us
     if n == 0 || m == 0 {
         return;
     }
-    if m <= ROW_BLOCK {
-        gemm_rows(a, b, c, 0, m, k, n);
-        return;
-    }
-    c.par_chunks_mut(ROW_BLOCK * n)
-        .enumerate()
-        .for_each(|(blk, cblk)| {
-            let i0 = blk * ROW_BLOCK;
-            let rows = cblk.len() / n;
-            gemm_rows(a, b, cblk, i0, rows, k, n);
-        });
+    fork_if_worthwhile(m * k * n, || {
+        c.par_tiles_mut(n, ROW_BLOCK, chunk_cols(m, n))
+            .for_each(|(i0, j0, mut cblk)| gemm_chunk(a, b, &mut cblk, i0, j0, k, n));
+    });
 }
 
-/// Rows `[i0, i0+rows)` of the tiled GEMM into `cblk` (a `rows`×`n` view).
-/// Column tiles run outermost so one k×NR panel of B is reused by every
-/// row tile in the block.
-fn gemm_rows(a: &[f32], b: &[f32], cblk: &mut [f32], i0: usize, rows: usize, k: usize, n: usize) {
-    let mut j0 = 0;
-    while j0 + NR <= n {
-        tile_col::<NR>(a, b, cblk, i0, rows, j0, k, n);
-        j0 += NR;
-    }
-    // Cascaded column tails: 8- then 4-wide tiles, then scalar chains for
-    // the last < 4 columns. Per-element order is k-ascending throughout,
-    // so the exact contract is preserved at every width.
-    if j0 + 8 <= n {
-        tile_col::<8>(a, b, cblk, i0, rows, j0, k, n);
-        j0 += 8;
-    }
-    if j0 + 4 <= n {
-        tile_col::<4>(a, b, cblk, i0, rows, j0, k, n);
-        j0 += 4;
-    }
-    if j0 < n {
-        for di in 0..rows {
-            let arow = &a[(i0 + di) * k..(i0 + di + 1) * k];
-            for j in j0..n {
-                let mut acc = 0.0f32;
-                for (t, av) in arow.iter().enumerate() {
-                    acc += av * b[t * n + j];
-                }
-                cblk[di * n + j] = acc;
-            }
-        }
-    }
+/// Column-panel width of a GEMM chunk: the widest multiple of [`NR`] that
+/// still yields [`CHUNKS_PER_THREAD`] chunks per pool thread, given the
+/// `m / ROW_BLOCK` row blocks — so a 64-row GEMM, which has only two row
+/// blocks, is cut along its columns as well.
+fn chunk_cols(m: usize, n: usize) -> usize {
+    let want = CHUNKS_PER_THREAD * rayon::current_num_threads();
+    let panels = want
+        .div_ceil(m.div_ceil(ROW_BLOCK))
+        .clamp(1, n.div_ceil(NR));
+    n.div_ceil(panels).next_multiple_of(NR)
 }
 
-/// One `NC`-wide column strip: walks the row dimension in [`MR`]-row tiles.
-#[allow(clippy::too_many_arguments)]
-fn tile_col<const NC: usize>(
+/// One chunk of the tiled GEMM: rows `[i0, i0 + cblk.rows())` × columns
+/// `[j0, j0 + cblk.cols())` of C. Column tiles run outermost so one k×NR
+/// panel of B is reused by every row tile in the block.
+fn gemm_chunk(
     a: &[f32],
     b: &[f32],
-    cblk: &mut [f32],
+    cblk: &mut TileMut<'_, f32>,
     i0: usize,
-    rows: usize,
     j0: usize,
     k: usize,
     n: usize,
 ) {
+    let mut dj = 0;
+    let cols = cblk.cols();
+    while dj + NR <= cols {
+        tile_col::<NR>(a, b, cblk, i0, j0, dj, k, n);
+        dj += NR;
+    }
+    // Cascaded column tails: 8- then 4-wide tiles, then one 1–3-wide tile.
+    // Per-element order is k-ascending throughout, so the exact contract is
+    // preserved at every width. The narrow tiles keep MR chains in flight
+    // per B load where a per-row scalar chain would keep one.
+    if dj + 8 <= cols {
+        tile_col::<8>(a, b, cblk, i0, j0, dj, k, n);
+        dj += 8;
+    }
+    if dj + 4 <= cols {
+        tile_col::<4>(a, b, cblk, i0, j0, dj, k, n);
+        dj += 4;
+    }
+    match cols - dj {
+        0 => {}
+        1 => tile_col::<1>(a, b, cblk, i0, j0, dj, k, n),
+        2 => tile_col::<2>(a, b, cblk, i0, j0, dj, k, n),
+        _ => tile_col::<3>(a, b, cblk, i0, j0, dj, k, n),
+    }
+}
+
+/// One `NC`-wide column strip at chunk column `dj`: walks the chunk's rows
+/// in [`MR`]-row tiles.
+#[allow(clippy::too_many_arguments)]
+fn tile_col<const NC: usize>(
+    a: &[f32],
+    b: &[f32],
+    cblk: &mut TileMut<'_, f32>,
+    i0: usize,
+    j0: usize,
+    dj: usize,
+    k: usize,
+    n: usize,
+) {
+    let rows = cblk.rows();
     let mut di = 0;
     while di < rows {
         match rows - di {
-            1 => tile::<1, NC>(a, b, cblk, i0, di, j0, k, n),
-            2 => tile::<2, NC>(a, b, cblk, i0, di, j0, k, n),
-            3 => tile::<3, NC>(a, b, cblk, i0, di, j0, k, n),
-            _ => tile::<4, NC>(a, b, cblk, i0, di, j0, k, n),
+            1 => tile::<1, NC>(a, b, cblk, i0, di, j0, dj, k, n),
+            2 => tile::<2, NC>(a, b, cblk, i0, di, j0, dj, k, n),
+            3 => tile::<3, NC>(a, b, cblk, i0, di, j0, dj, k, n),
+            _ => tile::<4, NC>(a, b, cblk, i0, di, j0, dj, k, n),
         }
         di += (rows - di).min(MR);
     }
@@ -267,10 +317,11 @@ fn tile_col<const NC: usize>(
 fn tile<const R: usize, const NC: usize>(
     a: &[f32],
     b: &[f32],
-    cblk: &mut [f32],
+    cblk: &mut TileMut<'_, f32>,
     i0: usize,
     di0: usize,
     j0: usize,
+    dj: usize,
     k: usize,
     n: usize,
 ) {
@@ -281,7 +332,7 @@ fn tile<const R: usize, const NC: usize>(
     }
     let mut acc = [[0.0f32; NC]; R];
     for t in 0..k {
-        let bv = <&[f32; NC]>::try_from(&b[t * n + j0..t * n + j0 + NC]).unwrap();
+        let bv = <&[f32; NC]>::try_from(&b[t * n + j0 + dj..t * n + j0 + dj + NC]).unwrap();
         for r in 0..R {
             let av = arows[r][t];
             for l in 0..NC {
@@ -290,8 +341,7 @@ fn tile<const R: usize, const NC: usize>(
         }
     }
     for (r, accrow) in acc.iter().enumerate() {
-        let row = (di0 + r) * n + j0;
-        cblk[row..row + NC].copy_from_slice(accrow);
+        cblk.row_mut(di0 + r)[dj..dj + NC].copy_from_slice(accrow);
     }
 }
 
@@ -329,7 +379,14 @@ mod tests {
 
     #[test]
     fn gemm_tiled_bit_identical_to_naive() {
-        for &(m, k, n) in &[(1, 1, 1), (3, 5, 2), (7, 33, 17), (40, 64, 50), (4, 16, 16)] {
+        // Column tails n % 4 in {1, 2, 3} below and above one register
+        // tile, with m on both sides of ROW_BLOCK.
+        let tails = [1, 2, 3, 5, 49, 50, 51];
+        let shapes = [(1, 1, 1), (3, 5, 2), (7, 33, 17), (40, 64, 50), (4, 16, 16)]
+            .into_iter()
+            .chain(tails.map(|n| (7, 19, n)))
+            .chain(tails.map(|n| (ROW_BLOCK + 9, 19, n)));
+        for (m, k, n) in shapes {
             let a: Vec<f32> = (0..m * k)
                 .map(|i| ((i * 37 % 97) as f32 - 48.0) / 7.0)
                 .collect();

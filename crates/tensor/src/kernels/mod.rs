@@ -1,10 +1,22 @@
 //! Real CPU kernels for every operator in the DUET operator vocabulary.
 //!
-//! Each kernel validates shapes, allocates its output once, and writes it
-//! with no interior allocation. Heavy kernels (GEMM, conv) are parallelised
-//! with rayon over independent output rows, which keeps results bit-exact
-//! regardless of thread count (each output element is produced by exactly
-//! one reduction performed in a fixed order).
+//! Each kernel validates shapes and writes its output in one pass. The
+//! `_into` entry points the tape runs allocate nothing per call: outputs are
+//! caller-owned, the one kernel temporary — `conv2d_into`'s im2col matrix —
+//! is borrowed from a grow-only process-wide list, and a parallel region is
+//! described by a pointer and a chunk geometry, not a chunk list (one that
+//! forks allocates its job header, nothing else). The tensor-returning
+//! wrappers allocate their result, once.
+//!
+//! Heavy kernels split their output across the global kernel pool
+//! (`vendor/rayon`: as wide as the machine): GEMM into row-block ×
+//! column-panel chunks, conv2d into images and then into im2col channel rows
+//! and GEMM chunks, depthwise and pooling into planes, `linear` into rows.
+//! Every split goes through one fork gate, `micro::fork_if_worthwhile`: a
+//! region whose estimated work is below `FORK_MIN_WORK` runs inline on its
+//! caller. Each output element is produced by exactly one reduction,
+//! performed in a fixed order inside one chunk, so results are bit-exact
+//! regardless of thread count or chunk shape.
 //!
 //! The arithmetic engine lives in [`micro`]: lane-chunked, register-tiled
 //! microkernels with documented reduction-order contracts (exact `to_bits`

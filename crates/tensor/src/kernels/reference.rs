@@ -21,6 +21,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use rayon::prelude::*;
 
+use super::micro::fork_if_worthwhile;
+
 static REFERENCE_MODE: AtomicBool = AtomicBool::new(false);
 
 /// Route the heavy kernels (GEMM, linear, depthwise conv, LSTM) through the
@@ -50,13 +52,15 @@ pub(crate) fn gemm_acc_ref(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usi
         gemm_block(a, b, c, 0, m, k, n);
         return;
     }
-    c.par_chunks_mut(ROW_BLOCK * n)
-        .enumerate()
-        .for_each(|(blk, cblk)| {
-            let i0 = blk * ROW_BLOCK;
-            let rows = cblk.len() / n.max(1);
-            gemm_block(a, b, cblk, i0, rows, k, n);
-        });
+    fork_if_worthwhile(m * k * n, || {
+        c.par_chunks_mut(ROW_BLOCK * n)
+            .enumerate()
+            .for_each(|(blk, cblk)| {
+                let i0 = blk * ROW_BLOCK;
+                let rows = cblk.len() / n.max(1);
+                gemm_block(a, b, cblk, i0, rows, k, n);
+            });
+    });
 }
 
 /// One ROW_BLOCK-tall tile of the seed GEMM: rows `[i0, i0+rows)` of A
@@ -108,9 +112,11 @@ pub(crate) fn linear_into_ref(
         }
         return;
     }
-    out.par_chunks_mut(nout)
-        .enumerate()
-        .for_each(|(i, orow)| row(i, orow));
+    fork_if_worthwhile(m * kin * nout, || {
+        out.par_chunks_mut(nout)
+            .enumerate()
+            .for_each(|(i, orow)| row(i, orow));
+    });
 }
 
 /// Accumulating seed linear: `out[i][j] += x_i · w_j`, serial chains.
