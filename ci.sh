@@ -91,12 +91,14 @@ for family in \
   duet_profile_subgraphs_total \
   duet_sched_corrections_total \
   duet_sched_moves_accepted_total \
+  duet_sched_correction_wall_us \
   duet_exec_runs_total \
   duet_tape_runs_total \
   duet_arena_checkouts_total \
   duet_serve_batches_total \
   duet_serve_shed_total \
   duet_serve_plan_swap_rejected_total \
+  duet_serve_swap_stall_us \
   duet_analysis_checks_total \
   duet_analysis_diagnostics_total \
   duet_analysis_model_check_states \

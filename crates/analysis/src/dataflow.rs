@@ -43,12 +43,24 @@ pub fn check_dataflow(graph: &Graph) -> Report {
 pub fn check_dataflow_with(graph: &Graph, cfg: &AbsintConfig) -> (Report, DataflowFacts) {
     let t0 = Instant::now();
     let facts = absint::analyze_values_with(graph, cfg);
+    let report = report_since(graph, &facts, t0);
+    (report, facts)
+}
+
+/// The `D6xx` report of facts a caller already holds for `graph` — the
+/// checked optimizer's, which analysed this very graph one step earlier
+/// (`Compiler::optimize_with_facts`). No second analysis runs.
+pub fn dataflow_report(graph: &Graph, facts: &DataflowFacts) -> Report {
+    report_since(graph, facts, Instant::now())
+}
+
+fn report_since(graph: &Graph, facts: &DataflowFacts, t0: Instant) -> Report {
     let mut report = Report::new(format!("{}/dataflow", graph.name));
     for hazard in &facts.hazards {
         report.push(hazard_to_diagnostic(graph, hazard));
     }
     crate::telemetry::record_dataflow(&report, t0.elapsed().as_micros() as u64);
-    (report, facts)
+    report
 }
 
 /// Map one interpreter hazard to its coded diagnostic.

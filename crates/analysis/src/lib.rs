@@ -70,7 +70,7 @@ pub mod plan_lint;
 pub mod telemetry;
 pub mod witness_check;
 
-pub use dataflow::{check_dataflow, check_dataflow_with};
+pub use dataflow::{check_dataflow, check_dataflow_with, dataflow_report};
 pub use diagnostics::{Diagnostic, Report, Severity};
 pub use graph_verifier::verify_graph;
 pub use memory_check::{check_memory_plan, check_memory_plans};

@@ -67,11 +67,10 @@
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-use duet_device::{DeviceKind, SystemModel};
+use duet_compiler::CompiledSubgraph;
+use duet_device::DeviceKind;
 use duet_ir::{Graph, NodeId, Op};
-use duet_runtime::{
-    subgraph_exec_time_us, ExecutionWitness, Placed, TriggerEdge, WitnessEvent, WitnessSource,
-};
+use duet_runtime::{ExecutionWitness, Timeline, TriggerEdge, WitnessEvent, WitnessSource};
 
 use crate::codes;
 use crate::diagnostics::{Diagnostic, Report};
@@ -259,22 +258,34 @@ impl PlanModel {
         }
     }
 
-    /// Enrich the model with compiled subgraphs: per-subgraph execution
-    /// prices under `system` (on the *model's* device assignment, so a
-    /// mutated device is priced where it now sits) and the tape escape
-    /// sets the D502 aliasing cross-check needs. `placed` must be the
-    /// plan's subgraphs in plan order.
-    pub fn price_with(&mut self, system: &SystemModel, placed: &[Placed]) {
+    /// Enrich the model with the plan's timing core and compiled
+    /// subgraphs: per-subgraph execution prices read from `timeline`'s
+    /// execution table (on the *model's* device assignment, so a mutated
+    /// device is priced where it now sits), its lane counts, and the
+    /// tape escape sets the D502 aliasing cross-check needs. Both must
+    /// describe the plan's subgraphs in plan order.
+    pub fn price_with<'a>(
+        &mut self,
+        timeline: &Timeline,
+        subgraphs: impl IntoIterator<Item = &'a CompiledSubgraph>,
+    ) {
         assert_eq!(
-            placed.len(),
+            timeline.len(),
             self.subgraphs.len(),
-            "priced placement must match the plan subgraph-for-subgraph"
+            "priced timeline must match the plan subgraph-for-subgraph"
         );
-        self.cpu_lanes = system.cpu.lanes.max(1);
-        self.gpu_lanes = system.gpu.lanes.max(1);
-        for (sg, p) in self.subgraphs.iter_mut().zip(placed) {
-            sg.exec_us = subgraph_exec_time_us(system, sg.device, &p.sg);
-            sg.escapes = Some(p.sg.tape.outputs.iter().map(|&(node, _)| node).collect());
+        self.cpu_lanes = timeline.lanes(DeviceKind::Cpu);
+        self.gpu_lanes = timeline.lanes(DeviceKind::Gpu);
+        for (i, (sg, compiled)) in self.subgraphs.iter_mut().zip(subgraphs).enumerate() {
+            sg.exec_us = timeline.exec_time_us(i, sg.device);
+            sg.escapes = Some(
+                compiled
+                    .tape
+                    .outputs
+                    .iter()
+                    .map(|&(node, _)| node)
+                    .collect(),
+            );
         }
     }
 

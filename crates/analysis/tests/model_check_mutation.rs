@@ -16,7 +16,7 @@ use duet_analysis::plan_lint::{PlanFacts, PlanSubgraphFacts};
 use duet_compiler::Compiler;
 use duet_device::{DeviceKind, SystemModel};
 use duet_ir::{fingerprint, Graph, GraphBuilder, NodeId, Op};
-use duet_runtime::{simulate, witness_to_chrome_trace, Placed, SimNoise, WitnessEvent};
+use duet_runtime::{simulate, witness_to_chrome_trace, Placed, SimNoise, Timeline, WitnessEvent};
 
 /// `x -> pre -> {big, side} -> head`: a diamond whose `big` branch is
 /// heavy enough (1024x2048 dense) to be genuinely GPU-favorable, so
@@ -85,8 +85,16 @@ fn priced_model() -> (Graph, PlanModel, Vec<Placed>) {
             .collect(),
     };
     let mut model = PlanModel::from_facts(&g, &facts).expect("victim plan is structurally sound");
-    model.price_with(&system, &placed);
+    price(&mut model, &g, &placed);
     (g, model, placed)
+}
+
+/// Price `model` from the plan's own timing core on the paper server.
+fn price(model: &mut PlanModel, g: &Graph, placed: &[Placed]) {
+    let subgraphs = || placed.iter().map(|p| &p.sg);
+    let timeline = Timeline::new(g, subgraphs(), &SystemModel::paper_server())
+        .expect("the victim plan covers its graph");
+    model.price_with(&timeline, subgraphs());
 }
 
 fn index_of(model: &PlanModel, name: &str) -> usize {
@@ -208,7 +216,7 @@ fn device_swap_with_stale_latency_claim_is_d503() {
     // the plan promises, i.e. it silently assumes the CPU doubles up.
     let big = index_of(&model, "big");
     model.set_device(&g, big, DeviceKind::Cpu);
-    model.price_with(&SystemModel::paper_server(), &placed);
+    price(&mut model, &g, &placed);
     let outcome = check_plan_model(&model, &ModelCheckConfig::default());
     assert!(
         outcome.report.contains(codes::MODEL_DEVICE_OVERCOMMIT),

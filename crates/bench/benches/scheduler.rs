@@ -1,7 +1,8 @@
-//! Criterion benchmarks for profiling, scheduling, and the simulator —
+//! Criterion benchmarks for profiling, scheduling, and the timing core —
 //! the rest of DUET's offline pipeline. The correction loop's cost is
-//! dominated by `measure_latency` calls, so simulator throughput is the
-//! headline number here.
+//! one `Timeline::makespan` replay per candidate, so replay throughput
+//! is the headline number here; `simulate` (build the timeline, replay
+//! once, keep the entries) is what a one-off caller pays.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use duet_compiler::Compiler;
@@ -9,7 +10,7 @@ use duet_core::sched::{self, greedy, SubgraphUnit};
 use duet_core::{partition, Duet, SchedulePolicy};
 use duet_device::{DeviceKind, SystemModel};
 use duet_models::{wide_and_deep, WideAndDeepConfig};
-use duet_runtime::{simulate, Profiler, SimNoise};
+use duet_runtime::{simulate, Profiler, SimNoise, Timeline};
 
 fn units() -> (duet_ir::Graph, Vec<SubgraphUnit>) {
     let g = wide_and_deep(&WideAndDeepConfig::default());
@@ -41,22 +42,30 @@ fn bench_simulator(c: &mut Criterion) {
     c.bench_function("simulate/wide_and_deep", |b| {
         b.iter(|| simulate(&g, &placed, &sys, &mut SimNoise::disabled()))
     });
+    let timeline = Timeline::new(&g, u.iter().map(|u| &u.sg), &sys).unwrap();
+    c.bench_function("timeline/build_wide_and_deep", |b| {
+        b.iter(|| Timeline::new(&g, u.iter().map(|u| &u.sg), &sys).unwrap())
+    });
+    c.bench_function("timeline/makespan_wide_and_deep", |b| {
+        b.iter(|| timeline.makespan(&devices))
+    });
 }
 
 fn bench_schedulers(c: &mut Criterion) {
     let (g, u) = units();
     let sys = SystemModel::paper_server();
+    let timeline = Timeline::new(&g, u.iter().map(|u| &u.sg), &sys).unwrap();
     c.bench_function("schedule/greedy", |b| {
         b.iter(|| greedy::greedy_placement(&u))
     });
     c.bench_function("schedule/greedy_correction", |b| {
         b.iter(|| {
             let init = greedy::greedy_placement(&u);
-            greedy::correct(&g, &u, &sys, init)
+            greedy::correct(&timeline, &u, init)
         })
     });
     c.bench_function("schedule/ideal_exhaustive", |b| {
-        b.iter(|| sched::schedule(&g, &u, &sys, SchedulePolicy::Ideal))
+        b.iter(|| sched::schedule(&timeline, &u, &sys, SchedulePolicy::Ideal))
     });
 }
 

@@ -20,11 +20,21 @@
 //! FFN), holds the kernels to the same standard: `conv2d_into` borrows its
 //! im2col buffer from a grow-only list and parallel regions carry no chunk
 //! lists, so a per-call kernel temporary trips this budget too.
+//!
+//! A plan-time budget holds `Duet::recorrect` — what the serving worker
+//! runs when drift fires — to its allocation count on paper-scale
+//! `wide_and_deep` and on `squeezenet` (25 units, the zoo's largest
+//! correction search). A candidate placement costs one replay of the
+//! engine's timeline: a few scratch vectors. Cloning the compiled
+//! subgraphs per candidate again (a `to_placed` in the pricing path)
+//! multiplies the count by tens and trips this at once.
 
 use duet_bench::count_allocs;
 use duet_compiler::{CompiledSubgraph, Compiler, TapeArena};
+use duet_core::Duet;
 use duet_ir::Graph;
-use duet_models::{input_feeds, mlp, wide_and_deep, MlpConfig, WideAndDeepConfig};
+use duet_models::{input_feeds, mlp, wide_and_deep, zoo_model, MlpConfig, WideAndDeepConfig};
+use duet_serve::loadgen::degraded_gpu;
 
 const WARMUP: usize = 4;
 const RUNS: u64 = 64;
@@ -37,6 +47,13 @@ const BUDGET_PER_RUN: u64 = 32;
 /// scale, so the pool adds none at any width. The slack of 4 is fewer than
 /// the model's 20 convolutions: one temporary per conv call trips it.
 const CONV_BUDGET_PER_RUN: u64 = 330;
+
+/// Allocation calls of one `recorrect(degraded_gpu)`: 2469 and 3057,
+/// counted exactly (the search is deterministic), plus 1 % slack. The
+/// two searches price 31 and 269 candidates at two scratch vectors
+/// each, so the slack is less than one more allocation per candidate;
+/// the rest is re-profiling and the new engine's own subgraph clones.
+const RECORRECT_BUDGETS: [(&str, u64); 2] = [("wide_and_deep", 2494), ("squeezenet", 3088)];
 
 fn main() {
     // The budget must hold with telemetry ON: counters are relaxed
@@ -101,6 +118,20 @@ fn main() {
              {CONV_BUDGET_PER_RUN}"
         );
         failed = true;
+    }
+    for (model, budget) in RECORRECT_BUDGETS {
+        let graph = zoo_model(model).expect("a zoo model");
+        let engine = Duet::builder().build(&graph).expect("builds");
+        let degraded = degraded_gpu(engine.system());
+        let (allocs, replanned) = count_allocs(|| engine.recorrect(degraded));
+        println!(
+            "recorrect({model}, {} units): {allocs} allocs (budget {budget})",
+            replanned.units().len()
+        );
+        if allocs > budget {
+            eprintln!("FAIL: recorrect({model}) made {allocs} allocations, budget {budget}");
+            failed = true;
+        }
     }
     if failed {
         std::process::exit(1);

@@ -1,7 +1,9 @@
 //! The compiler driver: pass pipeline + lowering entry points.
 
+use duet_ir::absint::{analyze_values_with, AbsintConfig, DataflowFacts};
 use duet_ir::{Graph, GraphError, NodeId};
-use duet_telemetry::SpanKind;
+use duet_telemetry::metric::Counter;
+use duet_telemetry::{registry as tm, SpanKind};
 
 use crate::invariants::{self, PassViolation};
 use crate::lower::CompiledSubgraph;
@@ -108,6 +110,50 @@ pub struct OptimizeStats {
     pub dead_removed: usize,
 }
 
+/// One graph-level pass of the pipeline and where its numbers go.
+struct Pass {
+    name: &'static str,
+    run: fn(&Graph) -> Result<(Graph, usize), GraphError>,
+    /// May delete dead nodes but must never touch live ones (DCE).
+    removal_only: bool,
+    stat: fn(&mut OptimizeStats) -> &mut usize,
+    span: SpanKind,
+    runs: &'static Counter,
+    wall_us: &'static Counter,
+    delta: &'static Counter,
+}
+
+static FOLD: Pass = Pass {
+    name: "fold_constants",
+    run: passes::fold_constants,
+    removal_only: false,
+    stat: |s| &mut s.constants_folded,
+    span: SpanKind::PassFoldConstants,
+    runs: &tm::COMPILE_PASS_RUNS_FOLD,
+    wall_us: &tm::COMPILE_PASS_US_FOLD,
+    delta: &tm::COMPILE_PASS_DELTA_FOLD,
+};
+static CSE: Pass = Pass {
+    name: "cse",
+    run: passes::eliminate_common_subexpressions,
+    removal_only: false,
+    stat: |s| &mut s.subexpressions_merged,
+    span: SpanKind::PassCse,
+    runs: &tm::COMPILE_PASS_RUNS_CSE,
+    wall_us: &tm::COMPILE_PASS_US_CSE,
+    delta: &tm::COMPILE_PASS_DELTA_CSE,
+};
+static DCE: Pass = Pass {
+    name: "dce",
+    run: passes::eliminate_dead_code,
+    removal_only: true,
+    stat: |s| &mut s.dead_removed,
+    span: SpanKind::PassDce,
+    runs: &tm::COMPILE_PASS_RUNS_DCE,
+    wall_us: &tm::COMPILE_PASS_US_DCE,
+    delta: &tm::COMPILE_PASS_DELTA_DCE,
+};
+
 /// The optimizing compiler.
 #[derive(Debug, Clone, Default)]
 pub struct Compiler {
@@ -132,7 +178,32 @@ impl Compiler {
     /// names the offending pass instead of surfacing later as a
     /// mis-profiled schedule or an executor panic.
     pub fn optimize(&self, graph: &Graph) -> Result<(Graph, OptimizeStats), CompileError> {
-        use duet_telemetry::registry as tm;
+        self.optimize_with_facts(graph)
+            .map(|(g, stats, _)| (g, stats))
+    }
+
+    /// [`Compiler::optimize`], also handing back the abstract dataflow
+    /// facts of the optimized graph that check mode computed along the
+    /// way (`None` exactly when check mode is off) — so a D6xx gate
+    /// behind the optimizer reads them instead of analysing the same
+    /// graph again.
+    pub fn optimize_with_facts(
+        &self,
+        graph: &Graph,
+    ) -> Result<(Graph, OptimizeStats, Option<DataflowFacts>), CompileError> {
+        let o = self.options;
+        let passes: Vec<&Pass> = [(o.fold_constants, &FOLD), (o.cse, &CSE), (o.dce, &DCE)]
+            .into_iter()
+            .filter_map(|(on, pass)| on.then_some(pass))
+            .collect();
+        self.run_pipeline(graph, &passes)
+    }
+
+    fn run_pipeline(
+        &self,
+        graph: &Graph,
+        passes: &[&Pass],
+    ) -> Result<(Graph, OptimizeStats, Option<DataflowFacts>), CompileError> {
         let pipeline_start = duet_telemetry::clock_us();
         tm::COMPILE_RUNS.inc();
         let mut stats = OptimizeStats {
@@ -141,54 +212,35 @@ impl Compiler {
         };
         let mut g = graph.clone();
         // In check mode every pass must also *refine* abstract dataflow
-        // state (intervals shrink, NaN/Inf facts never appear); the
-        // facts of the running graph are carried forward so each pass
-        // costs exactly one re-analysis.
-        let mut facts = if self.options.check {
-            Some(duet_ir::absint::analyze_values(&g))
-        } else {
-            None
-        };
-        if self.options.fold_constants {
+        // state (intervals shrink, NaN/Inf facts never appear). The facts
+        // of the running graph are carried forward, so a pass costs one
+        // re-analysis — and none at all when it handed back the program
+        // it was given.
+        let cfg = AbsintConfig::default();
+        let mut facts = self.options.check.then(|| analyze_values_with(&g, &cfg));
+        for pass in passes {
             let t0 = duet_telemetry::clock_us();
-            let (g2, n) = passes::fold_constants(&g)?;
-            self.verify_pass("fold_constants", &g, &g2, false)?;
-            facts = self.verify_dataflow("fold_constants", &g, facts, &g2)?;
+            let (g2, n) = (pass.run)(&g)?;
+            if let Some(before) = &mut facts {
+                invariants::check_pass(pass.name, &g, &g2, pass.removal_only)
+                    .map_err(CompileError::Invariant)?;
+                // Keyed on the graphs themselves, never on the count the
+                // pass reports about itself.
+                if !g2.same_program(&g) {
+                    let after = analyze_values_with(&g2, &cfg);
+                    invariants::check_dataflow_refinement(pass.name, &g, before, &g2, &after, &cfg)
+                        .map_err(CompileError::Invariant)?;
+                    *before = after;
+                }
+            }
             g = g2;
-            stats.constants_folded = n;
+            *(pass.stat)(&mut stats) = n;
             let dur = duet_telemetry::clock_us() - t0;
-            tm::COMPILE_PASS_RUNS_FOLD.inc();
-            tm::COMPILE_PASS_US_FOLD.add_us(dur);
-            tm::COMPILE_PASS_DELTA_FOLD.add(n as u64);
-            duet_telemetry::record_span(SpanKind::PassFoldConstants, n as u64, t0, dur, 0.0, 0.0);
+            pass.runs.inc();
+            pass.wall_us.add_us(dur);
+            pass.delta.add(n as u64);
+            duet_telemetry::record_span(pass.span, n as u64, t0, dur, 0.0, 0.0);
         }
-        if self.options.cse {
-            let t0 = duet_telemetry::clock_us();
-            let (g2, n) = passes::eliminate_common_subexpressions(&g)?;
-            self.verify_pass("cse", &g, &g2, false)?;
-            facts = self.verify_dataflow("cse", &g, facts, &g2)?;
-            g = g2;
-            stats.subexpressions_merged = n;
-            let dur = duet_telemetry::clock_us() - t0;
-            tm::COMPILE_PASS_RUNS_CSE.inc();
-            tm::COMPILE_PASS_US_CSE.add_us(dur);
-            tm::COMPILE_PASS_DELTA_CSE.add(n as u64);
-            duet_telemetry::record_span(SpanKind::PassCse, n as u64, t0, dur, 0.0, 0.0);
-        }
-        if self.options.dce {
-            let t0 = duet_telemetry::clock_us();
-            let (g2, n) = passes::eliminate_dead_code(&g)?;
-            self.verify_pass("dce", &g, &g2, true)?;
-            facts = self.verify_dataflow("dce", &g, facts, &g2)?;
-            g = g2;
-            stats.dead_removed = n;
-            let dur = duet_telemetry::clock_us() - t0;
-            tm::COMPILE_PASS_RUNS_DCE.inc();
-            tm::COMPILE_PASS_US_DCE.add_us(dur);
-            tm::COMPILE_PASS_DELTA_DCE.add(n as u64);
-            duet_telemetry::record_span(SpanKind::PassDce, n as u64, t0, dur, 0.0, 0.0);
-        }
-        let _ = facts; // last pass's facts; nothing left to compare against
         stats.nodes_after = g.len();
         duet_telemetry::record_span(
             SpanKind::CompileOptimize,
@@ -198,40 +250,7 @@ impl Compiler {
             stats.nodes_after as f64,
             0.0,
         );
-        Ok((g, stats))
-    }
-
-    fn verify_pass(
-        &self,
-        pass: &'static str,
-        before: &Graph,
-        after: &Graph,
-        removal_only: bool,
-    ) -> Result<(), CompileError> {
-        if !self.options.check {
-            return Ok(());
-        }
-        invariants::check_pass(pass, before, after, removal_only).map_err(CompileError::Invariant)
-    }
-
-    /// Check abstract-state refinement for one pass and return the
-    /// after-graph's facts for the next pass to compare against.
-    /// `before_facts` is `None` exactly when check mode is off.
-    fn verify_dataflow(
-        &self,
-        pass: &'static str,
-        before: &Graph,
-        before_facts: Option<duet_ir::absint::DataflowFacts>,
-        after: &Graph,
-    ) -> Result<Option<duet_ir::absint::DataflowFacts>, CompileError> {
-        let Some(bf) = before_facts else {
-            return Ok(None);
-        };
-        let cfg = duet_ir::absint::AbsintConfig::default();
-        let af = duet_ir::absint::analyze_values_with(after, &cfg);
-        invariants::check_dataflow_refinement(pass, before, &bf, after, &af, &cfg)
-            .map_err(CompileError::Invariant)?;
-        Ok(Some(af))
+        Ok((g, stats, facts))
     }
 
     /// Lower a node subset of an (already optimized) graph into a
@@ -298,6 +317,58 @@ mod tests {
         let o1 = g.eval(&HashMap::from([(x, t.clone())])).unwrap();
         let o2 = g2.eval(&HashMap::from([(g2.input_ids()[0], t)])).unwrap();
         assert!(o1[0].approx_eq(&o2[0], 1e-6));
+    }
+
+    #[test]
+    fn lying_pass_that_widens_a_value_is_refused() {
+        // Reports zero rewrites, but rewires the output past the relu:
+        // its [0, MAX] interval widens back to the raw input's. The
+        // facts carry-over is keyed on the graphs, so the count cannot
+        // talk the pipeline out of re-analysing.
+        fn widen(g: &Graph) -> Result<(Graph, usize), GraphError> {
+            let mut out = Graph::new(g.name.clone());
+            let x = out.add_input("x", vec![4]);
+            let t = out.add_op("t", Op::Tanh, &[x])?;
+            out.mark_output(t)?;
+            Ok((out, 0))
+        }
+        let liar = Pass {
+            name: "liar",
+            run: widen,
+            ..FOLD
+        };
+        let honest = Pass {
+            name: "noop",
+            run: |g| Ok((g.clone(), 0)),
+            ..FOLD
+        };
+        let mut g = Graph::new("chain");
+        let x = g.add_input("x", vec![4]);
+        let r = g.add_op("r", Op::Relu, &[x]).unwrap();
+        let t = g.add_op("t", Op::Tanh, &[r]).unwrap();
+        g.mark_output(t).unwrap();
+
+        let checked = Compiler::new(CompileOptions::checked());
+        let err = checked.run_pipeline(&g, &[&honest, &liar]).unwrap_err();
+        match err {
+            CompileError::Invariant(v) => {
+                assert_eq!(v.pass, "liar");
+                assert_eq!(
+                    v.kind,
+                    crate::invariants::ViolationKind::WidenedAbstractState
+                );
+            }
+            other => panic!("expected a refinement violation, got {other}"),
+        }
+        // The honest no-op passes, and the facts handed on are the input's.
+        let (_, stats, facts) = checked.run_pipeline(&g, &[&honest, &honest]).unwrap();
+        assert_eq!(stats.constants_folded, 0);
+        let facts = facts.expect("check mode returns facts");
+        let want = duet_ir::absint::analyze_values(&g);
+        assert_eq!(format!("{}", facts.val(t)), format!("{}", want.val(t)));
+        // Unchecked pipelines verify nothing and return no facts.
+        let unchecked = Compiler::new(CompileOptions::full().with_check(false));
+        assert!(unchecked.run_pipeline(&g, &[&liar]).unwrap().2.is_none());
     }
 
     #[test]

@@ -53,10 +53,10 @@ impl GraphRewriter {
         let node = src.node(old);
         let id = match node.op {
             Op::Input => self.new.add_input(node.label.clone(), node.shape.clone()),
-            Op::Constant => self.new.add_constant(
-                node.label.clone(),
-                src.param(old).expect("constant has payload").clone(),
-            ),
+            Op::Constant => self
+                .new
+                .copy_constant(src, old)
+                .expect("constant has payload"),
             _ => {
                 let inputs: Vec<NodeId> = node.inputs.iter().map(|&i| self.mapped(i)).collect();
                 self.new

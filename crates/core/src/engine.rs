@@ -27,7 +27,7 @@ use duet_compiler::{
 use duet_device::{DeviceKind, SystemModel};
 use duet_ir::{Graph, GraphError, NodeId};
 use duet_runtime::{
-    measure_latency, measure_stats, HeterogeneousExecutor, LatencyStats, Placed, Profiler,
+    measure_stats, HeterogeneousExecutor, LatencyStats, Placed, Profiler, ScheduleError, Timeline,
 };
 use duet_tensor::Tensor;
 
@@ -59,6 +59,17 @@ pub enum EngineError {
     /// reachable NaN, certain overflow, unsound attribute). Raised only
     /// in checked builds.
     Dataflow(duet_analysis::Report),
+    /// The subgraphs do not cover the producer of a boundary value or
+    /// of a graph output, so no timeline can be built for them. The
+    /// `D2xx` coverage lint is the first line of defence; this is what
+    /// a plan that got past it meets instead of a panic.
+    Schedule(ScheduleError),
+}
+
+impl From<ScheduleError> for EngineError {
+    fn from(e: ScheduleError) -> Self {
+        EngineError::Schedule(e)
+    }
 }
 
 impl From<GraphError> for EngineError {
@@ -88,6 +99,7 @@ impl std::fmt::Display for EngineError {
             EngineError::Lint(r) => write!(f, "{r}"),
             EngineError::ModelCheck(r) => write!(f, "{r}"),
             EngineError::Dataflow(r) => write!(f, "{r}"),
+            EngineError::Schedule(e) => write!(f, "{e}"),
         }
     }
 }
@@ -188,8 +200,7 @@ impl DuetBuilder {
     /// Run the offline pipeline and return a ready engine.
     pub fn build(self, model: &Graph) -> Result<Duet, EngineError> {
         let compiler = Compiler::new(self.compile_options);
-        let (graph, _stats) = compiler.optimize(model)?;
-        check_dataflow_gate(&graph, self.compile_options.check)?;
+        let graph = optimize_gated(&compiler, model)?;
 
         let part = match self.granularity {
             Granularity::Coarse => partition(&graph),
@@ -197,71 +208,7 @@ impl DuetBuilder {
             Granularity::Nested { depth } => crate::partition::partition_nested(&graph, depth, 6),
         };
         let subgraphs = part.compile(&graph, &compiler);
-        let profiler =
-            Profiler::new(self.system.clone()).with_runs(self.profile_runs, self.profile_warmup);
-        let profiles = profiler.profile_all(&graph, &subgraphs);
-        let units = sched::make_units(&part, subgraphs, profiles);
-
-        let devices = sched::schedule(&graph, &units, &self.system, self.policy);
-        let hetero_placed = sched::to_placed(&units, &devices);
-        let hetero_latency = measure_latency(&graph, &hetero_placed, &self.system);
-
-        // Single-device baselines use whole-graph compilation (maximum
-        // fusion scope — the best the compiler can do on one device).
-        let whole = compiler.compile_whole(&graph, graph.name.clone());
-        let single = |d: DeviceKind| -> (f64, Vec<Placed>) {
-            let placed = vec![Placed {
-                sg: whole.clone(),
-                device: d,
-            }];
-            (measure_latency(&graph, &placed, &self.system), placed)
-        };
-        let (cpu_only_us, cpu_placed) = single(DeviceKind::Cpu);
-        let (gpu_only_us, gpu_placed) = single(DeviceKind::Gpu);
-
-        let best_single = cpu_only_us.min(gpu_only_us);
-        let fallback =
-            if self.allow_fallback && hetero_latency > best_single * (1.0 - self.min_gain) {
-                Some(if cpu_only_us <= gpu_only_us {
-                    DeviceKind::Cpu
-                } else {
-                    DeviceKind::Gpu
-                })
-            } else {
-                None
-            };
-        let (placed, latency_us) = match fallback {
-            Some(DeviceKind::Cpu) => (cpu_placed, cpu_only_us),
-            Some(DeviceKind::Gpu) => (gpu_placed, gpu_only_us),
-            None => (hetero_placed, hetero_latency),
-        };
-
-        let batch = graph.leading_batch().unwrap_or(1);
-        let duet = Duet {
-            graph,
-            units,
-            devices,
-            placed,
-            latency_us,
-            cpu_only_us,
-            gpu_only_us,
-            fallback,
-            system: self.system,
-            whole,
-            allow_fallback: self.allow_fallback,
-            min_gain: self.min_gain,
-            batch,
-            arenas: Arc::new(ArenaPool::new()),
-        };
-        // Checked builds prove the D5xx properties of the decision the
-        // scheduler just made before handing it to anyone.
-        if self.compile_options.check {
-            let outcome = duet.check_plan(&ModelCheckConfig::default());
-            if outcome.report.has_errors() {
-                return Err(EngineError::ModelCheck(outcome.report));
-            }
-        }
-        Ok(duet)
+        self.assemble(compiler, graph, &part, subgraphs, Decision::Schedule)
     }
 
     /// Instantiate an engine from a previously exported [`SchedulePlan`],
@@ -272,8 +219,7 @@ impl DuetBuilder {
     /// fingerprint; weight changes are fine, architecture changes are not.
     pub fn build_with_plan(self, model: &Graph, plan: &SchedulePlan) -> Result<Duet, EngineError> {
         let compiler = Compiler::new(self.compile_options);
-        let (graph, _) = compiler.optimize(model)?;
-        check_dataflow_gate(&graph, self.compile_options.check)?;
+        let graph = optimize_gated(&compiler, model)?;
         plan.validate_against(&graph)?;
         // Beyond the coarse fingerprint/coverage gate: run the full
         // `duet-analysis` plan linter so a structurally broken plan
@@ -303,48 +249,62 @@ impl DuetBuilder {
             .iter()
             .map(|p| compiler.compile_nodes(&graph, &p.nodes, p.name.clone()))
             .collect();
+        self.assemble(compiler, graph, &part, subgraphs, Decision::Replay(plan))
+    }
+
+    /// The shared tail of both builds: profile, build the timing core,
+    /// take the scheduling decision (the policy's, or the replayed
+    /// plan's), resolve the fallback, and — in checked builds —
+    /// model-check.
+    fn assemble(
+        self,
+        compiler: Compiler,
+        graph: Graph,
+        part: &Partition,
+        subgraphs: Vec<CompiledSubgraph>,
+        decision: Decision<'_>,
+    ) -> Result<Duet, EngineError> {
         let profiler =
             Profiler::new(self.system.clone()).with_runs(self.profile_runs, self.profile_warmup);
         let profiles = profiler.profile_all(&graph, &subgraphs);
-        let units = sched::make_units(&part, subgraphs, profiles);
-        let devices: Vec<DeviceKind> = plan.subgraphs.iter().map(|p| p.device).collect();
-        let hetero_placed = sched::to_placed(&units, &devices);
-        let hetero_latency = measure_latency(&graph, &hetero_placed, &self.system);
+        let units = sched::make_units(part, subgraphs, profiles);
+        let timeline = Timeline::new(&graph, units.iter().map(|u| &u.sg), &self.system)?;
+        let (devices, batch, dictated_fallback) = match decision {
+            Decision::Schedule => (
+                sched::schedule(&timeline, &units, &self.system, self.policy),
+                graph.leading_batch().unwrap_or(1),
+                None,
+            ),
+            Decision::Replay(plan) => (
+                plan.subgraphs.iter().map(|p| p.device).collect(),
+                plan.batch,
+                Some(plan.fallback),
+            ),
+        };
 
+        // Single-device baselines use whole-graph compilation (maximum
+        // fusion scope — the best the compiler can do on one device).
         let whole = compiler.compile_whole(&graph, graph.name.clone());
-        let single = |d: DeviceKind| -> (f64, Vec<Placed>) {
-            let placed = vec![Placed {
-                sg: whole.clone(),
-                device: d,
-            }];
-            (measure_latency(&graph, &placed, &self.system), placed)
-        };
-        let (cpu_only_us, cpu_placed) = single(DeviceKind::Cpu);
-        let (gpu_only_us, gpu_placed) = single(DeviceKind::Gpu);
-        let (placed, latency_us) = match plan.fallback {
-            Some(DeviceKind::Cpu) => (cpu_placed, cpu_only_us),
-            Some(DeviceKind::Gpu) => (gpu_placed, gpu_only_us),
-            None => (hetero_placed, hetero_latency),
-        };
-        let batch = plan.batch;
-        let duet = Duet {
-            graph,
-            units,
-            devices,
-            placed,
-            latency_us,
-            cpu_only_us,
-            gpu_only_us,
-            fallback: plan.fallback,
-            system: self.system,
-            whole,
-            allow_fallback: self.allow_fallback,
-            min_gain: self.min_gain,
-            batch,
-            arenas: Arc::new(ArenaPool::new()),
-        };
-        // A supplied plan is untrusted input: in checked builds, prove
-        // its D5xx interleaving properties, not just its D2xx structure.
+        let whole_timeline = Timeline::new(&graph, [&whole], &self.system)?;
+        let duet = Duet::resolve(
+            Scheduled {
+                graph,
+                units,
+                devices,
+                system: self.system,
+                timeline,
+                whole,
+                whole_timeline,
+                allow_fallback: self.allow_fallback,
+                min_gain: self.min_gain,
+                batch,
+                arenas: Arc::new(ArenaPool::new()),
+            },
+            dictated_fallback,
+        );
+        // Checked builds prove the D5xx properties of the scheduling
+        // decision — the scheduler's own, or an untrusted plan's —
+        // before handing it to anyone.
         if self.compile_options.check {
             let outcome = duet.check_plan(&ModelCheckConfig::default());
             if outcome.report.has_errors() {
@@ -355,18 +315,45 @@ impl DuetBuilder {
     }
 }
 
-/// Checked-build D6xx gate: after optimization, the dataflow analyzer
-/// must prove the graph free of certain value hazards (division by
-/// zero, reachable NaN, overflow to Inf, unsound attributes). Warnings
-/// (`D603` dead-by-constant) do not block the build.
-fn check_dataflow_gate(graph: &Graph, checked: bool) -> Result<(), EngineError> {
-    if checked {
-        let report = duet_analysis::check_dataflow(graph);
+/// Optimize `model`; in checked builds also pass the D6xx gate: the
+/// dataflow analyzer must prove the optimized graph free of certain
+/// value hazards (division by zero, reachable NaN, overflow to Inf,
+/// unsound attributes). Warnings (`D603` dead-by-constant) do not block
+/// the build. The gate reads the facts the checked optimizer already
+/// computed for this graph.
+fn optimize_gated(compiler: &Compiler, model: &Graph) -> Result<Graph, EngineError> {
+    let (graph, _stats, facts) = compiler.optimize_with_facts(model)?;
+    if let Some(facts) = facts {
+        let report = duet_analysis::dataflow_report(&graph, &facts);
         if report.has_errors() {
             return Err(EngineError::Dataflow(report));
         }
     }
-    Ok(())
+    Ok(graph)
+}
+
+/// Where an engine's device vector comes from.
+enum Decision<'a> {
+    /// Run the builder's policy; the §VI-E rule decides the fallback.
+    Schedule,
+    /// Replay an exported plan, fallback included.
+    Replay(&'a SchedulePlan),
+}
+
+/// Everything an engine is made of except the fallback resolution:
+/// what [`Duet::resolve`] turns into a [`Duet`].
+struct Scheduled {
+    graph: Graph,
+    units: Vec<SubgraphUnit>,
+    devices: Vec<DeviceKind>,
+    system: SystemModel,
+    timeline: Timeline,
+    whole: CompiledSubgraph,
+    whole_timeline: Timeline,
+    allow_fallback: bool,
+    min_gain: f64,
+    batch: usize,
+    arenas: Arc<ArenaPool>,
 }
 
 /// A scheduled, ready-to-run DUET engine for one model.
@@ -381,9 +368,13 @@ pub struct Duet {
     gpu_only_us: f64,
     fallback: Option<DeviceKind>,
     system: SystemModel,
-    /// Whole-graph compilation kept for re-deriving single-device
-    /// baselines in [`Duet::recorrect`].
+    /// The timing core over `units`: structure built once per engine
+    /// lineage, re-priced (not rebuilt) by [`Duet::recorrect`].
+    timeline: Timeline,
+    /// Whole-graph compilation, for single-device execution.
     whole: CompiledSubgraph,
+    /// Timing core over `whole`: the single-device baselines.
+    whole_timeline: Timeline,
     allow_fallback: bool,
     min_gain: f64,
     batch: usize,
@@ -396,6 +387,74 @@ impl Duet {
     /// Start building an engine.
     pub fn builder() -> DuetBuilder {
         DuetBuilder::default()
+    }
+
+    /// Price the heterogeneous placement and both single-device
+    /// baselines on the engine's timelines and settle the fallback:
+    /// `dictated` (a replayed plan's recorded decision) if given,
+    /// otherwise the §VI-E rule — heterogeneous execution is kept only
+    /// if it beats the best single device by `min_gain`.
+    fn resolve(s: Scheduled, dictated: Option<Option<DeviceKind>>) -> Duet {
+        let hetero_us = s.timeline.makespan(&s.devices);
+        let cpu_only_us = s.whole_timeline.makespan(&[DeviceKind::Cpu]);
+        let gpu_only_us = s.whole_timeline.makespan(&[DeviceKind::Gpu]);
+        let best_single = cpu_only_us.min(gpu_only_us);
+        let fallback = dictated.unwrap_or_else(|| {
+            (s.allow_fallback && hetero_us > best_single * (1.0 - s.min_gain)).then_some(
+                if cpu_only_us <= gpu_only_us {
+                    DeviceKind::Cpu
+                } else {
+                    DeviceKind::Gpu
+                },
+            )
+        });
+        let (placed, latency_us) = match fallback {
+            Some(device) => (
+                vec![Placed {
+                    sg: s.whole.clone(),
+                    device,
+                }],
+                match device {
+                    DeviceKind::Cpu => cpu_only_us,
+                    DeviceKind::Gpu => gpu_only_us,
+                },
+            ),
+            None => (sched::to_placed(&s.units, &s.devices), hetero_us),
+        };
+        Duet {
+            graph: s.graph,
+            units: s.units,
+            devices: s.devices,
+            placed,
+            latency_us,
+            cpu_only_us,
+            gpu_only_us,
+            fallback,
+            system: s.system,
+            timeline: s.timeline,
+            whole: s.whole,
+            whole_timeline: s.whole_timeline,
+            allow_fallback: s.allow_fallback,
+            min_gain: s.min_gain,
+            batch: s.batch,
+            arenas: s.arenas,
+        }
+    }
+
+    /// The timing core over [`Duet::units`]: one
+    /// [`Timeline::makespan`] prices any device vector for them under
+    /// [`Duet::system`].
+    pub fn timeline(&self) -> &Timeline {
+        &self.timeline
+    }
+
+    /// The timing core over [`Duet::placed`] — the units' timeline, or
+    /// the whole-graph one when the engine fell back to a single device.
+    pub fn placed_timeline(&self) -> &Timeline {
+        match self.fallback {
+            Some(_) => &self.whole_timeline,
+            None => &self.timeline,
+        }
     }
 
     /// The optimized graph the engine executes (node ids refer to this
@@ -525,15 +584,15 @@ impl Duet {
     /// simulate below this, which makes `latency_us() / bound` the
     /// engine's "how far from optimal" readout.
     pub fn critical_path_lower_bound_us(&self) -> f64 {
-        sched::critical_path_lower_bound_us(&self.units, &self.system)
+        sched::critical_path_lower_bound_us(&self.timeline)
     }
 
     /// Re-place this engine's *already compiled and profiled* subgraphs
     /// onto an explicit device vector and return the resulting engine —
     /// the autotuner's promotion path. Everything expensive (graph
     /// optimization, partitioning, lowering, profiling) is reused; only
-    /// the simulator and the single-device fallback decision re-run, so
-    /// instantiating a candidate costs one `measure_latency` call.
+    /// the fallback decision re-runs, so instantiating a candidate costs
+    /// three replays of timelines the engine already holds.
     ///
     /// The fallback rule is the same as [`DuetBuilder::build`]: if the
     /// proposed heterogeneous placement does not beat the best single
@@ -548,47 +607,23 @@ impl Duet {
             self.units.len(),
             "one device per scheduling unit"
         );
-        let hetero_placed = sched::to_placed(&self.units, &devices);
-        let hetero_latency = measure_latency(&self.graph, &hetero_placed, &self.system);
-        let best_single = self.cpu_only_us.min(self.gpu_only_us);
-        let fallback =
-            if self.allow_fallback && hetero_latency > best_single * (1.0 - self.min_gain) {
-                Some(if self.cpu_only_us <= self.gpu_only_us {
-                    DeviceKind::Cpu
-                } else {
-                    DeviceKind::Gpu
-                })
-            } else {
-                None
-            };
-        let single_placed = |d: DeviceKind| {
-            vec![Placed {
-                sg: self.whole.clone(),
-                device: d,
-            }]
-        };
-        let (placed, latency_us) = match fallback {
-            Some(DeviceKind::Cpu) => (single_placed(DeviceKind::Cpu), self.cpu_only_us),
-            Some(DeviceKind::Gpu) => (single_placed(DeviceKind::Gpu), self.gpu_only_us),
-            None => (hetero_placed, hetero_latency),
-        };
-        Duet {
-            graph: self.graph.clone(),
-            units: self.units.clone(),
-            devices,
-            placed,
-            latency_us,
-            cpu_only_us: self.cpu_only_us,
-            gpu_only_us: self.gpu_only_us,
-            fallback,
-            system: self.system.clone(),
-            whole: self.whole.clone(),
-            allow_fallback: self.allow_fallback,
-            min_gain: self.min_gain,
-            batch: self.batch,
-            // Same compiled tapes — candidates can share the pool.
-            arenas: Arc::clone(&self.arenas),
-        }
+        Duet::resolve(
+            Scheduled {
+                graph: self.graph.clone(),
+                units: self.units.clone(),
+                devices,
+                system: self.system.clone(),
+                timeline: self.timeline.clone(),
+                whole: self.whole.clone(),
+                whole_timeline: self.whole_timeline.clone(),
+                allow_fallback: self.allow_fallback,
+                min_gain: self.min_gain,
+                batch: self.batch,
+                // Same compiled tapes — candidates can share the pool.
+                arenas: Arc::clone(&self.arenas),
+            },
+            None,
+        )
     }
 
     /// Model-check this engine's scheduling decision (`D5xx`): explore
@@ -596,9 +631,9 @@ impl Duet {
     /// execution and prove deadlock-freedom, determinism, transfer-race
     /// freedom, occupancy soundness and bounded trigger staleness.
     ///
-    /// The model is priced from the engine's own compiled subgraphs and
-    /// system model — the exact per-kernel costs the simulator charges —
-    /// so the `D503` occupancy bound is checked against what the plan's
+    /// The model is priced from the engine's own timeline — the very
+    /// execution table its claimed latency was replayed from — so the
+    /// `D503` occupancy bound is checked against what the plan's
     /// `expected_latency_us` actually claims. Checked builds run this
     /// automatically and refuse dirty plans; it is public so serving can
     /// gate hot-swaps and tools can render counterexamples.
@@ -620,8 +655,7 @@ impl Duet {
         // The plan's subgraphs are the heterogeneous units even when a
         // fallback was recorded (self.placed is then the whole-graph
         // compilation, which has a different shape).
-        let hetero = sched::to_placed(&self.units, &self.devices);
-        model.price_with(&self.system, &hetero);
+        model.price_with(&self.timeline, self.units.iter().map(|u| &u.sg));
         Ok(model)
     }
 
@@ -631,73 +665,48 @@ impl Duet {
     /// and measured latency (§IV-C refines on measured cost precisely
     /// because analytic estimates go stale).
     ///
-    /// Partitioning and compilation are reused as-is; only profiling,
-    /// the correction sweep (seeded from the current placement) and the
-    /// single-device fallback decision re-run under `system`.
+    /// Partitioning, compilation and the timelines' structure are reused
+    /// as-is; only profiling, the timelines' prices, the correction
+    /// sweep (seeded from the current placement) and the single-device
+    /// fallback decision re-run under `system`. Nothing here can fail:
+    /// coverage was established when the engine was built.
     pub fn recorrect(&self, system: SystemModel) -> Duet {
-        let subgraphs: Vec<CompiledSubgraph> = self.units.iter().map(|u| u.sg.clone()).collect();
         // Re-profiling is pure cost-model evaluation (no noise source at
         // play beyond the seeded micro-benchmarks), so a short run count
         // keeps hot-swap cheap relative to the offline build.
-        let profiles = Profiler::new(system.clone())
-            .with_runs(100, 10)
-            .profile_all(&self.graph, &subgraphs);
+        let profiler = Profiler::new(system.clone()).with_runs(100, 10);
         let units: Vec<SubgraphUnit> = self
             .units
             .iter()
-            .zip(profiles)
-            .map(|(u, profile)| SubgraphUnit {
+            .map(|u| SubgraphUnit {
                 phase: u.phase,
                 kind: u.kind,
                 sg: u.sg.clone(),
-                profile,
+                profile: profiler.profile(&self.graph, &u.sg),
             })
             .collect();
-        let devices = sched::greedy::correct(&self.graph, &units, &system, self.devices.clone());
-        let hetero_placed = sched::to_placed(&units, &devices);
-        let hetero_latency = measure_latency(&self.graph, &hetero_placed, &system);
-
-        let single = |d: DeviceKind| -> (f64, Vec<Placed>) {
-            let placed = vec![Placed {
-                sg: self.whole.clone(),
-                device: d,
-            }];
-            (measure_latency(&self.graph, &placed, &system), placed)
-        };
-        let (cpu_only_us, cpu_placed) = single(DeviceKind::Cpu);
-        let (gpu_only_us, gpu_placed) = single(DeviceKind::Gpu);
-        let best_single = cpu_only_us.min(gpu_only_us);
-        let fallback =
-            if self.allow_fallback && hetero_latency > best_single * (1.0 - self.min_gain) {
-                Some(if cpu_only_us <= gpu_only_us {
-                    DeviceKind::Cpu
-                } else {
-                    DeviceKind::Gpu
-                })
-            } else {
-                None
-            };
-        let (placed, latency_us) = match fallback {
-            Some(DeviceKind::Cpu) => (cpu_placed, cpu_only_us),
-            Some(DeviceKind::Gpu) => (gpu_placed, gpu_only_us),
-            None => (hetero_placed, hetero_latency),
-        };
-        Duet {
-            graph: self.graph.clone(),
-            units,
-            devices,
-            placed,
-            latency_us,
-            cpu_only_us,
-            gpu_only_us,
-            fallback,
-            system,
-            whole: self.whole.clone(),
-            allow_fallback: self.allow_fallback,
-            min_gain: self.min_gain,
-            batch: self.batch,
-            arenas: Arc::new(ArenaPool::new()),
-        }
+        // Same subgraphs, new prices: the structure is not rebuilt.
+        let mut timeline = self.timeline.clone();
+        timeline.reprice(&system);
+        let mut whole_timeline = self.whole_timeline.clone();
+        whole_timeline.reprice(&system);
+        let devices = sched::greedy::correct(&timeline, &units, self.devices.clone());
+        Duet::resolve(
+            Scheduled {
+                graph: self.graph.clone(),
+                units,
+                devices,
+                system,
+                timeline,
+                whole: self.whole.clone(),
+                whole_timeline,
+                allow_fallback: self.allow_fallback,
+                min_gain: self.min_gain,
+                batch: self.batch,
+                arenas: Arc::new(ArenaPool::new()),
+            },
+            None,
+        )
     }
 
     /// The Table II report: per-subgraph profiled costs and placements.
@@ -970,6 +979,26 @@ mod tests {
             .build_with_plan(&g, &plan)
             .unwrap();
         assert_eq!(rebuilt.batch(), 4);
+    }
+
+    #[test]
+    fn plan_missing_a_producer_is_rejected_without_unwinding() {
+        // The matching `Timeline::new` case (typed `ScheduleError`) is
+        // tested next to the constructor; an engine never gets that far,
+        // because the coverage gate in front of it answers first — and
+        // neither of them panics.
+        let g = wide_and_deep(&WideAndDeepConfig::small());
+        let duet = Duet::builder().no_fallback().build(&g).unwrap();
+        let mut plan = duet.export_plan();
+        plan.subgraphs.remove(0);
+        let err = Duet::builder()
+            .no_fallback()
+            .build_with_plan(&g, &plan)
+            .unwrap_err();
+        assert!(
+            matches!(err, EngineError::Plan(PlanError::BadCoverage)),
+            "{err}"
+        );
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! instead of re-deriving Algorithm 1 by hand.
 
 use duet_device::DeviceKind;
-use duet_runtime::measure_latency;
 
 use crate::engine::Duet;
 
@@ -50,28 +49,28 @@ pub struct Explanation {
     pub rationales: Vec<PlacementRationale>,
 }
 
-/// Explain every placement of a built engine by measuring single-flip
-/// counterfactuals (the same oracle the correction loop used).
+/// Explain every placement of a built engine by replaying single-flip
+/// counterfactuals on its timeline (the same oracle the correction loop
+/// used).
 pub fn explain(duet: &Duet) -> Explanation {
     let graph = duet.graph();
-    let system = duet.system();
-    let base = duet.placed().to_vec();
-    let latency_us = measure_latency(graph, &base, system);
-    let rationales = base
+    let timeline = duet.placed_timeline();
+    let mut devices: Vec<DeviceKind> = duet.placed().iter().map(|p| p.device).collect();
+    let latency_us = timeline.makespan(&devices);
+    let rationales = duet
+        .placed()
         .iter()
         .enumerate()
         .map(|(i, p)| {
-            let mut flipped = base.clone();
-            flipped[i].device = p.device.other();
-            let flipped_latency_us = measure_latency(graph, &flipped, system);
-            // Profile times come from the cost model directly.
-            let chosen_us = duet_runtime::subgraph_exec_time_us(system, p.device, &p.sg);
-            let other_us = duet_runtime::subgraph_exec_time_us(system, p.device.other(), &p.sg);
+            devices[i] = p.device.other();
+            let flipped_latency_us = timeline.makespan(&devices);
+            devices[i] = p.device;
             PlacementRationale {
                 name: p.sg.name.clone(),
                 device: p.device,
-                chosen_us,
-                other_us,
+                // Profile times come from the cost model directly.
+                chosen_us: timeline.exec_time_us(i, p.device),
+                other_us: timeline.exec_time_us(i, p.device.other()),
                 flipped_latency_us,
                 boundary_bytes: p.sg.input_bytes(graph) + p.sg.output_bytes(graph),
             }

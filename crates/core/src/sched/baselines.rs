@@ -1,13 +1,12 @@
 //! Baseline scheduling policies (§VI-C, Fig. 13).
 
 use duet_device::{DeviceKind, SystemModel};
-use duet_ir::Graph;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use duet_runtime::{LatencyStats, SubgraphProfile};
+use duet_runtime::{LatencyStats, SubgraphProfile, Timeline};
 
-use super::{greedy, placement_latency, SubgraphUnit};
+use super::{greedy, SubgraphUnit};
 
 /// Random device per subgraph, seeded.
 pub fn random(units: &[SubgraphUnit], seed: u64) -> Vec<DeviceKind> {
@@ -71,27 +70,21 @@ pub fn flops_proxy(units: &[SubgraphUnit], system: &SystemModel) -> Vec<DeviceKi
 /// possible schedules … to find the exact optimal schedule (Ideal)").
 ///
 /// # Panics
-/// Panics above 20 subgraphs (2^20 simulations is the sensible limit).
-pub fn ideal(graph: &Graph, units: &[SubgraphUnit], system: &SystemModel) -> Vec<DeviceKind> {
-    let n = units.len();
+/// Panics above 20 subgraphs (2^20 replays is the sensible limit).
+pub fn ideal(timeline: &Timeline) -> Vec<DeviceKind> {
+    let n = timeline.len();
     assert!(n <= 20, "ideal enumeration infeasible for {n} subgraphs");
-    let mut best: Option<(f64, Vec<DeviceKind>)> = None;
-    for mask in 0u32..(1 << n) {
-        let devices: Vec<DeviceKind> = (0..n)
-            .map(|i| {
-                if mask >> i & 1 == 0 {
-                    DeviceKind::Cpu
-                } else {
-                    DeviceKind::Gpu
-                }
-            })
-            .collect();
-        let t = placement_latency(graph, units, system, &devices);
-        if best.as_ref().map(|(b, _)| t < *b).unwrap_or(true) {
-            best = Some((t, devices));
-        }
-    }
-    best.expect("at least one placement").1
+    let placement = |mask: u32| -> Vec<DeviceKind> {
+        (0..n)
+            .map(|i| DeviceKind::both()[(mask >> i & 1) as usize])
+            .collect()
+    };
+    // Strict `<` keeps the lowest mask among equals.
+    let best = (0u32..1 << n)
+        .map(|mask| (timeline.makespan(&placement(mask)), mask))
+        .reduce(|best, cand| if cand.0 < best.0 { cand } else { best })
+        .expect("at least one placement");
+    placement(best.1)
 }
 
 #[cfg(test)]
@@ -100,6 +93,7 @@ mod tests {
     use crate::partition::partition;
     use crate::sched::make_units;
     use duet_compiler::Compiler;
+    use duet_ir::Graph;
     use duet_models::{siamese, SiameseConfig};
     use duet_runtime::Profiler;
 
@@ -110,6 +104,11 @@ mod tests {
         let profiler = Profiler::new(SystemModel::paper_server());
         let profiles = profiler.profile_all(graph, &sgs);
         make_units(&part, sgs, profiles)
+    }
+
+    fn timeline_for(graph: &Graph, units: &[SubgraphUnit]) -> Timeline {
+        let sys = SystemModel::paper_server();
+        Timeline::new(graph, units.iter().map(|u| &u.sg), &sys).unwrap()
     }
 
     #[test]
@@ -146,18 +145,18 @@ mod tests {
             }
         }
         // And that placement is measurably worse than profile-driven.
-        let t_proxy = placement_latency(&g, &units, &sys, &proxy);
-        let profiled = crate::sched::greedy::greedy_placement(&units);
-        let t_prof = placement_latency(&g, &units, &sys, &profiled);
+        let tl = timeline_for(&g, &units);
+        let t_proxy = tl.makespan(&proxy);
+        let t_prof = tl.makespan(&crate::sched::greedy::greedy_placement(&units));
         assert!(t_prof < t_proxy, "profiled {t_prof} beats proxy {t_proxy}");
     }
 
     #[test]
     fn ideal_at_least_matches_every_baseline() {
         let g = siamese(&SiameseConfig::default());
-        let sys = SystemModel::paper_server();
         let units = units_for(&g);
-        let t_ideal = placement_latency(&g, &units, &sys, &ideal(&g, &units, &sys));
+        let tl = timeline_for(&g, &units);
+        let t_ideal = tl.makespan(&ideal(&tl));
         for devices in [
             random(&units, 1),
             random(&units, 2),
@@ -165,7 +164,7 @@ mod tests {
             vec![DeviceKind::Cpu; units.len()],
             vec![DeviceKind::Gpu; units.len()],
         ] {
-            let t = placement_latency(&g, &units, &sys, &devices);
+            let t = tl.makespan(&devices);
             assert!(t_ideal <= t + 1e-9, "ideal {t_ideal} <= {t}");
         }
     }

@@ -1,10 +1,10 @@
 //! Greedy-correction scheduling (Algorithm 1).
 
-use duet_device::{DeviceKind, SystemModel};
-use duet_ir::Graph;
+use duet_device::DeviceKind;
+use duet_runtime::Timeline;
 use duet_telemetry::SpanKind;
 
-use super::{placement_latency, SubgraphUnit};
+use super::SubgraphUnit;
 use crate::partition::PhaseKind;
 
 /// Relative improvement below which a correction move is considered noise.
@@ -13,15 +13,17 @@ const EPS: f64 = 1e-9;
 /// before this; the cap guards against measurement oscillation).
 const MAX_ROUNDS: usize = 64;
 
+/// Phase indices in partition order.
+fn phases_of(units: &[SubgraphUnit]) -> Vec<usize> {
+    let mut phases: Vec<usize> = units.iter().map(|u| u.phase).collect();
+    phases.dedup();
+    phases
+}
+
 /// Steps 1 + 2: critical-path-first greedy placement.
 pub fn greedy_placement(units: &[SubgraphUnit]) -> Vec<DeviceKind> {
     let mut devices = vec![DeviceKind::Cpu; units.len()];
-    let phases: Vec<usize> = {
-        let mut p: Vec<usize> = units.iter().map(|u| u.phase).collect();
-        p.dedup();
-        p
-    };
-    for phase in phases {
+    for phase in phases_of(units) {
         let idxs: Vec<usize> = (0..units.len())
             .filter(|&i| units[i].phase == phase)
             .collect();
@@ -74,153 +76,68 @@ pub fn greedy_placement(units: &[SubgraphUnit]) -> Vec<DeviceKind> {
     devices
 }
 
-/// Telemetry payload for one candidate move: encoded identity (single
-/// move `i+1`, pairwise swap `i*1024 + j + 1`), predicted latency, and
-/// the margin vs the epsilon-scaled incumbent (positive = improving).
-fn encode_move(mv: &[usize]) -> u64 {
-    match mv {
-        [i] => *i as u64 + 1,
-        [i, j] => *i as u64 * 1024 + *j as u64 + 1,
-        _ => 0,
+/// One candidate of the correction search: flip a subgraph to the other
+/// device, or swap a CPU-side and a GPU-side subgraph by flipping both
+/// ("one of the subgraphs could be empty" — a single move is a swap
+/// against the empty subgraph).
+#[derive(Debug, Clone, Copy)]
+struct Move(usize, Option<usize>);
+
+impl Move {
+    /// Apply the move; applying it again undoes it.
+    fn flip(self, devices: &mut [DeviceKind]) {
+        for i in std::iter::once(self.0).chain(self.1) {
+            devices[i] = devices[i].other();
+        }
+    }
+
+    /// Telemetry identity: single move `i+1`, pairwise swap
+    /// `i*1024 + j + 1`.
+    fn encoded(self) -> u64 {
+        match self.1 {
+            None => self.0 as u64 + 1,
+            Some(j) => self.0 as u64 * 1024 + j as u64 + 1,
+        }
     }
 }
 
-fn record_rejected(encoded: u64, t_new: f64, margin: f64) {
+/// A priced candidate: identity, predicted latency, and the margin vs
+/// the epsilon-scaled incumbent (positive = improving).
+fn record_rejected(mv: Move, t_new: f64, margin: f64) {
     duet_telemetry::registry::SCHED_MOVES_REJECTED.inc();
-    duet_telemetry::record_instant(SpanKind::SchedMoveRejected, encoded, t_new, margin);
+    duet_telemetry::record_instant(SpanKind::SchedMoveRejected, mv.encoded(), t_new, margin);
 }
 
-fn record_accepted(encoded: u64, t_new: f64, margin: f64, gain_us: f64) {
-    duet_telemetry::registry::SCHED_MOVES_ACCEPTED.inc();
-    duet_telemetry::registry::SCHED_ACCEPTED_GAIN_US.observe_us(gain_us);
-    duet_telemetry::record_instant(SpanKind::SchedMoveAccepted, encoded, t_new, margin);
-}
-
-/// Step 3: per-multi-path-phase swap refinement against measured
-/// end-to-end latency.
-pub fn correct(
-    graph: &Graph,
-    units: &[SubgraphUnit],
-    system: &SystemModel,
-    mut devices: Vec<DeviceKind>,
-) -> Vec<DeviceKind> {
+/// Rounds of best-improvement local search: price every move
+/// `candidates` offers for the current placement, apply the one that
+/// most reduces the replayed makespan, and stop when none improves it.
+/// Returns the number of rounds run.
+fn refine(
+    timeline: &Timeline,
+    devices: &mut [DeviceKind],
+    t_old: &mut f64,
+    candidates: impl Fn(&[DeviceKind]) -> Vec<Move>,
+) -> u64 {
     use duet_telemetry::registry as tm;
-    let correction_start = duet_telemetry::clock_us();
-    tm::SCHED_CORRECTIONS.inc();
-    let mut rounds_total = 0u64;
-    let mut t_old = placement_latency(graph, units, system, &devices);
-    let t_initial = t_old;
-    let phases: Vec<usize> = {
-        let mut p: Vec<usize> = units.iter().map(|u| u.phase).collect();
-        p.dedup();
-        p
-    };
-    // The paper runs the correction once per multi-path layer; a model may
-    // have several such layers (§IV-C), so loop phases in order.
-    for phase in phases {
-        let idxs: Vec<usize> = (0..units.len())
-            .filter(|&i| units[i].phase == phase)
-            .collect();
-        if units[idxs[0]].kind != PhaseKind::MultiPath {
-            continue;
-        }
-        for round in 0..MAX_ROUNDS {
-            let round_start = duet_telemetry::clock_us();
-            tm::SCHED_ROUNDS.inc();
-            rounds_total += 1;
-            // Enumerate single moves and pairwise swaps within the phase
-            // ("one of the subgraphs could be empty" — a single move is a
-            // swap against the empty subgraph).
-            let cpu_side: Vec<usize> = idxs
-                .iter()
-                .copied()
-                .filter(|&i| devices[i] == DeviceKind::Cpu)
-                .collect();
-            let gpu_side: Vec<usize> = idxs
-                .iter()
-                .copied()
-                .filter(|&i| devices[i] == DeviceKind::Gpu)
-                .collect();
-            let mut moves: Vec<Vec<usize>> = Vec::new();
-            for &i in cpu_side.iter().chain(gpu_side.iter()) {
-                moves.push(vec![i]);
-            }
-            for &i in &cpu_side {
-                for &j in &gpu_side {
-                    moves.push(vec![i, j]);
-                }
-            }
-            let mut best: Option<(f64, Vec<usize>)> = None;
-            for mv in moves {
-                for &i in &mv {
-                    devices[i] = devices[i].other();
-                }
-                let t_new = placement_latency(graph, units, system, &devices);
-                for &i in &mv {
-                    devices[i] = devices[i].other();
-                }
-                tm::SCHED_MOVES_EVALUATED.inc();
-                let margin = t_old * (1.0 - EPS) - t_new;
-                if t_new < t_old * (1.0 - EPS)
-                    && best.as_ref().map(|(b, _)| t_new < *b).unwrap_or(true)
-                {
-                    // The superseded incumbent candidate ends up rejected.
-                    if let Some((b_t, b_mv)) = best.replace((t_new, mv)) {
-                        record_rejected(encode_move(&b_mv), b_t, t_old * (1.0 - EPS) - b_t);
-                    }
-                } else {
-                    record_rejected(encode_move(&mv), t_new, margin);
-                }
-            }
-            duet_telemetry::record_span(
-                SpanKind::SchedRound,
-                round as u64,
-                round_start,
-                duet_telemetry::clock_us() - round_start,
-                t_old,
-                0.0,
-            );
-            match best {
-                Some((t_new, mv)) => {
-                    for &i in &mv {
-                        devices[i] = devices[i].other();
-                    }
-                    record_accepted(
-                        encode_move(&mv),
-                        t_new,
-                        t_old * (1.0 - EPS) - t_new,
-                        t_old - t_new,
-                    );
-                    t_old = t_new;
-                }
-                None => break, // no improving move: converged for this phase
-            }
-        }
-    }
-    // Final global pass: single-subgraph moves across *all* phases,
-    // including sequential ones. Algorithm 1 only refines multi-path
-    // layers — sufficient when step 1 placed every sequential chain on
-    // its faster device, but a correction run from an arbitrary
-    // initialisation (the Random+Correction baseline of §VI-C) must also
-    // be able to repair a misplaced sequential phase.
+    let mut rounds = 0;
     for round in 0..MAX_ROUNDS {
         let round_start = duet_telemetry::clock_us();
         tm::SCHED_ROUNDS.inc();
-        rounds_total += 1;
-        let mut best: Option<(f64, usize)> = None;
-        for i in 0..units.len() {
-            devices[i] = devices[i].other();
-            let t_new = placement_latency(graph, units, system, &devices);
-            devices[i] = devices[i].other();
+        rounds += 1;
+        let bar = *t_old * (1.0 - EPS);
+        let mut best: Option<(f64, Move)> = None;
+        for mv in candidates(devices) {
+            mv.flip(devices);
+            let t_new = timeline.makespan(devices);
+            mv.flip(devices);
             tm::SCHED_MOVES_EVALUATED.inc();
-            let margin = t_old * (1.0 - EPS) - t_new;
-            if t_new < t_old * (1.0 - EPS) && best.as_ref().map(|(b, _)| t_new < *b).unwrap_or(true)
-            {
-                if let Some((b_t, b_i)) = best.replace((t_new, i)) {
-                    record_rejected(b_i as u64 + 1, b_t, t_old * (1.0 - EPS) - b_t);
+            if t_new < bar && best.is_none_or(|(b, _)| t_new < b) {
+                // The superseded incumbent candidate ends up rejected.
+                if let Some((b_t, b_mv)) = best.replace((t_new, mv)) {
+                    record_rejected(b_mv, b_t, bar - b_t);
                 }
             } else {
-                record_rejected(i as u64 + 1, t_new, margin);
+                record_rejected(mv, t_new, bar - t_new);
             }
         }
         duet_telemetry::record_span(
@@ -228,29 +145,73 @@ pub fn correct(
             round as u64,
             round_start,
             duet_telemetry::clock_us() - round_start,
-            t_old,
+            *t_old,
             0.0,
         );
-        match best {
-            Some((t_new, i)) => {
-                devices[i] = devices[i].other();
-                record_accepted(
-                    i as u64 + 1,
-                    t_new,
-                    t_old * (1.0 - EPS) - t_new,
-                    t_old - t_new,
-                );
-                t_old = t_new;
-            }
-            None => break,
-        }
+        // No improving move: converged.
+        let Some((t_new, mv)) = best else { break };
+        mv.flip(devices);
+        tm::SCHED_MOVES_ACCEPTED.inc();
+        tm::SCHED_ACCEPTED_GAIN_US.observe_us(*t_old - t_new);
+        duet_telemetry::record_instant(
+            SpanKind::SchedMoveAccepted,
+            mv.encoded(),
+            t_new,
+            bar - t_new,
+        );
+        *t_old = t_new;
     }
+    rounds
+}
+
+/// Step 3: per-multi-path-phase swap refinement against measured
+/// end-to-end latency — one replay of `timeline` per candidate.
+pub fn correct(
+    timeline: &Timeline,
+    units: &[SubgraphUnit],
+    mut devices: Vec<DeviceKind>,
+) -> Vec<DeviceKind> {
+    use duet_telemetry::registry as tm;
+    let correction_start = duet_telemetry::clock_us();
+    tm::SCHED_CORRECTIONS.inc();
+    let t_initial = timeline.makespan(&devices);
+    let mut t_old = t_initial;
+    let mut rounds = 0u64;
+    // The paper runs the correction once per multi-path layer; a model may
+    // have several such layers (§IV-C), so loop phases in order.
+    for phase in phases_of(units) {
+        let idxs: Vec<usize> = (0..units.len())
+            .filter(|&i| units[i].phase == phase)
+            .collect();
+        if units[idxs[0]].kind != PhaseKind::MultiPath {
+            continue;
+        }
+        // Single moves and pairwise swaps within the phase.
+        rounds += refine(timeline, &mut devices, &mut t_old, |devices| {
+            let side = |d: DeviceKind| idxs.iter().copied().filter(move |&i| devices[i] == d);
+            let singles = side(DeviceKind::Cpu).chain(side(DeviceKind::Gpu));
+            let swaps = side(DeviceKind::Cpu)
+                .flat_map(|i| side(DeviceKind::Gpu).map(move |j| Move(i, Some(j))));
+            singles.map(|i| Move(i, None)).chain(swaps).collect()
+        });
+    }
+    // Final global pass: single-subgraph moves across *all* phases,
+    // including sequential ones. Algorithm 1 only refines multi-path
+    // layers — sufficient when step 1 placed every sequential chain on
+    // its faster device, but a correction run from an arbitrary
+    // initialisation (the Random+Correction baseline of §VI-C) must also
+    // be able to repair a misplaced sequential phase.
+    rounds += refine(timeline, &mut devices, &mut t_old, |devices| {
+        (0..devices.len()).map(|i| Move(i, None)).collect()
+    });
     tm::SCHED_PREDICTED_LATENCY_US.set(t_old as i64);
+    let wall_us = duet_telemetry::clock_us() - correction_start;
+    tm::SCHED_CORRECTION_WALL_US.observe_us(wall_us);
     duet_telemetry::record_span(
         SpanKind::SchedCorrection,
-        rounds_total,
+        rounds,
         correction_start,
-        duet_telemetry::clock_us() - correction_start,
+        wall_us,
         t_initial,
         t_old,
     );
@@ -261,9 +222,10 @@ pub fn correct(
 mod tests {
     use super::*;
     use crate::partition::partition;
-    use crate::sched::{make_units, placement_latency};
+    use crate::sched::make_units;
     use duet_compiler::Compiler;
     use duet_device::SystemModel;
+    use duet_ir::Graph;
     use duet_models::{siamese, wide_and_deep, SiameseConfig, WideAndDeepConfig};
     use duet_runtime::Profiler;
 
@@ -274,6 +236,11 @@ mod tests {
         let profiler = Profiler::new(SystemModel::paper_server());
         let profiles = profiler.profile_all(graph, &sgs);
         make_units(&part, sgs, profiles)
+    }
+
+    fn timeline_for(graph: &Graph, units: &[SubgraphUnit]) -> Timeline {
+        let sys = SystemModel::paper_server();
+        Timeline::new(graph, units.iter().map(|u| &u.sg), &sys).unwrap()
     }
 
     #[test]
@@ -293,16 +260,15 @@ mod tests {
 
     #[test]
     fn correction_never_hurts() {
-        let sys = SystemModel::paper_server();
         for g in [
             wide_and_deep(&WideAndDeepConfig::default()),
             siamese(&SiameseConfig::default()),
         ] {
             let units = units_for(&g);
+            let tl = timeline_for(&g, &units);
             let init = greedy_placement(&units);
-            let t_init = placement_latency(&g, &units, &sys, &init);
-            let corrected = correct(&g, &units, &sys, init);
-            let t_corr = placement_latency(&g, &units, &sys, &corrected);
+            let t_init = tl.makespan(&init);
+            let t_corr = tl.makespan(&correct(&tl, &units, init));
             assert!(t_corr <= t_init + 1e-9, "{}: {t_corr} <= {t_init}", g.name);
         }
     }
@@ -311,8 +277,8 @@ mod tests {
     fn correction_fixes_adversarial_start() {
         // Start from the *worst* intuition: RNN on GPU, CNN on CPU.
         let g = wide_and_deep(&WideAndDeepConfig::default());
-        let sys = SystemModel::paper_server();
         let units = units_for(&g);
+        let tl = timeline_for(&g, &units);
         let adversarial: Vec<DeviceKind> = units
             .iter()
             .map(|u| {
@@ -323,9 +289,8 @@ mod tests {
                 }
             })
             .collect();
-        let t_bad = placement_latency(&g, &units, &sys, &adversarial);
-        let fixed = correct(&g, &units, &sys, adversarial);
-        let t_fixed = placement_latency(&g, &units, &sys, &fixed);
+        let t_bad = tl.makespan(&adversarial);
+        let t_fixed = tl.makespan(&correct(&tl, &units, adversarial));
         assert!(
             t_fixed < t_bad * 0.8,
             "correction recovers: {t_fixed} < {t_bad}"

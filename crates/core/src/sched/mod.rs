@@ -13,18 +13,22 @@
 //! 3. **Correction** — Kernighan-Lin-style refinement: repeatedly apply
 //!    the single move or pairwise swap (within one multi-path phase) that
 //!    most reduces *measured end-to-end latency*, until no move improves.
-//!    Measurement is the virtual-clock simulator, which prices the
-//!    CPU↔GPU communication the greedy step ignored — the paper refines
-//!    on measured latency precisely because analytic communication
-//!    estimates are unreliable (§IV-C).
+//!    Measurement is a replay of the engine's [`Timeline`], which prices
+//!    the CPU↔GPU communication the greedy step ignored — the paper
+//!    refines on measured latency precisely because analytic
+//!    communication estimates are unreliable (§IV-C).
+//!
+//! Every policy that prices a placement does so through one
+//! [`Timeline`] built once per (graph, subgraphs) by the caller: a
+//! candidate costs one [`Timeline::makespan`] replay over its device
+//! vector — no subgraph is cloned and no table rebuilt per candidate.
 
 pub mod baselines;
 pub mod greedy;
 
 use duet_compiler::CompiledSubgraph;
 use duet_device::{DeviceKind, SystemModel};
-use duet_ir::Graph;
-use duet_runtime::{measure_latency, Placed, SubgraphProfile};
+use duet_runtime::{Placed, SubgraphProfile, Timeline};
 
 use crate::partition::PhaseKind;
 
@@ -64,32 +68,33 @@ pub enum SchedulePolicy {
     Pin(DeviceKind),
 }
 
-/// Compute a placement for `units` under `policy`.
+/// Compute a placement for `units` under `policy`, pricing candidates
+/// by replaying `timeline` (built over the same units, in order).
 pub fn schedule(
-    graph: &Graph,
+    timeline: &Timeline,
     units: &[SubgraphUnit],
     system: &SystemModel,
     policy: SchedulePolicy,
 ) -> Vec<DeviceKind> {
     match policy {
         SchedulePolicy::GreedyCorrection => {
-            let init = greedy::greedy_placement(units);
-            greedy::correct(graph, units, system, init)
+            greedy::correct(timeline, units, greedy::greedy_placement(units))
         }
         SchedulePolicy::GreedyOnly => greedy::greedy_placement(units),
         SchedulePolicy::Random { seed } => baselines::random(units, seed),
         SchedulePolicy::RoundRobin => baselines::round_robin(units),
         SchedulePolicy::RandomCorrection { seed } => {
-            let init = baselines::random(units, seed);
-            greedy::correct(graph, units, system, init)
+            greedy::correct(timeline, units, baselines::random(units, seed))
         }
-        SchedulePolicy::Ideal => baselines::ideal(graph, units, system),
+        SchedulePolicy::Ideal => baselines::ideal(timeline),
         SchedulePolicy::FlopsProxy => baselines::flops_proxy(units, system),
         SchedulePolicy::Pin(d) => vec![d; units.len()],
     }
 }
 
-/// Turn units + devices into the simulator/executor's `Placed` list.
+/// Turn units + devices into the executor's `Placed` list (one clone of
+/// every compiled subgraph: for finished schedules, never for
+/// candidates).
 pub fn to_placed(units: &[SubgraphUnit], devices: &[DeviceKind]) -> Vec<Placed> {
     units
         .iter()
@@ -101,18 +106,8 @@ pub fn to_placed(units: &[SubgraphUnit], devices: &[DeviceKind]) -> Vec<Placed> 
         .collect()
 }
 
-/// Noise-free end-to-end latency of a placement.
-pub fn placement_latency(
-    graph: &Graph,
-    units: &[SubgraphUnit],
-    system: &SystemModel,
-    devices: &[DeviceKind],
-) -> f64 {
-    measure_latency(graph, &to_placed(units, devices), system)
-}
-
-/// Critical-path lower bound on the makespan of *any* placement of
-/// `units`, microseconds.
+/// Critical-path lower bound on the makespan of *any* placement of the
+/// timeline's subgraphs, microseconds.
 ///
 /// Two classic bounds, both sound for a two-device system, combined by
 /// `max`:
@@ -128,41 +123,32 @@ pub fn placement_latency(
 ///   (`lane_penalty >= 1`), so capacity is an over-estimate and the
 ///   bound stays sound.
 ///
-/// No placement simulated by `measure_latency` can undercut this, which
-/// makes `simulated / bound` a principled "how far from optimal" readout
+/// No replay of `timeline` can undercut this, which makes
+/// `simulated / bound` a principled "how far from optimal" readout
 /// (reported in the placement report, linted as `D215` past 2×) and a
 /// stopping signal for schedule search.
-pub fn critical_path_lower_bound_us(units: &[SubgraphUnit], system: &SystemModel) -> f64 {
-    use std::collections::HashMap;
-    let n = units.len();
-    let best: Vec<f64> = units
-        .iter()
-        .map(|u| {
-            let sg = &u.sg;
-            duet_runtime::subgraph_exec_time_us(system, DeviceKind::Cpu, sg).min(
-                duet_runtime::subgraph_exec_time_us(system, DeviceKind::Gpu, sg),
-            )
+pub fn critical_path_lower_bound_us(timeline: &Timeline) -> f64 {
+    let n = timeline.len();
+    let best: Vec<f64> = (0..n)
+        .map(|i| {
+            timeline
+                .exec_time_us(i, DeviceKind::Cpu)
+                .min(timeline.exec_time_us(i, DeviceKind::Gpu))
         })
         .collect();
-    let mut producer: HashMap<duet_ir::NodeId, usize> = HashMap::new();
-    for (i, u) in units.iter().enumerate() {
-        for &id in &u.sg.node_ids {
-            producer.insert(id, i);
-        }
-    }
-    // Longest chain ending at each subgraph. `units` is not guaranteed
-    // topologically ordered, so iterate to a fixpoint over the DAG
-    // (depth bounded by n).
+    // Longest chain ending at each subgraph. Subgraphs are not
+    // guaranteed topologically ordered, so iterate to a fixpoint over
+    // the DAG (depth bounded by n).
     let mut chain = best.clone();
     for _ in 0..n {
         let mut changed = false;
-        for (i, u) in units.iter().enumerate() {
-            let longest_dep =
-                u.sg.inputs
-                    .iter()
-                    .filter_map(|src| producer.get(src))
-                    .map(|&p| chain[p])
-                    .fold(0.0f64, f64::max);
+        for i in 0..n {
+            let longest_dep = timeline
+                .deps(i)
+                .iter()
+                .filter_map(|d| d.producer)
+                .map(|p| chain[p])
+                .fold(0.0f64, f64::max);
             let c = best[i] + longest_dep;
             if c > chain[i] {
                 chain[i] = c;
@@ -174,7 +160,7 @@ pub fn critical_path_lower_bound_us(units: &[SubgraphUnit], system: &SystemModel
         }
     }
     let chain_bound = chain.iter().copied().fold(0.0f64, f64::max);
-    let capacity = (system.cpu.lanes.max(1) + system.gpu.lanes.max(1)) as f64;
+    let capacity = (timeline.lanes(DeviceKind::Cpu) + timeline.lanes(DeviceKind::Gpu)) as f64;
     let work_bound = best.iter().sum::<f64>() / capacity;
     chain_bound.max(work_bound)
 }

@@ -7,7 +7,7 @@
 use duet_core::{partition, partition_per_operator, sched, Duet, SchedulePolicy};
 use duet_device::{DeviceKind, SystemModel};
 use duet_ir::{Graph, GraphBuilder, NodeId, Op};
-use duet_runtime::{validate_schedule, Profiler};
+use duet_runtime::{validate_schedule, Profiler, Timeline};
 use proptest::prelude::*;
 
 /// A fan-out model with `branches` parallel dense towers of varying
@@ -44,11 +44,10 @@ proptest! {
         let sgs = part.compile(&g, &compiler);
         let profiles = Profiler::new(sys.clone()).with_runs(60, 10).profile_all(&g, &sgs);
         let units = sched::make_units(&part, sgs, profiles);
-        let greedy = sched::schedule(&g, &units, &sys, SchedulePolicy::GreedyOnly);
-        let corrected = sched::schedule(&g, &units, &sys, SchedulePolicy::GreedyCorrection);
-        let t_greedy = sched::placement_latency(&g, &units, &sys, &greedy);
-        let t_corr = sched::placement_latency(&g, &units, &sys, &corrected);
-        prop_assert!(t_corr <= t_greedy + 1e-9);
+        let tl = Timeline::new(&g, units.iter().map(|u| &u.sg), &sys).unwrap();
+        let greedy = sched::schedule(&tl, &units, &sys, SchedulePolicy::GreedyOnly);
+        let corrected = sched::schedule(&tl, &units, &sys, SchedulePolicy::GreedyCorrection);
+        prop_assert!(tl.makespan(&corrected) <= tl.makespan(&greedy) + 1e-9);
     }
 
     #[test]
@@ -64,6 +63,7 @@ proptest! {
         let sgs = part.compile(&g, &compiler);
         let profiles = Profiler::new(sys.clone()).with_runs(60, 10).profile_all(&g, &sgs);
         let units = sched::make_units(&part, sgs, profiles);
+        let tl = Timeline::new(&g, units.iter().map(|u| &u.sg), &sys).unwrap();
         for policy in [
             SchedulePolicy::GreedyCorrection,
             SchedulePolicy::Random { seed },
@@ -71,7 +71,7 @@ proptest! {
             SchedulePolicy::FlopsProxy,
             SchedulePolicy::Pin(DeviceKind::Gpu),
         ] {
-            let devices = sched::schedule(&g, &units, &sys, policy);
+            let devices = sched::schedule(&tl, &units, &sys, policy);
             prop_assert_eq!(devices.len(), units.len());
             let placed = sched::to_placed(&units, &devices);
             prop_assert_eq!(validate_schedule(&g, &placed), Ok(()));

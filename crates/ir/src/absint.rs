@@ -43,7 +43,7 @@
 
 use duet_tensor::Tensor;
 
-use crate::graph::{Graph, Node, NodeId};
+use crate::graph::{Graph, Node, NodeId, PayloadRange};
 use crate::infer;
 use crate::op::Op;
 
@@ -170,43 +170,16 @@ impl AbsVal {
             && (!self.inf || coarser.inf)
     }
 
-    /// Exact scan of a concrete tensor (used for constants under the
-    /// stat cap and for fold results).
+    /// Exact scan of a concrete tensor (fold results; a graph's own
+    /// constants go through [`Graph::param_range`], which remembers).
     pub fn scan(t: &Tensor) -> Self {
-        // Branch-free 8-lane accumulation: `f32::min`/`max` ignore a
-        // NaN operand (IEEE minNum), so NaNs drop out of the interval
-        // exactly as the obvious branching loop would, and an infinity
-        // shows up as an infinite bound afterwards. The independent
-        // lanes break the serial min/max dependence chain (which a
-        // strict-FP compiler cannot reassociate), letting the loop
-        // vectorize — this scan runs over every constant payload under
-        // the stat cap and dominates whole-model analysis time.
-        let mut lo8 = [f32::INFINITY; 8];
-        let mut hi8 = [f32::NEG_INFINITY; 8];
-        let mut nan8 = [false; 8];
-        let mut chunks = t.data().chunks_exact(8);
-        for c in &mut chunks {
-            for k in 0..8 {
-                lo8[k] = lo8[k].min(c[k]);
-                hi8[k] = hi8[k].max(c[k]);
-                nan8[k] |= c[k].is_nan();
-            }
-        }
-        let mut lo = f32::INFINITY;
-        let mut hi = f32::NEG_INFINITY;
-        let mut nan = false;
-        for k in 0..8 {
-            lo = lo.min(lo8[k]);
-            hi = hi.max(hi8[k]);
-            nan |= nan8[k];
-        }
-        for &v in chunks.remainder() {
-            lo = lo.min(v);
-            hi = hi.max(v);
-            nan |= v.is_nan();
-        }
-        let inf = lo == f32::NEG_INFINITY || hi == f32::INFINITY;
-        let (mut lo, mut hi) = (lo as f64, hi as f64);
+        Self::from_range(PayloadRange::of(t.data()))
+    }
+
+    /// The abstract value of a payload with these extremes.
+    fn from_range(r: PayloadRange) -> Self {
+        let inf = r.lo == f32::NEG_INFINITY || r.hi == f32::INFINITY;
+        let (mut lo, mut hi) = (r.lo as f64, r.hi as f64);
         if lo > hi {
             // Empty or all-NaN payload: collapse the interval.
             lo = 0.0;
@@ -215,7 +188,7 @@ impl AbsVal {
         AbsVal {
             lo,
             hi,
-            nan,
+            nan: r.nan,
             inf,
             constant: None,
         }
@@ -393,7 +366,8 @@ pub fn analyze_values_with(graph: &Graph, cfg: &AbsintConfig) -> DataflowFacts {
             Op::Input => AbsVal::finite(cfg.input_lo, cfg.input_hi),
             Op::Constant => match graph.param(idx) {
                 Some(t) if t.shape().volume() <= cfg.stat_cap => {
-                    let mut v = AbsVal::scan(t);
+                    let range = graph.param_range(idx).expect("a constant with a payload");
+                    let mut v = AbsVal::from_range(range);
                     if t.shape().volume() <= cfg.fold_cap {
                         v.constant = Some(t.clone());
                     }

@@ -5,6 +5,7 @@
 //! (out-edges), and the partitioner/schedulers work directly on it.
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use duet_tensor::{Shape, Tensor, TensorError};
 
@@ -78,6 +79,65 @@ pub struct Node {
     pub label: String,
 }
 
+/// Extremes of a constant payload: the bounds of its non-NaN elements
+/// (`lo > hi` when there are none) and whether any element is NaN.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PayloadRange {
+    pub lo: f32,
+    pub hi: f32,
+    pub nan: bool,
+}
+
+impl PayloadRange {
+    /// One pass over `data`.
+    pub fn of(data: &[f32]) -> Self {
+        // Branch-free 8-lane accumulation: `f32::min`/`max` ignore a
+        // NaN operand (IEEE minNum), so NaNs drop out of the bounds
+        // exactly as the obvious branching loop would, and an infinity
+        // shows up as an infinite bound. The independent lanes break
+        // the serial min/max dependence chain (which a strict-FP
+        // compiler cannot reassociate), letting the loop vectorize.
+        let mut lo8 = [f32::INFINITY; 8];
+        let mut hi8 = [f32::NEG_INFINITY; 8];
+        let mut nan8 = [false; 8];
+        let mut chunks = data.chunks_exact(8);
+        for c in &mut chunks {
+            for k in 0..8 {
+                lo8[k] = lo8[k].min(c[k]);
+                hi8[k] = hi8[k].max(c[k]);
+                nan8[k] |= c[k].is_nan();
+            }
+        }
+        let mut lo = f32::INFINITY;
+        let mut hi = f32::NEG_INFINITY;
+        let mut nan = false;
+        for k in 0..8 {
+            lo = lo.min(lo8[k]);
+            hi = hi.max(hi8[k]);
+            nan |= nan8[k];
+        }
+        for &v in chunks.remainder() {
+            lo = lo.min(v);
+            hi = hi.max(v);
+            nan |= v.is_nan();
+        }
+        PayloadRange { lo, hi, nan }
+    }
+}
+
+/// A constant's payload and, once somebody asked, its range. The
+/// payload is immutable (`Tensor`), so the range never goes stale; the
+/// cell is shared by every copy of the entry, so what an analysis of
+/// one clone of a graph paid for, the next analysis of any clone reads.
+/// Streaming a model's weights from memory is most of what a value
+/// analysis costs, and the one part whose time follows the machine's
+/// other tenants.
+#[derive(Debug, Clone)]
+struct Param {
+    value: Tensor,
+    range: Arc<OnceLock<PayloadRange>>,
+}
+
 /// A tensor program as an adjacency-list DAG.
 ///
 /// Nodes are appended in a valid topological order by construction: an
@@ -88,7 +148,7 @@ pub struct Node {
 pub struct Graph {
     pub name: String,
     nodes: Vec<Node>,
-    params: HashMap<NodeId, Tensor>,
+    params: HashMap<NodeId, Param>,
     outputs: Vec<NodeId>,
 }
 
@@ -117,16 +177,33 @@ impl Graph {
 
     /// Add a parameter (weight) node carrying a constant tensor.
     pub fn add_constant(&mut self, label: impl Into<String>, value: Tensor) -> NodeId {
+        let param = Param {
+            value,
+            range: Arc::default(),
+        };
+        self.push_constant(label.into(), param)
+    }
+
+    /// Add a copy of `src`'s constant `id`: same label and payload, and
+    /// the same [`Graph::param_range`] cell, so a graph rebuilt from
+    /// another does not scan its weights again. `None` if `id` is not a
+    /// constant of `src`.
+    pub fn copy_constant(&mut self, src: &Graph, id: NodeId) -> Option<NodeId> {
+        let param = src.params.get(&id)?.clone();
+        Some(self.push_constant(src.node(id).label.clone(), param))
+    }
+
+    fn push_constant(&mut self, label: String, param: Param) -> NodeId {
         let id = self.nodes.len();
         self.nodes.push(Node {
             id,
             op: Op::Constant,
             inputs: Vec::new(),
             outputs: Vec::new(),
-            shape: value.shape().clone(),
-            label: label.into(),
+            shape: param.value.shape().clone(),
+            label,
         });
-        self.params.insert(id, value);
+        self.params.insert(id, param);
         id
     }
 
@@ -203,7 +280,14 @@ impl Graph {
 
     /// Parameter payload for a `Constant` node.
     pub fn param(&self, id: NodeId) -> Option<&Tensor> {
-        self.params.get(&id)
+        self.params.get(&id).map(|p| &p.value)
+    }
+
+    /// [`PayloadRange`] of a `Constant` node's payload, scanned on first
+    /// request and remembered (see [`Graph::copy_constant`]).
+    pub fn param_range(&self, id: NodeId) -> Option<PayloadRange> {
+        let p = self.params.get(&id)?;
+        Some(*p.range.get_or_init(|| PayloadRange::of(p.value.data())))
     }
 
     /// Ids of all `Input` placeholders.
@@ -226,7 +310,7 @@ impl Graph {
 
     /// Total parameter bytes (model size).
     pub fn param_bytes(&self) -> usize {
-        self.params.values().map(Tensor::byte_size).sum()
+        self.params.values().map(|p| p.value.byte_size()).sum()
     }
 
     /// The batch size implied by the graph's outputs: the leading
@@ -273,6 +357,36 @@ impl Graph {
     #[doc(hidden)]
     pub fn outputs_unchecked_mut(&mut self) -> &mut Vec<NodeId> {
         &mut self.outputs
+    }
+
+    /// Whether `other` is the same program node for node: the same
+    /// operators (attributes included) over the same operands with the
+    /// same shapes, the same declared outputs, and bit-identical
+    /// constant payloads. Labels are not compared. Every analysis that is
+    /// a function of the program alone gives equal results on two graphs
+    /// for which this holds, which is what lets a checked pipeline carry
+    /// facts across a pass that rewrote nothing.
+    pub fn same_program(&self, other: &Graph) -> bool {
+        let same_bits = |a: &Tensor, b: &Tensor| {
+            a.shape() == b.shape()
+                && (std::sync::Arc::ptr_eq(a.data_arc(), b.data_arc())
+                    || a.data()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .eq(b.data().iter().map(|v| v.to_bits())))
+        };
+        self.outputs == other.outputs
+            && self.nodes.len() == other.nodes.len()
+            && self.nodes.iter().zip(&other.nodes).all(|(a, b)| {
+                a.op == b.op
+                    && a.inputs == b.inputs
+                    && a.shape == b.shape
+                    && match (self.param(a.id), other.param(b.id)) {
+                        (None, None) => true,
+                        (Some(x), Some(y)) => same_bits(x, y),
+                        _ => false,
+                    }
+            })
     }
 
     /// Check structural invariants; useful after hand-editing or
@@ -328,8 +442,7 @@ impl Graph {
                     .cloned()
                     .ok_or(GraphError::MissingFeed(node.id))?,
                 Op::Constant => self
-                    .params
-                    .get(&node.id)
+                    .param(node.id)
                     .cloned()
                     .ok_or(GraphError::UnknownNode(node.id))?,
                 _ => {
@@ -397,6 +510,65 @@ mod tests {
         assert_eq!(g.len(), 5);
         g.validate().unwrap();
         assert_eq!(g.node(1).outputs, vec![2, 3]);
+    }
+
+    #[test]
+    fn same_program_sees_attributes_and_constant_bits() {
+        let build = |factor: f32, c: f32| {
+            let mut g = Graph::new("p");
+            let x = g.add_input("x", vec![2]);
+            let k = g.add_constant("k", Tensor::full(vec![2], c));
+            let s = g.add_op("s", Op::Scale { factor }, &[x]).unwrap();
+            let a = g.add_op("a", Op::Add, &[s, k]).unwrap();
+            g.mark_output(a).unwrap();
+            g
+        };
+        let g = build(2.0, 0.0);
+        assert!(g.same_program(&g.clone()), "shared payloads");
+        assert!(g.same_program(&build(2.0, 0.0)), "equal payloads");
+        assert!(!g.same_program(&build(3.0, 0.0)), "attribute differs");
+        // 0.0 == -0.0 as floats, but 1/x tells them apart.
+        assert!(!g.same_program(&build(2.0, -0.0)), "constant bits differ");
+        let (d, _) = diamond();
+        assert!(!g.same_program(&d));
+    }
+
+    #[test]
+    fn param_range_is_scanned_once_and_shared_by_copies() {
+        let mut g = Graph::new("p");
+        let payload = Tensor::from_vec(vec![3], vec![2.0, f32::NAN, -1.0]).unwrap();
+        let k = g.add_constant("k", payload);
+        let clone = g.clone();
+        assert!(g.params[&k].range.get().is_none(), "nothing asked yet");
+        let want = PayloadRange {
+            lo: -1.0,
+            hi: 2.0,
+            nan: true,
+        };
+        assert_eq!(clone.param_range(k), Some(want));
+        assert_eq!(g.params[&k].range.get(), Some(&want), "the clone's scan");
+
+        let mut rebuilt = Graph::new("q");
+        let k2 = rebuilt.copy_constant(&g, k).unwrap();
+        assert_eq!(rebuilt.node(k2).label, "k");
+        assert!(Arc::ptr_eq(
+            rebuilt.param(k2).unwrap().data_arc(),
+            g.param(k).unwrap().data_arc()
+        ));
+        assert!(Arc::ptr_eq(&rebuilt.params[&k2].range, &g.params[&k].range));
+        assert_eq!(rebuilt.copy_constant(&g, 99), None);
+
+        // Another payload under the same label and id has its own cell.
+        let mut other = Graph::new("p");
+        let k3 = other.add_constant("k", Tensor::full(vec![3], 7.0));
+        assert_eq!(k3, k);
+        assert_eq!(
+            other.param_range(k3).map(|r| (r.lo, r.hi, r.nan)),
+            Some((7.0, 7.0, false))
+        );
+        // No non-NaN element: the bounds stay crossed.
+        assert!(PayloadRange::of(&[f32::NAN]).lo > PayloadRange::of(&[f32::NAN]).hi);
+        assert!(PayloadRange::of(&[]).lo > PayloadRange::of(&[]).hi);
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //!   subgraph is treated as a standalone model and "run" on both device
 //!   models for a fixed number of runs, recording execution time and I/O
 //!   sizes.
-//! * [`simulate`] — a deterministic virtual-clock simulator of a placed
-//!   schedule (per-device serialization, cross-device transfer latency,
-//!   optional noise). All evaluation figures are produced with it, and the
-//!   scheduler's correction loop uses it as its `measure_latency`.
+//! * [`Timeline`] — the one timing core: dependency, transfer and
+//!   execution tables built once per (graph, subgraphs), re-priced per
+//!   system, and a single deterministic list-scheduling replay
+//!   (per-device serialization, cross-device transfer latency, optional
+//!   noise). All evaluation figures and every price the scheduler, the
+//!   tuner and the engine take come from it; [`simulate`] and
+//!   [`measure_latency`] are its front ends for one finished placement.
 //! * [`HeterogeneousExecutor`] — the engine of §IV-D: one worker thread
 //!   per device polling its own synchronization queue, dependency-
 //!   triggered subgraph execution, real tensor numerics.
@@ -22,18 +25,17 @@
 //!   readiness, per-device monotonicity, transfer accounting, reported
 //!   latency.
 
-pub mod candidate;
 pub mod executor;
 pub mod measure;
 pub mod profile;
 pub mod serving;
 pub mod sim;
 pub mod stats;
+pub mod timeline;
 pub mod trace;
 pub mod validate;
 pub mod witness;
 
-pub use candidate::CandidateSim;
 pub use executor::{ExecBreakdown, ExecutionOutcome, HeterogeneousExecutor};
 pub use measure::{measure_latency, measure_stats};
 pub use profile::{Profiler, SubgraphProfile};
@@ -43,6 +45,7 @@ pub use sim::{
     SimResult, TimelineEntry,
 };
 pub use stats::LatencyStats;
+pub use timeline::{NoNoise, Noise, Observer, Timeline};
 pub use trace::{merged_perfetto_trace, to_chrome_trace, witness_to_chrome_trace};
 pub use validate::{validate_schedule, ScheduleError};
 pub use witness::{

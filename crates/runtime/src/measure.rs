@@ -1,15 +1,18 @@
-//! Latency measurement harnesses over the simulator.
+//! Latency measurement harnesses over the timing core.
 
 use duet_device::SystemModel;
 use duet_ir::Graph;
 
-use crate::sim::{simulate, Placed, SimNoise};
+use crate::sim::{placed_timeline, Placed, SimNoise};
 use crate::stats::LatencyStats;
 
 /// Noise-free end-to-end latency of a placed schedule, microseconds.
-/// This is the `measure_latency` oracle of Algorithm 1.
+/// This is the `measure_latency` oracle of Algorithm 1, for callers
+/// holding one finished placement; panics like [`crate::simulate`] on a
+/// schedule that does not cover the graph.
 pub fn measure_latency(graph: &Graph, placed: &[Placed], system: &SystemModel) -> f64 {
-    simulate(graph, placed, system, &mut SimNoise::disabled()).latency_us
+    let (timeline, devices) = placed_timeline(graph, placed, system);
+    timeline.makespan(&devices)
 }
 
 /// Repeated noisy measurement, as the paper's 5000-run evaluation does
@@ -25,9 +28,10 @@ pub fn measure_stats(
 ) -> LatencyStats {
     assert!(runs >= 50, "need enough runs for tail percentiles");
     let warmup = runs / 50;
+    let (timeline, devices) = placed_timeline(graph, placed, system);
     let mut noise = SimNoise::seeded(seed);
     let samples: Vec<f64> = (0..runs)
-        .map(|_| simulate(graph, placed, system, &mut noise).latency_us)
+        .map(|_| timeline.replay(&devices, &mut noise, &mut ()))
         .skip(warmup)
         .collect();
     LatencyStats::from_samples(samples)
@@ -36,6 +40,7 @@ pub fn measure_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::simulate;
     use duet_compiler::Compiler;
     use duet_device::DeviceKind;
     use duet_models::{mlp, MlpConfig};

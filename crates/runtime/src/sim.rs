@@ -1,29 +1,23 @@
-//! Deterministic virtual-clock simulation of a placed schedule.
+//! Virtual-clock simulation of a placed schedule: the `Vec<Placed>`
+//! front end of the timing core.
 //!
-//! Given subgraphs with device placements, the simulator plays out the
-//! execution the paper's engine (Fig. 9) would perform:
+//! The event semantics, the noise draw order and the one list-scheduling
+//! loop live in [`crate::timeline`]. This module holds the types a caller
+//! with a finished placement works with — [`Placed`], [`SimNoise`],
+//! [`SimResult`] — and [`simulate`] and its witnessed variants, which
+//! build a [`Timeline`] for the placement, replay it once and turn what
+//! the replay observed into timeline entries, a transfer-byte total and
+//! (optionally) witness events.
 //!
-//! * each device runs its assigned subgraphs **sequentially** (footnote 2:
-//!   one subgraph at a time per device), picking the ready subgraph with
-//!   the earliest feasible start;
-//! * a subgraph becomes ready when all producer subgraphs finish, plus
-//!   PCIe transfer latency for every value that crosses devices (graph
-//!   inputs are host-resident: free for the CPU, one H2D transfer for the
-//!   GPU; outputs produced on the GPU pay one D2H transfer);
-//! * optional noise models perturb each execution and transfer, giving
-//!   the tail-latency distributions of Fig. 12.
-//!
-//! This simulator is also the scheduler's `measure_latency` oracle in the
-//! correction step (Algorithm 1, step 3) — the paper refines placements by
-//! *measured end-to-end latency* rather than analytic formulas, and so
-//! does `duet-core`.
-
-use std::collections::HashMap;
+//! Code that prices *many* placements of the same subgraphs (the
+//! scheduler, the tuner, the engine) builds the [`Timeline`] once and
+//! calls [`Timeline::makespan`] instead.
 
 use duet_compiler::CompiledSubgraph;
 use duet_device::{DeviceKind, NoiseModel, SystemModel};
-use duet_ir::{Graph, NodeId, Op};
+use duet_ir::Graph;
 
+use crate::timeline::{Dep, Noise, Observer, OutputEdge, Timeline};
 use crate::witness::{
     ExecutionWitness, TransferKind, TriggerEdge, WitnessEvent, WitnessRecorder, WitnessSource,
 };
@@ -99,6 +93,33 @@ impl SimNoise {
     }
 }
 
+impl Noise for SimNoise {
+    const ACTIVE: bool = true;
+    fn transfer_multiplier(&mut self) -> f64 {
+        self.transfer.multiplier()
+    }
+    fn compute_sample(&mut self, time_us: f64) -> f64 {
+        self.compute.sample(time_us)
+    }
+}
+
+/// The [`Timeline`] of a finished placement and its device vector.
+///
+/// # Panics
+/// Panics if `placed` does not cover the producer of a boundary input or
+/// of a graph output — direct callers hand over whole schedules (see
+/// [`crate::validate_schedule`]); the engine uses the fallible
+/// [`Timeline::new`].
+pub(crate) fn placed_timeline(
+    graph: &Graph,
+    placed: &[Placed],
+    system: &SystemModel,
+) -> (Timeline, Vec<DeviceKind>) {
+    let timeline = Timeline::new(graph, placed.iter().map(|p| &p.sg), system)
+        .unwrap_or_else(|e| panic!("schedule does not cover the graph: {e}"));
+    (timeline, placed.iter().map(|p| p.device).collect())
+}
+
 /// Simulate a placed schedule. Panics if a boundary input's producer is
 /// not covered by `placed` — schedules must cover the whole graph.
 pub fn simulate(
@@ -139,218 +160,96 @@ pub fn simulate_recorded(
     noise: &mut SimNoise,
     recorder: Option<&WitnessRecorder>,
 ) -> SimResult {
-    let n = placed.len();
-    // node -> producing subgraph index.
-    let mut producer: HashMap<NodeId, usize> = HashMap::new();
-    for (i, p) in placed.iter().enumerate() {
-        for &id in &p.sg.node_ids {
-            producer.insert(id, i);
-        }
+    let (timeline, devices) = placed_timeline(graph, placed, system);
+    let mut log = SimLog {
+        timeline: &timeline,
+        placed,
+        devices: &devices,
+        recorder,
+        entries: Vec::with_capacity(placed.len()),
+        transferred_bytes: 0.0,
+    };
+    let latency_us = timeline.replay(&devices, noise, &mut log);
+    SimResult {
+        latency_us,
+        timeline: log.entries,
+        transferred_bytes: log.transferred_bytes,
     }
+}
 
-    let mut transferred = 0.0f64;
-    let mut finish = vec![f64::NAN; n];
-    let mut done = vec![false; n];
-    // One entry per execution lane. The paper's engine runs one subgraph
-    // per device (footnote 2: lanes == 1); configuring more lanes on a
-    // device model prices the intra-device-concurrency extension.
-    let mut device_free: HashMap<DeviceKind, Vec<f64>> = HashMap::from([
-        (DeviceKind::Cpu, vec![0.0; system.cpu.lanes.max(1)]),
-        (DeviceKind::Gpu, vec![0.0; system.gpu.lanes.max(1)]),
-    ]);
-    let earliest_lane = |free: &[f64]| -> usize {
-        free.iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .expect("device has at least one lane")
-    };
-    let mut timeline = Vec::with_capacity(n);
+/// What [`simulate_recorded`] keeps of a replay.
+struct SimLog<'a> {
+    timeline: &'a Timeline,
+    placed: &'a [Placed],
+    devices: &'a [DeviceKind],
+    recorder: Option<&'a WitnessRecorder>,
+    entries: Vec<TimelineEntry>,
+    transferred_bytes: f64,
+}
 
-    // Ready time of subgraph i given current finishes; None if a producer
-    // has not finished yet. Transfer costs are sampled lazily, so we only
-    // sample when the subgraph is actually dispatched (keeps the noise
-    // stream aligned with execution order).
-    let deps_of = |i: usize| -> Vec<(NodeId, Option<usize>)> {
-        placed[i]
-            .sg
-            .inputs
-            .iter()
-            .map(|&src| {
-                let srcn = graph.node(src);
-                match srcn.op {
-                    Op::Input => (src, None),
-                    _ => {
-                        let p = *producer.get(&src).unwrap_or_else(|| {
-                            panic!("schedule does not cover producer of node {src}")
-                        });
-                        (src, Some(p))
-                    }
-                }
-            })
-            .collect()
-    };
-    let all_deps: Vec<Vec<(NodeId, Option<usize>)>> = (0..n).map(deps_of).collect();
-
-    for _ in 0..n {
-        // Earliest-start-first among ready subgraphs.
-        let mut best: Option<(f64, usize, f64, f64)> = None; // (est_start, idx, ready, xfer_bytes)
-        for i in 0..n {
-            if done[i] {
-                continue;
-            }
-            if all_deps[i]
+impl Observer for SimLog<'_> {
+    fn executed(&mut self, sg: usize, start_us: f64, end_us: f64) {
+        let device = self.devices[sg];
+        let deps = self.timeline.deps(sg);
+        let crossing = |d: &&Dep| d.crosses(self.devices, device);
+        self.transferred_bytes += deps.iter().filter(crossing).map(|d| d.bytes).sum::<f64>();
+        let name = &self.placed[sg].sg.name;
+        if let Some(rec) = self.recorder {
+            let mut events: Vec<WitnessEvent> = deps
                 .iter()
-                .any(|(_, p)| p.map(|p| !done[p]).unwrap_or(false))
-            {
-                continue;
-            }
-            let dev = placed[i].device;
-            let mut ready = 0.0f64;
-            let mut xfer_bytes = 0.0f64;
-            for &(src, p) in &all_deps[i] {
-                let bytes = graph.node(src).shape.byte_size() as f64;
-                match p {
-                    None => {
-                        // Host-resident graph input.
-                        if dev == DeviceKind::Gpu {
-                            ready = ready.max(system.transfer_time_us(bytes));
-                            xfer_bytes += bytes;
-                        }
-                    }
-                    Some(p) => {
-                        let mut t = finish[p];
-                        if placed[p].device != dev {
-                            t += system.transfer_time_us(bytes);
-                            xfer_bytes += bytes;
-                        }
-                        ready = ready.max(t);
-                    }
-                }
-            }
-            let free = &device_free[&dev];
-            let est = ready.max(free[earliest_lane(free)]);
-            let better = match best {
-                None => true,
-                Some((bs, bi, ..)) => est < bs || (est == bs && i < bi),
-            };
-            if better {
-                best = Some((est, i, ready, xfer_bytes));
-            }
-        }
-        let (_, i, ready, xfer_bytes) = best.expect("acyclic schedule always has a ready subgraph");
-        let dev = placed[i].device;
-        // Sample noise now: transfer noise stretches readiness, compute
-        // noise stretches execution.
-        let ready = if xfer_bytes > 0.0 {
-            transferred += xfer_bytes;
-            ready * noise.transfer.multiplier()
-        } else {
-            ready
-        };
-        let free = device_free.get_mut(&dev).expect("device exists");
-        let lane = earliest_lane(free);
-        let start = ready.max(free[lane]);
-        // The lane-sharing discount applies only under actual contention:
-        // another lane of this device still busy when we dispatch.
-        let contended = free
-            .iter()
-            .enumerate()
-            .any(|(l, &t)| l != lane && t > start);
-        let penalty = if contended {
-            system.device(dev).lane_penalty()
-        } else {
-            1.0
-        };
-        let exec = noise
-            .compute
-            .sample(subgraph_exec_time_us(system, dev, &placed[i].sg) * penalty);
-        let end = start + exec;
-        finish[i] = end;
-        done[i] = true;
-        free[lane] = end;
-        if let Some(rec) = recorder {
-            let mut events: Vec<WitnessEvent> = Vec::new();
-            let mut triggers: Vec<TriggerEdge> = Vec::new();
-            for &(src, p) in &all_deps[i] {
-                let bytes = graph.node(src).shape.byte_size() as f64;
-                let crosses = match p {
-                    None => dev == DeviceKind::Gpu,
-                    Some(p) => placed[p].device != dev,
-                };
-                let xfer = if crosses {
-                    system.transfer_time_us(bytes)
-                } else {
-                    0.0
-                };
-                triggers.push(TriggerEdge {
-                    node: src,
-                    producer: p,
-                    bytes,
-                    transfer_us: xfer,
-                });
-                if crosses {
-                    events.push(WitnessEvent::Transfer {
-                        node: src,
-                        kind: match p {
-                            None => TransferKind::HostToDevice,
-                            Some(_) => TransferKind::DeviceToDevice,
-                        },
-                        bytes,
-                        time_us: xfer,
-                        consumer: Some(i),
-                    });
-                }
-            }
+                .filter(crossing)
+                .map(|d| WitnessEvent::Transfer {
+                    node: d.node,
+                    kind: match d.producer {
+                        None => TransferKind::HostToDevice,
+                        Some(_) => TransferKind::DeviceToDevice,
+                    },
+                    bytes: d.bytes,
+                    time_us: d.transfer_us,
+                    consumer: Some(sg),
+                })
+                .collect();
             events.push(WitnessEvent::Start {
-                sg: i,
-                name: placed[i].sg.name.clone(),
-                device: dev,
-                at_us: start,
-                triggers,
+                sg,
+                name: name.clone(),
+                device,
+                at_us: start_us,
+                triggers: deps
+                    .iter()
+                    .map(|d| TriggerEdge {
+                        node: d.node,
+                        producer: d.producer,
+                        bytes: d.bytes,
+                        transfer_us: if crossing(&d) { d.transfer_us } else { 0.0 },
+                    })
+                    .collect(),
             });
             events.push(WitnessEvent::Finish {
-                sg: i,
-                device: dev,
-                at_us: end,
+                sg,
+                device,
+                at_us: end_us,
             });
             rec.record_all(events);
         }
-        timeline.push(TimelineEntry {
-            name: placed[i].sg.name.clone(),
-            device: dev,
-            start_us: start,
-            end_us: end,
+        self.entries.push(TimelineEntry {
+            name: name.clone(),
+            device,
+            start_us,
+            end_us,
         });
     }
 
-    // All graph outputs must land back on the host.
-    let mut latency: f64 = 0.0;
-    for &out in graph.outputs() {
-        let p = *producer
-            .get(&out)
-            .expect("output produced by some subgraph");
-        let mut t = finish[p];
-        if placed[p].device == DeviceKind::Gpu {
-            let bytes = graph.node(out).shape.byte_size() as f64;
-            t += system.transfer_time_us(bytes) * noise.transfer.multiplier();
-            transferred += bytes;
-            if let Some(rec) = recorder {
-                rec.record(WitnessEvent::Transfer {
-                    node: out,
-                    kind: TransferKind::DeviceToHost,
-                    bytes,
-                    time_us: system.transfer_time_us(bytes),
-                    consumer: None,
-                });
-            }
+    fn output_landed(&mut self, output: &OutputEdge) {
+        self.transferred_bytes += output.bytes;
+        if let Some(rec) = self.recorder {
+            rec.record(WitnessEvent::Transfer {
+                node: output.node,
+                kind: TransferKind::DeviceToHost,
+                bytes: output.bytes,
+                time_us: output.d2h_us,
+                consumer: None,
+            });
         }
-        latency = latency.max(t);
-    }
-    SimResult {
-        latency_us: latency,
-        timeline,
-        transferred_bytes: transferred,
     }
 }
 
@@ -358,7 +257,7 @@ pub fn simulate_recorded(
 mod tests {
     use super::*;
     use duet_compiler::Compiler;
-    use duet_ir::GraphBuilder;
+    use duet_ir::{GraphBuilder, Op};
 
     /// Two independent dense branches joined by a concat head. The
     /// branches are wide enough (tens of microseconds) that cross-device

@@ -594,11 +594,15 @@ fn execute_chunk(
     // the plans were corrected against → re-correct and hot-swap every
     // cached variant, once.
     if monitor.observe(outcome.virtual_latency_us, variant.duet.latency_us()) {
+        // Re-planning runs here, on the worker thread, in front of every
+        // queued request: its wall time is the stall a hot-swap costs.
+        let replan_start = Instant::now();
         let (swapped, rejected) = if cfg.tune_on_drift {
             cache.tune_all(&deployed)
         } else {
             cache.recorrect_all(&deployed)
         };
+        tm::SERVE_SWAP_STALL_US.observe_us(replan_start.elapsed().as_secs_f64() * 1e6);
         if rejected > 0 {
             metrics.plan_swap_rejected(rejected as u64);
             if flight.armed() {

@@ -121,6 +121,10 @@ pub static SCHED_ACCEPTED_GAIN_US: Histogram = Histogram::new(
     "duet_sched_accepted_gain_us",
     "Predicted latency improvement per accepted move, microseconds",
 );
+pub static SCHED_CORRECTION_WALL_US: Histogram = Histogram::new(
+    "duet_sched_correction_wall_us",
+    "Wall time of one correction search (Algorithm 1 step 3), microseconds",
+);
 pub static SCHED_PREDICTED_LATENCY_US: Gauge = Gauge::new(
     "duet_sched_predicted_latency_us",
     "Predicted end-to-end latency after the most recent correction, microseconds",
@@ -212,6 +216,10 @@ pub static SERVE_PLAN_SWAPS: Counter =
 pub static SERVE_PLAN_SWAP_REJECTED: Counter = Counter::new(
     "duet_serve_plan_swap_rejected_total",
     "Re-corrected plans refused by the D5xx model-check gate",
+);
+pub static SERVE_SWAP_STALL_US: Histogram = Histogram::new(
+    "duet_serve_swap_stall_us",
+    "Wall time the serving worker spent re-planning on confirmed drift, microseconds",
 );
 pub static SERVE_QUEUE_DEPTH: Gauge = Gauge::new(
     "duet_serve_queue_depth",
@@ -521,6 +529,7 @@ pub fn gauges() -> &'static [&'static Gauge] {
 pub fn histograms() -> &'static [&'static Histogram] {
     static HISTOGRAMS: &[&Histogram] = &[
         &SCHED_ACCEPTED_GAIN_US,
+        &SCHED_CORRECTION_WALL_US,
         &SERVE_BATCH_SIZE,
         &SERVE_SOJOURN_US,
         &SERVE_VIRTUAL_SERVICE_US,
@@ -530,6 +539,7 @@ pub fn histograms() -> &'static [&'static Histogram] {
         &SERVE_SEGMENT_COMPUTE_GPU,
         &SERVE_SEGMENT_TRANSFER,
         &SERVE_SEGMENT_OVERHEAD,
+        &SERVE_SWAP_STALL_US,
         &TUNE_ORACLE_WALL_US,
         &TUNE_SEARCH_WALL_US,
         &ANALYSIS_MODEL_CHECK_STATES,

@@ -1,16 +1,18 @@
-//! The search objective: a memoized candidate simulator with telemetry.
+//! The search objective: a [`Timeline`] with telemetry.
 //!
-//! Wraps [`duet_runtime::CandidateSim`] — dependency structure, transfer
-//! prices and the per-(subgraph, device) execution table are computed
-//! once, so each candidate evaluation is a pure list-scheduling replay.
-//! Every evaluation increments `duet_tune_candidates_total` and feeds
-//! the `duet_tune_oracle_wall_us` histogram, which is what the CLI's
-//! "search cost" report and the CI overhead gate read.
+//! The tuner prices candidates on the timing core the engine already
+//! built ([`duet_core::Duet::timeline`]) — dependency structure,
+//! transfer prices and the per-(subgraph, device) execution table exist
+//! once, so each candidate evaluation is a pure list-scheduling replay,
+//! the same replay `SchedulePolicy::Ideal`, Algorithm 1 and the D503
+//! bound read. Every evaluation increments `duet_tune_candidates_total`
+//! and feeds the `duet_tune_oracle_wall_us` histogram, which is what the
+//! CLI's "search cost" report and the CI overhead gate read.
 
 use duet_compiler::CompiledSubgraph;
 use duet_device::{DeviceKind, SystemModel};
 use duet_ir::Graph;
-use duet_runtime::CandidateSim;
+use duet_runtime::Timeline;
 use duet_telemetry::registry::{TUNE_CANDIDATES, TUNE_ORACLE_WALL_US};
 
 use crate::cost::CostModel;
@@ -19,34 +21,46 @@ use crate::cost::CostModel;
 /// subgraphs.
 #[derive(Debug, Clone)]
 pub struct Oracle {
-    sim: CandidateSim,
+    sim: Timeline,
     /// Which cost model filled the execution table (for reports).
     model_name: &'static str,
 }
 
 impl Oracle {
-    /// Analytic oracle — bit-identical to `measure_latency` for every
-    /// placement (the property the never-worse guarantee rides on).
-    pub fn analytic(graph: &Graph, subgraphs: &[CompiledSubgraph], system: &SystemModel) -> Self {
+    /// Analytic oracle over an engine's own timing core: every value it
+    /// returns is the latency the engine would claim for that placement
+    /// (the property the never-worse guarantee rides on).
+    pub fn over(timeline: Timeline) -> Self {
         Oracle {
-            sim: CandidateSim::new(graph, subgraphs, system),
+            sim: timeline,
             model_name: "analytic",
         }
     }
 
-    /// Oracle with the execution table priced by `model`. Transfer
-    /// prices stay analytic (the interconnect is not the kernel cost
-    /// model's to correct).
+    /// Analytic oracle for callers without an engine.
+    ///
+    /// # Panics
+    /// Panics if `subgraphs` do not cover `graph` (see
+    /// [`Timeline::new`] for the fallible form).
+    pub fn analytic(graph: &Graph, subgraphs: &[CompiledSubgraph], system: &SystemModel) -> Self {
+        Self::over(
+            Timeline::new(graph, subgraphs, system)
+                .unwrap_or_else(|e| panic!("subgraphs do not cover the graph: {e}")),
+        )
+    }
+
+    /// Oracle over `timeline`'s structure with the execution table
+    /// priced by `model` for `subgraphs` (the timeline's, in order).
+    /// Transfer prices stay analytic (the interconnect is not the kernel
+    /// cost model's to correct).
     pub fn with_cost_model(
-        graph: &Graph,
+        timeline: Timeline,
         subgraphs: &[CompiledSubgraph],
-        system: &SystemModel,
         model: &dyn CostModel,
     ) -> Self {
         Oracle {
-            sim: CandidateSim::with_exec_time(graph, subgraphs, system, |device, sg| {
-                model.subgraph_time_us(device, sg)
-            }),
+            sim: timeline
+                .with_exec_table(|i, device| model.subgraph_time_us(device, &subgraphs[i])),
             model_name: model.name(),
         }
     }

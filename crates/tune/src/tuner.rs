@@ -195,7 +195,7 @@ pub fn tune(engine: &Duet, cfg: &TuneConfig) -> TuneOutcome {
     let graph = engine.graph();
     let system = engine.system();
     let subgraphs: Vec<CompiledSubgraph> = engine.units().iter().map(|u| u.sg.clone()).collect();
-    let analytic = Oracle::analytic(graph, &subgraphs, system);
+    let analytic = Oracle::over(engine.timeline().clone());
 
     // Calibrate the search oracle from whatever measurements exist:
     // the engine's own offline profiles plus any executor spans in the
@@ -209,7 +209,7 @@ pub fn tune(engine: &Duet, cfg: &TuneConfig) -> TuneOutcome {
         let buckets = fitted.fitted_buckets();
         if buckets > 0 {
             (
-                Oracle::with_cost_model(graph, &subgraphs, system, &fitted),
+                Oracle::with_cost_model(engine.timeline().clone(), &subgraphs, &fitted),
                 buckets,
             )
         } else {
