@@ -18,17 +18,18 @@ cargo build --release
 step "cargo test -q (tier-1)"
 cargo test -q
 
+# The workspace run carries these gates; they are not run a second time:
+#   duet-runtime  --test interleave            interleaving stress, fixed seeds
+#   duet (root)   --test kernel_pool_width     forked kernels bit-identical at width >= 2
+#   rayon         --test pool_stress, width_one  fork/join stress
+#   duet-analysis --test model_check_mutation  each corruption maps to its D5xx code
+#   duet-analysis --test dataflow_soundness    abstract intervals contain concrete runs
+#   duet-analysis --test dataflow_mutation     each seeded hazard maps to its D6xx code
+#   duet (root)   --test model_check_bridge    D5xx-clean plans survive interleaving stress
 step "cargo test --workspace -q"
 cargo test --workspace -q
 
-step "interleaving stress suite (fixed seeds)"
-cargo test -q -p duet-runtime --test interleave
-
-step "kernel pool at width >= 2 (forked kernels bit-identical to naive loops; fork/join stress)"
-cargo test -q --test kernel_pool_width
-cargo test -q -p rayon --test pool_stress --test width_one
-
-step "allocation gate (tape+arena steady-state budget)"
+step "allocation gate (tape+arena steady state, recorrect, Duet::run budgets)"
 cargo run -q --release -p duet-bench --bin duet-alloc-gate
 
 step "kernel engine perf floor (vectorized vs seed kernels, alternating trials)"
@@ -53,9 +54,6 @@ echo "$MC_OUT" | awk '
   END { if (!found) { print "FAIL: no model-check summary line"; exit 1 } }
 '
 
-step "model-check mutation gate (each injected corruption maps to its D5xx code)"
-cargo test -q -p duet-analysis --test model_check_mutation
-
 step "duet-lint dataflow over all built-in models (D6xx proof, <10ms/model budget)"
 DF_OUT="$(cargo run -q --release --bin duet-lint -- \
   dataflow all --deny-warnings | tee /dev/stderr)"
@@ -68,15 +66,6 @@ echo "$DF_OUT" | awk '
   }
   END { if (!found) { print "FAIL: no dataflow summary line"; exit 1 } }
 '
-
-step "dataflow soundness gate (abstract intervals contain concrete runs)"
-cargo test -q -p duet-analysis --test dataflow_soundness
-
-step "dataflow mutation gate (each seeded hazard maps to its D6xx code)"
-cargo test -q -p duet-analysis --test dataflow_mutation
-
-step "static->dynamic bridge (D5xx-clean plans survive seeded interleaving stress)"
-cargo test -q --test model_check_bridge
 
 step "duet-serve smoke (low-qps load, zero shed, bit-identity, witness)"
 METRICS_OUT="$(mktemp)"

@@ -28,12 +28,25 @@
 //! engine's timeline: a few scratch vectors. Cloning the compiled
 //! subgraphs per candidate again (a `to_placed` in the pricing path)
 //! multiplies the count by tens and trips this at once.
+//!
+//! A run budget holds one steady-state `Duet::run` — the executor's own
+//! fixed cost on top of the tapes, which the benchmark's
+//! `runtime.exec_fixed_us` only sees statistically — to its count on the
+//! small siamese (a single-device fallback plan: one subgraph, one idle
+//! worker) and the small wide-and-deep (a heterogeneous plan: triggers,
+//! cross-device transfers, the shared value store). The executor reads
+//! its structure and prices from the engine's `Timeline`; deriving them
+//! per run again (a node→subgraph map, per-subgraph dependency lists)
+//! trips this.
 
 use duet_bench::count_allocs;
 use duet_compiler::{CompiledSubgraph, Compiler, TapeArena};
 use duet_core::Duet;
 use duet_ir::Graph;
-use duet_models::{input_feeds, mlp, wide_and_deep, zoo_model, MlpConfig, WideAndDeepConfig};
+use duet_models::{
+    input_feeds, mlp, siamese, wide_and_deep, zoo_model, MlpConfig, SiameseConfig,
+    WideAndDeepConfig,
+};
 use duet_serve::loadgen::degraded_gpu;
 
 const WARMUP: usize = 4;
@@ -54,6 +67,14 @@ const CONV_BUDGET_PER_RUN: u64 = 330;
 /// each, so the slack is less than one more allocation per candidate;
 /// the rest is re-profiling and the new engine's own subgraph clones.
 const RECORRECT_BUDGETS: [(&str, u64); 2] = [("wide_and_deep", 2494), ("squeezenet", 3088)];
+
+/// Allocation calls of one steady-state `Duet::run` per small model, and
+/// whether its plan is heterogeneous: 151 and 379, counted over 64 runs
+/// (152 and 389 before the executor ran on the engine's timeline). The
+/// single-worker count is exact; with both workers busy two or three
+/// calls per 64 runs come and go with the interleaving, so the gate
+/// trips at one whole allocation per run over the budget.
+const RUN_BUDGETS: [(&str, bool, u64); 2] = [("siamese", false, 151), ("wide_and_deep", true, 379)];
 
 fn main() {
     // The budget must hold with telemetry ON: counters are relaxed
@@ -130,6 +151,42 @@ fn main() {
         );
         if allocs > budget {
             eprintln!("FAIL: recorrect({model}) made {allocs} allocations, budget {budget}");
+            failed = true;
+        }
+    }
+    let small_engines = [
+        Duet::builder().build(&siamese(&SiameseConfig::small())),
+        Duet::builder()
+            .no_fallback()
+            .build(&wide_and_deep(&WideAndDeepConfig::small())),
+    ];
+    for ((model, heterogeneous, budget), engine) in RUN_BUDGETS.into_iter().zip(small_engines) {
+        let engine = engine.expect("builds");
+        let feeds = input_feeds(engine.graph(), 7);
+        let mut last = None;
+        for _ in 0..WARMUP {
+            last = Some(engine.run(&feeds).expect("inference"));
+        }
+        let (allocs, ()) = count_allocs(|| {
+            for _ in 0..RUNS {
+                last = Some(engine.run(&feeds).expect("inference"));
+            }
+        });
+        drop(last);
+        let per_run = allocs as f64 / RUNS as f64;
+        println!(
+            "Duet::run(small {model}, {} subgraph(s)): {per_run:.2} allocs/inference \
+             (budget {budget})",
+            engine.placed().len()
+        );
+        if engine.fallback_device().is_none() != heterogeneous {
+            eprintln!("FAIL: small {model} no longer exercises the plan shape this budget is for");
+            failed = true;
+        }
+        if per_run >= (budget + 1) as f64 {
+            eprintln!(
+                "FAIL: {per_run:.2} allocs per Duet::run({model}) exceeds the budget of {budget}"
+            );
             failed = true;
         }
     }

@@ -520,7 +520,10 @@ impl Duet {
     /// Arenas come from the engine's shared pool, so steady-state
     /// inference reuses slot buffers across requests.
     pub fn executor_with(&self, system: SystemModel) -> HeterogeneousExecutor<'_> {
-        HeterogeneousExecutor::new(&self.graph, &self.placed, system).with_arena_pool(&self.arenas)
+        let mut timeline = self.placed_timeline().clone();
+        timeline.reprice(&system);
+        HeterogeneousExecutor::with_timeline(&self.graph, &self.placed, timeline)
+            .with_arena_pool(&self.arenas)
     }
 
     /// Arena-pool checkout statistics (created vs. reused).

@@ -8,37 +8,42 @@
 //! threads with lock-free MPMC channels (crossbeam) and a mutex-protected
 //! value store — same architecture, same dependency-triggered dataflow.
 //!
-//! The executor computes *real tensors* (host numerics for both devices)
-//! while also maintaining the virtual clock of the device models, so a run
-//! yields both verifiable outputs and the latency the modeled hardware
-//! would have achieved.
+//! As in the paper, everything structural is settled before the workers
+//! start: the executor holds the placement's [`Timeline`] — the engine's
+//! own, re-priced for the system it runs under, or one built by
+//! [`HeterogeneousExecutor::new`] for a hand-assembled schedule — and
+//! reads dependencies, trigger counts, transfer and execution prices and
+//! the graph-output table from it, deriving and pricing nothing itself.
+//! What the workers add is what only real threads can: the *dispatch
+//! order* the virtual clock then follows. A run yields real tensors (host
+//! numerics for both devices) and the latency the modeled hardware would
+//! have achieved — [`Timeline::makespan`] bit for bit wherever the
+//! per-device order is forced, within the D310 tolerance where it is free.
 //!
-//! Runs can be **witnessed**: [`HeterogeneousExecutor::run_recorded`]
-//! threads an optional [`WitnessRecorder`] through the workers, emitting
-//! the `D3xx`-checkable event log of [`crate::witness`] (start/finish per
-//! subgraph, triggering edges, every modeled transfer) at zero cost when
-//! no recorder is attached. For race hunting, [`DelayInjection`] makes
-//! each worker sleep a seeded random interval before every dispatch,
-//! perturbing the real thread interleaving without changing what a
-//! correct run may produce.
+//! Runs can be **witnessed**: [`HeterogeneousExecutor::run_witnessed`]
+//! has the workers commit the `D3xx`-checkable event log of
+//! [`crate::witness`], built by the [`WitnessEvent::dispatch`] the
+//! simulator uses too; other runs build no events and take no log
+//! lock. For race hunting, [`DelayInjection`] makes each worker sleep a
+//! seeded random interval before every dispatch, perturbing the real
+//! interleaving without changing what a correct run may produce.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::unbounded;
 use duet_compiler::ArenaPool;
 use duet_device::{DeviceKind, SystemModel};
 use duet_ir::{Graph, GraphError, NodeId, Op};
+use duet_telemetry::{Span, SpanKind, TraceContext};
 use duet_tensor::Tensor;
 use parking_lot::Mutex;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use crate::sim::Placed;
-use crate::witness::{
-    DelayInjection, ExecutionWitness, TransferKind, TriggerEdge, WitnessEvent, WitnessRecorder,
-    WitnessSource,
-};
+use crate::timeline::Timeline;
+use crate::witness::{DelayInjection, ExecutionWitness, WitnessEvent, WitnessSource};
 
 /// Virtual-time decomposition of one run: where the modeled hardware
 /// spent its microseconds. Busy times are summed per device (they can
@@ -84,7 +89,7 @@ pub struct ExecutionOutcome {
     /// context. Independent of the global ring and of
     /// `duet_telemetry::enabled()`, so the flight recorder sees a
     /// complete tree even with span recording off.
-    pub trace_spans: Vec<duet_telemetry::Span>,
+    pub trace_spans: Vec<Span>,
 }
 
 enum Msg {
@@ -92,30 +97,61 @@ enum Msg {
     Stop,
 }
 
+/// What one device worker hands back when it exits.
+#[derive(Default)]
+struct Lane {
+    tasks: usize,
+    busy_us: f64,
+    transfer_us: f64,
+    spans: Vec<Span>,
+}
+
 /// Two-worker dependency-triggered executor for a placed schedule.
 pub struct HeterogeneousExecutor<'g> {
     graph: &'g Graph,
     placed: &'g [Placed],
-    system: SystemModel,
+    /// Structure and prices of `placed`; the error of a hand-assembled
+    /// schedule that does not cover the graph surfaces at run.
+    timeline: Result<Timeline, GraphError>,
     delays: Option<DelayInjection>,
     pool: Option<&'g ArenaPool>,
-    trace: Option<duet_telemetry::TraceContext>,
+    trace: Option<TraceContext>,
 }
 
 impl<'g> HeterogeneousExecutor<'g> {
-    /// Create an executor over a placed schedule.
+    /// Create an executor over a hand-assembled placed schedule, priced
+    /// under `system`. A schedule that does not cover the producer of a
+    /// boundary value or of a graph output makes every run return a typed
+    /// error (see [`crate::validate_schedule`] to check up front).
     ///
-    /// The executor runs one worker thread per device (CPU, GPU) and does
-    /// not size the kernel pool: that is as wide as the machine, by the one
-    /// rule in `vendor/rayon` ("Sizing"), and process-wide, so concurrent
-    /// executors share it. A device worker blocked on its queue costs no
+    /// The executor runs one worker thread per device and does not size
+    /// the kernel pool: that is as wide as the machine (`vendor/rayon`,
+    /// "Sizing") and process-wide. A worker blocked on its queue costs no
     /// CPU; only while both lanes are inside kernels at once does the
     /// machine carry one runnable thread more than it has CPUs.
     pub fn new(graph: &'g Graph, placed: &'g [Placed], system: SystemModel) -> Self {
+        let timeline = Timeline::new(graph, placed.iter().map(|p| &p.sg), &system);
+        Self::over(graph, placed, timeline.map_err(GraphError::from))
+    }
+
+    /// Create an executor over `placed` that runs on an already built
+    /// `timeline` of exactly those subgraphs, priced for the system the
+    /// run is to model — how an engine hands over its own tables instead
+    /// of having them derived again.
+    pub fn with_timeline(graph: &'g Graph, placed: &'g [Placed], timeline: Timeline) -> Self {
+        assert_eq!(timeline.len(), placed.len(), "one row per subgraph");
+        Self::over(graph, placed, Ok(timeline))
+    }
+
+    fn over(
+        graph: &'g Graph,
+        placed: &'g [Placed],
+        timeline: Result<Timeline, GraphError>,
+    ) -> Self {
         HeterogeneousExecutor {
             graph,
             placed,
-            system,
+            timeline,
             delays: None,
             pool: None,
             trace: None,
@@ -141,25 +177,14 @@ impl<'g> HeterogeneousExecutor<'g> {
     /// each kernel-tape execution a child of its dispatch. The linked
     /// spans go to the global ring *and* come back in
     /// [`ExecutionOutcome::trace_spans`].
-    pub fn with_trace(mut self, parent: duet_telemetry::TraceContext) -> Self {
+    pub fn with_trace(mut self, parent: TraceContext) -> Self {
         self.trace = Some(parent);
         self
     }
 
     /// Execute one inference with the given input feeds.
     pub fn run(&self, feeds: &HashMap<NodeId, Tensor>) -> Result<ExecutionOutcome, GraphError> {
-        self.run_recorded(feeds, None)
-    }
-
-    /// Execute one inference, optionally streaming witness events into
-    /// `recorder`. With `None` this is exactly [`Self::run`]: no events
-    /// are built and no recorder locks are taken.
-    pub fn run_recorded(
-        &self,
-        feeds: &HashMap<NodeId, Tensor>,
-        recorder: Option<&WitnessRecorder>,
-    ) -> Result<ExecutionOutcome, GraphError> {
-        self.run_inner(Some(feeds), recorder)
+        self.run_inner(Some(feeds), None)
     }
 
     /// Execute one inference and return the sealed witness next to the
@@ -168,434 +193,254 @@ impl<'g> HeterogeneousExecutor<'g> {
         &self,
         feeds: &HashMap<NodeId, Tensor>,
     ) -> Result<(ExecutionOutcome, ExecutionWitness), GraphError> {
-        let rec = WitnessRecorder::new();
-        let outcome = self.run_recorded(feeds, Some(&rec))?;
-        let witness = rec.into_witness(
-            self.graph.name.clone(),
-            WitnessSource::Executor,
-            outcome.virtual_latency_us,
-        );
+        let log = Mutex::new(Vec::new());
+        let outcome = self.run_inner(Some(feeds), Some(&log))?;
+        let witness = ExecutionWitness {
+            model: self.graph.name.clone(),
+            source: WitnessSource::Executor,
+            events: log.into_inner(),
+            virtual_latency_us: outcome.virtual_latency_us,
+        };
         Ok((outcome, witness))
     }
 
     /// Drive the full two-worker machinery — queues, triggers, virtual
     /// clocks — without computing any tensor numerics. `outputs` comes
-    /// back empty; everything else (latency, task counts, witness
-    /// events) is as a real run would produce. This makes the threaded
-    /// engine's *scheduling* behavior testable on paper-size models in
-    /// milliseconds.
-    pub fn run_virtual(
-        &self,
-        recorder: Option<&WitnessRecorder>,
-    ) -> Result<ExecutionOutcome, GraphError> {
-        self.run_inner(None, recorder)
+    /// back empty; everything else (latency, task counts) is as a real
+    /// run would produce. This makes the threaded engine's *scheduling*
+    /// behavior testable on paper-size models in milliseconds.
+    pub fn run_virtual(&self) -> Result<ExecutionOutcome, GraphError> {
+        self.run_inner(None, None)
     }
 
     fn run_inner(
         &self,
         feeds: Option<&HashMap<NodeId, Tensor>>,
-        recorder: Option<&WitnessRecorder>,
+        log: Option<&Mutex<Vec<WitnessEvent>>>,
     ) -> Result<ExecutionOutcome, GraphError> {
-        let n = self.placed.len();
         let wall_start = Instant::now();
+        let timeline = self.timeline.as_ref().map_err(GraphError::clone)?;
+        let n = self.placed.len();
+        let devices: Vec<DeviceKind> = self.placed.iter().map(|p| p.device).collect();
+        // One trigger per dependency edge that has a producing subgraph.
+        let produced = |i| timeline.deps(i).iter().filter(|d| d.producer.is_some());
+        let pending: Vec<AtomicUsize> = (0..n)
+            .map(|i| AtomicUsize::new(produced(i).count()))
+            .collect();
 
-        // node -> producing subgraph.
-        let mut producer: HashMap<NodeId, usize> = HashMap::new();
-        for (i, p) in self.placed.iter().enumerate() {
-            for &id in &p.sg.node_ids {
-                producer.insert(id, i);
-            }
-        }
-        // Subgraph-level dependency edges.
-        let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, p) in self.placed.iter().enumerate() {
-            for &src in &p.sg.inputs {
-                if matches!(self.graph.node(src).op, Op::Input) {
-                    continue;
-                }
-                let pidx = *producer.get(&src).ok_or(GraphError::MissingFeed(src))?;
-                if !deps[i].contains(&pidx) {
-                    deps[i].push(pidx);
-                    consumers[pidx].push(i);
-                }
-            }
-        }
-        let pending: Vec<AtomicUsize> = deps.iter().map(|d| AtomicUsize::new(d.len())).collect();
-
-        // Shared state. The store holds only cross-subgraph intermediates;
-        // feeds are immutable for the whole run and are read lock-free
-        // straight from the caller's map (cloning the feed map per run was
-        // a full HashMap rebuild on every inference).
-        let values: Mutex<HashMap<NodeId, Tensor>> = Mutex::new(HashMap::new());
-        let numerics = feeds.is_some();
+        // Shared state. The store holds only cross-subgraph intermediates
+        // (sized once: no rehash under the lock); feeds are immutable for
+        // the run and are read lock-free straight from the caller's map.
+        let boundary_values = self.placed.iter().map(|p| p.sg.outputs.len()).sum();
+        let values: Mutex<HashMap<NodeId, Tensor>> =
+            Mutex::new(HashMap::with_capacity(boundary_values));
         let finish_us: Vec<Mutex<f64>> = (0..n).map(|_| Mutex::new(0.0)).collect();
         let error: Mutex<Option<GraphError>> = Mutex::new(None);
         let done = AtomicUsize::new(0);
-        let task_counts: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
-        // Virtual-time accounting and (when tracing) the causal span
-        // tree; workers accumulate locally and merge once at exit.
-        let busy_us: [Mutex<f64>; 2] = [Mutex::new(0.0), Mutex::new(0.0)];
-        let transfer_total_us: Mutex<f64> = Mutex::new(0.0);
-        let run_ctx = self.trace.map(|parent| (parent, parent.child()));
-        let trace_spans: Mutex<Vec<duet_telemetry::Span>> = Mutex::new(Vec::new());
+        let trace = self.trace.unwrap_or(TraceContext::UNTRACED);
+        let run_ctx = trace.child();
 
-        let (cpu_tx, cpu_rx) = unbounded::<Msg>();
-        let (gpu_tx, gpu_rx) = unbounded::<Msg>();
-        let queue = |d: DeviceKind| -> &Sender<Msg> {
-            match d {
-                DeviceKind::Cpu => &cpu_tx,
-                DeviceKind::Gpu => &gpu_tx,
-            }
+        // One queue per device. Both ends live to the end of this function,
+        // so a send cannot fail.
+        let queues = DeviceKind::both().map(|_| unbounded::<Msg>());
+        let send = |device: DeviceKind, msg: Msg| {
+            let _ = queues[device as usize].0.send(msg);
+        };
+        let stop = || {
+            send(DeviceKind::Cpu, Msg::Stop);
+            send(DeviceKind::Gpu, Msg::Stop);
         };
 
         // Seed the queues with dependency-free subgraphs.
-        for (i, d) in deps.iter().enumerate() {
-            if d.is_empty() {
-                queue(self.placed[i].device)
-                    .send(Msg::Run(i))
-                    .expect("queue open");
+        for (i, waits) in pending.iter().enumerate() {
+            if waits.load(Ordering::Relaxed) == 0 {
+                send(devices[i], Msg::Run(i));
             }
         }
+        if n == 0 {
+            stop();
+        }
 
-        std::thread::scope(|scope| {
-            for (device, rx) in [(DeviceKind::Cpu, &cpu_rx), (DeviceKind::Gpu, &gpu_rx)] {
-                let values = &values;
-                let finish_us = &finish_us;
-                let error = &error;
-                let done = &done;
-                let pending = &pending;
-                let consumers = &consumers;
-                let deps = &deps;
-                let task_counts = &task_counts;
-                let busy_us = &busy_us;
-                let transfer_total_us = &transfer_total_us;
-                let trace_spans = &trace_spans;
-                let cpu_tx = cpu_tx.clone();
-                let gpu_tx = gpu_tx.clone();
-                scope.spawn(move || {
-                    // Worker loop: poll own queue, execute, trigger deps.
-                    let mut device_time = 0.0f64;
-                    let mut local_busy = 0.0f64;
-                    let mut local_xfer = 0.0f64;
-                    let mut delay_rng = self
-                        .delays
-                        .map(|d| SmallRng::seed_from_u64(d.seed ^ (0xD1CE << device as u64)));
-                    while let Ok(msg) = rx.recv() {
-                        let i = match msg {
-                            Msg::Stop => break,
-                            Msg::Run(i) => i,
-                        };
-                        if let (Some(d), Some(rng)) = (self.delays, delay_rng.as_mut()) {
-                            std::thread::sleep(Duration::from_micros(
-                                rng.gen_range(0..d.max_us + 1),
-                            ));
-                        }
-                        let placed = &self.placed[i];
-                        // Virtual readiness: producers' finish + transfers.
-                        let mut ready = 0.0f64;
-                        let mut triggers: Vec<TriggerEdge> = Vec::new();
-                        let mut transfers: Vec<WitnessEvent> = Vec::new();
-                        for &src in &placed.sg.inputs {
-                            let bytes = self.graph.node(src).shape.byte_size() as f64;
-                            let (producer_idx, mut t, xfer) =
-                                if matches!(self.graph.node(src).op, Op::Input) {
-                                    let xfer = if device == DeviceKind::Gpu {
-                                        self.system.transfer_time_us(bytes)
-                                    } else {
-                                        0.0
-                                    };
-                                    (None, 0.0, xfer)
-                                } else {
-                                    let p = deps[i]
-                                        .iter()
-                                        .copied()
-                                        .find(|&p| self.placed[p].sg.node_ids.contains(&src))
-                                        .expect("dep registered");
-                                    let t = *finish_us[p].lock();
-                                    let xfer = if self.placed[p].device != device {
-                                        self.system.transfer_time_us(bytes)
-                                    } else {
-                                        0.0
-                                    };
-                                    (Some(p), t, xfer)
-                                };
-                            t += xfer;
-                            ready = ready.max(t);
-                            local_xfer += xfer;
-                            if recorder.is_some() {
-                                triggers.push(TriggerEdge {
-                                    node: src,
-                                    producer: producer_idx,
-                                    bytes,
-                                    transfer_us: xfer,
-                                });
-                                if xfer > 0.0 {
-                                    transfers.push(WitnessEvent::Transfer {
-                                        node: src,
-                                        kind: match producer_idx {
-                                            None => TransferKind::HostToDevice,
-                                            Some(_) => TransferKind::DeviceToDevice,
-                                        },
-                                        bytes,
-                                        time_us: xfer,
-                                        consumer: Some(i),
-                                    });
-                                }
-                            }
-                        }
-                        let start = ready.max(device_time);
-                        let exec =
-                            crate::sim::subgraph_exec_time_us(&self.system, device, &placed.sg);
-                        if let Some(rec) = recorder {
-                            transfers.push(WitnessEvent::Start {
-                                sg: i,
-                                name: placed.sg.name.clone(),
-                                device,
-                                at_us: start,
-                                triggers,
-                            });
-                            rec.record_all(transfers);
-                        }
+        // Worker loop: poll own queue, execute, trigger dependents.
+        let worker = |device: DeviceKind| -> Lane {
+            let mut lane = Lane::default();
+            let mut device_time = 0.0f64;
+            let mut delay_rng = self
+                .delays
+                .map(|d| SmallRng::seed_from_u64(d.seed ^ (0xD1CE << device as u64)));
+            while let Ok(Msg::Run(i)) = queues[device as usize].1.recv() {
+                if let (Some(d), Some(rng)) = (self.delays, delay_rng.as_mut()) {
+                    std::thread::sleep(Duration::from_micros(rng.gen_range(0..d.max_us + 1)));
+                }
+                let placed = &self.placed[i];
+                let deps = timeline.deps(i);
+                // Virtual readiness: producers' finish + priced transfers.
+                let mut ready = 0.0f64;
+                for d in deps {
+                    let produced_at = d.producer.map_or(0.0, |p| *finish_us[p].lock());
+                    let xfer = d.paid_us(&devices, device);
+                    ready = ready.max(produced_at + xfer);
+                    lane.transfer_us += xfer;
+                }
+                let start = ready.max(device_time);
+                let exec = timeline.exec_time_us(i, device);
+                let end = start + exec;
+                // The dispatch goes on record before the values exist, the
+                // retirement only after them.
+                let finished = log.map(|log| {
+                    let (started, finished) =
+                        WitnessEvent::dispatch(timeline, &devices, i, &placed.sg.name, start, end);
+                    log.lock().extend(started);
+                    finished
+                });
 
-                        // Real numerics on the host. Only the values this
-                        // subgraph's boundary inputs name are cloned out of
-                        // the shared store — cloning the whole map would be
-                        // O(n²) traffic on deep graphs.
-                        if numerics {
-                            let feed_map = feeds.expect("numerics implies feeds");
-                            let env: HashMap<NodeId, Tensor> = {
-                                let store = values.lock();
-                                placed
-                                    .sg
-                                    .inputs
-                                    .iter()
-                                    .filter_map(|&id| {
-                                        store
-                                            .get(&id)
-                                            .or_else(|| feed_map.get(&id))
-                                            .map(|t| (id, t.clone()))
-                                    })
-                                    .collect()
-                            };
-                            let result = match self.pool {
-                                Some(pool) => {
-                                    let mut arena = pool.checkout(&placed.sg.tape);
-                                    let r = placed.sg.execute_with_arena(&env, &mut arena);
-                                    pool.give_back(arena);
-                                    r
-                                }
-                                None => placed.sg.execute(self.graph, &env),
-                            };
-                            match result {
-                                Ok(outs) => {
-                                    values.lock().extend(outs);
-                                }
-                                Err(e) => {
-                                    // First error wins: a second worker
-                                    // failing while we shut down must not
-                                    // mask the original cause.
-                                    error.lock().get_or_insert(e);
-                                    let _ = cpu_tx.send(Msg::Stop);
-                                    let _ = gpu_tx.send(Msg::Stop);
-                                    break;
-                                }
-                            }
+                // Real numerics on the host. Only the values this
+                // subgraph's boundary inputs name are cloned out of the
+                // shared store — cloning the whole map would be O(n²)
+                // traffic on deep graphs.
+                if let Some(feeds) = feeds {
+                    let env: HashMap<NodeId, Tensor> = {
+                        let store = values.lock();
+                        let held = |id| store.get(id).or_else(|| feeds.get(id));
+                        let inputs = placed.sg.inputs.iter();
+                        inputs
+                            .filter_map(|id| Some((*id, held(id)?.clone())))
+                            .collect()
+                    };
+                    let result = match self.pool {
+                        Some(pool) => {
+                            let mut arena = pool.checkout(&placed.sg.tape);
+                            let r = placed.sg.execute_with_arena(&env, &mut arena);
+                            pool.give_back(arena);
+                            r
                         }
-                        device_time = start + exec;
-                        *finish_us[i].lock() = device_time;
-                        if let Some(rec) = recorder {
-                            rec.record(WitnessEvent::Finish {
-                                sg: i,
-                                device,
-                                at_us: device_time,
-                            });
-                        }
-                        task_counts[device as usize].fetch_add(1, Ordering::Relaxed);
-                        match device {
-                            DeviceKind::Cpu => duet_telemetry::registry::EXEC_SUBGRAPHS_CPU.inc(),
-                            DeviceKind::Gpu => duet_telemetry::registry::EXEC_SUBGRAPHS_GPU.inc(),
-                        }
-                        local_busy += exec;
-                        // Span timestamps are *virtual* µs — the same
-                        // clock the witness records, so span order can be
-                        // checked against witness happens-before.
-                        match run_ctx {
-                            Some((_, run)) => {
-                                // Dispatch and kernel spans hang off the
-                                // run span: request → batch → run →
-                                // subgraph → kernel is one linked tree.
-                                let sg_ctx = run.child();
-                                let kernel_ctx = sg_ctx.child();
-                                let instrs = placed.sg.tape.instrs.len() as u64;
-                                duet_telemetry::record_span_traced(
-                                    duet_telemetry::SpanKind::ExecSubgraph,
-                                    i as u64,
-                                    start,
-                                    exec,
-                                    device as u64 as f64,
-                                    0.0,
-                                    sg_ctx.trace_id,
-                                    sg_ctx.span_id,
-                                    run.span_id,
-                                );
-                                duet_telemetry::record_span_traced(
-                                    duet_telemetry::SpanKind::ExecKernel,
-                                    instrs,
-                                    start,
-                                    exec,
-                                    device as u64 as f64,
-                                    0.0,
-                                    kernel_ctx.trace_id,
-                                    kernel_ctx.span_id,
-                                    sg_ctx.span_id,
-                                );
-                                let mut spans = trace_spans.lock();
-                                let seq = spans.len() as u64;
-                                spans.push(duet_telemetry::Span {
-                                    seq,
-                                    kind: duet_telemetry::SpanKind::ExecSubgraph,
-                                    detail: i as u64,
-                                    start_us: start,
-                                    dur_us: exec,
-                                    arg0: device as u64 as f64,
-                                    arg1: 0.0,
-                                    trace_id: sg_ctx.trace_id,
-                                    span_id: sg_ctx.span_id,
-                                    parent_id: run.span_id,
-                                });
-                                spans.push(duet_telemetry::Span {
-                                    seq: seq + 1,
-                                    kind: duet_telemetry::SpanKind::ExecKernel,
-                                    detail: instrs,
-                                    start_us: start,
-                                    dur_us: exec,
-                                    arg0: device as u64 as f64,
-                                    arg1: 0.0,
-                                    trace_id: kernel_ctx.trace_id,
-                                    span_id: kernel_ctx.span_id,
-                                    parent_id: sg_ctx.span_id,
-                                });
-                            }
-                            None => duet_telemetry::record_span(
-                                duet_telemetry::SpanKind::ExecSubgraph,
-                                i as u64,
-                                start,
-                                exec,
-                                device as u64 as f64,
-                                0.0,
-                            ),
-                        }
-
-                        // Trigger consumers whose last dependency this was.
-                        for &c in &consumers[i] {
-                            if pending[c].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                let tx = match self.placed[c].device {
-                                    DeviceKind::Cpu => &cpu_tx,
-                                    DeviceKind::Gpu => &gpu_tx,
-                                };
-                                tx.send(Msg::Run(c)).expect("queue open");
-                            }
-                        }
-                        if done.fetch_add(1, Ordering::AcqRel) + 1 == n {
-                            let _ = cpu_tx.send(Msg::Stop);
-                            let _ = gpu_tx.send(Msg::Stop);
+                        None => placed.sg.execute(self.graph, &env),
+                    };
+                    match result {
+                        Ok(outs) => values.lock().extend(outs),
+                        Err(e) => {
+                            // First error wins: a second worker failing
+                            // while we shut down must not mask the
+                            // original cause.
+                            error.lock().get_or_insert(e);
+                            stop();
+                            break;
                         }
                     }
-                    *busy_us[device as usize].lock() += local_busy;
-                    *transfer_total_us.lock() += local_xfer;
-                });
+                }
+                device_time = end;
+                *finish_us[i].lock() = end;
+                if let (Some(log), Some(finished)) = (log, finished) {
+                    log.lock().push(finished);
+                }
+                lane.tasks += 1;
+                lane.busy_us += exec;
+                match device {
+                    DeviceKind::Cpu => duet_telemetry::registry::EXEC_SUBGRAPHS_CPU.inc(),
+                    DeviceKind::Gpu => duet_telemetry::registry::EXEC_SUBGRAPHS_GPU.inc(),
+                }
+                // Request → batch → run → subgraph → kernel is one linked
+                // tree, stamped in *virtual* µs: the witness's clock, so span
+                // order can be checked against its happens-before.
+                let span = |kind, detail, ctx, parent| {
+                    Span::linked(kind, detail, start, exec, device as u64 as f64, ctx, parent)
+                };
+                let sg_ctx = run_ctx.child();
+                let sg_span = span(SpanKind::ExecSubgraph, i as u64, sg_ctx, run_ctx.span_id);
+                sg_span.record();
+                if sg_span.is_traced() {
+                    let instrs = placed.sg.tape.instrs.len() as u64;
+                    let kernel_span =
+                        span(SpanKind::ExecKernel, instrs, sg_ctx.child(), sg_ctx.span_id);
+                    kernel_span.record();
+                    lane.spans.extend([sg_span, kernel_span]);
+                }
+
+                // Trigger every dependency edge this subgraph feeds; the
+                // consumer whose last edge this was is dispatched.
+                for (c, waits) in pending.iter().enumerate() {
+                    for d in timeline.deps(c) {
+                        if d.producer == Some(i) && waits.fetch_sub(1, Ordering::AcqRel) == 1 {
+                            send(devices[c], Msg::Run(c));
+                        }
+                    }
+                }
+                if done.fetch_add(1, Ordering::AcqRel) + 1 == n {
+                    stop();
+                }
             }
+            lane
+        };
+        let worker = &worker;
+        let [cpu, gpu] = std::thread::scope(|scope| {
+            DeviceKind::both()
+                .map(|device| scope.spawn(move || worker(device)))
+                // A worker's panic continues here, as the scope's own would.
+                .map(|lane| lane.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
         });
 
         if let Some(e) = error.into_inner() {
             return Err(e);
         }
 
-        // Collect outputs and account for D2H transfers.
-        let values = values.into_inner();
-        let mut outputs = HashMap::new();
+        // Latency: every produced graph output back on the host.
         let mut latency = 0.0f64;
-        for &out in self.graph.outputs() {
-            let p = producer[&out];
-            let mut t = *finish_us[p].lock();
-            if self.placed[p].device == DeviceKind::Gpu {
-                let bytes = self.graph.node(out).shape.byte_size() as f64;
-                let xfer = self.system.transfer_time_us(bytes);
-                t += xfer;
-                *transfer_total_us.lock() += xfer;
-                if let Some(rec) = recorder {
-                    rec.record(WitnessEvent::Transfer {
-                        node: out,
-                        kind: TransferKind::DeviceToHost,
-                        bytes,
-                        time_us: xfer,
-                        consumer: None,
-                    });
+        let mut transfer_us = cpu.transfer_us + gpu.transfer_us;
+        for o in timeline.outputs() {
+            let mut t = *finish_us[o.producer].lock();
+            if devices[o.producer] == DeviceKind::Gpu {
+                t += o.d2h_us;
+                transfer_us += o.d2h_us;
+                if let Some(log) = log {
+                    log.lock().push(WitnessEvent::output_landed(o));
                 }
             }
             latency = latency.max(t);
-            if numerics {
-                let v = values
-                    .get(&out)
-                    .cloned()
-                    .ok_or(GraphError::MissingFeed(out))?;
-                outputs.insert(out, v);
+        }
+        // Output values. A source named as an output never left the
+        // host: the fed tensor or the constant's parameter, exactly as
+        // `Graph::eval` returns it.
+        let values = values.into_inner();
+        let mut outputs = HashMap::new();
+        if let Some(feeds) = feeds {
+            for &out in self.graph.outputs() {
+                let value = match self.graph.node(out).op {
+                    Op::Input => feeds.get(&out).ok_or(GraphError::MissingFeed(out))?,
+                    Op::Constant => self.graph.param(out).ok_or(GraphError::UnknownNode(out))?,
+                    _ => values.get(&out).ok_or(GraphError::MissingFeed(out))?,
+                };
+                outputs.insert(out, value.clone());
             }
         }
         duet_telemetry::registry::EXEC_RUNS.inc();
-        let mut trace_spans = trace_spans.into_inner();
-        match run_ctx {
-            Some((parent, run)) => {
-                duet_telemetry::record_span_traced(
-                    duet_telemetry::SpanKind::ExecRun,
-                    n as u64,
-                    0.0,
-                    latency,
-                    0.0,
-                    0.0,
-                    run.trace_id,
-                    run.span_id,
-                    parent.span_id,
-                );
-                let seq = trace_spans.len() as u64;
-                trace_spans.push(duet_telemetry::Span {
-                    seq,
-                    kind: duet_telemetry::SpanKind::ExecRun,
-                    detail: n as u64,
-                    start_us: 0.0,
-                    dur_us: latency,
-                    arg0: 0.0,
-                    arg1: 0.0,
-                    trace_id: run.trace_id,
-                    span_id: run.span_id,
-                    parent_id: parent.span_id,
-                });
-            }
-            None => duet_telemetry::record_span(
-                duet_telemetry::SpanKind::ExecRun,
-                n as u64,
-                0.0,
-                latency,
-                0.0,
-                0.0,
-            ),
+        let run_span = Span::linked(
+            SpanKind::ExecRun,
+            n as u64,
+            0.0,
+            latency,
+            0.0,
+            run_ctx,
+            trace.span_id,
+        );
+        run_span.record();
+        let mut trace_spans = cpu.spans;
+        trace_spans.extend(gpu.spans);
+        trace_spans.extend(run_span.is_traced().then_some(run_span));
+        for (seq, span) in trace_spans.iter_mut().enumerate() {
+            span.seq = seq as u64;
         }
         Ok(ExecutionOutcome {
             outputs,
             virtual_latency_us: latency,
             wall_time: wall_start.elapsed(),
             tasks_per_device: HashMap::from([
-                (DeviceKind::Cpu, task_counts[0].load(Ordering::Relaxed)),
-                (DeviceKind::Gpu, task_counts[1].load(Ordering::Relaxed)),
+                (DeviceKind::Cpu, cpu.tasks),
+                (DeviceKind::Gpu, gpu.tasks),
             ]),
-            breakdown: {
-                let [cpu_busy, gpu_busy] = busy_us;
-                ExecBreakdown {
-                    cpu_busy_us: cpu_busy.into_inner(),
-                    gpu_busy_us: gpu_busy.into_inner(),
-                    transfer_us: transfer_total_us.into_inner(),
-                }
+            breakdown: ExecBreakdown {
+                cpu_busy_us: cpu.busy_us,
+                gpu_busy_us: gpu.busy_us,
+                transfer_us,
             },
             trace_spans,
         })
@@ -605,7 +450,8 @@ impl<'g> HeterogeneousExecutor<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measure::measure_latency;
+    use crate::sim::{simulate_witnessed, SimNoise};
+    use crate::witness::TransferKind;
     use duet_compiler::Compiler;
     use duet_ir::GraphBuilder;
     use duet_models::{input_feeds, siamese, SiameseConfig};
@@ -644,22 +490,21 @@ mod tests {
         sgs
     }
 
+    fn on(sgs: Vec<duet_compiler::CompiledSubgraph>, devices: &[DeviceKind]) -> Vec<Placed> {
+        assert_eq!(sgs.len(), devices.len());
+        sgs.into_iter()
+            .zip(devices)
+            .map(|(sg, &device)| Placed { sg, device })
+            .collect()
+    }
+
     #[test]
     fn heterogeneous_run_matches_reference_eval() {
         let g = branchy();
-        let sgs = split(&g, &["left", "right"]);
-        let placed: Vec<Placed> = sgs
-            .into_iter()
-            .enumerate()
-            .map(|(i, sg)| Placed {
-                sg,
-                device: if i % 2 == 0 {
-                    DeviceKind::Cpu
-                } else {
-                    DeviceKind::Gpu
-                },
-            })
-            .collect();
+        let placed = on(
+            split(&g, &["left", "right"]),
+            &[DeviceKind::Cpu, DeviceKind::Gpu, DeviceKind::Cpu],
+        );
         let exec = HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server());
         let feeds = input_feeds(&g, 5);
         let out = exec.run(&feeds).unwrap();
@@ -670,34 +515,68 @@ mod tests {
         assert_eq!(out.tasks_per_device[&DeviceKind::Gpu], 1);
     }
 
-    #[test]
-    fn virtual_latency_close_to_simulator() {
-        let g = branchy();
-        let sgs = split(&g, &["left", "right"]);
-        let placed: Vec<Placed> = sgs
-            .into_iter()
-            .enumerate()
-            .map(|(i, sg)| Placed {
-                sg,
-                device: if i == 1 {
-                    DeviceKind::Gpu
-                } else {
-                    DeviceKind::Cpu
-                },
+    /// Events of subgraph `sg`: its boundary transfers, `Start` and
+    /// `Finish` (`None`: the final D2H copies), in log order.
+    fn events_of(w: &ExecutionWitness, sg: Option<usize>) -> Vec<&WitnessEvent> {
+        w.events
+            .iter()
+            .filter(|e| match e {
+                WitnessEvent::Transfer { consumer, .. } => *consumer == sg,
+                other => other.subgraph() == sg,
             })
-            .collect();
+            .collect()
+    }
+
+    /// Where the per-device dispatch order is forced, the threaded
+    /// executor *is* the timeline: real and virtual runs land on
+    /// `Timeline::makespan` bit for bit, and executor and simulator put
+    /// the same events on record for every subgraph.
+    fn assert_executor_is_the_timeline(g: &Graph, placed: &[Placed]) {
         let sys = SystemModel::paper_server();
-        let sim_lat = measure_latency(&g, &placed, &sys);
-        let exec = HeterogeneousExecutor::new(&g, &placed, sys);
-        let out = exec.run(&input_feeds(&g, 1)).unwrap();
-        // The threaded engine may serialize same-device work in a slightly
-        // different (still valid) order; latencies agree within 20%.
-        let rel = (out.virtual_latency_us - sim_lat).abs() / sim_lat;
-        assert!(
-            rel < 0.2,
-            "threaded {} vs sim {sim_lat}",
-            out.virtual_latency_us
-        );
+        let timeline = Timeline::new(g, placed.iter().map(|p| &p.sg), &sys).unwrap();
+        let devices: Vec<DeviceKind> = placed.iter().map(|p| p.device).collect();
+        let want = timeline.makespan(&devices).to_bits();
+        let exec = HeterogeneousExecutor::new(g, placed, sys.clone());
+        let (real, exec_w) = exec.run_witnessed(&input_feeds(g, 1)).unwrap();
+        let virt = exec.run_virtual().unwrap();
+        assert!(virt.outputs.is_empty());
+        assert_eq!(real.virtual_latency_us.to_bits(), want);
+        assert_eq!(virt.virtual_latency_us.to_bits(), want);
+        assert_eq!(virt.breakdown, real.breakdown);
+        let (_, sim_w) = simulate_witnessed(g, placed, &sys, &mut SimNoise::disabled());
+        assert_eq!(exec_w.events.len(), sim_w.events.len());
+        for sg in (0..placed.len()).map(Some).chain([None]) {
+            assert_eq!(events_of(&exec_w, sg), events_of(&sim_w, sg), "{sg:?}");
+        }
+    }
+
+    #[test]
+    fn single_device_runs_equal_the_timeline_bit_for_bit() {
+        use DeviceKind::{Cpu, Gpu};
+        let g = branchy();
+        // One worker drains one queue seeded in index order.
+        for device in [Cpu, Gpu] {
+            let placed = on(split(&g, &["left", "right"]), &[device; 3]);
+            assert_executor_is_the_timeline(&g, &placed);
+            let whole = Compiler::default().compile_whole(&g, "whole");
+            assert_executor_is_the_timeline(&g, &on(vec![whole], &[device]));
+        }
+    }
+
+    #[test]
+    fn chain_across_devices_equals_the_timeline_bit_for_bit() {
+        let (g, placed) = deep_chain();
+        assert_executor_is_the_timeline(&g, &placed);
+    }
+
+    #[test]
+    fn one_subgraph_per_device_equals_the_timeline_bit_for_bit() {
+        use DeviceKind::{Cpu, Gpu};
+        let g = branchy();
+        for devices in [[Gpu, Cpu], [Cpu, Gpu]] {
+            let placed = on(split(&g, &["left"]), &devices);
+            assert_executor_is_the_timeline(&g, &placed);
+        }
     }
 
     #[test]
@@ -720,19 +599,10 @@ mod tests {
     #[test]
     fn siamese_split_across_devices_is_numerically_exact() {
         let g = siamese(&SiameseConfig::small());
-        let sgs = split(&g, &["query", "passage"]);
-        let placed: Vec<Placed> = sgs
-            .into_iter()
-            .enumerate()
-            .map(|(i, sg)| Placed {
-                sg,
-                device: if i == 0 {
-                    DeviceKind::Gpu
-                } else {
-                    DeviceKind::Cpu
-                },
-            })
-            .collect();
+        let placed = on(
+            split(&g, &["query", "passage"]),
+            &[DeviceKind::Gpu, DeviceKind::Cpu, DeviceKind::Cpu],
+        );
         let feeds = input_feeds(&g, 3);
         let exec = HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server());
         let out = exec.run(&feeds).unwrap();
@@ -771,19 +641,10 @@ mod tests {
     #[test]
     fn mid_graph_failure_stops_promptly_with_original_error() {
         let g = two_input_branchy();
-        let sgs = split(&g, &["left", "right"]);
-        let placed: Vec<Placed> = sgs
-            .into_iter()
-            .enumerate()
-            .map(|(i, sg)| Placed {
-                sg,
-                device: if i == 1 {
-                    DeviceKind::Gpu
-                } else {
-                    DeviceKind::Cpu
-                },
-            })
-            .collect();
+        let placed = on(
+            split(&g, &["left", "right"]),
+            &[DeviceKind::Cpu, DeviceKind::Gpu, DeviceKind::Cpu],
+        );
         let z = g.input_ids()[1];
         // Feed only x: the "right" subgraph dies on the missing z feed,
         // the "head" subgraph never becomes ready. The run must return
@@ -799,10 +660,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn narrowed_env_leaves_outputs_unchanged_on_deep_chain() {
-        // A deep chain split into many subgraphs: with whole-map cloning
-        // this moved O(n²) tensors; the narrowed env must stay correct.
+    /// A deep chain cut into many subgraphs on alternating devices.
+    fn deep_chain() -> (Graph, Vec<Placed>) {
         let mut b = GraphBuilder::new("deep", 9);
         let x = b.input("x", vec![1, 24]);
         let mut cur = x;
@@ -824,6 +683,14 @@ mod tests {
                 },
             })
             .collect();
+        (g, placed)
+    }
+
+    #[test]
+    fn narrowed_env_leaves_outputs_unchanged_on_deep_chain() {
+        // With whole-map cloning this moved O(n²) tensors; the narrowed
+        // env must stay correct.
+        let (g, placed) = deep_chain();
         let feeds = input_feeds(&g, 11);
         let exec = HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server());
         let out = exec.run(&feeds).unwrap();
@@ -834,19 +701,10 @@ mod tests {
     #[test]
     fn repeated_runs_are_stable() {
         let g = branchy();
-        let sgs = split(&g, &["left", "right"]);
-        let placed: Vec<Placed> = sgs
-            .into_iter()
-            .enumerate()
-            .map(|(i, sg)| Placed {
-                sg,
-                device: if i == 0 {
-                    DeviceKind::Gpu
-                } else {
-                    DeviceKind::Cpu
-                },
-            })
-            .collect();
+        let placed = on(
+            split(&g, &["left", "right"]),
+            &[DeviceKind::Gpu, DeviceKind::Cpu, DeviceKind::Cpu],
+        );
         let exec = HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server());
         let feeds = input_feeds(&g, 8);
         let first = exec.run(&feeds).unwrap();
@@ -862,19 +720,10 @@ mod tests {
     #[test]
     fn witnessed_run_logs_every_subgraph_and_transfer() {
         let g = branchy();
-        let sgs = split(&g, &["left", "right"]);
-        let placed: Vec<Placed> = sgs
-            .into_iter()
-            .enumerate()
-            .map(|(i, sg)| Placed {
-                sg,
-                device: if i == 1 {
-                    DeviceKind::Gpu
-                } else {
-                    DeviceKind::Cpu
-                },
-            })
-            .collect();
+        let placed = on(
+            split(&g, &["left", "right"]),
+            &[DeviceKind::Cpu, DeviceKind::Gpu, DeviceKind::Cpu],
+        );
         let exec = HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server());
         let (out, w) = exec.run_witnessed(&input_feeds(&g, 5)).unwrap();
         assert_eq!(w.source, WitnessSource::Executor);
@@ -898,30 +747,78 @@ mod tests {
         )));
     }
 
+    /// `y = head(x)` with the output list `[y, x, k]`: an input and a
+    /// constant named as outputs next to a computed one.
+    fn pass_through() -> (Graph, [NodeId; 3]) {
+        let mut b = GraphBuilder::new("pass_through", 2);
+        let x = b.input("x", vec![1, 16]);
+        let k = b.constant("k", Tensor::randn(vec![1, 4], 1.0, 5));
+        let y = b.dense("head", x, 4, Some(Op::Relu)).unwrap();
+        (b.finish(&[y, x, k]).unwrap(), [y, x, k])
+    }
+
     #[test]
-    fn virtual_run_matches_real_run_latency() {
-        let g = branchy();
-        let sgs = split(&g, &["left", "right"]);
-        let placed: Vec<Placed> = sgs
-            .into_iter()
-            .enumerate()
-            .map(|(i, sg)| Placed {
-                sg,
-                device: if i == 0 {
-                    DeviceKind::Gpu
-                } else {
-                    DeviceKind::Cpu
-                },
-            })
-            .collect();
+    fn source_named_as_output_is_returned_as_eval_does() {
+        let (g, outs) = pass_through();
+        let feeds = input_feeds(&g, 6);
+        let want = g.eval(&feeds).unwrap();
+        for device in DeviceKind::both() {
+            let whole = Compiler::default().compile_whole(&g, "whole");
+            let placed = on(vec![whole], &[device]);
+            let exec = HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server());
+            let (out, witness) = exec.run_witnessed(&feeds).unwrap();
+            assert_eq!(out.outputs.len(), 3);
+            for (id, want) in outs.iter().zip(&want) {
+                assert_eq!(&out.outputs[id], want, "output {id} on {device:?}");
+            }
+            // Host-resident outputs cost no D2H: one copy back at most.
+            let d2h = events_of(&witness, None).len();
+            assert_eq!(d2h, (device == DeviceKind::Gpu) as usize);
+        }
+    }
+
+    #[test]
+    fn source_output_without_feed_is_a_missing_feed() {
+        let mut b = GraphBuilder::new("unfed", 2);
+        let x = b.input("x", vec![1, 8]);
+        let z = b.input("z", vec![1, 8]);
+        let y = b.dense("head", x, 4, None).unwrap();
+        let g = b.finish(&[y, z]).unwrap();
+        let whole = Compiler::default().compile_whole(&g, "whole");
+        let placed = on(vec![whole], &[DeviceKind::Cpu]);
+        let mut feeds = input_feeds(&g, 1);
+        feeds.remove(&z);
         let exec = HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server());
-        let real = exec.run(&input_feeds(&g, 2)).unwrap();
-        let virt = exec.run_virtual(None).unwrap();
-        assert!(virt.outputs.is_empty());
-        // Virtual clocks do not depend on the numerics; a same-ordering
-        // virtual run lands on the same latency.
-        let rel =
-            (real.virtual_latency_us - virt.virtual_latency_us).abs() / real.virtual_latency_us;
-        assert!(rel < 0.2, "real {real:?} vs virtual {virt:?}");
+        assert_eq!(exec.run(&feeds).unwrap_err(), GraphError::MissingFeed(z));
+    }
+
+    #[test]
+    fn uncovered_boundary_producer_is_a_typed_error() {
+        use DeviceKind::{Cpu, Gpu};
+        let g = branchy();
+        let mut sgs = split(&g, &["left", "right"]);
+        let left = sgs.remove(0);
+        let placed = on(sgs, &[Gpu, Cpu]);
+        let exec = HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server());
+        for res in [exec.run(&input_feeds(&g, 1)), exec.run_virtual()] {
+            let err = res.unwrap_err();
+            assert!(
+                matches!(err, GraphError::MissingFeed(n) if left.node_ids.contains(&n)),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn uncovered_graph_output_is_a_typed_error() {
+        use DeviceKind::{Cpu, Gpu};
+        let g = branchy();
+        let mut sgs = split(&g, &["left", "right"]);
+        sgs.pop(); // the head, which produces the output
+        let placed = on(sgs, &[Cpu, Gpu]);
+        let exec = HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server());
+        let missing = GraphError::MissingFeed(g.outputs()[0]);
+        assert_eq!(exec.run(&input_feeds(&g, 1)).unwrap_err(), missing);
+        assert_eq!(exec.run_virtual().unwrap_err(), missing);
     }
 }

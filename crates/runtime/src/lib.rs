@@ -20,10 +20,10 @@
 //! * [`LatencyStats`] — mean and percentile statistics over repeated runs
 //!   (the paper reports P50/P99/P99.9 over 5000 runs).
 //! * [`ExecutionWitness`] — an ordered event log both engines can emit
-//!   through a [`WitnessRecorder`] hook; `duet-analysis` checks witnesses
-//!   for runtime conformance (`D3xx`): happens-before order, virtual-clock
-//!   readiness, per-device monotonicity, transfer accounting, reported
-//!   latency.
+//!   (`run_witnessed`, [`simulate_witnessed`]); `duet-analysis` checks
+//!   witnesses for runtime conformance (`D3xx`): happens-before order,
+//!   virtual-clock readiness, per-device monotonicity, transfer
+//!   accounting, reported latency.
 
 pub mod executor;
 pub mod measure;
@@ -41,14 +41,12 @@ pub use measure::{measure_latency, measure_stats};
 pub use profile::{Profiler, SubgraphProfile};
 pub use serving::{simulate_serving, ServingConfig, ServingResult};
 pub use sim::{
-    simulate, simulate_recorded, simulate_witnessed, subgraph_exec_time_us, Placed, SimNoise,
-    SimResult, TimelineEntry,
+    simulate, simulate_witnessed, subgraph_exec_time_us, Placed, SimNoise, SimResult, TimelineEntry,
 };
 pub use stats::LatencyStats;
 pub use timeline::{NoNoise, Noise, Observer, Timeline};
 pub use trace::{merged_perfetto_trace, to_chrome_trace, witness_to_chrome_trace};
 pub use validate::{validate_schedule, ScheduleError};
 pub use witness::{
-    DelayInjection, ExecutionWitness, TransferKind, TriggerEdge, WitnessEvent, WitnessRecorder,
-    WitnessSource,
+    DelayInjection, ExecutionWitness, TransferKind, TriggerEdge, WitnessEvent, WitnessSource,
 };

@@ -4,10 +4,10 @@
 //! The event semantics, the noise draw order and the one list-scheduling
 //! loop live in [`crate::timeline`]. This module holds the types a caller
 //! with a finished placement works with — [`Placed`], [`SimNoise`],
-//! [`SimResult`] — and [`simulate`] and its witnessed variants, which
+//! [`SimResult`] — and [`simulate`] and [`simulate_witnessed`], which
 //! build a [`Timeline`] for the placement, replay it once and turn what
 //! the replay observed into timeline entries, a transfer-byte total and
-//! (optionally) witness events.
+//! (when witnessed) the event log.
 //!
 //! Code that prices *many* placements of the same subgraphs (the
 //! scheduler, the tuner, the engine) builds the [`Timeline`] once and
@@ -18,9 +18,7 @@ use duet_device::{DeviceKind, NoiseModel, SystemModel};
 use duet_ir::Graph;
 
 use crate::timeline::{Dep, Noise, Observer, OutputEdge, Timeline};
-use crate::witness::{
-    ExecutionWitness, TransferKind, TriggerEdge, WitnessEvent, WitnessRecorder, WitnessSource,
-};
+use crate::witness::{ExecutionWitness, WitnessEvent, WitnessSource};
 
 /// A subgraph with its device assignment.
 #[derive(Debug, Clone)]
@@ -128,10 +126,11 @@ pub fn simulate(
     system: &SystemModel,
     noise: &mut SimNoise,
 ) -> SimResult {
-    simulate_recorded(graph, placed, system, noise, None)
+    replay_logged(graph, placed, system, noise, false).0
 }
 
-/// [`simulate`] with its witness sealed next to the result.
+/// [`simulate`] with its witness (events in dispatch order) sealed next
+/// to the result.
 ///
 /// Witnesses are meant for conformance checking, which models noise-free
 /// clocks; pass [`SimNoise::disabled`] when the witness will be checked.
@@ -141,48 +140,49 @@ pub fn simulate_witnessed(
     system: &SystemModel,
     noise: &mut SimNoise,
 ) -> (SimResult, ExecutionWitness) {
-    let rec = WitnessRecorder::new();
-    let result = simulate_recorded(graph, placed, system, noise, Some(&rec));
-    let witness = rec.into_witness(
-        graph.name.clone(),
-        WitnessSource::Simulator,
-        result.latency_us,
-    );
+    let (result, events) = replay_logged(graph, placed, system, noise, true);
+    let witness = ExecutionWitness {
+        model: graph.name.clone(),
+        source: WitnessSource::Simulator,
+        events,
+        virtual_latency_us: result.latency_us,
+    };
     (result, witness)
 }
 
-/// [`simulate`], optionally streaming witness events into `recorder`
-/// (dispatch order; zero cost when `None`).
-pub fn simulate_recorded(
+/// One replay of the placement's timeline; witness events are built
+/// only when `witnessed`.
+fn replay_logged(
     graph: &Graph,
     placed: &[Placed],
     system: &SystemModel,
     noise: &mut SimNoise,
-    recorder: Option<&WitnessRecorder>,
-) -> SimResult {
+    witnessed: bool,
+) -> (SimResult, Vec<WitnessEvent>) {
     let (timeline, devices) = placed_timeline(graph, placed, system);
     let mut log = SimLog {
         timeline: &timeline,
         placed,
         devices: &devices,
-        recorder,
+        events: witnessed.then(Vec::new),
         entries: Vec::with_capacity(placed.len()),
         transferred_bytes: 0.0,
     };
     let latency_us = timeline.replay(&devices, noise, &mut log);
-    SimResult {
+    let result = SimResult {
         latency_us,
         timeline: log.entries,
         transferred_bytes: log.transferred_bytes,
-    }
+    };
+    (result, log.events.unwrap_or_default())
 }
 
-/// What [`simulate_recorded`] keeps of a replay.
+/// What a simulation keeps of a replay.
 struct SimLog<'a> {
     timeline: &'a Timeline,
     placed: &'a [Placed],
     devices: &'a [DeviceKind],
-    recorder: Option<&'a WitnessRecorder>,
+    events: Option<Vec<WitnessEvent>>,
     entries: Vec<TimelineEntry>,
     transferred_bytes: f64,
 }
@@ -190,46 +190,15 @@ struct SimLog<'a> {
 impl Observer for SimLog<'_> {
     fn executed(&mut self, sg: usize, start_us: f64, end_us: f64) {
         let device = self.devices[sg];
-        let deps = self.timeline.deps(sg);
         let crossing = |d: &&Dep| d.crosses(self.devices, device);
+        let deps = self.timeline.deps(sg);
         self.transferred_bytes += deps.iter().filter(crossing).map(|d| d.bytes).sum::<f64>();
         let name = &self.placed[sg].sg.name;
-        if let Some(rec) = self.recorder {
-            let mut events: Vec<WitnessEvent> = deps
-                .iter()
-                .filter(crossing)
-                .map(|d| WitnessEvent::Transfer {
-                    node: d.node,
-                    kind: match d.producer {
-                        None => TransferKind::HostToDevice,
-                        Some(_) => TransferKind::DeviceToDevice,
-                    },
-                    bytes: d.bytes,
-                    time_us: d.transfer_us,
-                    consumer: Some(sg),
-                })
-                .collect();
-            events.push(WitnessEvent::Start {
-                sg,
-                name: name.clone(),
-                device,
-                at_us: start_us,
-                triggers: deps
-                    .iter()
-                    .map(|d| TriggerEdge {
-                        node: d.node,
-                        producer: d.producer,
-                        bytes: d.bytes,
-                        transfer_us: if crossing(&d) { d.transfer_us } else { 0.0 },
-                    })
-                    .collect(),
-            });
-            events.push(WitnessEvent::Finish {
-                sg,
-                device,
-                at_us: end_us,
-            });
-            rec.record_all(events);
+        if let Some(events) = &mut self.events {
+            let (started, finished) =
+                WitnessEvent::dispatch(self.timeline, self.devices, sg, name, start_us, end_us);
+            events.extend(started);
+            events.push(finished);
         }
         self.entries.push(TimelineEntry {
             name: name.clone(),
@@ -241,14 +210,8 @@ impl Observer for SimLog<'_> {
 
     fn output_landed(&mut self, output: &OutputEdge) {
         self.transferred_bytes += output.bytes;
-        if let Some(rec) = self.recorder {
-            rec.record(WitnessEvent::Transfer {
-                node: output.node,
-                kind: TransferKind::DeviceToHost,
-                bytes: output.bytes,
-                time_us: output.d2h_us,
-                consumer: None,
-            });
+        if let Some(events) = &mut self.events {
+            events.push(WitnessEvent::output_landed(output));
         }
     }
 }

@@ -46,6 +46,8 @@
 //! percentiles of Fig. 12 are a function of this order; the golden
 //! fixture (`tests/golden.rs`) pins it.
 
+use std::sync::Arc;
+
 use duet_compiler::CompiledSubgraph;
 use duet_device::{DeviceKind, SystemModel};
 use duet_ir::{CostProfile, Graph, NodeId, Op};
@@ -72,6 +74,16 @@ impl Dep {
         match self.producer {
             None => consumer == DeviceKind::Gpu,
             Some(p) => devices[p] != consumer,
+        }
+    }
+
+    /// Transfer time this edge costs its consumer: `transfer_us` if it
+    /// crosses, else nothing.
+    pub fn paid_us(&self, devices: &[DeviceKind], consumer: DeviceKind) -> f64 {
+        if self.crosses(devices, consumer) {
+            self.transfer_us
+        } else {
+            0.0
         }
     }
 }
@@ -130,11 +142,13 @@ pub struct Timeline {
     /// Boundary dependencies of every subgraph, flattened;
     /// `deps[dep_start[i]..dep_start[i + 1]]` belong to subgraph `i`.
     deps: Vec<Dep>,
-    dep_start: Vec<usize>,
+    /// Never written after [`Timeline::new`], like `kernel_costs`: clones
+    /// (one per executor) share both.
+    dep_start: Arc<[usize]>,
     outputs: Vec<OutputEdge>,
     /// Per-subgraph fused-kernel costs, kept so [`Timeline::reprice`]
     /// needs nothing but the new system model.
-    kernel_costs: Vec<Vec<CostProfile>>,
+    kernel_costs: Arc<[Vec<CostProfile>]>,
     /// Execution time per (subgraph, device), µs.
     exec_us: Vec<[f64; 2]>,
     /// Execution lanes per device (paper engines run 1).
@@ -202,7 +216,7 @@ impl Timeline {
         }
         let mut timeline = Timeline {
             deps,
-            dep_start,
+            dep_start: dep_start.into(),
             outputs,
             kernel_costs: subgraphs
                 .iter()
@@ -225,7 +239,7 @@ impl Timeline {
         for o in &mut self.outputs {
             o.d2h_us = system.transfer_time_us(o.bytes);
         }
-        for (row, costs) in self.exec_us.iter_mut().zip(&self.kernel_costs) {
+        for (row, costs) in self.exec_us.iter_mut().zip(self.kernel_costs.iter()) {
             // Summed per kernel, as `subgraph_exec_time_us` does.
             *row = DeviceKind::both()
                 .map(|device| costs.iter().map(|c| system.exec_time_us(device, c)).sum());
@@ -268,6 +282,12 @@ impl Timeline {
     /// Boundary dependencies of subgraph `i`.
     pub fn deps(&self, i: usize) -> &[Dep] {
         &self.deps[self.dep_start[i]..self.dep_start[i + 1]]
+    }
+
+    /// Graph outputs a subgraph produces, in graph-output order (outputs
+    /// that name a source are host-resident and not listed).
+    pub fn outputs(&self) -> &[OutputEdge] {
+        &self.outputs
     }
 
     /// Noise-free end-to-end makespan of one placement, µs.

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use duet_ir::{Graph, NodeId, Op};
+use duet_ir::{Graph, GraphError, NodeId, Op};
 
 use crate::sim::Placed;
 
@@ -45,6 +45,22 @@ impl std::fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
+/// A schedule error in the executor's error type: a value no subgraph
+/// produces is a missing feed, a stale or misplaced id an unknown node.
+impl From<ScheduleError> for GraphError {
+    fn from(e: ScheduleError) -> Self {
+        match e {
+            ScheduleError::Uncovered(n) | ScheduleError::MissingOutput(n) => {
+                GraphError::MissingFeed(n)
+            }
+            ScheduleError::UnknownNode(n)
+            | ScheduleError::DoublyCovered(n)
+            | ScheduleError::CoversSource(n) => GraphError::UnknownNode(n),
+            ScheduleError::CyclicSubgraphs => GraphError::NoOutputs,
+        }
+    }
+}
+
 /// Check that `placed` is a complete, acyclic, non-overlapping schedule
 /// of `graph`'s compute nodes.
 pub fn validate_schedule(graph: &Graph, placed: &[Placed]) -> Result<(), ScheduleError> {
@@ -68,40 +84,21 @@ pub fn validate_schedule(graph: &Graph, placed: &[Placed]) -> Result<(), Schedul
         }
     }
     for &o in graph.outputs() {
-        if !owner.contains_key(&o) && !matches!(graph.node(o).op, Op::Constant) {
+        if !owner.contains_key(&o) && !matches!(graph.node(o).op, Op::Input | Op::Constant) {
             return Err(ScheduleError::MissingOutput(o));
         }
     }
-    // Subgraph-level cycle check (Kahn over subgraph dependency edges).
-    let n = placed.len();
-    let mut indeg = vec![0usize; n];
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, p) in placed.iter().enumerate() {
-        let mut deps: Vec<usize> =
-            p.sg.inputs
-                .iter()
-                .filter_map(|src| owner.get(src).copied())
-                .filter(|&d| d != i)
-                .collect();
-        deps.sort_unstable();
-        deps.dedup();
-        indeg[i] = deps.len();
-        for d in deps {
-            consumers[d].push(i);
-        }
+    // Subgraph-level cycle check: peel every subgraph whose producers are
+    // all peeled; mutually feeding subgraphs are left behind.
+    let mut peeled = vec![false; placed.len()];
+    let ready = |i: usize, peeled: &[bool]| {
+        let produced = |src| owner.get(src).is_none_or(|&p| p == i || peeled[p]);
+        !peeled[i] && placed[i].sg.inputs.iter().all(produced)
+    };
+    while let Some(i) = (0..placed.len()).find(|&i| ready(i, &peeled)) {
+        peeled[i] = true;
     }
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut seen = 0;
-    while let Some(i) = ready.pop() {
-        seen += 1;
-        for &c in &consumers[i] {
-            indeg[c] -= 1;
-            if indeg[c] == 0 {
-                ready.push(c);
-            }
-        }
-    }
-    if seen != n {
+    if peeled.contains(&false) {
         return Err(ScheduleError::CyclicSubgraphs);
     }
     Ok(())
@@ -162,6 +159,40 @@ mod tests {
             validate_schedule(&g, &placed),
             Err(ScheduleError::DoublyCovered(_))
         ));
+    }
+
+    #[test]
+    fn mutually_feeding_subgraphs_detected() {
+        // a -> b -> c with {a, c} in one subgraph and {b} in the other.
+        let mut b = GraphBuilder::new("g3", 1);
+        let x = b.input("x", vec![1, 8]);
+        let a = b.dense("a", x, 8, None).unwrap();
+        let m = b.dense("b", a, 8, None).unwrap();
+        let y = b.dense("c", m, 4, None).unwrap();
+        let g = b.finish(&[y]).unwrap();
+        let of = |label: &str| -> Vec<NodeId> {
+            let ids = g.compute_ids().into_iter();
+            ids.filter(|&i| g.node(i).label.starts_with(label))
+                .collect()
+        };
+        let outer: Vec<NodeId> = [of("a"), of("c")].concat();
+        let placed = placed_for(&g, &[&outer, &of("b")]);
+        assert_eq!(
+            validate_schedule(&g, &placed),
+            Err(ScheduleError::CyclicSubgraphs)
+        );
+        let chain = placed_for(&g, &[&of("c"), &of("a"), &of("b")]);
+        assert_eq!(validate_schedule(&g, &chain), Ok(()));
+    }
+
+    #[test]
+    fn source_named_as_output_is_no_missing_output() {
+        let mut b = GraphBuilder::new("g", 1);
+        let x = b.input("x", vec![1, 8]);
+        let y = b.dense("a", x, 4, None).unwrap();
+        let g = b.finish(&[y, x]).unwrap();
+        let placed = placed_for(&g, &[&g.compute_ids()]);
+        assert_eq!(validate_schedule(&g, &placed), Ok(()));
     }
 
     #[test]

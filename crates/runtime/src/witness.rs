@@ -2,10 +2,11 @@
 //!
 //! A witness is the runtime-conformance counterpart of a schedule plan:
 //! where the plan says what *should* happen, the witness records what
-//! *did*. Both the threaded [`HeterogeneousExecutor`] and the
-//! virtual-clock simulator can emit one through a [`WitnessRecorder`]
-//! hook (zero cost when no recorder is attached: no events are built,
-//! no locks taken). The `duet-analysis` crate checks witnesses against
+//! *did*. Both the threaded [`HeterogeneousExecutor`] (`run_witnessed`)
+//! and the virtual-clock simulator ([`crate::simulate_witnessed`]) can
+//! emit one, from the same event builder ([`WitnessEvent::dispatch`]);
+//! their unwitnessed runs build no events and take no lock. The
+//! `duet-analysis` crate re-prices and checks witnesses against
 //! their graph + placed schedule (`D3xx` diagnostics): happens-before
 //! order, virtual-clock readiness, per-device monotonicity, transfer
 //! accounting and reported latency.
@@ -21,8 +22,9 @@
 
 use duet_device::DeviceKind;
 use duet_ir::NodeId;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+
+use crate::timeline::{OutputEdge, Timeline};
 
 /// Which engine produced a witness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -204,6 +206,70 @@ impl WitnessEvent {
             WitnessEvent::Transfer { .. } => None,
         }
     }
+
+    fn transfer(
+        node: NodeId,
+        kind: TransferKind,
+        bytes: f64,
+        time_us: f64,
+        consumer: Option<usize>,
+    ) -> Self {
+        WitnessEvent::Transfer {
+            node,
+            kind,
+            bytes,
+            time_us,
+            consumer,
+        }
+    }
+
+    /// The final D2H copy of a GPU-resident graph output.
+    pub(crate) fn output_landed(o: &OutputEdge) -> Self {
+        Self::transfer(o.node, TransferKind::DeviceToHost, o.bytes, o.d2h_us, None)
+    }
+
+    /// What one dispatch of subgraph `sg` over `[start_us, end_us]` puts
+    /// on record: a `Transfer` per boundary value that crossed the
+    /// interconnect and the `Start` with every triggering edge — and,
+    /// apart, the `Finish`, which an engine computing real values commits
+    /// only once they exist. Structure and prices are `timeline`'s;
+    /// `duet-analysis` re-prices them from the system model on its own.
+    pub(crate) fn dispatch(
+        timeline: &Timeline,
+        devices: &[DeviceKind],
+        sg: usize,
+        name: &str,
+        start_us: f64,
+        end_us: f64,
+    ) -> (Vec<WitnessEvent>, WitnessEvent) {
+        let device = devices[sg];
+        let deps = timeline.deps(sg);
+        let crossing = deps.iter().filter(|d| d.crosses(devices, device));
+        let mut started: Vec<WitnessEvent> = crossing
+            .map(|d| {
+                let kind = match d.producer {
+                    None => TransferKind::HostToDevice,
+                    Some(_) => TransferKind::DeviceToDevice,
+                };
+                Self::transfer(d.node, kind, d.bytes, d.transfer_us, Some(sg))
+            })
+            .collect();
+        let triggers = deps.iter().map(|d| TriggerEdge {
+            node: d.node,
+            producer: d.producer,
+            bytes: d.bytes,
+            transfer_us: d.paid_us(devices, device),
+        });
+        started.push(WitnessEvent::Start {
+            sg,
+            name: name.to_string(),
+            device,
+            at_us: start_us,
+            triggers: triggers.collect(),
+        });
+        let at_us = end_us;
+        (started, WitnessEvent::Finish { sg, device, at_us })
+    }
 }
 
 /// The complete record of one run: every event in observed order plus
@@ -230,46 +296,6 @@ impl ExecutionWitness {
     }
 }
 
-/// Thread-safe append-only event sink the engines write through.
-///
-/// Engines take an `Option<&WitnessRecorder>`; with `None` they build
-/// no events and take no locks.
-#[derive(Debug, Default)]
-pub struct WitnessRecorder {
-    events: Mutex<Vec<WitnessEvent>>,
-}
-
-impl WitnessRecorder {
-    pub fn new() -> Self {
-        WitnessRecorder::default()
-    }
-
-    /// Append one event (observed order = call order under the lock).
-    pub fn record(&self, event: WitnessEvent) {
-        self.events.lock().push(event);
-    }
-
-    /// Append several events atomically, preserving their order.
-    pub fn record_all(&self, events: impl IntoIterator<Item = WitnessEvent>) {
-        self.events.lock().extend(events);
-    }
-
-    /// Seal the log into a witness.
-    pub fn into_witness(
-        self,
-        model: impl Into<String>,
-        source: WitnessSource,
-        virtual_latency_us: f64,
-    ) -> ExecutionWitness {
-        ExecutionWitness {
-            model: model.into(),
-            source,
-            events: self.events.into_inner(),
-            virtual_latency_us,
-        }
-    }
-}
-
 /// Seeded wall-clock delay injection for interleaving stress tests.
 ///
 /// Each executor worker sleeps a uniformly random `0..=max_us`
@@ -288,56 +314,5 @@ pub struct DelayInjection {
 impl DelayInjection {
     pub fn new(seed: u64, max_us: u64) -> Self {
         DelayInjection { seed, max_us }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn recorder_preserves_order() {
-        let rec = WitnessRecorder::new();
-        rec.record(WitnessEvent::Start {
-            sg: 0,
-            name: "a".into(),
-            device: DeviceKind::Cpu,
-            at_us: 0.0,
-            triggers: vec![],
-        });
-        rec.record(WitnessEvent::Finish {
-            sg: 0,
-            device: DeviceKind::Cpu,
-            at_us: 5.0,
-        });
-        let w = rec.into_witness("m", WitnessSource::Executor, 5.0);
-        assert_eq!(w.events.len(), 2);
-        assert_eq!(w.dispatch_count(), 1);
-        assert!(matches!(w.events[0], WitnessEvent::Start { sg: 0, .. }));
-        assert!(matches!(w.events[1], WitnessEvent::Finish { sg: 0, .. }));
-    }
-
-    #[test]
-    fn record_all_is_atomic_in_order() {
-        let rec = WitnessRecorder::new();
-        rec.record_all([
-            WitnessEvent::Transfer {
-                node: 1,
-                kind: TransferKind::HostToDevice,
-                bytes: 8.0,
-                time_us: 1.0,
-                consumer: Some(0),
-            },
-            WitnessEvent::Start {
-                sg: 0,
-                name: "a".into(),
-                device: DeviceKind::Gpu,
-                at_us: 1.0,
-                triggers: vec![],
-            },
-        ]);
-        let w = rec.into_witness("m", WitnessSource::Simulator, 1.0);
-        assert!(matches!(w.events[0], WitnessEvent::Transfer { .. }));
-        assert!(matches!(w.events[1], WitnessEvent::Start { .. }));
     }
 }

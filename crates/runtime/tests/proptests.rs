@@ -217,7 +217,7 @@ proptest! {
         let placed = chunked(g, k, bits);
         let sim = simulate(g, &placed, &sys, &mut SimNoise::disabled()).latency_us;
         let exec = HeterogeneousExecutor::new(g, &placed, sys)
-            .run_virtual(None)
+            .run_virtual()
             .unwrap()
             .virtual_latency_us;
         let tol = WitnessCheckConfig::default().agreement_tol;

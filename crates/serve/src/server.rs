@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use duet_device::SystemModel;
 use duet_telemetry::registry as tm;
-use duet_telemetry::{clock_us, record_span_traced, Span, SpanKind, TraceContext};
+use duet_telemetry::{clock_us, Span, SpanKind, TraceContext};
 use duet_tensor::Tensor;
 
 use crate::batch::{merge_feeds, split_outputs};
@@ -489,23 +489,6 @@ fn anomaly_payload(cache: &PlanCache, system: &SystemModel, trigger_trace: u64) 
     }
 }
 
-/// Publish a span to the global telemetry ring (the flight ring gets
-/// the owned `Span` structs separately, so dumps are complete even with
-/// span recording disabled).
-fn ring_span(s: &Span) {
-    record_span_traced(
-        s.kind,
-        s.detail,
-        s.start_us,
-        s.dur_us,
-        s.arg0,
-        s.arg1,
-        s.trace_id,
-        s.span_id,
-        s.parent_id,
-    );
-}
-
 #[allow(clippy::too_many_arguments)]
 fn execute_chunk(
     chunk: Vec<Pending>,
@@ -575,19 +558,16 @@ fn execute_chunk(
     let anchor_us = clock_us();
     let us_of = |t: Instant| anchor_us - anchor.saturating_duration_since(t).as_secs_f64() * 1e6;
     let exec_wall_us = done.duration_since(t_exec).as_secs_f64() * 1e6;
-    let batch_span = Span {
-        seq: 0,
-        kind: SpanKind::ServeBatch,
-        detail: k as u64,
-        start_us: us_of(t_exec),
-        dur_us: exec_wall_us,
-        arg0: outcome.virtual_latency_us,
-        arg1: 0.0,
-        trace_id: batch_ctx.trace_id,
-        span_id: batch_ctx.span_id,
-        parent_id: lead.span_id,
-    };
-    ring_span(&batch_span);
+    let batch_span = Span::linked(
+        SpanKind::ServeBatch,
+        k as u64,
+        us_of(t_exec),
+        exec_wall_us,
+        outcome.virtual_latency_us,
+        batch_ctx,
+        lead.span_id,
+    );
+    batch_span.record();
 
     // Feedback: measured vs predicted, both in the virtual domain. A
     // sustained gap means the deployed system no longer matches the one
@@ -651,63 +631,36 @@ fn execute_chunk(
 
         // The request's own span tree: root + one span per segment
         // phase, children of the root.
-        let queue_ctx = p.trace.child();
-        let linger_ctx = p.trace.child();
-        let exec_ctx = p.trace.child();
+        let (enqueued_us, root) = (us_of(p.enqueued), p.trace.span_id);
+        let phase = |seq, kind, detail, start_us, dur_us, arg0| Span {
+            seq,
+            ..Span::linked(kind, detail, start_us, dur_us, arg0, p.trace.child(), root)
+        };
         let member_spans = [
-            Span {
-                seq: 0,
-                kind: SpanKind::ServeRequest,
-                detail: k as u64,
-                start_us: us_of(p.enqueued),
-                dur_us: sojourn_us,
-                arg0: 0.0,
-                arg1: 0.0,
-                trace_id: tid,
-                span_id: p.trace.span_id,
-                parent_id: 0,
-            },
-            Span {
-                seq: 1,
-                kind: SpanKind::ServeQueue,
-                detail: 0,
-                start_us: us_of(p.enqueued),
-                dur_us: queue_us,
-                arg0: 0.0,
-                arg1: 0.0,
-                trace_id: tid,
-                span_id: queue_ctx.span_id,
-                parent_id: p.trace.span_id,
-            },
-            Span {
-                seq: 2,
-                kind: SpanKind::ServeLinger,
-                detail: 0,
-                start_us: us_of(pulled),
-                dur_us: linger_us,
-                arg0: 0.0,
-                arg1: 0.0,
-                trace_id: tid,
-                span_id: linger_ctx.span_id,
-                parent_id: p.trace.span_id,
-            },
-            Span {
-                seq: 3,
-                kind: SpanKind::ServeExec,
-                detail: k as u64,
-                // arg0 links into the shared batch span (which lives in
-                // the lead request's trace).
-                start_us: us_of(t_exec),
-                dur_us: exec_wall_us,
-                arg0: batch_ctx.span_id as f64,
-                arg1: 0.0,
-                trace_id: tid,
-                span_id: exec_ctx.span_id,
-                parent_id: p.trace.span_id,
-            },
+            Span::linked(
+                SpanKind::ServeRequest,
+                k as u64,
+                enqueued_us,
+                sojourn_us,
+                0.0,
+                p.trace,
+                0,
+            ),
+            phase(1, SpanKind::ServeQueue, 0, enqueued_us, queue_us, 0.0),
+            phase(2, SpanKind::ServeLinger, 0, us_of(pulled), linger_us, 0.0),
+            // arg0 links into the shared batch span (which lives in the
+            // lead request's trace).
+            phase(
+                3,
+                SpanKind::ServeExec,
+                k as u64,
+                us_of(t_exec),
+                exec_wall_us,
+                batch_ctx.span_id as f64,
+            ),
         ];
         for s in &member_spans {
-            ring_span(s);
+            s.record();
         }
 
         // Flight ring: the member's own tree plus the shared batch and

@@ -38,6 +38,12 @@ pub struct TraceContext {
 }
 
 impl TraceContext {
+    /// The reserved all-zero context of a span outside any trace.
+    pub const UNTRACED: TraceContext = TraceContext {
+        trace_id: 0,
+        span_id: 0,
+    };
+
     /// Start a new trace (one per admitted request).
     pub fn root() -> TraceContext {
         TraceContext {
@@ -47,11 +53,16 @@ impl TraceContext {
     }
 
     /// A child context: same trace, fresh span id. The caller records
-    /// the child span with `parent_id = self.span_id`.
+    /// the child span with `parent_id = self.span_id`. Outside any trace
+    /// there is nothing to link: the child of [`Self::UNTRACED`] is
+    /// `UNTRACED`.
     pub fn child(&self) -> TraceContext {
-        TraceContext {
-            trace_id: self.trace_id,
-            span_id: next_span_id(),
+        match self.trace_id {
+            0 => TraceContext::UNTRACED,
+            trace_id => TraceContext {
+                trace_id,
+                span_id: next_span_id(),
+            },
         }
     }
 }
@@ -71,5 +82,6 @@ mod tests {
         let c = a.child();
         assert_eq!(c.trace_id, a.trace_id);
         assert_ne!(c.span_id, a.span_id);
+        assert_eq!(TraceContext::UNTRACED.child(), TraceContext::UNTRACED);
     }
 }

@@ -44,8 +44,7 @@ pub use context::{next_span_id, next_trace_id, TraceContext};
 pub use metric::{Counter, Gauge, Histogram};
 pub use registry::{prometheus_text, render_prometheus};
 pub use span::{
-    clock_us, record_instant, record_span, record_span_traced, reset_spans, spans, Span, SpanKind,
-    SpanRing,
+    clock_us, record_instant, record_span, reset_spans, spans, Span, SpanKind, SpanRing,
 };
 pub use stats::{percentile_sorted, Reservoir};
 

@@ -177,6 +177,53 @@ impl Span {
     pub fn is_traced(&self) -> bool {
         self.trace_id != 0
     }
+
+    /// A span built once by an owner that both publishes it
+    /// ([`Span::record`]) and keeps it (executor `trace_spans`, the serve
+    /// flight ring): identified by `ctx` under the span `parent_id`
+    /// ([`TraceContext::UNTRACED`] and 0 outside any trace), `seq` 0 and
+    /// `arg1` 0 until the owner says otherwise.
+    pub fn linked(
+        kind: SpanKind,
+        detail: u64,
+        start_us: f64,
+        dur_us: f64,
+        arg0: f64,
+        ctx: crate::TraceContext,
+        parent_id: u64,
+    ) -> Span {
+        Span {
+            seq: 0,
+            kind,
+            detail,
+            start_us,
+            dur_us,
+            arg0,
+            arg1: 0.0,
+            trace_id: ctx.trace_id,
+            span_id: ctx.span_id,
+            parent_id,
+        }
+    }
+
+    /// Publish this span to the global ring, linkage included; a no-op
+    /// when telemetry is off. The ring assigns its own sequence number.
+    #[inline]
+    pub fn record(&self) {
+        if crate::enabled() {
+            global_ring().record_traced(
+                self.kind,
+                self.detail,
+                self.start_us,
+                self.dur_us,
+                self.arg0,
+                self.arg1,
+                self.trace_id,
+                self.span_id,
+                self.parent_id,
+            );
+        }
+    }
 }
 
 struct Slot {
@@ -382,28 +429,6 @@ pub fn clock_us() -> f64 {
 pub fn record_span(kind: SpanKind, detail: u64, start_us: f64, dur_us: f64, a0: f64, a1: f64) {
     if crate::enabled() {
         global_ring().record(kind, detail, start_us, dur_us, a0, a1);
-    }
-}
-
-/// Record a causally-linked span into the global ring (no-op when
-/// telemetry is off).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn record_span_traced(
-    kind: SpanKind,
-    detail: u64,
-    start_us: f64,
-    dur_us: f64,
-    a0: f64,
-    a1: f64,
-    trace_id: u64,
-    span_id: u64,
-    parent_id: u64,
-) {
-    if crate::enabled() {
-        global_ring().record_traced(
-            kind, detail, start_us, dur_us, a0, a1, trace_id, span_id, parent_id,
-        );
     }
 }
 

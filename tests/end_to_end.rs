@@ -98,6 +98,32 @@ fn fallback_schedule_still_runs_numerically() {
 }
 
 #[test]
+fn graph_input_named_as_output_passes_through_the_engine() {
+    // `finish`, `eval` and the timeline accept a source in the output
+    // list; the threaded executor used to panic looking up its producer.
+    let mut b = GraphBuilder::new("pass_through", 4);
+    let x = b.input("x", vec![1, 32]);
+    let l = b.dense("left", x, 32, Some(Op::Relu)).expect("left");
+    let r = b.dense("right", x, 32, Some(Op::Tanh)).expect("right");
+    let cat = b.op("cat", Op::Concat { axis: 1 }, &[l, r]).expect("cat");
+    let y = b.dense("head", cat, 4, None).expect("head");
+    let model = b.finish(&[y, x]).expect("graph builds");
+    for builder in [Duet::builder(), Duet::builder().no_fallback()] {
+        let engine = builder.build(&model).expect("engine builds");
+        let graph = engine.graph();
+        assert_eq!(graph.outputs().len(), 2);
+        let feeds = input_feeds(graph, 13);
+        let outcome = engine.run(&feeds).expect("inference runs");
+        let want = graph.eval(&feeds).expect("reference eval");
+        for (&id, want) in graph.outputs().iter().zip(&want) {
+            assert!(outcome.outputs[&id].approx_eq(want, 1e-5), "output {id}");
+        }
+        let fed = graph.outputs()[1];
+        assert_eq!(outcome.outputs[&fed], feeds[&fed], "the fed tensor itself");
+    }
+}
+
+#[test]
 fn optimized_graph_preserves_model_semantics() {
     // Compare each model's output before/after the compiler pipeline by
     // matching input nodes by label.
