@@ -134,7 +134,7 @@ print(f"insight render OK: {len(events)} events across {len(pids)} processes")
 PY
 cargo run -q --release --bin duet-lint -- trace --dump "${DUMPS[0]}"
 
-step "duet tune gate (drift scenario: never worse than Algorithm 1, promoted, deterministic)"
+step "duet tune gate (drift scenario: never worse than Algorithm 1, promoted, reproduces results/ext-autotune.json)"
 TUNE_A="$(mktemp --suffix .json)"
 TUNE_B="$(mktemp --suffix .json)"
 TUNE_METRICS="$(mktemp)"
@@ -145,26 +145,23 @@ cargo run -q --release --bin duet -- tune wide_and_deep \
   --drift --seed 51966 --json "$TUNE_A" --metrics-out "$TUNE_METRICS"
 cargo run -q --release --bin duet -- tune mtdnn \
   --drift --seed 51966 --json "$TUNE_B"
-python3 - "$TUNE_A" "$TUNE_B" <<'PY'
+# Each fresh process must also reproduce its row of the committed results
+# file (regenerate it with `duet tune all --drift --seed 51966 --json
+# results/ext-autotune.json`): fixed-seed determinism, and a results file
+# that still describes the code.
+python3 - results/ext-autotune.json "$TUNE_A" "$TUNE_B" <<'PY'
 import json, sys
-for path in sys.argv[1:]:
+drop = lambda r: {k: v for k, v in r.items() if k != "wall_us"}
+committed = {r["model"]: drop(r) for r in json.load(open(sys.argv[1]))["runs"]}
+for path in sys.argv[2:]:
     run = json.load(open(path))["runs"][0]
     assert run["promoted"], f'{run["model"]}: winning plan failed promotion'
     assert run["tuned_us"] <= run["algorithm1_us"], f'{run["model"]}: worse than Algorithm 1'
     assert run["speedup_vs_stale"] > 1.0, \
         f'{run["model"]}: no strict win over the stale plan under drift'
-    print(f'{run["model"]}: {run["speedup_vs_stale"]:.3f}x vs stale, promoted')
-PY
-# Fixed-seed determinism: the same seed must reproduce the same report.
-cargo run -q --release --bin duet -- tune wide_and_deep \
-  --drift --seed 51966 --json "$TUNE_B" > /dev/null
-python3 - "$TUNE_A" "$TUNE_B" <<'PY'
-import json, sys
-a, b = (json.load(open(p)) for p in sys.argv[1:])
-drop = lambda r: {k: v for k, v in r.items() if k != "wall_us"}
-assert [drop(r) for r in a["runs"]] == [drop(r) for r in b["runs"]], \
-    "same seed produced a different tuning report"
-print("fixed-seed determinism holds.")
+    assert drop(run) == committed[run["model"]], \
+        f'{run["model"]}: tuning report differs from results/ext-autotune.json'
+    print(f'{run["model"]}: {run["speedup_vs_stale"]:.3f}x vs stale, promoted, as committed')
 PY
 for family in \
   duet_tune_runs_total \

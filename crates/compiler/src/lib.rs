@@ -27,7 +27,7 @@ pub mod pass;
 pub mod passes;
 
 pub use invariants::{PassViolation, ViolationKind};
-pub use lower::{CompiledKernel, CompiledSubgraph, KernelClass};
+pub use lower::{CompiledKernel, CompiledSubgraph};
 pub use memory::{
     ArenaPool, ArenaPoolStats, EpilogueOp, EpilogueStep, ExecutableTape, Instr, MemoryPlan,
     Operand, TapeArena, TapeOptions,

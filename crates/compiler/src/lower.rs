@@ -24,86 +24,6 @@ pub struct CompiledKernel {
     pub cost: CostProfile,
 }
 
-/// Coarse cost-model class of a fused kernel, keyed by its anchor
-/// operator.
-///
-/// The analytic device model prices every kernel from the same roofline
-/// formula, so its errors are *correlated within an operator family*: if
-/// the model underestimates one launch-bound LSTM step it underestimates
-/// them all. A fitted cost model therefore calibrates one affine
-/// correction per (device, class) rather than per kernel — enough
-/// samples to fit from a handful of profiler runs, while still
-/// separating the regimes that mispredict differently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum KernelClass {
-    /// Dense linear algebra anchors: `Linear`, `MatMul`.
-    Gemm,
-    /// Spatial convolutions (including depthwise).
-    Conv,
-    /// Sequence recurrences (`Lstm`, `Gru`) — launch-bound on the GPU.
-    Recurrent,
-    /// Attention blocks.
-    Attention,
-    /// Table lookups.
-    Embedding,
-    /// Pooling, normalization and reductions.
-    Reduction,
-    /// Elementwise and data-movement anchors.
-    Elementwise,
-}
-
-impl KernelClass {
-    /// Every class, in a fixed order (dense table indexing).
-    pub const ALL: [KernelClass; 7] = [
-        KernelClass::Gemm,
-        KernelClass::Conv,
-        KernelClass::Recurrent,
-        KernelClass::Attention,
-        KernelClass::Embedding,
-        KernelClass::Reduction,
-        KernelClass::Elementwise,
-    ];
-
-    /// Short display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelClass::Gemm => "gemm",
-            KernelClass::Conv => "conv",
-            KernelClass::Recurrent => "recurrent",
-            KernelClass::Attention => "attention",
-            KernelClass::Embedding => "embedding",
-            KernelClass::Reduction => "reduction",
-            KernelClass::Elementwise => "elementwise",
-        }
-    }
-}
-
-impl CompiledKernel {
-    /// The cost-model class of this kernel, from its anchor operator
-    /// (epilogues are absorbed into the anchor's cost and never change
-    /// the dominant compute pattern).
-    pub fn class(&self, graph: &Graph) -> KernelClass {
-        match graph.node(self.anchor).op {
-            Op::Linear | Op::MatMul => KernelClass::Gemm,
-            Op::Conv2d { .. } | Op::DepthwiseConv2d { .. } => KernelClass::Conv,
-            Op::Lstm | Op::Gru => KernelClass::Recurrent,
-            Op::Mha { .. } => KernelClass::Attention,
-            Op::Embedding => KernelClass::Embedding,
-            Op::MaxPool2d { .. }
-            | Op::AvgPool2d { .. }
-            | Op::GlobalAvgPool2d
-            | Op::BatchNorm2d
-            | Op::LayerNorm { .. }
-            | Op::Softmax
-            | Op::LogSoftmax
-            | Op::ReduceSum
-            | Op::ReduceMean
-            | Op::ReduceMax => KernelClass::Reduction,
-            _ => KernelClass::Elementwise,
-        }
-    }
-}
-
 /// A compiled subgraph: boundary description, kernel sequence, total cost.
 #[derive(Debug, Clone)]
 pub struct CompiledSubgraph {

@@ -130,7 +130,6 @@ pub struct DuetBuilder {
     profile_runs: usize,
     profile_warmup: usize,
     allow_fallback: bool,
-    min_gain: f64,
     granularity: Granularity,
 }
 
@@ -143,7 +142,6 @@ impl Default for DuetBuilder {
             profile_runs: 500,
             profile_warmup: 50,
             allow_fallback: true,
-            min_gain: 0.02,
             granularity: Granularity::Coarse,
         }
     }
@@ -179,15 +177,6 @@ impl DuetBuilder {
     /// observe the raw heterogeneous schedule).
     pub fn no_fallback(mut self) -> Self {
         self.allow_fallback = false;
-        self
-    }
-
-    /// Minimum relative improvement heterogeneous execution must deliver
-    /// over the best single device to be kept (default 2%). Sub-threshold
-    /// "wins" are measurement noise plus avoidable PCIe traffic, so DUET
-    /// falls back — this is what keeps ResNet on one device (§VI-E).
-    pub fn min_gain(mut self, gain: f64) -> Self {
-        self.min_gain = gain;
         self
     }
 
@@ -296,7 +285,6 @@ impl DuetBuilder {
                 whole,
                 whole_timeline,
                 allow_fallback: self.allow_fallback,
-                min_gain: self.min_gain,
                 batch,
                 arenas: Arc::new(ArenaPool::new()),
             },
@@ -351,7 +339,6 @@ struct Scheduled {
     whole: CompiledSubgraph,
     whole_timeline: Timeline,
     allow_fallback: bool,
-    min_gain: f64,
     batch: usize,
     arenas: Arc<ArenaPool>,
 }
@@ -376,12 +363,17 @@ pub struct Duet {
     /// Timing core over `whole`: the single-device baselines.
     whole_timeline: Timeline,
     allow_fallback: bool,
-    min_gain: f64,
     batch: usize,
     /// Tape-arena pool shared by every executor this engine creates, so
     /// repeated inferences recycle slot buffers instead of allocating.
     arenas: Arc<ArenaPool>,
 }
+
+/// Minimum relative improvement heterogeneous execution must deliver
+/// over the best single device to be kept. Sub-threshold "wins" are
+/// measurement noise plus avoidable PCIe traffic, so DUET falls back —
+/// this is what keeps ResNet on one device (§VI-E).
+const MIN_GAIN: f64 = 0.02;
 
 impl Duet {
     /// Start building an engine.
@@ -393,14 +385,14 @@ impl Duet {
     /// baselines on the engine's timelines and settle the fallback:
     /// `dictated` (a replayed plan's recorded decision) if given,
     /// otherwise the §VI-E rule — heterogeneous execution is kept only
-    /// if it beats the best single device by `min_gain`.
+    /// if it beats the best single device by [`MIN_GAIN`].
     fn resolve(s: Scheduled, dictated: Option<Option<DeviceKind>>) -> Duet {
         let hetero_us = s.timeline.makespan(&s.devices);
         let cpu_only_us = s.whole_timeline.makespan(&[DeviceKind::Cpu]);
         let gpu_only_us = s.whole_timeline.makespan(&[DeviceKind::Gpu]);
         let best_single = cpu_only_us.min(gpu_only_us);
         let fallback = dictated.unwrap_or_else(|| {
-            (s.allow_fallback && hetero_us > best_single * (1.0 - s.min_gain)).then_some(
+            (s.allow_fallback && hetero_us > best_single * (1.0 - MIN_GAIN)).then_some(
                 if cpu_only_us <= gpu_only_us {
                     DeviceKind::Cpu
                 } else {
@@ -435,7 +427,6 @@ impl Duet {
             whole: s.whole,
             whole_timeline: s.whole_timeline,
             allow_fallback: s.allow_fallback,
-            min_gain: s.min_gain,
             batch: s.batch,
             arenas: s.arenas,
         }
@@ -599,7 +590,7 @@ impl Duet {
     ///
     /// The fallback rule is the same as [`DuetBuilder::build`]: if the
     /// proposed heterogeneous placement does not beat the best single
-    /// device by `min_gain`, the returned engine records a fallback (a
+    /// device by 2 %, the returned engine records a fallback (a
     /// tuned plan must not smuggle a sub-threshold win past the §VI-E
     /// guardrail).
     ///
@@ -620,7 +611,6 @@ impl Duet {
                 whole: self.whole.clone(),
                 whole_timeline: self.whole_timeline.clone(),
                 allow_fallback: self.allow_fallback,
-                min_gain: self.min_gain,
                 batch: self.batch,
                 // Same compiled tapes — candidates can share the pool.
                 arenas: Arc::clone(&self.arenas),
@@ -704,7 +694,6 @@ impl Duet {
                 whole: self.whole.clone(),
                 whole_timeline,
                 allow_fallback: self.allow_fallback,
-                min_gain: self.min_gain,
                 batch: self.batch,
                 arenas: Arc::new(ArenaPool::new()),
             },

@@ -335,12 +335,6 @@ impl Graph {
         batch
     }
 
-    /// A valid topological order (node ids ascending — valid by
-    /// construction, see type-level invariant).
-    pub fn topo_order(&self) -> Vec<NodeId> {
-        (0..self.nodes.len()).collect()
-    }
-
     /// Unchecked mutable access to a node. Exists for verifier tests,
     /// fuzzers and pass debugging: it can break every structural
     /// invariant the safe builders maintain (edge symmetry, topological

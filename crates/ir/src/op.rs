@@ -201,23 +201,6 @@ impl Op {
         )
     }
 
-    /// True for operators that can *absorb* fused elementwise epilogues
-    /// (a compute-heavy producer with a materialised output).
-    pub fn is_fusion_anchor(&self) -> bool {
-        matches!(
-            self,
-            Op::Linear
-                | Op::MatMul
-                | Op::Conv2d { .. }
-                | Op::DepthwiseConv2d { .. }
-                | Op::BatchNorm2d
-                | Op::Lstm
-                | Op::Gru
-                | Op::Mha { .. }
-                | Op::LayerNorm { .. }
-        )
-    }
-
     /// Infer the output shape from input shapes.
     pub fn infer_shape(&self, inputs: &[&Shape]) -> Result<Shape, TensorError> {
         let need = |i: usize| -> Result<&Shape, TensorError> {

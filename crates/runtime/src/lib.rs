@@ -45,7 +45,7 @@ pub use sim::{
 };
 pub use stats::LatencyStats;
 pub use timeline::{NoNoise, Noise, Observer, Timeline};
-pub use trace::{merged_perfetto_trace, to_chrome_trace, witness_to_chrome_trace};
+pub use trace::{merged_perfetto_trace, witness_to_chrome_trace};
 pub use validate::{validate_schedule, ScheduleError};
 pub use witness::{
     DelayInjection, ExecutionWitness, TransferKind, TriggerEdge, WitnessEvent, WitnessSource,

@@ -70,8 +70,10 @@ pub struct Profiler {
     runs: usize,
     /// Leading samples discarded as warm-up.
     warmup: usize,
-    seed: u64,
 }
+
+/// Seed of the profiling noise (mixed with a per-subgraph tag).
+const NOISE_SEED: u64 = 0xbe9c;
 
 impl Profiler {
     /// Profiler with the paper's defaults: 500 runs, 50 warm-up, on the
@@ -81,7 +83,6 @@ impl Profiler {
             system,
             runs: 500,
             warmup: 50,
-            seed: 0xbe9c,
         }
     }
 
@@ -90,12 +91,6 @@ impl Profiler {
         assert!(runs > warmup, "need at least one measured run");
         self.runs = runs;
         self.warmup = warmup;
-        self
-    }
-
-    /// Override the noise seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -126,8 +121,8 @@ impl Profiler {
             .name
             .bytes()
             .fold(0u64, |h, b| h.wrapping_mul(131).wrapping_add(b as u64));
-        let cpu_stats = run_device(DeviceKind::Cpu, self.seed ^ tag);
-        let gpu_stats = run_device(DeviceKind::Gpu, self.seed ^ tag ^ 0xffff);
+        let cpu_stats = run_device(DeviceKind::Cpu, NOISE_SEED ^ tag);
+        let gpu_stats = run_device(DeviceKind::Gpu, NOISE_SEED ^ tag ^ 0xffff);
         tm::PROFILE_SUBGRAPHS.inc();
         duet_telemetry::record_span(
             duet_telemetry::SpanKind::ProfileSubgraph,

@@ -16,7 +16,7 @@
 //! |---|---|
 //! | dense boundary-dependency table (consumer → producer subgraph, or host input) | per-edge transfer time |
 //! | per-edge payload bytes | per-output D2H time |
-//! | graph-output table (producing subgraph, bytes) | `n × 2` execution table (analytic, or caller-supplied via [`Timeline::with_exec_table`]) |
+//! | graph-output table (producing subgraph, bytes) | `n × 2` execution table |
 //! | per-kernel cost profiles | lanes and lane-sharing penalty per device |
 //!
 //! # Event semantics
@@ -246,17 +246,6 @@ impl Timeline {
         }
         self.lanes = [system.cpu.lanes.max(1), system.gpu.lanes.max(1)];
         self.lane_penalty = [system.cpu.lane_penalty(), system.gpu.lane_penalty()];
-    }
-
-    /// The same structure and transfer prices with the execution table
-    /// filled by `exec_time_us(subgraph, device)` — the hook a fitted
-    /// cost model plugs into. (PCIe time is a property of the
-    /// interconnect model, not of the kernel cost model.)
-    pub fn with_exec_table(mut self, exec_time_us: impl Fn(usize, DeviceKind) -> f64) -> Self {
-        for (i, row) in self.exec_us.iter_mut().enumerate() {
-            *row = DeviceKind::both().map(|device| exec_time_us(i, device));
-        }
-        self
     }
 
     /// Number of subgraphs a device vector must cover.
@@ -496,19 +485,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn custom_exec_table_shifts_makespan() {
-        let g = branchy();
-        let sys = SystemModel::paper_server();
-        let sgs = split(&g);
-        let plain = Timeline::new(&g, &sgs, &sys).unwrap();
-        let doubled = plain
-            .clone()
-            .with_exec_table(|i, d| 2.0 * plain.exec_time_us(i, d));
-        let devices = vec![DeviceKind::Cpu; 3];
-        assert!(doubled.makespan(&devices) > plain.makespan(&devices));
     }
 
     #[test]

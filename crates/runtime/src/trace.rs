@@ -1,25 +1,24 @@
-//! Chrome-tracing export of simulated timelines and execution witnesses.
+//! Chrome-tracing export of execution witnesses.
 //!
-//! The paper's Fig. 4 is an execution timeline. [`to_chrome_trace`] turns
-//! any [`SimResult`] into the Chrome `chrome://tracing` / Perfetto JSON
-//! array format (one complete event per subgraph, one lane per device),
-//! so schedules can be inspected in a real trace viewer:
+//! The paper's Fig. 4 is an execution timeline.
+//! [`witness_to_chrome_trace`] turns an [`ExecutionWitness`] — simulated
+//! or recorded by the executor — into the Chrome `chrome://tracing` /
+//! Perfetto JSON array format (one complete event per subgraph, one lane
+//! per device), so schedules can be inspected in a real trace viewer:
 //!
 //! ```text
 //! duet trace wide_and_deep trace.json   # then open in ui.perfetto.dev
 //! ```
 //!
-//! [`witness_to_chrome_trace`] renders an [`ExecutionWitness`] the same
-//! way, annotated: each subgraph slice carries its index, device and
-//! triggering edges in `args`, and every modeled transfer appears as an
-//! instant event on a dedicated PCIe lane. All events are serialized
+//! The trace is annotated: each subgraph slice carries its index, device
+//! and triggering edges in `args`, and every modeled transfer appears as
+//! an instant event on a dedicated PCIe lane. All events are serialized
 //! with `serde_json`, so arbitrary subgraph names — quotes, newlines,
 //! any control character — always produce valid JSON.
 
 use duet_device::DeviceKind;
 use serde_json::{json, Value};
 
-use crate::sim::SimResult;
 use crate::witness::{ExecutionWitness, WitnessEvent};
 
 fn device_tid(device: DeviceKind) -> i64 {
@@ -31,10 +30,6 @@ fn device_tid(device: DeviceKind) -> i64 {
 
 /// The PCIe/interconnect lane in witness traces.
 const TRANSFER_TID: i64 = 3;
-
-fn metadata(process: &str, lanes: &[(i64, &str)]) -> Vec<Value> {
-    metadata_for(1, process, lanes)
-}
 
 fn metadata_for(pid: i64, process: &str, lanes: &[(i64, &str)]) -> Vec<Value> {
     let mut events = vec![json!({
@@ -58,25 +53,6 @@ fn render(events: Vec<Value>) -> String {
     format!("[\n{}\n]\n", body.join(",\n"))
 }
 
-/// Render a simulated timeline as Chrome trace-event JSON ("X" complete
-/// events; microsecond timestamps, which is the trace format's native
-/// unit). The `process` name labels the whole schedule; devices appear
-/// as threads.
-pub fn to_chrome_trace(process: &str, result: &SimResult) -> String {
-    let mut events = metadata(process, &[(1, "CPU"), (2, "GPU")]);
-    for e in &result.timeline {
-        events.push(json!({
-            "name": e.name,
-            "ph": "X",
-            "pid": 1,
-            "tid": device_tid(e.device),
-            "ts": e.start_us,
-            "dur": e.end_us - e.start_us,
-        }));
-    }
-    render(events)
-}
-
 /// Render an execution witness as an annotated Chrome trace: one "X"
 /// slice per subgraph dispatch (with its index, device and triggering
 /// edges in `args`), one instant event per modeled transfer on a
@@ -88,7 +64,7 @@ pub fn witness_to_chrome_trace(process: &str, witness: &ExecutionWitness) -> Str
 }
 
 fn witness_events(title: &str, witness: &ExecutionWitness) -> Vec<Value> {
-    let mut events = metadata(title, &[(1, "CPU"), (2, "GPU"), (TRANSFER_TID, "PCIe")]);
+    let mut events = metadata_for(1, title, &[(1, "CPU"), (2, "GPU"), (TRANSFER_TID, "PCIe")]);
     // Starts indexed by subgraph so Finish and Transfer events can be
     // matched up and transfers anchored to a timestamp.
     let mut start_at: Vec<Option<f64>> = Vec::new();
@@ -270,80 +246,7 @@ pub fn merged_perfetto_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::TimelineEntry;
     use crate::witness::{TransferKind, TriggerEdge, WitnessSource};
-
-    fn sample() -> SimResult {
-        SimResult {
-            latency_us: 100.0,
-            timeline: vec![
-                TimelineEntry {
-                    name: "rnn".into(),
-                    device: DeviceKind::Cpu,
-                    start_us: 0.0,
-                    end_us: 60.0,
-                },
-                TimelineEntry {
-                    name: "cnn \"fused\"".into(),
-                    device: DeviceKind::Gpu,
-                    start_us: 10.0,
-                    end_us: 40.0,
-                },
-            ],
-            transferred_bytes: 0.0,
-        }
-    }
-
-    #[test]
-    fn emits_valid_json_with_all_events() {
-        let json = to_chrome_trace("wide_and_deep", &sample());
-        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        let arr = parsed.as_array().unwrap();
-        // 3 metadata + 2 events.
-        assert_eq!(arr.len(), 5);
-        let rnn = arr.iter().find(|e| e["name"] == "rnn").unwrap();
-        assert_eq!(rnn["ph"], "X");
-        assert_eq!(rnn["tid"], 1);
-        assert_eq!(rnn["dur"], 60.0);
-    }
-
-    #[test]
-    fn escapes_quotes_in_names() {
-        let json = to_chrome_trace("m", &sample());
-        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        assert!(parsed
-            .as_array()
-            .unwrap()
-            .iter()
-            .any(|e| e["name"] == "cnn \"fused\""));
-    }
-
-    #[test]
-    fn control_characters_in_names_stay_valid_json() {
-        let mut r = sample();
-        r.timeline[0].name = "line1\nline2\tcol\u{1}".into();
-        let json = to_chrome_trace("multi\nline model", &r);
-        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        assert!(parsed
-            .as_array()
-            .unwrap()
-            .iter()
-            .any(|e| e["name"] == "line1\nline2\tcol\u{1}"));
-    }
-
-    #[test]
-    fn devices_map_to_distinct_threads() {
-        let json = to_chrome_trace("m", &sample());
-        let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let tids: Vec<i64> = parsed
-            .as_array()
-            .unwrap()
-            .iter()
-            .filter(|e| e["ph"] == "X")
-            .map(|e| e["tid"].as_i64().unwrap())
-            .collect();
-        assert_eq!(tids, vec![1, 2]);
-    }
 
     #[test]
     fn witness_trace_annotates_slices_and_transfers() {
@@ -361,7 +264,7 @@ mod tests {
                 },
                 WitnessEvent::Start {
                     sg: 0,
-                    name: "branch \"a\"\n".into(),
+                    name: "branch \"a\"\n\tcol\u{1}".into(),
                     device: DeviceKind::Gpu,
                     at_us: 2.0,
                     triggers: vec![TriggerEdge {
@@ -385,11 +288,15 @@ mod tests {
                 },
             ],
         };
-        let json = witness_to_chrome_trace("m", &w);
+        // Quotes, newlines and control characters in model and subgraph
+        // names must still produce valid JSON.
+        let json = witness_to_chrome_trace("multi\nline model", &w);
         let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         let arr = parsed.as_array().unwrap();
+        assert_eq!(arr[0]["args"]["name"], "multi\nline model (executor)");
         let slice = arr.iter().find(|e| e["ph"] == "X").unwrap();
-        assert_eq!(slice["name"], "branch \"a\"\n");
+        assert_eq!(slice["name"], "branch \"a\"\n\tcol\u{1}");
+        assert_eq!(slice["tid"], 2);
         assert_eq!(slice["ts"], 2.0);
         assert_eq!(slice["dur"], 38.0);
         assert_eq!(slice["args"]["sg"], 0);

@@ -5,7 +5,7 @@
 //! The recorder is deliberately cheap enough to leave on in production:
 //! recording a completed request is one `VecDeque` push under a short
 //! mutex (the span tree was already built for the response), and the
-//! ring is bounded by `ServeConfig::flight_capacity`. What makes it a
+//! ring is bounded (64 traces per served model). What makes it a
 //! *flight recorder* rather than a log is the trigger discipline:
 //!
 //! * **Anomaly rules** ([`AnomalyRule`]) — SLO burn (a sliding window of

@@ -170,12 +170,6 @@ impl Metrics {
         tm::SERVE_BATCHES.inc();
         tm::SERVE_COMPLETED.add(sojourns_us.len() as u64);
         tm::SERVE_BATCH_SIZE.observe(batch as u64);
-        duet_telemetry::record_instant(
-            duet_telemetry::SpanKind::ServeBatch,
-            batch as u64,
-            virtual_batch_us,
-            0.0,
-        );
         for &s in sojourns_us {
             self.sojourn_us.record(s);
             tm::SERVE_SOJOURN_US.observe_us(s);

@@ -52,9 +52,6 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Drift detection tuning.
     pub feedback: FeedbackConfig,
-    /// Build the batch-1 and max-batch engines at registration time so
-    /// the first requests don't pay the offline-pipeline cost inline.
-    pub prewarm: bool,
     /// When drift is confirmed, answer with the full autotuner
     /// ([`PlanCache::tune_all`]) instead of Algorithm 1's recorrection
     /// alone. Finds strictly better plans on most of the zoo under
@@ -68,9 +65,10 @@ pub struct ServeConfig {
     /// in-memory ring (still inspectable via [`ServeServer::flight`])
     /// but never writes a dump.
     pub flight_dir: Option<PathBuf>,
-    /// How many completed request traces the flight ring retains.
-    pub flight_capacity: usize,
 }
+
+/// How many completed request traces a model's flight ring retains.
+const FLIGHT_CAPACITY: usize = 64;
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -79,11 +77,9 @@ impl Default for ServeConfig {
             linger: Duration::from_millis(2),
             queue_cap: 256,
             feedback: FeedbackConfig::default(),
-            prewarm: true,
             tune_on_drift: false,
             slo: None,
             flight_dir: None,
-            flight_capacity: 64,
         }
     }
 }
@@ -178,17 +174,17 @@ impl ServeServer {
     pub fn register(&mut self, spec: ModelSpec, system: SystemModel) {
         let name = spec.name().to_string();
         let cache = Arc::new(PlanCache::new(spec, system.clone()));
-        if self.cfg.prewarm {
-            cache.get_or_build(1);
-            let top = largest_pow2(self.cfg.max_batch);
-            if top > 1 {
-                cache.get_or_build(top);
-            }
+        // Build the batch-1 and max-batch engines now, so the first
+        // requests don't pay the offline-pipeline cost inline.
+        cache.get_or_build(1);
+        let top = largest_pow2(self.cfg.max_batch);
+        if top > 1 {
+            cache.get_or_build(top);
         }
         let metrics = Arc::new(Metrics::new());
         let system = Arc::new(ArcCell::new(system));
         let flight = Arc::new(FlightRecorder::new(
-            self.cfg.flight_capacity,
+            FLIGHT_CAPACITY,
             self.cfg.flight_dir.clone(),
         ));
         let (tx, rx) = bounded::<Pending>(self.cfg.queue_cap);

@@ -305,6 +305,46 @@ fn trace_context_links_admission_to_kernel() {
     }
 }
 
+/// The server records a batch's span, the metrics record its metrics:
+/// the telemetry ring holds exactly one `ServeBatch` span per executed
+/// batch, and it is the linked one.
+#[test]
+fn ring_holds_one_batch_span_per_executed_batch() {
+    let server = server_for(
+        "mlp",
+        ServeConfig {
+            max_batch: 1,
+            linger: Duration::ZERO,
+            ..ServeConfig::default()
+        },
+    );
+    let spec = ModelSpec::serving_zoo("mlp").unwrap();
+    let trace_ids: Vec<u64> = (0..3)
+        .map(|i| {
+            let h = server.submit("mlp", spec.request_feeds(i), None).unwrap();
+            h.wait().unwrap().trace_id
+        })
+        .collect();
+    let batches = server.metrics("mlp").unwrap().snapshot().batches_executed;
+    assert_eq!(batches, 3);
+    // The ring is process-wide and other tests serve concurrently: count
+    // this server's batches by trace id, and require that nobody's batch
+    // shows up a second time as an unlinked span.
+    let ring: Vec<_> = duet_telemetry::spans()
+        .into_iter()
+        .filter(|s| s.kind == SpanKind::ServeBatch)
+        .collect();
+    let own = ring
+        .iter()
+        .filter(|s| trace_ids.contains(&s.trace_id))
+        .count();
+    assert_eq!(own as u64, batches, "one ServeBatch span per batch");
+    assert!(
+        ring.iter().all(|s| s.trace_id != 0),
+        "an untraced ServeBatch span duplicates a linked one"
+    );
+}
+
 /// Satellite (d): a synthetic SLO breach produces exactly one flight
 /// dump, the dump contains the breaching trace, and the latch holds
 /// against further anomalies.

@@ -12,14 +12,11 @@
 //!   simulated annealing over flip/swap neighborhoods. All are seeded
 //!   with Algorithm 1's placement, so the tuner is *never worse* by
 //!   construction.
-//! * [`CostModel`] — the oracle's pricing hook. [`AnalyticCostModel`]
-//!   reproduces the simulator's roofline pricing exactly;
-//!   [`FittedCostModel`] calibrates one affine correction per
-//!   (device, kernel class) from profiler runs and executor telemetry
-//!   spans, falling back to the analytic price where samples are thin.
-//!   The fitted model only *guides* search — the final ranking and every
-//!   reported latency come from the analytic oracle, so promoted plans
-//!   stay consistent with what the D503 occupancy check re-derives.
+//! * [`Oracle`] — the objective: the engine's own
+//!   [`duet_runtime::Timeline`] with evaluation counters. A candidate is
+//!   priced by the replay that prices the engine, so every latency the
+//!   search sees is one the D503 occupancy check re-derives, and a run
+//!   is a pure function of (engine, config).
 //! * Proven-plan promotion — a winning placement is instantiated via
 //!   [`duet_core::Duet::with_devices`] (which re-applies the §VI-E
 //!   single-device fallback guardrail), then must pass the D2xx plan
@@ -29,13 +26,11 @@
 //! Entry point: [`tune`] (or the `duet tune <model>` CLI).
 
 pub mod cache;
-pub mod cost;
 pub mod oracle;
 pub mod strategy;
 pub mod tuner;
 
 pub use cache::TuneCache;
-pub use cost::{Affine, AnalyticCostModel, Calibration, CostModel, FittedCostModel};
 pub use oracle::Oracle;
 pub use strategy::{
     BeamSearch, CriticalPathFirst, SearchContext, SearchResult, SearchStrategy, SimulatedAnnealing,

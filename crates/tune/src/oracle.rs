@@ -15,29 +15,23 @@ use duet_ir::Graph;
 use duet_runtime::Timeline;
 use duet_telemetry::registry::{TUNE_CANDIDATES, TUNE_ORACLE_WALL_US};
 
-use crate::cost::CostModel;
-
 /// A reusable placement evaluator over one fixed set of compiled
 /// subgraphs.
 #[derive(Debug, Clone)]
 pub struct Oracle {
     sim: Timeline,
-    /// Which cost model filled the execution table (for reports).
-    model_name: &'static str,
 }
 
 impl Oracle {
-    /// Analytic oracle over an engine's own timing core: every value it
+    /// Oracle over an engine's own timing core: every value it
     /// returns is the latency the engine would claim for that placement
     /// (the property the never-worse guarantee rides on).
     pub fn over(timeline: Timeline) -> Self {
-        Oracle {
-            sim: timeline,
-            model_name: "analytic",
-        }
+        Oracle { sim: timeline }
     }
 
-    /// Analytic oracle for callers without an engine.
+    /// Oracle over a timing core built here, for callers without an
+    /// engine.
     ///
     /// # Panics
     /// Panics if `subgraphs` do not cover `graph` (see
@@ -49,22 +43,6 @@ impl Oracle {
         )
     }
 
-    /// Oracle over `timeline`'s structure with the execution table
-    /// priced by `model` for `subgraphs` (the timeline's, in order).
-    /// Transfer prices stay analytic (the interconnect is not the kernel
-    /// cost model's to correct).
-    pub fn with_cost_model(
-        timeline: Timeline,
-        subgraphs: &[CompiledSubgraph],
-        model: &dyn CostModel,
-    ) -> Self {
-        Oracle {
-            sim: timeline
-                .with_exec_table(|i, device| model.subgraph_time_us(device, &subgraphs[i])),
-            model_name: model.name(),
-        }
-    }
-
     /// Number of subgraphs a candidate must place.
     pub fn len(&self) -> usize {
         self.sim.len()
@@ -73,11 +51,6 @@ impl Oracle {
     /// True when the oracle covers no subgraphs.
     pub fn is_empty(&self) -> bool {
         self.sim.is_empty()
-    }
-
-    /// Name of the cost model pricing the execution table.
-    pub fn model_name(&self) -> &'static str {
-        self.model_name
     }
 
     /// Memoized execution time of subgraph `i` on `device`, µs.

@@ -27,8 +27,7 @@ pub struct SearchContext<'a> {
 #[derive(Debug, Clone)]
 pub struct SearchResult {
     pub devices: Vec<DeviceKind>,
-    /// Oracle makespan of `devices`, µs (under the *search* oracle —
-    /// the tuner re-scores winners analytically).
+    /// Oracle makespan of `devices`, µs.
     pub makespan_us: f64,
     /// Oracle evaluations spent.
     pub evaluated: usize,

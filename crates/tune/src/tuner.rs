@@ -1,27 +1,24 @@
-//! The tuning pipeline: calibrate → search → re-score → prove → report.
+//! The tuning pipeline: search → prove → report.
 //!
 //! [`tune`] runs every strategy in the portfolio from Algorithm 1's
-//! placement, re-scores each winner under the *analytic* oracle (the
-//! fitted model only guides search — promoted plans must claim the
-//! latency the D503 occupancy check re-derives), instantiates the best
+//! placement on the engine's own [`duet_runtime::Timeline`] — the price
+//! the result is judged by, so a strategy's best makespan is already the
+//! latency the D503 occupancy check re-derives — instantiates the best
 //! placement via [`Duet::with_devices`] (re-applying the §VI-E
 //! single-device fallback guardrail), and gates promotion on the D2xx
-//! plan lints plus the exhaustive D5xx model check. The result is
-//! never worse than Algorithm 1: the seed placement is always a
-//! candidate, and the guardrail catches anything that only *looks*
-//! better under a miscalibrated model.
+//! plan lints plus the exhaustive D5xx model check. The result is never
+//! worse than Algorithm 1: the seed placement is always a candidate. The
+//! run reads nothing but its two arguments.
 
 use std::time::Instant;
 
 use duet_analysis::{lint_plan, LintConfig, ModelCheckConfig, ModelCheckOutcome, Report};
-use duet_compiler::CompiledSubgraph;
 use duet_core::{Duet, SchedulePlan};
 use duet_device::SystemModel;
 use duet_telemetry::registry::{
     TUNE_PROMOTIONS_ACCEPTED, TUNE_PROMOTIONS_REJECTED, TUNE_RUNS, TUNE_SEARCH_WALL_US,
 };
 
-use crate::cost::{Calibration, FittedCostModel};
 use crate::oracle::Oracle;
 use crate::strategy::{default_strategies, SearchContext};
 
@@ -32,10 +29,6 @@ pub struct TuneConfig {
     pub seed: u64,
     /// Oracle-evaluation budget *per strategy*.
     pub budget: usize,
-    /// Calibrate a fitted cost model from the engine's profiles (and
-    /// any `ExecSubgraph` telemetry spans) to guide the search. The
-    /// final ranking is analytic either way.
-    pub use_fitted: bool,
     pub lint: LintConfig,
     pub check: ModelCheckConfig,
 }
@@ -45,7 +38,6 @@ impl Default for TuneConfig {
         TuneConfig {
             seed: 0xD0E7,
             budget: 2000,
-            use_fitted: true,
             lint: LintConfig::default(),
             check: ModelCheckConfig::default(),
         }
@@ -56,7 +48,7 @@ impl Default for TuneConfig {
 #[derive(Debug, Clone)]
 pub struct StrategyReport {
     pub name: &'static str,
-    /// Analytic makespan of the strategy's best placement, µs.
+    /// Makespan of the strategy's best placement, µs.
     pub makespan_us: f64,
     /// Oracle evaluations the strategy spent.
     pub evaluated: usize,
@@ -76,14 +68,10 @@ pub struct TuneOutcome {
     /// the seed placement).
     pub winner: &'static str,
     pub strategies: Vec<StrategyReport>,
-    /// Total oracle evaluations across all strategies (incl. re-scores).
+    /// Total oracle evaluations: the seed placement plus every strategy's.
     pub candidates: usize,
     /// End-to-end tuning wall time, µs.
     pub wall_us: f64,
-    /// Cost model that guided the search ("analytic" or "fitted").
-    pub cost_model: &'static str,
-    /// (device, kernel-class) buckets the fitted model calibrated.
-    pub fitted_buckets: usize,
     /// Critical-path lower bound of the engine's subgraphs, µs.
     pub critical_path_lb_us: f64,
     /// Drift runs only ([`tune_drifted`]): the latency of the placement
@@ -145,11 +133,7 @@ impl std::fmt::Display for TuneOutcome {
             self.critical_path_lb_us / 1e3,
             self.tuned_us / self.critical_path_lb_us,
         )?;
-        writeln!(
-            f,
-            "  winner: {}   cost model: {} ({} fitted buckets)",
-            self.winner, self.cost_model, self.fitted_buckets,
-        )?;
+        writeln!(f, "  winner: {}", self.winner)?;
         for s in &self.strategies {
             writeln!(
                 f,
@@ -193,61 +177,34 @@ pub fn tune(engine: &Duet, cfg: &TuneConfig) -> TuneOutcome {
     let t0 = Instant::now();
     TUNE_RUNS.inc();
     let graph = engine.graph();
-    let system = engine.system();
-    let subgraphs: Vec<CompiledSubgraph> = engine.units().iter().map(|u| u.sg.clone()).collect();
-    let analytic = Oracle::over(engine.timeline().clone());
-
-    // Calibrate the search oracle from whatever measurements exist:
-    // the engine's own offline profiles plus any executor spans in the
-    // telemetry ring. Falls back to analytic when nothing fits.
-    let (search_oracle, fitted_buckets) = if cfg.use_fitted {
-        let mut cal = Calibration::new();
-        let profiles: Vec<_> = engine.units().iter().map(|u| u.profile.clone()).collect();
-        cal.add_profiles(system, graph, &subgraphs, &profiles);
-        cal.add_spans(system, graph, &subgraphs, &duet_telemetry::spans());
-        let fitted = FittedCostModel::fit(system.clone(), graph, &subgraphs, &cal);
-        let buckets = fitted.fitted_buckets();
-        if buckets > 0 {
-            (
-                Oracle::with_cost_model(engine.timeline().clone(), &subgraphs, &fitted),
-                buckets,
-            )
-        } else {
-            (analytic.clone(), 0)
-        }
-    } else {
-        (analytic.clone(), 0)
-    };
+    let oracle = Oracle::over(engine.timeline().clone());
 
     let seed_devices = engine.devices().to_vec();
     let mut best_devices = seed_devices.clone();
-    let mut best_us = analytic.evaluate(&seed_devices);
+    let mut best_us = oracle.evaluate(&seed_devices);
     let mut winner: &'static str = "algorithm1";
     let mut candidates = 1usize;
     let mut strategies = Vec::new();
     for s in default_strategies() {
         let st = Instant::now();
         let r = s.search(&SearchContext {
-            oracle: &search_oracle,
+            oracle: &oracle,
             seed_devices: &seed_devices,
             seed: cfg.seed,
             budget: cfg.budget,
         });
-        // Authoritative re-score: the fitted model proposes, the
-        // analytic simulator disposes.
-        let analytic_us = analytic.evaluate(&r.devices);
-        candidates += r.evaluated + 1;
-        if analytic_us < best_us {
-            best_us = analytic_us;
-            best_devices = r.devices.clone();
-            winner = s.name();
-        }
+        candidates += r.evaluated;
         strategies.push(StrategyReport {
             name: s.name(),
-            makespan_us: analytic_us,
+            makespan_us: r.makespan_us,
             evaluated: r.evaluated,
             wall_us: st.elapsed().as_secs_f64() * 1e6,
         });
+        if r.makespan_us < best_us {
+            best_us = r.makespan_us;
+            best_devices = r.devices;
+            winner = s.name();
+        }
     }
 
     // Promotion: instantiate (guardrail re-applies), lint, model-check.
@@ -271,8 +228,6 @@ pub fn tune(engine: &Duet, cfg: &TuneConfig) -> TuneOutcome {
         strategies,
         candidates,
         wall_us,
-        cost_model: search_oracle.model_name(),
-        fitted_buckets,
         critical_path_lb_us: engine.critical_path_lower_bound_us(),
         stale_us: None,
         tuned,

@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 use duet_analysis::{lint_plan, LintConfig, ModelCheckConfig};
 use duet_core::{Duet, SchedulePolicy};
 use duet_device::{DeviceKind, SystemModel};
-use duet_models::{input_feeds, zoo_model};
+use duet_models::{input_feeds, mlp, zoo_model, MlpConfig};
 use duet_tune::{
     tune, tune_drifted, BeamSearch, CriticalPathFirst, Oracle, SearchContext, SearchStrategy,
     SimulatedAnnealing, TuneConfig,
@@ -187,6 +187,35 @@ fn tuned_outputs_bit_identical_to_algorithm1() {
             );
         }
     }
+}
+
+/// `tune` is a pure function of (engine, config): what other engines
+/// executed in this process — and so left in the telemetry span ring —
+/// must not move the search, let alone its answer.
+#[test]
+fn tuning_ignores_what_else_ran_in_the_process() {
+    let engines: Vec<Duet> = ["resnet18", "siamese"].map(engine_for).into();
+    let tune_all = || -> Vec<(usize, Vec<usize>, String)> {
+        engines
+            .iter()
+            .map(|engine| {
+                let out = tune(engine, &TuneConfig::default());
+                let evaluated = out.strategies.iter().map(|s| s.evaluated).collect();
+                (out.candidates, evaluated, out.plan.to_json())
+            })
+            .collect()
+    };
+    let before = tune_all();
+    duet_telemetry::set_enabled(true);
+    let bystander = Duet::builder()
+        .no_fallback()
+        .build(&mlp(&MlpConfig::default()))
+        .unwrap();
+    let feeds = input_feeds(bystander.graph(), 1);
+    for _ in 0..5 {
+        bystander.run(&feeds).unwrap();
+    }
+    assert_eq!(before, tune_all());
 }
 
 fn shared_engine() -> &'static Duet {

@@ -225,13 +225,13 @@ fn main() {
                 );
             } else {
                 let engine = Duet::builder().build(&graph).expect("engine builds");
-                let sim = duet_runtime::simulate(
+                let (_, witness) = duet_runtime::simulate_witnessed(
                     engine.graph(),
                     engine.placed(),
                     engine.system(),
                     &mut duet_runtime::SimNoise::disabled(),
                 );
-                std::fs::write(path, duet_runtime::to_chrome_trace(model, &sim))
+                std::fs::write(path, duet_runtime::witness_to_chrome_trace(model, &witness))
                     .expect("trace written");
                 println!("timeline for {model} written to {path} (open in ui.perfetto.dev)");
             }
@@ -460,8 +460,6 @@ fn cmd_tune(rest: &[String]) {
             "speedup": out.speedup(),
             "speedup_vs_stale": out.speedup_vs_stale(),
             "winner": out.winner,
-            "cost_model": out.cost_model,
-            "fitted_buckets": out.fitted_buckets,
             "candidates": out.candidates,
             "wall_us": out.wall_us,
             "critical_path_lb_us": out.critical_path_lb_us,
