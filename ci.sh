@@ -67,12 +67,12 @@ echo "$DF_OUT" | awk '
   END { if (!found) { print "FAIL: no dataflow summary line"; exit 1 } }
 '
 
-step "duet-serve smoke (low-qps load, zero shed, bit-identity, witness)"
+step "duet-serve smoke (low-qps load, drift -> exactly one hot-swap, zero shed, bit-identity, witness)"
 METRICS_OUT="$(mktemp)"
 trap 'rm -f "$METRICS_OUT"' EXIT
 cargo run -q --release -p duet-serve --bin duet-serve -- \
   --model wide_deep --qps 25 --duration-ms 1200 --max-batch 4 \
-  --no-drift --require-zero-shed --metrics-out "$METRICS_OUT"
+  --require-zero-shed --metrics-out "$METRICS_OUT"
 
 step "prometheus exposition carries every pipeline stage"
 for family in \
@@ -142,12 +142,12 @@ trap 'rm -f "$METRICS_OUT" "$TUNE_A" "$TUNE_B" "$TUNE_METRICS"' EXIT
 # The CLI exits nonzero on a never-worse violation or failed promotion;
 # on the zoo the drift run must also strictly beat the stale plan.
 cargo run -q --release --bin duet -- tune wide_and_deep \
-  --drift --seed 51966 --json "$TUNE_A" --metrics-out "$TUNE_METRICS"
+  --drift --json "$TUNE_A" --metrics-out "$TUNE_METRICS"
 cargo run -q --release --bin duet -- tune mtdnn \
-  --drift --seed 51966 --json "$TUNE_B"
+  --drift --json "$TUNE_B"
 # Each fresh process must also reproduce its row of the committed results
-# file (regenerate it with `duet tune all --drift --seed 51966 --json
-# results/ext-autotune.json`): fixed-seed determinism, and a results file
+# file (regenerate it with `duet tune all --drift --json
+# results/ext-autotune.json`): a deterministic search, and a results file
 # that still describes the code.
 python3 - results/ext-autotune.json "$TUNE_A" "$TUNE_B" <<'PY'
 import json, sys

@@ -5,8 +5,9 @@
 //! queue: it polls for ready subgraphs, executes them, and triggers the
 //! subgraphs that depend on the results. The paper uses two child
 //! processes with a shared-memory queue; this reproduction uses two
-//! threads with lock-free MPMC channels (crossbeam) and a mutex-protected
-//! value store — same architecture, same dependency-triggered dataflow.
+//! threads with MPMC channels (the vendored `crossbeam` stand-in: a
+//! `Mutex<VecDeque>` and a `Condvar`) and a mutex-protected value store
+//! — same architecture, same dependency-triggered dataflow.
 //!
 //! As in the paper, everything structural is settled before the workers
 //! start: the executor holds the placement's [`Timeline`] — the engine's

@@ -39,7 +39,6 @@ struct Args {
     sla_ms: Option<u64>,
     seed: u64,
     drift: bool,
-    tune_on_drift: bool,
     closed: Option<usize>,
     require_zero_shed: bool,
     json: bool,
@@ -63,7 +62,6 @@ impl Default for Args {
             sla_ms: None,
             seed: 0x10ad,
             drift: true,
-            tune_on_drift: false,
             closed: None,
             require_zero_shed: false,
             json: false,
@@ -91,8 +89,6 @@ OPTIONS:
   --sla-ms MS           per-request SLA budget (default: none)
   --seed N              arrival/content seed (default 0x10ad)
   --no-drift            skip the half-time degraded-system injection
-  --tune-on-drift       answer confirmed drift with the duet-tune
-                        autotuner instead of recorrection alone
   --closed N            closed-loop mode with N workers instead of Poisson
   --require-zero-shed   fail (exit 7) if any request was shed
   --json                print the report as JSON too
@@ -145,7 +141,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--seed" => args.seed = val("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--no-drift" => args.drift = false,
-            "--tune-on-drift" => args.tune_on_drift = true,
             "--closed" => {
                 args.closed = Some(
                     val("--closed")?
@@ -322,7 +317,6 @@ fn main() {
         max_batch: args.max_batch,
         linger: Duration::from_micros(args.linger_us),
         queue_cap: args.queue_cap,
-        tune_on_drift: args.tune_on_drift,
         slo: args.slo_us.map(|limit_us| SloConfig {
             limit_us,
             window: args.slo_window,

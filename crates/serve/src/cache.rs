@@ -69,7 +69,11 @@ impl EngineVariant {
 /// Lazy per-batch engine cache for one model.
 pub struct PlanCache {
     spec: ModelSpec,
-    system: SystemModel,
+    /// The system variants are planned for: the registration-time one
+    /// until a replan is accepted, then that replan's — so a variant
+    /// first built after a hot-swap is planned like the ones that were
+    /// swapped. Only locked while `slots` is held.
+    system: Mutex<SystemModel>,
     /// Profiling repetitions for variant builds (serving builds trade a
     /// little profile fidelity for startup latency).
     profile_runs: (usize, usize),
@@ -83,7 +87,7 @@ impl PlanCache {
     pub fn new(spec: ModelSpec, system: SystemModel) -> Self {
         PlanCache {
             spec,
-            system,
+            system: Mutex::new(system),
             profile_runs: (120, 12),
             slots: Mutex::new(BTreeMap::new()),
             hits: AtomicU64::new(0),
@@ -115,7 +119,7 @@ impl PlanCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let graph = self.spec.graph_at(batch);
         let duet = Duet::builder()
-            .system(self.system.clone())
+            .system(self.system.lock().clone())
             .profile_runs(self.profile_runs.0, self.profile_runs.1)
             .build(&graph)
             .expect("serving model builds");
@@ -160,48 +164,8 @@ impl PlanCache {
                 rejected += 1;
             }
         }
-        (swapped, rejected)
-    }
-
-    /// Like [`PlanCache::recorrect_all`], but each candidate comes from
-    /// the full autotuner ([`duet_tune::tune_drifted`]) instead of
-    /// Algorithm 1's correction alone: re-correct under `system`, then
-    /// search the placement space from that seed. Never worse than the
-    /// plain re-correction (the tuner seeds with it), and held to a
-    /// *stricter* gate — the tuner's own D2xx+D5xx promotion must accept
-    /// the plan *and* the chaos-aware model check used for plain swaps
-    /// must pass. Returns `(swapped, rejected)` variant counts.
-    pub fn tune_all(&self, system: &SystemModel) -> (usize, usize) {
-        let slots = self.slots.lock();
-        let chaos = self.swap_chaos.lock();
-        let mut swapped = 0;
-        let mut rejected = 0;
-        // Bounded budget: this runs on the serving worker thread.
-        let cfg = duet_tune::TuneConfig {
-            budget: 400,
-            ..duet_tune::TuneConfig::default()
-        };
-        for cell in slots.values() {
-            let old = cell.load();
-            let outcome = duet_tune::tune_drifted(&old.duet, system.clone(), &cfg);
-            let clean = outcome.promoted
-                && match outcome.tuned.plan_model() {
-                    Ok(mut model) => {
-                        if let Some(f) = chaos.as_ref() {
-                            f(&mut model);
-                        }
-                        !check_plan_model(&model, &ModelCheckConfig::default())
-                            .report
-                            .has_errors()
-                    }
-                    Err(_) => false,
-                };
-            if clean {
-                cell.store(Arc::new(EngineVariant::from_duet(old.batch, outcome.tuned)));
-                swapped += 1;
-            } else {
-                rejected += 1;
-            }
+        if swapped > 0 {
+            *self.system.lock() = system.clone();
         }
         (swapped, rejected)
     }
@@ -312,44 +276,26 @@ mod tests {
     }
 
     #[test]
-    fn tune_all_publishes_engines_no_worse_than_recorrection() {
-        let c = cache();
-        let before = c.get_or_build(2);
-        let mut degraded = SystemModel::paper_server();
-        degraded.gpu.peak_gflops /= 12.0;
-        degraded.gpu.mem_bw_gbps /= 8.0;
-        degraded.gpu.kernel_launch_us *= 8.0;
-        assert_eq!(c.tune_all(&degraded), (1, 0));
-        let after = c.get_or_build(2);
-        assert!(
-            !Arc::ptr_eq(&before, &after),
-            "tuned swap must publish a new engine"
+    fn variant_built_after_a_swap_is_planned_for_the_swapped_system() {
+        let c = PlanCache::new(
+            ModelSpec::serving_zoo("wide_deep").unwrap(),
+            SystemModel::paper_server(),
         );
-        // Compare against what a plain recorrection would have served.
-        let replanned = before.duet.recorrect(degraded);
-        assert!(
-            after.duet.latency_us() <= replanned.latency_us(),
-            "tuned plan must be no worse than Algorithm 1's recorrection"
-        );
-    }
-
-    #[test]
-    fn dirty_tuned_plan_is_refused() {
-        let c = cache();
-        let before = c.get_or_build(2);
-        c.set_swap_chaos(|model| model.add_trigger(0, 0));
-        let mut degraded = SystemModel::paper_server();
-        degraded.gpu.peak_gflops /= 12.0;
+        c.get_or_build(1);
+        let degraded = crate::loadgen::degraded_gpu(&SystemModel::paper_server());
+        assert_eq!(c.recorrect_all(&degraded), (1, 0));
+        let late = c.get_or_build(2);
+        let json = |s: &SystemModel| serde_json::to_string(s).unwrap();
         assert_eq!(
-            c.tune_all(&degraded),
-            (0, 1),
-            "dirty tuned candidate must be rejected, not swapped"
+            json(late.duet.system()),
+            json(&degraded),
+            "a variant built after the swap must be planned for the deployed system"
         );
-        let after = c.get_or_build(2);
-        assert!(
-            Arc::ptr_eq(&before, &after),
-            "refused tuned swap keeps the old engine published"
-        );
+        // Its prediction is what it runs at under that system, so the
+        // drift monitor has nothing to fire a second swap on.
+        let deployed_us =
+            duet_runtime::measure_latency(late.duet.graph(), late.duet.placed(), &degraded);
+        assert_eq!(late.duet.latency_us().to_bits(), deployed_us.to_bits());
     }
 
     #[test]

@@ -161,8 +161,16 @@ impl Metrics {
     }
 
     /// Record one executed batch: its size, and each member request's
-    /// wall sojourn plus per-request virtual service share.
-    pub fn record_batch(&self, batch: usize, sojourns_us: &[f64], virtual_batch_us: f64) {
+    /// wall sojourn plus per-request virtual service share, booked to
+    /// `epoch` — the one the batch *ran* in, which a system injection
+    /// during the run has already left.
+    pub fn record_batch(
+        &self,
+        epoch: usize,
+        batch: usize,
+        sojourns_us: &[f64],
+        virtual_batch_us: f64,
+    ) {
         self.batches_executed.fetch_add(1, Ordering::Relaxed);
         self.completed
             .fetch_add(sojourns_us.len() as u64, Ordering::Relaxed);
@@ -174,7 +182,6 @@ impl Metrics {
             self.sojourn_us.record(s);
             tm::SERVE_SOJOURN_US.observe_us(s);
         }
-        let epoch = self.epoch();
         let per_request = virtual_batch_us / batch as f64;
         {
             let mut windows = self.epoch_service_us.lock();
@@ -291,9 +298,9 @@ mod tests {
     #[test]
     fn batches_are_histogrammed_and_normalized_per_request() {
         let m = Metrics::new();
-        m.record_batch(4, &[10.0, 11.0, 12.0, 13.0], 400.0);
-        m.record_batch(2, &[20.0, 21.0], 300.0);
-        m.record_batch(4, &[10.0, 11.0, 12.0, 13.0], 400.0);
+        m.record_batch(m.epoch(), 4, &[10.0, 11.0, 12.0, 13.0], 400.0);
+        m.record_batch(m.epoch(), 2, &[20.0, 21.0], 300.0);
+        m.record_batch(m.epoch(), 4, &[10.0, 11.0, 12.0, 13.0], 400.0);
         let s = m.snapshot();
         assert_eq!(s.batch_histogram, vec![(2, 1), (4, 2)]);
         assert_eq!(s.completed, 10);
@@ -308,14 +315,16 @@ mod tests {
     #[test]
     fn epoch_windows_partition_service_samples() {
         let m = Metrics::new();
-        m.record_batch(1, &[5.0], 100.0);
+        m.record_batch(m.epoch(), 1, &[5.0], 100.0);
         assert_eq!(m.bump_epoch(), 1);
-        m.record_batch(1, &[5.0], 900.0);
-        m.record_batch(1, &[5.0], 1100.0);
+        m.record_batch(m.epoch(), 1, &[5.0], 900.0);
+        m.record_batch(m.epoch(), 1, &[5.0], 1100.0);
         assert_eq!(m.bump_epoch(), 2);
-        m.record_batch(1, &[5.0], 200.0);
+        m.record_batch(m.epoch(), 1, &[5.0], 200.0);
+        // A batch that started before a bump is booked where it ran.
+        m.record_batch(1, 1, &[5.0], 1300.0);
         assert_eq!(m.epoch_service_stats(0).unwrap().p50(), 100.0);
-        assert_eq!(m.epoch_service_stats(1).unwrap().max(), 1100.0);
+        assert_eq!(m.epoch_service_stats(1).unwrap().max(), 1300.0);
         assert_eq!(m.epoch_service_stats(2).unwrap().p50(), 200.0);
         assert!(m.epoch_service_stats(3).is_none());
     }
@@ -324,7 +333,7 @@ mod tests {
     fn latency_windows_stay_bounded_under_sustained_load() {
         let m = Metrics::new();
         for i in 0..20_000u64 {
-            m.record_batch(4, &[i as f64; 4], 400.0);
+            m.record_batch(m.epoch(), 4, &[i as f64; 4], 400.0);
         }
         let s = m.snapshot();
         assert_eq!(s.completed, 80_000);

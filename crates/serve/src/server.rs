@@ -52,11 +52,6 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Drift detection tuning.
     pub feedback: FeedbackConfig,
-    /// When drift is confirmed, answer with the full autotuner
-    /// ([`PlanCache::tune_all`]) instead of Algorithm 1's recorrection
-    /// alone. Finds strictly better plans on most of the zoo under
-    /// drift, at a higher (but budget-bounded) swap cost.
-    pub tune_on_drift: bool,
     /// Per-request sojourn SLO; a burn (threshold breaches within the
     /// sliding window) fires the flight recorder. `None` disables SLO
     /// monitoring entirely.
@@ -77,7 +72,6 @@ impl Default for ServeConfig {
             linger: Duration::from_millis(2),
             queue_cap: 256,
             feedback: FeedbackConfig::default(),
-            tune_on_drift: false,
             slo: None,
             flight_dir: None,
         }
@@ -453,7 +447,6 @@ fn worker_loop(
                 &flight,
                 &mut monitor,
                 &mut slo,
-                &cfg,
             );
         }
     }
@@ -485,7 +478,6 @@ fn anomaly_payload(cache: &PlanCache, system: &SystemModel, trigger_trace: u64) 
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn execute_chunk(
     chunk: Vec<Pending>,
     cache: &PlanCache,
@@ -494,10 +486,13 @@ fn execute_chunk(
     flight: &FlightRecorder,
     monitor: &mut DriftMonitor,
     slo: &mut Option<SloMonitor>,
-    cfg: &ServeConfig,
 ) {
     let k = chunk.len();
     let variant = cache.get_or_build(k);
+    // Epoch before system: `inject_system` stores the system and then
+    // bumps the epoch, so a batch is never booked to the drifted epoch
+    // having run on the healthy system.
+    let epoch = metrics.epoch();
     let deployed = (*system.load()).clone();
 
     let fail_all = |chunk: Vec<Pending>, err: ServeError| {
@@ -545,8 +540,7 @@ fn execute_chunk(
         .iter()
         .map(|p| done.duration_since(p.enqueued).as_secs_f64() * 1e6)
         .collect();
-    let epoch = metrics.epoch();
-    metrics.record_batch(k, &sojourns_us, outcome.virtual_latency_us);
+    metrics.record_batch(epoch, k, &sojourns_us, outcome.virtual_latency_us);
 
     // Anchor for converting `Instant`s into the telemetry wall clock:
     // one sample serves every span of this batch.
@@ -573,11 +567,7 @@ fn execute_chunk(
         // Re-planning runs here, on the worker thread, in front of every
         // queued request: its wall time is the stall a hot-swap costs.
         let replan_start = Instant::now();
-        let (swapped, rejected) = if cfg.tune_on_drift {
-            cache.tune_all(&deployed)
-        } else {
-            cache.recorrect_all(&deployed)
-        };
+        let (swapped, rejected) = cache.recorrect_all(&deployed);
         tm::SERVE_SWAP_STALL_US.observe_us(replan_start.elapsed().as_secs_f64() * 1e6);
         if rejected > 0 {
             metrics.plan_swap_rejected(rejected as u64);

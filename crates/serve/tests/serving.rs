@@ -205,6 +205,25 @@ fn sustained_drift_hot_swaps_exactly_once_and_recovers() {
     for _ in 0..6 {
         assert_eq!(run_one(&server, &mut seed).epoch, 2);
     }
+    // Bursts of two form a batch size no variant exists for yet
+    // (registration built 1 and max_batch): it is built after the swap,
+    // so it must be planned for the deployed system — a variant planned
+    // for the registration-time one runs ~11x over its prediction and
+    // trips the monitor into a second swap.
+    let cache = server.cache(model).unwrap();
+    assert!(!cache.cached_batches().contains(&2));
+    for _ in 0..8 {
+        let burst = [spec.request_feeds(seed), spec.request_feeds(seed + 1)]
+            .map(|feeds| server.submit(model, feeds, None).unwrap());
+        seed += 2;
+        for handle in burst {
+            assert_eq!(handle.wait().unwrap().epoch, 2);
+        }
+    }
+    assert!(
+        cache.cached_batches().contains(&2),
+        "no burst coalesced into a batch of two"
+    );
 
     let snap = metrics.snapshot();
     assert_eq!(snap.plan_swaps, 1, "exactly one corrective swap");

@@ -341,11 +341,11 @@ pub static TUNE_PROMOTIONS_REJECTED: Counter = Counter::with_label(
 );
 pub static TUNE_ORACLE_WALL_US: Histogram = Histogram::new(
     "duet_tune_oracle_wall_us",
-    "Oracle wall time per candidate batch, microseconds",
+    "Wall time of one tune call's placement search, microseconds",
 );
 pub static TUNE_SEARCH_WALL_US: Histogram = Histogram::new(
     "duet_tune_search_wall_us",
-    "End-to-end wall time per strategy search, microseconds",
+    "End-to-end wall time per tune call (search and promotion), microseconds",
 );
 
 // ---- analysis ----

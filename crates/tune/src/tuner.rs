@@ -1,10 +1,10 @@
 //! The tuning pipeline: search → prove → report.
 //!
-//! [`tune`] runs every strategy in the portfolio from Algorithm 1's
-//! placement on the engine's own [`duet_runtime::Timeline`] — the price
-//! the result is judged by, so a strategy's best makespan is already the
-//! latency the D503 occupancy check re-derives — instantiates the best
-//! placement via [`Duet::with_devices`] (re-applying the §VI-E
+//! [`tune`] runs one beam search from Algorithm 1's placement on the
+//! engine's own [`duet_runtime::Timeline`] — the price the result is
+//! judged by, so the search's best makespan is already the latency the
+//! D503 occupancy check re-derives — instantiates the best placement
+//! via [`Duet::with_devices`] (re-applying the §VI-E
 //! single-device fallback guardrail), and gates promotion on the D2xx
 //! plan lints plus the exhaustive D5xx model check. The result is never
 //! worse than Algorithm 1: the seed placement is always a candidate. The
@@ -16,44 +16,24 @@ use duet_analysis::{lint_plan, LintConfig, ModelCheckConfig, ModelCheckOutcome, 
 use duet_core::{Duet, SchedulePlan};
 use duet_device::SystemModel;
 use duet_telemetry::registry::{
-    TUNE_PROMOTIONS_ACCEPTED, TUNE_PROMOTIONS_REJECTED, TUNE_RUNS, TUNE_SEARCH_WALL_US,
+    TUNE_ORACLE_WALL_US, TUNE_PROMOTIONS_ACCEPTED, TUNE_PROMOTIONS_REJECTED, TUNE_RUNS,
+    TUNE_SEARCH_WALL_US,
 };
 
 use crate::oracle::Oracle;
-use crate::strategy::{default_strategies, SearchContext};
+use crate::strategy::beam_search;
 
 /// Tuning knobs.
 #[derive(Debug, Clone)]
 pub struct TuneConfig {
-    /// RNG seed; the whole run is a pure function of (engine, config).
-    pub seed: u64,
-    /// Oracle-evaluation budget *per strategy*.
+    /// Oracle-evaluation budget for the search.
     pub budget: usize,
-    pub lint: LintConfig,
-    pub check: ModelCheckConfig,
 }
 
 impl Default for TuneConfig {
     fn default() -> Self {
-        TuneConfig {
-            seed: 0xD0E7,
-            budget: 2000,
-            lint: LintConfig::default(),
-            check: ModelCheckConfig::default(),
-        }
+        TuneConfig { budget: 2000 }
     }
-}
-
-/// One strategy's contribution to the run.
-#[derive(Debug, Clone)]
-pub struct StrategyReport {
-    pub name: &'static str,
-    /// Makespan of the strategy's best placement, µs.
-    pub makespan_us: f64,
-    /// Oracle evaluations the strategy spent.
-    pub evaluated: usize,
-    /// Search wall time, µs.
-    pub wall_us: f64,
 }
 
 /// Everything one tuning run produced.
@@ -64,11 +44,10 @@ pub struct TuneOutcome {
     pub algorithm1_us: f64,
     /// The tuned engine's fallback-resolved latency, µs.
     pub tuned_us: f64,
-    /// Which strategy found the winner ("algorithm1" when nothing beat
-    /// the seed placement).
+    /// Where the winning placement came from: "beam" when the search
+    /// beat the seed placement, "algorithm1" when nothing did.
     pub winner: &'static str,
-    pub strategies: Vec<StrategyReport>,
-    /// Total oracle evaluations: the seed placement plus every strategy's.
+    /// Oracle evaluations spent, the seed placement's included.
     pub candidates: usize,
     /// End-to-end tuning wall time, µs.
     pub wall_us: f64,
@@ -134,16 +113,6 @@ impl std::fmt::Display for TuneOutcome {
             self.tuned_us / self.critical_path_lb_us,
         )?;
         writeln!(f, "  winner: {}", self.winner)?;
-        for s in &self.strategies {
-            writeln!(
-                f,
-                "    {:<9} {:>10.3} ms   {:>6} evals   {:>8.1} ms wall",
-                s.name,
-                s.makespan_us / 1e3,
-                s.evaluated,
-                s.wall_us / 1e3,
-            )?;
-        }
         writeln!(
             f,
             "  search: {} candidates in {:.1} ms",
@@ -178,40 +147,20 @@ pub fn tune(engine: &Duet, cfg: &TuneConfig) -> TuneOutcome {
     TUNE_RUNS.inc();
     let graph = engine.graph();
     let oracle = Oracle::over(engine.timeline().clone());
-
-    let seed_devices = engine.devices().to_vec();
-    let mut best_devices = seed_devices.clone();
-    let mut best_us = oracle.evaluate(&seed_devices);
-    let mut winner: &'static str = "algorithm1";
-    let mut candidates = 1usize;
-    let mut strategies = Vec::new();
-    for s in default_strategies() {
-        let st = Instant::now();
-        let r = s.search(&SearchContext {
-            oracle: &oracle,
-            seed_devices: &seed_devices,
-            seed: cfg.seed,
-            budget: cfg.budget,
-        });
-        candidates += r.evaluated;
-        strategies.push(StrategyReport {
-            name: s.name(),
-            makespan_us: r.makespan_us,
-            evaluated: r.evaluated,
-            wall_us: st.elapsed().as_secs_f64() * 1e6,
-        });
-        if r.makespan_us < best_us {
-            best_us = r.makespan_us;
-            best_devices = r.devices;
-            winner = s.name();
-        }
-    }
+    let found = beam_search(&oracle, engine.devices(), cfg.budget);
+    TUNE_ORACLE_WALL_US.observe_us(t0.elapsed().as_secs_f64() * 1e6);
+    // The search replaces its seed only on a strict improvement.
+    let winner = if found.devices == engine.devices() {
+        "algorithm1"
+    } else {
+        "beam"
+    };
 
     // Promotion: instantiate (guardrail re-applies), lint, model-check.
-    let tuned = engine.with_devices(best_devices);
+    let tuned = engine.with_devices(found.devices);
     let plan = tuned.export_plan();
-    let lint = lint_plan(graph, &plan.to_facts(), &cfg.lint);
-    let check = tuned.check_plan(&cfg.check);
+    let lint = lint_plan(graph, &plan.to_facts(), &LintConfig::default());
+    let check = tuned.check_plan(&ModelCheckConfig::default());
     let promoted = !lint.has_errors() && !check.report.has_errors();
     if promoted {
         TUNE_PROMOTIONS_ACCEPTED.inc();
@@ -225,8 +174,7 @@ pub fn tune(engine: &Duet, cfg: &TuneConfig) -> TuneOutcome {
         algorithm1_us: engine.latency_us(),
         tuned_us: tuned.latency_us(),
         winner,
-        strategies,
-        candidates,
+        candidates: found.evaluated,
         wall_us,
         critical_path_lb_us: engine.critical_path_lower_bound_us(),
         stale_us: None,
@@ -279,10 +227,7 @@ mod tests {
     fn same_config_same_winner() {
         let g = zoo_model("siamese").unwrap();
         let engine = Duet::builder().build(&g).unwrap();
-        let cfg = TuneConfig {
-            budget: 400,
-            ..TuneConfig::default()
-        };
+        let cfg = TuneConfig { budget: 400 };
         let a = tune(&engine, &cfg);
         let b = tune(&engine, &cfg);
         assert_eq!(a.plan.to_json(), b.plan.to_json());

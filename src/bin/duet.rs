@@ -39,8 +39,8 @@ fn usage() -> ! {
          duet export-plan <model> <file>\n  duet apply-plan <model> <file>\n  \
          duet save <model> <file>\n  duet report-file <file>\n  duet explain <model>\n  \
          duet trace <model> <file> [--full]\n  \
-         duet tune <model|all> [--budget <n>] [--seed <n>] [--drift] [--cache <dir>] \
-         [--json <file>] [--metrics-out <file>]\n  \
+         duet tune <model|all> [--budget <n>] [--drift] [--json <file>] \
+         [--metrics-out <file>]\n  \
          duet insight render <dump-dir> <out.json>\n  \
          duet insight attribution <dump-dir>\n  \
          duet insight diff <dump-dir-a> <dump-dir-b>\n\nmodels: {}\npolicies: \
@@ -390,29 +390,18 @@ fn cmd_insight(rest: &[String]) {
 }
 
 /// `duet tune <model|all>` — search placements with the simulator
-/// oracle, prove the winner (D2xx + D5xx), optionally persist it, and
-/// report speedup vs Algorithm 1 — or, with `--drift`, vs the stale
-/// plan under a degraded deployment (the serving hot-swap scenario).
+/// oracle, prove the winner (D2xx + D5xx) and report speedup vs
+/// Algorithm 1 — or, with `--drift`, vs the stale plan under a degraded
+/// deployment (the serving hot-swap scenario).
 /// Exits nonzero if any run comes back worse than Algorithm 1 or fails
 /// promotion.
 fn cmd_tune(rest: &[String]) {
     let model = rest.first().map(String::as_str).unwrap_or_else(|| usage());
-    let cfg = duet_tune::TuneConfig {
-        seed: flag(rest, "--seed")
-            .map(|s| s.parse().expect("numeric --seed"))
-            .unwrap_or(0xD0E7),
-        budget: flag(rest, "--budget")
-            .map(|b| b.parse().expect("numeric --budget"))
-            .unwrap_or(2000),
-        ..duet_tune::TuneConfig::default()
-    };
+    let mut cfg = duet_tune::TuneConfig::default();
+    if let Some(budget) = flag(rest, "--budget") {
+        cfg.budget = budget.parse().expect("numeric --budget");
+    }
     let drift = rest.iter().any(|a| a == "--drift");
-    let cache = flag(rest, "--cache").map(|dir| {
-        duet_tune::TuneCache::open(&dir).unwrap_or_else(|e| {
-            eprintln!("cannot open tune cache {dir}: {e}");
-            std::process::exit(1);
-        })
-    });
     let names: Vec<&str> = if model == "all" {
         MODELS.to_vec()
     } else {
@@ -440,17 +429,6 @@ fn cmd_tune(rest: &[String]) {
         if !out.promoted || out.tuned_us > out.algorithm1_us {
             failed = true;
         }
-        if let Some(cache) = &cache {
-            if out.promoted {
-                match cache.store(&out.plan) {
-                    Ok(path) => println!("  cached: {}", path.display()),
-                    Err(e) => {
-                        eprintln!("  cache store failed: {e}");
-                        failed = true;
-                    }
-                }
-            }
-        }
         println!();
         rows.push(serde_json::json!({
             "model": out.model,
@@ -464,13 +442,6 @@ fn cmd_tune(rest: &[String]) {
             "wall_us": out.wall_us,
             "critical_path_lb_us": out.critical_path_lb_us,
             "promoted": out.promoted,
-            // Per-strategy search cost in oracle evaluations (wall time
-            // stays top-level only, keeping this block deterministic).
-            "strategies": out.strategies.iter().map(|s| serde_json::json!({
-                "name": s.name,
-                "makespan_us": s.makespan_us,
-                "evaluated": s.evaluated,
-            })).collect::<Vec<_>>(),
         }));
     }
 
