@@ -4,10 +4,16 @@
 //! worker per device. Each worker runs a loop over its own synchronization
 //! queue: it polls for ready subgraphs, executes them, and triggers the
 //! subgraphs that depend on the results. The paper uses two child
-//! processes with a shared-memory queue; this reproduction uses two
-//! threads with MPMC channels (the vendored `crossbeam` stand-in: a
+//! processes with a shared-memory queue; this reproduction runs one *lane*
+//! per device over MPMC channels (the vendored `crossbeam` stand-in: a
 //! `Mutex<VecDeque>` and a `Condvar`) and a mutex-protected value store
-//! — same architecture, same dependency-triggered dataflow.
+//! — same architecture, same dependency-triggered dataflow. The unit of
+//! concurrency is the lane, not the thread: the calling thread runs the
+//! lane of the device that owns the last subgraph, and the other device's
+//! lane gets a scoped thread only if the placement gives that device
+//! work. A single-device placement spawns nothing and hands nothing across
+//! threads; Fig. 9's long-lived worker is whoever calls — a serve worker,
+//! a `Duet::run` caller.
 //!
 //! As in the paper, everything structural is settled before the workers
 //! start: the executor holds the placement's [`Timeline`] — the engine's
@@ -107,7 +113,7 @@ struct Lane {
     spans: Vec<Span>,
 }
 
-/// Two-worker dependency-triggered executor for a placed schedule.
+/// Two-lane dependency-triggered executor for a placed schedule.
 pub struct HeterogeneousExecutor<'g> {
     graph: &'g Graph,
     placed: &'g [Placed],
@@ -125,9 +131,10 @@ impl<'g> HeterogeneousExecutor<'g> {
     /// boundary value or of a graph output makes every run return a typed
     /// error (see [`crate::validate_schedule`] to check up front).
     ///
-    /// The executor runs one worker thread per device and does not size
-    /// the kernel pool: that is as wide as the machine (`vendor/rayon`,
-    /// "Sizing") and process-wide. A worker blocked on its queue costs no
+    /// The executor runs one lane per device — on the caller's thread and
+    /// at most one scoped thread (module doc) — and does not size the
+    /// kernel pool: that is as wide as the machine (`vendor/rayon`,
+    /// "Sizing") and process-wide. A lane blocked on its queue costs no
     /// CPU; only while both lanes are inside kernels at once does the
     /// machine carry one runnable thread more than it has CPUs.
     pub fn new(graph: &'g Graph, placed: &'g [Placed], system: SystemModel) -> Self {
@@ -205,7 +212,7 @@ impl<'g> HeterogeneousExecutor<'g> {
         Ok((outcome, witness))
     }
 
-    /// Drive the full two-worker machinery — queues, triggers, virtual
+    /// Drive the full two-lane machinery — queues, triggers, virtual
     /// clocks — without computing any tensor numerics. `outputs` comes
     /// back empty; everything else (latency, task counts) is as a real
     /// run would produce. This makes the threaded engine's *scheduling*
@@ -372,13 +379,24 @@ impl<'g> HeterogeneousExecutor<'g> {
             }
             lane
         };
-        let worker = &worker;
-        let [cpu, gpu] = std::thread::scope(|scope| {
-            DeviceKind::both()
-                .map(|device| scope.spawn(move || worker(device)))
+        // The caller is the lane of the device that finishes the run — the
+        // last subgraph's — so its result is handed to no other thread; the
+        // other device gets a thread only if the placement gives it work.
+        let mine = devices.last().copied().unwrap_or(DeviceKind::Cpu);
+        let mut lanes = if devices.contains(&mine.other()) {
+            std::thread::scope(|scope| {
+                let other = scope.spawn(|| worker(mine.other()));
                 // A worker's panic continues here, as the scope's own would.
-                .map(|lane| lane.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-        });
+                let resume = |e| std::panic::resume_unwind(e);
+                [worker(mine), other.join().unwrap_or_else(resume)]
+            })
+        } else {
+            [worker(mine), Lane::default()]
+        };
+        if mine == DeviceKind::Gpu {
+            lanes.reverse();
+        }
+        let [cpu, gpu] = lanes;
 
         if let Some(e) = error.into_inner() {
             return Err(e);
@@ -544,6 +562,12 @@ mod tests {
         assert_eq!(real.virtual_latency_us.to_bits(), want);
         assert_eq!(virt.virtual_latency_us.to_bits(), want);
         assert_eq!(virt.breakdown, real.breakdown);
+        // Each lane's account comes back under its own device, whichever
+        // of the two the caller ran.
+        for device in DeviceKind::both() {
+            let placed_here = devices.iter().filter(|&&d| d == device).count();
+            assert_eq!(real.tasks_per_device[&device], placed_here, "{device}");
+        }
         let (_, sim_w) = simulate_witnessed(g, placed, &sys, &mut SimNoise::disabled());
         assert_eq!(exec_w.events.len(), sim_w.events.len());
         for sg in (0..placed.len()).map(Some).chain([None]) {
@@ -555,13 +579,35 @@ mod tests {
     fn single_device_runs_equal_the_timeline_bit_for_bit() {
         use DeviceKind::{Cpu, Gpu};
         let g = branchy();
-        // One worker drains one queue seeded in index order.
+        // One lane, the caller's, drains one queue seeded in index order;
+        // on the GPU pass the first device has no work.
         for device in [Cpu, Gpu] {
             let placed = on(split(&g, &["left", "right"]), &[device; 3]);
             assert_executor_is_the_timeline(&g, &placed);
             let whole = Compiler::default().compile_whole(&g, "whole");
             assert_executor_is_the_timeline(&g, &on(vec![whole], &[device]));
         }
+    }
+
+    /// The caller runs the lane of the last subgraph's device, whichever
+    /// that is, and the other device's lane runs on a thread.
+    #[test]
+    fn each_caller_lane_and_an_empty_placement_equal_the_timeline_bit_for_bit() {
+        use DeviceKind::{Cpu, Gpu};
+        let g = branchy();
+        for devices in [[Gpu, Gpu, Cpu], [Cpu, Cpu, Gpu]] {
+            let placed = on(split(&g, &["left", "right"]), &devices);
+            assert_executor_is_the_timeline(&g, &placed);
+        }
+        // No subgraph at all: the caller's lane stops at once and the
+        // source named as the output comes back as fed.
+        let mut b = GraphBuilder::new("sources", 2);
+        let x = b.input("x", vec![1, 16]);
+        let g = b.finish(&[x]).unwrap();
+        assert_executor_is_the_timeline(&g, &[]);
+        let feeds = input_feeds(&g, 3);
+        let exec = HeterogeneousExecutor::new(&g, &[], SystemModel::paper_server());
+        assert_eq!(exec.run(&feeds).unwrap().outputs[&x], feeds[&x]);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   noise). All evaluation figures and every price the scheduler, the
 //!   tuner and the engine take come from it; [`simulate`] and
 //!   [`measure_latency`] are its front ends for one finished placement.
-//! * [`HeterogeneousExecutor`] — the engine of §IV-D: one worker thread
-//!   per device polling its own synchronization queue, dependency-
-//!   triggered subgraph execution, real tensor numerics.
+//! * [`HeterogeneousExecutor`] — the engine of §IV-D: one lane per device
+//!   polling its own synchronization queue, dependency-triggered subgraph
+//!   execution, real tensor numerics. The caller's thread runs one lane;
+//!   the other device gets a thread only if the placement gives it work.
 //! * [`LatencyStats`] — mean and percentile statistics over repeated runs
 //!   (the paper reports P50/P99/P99.9 over 5000 runs).
 //! * [`ExecutionWitness`] — an ordered event log both engines can emit

@@ -29,7 +29,7 @@ use crate::timeline::{OutputEdge, Timeline};
 /// Which engine produced a witness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WitnessSource {
-    /// The threaded two-worker executor (real numerics + virtual clock).
+    /// The threaded two-lane executor (real numerics + virtual clock).
     Executor,
     /// The deterministic virtual-clock simulator.
     Simulator,

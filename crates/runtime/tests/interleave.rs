@@ -142,6 +142,18 @@ fn branchy4_survives_hundreds_of_interleavings() {
     stress(&g, &placed, 0..200, 120);
 }
 
+/// One device owns every subgraph: the caller runs the only lane and no
+/// thread is spawned, with the delays on the calling thread.
+#[test]
+fn single_device_placement_is_conformant_under_delays() {
+    let g = branchy4();
+    let mut placed = branchy4_placed(&g);
+    for p in &mut placed {
+        p.device = DeviceKind::Gpu;
+    }
+    stress(&g, &placed, 0..25, 120);
+}
+
 #[test]
 fn siamese_small_chunked_interleavings_are_conformant() {
     let g = siamese(&SiameseConfig::small());

@@ -24,6 +24,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use duet_device::SystemModel;
+use duet_ir::{Graph, Op};
 use duet_telemetry::registry as tm;
 use duet_telemetry::{clock_us, Span, SpanKind, TraceContext};
 use duet_tensor::Tensor;
@@ -213,7 +214,9 @@ impl ServeServer {
 
     /// Submit one request. `sla` is the request's end-to-end budget: if
     /// it elapses before execution starts, the request is shed with
-    /// [`ServeError::Expired`] instead of wasting a batch slot.
+    /// [`ServeError::Expired`] instead of wasting a batch slot. Feeds that
+    /// do not fit the model are refused here, before admission, so the
+    /// error reaches this caller and not the requests batched with it.
     pub fn submit(
         &self,
         model: &str,
@@ -225,6 +228,7 @@ impl ServeServer {
             .get(model)
             .ok_or_else(|| ServeError::UnknownModel(model.to_string()))?;
         handle.metrics.inc_submitted();
+        check_feeds(handle.cache.spec().reference(), &feeds)?;
         let now = Instant::now();
         let trace = TraceContext::root();
         let (tx, rx) = bounded(1);
@@ -356,6 +360,29 @@ impl Drop for ServeServer {
             }
         }
     }
+}
+
+/// A request must feed every input of the batch-1 `reference` graph with
+/// a tensor of exactly that input's shape (so: batch extent 1).
+fn check_feeds(reference: &Graph, feeds: &HashMap<String, Tensor>) -> Result<(), ServeError> {
+    let inputs = reference.nodes().iter();
+    for node in inputs.filter(|n| matches!(n.op, Op::Input)) {
+        let label = || node.label.clone();
+        let fed = feeds
+            .get(&node.label)
+            .ok_or_else(|| ServeError::MissingInput { label: label() })?;
+        if fed.shape() != &node.shape {
+            return Err(ServeError::BadShape {
+                label: label(),
+                msg: format!(
+                    "request feed {:?} does not match model input {:?}",
+                    fed.shape().dims(),
+                    node.shape.dims()
+                ),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Largest power of two `<= n` (n > 0).

@@ -13,6 +13,7 @@ use duet_device::SystemModel;
 use duet_serve::loadgen::degraded_gpu;
 use duet_serve::{FlightDump, ModelSpec, ServeConfig, ServeError, ServeServer, SloConfig};
 use duet_telemetry::SpanKind;
+use duet_tensor::Tensor;
 use proptest::prelude::*;
 
 fn server_for(model: &str, cfg: ServeConfig) -> ServeServer {
@@ -162,6 +163,51 @@ fn bounded_queue_sheds_bursts_beyond_capacity() {
     let m = server.metrics("mlp").unwrap().snapshot();
     assert_eq!(m.shed_queue_full, shed);
     assert_eq!(m.completed + m.shed_queue_full, 64);
+}
+
+/// A malformed request is refused at `submit`, to its own caller: it
+/// never reaches the batcher, where its error would have been handed to
+/// every request coalesced with it.
+#[test]
+fn malformed_request_is_refused_at_submit_and_fails_no_batch() {
+    let server = server_for(
+        "mlp",
+        ServeConfig {
+            max_batch: 8,
+            linger: Duration::from_millis(50),
+            ..ServeConfig::default()
+        },
+    );
+    let spec = ModelSpec::serving_zoo("mlp").unwrap();
+    let mut handles = Vec::new();
+    for i in 0..8u64 {
+        let mut feeds = spec.request_feeds(i);
+        if i == 3 {
+            feeds.insert("x".into(), Tensor::zeros(vec![2, 256]));
+            let refused = server.submit("mlp", feeds, None).unwrap_err();
+            assert!(matches!(refused, ServeError::BadShape { ref label, .. } if label == "x"));
+        } else {
+            handles.push((i, server.submit("mlp", feeds, None).unwrap()));
+        }
+    }
+    let missing = server.submit("mlp", Default::default(), None).unwrap_err();
+    assert_eq!(missing, ServeError::MissingInput { label: "x".into() });
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for (i, h) in handles {
+        let resp = h.wait().unwrap_or_else(|e| panic!("request {i}: {e}"));
+        let want = server.reference_run("mlp", &spec.request_feeds(i)).unwrap();
+        assert_eq!(resp.outputs.len(), want.len());
+        for (label, want) in &want {
+            assert_eq!(
+                bits(&resp.outputs[label]),
+                bits(want),
+                "request {i} {label}"
+            );
+        }
+    }
+    let m = server.metrics("mlp").unwrap().snapshot();
+    assert_eq!((m.submitted, m.completed, m.exec_errors), (9, 7, 0));
+    assert_eq!(server.metrics("mlp").unwrap().queue_depth(), 0);
 }
 
 /// The drift scenario, deterministically: serve on a healthy system,

@@ -2,7 +2,8 @@
 //! compiler → partitioner → profiler → scheduler → executor — produces
 //! numerically correct results and paper-consistent decisions.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Barrier;
 
 use duet::prelude::*;
 use duet_core::SchedulePolicy;
@@ -201,4 +202,59 @@ fn executor_distributes_work_across_devices() {
     // The big engine's schedule genuinely uses both devices.
     let devices: Vec<DeviceKind> = engine.placed().iter().map(|p| p.device).collect();
     assert!(devices.contains(&DeviceKind::Cpu) && devices.contains(&DeviceKind::Gpu));
+}
+
+/// Lanes run on their callers' threads and share the engine's arena pool:
+/// concurrent `Duet::run`s on one engine answer bit for bit as the same
+/// feeds do one after the other, whether the plan is one lane run inline
+/// or two lanes with a thread.
+#[test]
+fn concurrent_callers_of_one_engine_answer_as_serial_runs_do() {
+    const THREADS: u64 = 4;
+    const RUNS: usize = 50;
+    let fallback = Duet::builder().build(&siamese(&SiameseConfig::small()));
+    let both = Duet::builder()
+        .no_fallback()
+        .build(&wide_and_deep(&WideAndDeepConfig::small()));
+    for (engine, lanes) in [(fallback, 1), (both, 2)] {
+        let engine = engine.expect("engine builds");
+        let devices: HashSet<DeviceKind> = engine.placed().iter().map(|p| p.device).collect();
+        assert_eq!(devices.len(), lanes, "{}", engine.graph().name);
+        let bits = |feeds: &HashMap<_, _>| -> Vec<Vec<u32>> {
+            let outcome = engine.run(feeds).expect("inference runs");
+            let outputs = engine.graph().outputs().iter();
+            outputs
+                .map(|id| {
+                    outcome.outputs[id]
+                        .data()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect()
+                })
+                .collect()
+        };
+        // Distinct feeds per thread, answered serially first.
+        let serial: Vec<_> = (0..THREADS)
+            .map(|t| input_feeds(engine.graph(), 1000 + t))
+            .map(|feeds| (bits(&feeds), feeds))
+            .collect();
+        let start = Barrier::new(serial.len());
+        std::thread::scope(|scope| {
+            for (t, (want, feeds)) in serial.iter().enumerate() {
+                let (start, bits) = (&start, &bits);
+                scope.spawn(move || {
+                    start.wait();
+                    for r in 0..RUNS {
+                        assert_eq!(&bits(feeds), want, "thread {t} run {r}");
+                    }
+                });
+            }
+        });
+        // At most one arena per subgraph is out per caller at a time.
+        let created = engine.arena_stats().created;
+        assert!(
+            created <= THREADS * engine.placed().len() as u64,
+            "{created}"
+        );
+    }
 }
