@@ -11,13 +11,14 @@
 //!
 //! * **micro** — one microbenchmark per zoo family, shaped like the
 //!   family's dominant kernel (batch-1 linear for wide&deep, the LSTM
-//!   sequence for Siamese, attention GEMM for MT-DNN, im2col/1x1 convs
+//!   sequence for Siamese, attention GEMM for MT-DNN, 3x3/1x1 convs
 //!   for the CNNs, depthwise for MobileNet). The `duet-kernel-floor` CI
 //!   gate runs this section with fewer trials and enforces the floor.
 //! * **e2e** — every zoo model at test scale through the default fused
 //!   tape with a warm arena, so the end-to-end number includes all the
 //!   non-kernel machinery the speedup has to shine through.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use duet_compiler::passes::fuse_groups;
@@ -40,12 +41,74 @@ pub struct EngineBench {
     pub what: String,
     pub reference_us: f64,
     pub vectorized_us: f64,
+    /// Floating-point operations of one call, for the kernels on the GEMM
+    /// register tile (`matmul`, `conv2d`); 0 for the rest.
+    pub flops: f64,
 }
 
 impl EngineBench {
     pub fn speedup(&self) -> f64 {
         self.reference_us / self.vectorized_us
     }
+
+    /// Vectorized-engine rate at pool width, for a kernel with a FLOP count.
+    pub fn gflops(&self) -> Option<f64> {
+        (self.flops > 0.0).then(|| self.flops / (self.vectorized_us * 1e3))
+    }
+}
+
+/// The host's single-thread FMA peak in GFLOP/s, measured here and now:
+/// twelve independent `mul_add` chains over `[f32; 16]` lanes, best of
+/// `trials` short runs. The loop has the GEMM tile's shape — per step a
+/// scalar per chain times one vector — because that is the shape LLVM keeps
+/// in twelve registers, but its operands are 28 KB that never leave L1 and
+/// nothing is packed, stored or tiled around it. The operands go through
+/// `black_box`, so nothing folds or hoists; multipliers of a few percent
+/// keep every chain small and finite.
+pub fn fma_peak_gflops(trials: usize) -> f64 {
+    const CHAINS: usize = 12;
+    const LANES: usize = 16;
+    const STEPS: usize = 256;
+    const SWEEPS: usize = 256;
+    let scalars = black_box(vec![0.03f32; CHAINS * STEPS]);
+    let vectors = black_box(vec![[0.5f32; LANES]; STEPS]);
+    let rows: [&[f32]; CHAINS] = std::array::from_fn(|r| &scalars[r * STEPS..(r + 1) * STEPS]);
+    let us = best_us(trials, &mut || {
+        for _ in 0..SWEEPS {
+            let mut acc = [[0.0f32; LANES]; CHAINS];
+            for t in 0..STEPS {
+                for r in 0..CHAINS {
+                    let sv = rows[r][t];
+                    for l in 0..LANES {
+                        acc[r][l] = sv.mul_add(vectors[t][l], acc[r][l]);
+                    }
+                }
+            }
+            black_box(acc);
+        }
+    });
+    (2 * CHAINS * LANES * STEPS * SWEEPS) as f64 / (us * 1e3)
+}
+
+/// `matmul 128x256x256` with its region forced inline — the register tile
+/// on one thread — in GFLOP/s, best of `trials`. Divided by
+/// [`fma_peak_gflops`] from the same process it is a share of the machine
+/// that host speed cancels out of.
+pub fn matmul_one_thread_gflops(trials: usize) -> f64 {
+    let (m, k, n) = (128, 256, 256);
+    let a = Tensor::randn(vec![m, k], 1.0, 8);
+    let b = Tensor::randn(vec![k, n], 0.05, 9);
+    let mut out = vec![0.0f32; m * n];
+    let us = best_us(trials, &mut || {
+        rayon::inline_scope(|| kernels::matmul_into(a.data(), b.data(), &mut out, m, k, n))
+    });
+    2.0 * (m * k * n) as f64 / (us * 1e3)
+}
+
+/// Fastest of `trials` runs of `f`, in µs: the estimate of an undisturbed
+/// run on a host whose disturbances only ever add time.
+fn best_us(trials: usize, f: &mut dyn FnMut()) -> f64 {
+    (0..trials).map(|_| time(f)).fold(f64::INFINITY, f64::min)
 }
 
 /// Geometric mean of the speedups.
@@ -146,13 +209,14 @@ pub fn fork_join_speedups(pairs: usize) -> Vec<PoolBench> {
 /// The per-family microbenchmarks. `pairs` trials per engine each.
 pub fn micro_speedups(pairs: usize) -> Vec<EngineBench> {
     let mut out = Vec::new();
-    let mut push = |name: &'static str, what: &str, f: &mut dyn FnMut()| {
+    let mut push = |name: &'static str, what: &str, flops: usize, f: &mut dyn FnMut()| {
         let (r, v) = alternate(pairs, f);
         out.push(EngineBench {
             name,
             what: what.to_string(),
             reference_us: r,
             vectorized_us: v,
+            flops: flops as f64,
         });
     };
 
@@ -161,7 +225,7 @@ pub fn micro_speedups(pairs: usize) -> Vec<EngineBench> {
         let x = Tensor::randn(vec![1, 1024], 1.0, 1);
         let w = Tensor::randn(vec![1024, 1024], 0.05, 2);
         let b = Tensor::randn(vec![1024], 0.05, 3);
-        push("wide_and_deep", "linear 1x1024x1024", &mut || {
+        push("wide_and_deep", "linear 1x1024x1024", 0, &mut || {
             kernels::linear(&x, &w, Some(&b)).unwrap();
         });
     }
@@ -172,7 +236,7 @@ pub fn micro_speedups(pairs: usize) -> Vec<EngineBench> {
         let w_ih = Tensor::randn(vec![4 * hidden, input], 0.05, 5);
         let w_hh = Tensor::randn(vec![4 * hidden, hidden], 0.05, 6);
         let b = Tensor::randn(vec![4 * hidden], 0.05, 7);
-        push("siamese", "lstm seq16 128->128", &mut || {
+        push("siamese", "lstm seq16 128->128", 0, &mut || {
             kernels::lstm(&x, &w_ih, &w_hh, &b).unwrap();
         });
     }
@@ -180,7 +244,8 @@ pub fn micro_speedups(pairs: usize) -> Vec<EngineBench> {
     {
         let a = Tensor::randn(vec![128, 256], 1.0, 8);
         let b = Tensor::randn(vec![256, 256], 0.05, 9);
-        push("mtdnn", "matmul 128x256x256", &mut || {
+        let flops = 2 * 128 * 256 * 256;
+        push("mtdnn", "matmul 128x256x256", flops, &mut || {
             kernels::matmul(&a, &b).unwrap();
         });
     }
@@ -189,7 +254,8 @@ pub fn micro_speedups(pairs: usize) -> Vec<EngineBench> {
         let x = Tensor::randn(vec![1, 64, 28, 28], 1.0, 10);
         let w = Tensor::randn(vec![64, 64, 3, 3], 0.05, 11);
         let b = Tensor::randn(vec![64], 0.05, 12);
-        push("resnet18", "conv2d 64->64 28x28 k3", &mut || {
+        let flops = 2 * 64 * 64 * 9 * 28 * 28;
+        push("resnet18", "conv2d 64->64 28x28 k3", flops, &mut || {
             kernels::conv2d(&x, &w, Some(&b), 1, 1).unwrap();
         });
     }
@@ -198,15 +264,17 @@ pub fn micro_speedups(pairs: usize) -> Vec<EngineBench> {
         let x = Tensor::randn(vec![1, 256, 14, 14], 1.0, 13);
         let w = Tensor::randn(vec![64, 256, 1, 1], 0.05, 14);
         let b = Tensor::randn(vec![64], 0.05, 15);
-        push("resnet50", "conv2d 256->64 14x14 k1", &mut || {
+        let flops = 2 * 64 * 256 * 14 * 14;
+        push("resnet50", "conv2d 256->64 14x14 k1", flops, &mut || {
             kernels::conv2d(&x, &w, Some(&b), 1, 0).unwrap();
         });
     }
-    // vgg16: the im2col GEMM panel a VGG stage lowers to.
+    // vgg16: the GEMM a VGG stage lowers to.
     {
         let a = Tensor::randn(vec![256, 256], 1.0, 16);
         let b = Tensor::randn(vec![256, 256], 0.05, 17);
-        push("vgg16", "matmul 256x256x256", &mut || {
+        let flops = 2 * 256 * 256 * 256;
+        push("vgg16", "matmul 256x256x256", flops, &mut || {
             kernels::matmul(&a, &b).unwrap();
         });
     }
@@ -215,7 +283,7 @@ pub fn micro_speedups(pairs: usize) -> Vec<EngineBench> {
         let x = Tensor::randn(vec![1, 128, 28, 28], 1.0, 18);
         let w = Tensor::randn(vec![128, 1, 3, 3], 0.05, 19);
         let b = Tensor::randn(vec![128], 0.05, 20);
-        push("mobilenet", "depthwise 128ch 28x28 k3", &mut || {
+        push("mobilenet", "depthwise 128ch 28x28 k3", 0, &mut || {
             kernels::depthwise_conv2d(&x, &w, Some(&b), 1, 1).unwrap();
         });
     }
@@ -224,7 +292,8 @@ pub fn micro_speedups(pairs: usize) -> Vec<EngineBench> {
         let x = Tensor::randn(vec![1, 16, 28, 28], 1.0, 21);
         let w = Tensor::randn(vec![64, 16, 3, 3], 0.05, 22);
         let b = Tensor::randn(vec![64], 0.05, 23);
-        push("squeezenet", "conv2d 16->64 28x28 k3", &mut || {
+        let flops = 2 * 64 * 16 * 9 * 28 * 28;
+        push("squeezenet", "conv2d 16->64 28x28 k3", flops, &mut || {
             kernels::conv2d(&x, &w, Some(&b), 1, 1).unwrap();
         });
     }
@@ -272,6 +341,7 @@ pub fn e2e_speedups(pairs: usize) -> Vec<EngineBench> {
             what: "end-to-end inference".to_string(),
             reference_us: r,
             vectorized_us: v,
+            flops: 0.0,
         });
     }
     out
@@ -282,7 +352,14 @@ pub fn kernel_speed() -> serde_json::Value {
     println!("== Ext: vectorized kernel engine vs seed kernels ==\n");
 
     let micro = micro_speedups(15);
-    let mut t = Table::new(&["family", "kernel", "seed us", "vectorized us", "speedup"]);
+    let mut t = Table::new(&[
+        "family",
+        "kernel",
+        "seed us",
+        "vectorized us",
+        "speedup",
+        "GFLOP/s",
+    ]);
     for b in &micro {
         t.row(vec![
             b.name.to_string(),
@@ -290,13 +367,21 @@ pub fn kernel_speed() -> serde_json::Value {
             f3(b.reference_us),
             f3(b.vectorized_us),
             format!("{:.2}x", b.speedup()),
+            b.gflops().map_or(String::new(), |g| format!("{g:.1}")),
         ]);
     }
     println!("{t}");
     println!(
-        "micro geomean: {:.2}x over {} kernels\n",
+        "micro geomean: {:.2}x over {} kernels (GFLOP/s at pool width {})",
         geomean(&micro),
-        micro.len()
+        micro.len(),
+        rayon::current_num_threads()
+    );
+    let (peak, gemm) = (fma_peak_gflops(40), matmul_one_thread_gflops(40));
+    println!(
+        "roofline, one thread: FMA peak {peak:.1} GFLOP/s, matmul 128x256x256 {gemm:.1} GFLOP/s \
+         = {:.0} % of it\n",
+        100.0 * gemm / peak
     );
 
     let e2e = e2e_speedups(9);
@@ -327,6 +412,7 @@ pub fn kernel_speed() -> serde_json::Value {
                     "reference_us": b.reference_us,
                     "vectorized_us": b.vectorized_us,
                     "speedup": b.speedup(),
+                    "gflops": b.gflops(),
                 })
             })
             .collect::<Vec<_>>()
@@ -334,6 +420,9 @@ pub fn kernel_speed() -> serde_json::Value {
     json!({
         "micro": section(&micro),
         "micro_geomean": geomean(&micro),
+        "kernel_threads": rayon::current_num_threads(),
+        "fma_peak_gflops_one_thread": peak,
+        "matmul_128x256x256_gflops_one_thread": gemm,
         "e2e": section(&e2e),
         "e2e_geomean": geomean(&e2e),
     })

@@ -2,7 +2,7 @@
 //! execution, split the batched outputs back per request.
 //!
 //! Every kernel in the runtime is row-independent along the batch axis
-//! (blocked GEMM rows, per-sample im2col convolution, per-row softmax,
+//! (blocked GEMM rows, per-sample implicit-GEMM convolution, per-row softmax,
 //! per-sequence LSTM lanes), so the batched execution computes *exactly*
 //! the same floating-point operations in the same order per sample as a
 //! batch-1 run — merged outputs are bit-identical to individual runs,

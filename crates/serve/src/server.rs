@@ -586,36 +586,6 @@ fn execute_chunk(
     );
     batch_span.record();
 
-    // Feedback: measured vs predicted, both in the virtual domain. A
-    // sustained gap means the deployed system no longer matches the one
-    // the plans were corrected against → re-correct and hot-swap every
-    // cached variant, once.
-    if monitor.observe(outcome.virtual_latency_us, variant.duet.latency_us()) {
-        // Re-planning runs here, on the worker thread, in front of every
-        // queued request: its wall time is the stall a hot-swap costs.
-        let replan_start = Instant::now();
-        let (swapped, rejected) = cache.recorrect_all(&deployed);
-        tm::SERVE_SWAP_STALL_US.observe_us(replan_start.elapsed().as_secs_f64() * 1e6);
-        if rejected > 0 {
-            metrics.plan_swap_rejected(rejected as u64);
-            if flight.armed() {
-                flight.trigger(AnomalyRule::SwapRefused, || {
-                    anomaly_payload(cache, &deployed, 0)
-                });
-            }
-        }
-        if swapped > 0 {
-            metrics.plan_swap();
-            if flight.armed() {
-                flight.trigger(AnomalyRule::DriftSwap, || {
-                    anomaly_payload(cache, &deployed, 0)
-                });
-            }
-        }
-        metrics.bump_epoch();
-        monitor.reset();
-    }
-
     let plan_fingerprint = variant.plan.fingerprint;
     let model = cache.spec().name().to_string();
     for ((p, piece), sojourn_us) in chunk.into_iter().zip(pieces).zip(sojourns_us) {
@@ -714,6 +684,38 @@ fn execute_chunk(
             trace_id: tid,
             attribution,
         }));
+    }
+
+    // Feedback: measured vs predicted, both in the virtual domain. A
+    // sustained gap means the deployed system no longer matches the one
+    // the plans were corrected against → re-correct and hot-swap every
+    // cached variant, once. After the responses are out: this batch ran
+    // under the old plans and epoch, its `sojourn` was stamped at `done`,
+    // and its callers must not wait out a replan that stamp leaves out.
+    if monitor.observe(outcome.virtual_latency_us, variant.duet.latency_us()) {
+        // Re-planning runs here, on the worker thread, in front of every
+        // request still queued: its wall time is the stall a hot-swap costs.
+        let replan_start = Instant::now();
+        let (swapped, rejected) = cache.recorrect_all(&deployed);
+        tm::SERVE_SWAP_STALL_US.observe_us(replan_start.elapsed().as_secs_f64() * 1e6);
+        if rejected > 0 {
+            metrics.plan_swap_rejected(rejected as u64);
+            if flight.armed() {
+                flight.trigger(AnomalyRule::SwapRefused, || {
+                    anomaly_payload(cache, &deployed, 0)
+                });
+            }
+        }
+        if swapped > 0 {
+            metrics.plan_swap();
+            if flight.armed() {
+                flight.trigger(AnomalyRule::DriftSwap, || {
+                    anomaly_payload(cache, &deployed, 0)
+                });
+            }
+        }
+        metrics.bump_epoch();
+        monitor.reset();
     }
 }
 

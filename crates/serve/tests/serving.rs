@@ -292,6 +292,49 @@ fn sustained_drift_hot_swaps_exactly_once_and_recovers() {
     assert_eq!(resp.outputs, server.reference_run(model, &feeds).unwrap());
 }
 
+/// The batch whose observation trips the drift monitor has its outputs
+/// and its `sojourn` before the replan starts: its responses go out
+/// first. Every response computed under the stale plans (epoch 1) must
+/// therefore reach its caller while the model's swap count is still
+/// zero; a response held behind `recorrect_all` is received with the
+/// swap already booked. Six cached variants make the replan tens of
+/// milliseconds, far longer than a woken caller takes to read a counter.
+#[test]
+fn triggering_batch_is_answered_before_the_replan() {
+    let server = server_for("wide_and_deep", ServeConfig::default());
+    let model = "wide_and_deep";
+    let spec = ModelSpec::serving_zoo(model).unwrap();
+    let metrics = server.metrics(model).unwrap();
+    let cache = server.cache(model).unwrap();
+    for batch in 1..=6 {
+        cache.get_or_build(batch);
+    }
+    assert!(server.inject_system(model, degraded_gpu(&SystemModel::paper_server())));
+
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let mut stale_answers = 0;
+    for seed in 0u64.. {
+        assert!(Instant::now() < deadline, "feedback loop never fired");
+        let resp = server
+            .submit(model, spec.request_feeds(seed), None)
+            .unwrap()
+            .wait()
+            .unwrap();
+        let swaps_at_receipt = metrics.snapshot().plan_swaps;
+        if resp.epoch == 2 {
+            break;
+        }
+        assert_eq!(resp.epoch, 1);
+        assert_eq!(
+            swaps_at_receipt, 0,
+            "request {seed} ran under the stale plans and waited out the replan"
+        );
+        stale_answers += 1;
+    }
+    assert!(stale_answers > 0, "the swap fired before any drifted batch");
+    assert_eq!(metrics.snapshot().plan_swaps, 1);
+}
+
 /// Satellite (f)'s conformance hook: a witnessed request through the
 /// serving engines passes the D3xx runtime checks.
 #[test]

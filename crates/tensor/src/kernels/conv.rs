@@ -1,15 +1,17 @@
 //! Convolution and pooling kernels (NCHW layout).
 //!
-//! `conv2d` lowers to im2col + blocked GEMM — the same lowering TVM's CPU
-//! backend uses as a baseline schedule — so its FLOP profile matches the
-//! analytic cost model in `duet-device`.
-
-use std::sync::Mutex;
+//! `conv2d` is an implicit GEMM — `weight [c_out, c_in*kh*kw]` times the
+//! image's patch matrix, whose column strips the GEMM engine's chunks pack
+//! straight from the image (`Geometry::pack_patches`), so the im2col matrix
+//! is never materialized. Its FLOP profile is that of im2col + GEMM, the
+//! baseline schedule of TVM's CPU backend, which the analytic cost model in
+//! `duet-device` prices.
 
 use rayon::prelude::*;
 
 use super::gemm::gemm_into;
-use super::micro::fork_if_worthwhile;
+use super::micro::{fork_if_worthwhile, gemm_packed, LANE_OP_WORK, NR};
+use super::reference::reference_mode;
 use crate::{Tensor, TensorError};
 
 /// 2-D convolution. `x: [n, c_in, h, w]`, `weight: [c_out, c_in, kh, kw]`,
@@ -61,8 +63,8 @@ pub fn conv2d(
 }
 
 /// [`conv2d`] into a caller-provided buffer (`out` is overwritten; len
-/// `n * c_out * oh * ow`). Same im2col + blocked-GEMM lowering, so the
-/// bytes written are identical to the allocating entry point.
+/// `n * c_out * oh * ow`). The allocating entry point calls this one, so
+/// the bytes written are identical.
 pub fn conv2d_into(
     x: &Tensor,
     weight: &Tensor,
@@ -95,24 +97,37 @@ pub fn conv2d_into(
             actual: out.len(),
         });
     }
-    // One im2col + GEMM per image. Images split across the pool; within an
-    // image the im2col and the GEMM each split again (a batch-1 conv has one
-    // image, so all its parallelism is inside). No zero-fill pass: im2col
-    // writes every col element and gemm_into every output element.
+    // One GEMM per image: weight [c_out, patch] x patches [patch, opix] ->
+    // oimg [c_out, opix]. Images split across the pool; within an image the
+    // GEMM splits again (a batch-1 conv has one image, so all its
+    // parallelism is inside). No zero-fill pass: the GEMM writes every
+    // output element.
+    let geom = Geometry {
+        c_in,
+        h,
+        w,
+        kh,
+        kw,
+        stride,
+        padding,
+        ow,
+    };
     let pointwise = kh == 1 && kw == 1 && stride == 1 && padding == 0;
-    fork_if_worthwhile(n * c_out * patch * opix, || {
+    fork_if_worthwhile(n * c_out * patch * opix.next_multiple_of(NR), || {
         out.par_chunks_mut(c_out * opix)
             .enumerate()
             .for_each(|(img, oimg)| {
                 let ximg = &xd[img * c_in * h * w..(img + 1) * c_in * h * w];
-                // weight [c_out, patch] x col [patch, opix] -> oimg [c_out, opix]
                 if pointwise {
-                    // A 1x1 stride-1 conv's col matrix is the image itself.
+                    // A 1x1 stride-1 conv's patch matrix is the image itself.
                     gemm_into(wd, ximg, oimg, c_out, patch, opix);
+                } else if reference_mode() {
+                    // The seed lowering: the whole patch matrix, then its GEMM.
+                    let col = geom.patch_matrix(ximg, opix);
+                    gemm_into(wd, &col, oimg, c_out, patch, opix);
                 } else {
-                    with_col_scratch(patch * opix, |col| {
-                        im2col(ximg, col, h, w, kh, kw, stride, padding, oh, ow);
-                        gemm_into(wd, col, oimg, c_out, patch, opix);
+                    gemm_packed(wd, oimg, c_out, patch, opix, |p0, width, strip| {
+                        geom.pack_patches(ximg, p0, width, strip)
                     });
                 }
                 if let Some(b) = bd {
@@ -128,83 +143,80 @@ pub fn conv2d_into(
     Ok(())
 }
 
-/// Grow-only im2col buffers: a conv checks one out for the call and returns
-/// it, so steady-state inference allocates none. The list is process-wide
-/// rather than per-thread because the executor's device workers live for
-/// one inference; it never holds more buffers than convs ran at once.
-static COL_SCRATCH: Mutex<Vec<Vec<f32>>> = Mutex::new(Vec::new());
-
-fn with_col_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    const LOCK: &str = "col scratch list: push and pop cannot panic";
-    let mut buf = COL_SCRATCH.lock().expect(LOCK).pop().unwrap_or_default();
-    if buf.len() < len {
-        buf.resize(len, 0.0);
-    }
-    let result = f(&mut buf[..len]);
-    COL_SCRATCH.lock().expect(LOCK).push(buf);
-    result
-}
-
-/// Fork-gate weight of one im2col element, in GEMM multiply-adds: a
-/// row-at-a-time strided copy with its border logic moves ≈ 1 element per ns
-/// (903 k elements in 1.2 ms for the 128×28×28 3×3 conv), the tiled GEMM
-/// retires ≈ 20 multiply-adds in that time.
-const IM2COL_ELEMENT_WORK: usize = 16;
-
-/// `col[(ci*kh + ki)*kw + kj][oy*ow + ox] = x[ci][oy*stride + ki - padding][ox*stride + kj - padding]`
-/// (zero outside the image). Every element of `col` is written. The `kw`
-/// rows of one `(ci, ki)` pair are contiguous in `col` and make one chunk.
-#[allow(clippy::too_many_arguments)]
-fn im2col(
-    x: &[f32],
-    col: &mut [f32],
+/// Shape of one image's convolution, as the strip packer needs it.
+struct Geometry {
+    c_in: usize,
     h: usize,
     w: usize,
     kh: usize,
     kw: usize,
     stride: usize,
     padding: usize,
-    oh: usize,
     ow: usize,
-) {
-    let opix = oh * ow;
-    fork_if_worthwhile(col.len() * IM2COL_ELEMENT_WORK, || {
-        col.par_chunks_mut(kw * opix)
-            .enumerate()
-            .for_each(|(r, taps)| {
-                let (ci, ki) = (r / kh, r % kh);
-                let xplane = &x[ci * h * w..(ci + 1) * h * w];
-                for (kj, dst) in taps.chunks_mut(opix).enumerate() {
-                    for (oy, drow) in dst.chunks_mut(ow).enumerate() {
-                        let iy = (oy * stride + ki) as isize - padding as isize;
-                        if iy < 0 || iy as usize >= h {
-                            drow.fill(0.0);
-                            continue;
-                        }
-                        let xrow = &xplane[iy as usize * w..(iy as usize + 1) * w];
-                        if stride == 1 {
-                            // Contiguous tap: ix = ox + kj - padding, so the
-                            // in-bounds span is one memcpy with zero margins.
-                            let ox_lo = padding.saturating_sub(kj).min(ow);
-                            let ox_hi = (w + padding).saturating_sub(kj).min(ow).max(ox_lo);
-                            drow[..ox_lo].fill(0.0);
-                            drow[ox_hi..].fill(0.0);
-                            let ix0 = ox_lo + kj - padding;
-                            drow[ox_lo..ox_hi].copy_from_slice(&xrow[ix0..ix0 + (ox_hi - ox_lo)]);
-                        } else {
-                            for (ox, d) in drow.iter_mut().enumerate() {
-                                let ix = (ox * stride + kj) as isize - padding as isize;
-                                *d = if ix >= 0 && (ix as usize) < w {
-                                    xrow[ix as usize]
-                                } else {
-                                    0.0
-                                };
-                            }
-                        }
-                    }
+}
+
+impl Geometry {
+    /// The im2col index map restricted to output pixels `[p0, p0 + width)`
+    /// (flattened `oy * ow + ox`), written in the GEMM's strip layout:
+    /// `strip[((ci*kh + ki)*kw + kj) * NR + l] = x[ci][oy*stride + ki - padding][ox*stride + kj - padding]`
+    /// for pixel `p0 + l` (zero outside the image and in lanes `width..NR`).
+    /// Every element of `strip` is written.
+    ///
+    /// A tap `(ki, kj)` reads the same offsets of every channel plane, so
+    /// the index arithmetic is done once per tap, into a table of one source
+    /// offset per lane; the channel loop is a lookup through it, or one
+    /// 32-float copy where the strip's pixels sit in one image row away
+    /// from the border.
+    fn pack_patches(&self, x: &[f32], p0: usize, width: usize, strip: &mut [f32]) {
+        const OUTSIDE: usize = usize::MAX;
+        let (plane, taps) = (self.h * self.w, self.kh * self.kw);
+        let rows = strip.as_chunks_mut::<NR>().0;
+        debug_assert_eq!(rows.len(), self.c_in * taps);
+        for tap in 0..taps {
+            let (ki, kj) = (tap / self.kw, tap % self.kw);
+            // Where in a channel plane each lane reads; `OUTSIDE`, past the
+            // end of any plane, where it reads nothing.
+            let mut offsets = [OUTSIDE; NR];
+            for (l, offset) in offsets[..width].iter_mut().enumerate() {
+                let (oy, ox) = ((p0 + l) / self.ow, (p0 + l) % self.ow);
+                let iy = (oy * self.stride + ki).wrapping_sub(self.padding);
+                let ix = (ox * self.stride + kj).wrapping_sub(self.padding);
+                if iy < self.h && ix < self.w {
+                    *offset = iy * self.w + ix;
                 }
-            });
-    });
+            }
+            let first = offsets[0];
+            let contiguous = first != OUTSIDE && (0..NR).all(|l| offsets[l] == first + l);
+            for ci in 0..self.c_in {
+                let xplane = &x[ci * plane..(ci + 1) * plane];
+                let row = &mut rows[ci * taps + tap];
+                if contiguous {
+                    row.copy_from_slice(&xplane[first..first + NR]);
+                } else {
+                    for (d, &offset) in row[..width].iter_mut().zip(&offsets) {
+                        *d = xplane.get(offset).copied().unwrap_or(0.0);
+                    }
+                    row[width..].fill(0.0);
+                }
+            }
+        }
+    }
+
+    /// The `[patch, opix]` matrix of every strip side by side, row-major:
+    /// what the seed engine's GEMM multiplies.
+    fn patch_matrix(&self, x: &[f32], opix: usize) -> Vec<f32> {
+        let patch = self.c_in * self.kh * self.kw;
+        let mut col = vec![0.0f32; patch * opix];
+        let mut strip = vec![0.0f32; patch * NR];
+        for p0 in (0..opix).step_by(NR) {
+            let width = (opix - p0).min(NR);
+            self.pack_patches(x, p0, width, &mut strip);
+            for (r, row) in strip.as_chunks::<NR>().0.iter().enumerate() {
+                col[r * opix + p0..r * opix + p0 + width].copy_from_slice(&row[..width]);
+            }
+        }
+        col
+    }
 }
 
 fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {
@@ -243,20 +255,26 @@ fn pool2d(
     let ow = (w - window) / stride + 1;
     let xd = x.data();
     let mut out = vec![0.0f32; n * c * oh * ow];
-    fork_if_worthwhile(out.len() * window * window, || {
+    // Window rows outermost, so the inner loop is a running reduction along
+    // one output row over a strided input row; each output still takes its
+    // taps in (ky, kx) ascending order.
+    fork_if_worthwhile(out.len() * window * window * LANE_OP_WORK, || {
         out.par_chunks_mut(oh * ow)
             .enumerate()
             .for_each(|(plane, oplane)| {
                 let xplane = &xd[plane * h * w..(plane + 1) * h * w];
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = init;
-                        for ky in 0..window {
-                            for kx in 0..window {
-                                reduce(&mut acc, xplane[(oy * stride + ky) * w + ox * stride + kx]);
+                for (oy, orow) in oplane.chunks_mut(ow).enumerate() {
+                    orow.fill(init);
+                    for ky in 0..window {
+                        let xrow = &xplane[(oy * stride + ky) * w..][..w];
+                        for kx in 0..window {
+                            for (acc, tap) in orow.iter_mut().zip(xrow[kx..].chunks(stride)) {
+                                reduce(acc, tap[0]);
                             }
                         }
-                        oplane[oy * ow + ox] = finish(acc, window * window);
+                    }
+                    for acc in orow.iter_mut() {
+                        *acc = finish(*acc, window * window);
                     }
                 }
             });
@@ -358,7 +376,7 @@ pub fn depthwise_conv2d(
     let bd = bias.map(Tensor::data);
     let mut out = vec![0.0f32; n * c * oh * ow];
     // Each (image, channel) plane is independent: parallelise over planes.
-    fork_if_worthwhile(out.len() * kh * kw, || {
+    fork_if_worthwhile(out.len() * kh * kw * LANE_OP_WORK, || {
         out.par_chunks_mut(oh * ow)
             .enumerate()
             .for_each(|(plane, oplane)| {
@@ -621,6 +639,8 @@ pub fn batch_norm2d_inplace(
 mod tests {
     use super::*;
 
+    /// Direct convolution: one fused k-ascending chain per output, taps in
+    /// (channel, row, column) order, out-of-image taps skipped.
     fn naive_conv(x: &Tensor, w: &Tensor, stride: usize, padding: usize) -> Tensor {
         let (n, c_in, h, wd) = dims4(x);
         let (c_out, _, kh, kw) = dims4(w);
@@ -631,17 +651,18 @@ mod tests {
             for co in 0..c_out {
                 for oy in 0..oh {
                     for ox in 0..ow {
-                        let mut acc = 0.0;
+                        let mut acc = 0.0f32;
                         for ci in 0..c_in {
                             for ky in 0..kh {
                                 for kx in 0..kw {
-                                    let iy = (oy * stride + ky) as isize - padding as isize;
-                                    let ix = (ox * stride + kx) as isize - padding as isize;
-                                    if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < wd
-                                    {
-                                        acc += x.data()[((img * c_in + ci) * h + iy as usize) * wd
-                                            + ix as usize]
-                                            * w.data()[((co * c_in + ci) * kh + ky) * kw + kx];
+                                    let iy = (oy * stride + ky).wrapping_sub(padding);
+                                    let ix = (ox * stride + kx).wrapping_sub(padding);
+                                    if iy < h && ix < wd {
+                                        acc = w.data()[((co * c_in + ci) * kh + ky) * kw + kx]
+                                            .mul_add(
+                                                x.data()[((img * c_in + ci) * h + iy) * wd + ix],
+                                                acc,
+                                            );
                                     }
                                 }
                             }
@@ -655,13 +676,36 @@ mod tests {
     }
 
     #[test]
-    fn conv2d_matches_naive() {
-        let x = Tensor::randn(vec![2, 3, 8, 8], 1.0, 1);
-        let w = Tensor::randn(vec![4, 3, 3, 3], 1.0, 2);
-        for &(s, p) in &[(1, 0), (1, 1), (2, 1), (2, 0)] {
-            let fast = conv2d(&x, &w, None, s, p).unwrap();
-            let slow = naive_conv(&x, &w, s, p);
-            assert!(fast.approx_eq(&slow, 1e-3), "stride {s} pad {p}");
+    fn conv2d_bit_identical_to_naive() {
+        // Output rows of 7, 14, 28 and 56 pixels, none a divisor of the
+        // strip width, so strips start mid-row and span up to five rows;
+        // stride 1 and 2, padding 0, 1 and 3, the strided and the plain 1x1,
+        // two images; channel counts that leave row-tile and k tails.
+        // (images, c_in, c_out, h = w, kernel, stride, padding)
+        for &(n, c_in, c_out, hw, k, stride, padding) in &[
+            (1usize, 5usize, 7usize, 7usize, 3usize, 1usize, 1usize),
+            (1, 3, 13, 14, 3, 1, 1),
+            (2, 3, 7, 28, 3, 1, 1),
+            (1, 2, 5, 56, 3, 1, 1),
+            (1, 4, 9, 9, 3, 1, 0),
+            (2, 5, 7, 14, 3, 2, 1),
+            (1, 3, 8, 27, 7, 2, 3),
+            (1, 6, 14, 14, 1, 2, 0),
+            (1, 6, 14, 7, 1, 1, 0),
+            (1, 3, 4, 8, 3, 2, 0),
+        ] {
+            let x = Tensor::randn(vec![n, c_in, hw, hw], 1.0, 1);
+            let w = Tensor::randn(vec![c_out, c_in, k, k], 1.0, 2);
+            let fast = conv2d(&x, &w, None, stride, padding).unwrap();
+            let slow = naive_conv(&x, &w, stride, padding);
+            assert_eq!(fast.shape(), slow.shape());
+            for (i, (f, s)) in fast.data().iter().zip(slow.data()).enumerate() {
+                assert_eq!(
+                    f.to_bits(),
+                    s.to_bits(),
+                    "{c_in}->{c_out} {hw}x{hw} k{k} s{stride} p{padding} at {i}: {f} vs {s}"
+                );
+            }
         }
     }
 

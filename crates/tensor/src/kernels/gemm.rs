@@ -1,11 +1,12 @@
 //! General matrix multiplication: the workhorse kernel.
 //!
 //! The default engine is the register-tiled microkernel in [`super::micro`]
-//! (exact contract: bit-identical to the naive triple loop — see the
-//! module docs there). Setting reference mode (see [`super::reference`])
-//! routes every entry point through the seed scalar kernels instead, which
-//! is how the contract tests and the `duet-kernel-floor` gate get a
-//! same-process before/after comparison.
+//! over packed column strips (exact contract: bit-identical to the naive
+//! triple loop of `f32::mul_add` — see the module docs there). Setting
+//! reference mode (see [`super::reference`]) routes every entry point
+//! through the seed scalar kernels instead, which is how the contract tests
+//! and the `duet-kernel-floor` gate get a same-process before/after
+//! comparison.
 //!
 //! `linear` is dot-product shaped (`x @ w^T`), so it uses the lane-split
 //! reduction with the **ulp-bounded** contract rather than the exact one:
@@ -72,7 +73,7 @@ pub fn linear_into(
         }
         return;
     }
-    micro::fork_if_worthwhile(m * kin * nout, || {
+    micro::fork_if_worthwhile(m * kin * nout * micro::LANE_OP_WORK, || {
         out.par_chunks_mut(nout).enumerate().for_each(|(i, orow)| {
             micro::linear_row(&x[i * kin..(i + 1) * kin], w, bias, orow, kin)
         });
@@ -197,9 +198,9 @@ mod tests {
         let mut out = vec![0.0; m * n];
         for i in 0..m {
             for j in 0..n {
-                let mut acc = 0.0;
+                let mut acc = 0.0f32;
                 for t in 0..k {
-                    acc += a.data()[i * k + t] * b.data()[t * n + j];
+                    acc = a.data()[i * k + t].mul_add(b.data()[t * n + j], acc);
                 }
                 out[i * n + j] = acc;
             }
@@ -229,8 +230,10 @@ mod tests {
 
     #[test]
     fn matmul_exact_against_naive_bits() {
-        // The tiled engine's contract is exact identity, not approx.
-        for &(m, k, n) in &[(3, 5, 2), (33, 64, 17), (8, 128, 48)] {
+        // The tiled engine's contract is exact identity with the fused
+        // chain, not approx: strips of 17, 32 + 16 and 2 * 32 + 1 columns,
+        // row tiles of 3, 5 * 6 + 3 and 6 + 2 rows.
+        for &(m, k, n) in &[(3, 5, 2), (33, 64, 17), (8, 128, 48), (20, 147, 65)] {
             let a = Tensor::randn(vec![m, k], 1.0, (m + n) as u64);
             let b = Tensor::randn(vec![k, n], 1.0, (k + 1) as u64);
             let fast = matmul(&a, &b).unwrap();

@@ -11,12 +11,16 @@
 //! in `crates/tensor/tests/kernel_contract.rs` enforces them:
 //!
 //! * **Exact (`to_bits` identity).** The kernel performs each output
-//!   element's reduction as a single scalar accumulation chain in a fixed
-//!   (k-ascending) order, so the result is bit-identical to the naive loop
-//!   no matter how the kernel tiles rows/columns or how many threads run.
-//!   [`gemm_tiled`] is exact: register tiling changes *which* elements are
-//!   computed together, never the order of any one element's sum. Rust
-//!   never contracts `mul`+`add` into FMA, so this holds on every ISA.
+//!   element's reduction as a single fused multiply-add chain in a fixed
+//!   (k-ascending) order, `acc = a[t].mul_add(b[t], acc)` from `+0.0`, so
+//!   the result is bit-identical to the naive fused loop no matter how the
+//!   kernel tiles rows/columns or how many threads run. [`gemm_packed`] is
+//!   exact: register tiling changes *which* elements are computed together,
+//!   never the order of any one element's chain. The fusion is written, not
+//!   hoped for: Rust never contracts `a * b + c`, and IEEE 754 specifies
+//!   `fma` exactly (one rounding), so the bits are the same on every ISA —
+//!   a host without FMA hardware gets them from libm's software `fmaf`,
+//!   correctly and slowly.
 //! * **Ulp-bounded.** The kernel splits the k-reduction across `LANES`
 //!   independent partial sums (that's what makes a dot product
 //!   vectorizable), which reassociates the sum. [`dot_lanes`] and friends
@@ -26,6 +30,8 @@
 //!   structure is fixed, so the same inputs give the same bits on every
 //!   run, ISA and thread count.
 
+use std::sync::Mutex;
+
 use rayon::TileMut;
 
 /// Number of parallel f32 accumulator lanes for lane-split reductions.
@@ -34,35 +40,49 @@ use rayon::TileMut;
 /// with identical results.
 pub const LANES: usize = 8;
 
-/// Rows per register tile in [`gemm_tiled`].
-pub const MR: usize = 4;
-/// Columns per register tile in [`gemm_tiled`] (one AVX-512 f32 vector,
-/// two AVX2 vectors).
-pub const NR: usize = 16;
+/// Rows per register tile in [`gemm_packed`]. A core with two FMA pipes of
+/// 4-cycle latency needs eight independent chains in flight to keep both
+/// busy; `MR × NR / 16` = twelve 512-bit accumulators cover that with room
+/// for the loads, and together with the two B vectors and a broadcast fit
+/// the 32 vector registers of AVX-512.
+pub const MR: usize = 6;
+/// Columns per register tile in [`gemm_packed`] and width of a packed B
+/// strip: two AVX-512 f32 vectors. (With 256-bit vectors the tile is 24
+/// accumulators and at best half the rate; the bits are the same.)
+pub const NR: usize = 32;
 
-/// Rows per parallel work unit of the GEMM drivers: one block's rows of A
-/// (32 × k floats) stay L2-resident while its column tiles stream B.
-pub(crate) const ROW_BLOCK: usize = 32;
+/// The narrow tile, for a strip with at most `NR_NARROW` real columns (a
+/// feature map of 4×4 or less; the last strip of a 6×6 one): the same twelve
+/// accumulators turned to cover twice the rows with one vector each, so a
+/// strip that is mostly padding costs half. A serving-scale ResNet spends
+/// its deepest eight convolutions here (3×3 and 2×2 maps), where the old
+/// cascade's 8-, 4- and 1-wide tiles each made their own pass over the rows.
+const MR_NARROW: usize = 2 * MR;
+const NR_NARROW: usize = NR / 2;
 
-/// Chunks a GEMM region aims for per pool thread. With the two chunks per
-/// region the old 32-row split gave a 64-row GEMM, a worker that arrives
-/// late costs the caller half the kernel; at four per thread a straggler
-/// costs at most an eighth of it on two threads.
+/// Chunks a GEMM region aims for per pool thread. With two chunks per
+/// region a worker that arrives late costs the caller half the kernel; at
+/// four per thread a straggler costs at most an eighth of it on two threads.
 const CHUNKS_PER_THREAD: usize = 4;
 
-/// The fork gate: estimated inner-loop operations (multiply-adds for GEMM,
-/// convolution and linear; window taps for pooling and depthwise; weighted
-/// element moves for im2col) below which a parallel region runs inline on
-/// its caller. On the 2-vCPU benchmark host a fork/join costs ≈ 1 µs while
-/// a worker is still spinning (0.9 µs for an empty 8-chunk region) and, once
-/// it has parked, a futex wake plus a helper that arrives 50–100 µs late.
-/// The tiled GEMM retires ≈ 20 multiply-adds per ns on one thread, so 2²⁰
-/// operations are ≈ 50 µs of GEMM: the least work whose halving repays a
-/// cold fork. Slower-per-operation kernels (pooling, depthwise) take longer
-/// than that at the gate, which only errs towards forking later.
-/// `duet-kernel-floor` guards the choice: a serving-scale conv (5.3 M
-/// multiply-adds) must not run slower on the pool than inline.
-pub(crate) const FORK_MIN_WORK: usize = 1 << 20;
+/// The fork gate, in GEMM multiply-adds: estimated work below which a
+/// parallel region runs inline on its caller. On the 2-vCPU benchmark host
+/// a fork/join costs ≈ 1 µs while a worker is still spinning (0.9 µs for an
+/// empty 8-chunk region) and, once it has parked, a futex wake plus a helper
+/// that arrives 50–100 µs late. [`gemm_packed`] retires ≈ 60 multiply-adds
+/// per ns on one thread (`duet-kernel-floor` prints the measured rate and its
+/// share of the host's FMA peak), so 3·2²⁰ are ≈ 50 µs of GEMM: the least
+/// work whose halving repays a cold fork. `duet-kernel-floor` guards the
+/// choice: a serving-scale conv (5.3 M multiply-adds) must not run slower on
+/// the pool than inline.
+pub(crate) const FORK_MIN_WORK: usize = 3 << 20;
+
+/// Fork-gate weight, in GEMM multiply-adds, of one operation of the kernels
+/// that are not on the register tile: a lane-split dot-product multiply-add
+/// (`linear`, the seed GEMM), a pooling or depthwise window tap. They retire
+/// at most ≈ 20 per ns, a third of the tile's rate, so their regions fork
+/// from 2²⁰ of their own operations.
+pub(crate) const LANE_OP_WORK: usize = 3;
 
 /// Run `region` — code that submits `par_chunks_mut` / `par_tiles_mut`
 /// regions — on the pool if its estimated `work` passes [`FORK_MIN_WORK`],
@@ -208,141 +228,162 @@ pub fn linear_row_acc(xrow: &[f32], w: &[f32], orow: &mut [f32], kin: usize) {
     }
 }
 
-/// Register-tiled GEMM: `c = a @ b` (every element of `c` is written).
-///
-/// **Exact contract**: each `c[i][j]` is one scalar accumulation chain in
-/// strictly k-ascending order — bit-identical to the naive triple loop for
-/// every tile shape, chunk split and thread count. The tiling only decides
-/// which [`MR`]×[`NR`] block of independent chains advances together, so
-/// the per-element order never changes; what it buys is keeping those
-/// MR×NR accumulators in vector registers across the whole k loop instead
-/// of streaming the C row through memory k times.
-///
-/// The parallel work unit is a [`ROW_BLOCK`]-row × NR-multiple column panel
-/// of C (see [`chunk_cols`]); each chunk computes whole chains.
+/// Register-tiled GEMM over a row-major `b`: `c = a @ b` (every element of
+/// `c` is written). [`gemm_packed`] with the strip packer for a matrix that
+/// already exists in memory.
 pub fn gemm_tiled(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    debug_assert_eq!(b.len(), k * n);
+    gemm_packed(a, c, m, k, n, |j0, width, strip| {
+        for (t, dst) in strip.as_chunks_mut::<NR>().0.iter_mut().enumerate() {
+            dst[..width].copy_from_slice(&b[t * n + j0..t * n + j0 + width]);
+            dst[width..].fill(0.0);
+        }
+    });
+}
+
+/// The GEMM engine: `c = a @ B`, where `a` is `m × k` row-major and B
+/// (`k × n`) exists only as the [`NR`]-wide column strips `pack` writes.
+///
+/// `pack(j0, width, strip)` must fill `strip` (`k × NR`, row-major) with
+/// columns `[j0, j0 + width)` of B in lanes `0..width` of every row and zero
+/// in the rest: `matmul` copies them out of a row-major matrix, `conv2d`
+/// gathers them straight from the image, so the im2col matrix never exists.
+/// A strip is packed once per chunk and swept by every row tile of the
+/// chunk. A tail strip (`width < NR`) runs the same loop on its zero padding
+/// and stores only its `width` real columns — there is no cascade of ever
+/// narrower tiles, only the [`MR_NARROW`]×[`NR_NARROW`] shape for strips
+/// that are at least half padding.
+///
+/// **Exact contract**: each `c[i][j]` is one `f32::mul_add` chain over
+/// `t = 0..k` in ascending order, started from `+0.0` — bit-identical to the
+/// naive fused triple loop for every tile shape, chunk split and thread
+/// count. The tiling only decides which block of independent chains
+/// advances together; what it buys is keeping those accumulators in vector
+/// registers for the whole k loop.
+pub(crate) fn gemm_packed(
+    a: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    pack: impl Fn(usize, usize, &mut [f32]) + Sync,
+) {
     use rayon::prelude::*;
     debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
     if n == 0 || m == 0 {
         return;
     }
-    fork_if_worthwhile(m * k * n, || {
-        c.par_tiles_mut(n, ROW_BLOCK, chunk_cols(m, n))
-            .for_each(|(i0, j0, mut cblk)| gemm_chunk(a, b, &mut cblk, i0, j0, k, n));
+    let (rows, cols) = chunk_shape(m, n);
+    fork_if_worthwhile(m * k * n.next_multiple_of(NR), || {
+        c.par_tiles_mut(n, rows, cols)
+            .for_each(|(i0, j0, mut cblk)| gemm_chunk(a, &mut cblk, i0, j0, k, &pack));
     });
 }
 
-/// Column-panel width of a GEMM chunk: the widest multiple of [`NR`] that
-/// still yields [`CHUNKS_PER_THREAD`] chunks per pool thread, given the
-/// `m / ROW_BLOCK` row blocks — so a 64-row GEMM, which has only two row
-/// blocks, is cut along its columns as well.
-fn chunk_cols(m: usize, n: usize) -> usize {
+/// Rows × columns of a GEMM chunk. Columns split first, into whole strips: a
+/// chunk packs each of its strips once, so chunks that share columns repeat
+/// that packing, and the taller a chunk the more row tiles reuse one strip.
+/// Only when the strips are fewer than the [`CHUNKS_PER_THREAD`] chunks per
+/// pool thread a region aims for (a 7×7 feature map is two) are the rows
+/// cut as well, into whole tiles of either shape.
+fn chunk_shape(m: usize, n: usize) -> (usize, usize) {
     let want = CHUNKS_PER_THREAD * rayon::current_num_threads();
-    let panels = want
-        .div_ceil(m.div_ceil(ROW_BLOCK))
-        .clamp(1, n.div_ceil(NR));
-    n.div_ceil(panels).next_multiple_of(NR)
+    let strips = n.div_ceil(NR);
+    let strips_per_chunk = strips.div_ceil(want);
+    let panels = strips.div_ceil(strips_per_chunk);
+    let row_blocks = want.div_ceil(panels).min(m.div_ceil(MR_NARROW));
+    let rows = m.div_ceil(row_blocks).next_multiple_of(MR_NARROW);
+    (rows, strips_per_chunk * NR)
 }
 
-/// One chunk of the tiled GEMM: rows `[i0, i0 + cblk.rows())` × columns
-/// `[j0, j0 + cblk.cols())` of C. Column tiles run outermost so one k×NR
-/// panel of B is reused by every row tile in the block.
+/// One chunk of the GEMM: rows `[i0, i0 + cblk.rows())` × columns
+/// `[j0, j0 + cblk.cols())` of C, strip by strip. A strip of at most
+/// [`NR_NARROW`] real columns is swept by the narrow tile.
 fn gemm_chunk(
     a: &[f32],
-    b: &[f32],
     cblk: &mut TileMut<'_, f32>,
     i0: usize,
     j0: usize,
     k: usize,
-    n: usize,
+    pack: &(impl Fn(usize, usize, &mut [f32]) + Sync),
 ) {
-    let mut dj = 0;
-    let cols = cblk.cols();
-    while dj + NR <= cols {
-        tile_col::<NR>(a, b, cblk, i0, j0, dj, k, n);
-        dj += NR;
-    }
-    // Cascaded column tails: 8- then 4-wide tiles, then one 1–3-wide tile.
-    // Per-element order is k-ascending throughout, so the exact contract is
-    // preserved at every width. The narrow tiles keep MR chains in flight
-    // per B load where a per-row scalar chain would keep one.
-    if dj + 8 <= cols {
-        tile_col::<8>(a, b, cblk, i0, j0, dj, k, n);
-        dj += 8;
-    }
-    if dj + 4 <= cols {
-        tile_col::<4>(a, b, cblk, i0, j0, dj, k, n);
-        dj += 4;
-    }
-    match cols - dj {
-        0 => {}
-        1 => tile_col::<1>(a, b, cblk, i0, j0, dj, k, n),
-        2 => tile_col::<2>(a, b, cblk, i0, j0, dj, k, n),
-        _ => tile_col::<3>(a, b, cblk, i0, j0, dj, k, n),
-    }
-}
-
-/// One `NC`-wide column strip at chunk column `dj`: walks the chunk's rows
-/// in [`MR`]-row tiles.
-#[allow(clippy::too_many_arguments)]
-fn tile_col<const NC: usize>(
-    a: &[f32],
-    b: &[f32],
-    cblk: &mut TileMut<'_, f32>,
-    i0: usize,
-    j0: usize,
-    dj: usize,
-    k: usize,
-    n: usize,
-) {
-    let rows = cblk.rows();
-    let mut di = 0;
-    while di < rows {
-        match rows - di {
-            1 => tile::<1, NC>(a, b, cblk, i0, di, j0, dj, k, n),
-            2 => tile::<2, NC>(a, b, cblk, i0, di, j0, dj, k, n),
-            3 => tile::<3, NC>(a, b, cblk, i0, di, j0, dj, k, n),
-            _ => tile::<4, NC>(a, b, cblk, i0, di, j0, dj, k, n),
+    let (rows, cols) = (cblk.rows(), cblk.cols());
+    let arows = &a[i0 * k..(i0 + rows) * k];
+    with_pack_scratch(k * NR, |strip| {
+        for dj in (0..cols).step_by(NR) {
+            let width = (cols - dj).min(NR);
+            pack(j0 + dj, width, strip);
+            if width > NR_NARROW {
+                for di in (0..rows).step_by(MR) {
+                    tile::<MR, NR>(arows, strip, cblk, di, dj, width, k);
+                }
+            } else {
+                for di in (0..rows).step_by(MR_NARROW) {
+                    tile::<MR_NARROW, NR_NARROW>(arows, strip, cblk, di, dj, width, k);
+                }
+            }
         }
-        di += (rows - di).min(MR);
-    }
+    });
 }
 
-/// One `R`×`NC` register tile: R rows of A against an NC-wide panel of B,
-/// accumulators held in `[[f32; NC]; R]` for the entire k loop, then stored.
-#[inline]
-#[allow(clippy::too_many_arguments)]
+/// One `R`×`NC` register tile: chunk rows `di..di + R` (rows of `arows`, `k`
+/// apart) against lanes `0..NC` of a packed strip, accumulators held in
+/// `[[f32; NC]; R]` for the entire k loop, then the strip's `width` real
+/// columns stored at column `dj`. Below the chunk's last row the tile runs
+/// on a repeat of it and stores nothing — like the zero lanes right of a
+/// tail strip, chains that are computed and dropped, so that one shape of
+/// loop serves every edge.
+///
+/// Never inlined: on its own the k loop gets twelve accumulator registers;
+/// merged into the chunk's strip and row loops it was measured a third
+/// slower (the same source, 95 vs 140 GFLOP/s on one thread).
+#[inline(never)]
 fn tile<const R: usize, const NC: usize>(
-    a: &[f32],
-    b: &[f32],
+    arows: &[f32],
+    strip: &[f32],
     cblk: &mut TileMut<'_, f32>,
-    i0: usize,
-    di0: usize,
-    j0: usize,
+    di: usize,
     dj: usize,
+    width: usize,
     k: usize,
-    n: usize,
 ) {
-    let mut arows = [&a[..0]; R];
-    for (r, arow) in arows.iter_mut().enumerate() {
-        let row = i0 + di0 + r;
-        *arow = &a[row * k..(row + 1) * k];
-    }
+    let real = (cblk.rows() - di).min(R);
+    let arows: [&[f32]; R] = std::array::from_fn(|r| {
+        let row = di + r.min(real - 1);
+        &arows[row * k..(row + 1) * k]
+    });
+    let strip = &strip.as_chunks::<NR>().0[..k];
     let mut acc = [[0.0f32; NC]; R];
     for t in 0..k {
-        let bv = <&[f32; NC]>::try_from(&b[t * n + j0 + dj..t * n + j0 + dj + NC]).unwrap();
         for r in 0..R {
             let av = arows[r][t];
             for l in 0..NC {
-                acc[r][l] += av * bv[l];
+                acc[r][l] = av.mul_add(strip[t][l], acc[r][l]);
             }
         }
     }
-    for (r, accrow) in acc.iter().enumerate() {
-        cblk.row_mut(di0 + r)[dj..dj + NC].copy_from_slice(accrow);
+    for (r, accrow) in acc[..real].iter().enumerate() {
+        cblk.row_mut(di + r)[dj..dj + width].copy_from_slice(&accrow[..width]);
     }
+}
+
+/// Grow-only strip buffers: a GEMM chunk checks one out and returns it, so
+/// steady-state inference allocates none. The list is process-wide rather
+/// than per-thread because a chunk runs on whichever thread claims it — a
+/// pool worker, or an executor lane that lives for one run — and it never
+/// holds more buffers than chunks ran at once.
+static PACK_SCRATCH: Mutex<Vec<Vec<f32>>> = Mutex::new(Vec::new());
+
+fn with_pack_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    const LOCK: &str = "pack scratch list: push and pop cannot panic";
+    let mut buf = PACK_SCRATCH.lock().expect(LOCK).pop().unwrap_or_default();
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    let result = f(&mut buf[..len]);
+    PACK_SCRATCH.lock().expect(LOCK).push(buf);
+    result
 }
 
 #[cfg(test)]
@@ -379,14 +420,18 @@ mod tests {
 
     #[test]
     fn gemm_tiled_bit_identical_to_naive() {
-        // Column tails n % 4 in {1, 2, 3} below and above one register
-        // tile, with m on both sides of ROW_BLOCK.
-        let tails = [1, 2, 3, 5, 49, 50, 51];
-        let shapes = [(1, 1, 1), (3, 5, 2), (7, 33, 17), (40, 64, 50), (4, 16, 16)]
+        // Every residue of the tile geometry: n % NR in {0, 1, 15, 16, 17,
+        // 31} — both sides of the narrow tile's width — below and above one
+        // strip; m % MR in 0..MR with m below one chunk, across a few (the
+        // rows split when strips are few) and far past; k of one step, a
+        // round number and the stem's 147.
+        let ms = [1, 2, 3, 4, 5, 6, 7, 12, 13, 50, 100];
+        let ns = [1, 15, 16, 17, 31, 32, 33, 36, 47, 63, 64, 65, 113];
+        for (m, n, k) in ms
             .into_iter()
-            .chain(tails.map(|n| (7, 19, n)))
-            .chain(tails.map(|n| (ROW_BLOCK + 9, 19, n)));
-        for (m, k, n) in shapes {
+            .flat_map(|m| ns.into_iter().map(move |n| (m, n)))
+            .flat_map(|(m, n)| [1, 64, 147].into_iter().map(move |k| (m, n, k)))
+        {
             let a: Vec<f32> = (0..m * k)
                 .map(|i| ((i * 37 % 97) as f32 - 48.0) / 7.0)
                 .collect();
@@ -399,7 +444,7 @@ mod tests {
                 for j in 0..n {
                     let mut acc = 0.0f32;
                     for t in 0..k {
-                        acc += a[i * k + t] * b[t * n + j];
+                        acc = a[i * k + t].mul_add(b[t * n + j], acc);
                     }
                     assert_eq!(
                         c[i * n + j].to_bits(),

@@ -2,16 +2,17 @@
 //!
 //! Each kernel validates shapes and writes its output in one pass. The
 //! `_into` entry points the tape runs allocate nothing per call: outputs are
-//! caller-owned, the one kernel temporary — `conv2d_into`'s im2col matrix —
-//! is borrowed from a grow-only process-wide list, and a parallel region is
-//! described by a pointer and a chunk geometry, not a chunk list (one that
-//! forks allocates its job header, nothing else). The tensor-returning
-//! wrappers allocate their result, once.
+//! caller-owned, the one kernel temporary — the packed B strip of a GEMM
+//! chunk, `k × 32` floats — is borrowed from a grow-only process-wide list,
+//! and a parallel region is described by a pointer and a chunk geometry, not
+//! a chunk list (one that forks allocates its job header, nothing else). The
+//! tensor-returning wrappers allocate their result, once.
 //!
 //! Heavy kernels split their output across the global kernel pool
-//! (`vendor/rayon`: as wide as the machine): GEMM into row-block ×
-//! column-panel chunks, conv2d into images and then into im2col channel rows
-//! and GEMM chunks, depthwise and pooling into planes, `linear` into rows.
+//! (`vendor/rayon`: as wide as the machine): GEMM into column-panel ×
+//! row-block chunks that each pack their own strips, conv2d into images and
+//! then into those GEMM chunks, depthwise and pooling into planes, `linear`
+//! into rows.
 //! Every split goes through one fork gate, `micro::fork_if_worthwhile`: a
 //! region whose estimated work is below `FORK_MIN_WORK` runs inline on its
 //! caller. Each output element is produced by exactly one reduction,
@@ -20,7 +21,8 @@
 //!
 //! The arithmetic engine lives in [`micro`]: lane-chunked, register-tiled
 //! microkernels with documented reduction-order contracts (exact `to_bits`
-//! identity where reassociation-free, ulp-bounded where the k-reduction is
+//! identity where reassociation-free — GEMM and conv2d, one fused
+//! multiply-add chain per output — ulp-bounded where the k-reduction is
 //! lane-split). [`set_reference_mode`] routes the heavy kernels through the
 //! seed scalar implementations instead — the oracle for contract tests and
 //! the baseline for the `duet-kernel-floor` CI gate.

@@ -1,9 +1,14 @@
 //! Reference (pre-vectorization) kernels and the global reference-mode
 //! switch.
 //!
-//! These are the seed implementations of the heavy kernels, kept verbatim:
-//! the cache-blocked zero-skipping accumulate GEMM and the serial
-//! one-chain-per-output linear. They serve two roles:
+//! These are the seed implementations of the heavy kernels: the
+//! cache-blocked zero-skipping accumulate GEMM and the serial
+//! one-chain-per-output linear, kept as they were but for one thing — the
+//! GEMM's axpy step is `f32::mul_add`, as the register tile's is, so that
+//! the exact contract between the two engines is a statement about loop
+//! structure and not about who fuses. (`conv2d` in reference mode builds
+//! the whole patch matrix and multiplies it here: the seed lowering.) They
+//! serve two roles:
 //!
 //! 1. **Numeric oracle.** The ulp-bounded contract of the lane-split
 //!    kernels (see `micro.rs`) is stated *against these*: the contract
@@ -21,7 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use rayon::prelude::*;
 
-use super::micro::fork_if_worthwhile;
+use super::micro::{fork_if_worthwhile, LANE_OP_WORK};
 
 static REFERENCE_MODE: AtomicBool = AtomicBool::new(false);
 
@@ -43,7 +48,7 @@ const ROW_BLOCK: usize = 32;
 const K_BLOCK: usize = 256;
 
 /// Seed blocked GEMM, accumulating into `c` (`c` must be pre-zeroed).
-/// i-k-j loop order with an axpy inner loop straight through memory.
+/// i-k-j loop order with a fused axpy inner loop straight through memory.
 pub(crate) fn gemm_acc_ref(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -52,7 +57,7 @@ pub(crate) fn gemm_acc_ref(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usi
         gemm_block(a, b, c, 0, m, k, n);
         return;
     }
-    fork_if_worthwhile(m * k * n, || {
+    fork_if_worthwhile(m * k * n * LANE_OP_WORK, || {
         c.par_chunks_mut(ROW_BLOCK * n)
             .enumerate()
             .for_each(|(blk, cblk)| {
@@ -78,7 +83,7 @@ fn gemm_block(a: &[f32], b: &[f32], cblk: &mut [f32], i0: usize, rows: usize, k:
                 }
                 let brow = &b[t * n..(t + 1) * n];
                 for (cv, bv) in crow.iter_mut().zip(brow.iter()) {
-                    *cv += aval * bv;
+                    *cv = aval.mul_add(*bv, *cv);
                 }
             }
         }
@@ -112,7 +117,7 @@ pub(crate) fn linear_into_ref(
         }
         return;
     }
-    fork_if_worthwhile(m * kin * nout, || {
+    fork_if_worthwhile(m * kin * nout * LANE_OP_WORK, || {
         out.par_chunks_mut(nout)
             .enumerate()
             .for_each(|(i, orow)| row(i, orow));

@@ -5,11 +5,13 @@
 //! `kernels/reference.rs`):
 //!
 //! * **Exact (`to_bits` identity).** GEMM (and everything lowered onto it:
-//!   `matmul`, `conv2d`) and the depthwise convolution compute each output
-//!   element as one scalar accumulation chain in a fixed k-ascending
-//!   order. Tiling and lane-chunking change which elements advance
-//!   together, never the order within one element's chain, so the
-//!   vectorized engine must reproduce the seed bytes bit-for-bit.
+//!   `matmul`, `conv2d`) computes each output element as one fused
+//!   multiply-add chain, `acc = a.mul_add(b, acc)`, in a fixed k-ascending
+//!   order — in both engines; the depthwise convolution as one unfused
+//!   chain, in both. Tiling and lane-chunking change which elements
+//!   advance together, never the order within one element's chain, and
+//!   IEEE 754 fixes each step's rounding, so the vectorized engine must
+//!   reproduce the seed bytes bit-for-bit.
 //! * **Ulp-bounded.** `linear` (and the LSTM gates on top of it) splits
 //!   each dot product into `LANES` independent partial sums — the
 //!   reassociation that makes a dot product vectorizable. The contract is
@@ -86,13 +88,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The register-tiled GEMM reproduces the seed blocked GEMM's bytes on
-    /// arbitrary shapes — including tile-boundary stragglers on every axis
-    /// and the parallel row split (m > 32).
+    /// arbitrary shapes — row-tile stragglers, narrow and wide tail strips
+    /// below and above one full strip, and the chunk split on both axes.
     #[test]
     fn matmul_bits_identical_across_engines(
         m in 1usize..40,
-        k in 1usize..70,
-        n in 1usize..40,
+        k in 1usize..160,
+        n in 1usize..100,
         seed in 0u64..1000,
     ) {
         let _l = lock();
@@ -105,37 +107,54 @@ proptest! {
 }
 
 #[test]
-fn matmul_parallel_row_split_bits_identical() {
-    // m = 65 forces the rayon row split (ROW_BLOCK = 32) with a ragged
-    // final block; the split must not change any element's chain.
+fn matmul_every_tile_residue_bits_identical() {
+    // Every residue of the 6x32 geometry: n % 32 in {0, 1, 15, 16, 17, 31}
+    // (both sides of the narrow tile's 16 columns), m % 6 in 0..6, m small
+    // enough for one chunk and large enough for several, k of one step, a
+    // round number and the stem's 147. Neither the split nor the tile shape
+    // may change any element's chain.
     let _l = lock();
-    let a = Tensor::randn(vec![65, 48], 1.0, 7);
-    let b = Tensor::randn(vec![48, 33], 1.0, 8);
-    let fast = kernels::matmul(&a, &b).unwrap();
-    let slow = reference(|| kernels::matmul(&a, &b).unwrap());
-    assert_bits_eq(&fast, &slow, "matmul 65x48x33");
+    for m in [1, 2, 3, 4, 5, 6, 13, 65] {
+        for n in [1, 15, 16, 17, 31, 32, 33, 36, 47, 64, 81] {
+            for k in [1, 64, 147] {
+                let a = Tensor::randn(vec![m, k], 1.0, 7);
+                let b = Tensor::randn(vec![k, n], 1.0, 8);
+                let fast = kernels::matmul(&a, &b).unwrap();
+                let slow = reference(|| kernels::matmul(&a, &b).unwrap());
+                assert_bits_eq(&fast, &slow, &format!("matmul {m}x{k}x{n}"));
+            }
+        }
+    }
 }
 
 #[test]
 fn conv2d_bits_identical_across_engines() {
-    // conv2d lowers to im2col + the exact-contract GEMM, so it inherits
-    // bit identity — including padded borders and strided geometries.
+    // conv2d is the exact-contract GEMM over strips packed from the image
+    // (the seed engine: over the whole patch matrix), so it inherits bit
+    // identity — padded borders, strided geometries, strips that span
+    // several output rows (widths 7, 14, 28, 56), the strided 1x1.
     let _l = lock();
-    for &(n, c_in, c_out, hw, stride, padding) in &[
-        (1usize, 3usize, 8usize, 11usize, 1usize, 1usize),
-        (2, 4, 6, 9, 2, 1),
-        (1, 1, 4, 12, 1, 0),
-        (1, 8, 16, 7, 2, 0),
+    for &(n, c_in, c_out, hw, k, stride, padding) in &[
+        (1usize, 3usize, 8usize, 11usize, 3usize, 1usize, 1usize),
+        (2, 4, 6, 9, 3, 2, 1),
+        (1, 1, 4, 12, 3, 1, 0),
+        (1, 8, 16, 7, 3, 2, 0),
+        (1, 5, 7, 7, 3, 1, 1),
+        (1, 3, 13, 14, 3, 1, 1),
+        (2, 3, 7, 28, 3, 1, 1),
+        (1, 2, 5, 56, 3, 1, 1),
+        (1, 3, 8, 27, 7, 2, 3),
+        (1, 6, 14, 14, 1, 2, 0),
     ] {
         let x = Tensor::randn(vec![n, c_in, hw, hw], 1.0, 11);
-        let w = Tensor::randn(vec![c_out, c_in, 3, 3], 0.5, 12);
+        let w = Tensor::randn(vec![c_out, c_in, k, k], 0.5, 12);
         let b = Tensor::randn(vec![c_out], 0.5, 13);
         let fast = kernels::conv2d(&x, &w, Some(&b), stride, padding).unwrap();
         let slow = reference(|| kernels::conv2d(&x, &w, Some(&b), stride, padding).unwrap());
         assert_bits_eq(
             &fast,
             &slow,
-            &format!("conv2d n{n} c{c_in}->{c_out} {hw}x{hw} s{stride} p{padding}"),
+            &format!("conv2d n{n} c{c_in}->{c_out} {hw}x{hw} k{k} s{stride} p{padding}"),
         );
     }
 }

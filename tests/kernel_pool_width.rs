@@ -1,9 +1,9 @@
 //! Kernel results at pool width >= 2.
 //!
 //! On a 2-vCPU host the default pool is two threads wide and most test
-//! shapes sit below the fork gate, so the forked paths — 2-D GEMM chunks,
-//! channel-split im2col, image/plane/row splits — need shapes chosen to
-//! pass the gate and a pool with background workers. Every kernel here is
+//! shapes sit below the fork gate, so the forked paths — 2-D GEMM chunks
+//! that pack their own strips, image/plane/row splits — need shapes chosen
+//! to pass the gate and a pool with background workers. Every kernel here is
 //! compared bit for bit (`to_bits`) against a naive loop that shares no
 //! code with the engine, and against the same kernel with its regions
 //! forced inline (the width-1 result).
@@ -58,7 +58,7 @@ fn check(what: &str, want: &[f32], kernel: impl Fn() -> Tensor) {
     assert_bits_eq(inline.data(), want, &format!("{what} (inline)"));
 }
 
-/// Direct convolution: one k-ascending chain per output, taps in
+/// Direct convolution: one fused k-ascending chain per output, taps in
 /// (channel, row, column) order, out-of-image taps skipped.
 fn naive_conv(x: &Tensor, w: &Tensor, stride: usize, padding: usize) -> Vec<f32> {
     let (n, c_in, h, wd) = dims4(x);
@@ -81,8 +81,8 @@ fn naive_conv(x: &Tensor, w: &Tensor, stride: usize, padding: usize) -> Vec<f32>
                             for kx in 0..kw {
                                 let ix = (ox * stride + kx).wrapping_sub(padding);
                                 if ix < wd {
-                                    acc += wgt[((co * c_in + ci) * kh + ky) * kw + kx]
-                                        * xd[((img * c_in + ci) * h + iy) * wd + ix];
+                                    acc = wgt[((co * c_in + ci) * kh + ky) * kw + kx]
+                                        .mul_add(xd[((img * c_in + ci) * h + iy) * wd + ix], acc);
                                 }
                             }
                         }
@@ -103,18 +103,22 @@ fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {
 #[test]
 fn conv2d_matches_the_naive_loop_bit_for_bit() {
     configure();
-    // (what, input, weight, stride, padding); opix 3136, 49, 784, 3136.
+    // (what, input, weight, stride, padding). Output rows of 56, 7, 28, 56,
+    // 14, 14 and 28 pixels: no strip of 32 is a whole number of rows.
     let cases = [
+        ("3x3 s1, ow 56", [1, 64, 56, 56], [16, 64, 3, 3], 1, 1),
         (
-            "3x3 s1, im2col forks",
-            [1, 64, 56, 56],
-            [16, 64, 3, 3],
-            1,
+            "3x3 s2, opix 49: rows split",
+            [1, 64, 14, 14],
+            [128, 64, 3, 3],
+            2,
             1,
         ),
-        ("3x3 s2, opix 49", [1, 32, 14, 14], [96, 32, 3, 3], 2, 1),
         ("1x1, two images", [2, 64, 28, 28], [48, 64, 1, 1], 1, 0),
-        ("7x7 s2 stem", [1, 3, 112, 112], [64, 3, 7, 7], 2, 3),
+        ("7x7 s2 p3 stem", [1, 3, 112, 112], [64, 3, 7, 7], 2, 3),
+        ("3x3 s1 p0, ow 14", [1, 64, 16, 16], [64, 64, 3, 3], 1, 0),
+        ("1x1 s2, ow 14", [1, 128, 28, 28], [256, 128, 1, 1], 2, 0),
+        ("3x3 s1, ow 28", [1, 32, 28, 28], [32, 32, 3, 3], 1, 1),
     ];
     for (i, (what, xs, ws, stride, padding)) in cases.into_iter().enumerate() {
         let x = Tensor::randn(xs.to_vec(), 1.0, 40 + i as u64);
@@ -129,8 +133,8 @@ fn conv2d_matches_the_naive_loop_bit_for_bit() {
 #[test]
 fn matmul_matches_the_naive_loop_bit_for_bit() {
     configure();
-    // 3 row blocks (the last ragged) x 3 column panels (the last 34 wide:
-    // two NR tiles and a 2-column tail).
+    // Five one-strip column panels (the last a 2-column tail, on the narrow
+    // tile) x 3 row blocks (24, 24 and 22 rows: a 4-row tile tail).
     let (m, k, n) = (70, 300, 130);
     let a = Tensor::randn(vec![m, k], 1.0, 60);
     let b = Tensor::randn(vec![k, n], 1.0, 61);
@@ -139,7 +143,7 @@ fn matmul_matches_the_naive_loop_bit_for_bit() {
         for j in 0..n {
             let mut acc = 0.0f32;
             for t in 0..k {
-                acc += a.data()[i * k + t] * b.data()[t * n + j];
+                acc = a.data()[i * k + t].mul_add(b.data()[t * n + j], acc);
             }
             want[i * n + j] = acc;
         }
@@ -193,37 +197,40 @@ fn depthwise_and_pooling_match_naive_loops_bit_for_bit() {
         kernels::depthwise_conv2d(&x, &wk, Some(&bias), 1, 1).unwrap()
     });
 
-    // 3x3 stride-2 pooling windows, taps in (ky, kx) order.
-    let (h, w) = (128, 128);
-    let x = Tensor::randn(vec![1, c, h, w], 1.0, 73);
-    let (oh, ow) = ((h - 3) / 2 + 1, (w - 3) / 2 + 1);
-    let pool = |init: f32, step: fn(f32, f32) -> f32, finish: fn(f32) -> f32| {
-        let mut out = vec![0.0f32; c * oh * ow];
-        for ci in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = init;
-                    for ky in 0..3 {
-                        for kx in 0..3 {
-                            acc = step(acc, x.data()[(ci * h + oy * 2 + ky) * w + ox * 2 + kx]);
+    // Pooling windows, taps in (ky, kx) order: the stem's overlapping
+    // 3x3 stride 2 (odd output width) and the tiling 2x2 stride 2.
+    for (window, c, hw) in [(3, 32, 128), (2, 64, 128)] {
+        let x = Tensor::randn(vec![1, c, hw, hw], 1.0, 73);
+        let o = (hw - window) / 2 + 1;
+        let pool = |init: f32, step: fn(f32, f32) -> f32, finish: fn(f32, f32) -> f32| {
+            let mut out = vec![0.0f32; c * o * o];
+            for ci in 0..c {
+                for oy in 0..o {
+                    for ox in 0..o {
+                        let mut acc = init;
+                        for ky in 0..window {
+                            for kx in 0..window {
+                                acc =
+                                    step(acc, x.data()[(ci * hw + oy * 2 + ky) * hw + ox * 2 + kx]);
+                            }
                         }
+                        out[(ci * o + oy) * o + ox] = finish(acc, (window * window) as f32);
                     }
-                    out[(ci * oh + oy) * ow + ox] = finish(acc);
                 }
             }
-        }
-        out
-    };
-    check(
-        "max_pool 3x3 s2",
-        &pool(f32::NEG_INFINITY, f32::max, |a| a),
-        || kernels::max_pool2d(&x, 3, 2).unwrap(),
-    );
-    check(
-        "avg_pool 3x3 s2",
-        &pool(0.0, |a, v| a + v, |a| a / 9.0),
-        || kernels::avg_pool2d(&x, 3, 2).unwrap(),
-    );
+            out
+        };
+        check(
+            &format!("max_pool {window}x{window} s2"),
+            &pool(f32::NEG_INFINITY, f32::max, |a, _| a),
+            || kernels::max_pool2d(&x, window, 2).unwrap(),
+        );
+        check(
+            &format!("avg_pool {window}x{window} s2"),
+            &pool(0.0, |a, v| a + v, |a, n| a / n),
+            || kernels::avg_pool2d(&x, window, 2).unwrap(),
+        );
+    }
 }
 
 /// `linear` is lane-split (<= 4 ulp against a serial chain), so its oracle
