@@ -32,7 +32,7 @@ cargo test --workspace -q
 step "allocation gate (tape+arena steady state, recorrect, Duet::run budgets)"
 cargo run -q --release -p duet-bench --bin duet-alloc-gate
 
-step "kernel engine perf floor (vectorized vs seed kernels, alternating trials; one-thread GEMM vs measured FMA peak)"
+step "kernel engine perf floor (engine vs reference oracle, alternating trials; one-thread GEMM vs measured FMA peak)"
 cargo run -q --release -p duet-bench --bin duet-kernel-floor
 
 step "duet-lint over all built-in models"

@@ -1,10 +1,11 @@
 //! `duet-kernel-floor` — CI perf floor for the vectorized kernel engine.
 //!
 //! Runs the per-family kernel microbenchmarks (see
-//! `experiments/kernels.rs`) with the seed and vectorized engines
-//! alternating on successive trials in one process, and fails if the
-//! speedup ever regresses below the floor: a geometric mean of 2x across
-//! the suite, and no individual kernel below 1.25x. Alternating trials
+//! `experiments/kernels.rs`), each alternating its oracle
+//! (`kernels::reference::X`, the contract's plain single-threaded loop) and
+//! the engine's `kernels::X` on successive trials in one process, and fails
+//! if the speedup ever regresses below the floor: a geometric mean of 2x
+//! across the suite, and no individual kernel below 1.25x. Alternating trials
 //! plus medians is what makes a ratio gate (rather than an absolute
 //! latency gate) stable enough for CI: both populations absorb the same
 //! machine noise, and the floor sits well under the measured margins.
@@ -46,7 +47,7 @@ fn main() {
             format!(", {g:.1} GFLOP/s = {:.0} % of peak", 100.0 * g / peak)
         });
         println!(
-            "{:>14} {:<26} seed {:>9.1} us, vectorized {:>9.1} us, {:.2}x{rate}",
+            "{:>14} {:<26} reference {:>9.1} us, vectorized {:>9.1} us, {:.2}x{rate}",
             b.name,
             b.what,
             b.reference_us,

@@ -1,41 +1,30 @@
-//! `ext-kernel-speed`: the vectorized kernel engine against the seed
-//! scalar kernels, measured in-process.
+//! `ext-kernel-speed`: the vectorized kernel engine against its oracle,
+//! measured in-process.
 //!
-//! Both engines live in one binary behind `set_reference_mode`, so every
-//! benchmark alternates reference/vectorized on successive trials — the
-//! same discipline as the telemetry-overhead gate: scheduler noise,
-//! thermal drift and cache state hit both populations identically, and
-//! per-trial medians make the ratio stable on a single-core box.
-//!
-//! Two sections:
-//!
-//! * **micro** — one microbenchmark per zoo family, shaped like the
-//!   family's dominant kernel (batch-1 linear for wide&deep, the LSTM
-//!   sequence for Siamese, attention GEMM for MT-DNN, 3x3/1x1 convs
-//!   for the CNNs, depthwise for MobileNet). The `duet-kernel-floor` CI
-//!   gate runs this section with fewer trials and enforces the floor.
-//! * **e2e** — every zoo model at test scale through the default fused
-//!   tape with a warm arena, so the end-to-end number includes all the
-//!   non-kernel machinery the speedup has to shine through.
+//! One microbenchmark per zoo family, shaped like the family's dominant
+//! kernel (batch-1 linear for wide&deep, the LSTM sequence for Siamese,
+//! attention GEMM for MT-DNN, 3x3/1x1 convs for the CNNs, depthwise for
+//! MobileNet), alternates `kernels::reference::X` and `kernels::X` on
+//! successive trials — the same discipline as the telemetry-overhead gate:
+//! scheduler noise, thermal drift and cache state hit both populations
+//! identically, and per-trial medians make the ratio stable on a
+//! single-core box. The oracle is the contract's plain single-threaded
+//! loop, so a speedup is the engine's tiling, vectorization and pool
+//! together. The `duet-kernel-floor` CI gate runs the same suite with fewer
+//! trials and enforces the floor, next to the one-thread roofline.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use duet_compiler::passes::fuse_groups;
-use duet_compiler::{CompileOptions, CompiledSubgraph, Compiler, TapeArena};
-use duet_models::{
-    input_feeds, mobilenet, mtdnn, resnet, siamese, squeezenet, vgg16, wide_and_deep,
-    MobileNetConfig, MtDnnConfig, ResNetConfig, SiameseConfig, WideAndDeepConfig,
-};
-use duet_tensor::kernels::{self, set_reference_mode};
+use duet_tensor::kernels::{self, reference};
 use duet_tensor::Tensor;
 use serde_json::json;
 
 use crate::output::{f3, Table};
 
-/// One alternating-trial measurement: reference vs vectorized medians.
+/// One alternating-trial measurement: oracle vs engine medians.
 pub struct EngineBench {
-    /// Zoo family (micro) or model name (e2e).
+    /// Zoo family.
     pub name: &'static str,
     /// What was measured.
     pub what: String,
@@ -145,17 +134,6 @@ fn alternate_sides(pairs: usize, f: &mut dyn FnMut(bool)) -> (f64, f64) {
     (median(on), median(off))
 }
 
-/// [`alternate_sides`] over the kernel engine: (reference, vectorized)
-/// medians of `f`. The reference flag is always restored to off.
-fn alternate(pairs: usize, f: &mut dyn FnMut()) -> (f64, f64) {
-    let medians = alternate_sides(pairs, &mut |reference| {
-        set_reference_mode(reference);
-        f();
-    });
-    set_reference_mode(false);
-    medians
-}
-
 /// One fork/join measurement: the same kernel with its parallel regions
 /// forced inline on the caller vs free to fork onto the pool.
 pub struct PoolBench {
@@ -206,11 +184,21 @@ pub fn fork_join_speedups(pairs: usize) -> Vec<PoolBench> {
     .collect()
 }
 
-/// The per-family microbenchmarks. `pairs` trials per engine each.
+/// The per-family microbenchmarks. `pairs` trials per side each.
 pub fn micro_speedups(pairs: usize) -> Vec<EngineBench> {
     let mut out = Vec::new();
-    let mut push = |name: &'static str, what: &str, flops: usize, f: &mut dyn FnMut()| {
-        let (r, v) = alternate(pairs, f);
+    let mut push = |name: &'static str,
+                    what: &str,
+                    flops: usize,
+                    oracle: &mut dyn FnMut(),
+                    engine: &mut dyn FnMut()| {
+        let (r, v) = alternate_sides(pairs, &mut |on_oracle| {
+            if on_oracle {
+                oracle()
+            } else {
+                engine()
+            }
+        });
         out.push(EngineBench {
             name,
             what: what.to_string(),
@@ -225,9 +213,13 @@ pub fn micro_speedups(pairs: usize) -> Vec<EngineBench> {
         let x = Tensor::randn(vec![1, 1024], 1.0, 1);
         let w = Tensor::randn(vec![1024, 1024], 0.05, 2);
         let b = Tensor::randn(vec![1024], 0.05, 3);
-        push("wide_and_deep", "linear 1x1024x1024", 0, &mut || {
-            kernels::linear(&x, &w, Some(&b)).unwrap();
-        });
+        push(
+            "wide_and_deep",
+            "linear 1x1024x1024",
+            0,
+            &mut || drop(reference::linear(&x, &w, Some(&b))),
+            &mut || drop(kernels::linear(&x, &w, Some(&b)).unwrap()),
+        );
     }
     // siamese: the recurrent tower, sequential steps over a shared buffer.
     {
@@ -236,18 +228,26 @@ pub fn micro_speedups(pairs: usize) -> Vec<EngineBench> {
         let w_ih = Tensor::randn(vec![4 * hidden, input], 0.05, 5);
         let w_hh = Tensor::randn(vec![4 * hidden, hidden], 0.05, 6);
         let b = Tensor::randn(vec![4 * hidden], 0.05, 7);
-        push("siamese", "lstm seq16 128->128", 0, &mut || {
-            kernels::lstm(&x, &w_ih, &w_hh, &b).unwrap();
-        });
+        push(
+            "siamese",
+            "lstm seq16 128->128",
+            0,
+            &mut || drop(reference::lstm(&x, &w_ih, &w_hh, &b)),
+            &mut || drop(kernels::lstm(&x, &w_ih, &w_hh, &b).unwrap()),
+        );
     }
     // mtdnn: transformer attention/projection GEMM.
     {
         let a = Tensor::randn(vec![128, 256], 1.0, 8);
         let b = Tensor::randn(vec![256, 256], 0.05, 9);
         let flops = 2 * 128 * 256 * 256;
-        push("mtdnn", "matmul 128x256x256", flops, &mut || {
-            kernels::matmul(&a, &b).unwrap();
-        });
+        push(
+            "mtdnn",
+            "matmul 128x256x256",
+            flops,
+            &mut || drop(reference::matmul(&a, &b)),
+            &mut || drop(kernels::matmul(&a, &b).unwrap()),
+        );
     }
     // resnet18: the canonical 3x3 residual-stage convolution.
     {
@@ -255,9 +255,13 @@ pub fn micro_speedups(pairs: usize) -> Vec<EngineBench> {
         let w = Tensor::randn(vec![64, 64, 3, 3], 0.05, 11);
         let b = Tensor::randn(vec![64], 0.05, 12);
         let flops = 2 * 64 * 64 * 9 * 28 * 28;
-        push("resnet18", "conv2d 64->64 28x28 k3", flops, &mut || {
-            kernels::conv2d(&x, &w, Some(&b), 1, 1).unwrap();
-        });
+        push(
+            "resnet18",
+            "conv2d 64->64 28x28 k3",
+            flops,
+            &mut || drop(reference::conv2d(&x, &w, Some(&b), 1, 1)),
+            &mut || drop(kernels::conv2d(&x, &w, Some(&b), 1, 1).unwrap()),
+        );
     }
     // resnet50: the bottleneck's 1x1 projection.
     {
@@ -265,27 +269,39 @@ pub fn micro_speedups(pairs: usize) -> Vec<EngineBench> {
         let w = Tensor::randn(vec![64, 256, 1, 1], 0.05, 14);
         let b = Tensor::randn(vec![64], 0.05, 15);
         let flops = 2 * 64 * 256 * 14 * 14;
-        push("resnet50", "conv2d 256->64 14x14 k1", flops, &mut || {
-            kernels::conv2d(&x, &w, Some(&b), 1, 0).unwrap();
-        });
+        push(
+            "resnet50",
+            "conv2d 256->64 14x14 k1",
+            flops,
+            &mut || drop(reference::conv2d(&x, &w, Some(&b), 1, 0)),
+            &mut || drop(kernels::conv2d(&x, &w, Some(&b), 1, 0).unwrap()),
+        );
     }
     // vgg16: the GEMM a VGG stage lowers to.
     {
         let a = Tensor::randn(vec![256, 256], 1.0, 16);
         let b = Tensor::randn(vec![256, 256], 0.05, 17);
         let flops = 2 * 256 * 256 * 256;
-        push("vgg16", "matmul 256x256x256", flops, &mut || {
-            kernels::matmul(&a, &b).unwrap();
-        });
+        push(
+            "vgg16",
+            "matmul 256x256x256",
+            flops,
+            &mut || drop(reference::matmul(&a, &b)),
+            &mut || drop(kernels::matmul(&a, &b).unwrap()),
+        );
     }
     // mobilenet: the depthwise stage.
     {
         let x = Tensor::randn(vec![1, 128, 28, 28], 1.0, 18);
         let w = Tensor::randn(vec![128, 1, 3, 3], 0.05, 19);
         let b = Tensor::randn(vec![128], 0.05, 20);
-        push("mobilenet", "depthwise 128ch 28x28 k3", 0, &mut || {
-            kernels::depthwise_conv2d(&x, &w, Some(&b), 1, 1).unwrap();
-        });
+        push(
+            "mobilenet",
+            "depthwise 128ch 28x28 k3",
+            0,
+            &mut || drop(reference::depthwise_conv2d(&x, &w, Some(&b), 1, 1)),
+            &mut || drop(kernels::depthwise_conv2d(&x, &w, Some(&b), 1, 1).unwrap()),
+        );
     }
     // squeezenet: a fire module's 3x3 expand convolution.
     {
@@ -293,69 +309,26 @@ pub fn micro_speedups(pairs: usize) -> Vec<EngineBench> {
         let w = Tensor::randn(vec![64, 16, 3, 3], 0.05, 22);
         let b = Tensor::randn(vec![64], 0.05, 23);
         let flops = 2 * 64 * 16 * 9 * 28 * 28;
-        push("squeezenet", "conv2d 16->64 28x28 k3", flops, &mut || {
-            kernels::conv2d(&x, &w, Some(&b), 1, 1).unwrap();
-        });
+        push(
+            "squeezenet",
+            "conv2d 16->64 28x28 k3",
+            flops,
+            &mut || drop(reference::conv2d(&x, &w, Some(&b), 1, 1)),
+            &mut || drop(kernels::conv2d(&x, &w, Some(&b), 1, 1).unwrap()),
+        );
     }
     out
 }
 
-/// Every zoo model at test scale (the `small()` configs; 32–64 px
-/// images for the fixed-size CNNs), end to end through the fused tape.
-fn e2e_models() -> Vec<(&'static str, duet_ir::Graph)> {
-    vec![
-        ("wide_and_deep", wide_and_deep(&WideAndDeepConfig::small())),
-        ("siamese", siamese(&SiameseConfig::small())),
-        ("mtdnn", mtdnn(&MtDnnConfig::small())),
-        ("resnet18", resnet(&ResNetConfig::small())),
-        (
-            "resnet50",
-            resnet(&ResNetConfig {
-                depth: 50,
-                ..ResNetConfig::small()
-            }),
-        ),
-        ("vgg16", vgg16(1, 32)),
-        ("mobilenet", mobilenet(&MobileNetConfig::small())),
-        ("squeezenet", squeezenet(1, 64)),
-    ]
-}
-
-/// End-to-end inference medians per zoo model: same fused tape, same
-/// warm arena, only the kernel engine flips between trials.
-pub fn e2e_speedups(pairs: usize) -> Vec<EngineBench> {
-    let mut out = Vec::new();
-    for (name, model) in e2e_models() {
-        let (graph, _) = Compiler::new(CompileOptions::default())
-            .optimize(&model)
-            .expect("optimize");
-        let ids = graph.compute_ids();
-        let sg = CompiledSubgraph::from_groups(&graph, name, fuse_groups(&graph, &ids));
-        let env = input_feeds(&graph, 7);
-        let mut arena = TapeArena::for_tape(&sg.tape);
-        let (r, v) = alternate(pairs, &mut || {
-            sg.execute_with_arena(&env, &mut arena).expect("inference");
-        });
-        out.push(EngineBench {
-            name,
-            what: "end-to-end inference".to_string(),
-            reference_us: r,
-            vectorized_us: v,
-            flops: 0.0,
-        });
-    }
-    out
-}
-
-/// The `ext-kernel-speed` experiment: both sections, table + JSON.
+/// The `ext-kernel-speed` experiment: the micro suite and the roofline, table + JSON.
 pub fn kernel_speed() -> serde_json::Value {
-    println!("== Ext: vectorized kernel engine vs seed kernels ==\n");
+    println!("== Ext: vectorized kernel engine vs its oracle ==\n");
 
     let micro = micro_speedups(15);
     let mut t = Table::new(&[
         "family",
         "kernel",
-        "seed us",
+        "reference us",
         "vectorized us",
         "speedup",
         "GFLOP/s",
@@ -384,46 +357,24 @@ pub fn kernel_speed() -> serde_json::Value {
         100.0 * gemm / peak
     );
 
-    let e2e = e2e_speedups(9);
-    let mut t = Table::new(&["model", "seed us", "vectorized us", "speedup"]);
-    for b in &e2e {
-        t.row(vec![
-            b.name.to_string(),
-            f3(b.reference_us),
-            f3(b.vectorized_us),
-            format!("{:.2}x", b.speedup()),
-        ]);
-    }
-    println!("{t}");
-    println!(
-        "e2e geomean: {:.2}x over {} models; the seed engine and the tape \
-         machinery are identical on both sides — only the kernels flip\n",
-        geomean(&e2e),
-        e2e.len()
-    );
-
-    let section = |benches: &[EngineBench]| {
-        benches
-            .iter()
-            .map(|b| {
-                json!({
-                    "name": b.name,
-                    "what": b.what,
-                    "reference_us": b.reference_us,
-                    "vectorized_us": b.vectorized_us,
-                    "speedup": b.speedup(),
-                    "gflops": b.gflops(),
-                })
+    let section = micro
+        .iter()
+        .map(|b| {
+            json!({
+                "name": b.name,
+                "what": b.what,
+                "reference_us": b.reference_us,
+                "vectorized_us": b.vectorized_us,
+                "speedup": b.speedup(),
+                "gflops": b.gflops(),
             })
-            .collect::<Vec<_>>()
-    };
+        })
+        .collect::<Vec<_>>();
     json!({
-        "micro": section(&micro),
+        "micro": section,
         "micro_geomean": geomean(&micro),
         "kernel_threads": rayon::current_num_threads(),
         "fma_peak_gflops_one_thread": peak,
         "matmul_128x256x256_gflops_one_thread": gemm,
-        "e2e": section(&e2e),
-        "e2e_geomean": geomean(&e2e),
     })
 }

@@ -1,10 +1,10 @@
 //! Memory-planner experiment: what did the instruction tape and arena
 //! actually buy?
 //!
-//! Three execution paths over the same compiled subgraph, same feeds:
+//! Three execution paths over the same graph, same feeds:
 //!
-//! * **interpreter** — the legacy HashMap interpreter
-//!   (`execute_reference`): fresh buffer per value, per run;
+//! * **interpreter** — the reference interpreter (`Graph::eval`): fresh
+//!   buffer per value, per run;
 //! * **tape** — the memory-planned instruction tape (`execute`): slots
 //!   allocated once per run, reused across values within the run;
 //! * **tape+arena** — the tape writing into a persistent [`TapeArena`]
@@ -63,15 +63,15 @@ pub fn memory_plan() -> serde_json::Value {
         let mut arena = TapeArena::for_tape(&sg.tape);
         let mut paths: Vec<PathRunner> = vec![
             ("interpreter", {
-                let (sg, graph, env) = (&sg, &graph, &env);
+                let (graph, env) = (&graph, &env);
                 Box::new(move || {
-                    sg.execute_reference(graph, env).unwrap();
+                    graph.eval(env).unwrap();
                 })
             }),
             ("tape", {
-                let (sg, graph, env) = (&sg, &graph, &env);
+                let (sg, env) = (&sg, &env);
                 Box::new(move || {
-                    sg.execute(graph, env).unwrap();
+                    sg.execute(env).unwrap();
                 })
             }),
             ("tape+arena", {

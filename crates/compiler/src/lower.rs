@@ -145,18 +145,12 @@ impl CompiledSubgraph {
         self.kernels.len()
     }
 
-    /// Execute numerically via the memory-planned tape (the default
-    /// path). `env` must hold a tensor for every boundary input (keyed by
-    /// producer node id). Returns the values of
+    /// Execute numerically via the memory-planned tape (weights were bound
+    /// at lowering). `env` must hold a tensor for every boundary input
+    /// (keyed by producer node id). Returns the values of
     /// [`CompiledSubgraph::outputs`], keyed by node id.
-    ///
-    /// `graph` is unused at run time — weights were bound at lowering —
-    /// but kept in the signature so call sites document which graph the
-    /// subgraph belongs to (and so the reference interpreter is a drop-in
-    /// substitute).
     pub fn execute(
         &self,
-        _graph: &Graph,
         env: &HashMap<NodeId, Tensor>,
     ) -> Result<HashMap<NodeId, Tensor>, GraphError> {
         self.tape.execute(env)
@@ -170,44 +164,6 @@ impl CompiledSubgraph {
         arena: &mut TapeArena,
     ) -> Result<HashMap<NodeId, Tensor>, GraphError> {
         self.tape.execute_with(env, arena)
-    }
-
-    /// The legacy HashMap interpreter, kept as the bit-identity reference
-    /// for the tape executor (property-tested across the model zoo).
-    pub fn execute_reference(
-        &self,
-        graph: &Graph,
-        env: &HashMap<NodeId, Tensor>,
-    ) -> Result<HashMap<NodeId, Tensor>, GraphError> {
-        let mut values: HashMap<NodeId, Tensor> = HashMap::new();
-        let fetch = |values: &HashMap<NodeId, Tensor>, id: NodeId| -> Result<Tensor, GraphError> {
-            if let Some(v) = values.get(&id) {
-                return Ok(v.clone());
-            }
-            if let Some(v) = env.get(&id) {
-                return Ok(v.clone());
-            }
-            if let Some(p) = graph.param(id) {
-                return Ok(p.clone());
-            }
-            Err(GraphError::MissingFeed(id))
-        };
-        for &id in &self.node_ids {
-            let node = graph.node(id);
-            let input_vals: Vec<Tensor> = node
-                .inputs
-                .iter()
-                .map(|&i| fetch(&values, i))
-                .collect::<Result<_, _>>()?;
-            let refs: Vec<&Tensor> = input_vals.iter().collect();
-            let out = node.op.execute(&refs)?;
-            values.insert(id, out);
-        }
-        Ok(self
-            .outputs
-            .iter()
-            .map(|&o| (o, values[&o].clone()))
-            .collect())
     }
 }
 
@@ -247,7 +203,7 @@ mod tests {
         let sg = compile_all(&g);
         let input = Tensor::randn(vec![1, 8], 1.0, 7);
         let env = HashMap::from([(x, input.clone())]);
-        let got = sg.execute(&g, &env).unwrap();
+        let got = sg.execute(&env).unwrap();
         let want = g.eval(&HashMap::from([(x, input)])).unwrap();
         let out_id = g.outputs()[0];
         assert!(got[&out_id].approx_eq(&want[0], 1e-6));
@@ -276,10 +232,8 @@ mod tests {
         assert_eq!(sg1.inputs, vec![x]);
         assert_eq!(sg2.inputs, sg1.outputs);
         let input = Tensor::randn(vec![1, 8], 1.0, 9);
-        let mid = sg1
-            .execute(&g, &HashMap::from([(x, input.clone())]))
-            .unwrap();
-        let fin = sg2.execute(&g, &mid).unwrap();
+        let mid = sg1.execute(&HashMap::from([(x, input.clone())])).unwrap();
+        let fin = sg2.execute(&mid).unwrap();
         let want = g.eval(&HashMap::from([(x, input)])).unwrap();
         assert!(fin[&g.outputs()[0]].approx_eq(&want[0], 1e-6));
     }
@@ -288,7 +242,7 @@ mod tests {
     fn missing_boundary_feed_is_reported() {
         let (g, _) = mlp();
         let sg = compile_all(&g);
-        let err = sg.execute(&g, &HashMap::new()).unwrap_err();
+        let err = sg.execute(&HashMap::new()).unwrap_err();
         assert!(matches!(err, GraphError::MissingFeed(_)));
     }
 

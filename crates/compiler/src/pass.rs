@@ -400,7 +400,7 @@ mod tests {
         let sg = c.compile_whole(&g2, "m");
         let t = Tensor::randn(vec![4], 1.0, 3);
         let x2 = g2.input_ids()[0];
-        let out = sg.execute(&g2, &HashMap::from([(x2, t.clone())])).unwrap();
+        let out = sg.execute(&HashMap::from([(x2, t.clone())])).unwrap();
         let want = g.eval(&HashMap::from([(x, t)])).unwrap();
         assert!(out[&g2.outputs()[0]].approx_eq(&want[0], 1e-6));
     }

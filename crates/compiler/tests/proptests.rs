@@ -160,7 +160,7 @@ proptest! {
         for options in [CompileOptions::full(), CompileOptions::none()] {
             let c = Compiler::new(options);
             let sg = c.compile_whole(&g, "w");
-            let out = sg.execute(&g, &HashMap::from([(x, input.clone())])).unwrap();
+            let out = sg.execute(&HashMap::from([(x, input.clone())])).unwrap();
             prop_assert!(out[&g.outputs()[0]].approx_eq(&want[0], 1e-5));
         }
     }

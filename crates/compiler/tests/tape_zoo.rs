@@ -1,9 +1,9 @@
 //! Zoo-wide properties of the memory-planned tape executor.
 //!
-//! The tape is the *default* execution path, so the bar is bit
-//! identity — not approximate agreement — against the legacy HashMap
-//! interpreter (`execute_reference`), which computes every value in a
-//! fresh buffer and therefore cannot suffer slot-reuse bugs. Every
+//! The tape is the execution path, so the bar is bit identity — not
+//! approximate agreement — against the reference interpreter
+//! (`Graph::eval` of the same optimized graph), which computes every value
+//! in a fresh buffer and therefore cannot suffer slot-reuse bugs. Every
 //! model family in the zoo is covered (the MLP/LSTM/CNN-branched
 //! wide-and-deep, the Siamese bi-LSTM, the transformer MT-DNN, and
 //! pure CNNs), both through a fresh tape run and through a reused
@@ -66,17 +66,19 @@ fn assert_bit_identical(name: &str, want: &HashMap<NodeId, Tensor>, got: &HashMa
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Tape output == reference interpreter output, to the bit, for
-    /// every model family and random feed seed — through a fresh run
-    /// AND through a warm arena reused across three inferences.
+    /// Tape output == `Graph::eval` output, to the bit, for every model
+    /// family and random feed seed — through a fresh run AND through a
+    /// warm arena reused across three inferences.
     #[test]
     fn tape_bit_identical_to_reference(seed in 0u64..1_000_000) {
         for (name, model) in families() {
             let (graph, sg) = compile(name, &model);
             let env = input_feeds(&graph, seed);
-            let want = sg.execute_reference(&graph, &env).unwrap();
+            let values = graph.eval(&env).unwrap();
+            let want: HashMap<NodeId, Tensor> =
+                graph.outputs().iter().copied().zip(values).collect();
 
-            let fresh = sg.execute(&graph, &env).unwrap();
+            let fresh = sg.execute(&env).unwrap();
             assert_bit_identical(name, &want, &fresh);
 
             let mut arena = TapeArena::for_tape(&sg.tape);
@@ -173,7 +175,7 @@ fn tape_options_are_bit_transparent() {
         let groups = fuse_groups(&graph, &ids);
         let env = input_feeds(&graph, 42);
         let full = CompiledSubgraph::from_groups(&graph, name, groups.clone());
-        let want = full.execute(&graph, &env).unwrap();
+        let want = full.execute(&env).unwrap();
         for opts in [
             TapeOptions::none(),
             TapeOptions {
@@ -188,7 +190,7 @@ fn tape_options_are_bit_transparent() {
             },
         ] {
             let sg = CompiledSubgraph::from_groups_with(&graph, name, groups.clone(), opts);
-            let got = sg.execute(&graph, &env).unwrap();
+            let got = sg.execute(&env).unwrap();
             assert_bit_identical(name, &want, &got);
         }
     }

@@ -106,7 +106,7 @@ impl Framework {
         feeds: &HashMap<NodeId, Tensor>,
     ) -> Result<HashMap<NodeId, Tensor>, GraphError> {
         let plan = self.plan(graph, DeviceKind::Cpu);
-        plan[0].sg.execute(graph, feeds)
+        plan[0].sg.execute(feeds)
     }
 }
 

@@ -322,7 +322,7 @@ impl<'g> HeterogeneousExecutor<'g> {
                             pool.give_back(arena);
                             r
                         }
-                        None => placed.sg.execute(self.graph, &env),
+                        None => placed.sg.execute(&env),
                     };
                     match result {
                         Ok(outs) => values.lock().extend(outs),

@@ -9,9 +9,7 @@
 
 use rayon::prelude::*;
 
-use super::gemm::gemm_into;
-use super::micro::{fork_if_worthwhile, gemm_packed, LANE_OP_WORK, NR};
-use super::reference::reference_mode;
+use super::micro::{fork_if_worthwhile, gemm_packed, gemm_tiled, LANE_OP_WORK, NR};
 use crate::{Tensor, TensorError};
 
 /// 2-D convolution. `x: [n, c_in, h, w]`, `weight: [c_out, c_in, kh, kw]`,
@@ -120,11 +118,7 @@ pub fn conv2d_into(
                 let ximg = &xd[img * c_in * h * w..(img + 1) * c_in * h * w];
                 if pointwise {
                     // A 1x1 stride-1 conv's patch matrix is the image itself.
-                    gemm_into(wd, ximg, oimg, c_out, patch, opix);
-                } else if reference_mode() {
-                    // The seed lowering: the whole patch matrix, then its GEMM.
-                    let col = geom.patch_matrix(ximg, opix);
-                    gemm_into(wd, &col, oimg, c_out, patch, opix);
+                    gemm_tiled(wd, ximg, oimg, c_out, patch, opix);
                 } else {
                     gemm_packed(wd, oimg, c_out, patch, opix, |p0, width, strip| {
                         geom.pack_patches(ximg, p0, width, strip)
@@ -200,22 +194,6 @@ impl Geometry {
                 }
             }
         }
-    }
-
-    /// The `[patch, opix]` matrix of every strip side by side, row-major:
-    /// what the seed engine's GEMM multiplies.
-    fn patch_matrix(&self, x: &[f32], opix: usize) -> Vec<f32> {
-        let patch = self.c_in * self.kh * self.kw;
-        let mut col = vec![0.0f32; patch * opix];
-        let mut strip = vec![0.0f32; patch * NR];
-        for p0 in (0..opix).step_by(NR) {
-            let width = (opix - p0).min(NR);
-            self.pack_patches(x, p0, width, &mut strip);
-            for (r, row) in strip.as_chunks::<NR>().0.iter().enumerate() {
-                col[r * opix + p0..r * opix + p0 + width].copy_from_slice(&row[..width]);
-            }
-        }
-        col
     }
 }
 
@@ -398,8 +376,8 @@ pub fn depthwise_conv2d(
 /// each output element still accumulates `bias, then taps in (ky, kx)
 /// ascending order` — exactly the scalar kernel's chain — so the
 /// vectorized path is **bit-identical** to the scalar one (exact
-/// contract: independent outputs, no reassociation). Edges, stride > 1
-/// and reference mode take the scalar path.
+/// contract: independent outputs, no reassociation). Edges and stride > 1
+/// take the scalar path.
 #[allow(clippy::too_many_arguments)]
 fn depthwise_plane(
     x: &[f32],
@@ -416,7 +394,7 @@ fn depthwise_plane(
     bv: f32,
 ) {
     const L: usize = 8;
-    if super::reference::reference_mode() || stride != 1 {
+    if stride != 1 {
         for oy in 0..oh {
             depthwise_scalar_span(
                 x,
@@ -470,8 +448,8 @@ fn depthwise_plane(
     }
 }
 
-/// Scalar depthwise span `[ox0, ox1)` of output row `oy`: the seed tap
-/// loop (bias first, then in-bounds taps in (ky, kx) ascending order).
+/// Scalar depthwise span `[ox0, ox1)` of output row `oy`: bias first, then
+/// in-bounds taps in (ky, kx) ascending order.
 #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 fn depthwise_scalar_span(
     x: &[f32],
@@ -638,42 +616,7 @@ pub fn batch_norm2d_inplace(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Direct convolution: one fused k-ascending chain per output, taps in
-    /// (channel, row, column) order, out-of-image taps skipped.
-    fn naive_conv(x: &Tensor, w: &Tensor, stride: usize, padding: usize) -> Tensor {
-        let (n, c_in, h, wd) = dims4(x);
-        let (c_out, _, kh, kw) = dims4(w);
-        let oh = (h + 2 * padding - kh) / stride + 1;
-        let ow = (wd + 2 * padding - kw) / stride + 1;
-        let mut out = vec![0.0f32; n * c_out * oh * ow];
-        for img in 0..n {
-            for co in 0..c_out {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = 0.0f32;
-                        for ci in 0..c_in {
-                            for ky in 0..kh {
-                                for kx in 0..kw {
-                                    let iy = (oy * stride + ky).wrapping_sub(padding);
-                                    let ix = (ox * stride + kx).wrapping_sub(padding);
-                                    if iy < h && ix < wd {
-                                        acc = w.data()[((co * c_in + ci) * kh + ky) * kw + kx]
-                                            .mul_add(
-                                                x.data()[((img * c_in + ci) * h + iy) * wd + ix],
-                                                acc,
-                                            );
-                                    }
-                                }
-                            }
-                        }
-                        out[((img * c_out + co) * oh + oy) * ow + ox] = acc;
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(vec![n, c_out, oh, ow], out).unwrap()
-    }
+    use crate::kernels::reference;
 
     #[test]
     fn conv2d_bit_identical_to_naive() {
@@ -697,7 +640,7 @@ mod tests {
             let x = Tensor::randn(vec![n, c_in, hw, hw], 1.0, 1);
             let w = Tensor::randn(vec![c_out, c_in, k, k], 1.0, 2);
             let fast = conv2d(&x, &w, None, stride, padding).unwrap();
-            let slow = naive_conv(&x, &w, stride, padding);
+            let slow = reference::conv2d(&x, &w, None, stride, padding);
             assert_eq!(fast.shape(), slow.shape());
             for (i, (f, s)) in fast.data().iter().zip(slow.data()).enumerate() {
                 assert_eq!(

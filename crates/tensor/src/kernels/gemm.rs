@@ -1,12 +1,9 @@
 //! General matrix multiplication: the workhorse kernel.
 //!
-//! The default engine is the register-tiled microkernel in [`super::micro`]
-//! over packed column strips (exact contract: bit-identical to the naive
-//! triple loop of `f32::mul_add` — see the module docs there). Setting
-//! reference mode (see [`super::reference`]) routes every entry point
-//! through the seed scalar kernels instead, which is how the contract tests
-//! and the `duet-kernel-floor` gate get a same-process before/after
-//! comparison.
+//! Every GEMM runs the register-tiled microkernel in [`super::micro`] over
+//! packed column strips (exact contract, see the module docs there):
+//! bit-identical to [`super::reference::matmul`], the naive triple loop of
+//! `f32::mul_add`.
 //!
 //! `linear` is dot-product shaped (`x @ w^T`), so it uses the lane-split
 //! reduction with the **ulp-bounded** contract rather than the exact one:
@@ -15,7 +12,7 @@
 
 use rayon::prelude::*;
 
-use super::{micro, reference};
+use super::micro;
 use crate::{Tensor, TensorError};
 
 /// `C[m,n] = A[m,k] * B[k,n]`.
@@ -32,7 +29,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
         });
     }
     let mut out = vec![0.0f32; m * n];
-    gemm_into(a.data(), b.data(), &mut out, m, k, n);
+    micro::gemm_tiled(a.data(), b.data(), &mut out, m, k, n);
     Tensor::from_vec(vec![m, n], out)
 }
 
@@ -42,7 +39,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
 /// written are identical; the only difference is who owns the buffer. The
 /// tiled engine writes every element, so there is no zero-fill pass here.
 pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_into(a, b, out, m, k, n);
+    micro::gemm_tiled(a, b, out, m, k, n);
 }
 
 /// `linear` into a caller-provided buffer (`out` is overwritten, len m*nout).
@@ -62,9 +59,6 @@ pub fn linear_into(
     debug_assert_eq!(x.len(), m * kin);
     debug_assert_eq!(w.len(), kin * nout);
     debug_assert_eq!(out.len(), m * nout);
-    if reference::reference_mode() {
-        return reference::linear_into_ref(x, w, bias, out, m, kin, nout);
-    }
     if m <= 1 {
         // Batch-1 inference: skip the parallel split (and the chunk list it
         // allocates) entirely — the hot path for the serve arena.
@@ -88,9 +82,6 @@ pub fn linear_acc_into(x: &[f32], w: &[f32], out: &mut [f32], m: usize, kin: usi
     debug_assert_eq!(x.len(), m * kin);
     debug_assert_eq!(w.len(), kin * nout);
     debug_assert_eq!(out.len(), m * nout);
-    if reference::reference_mode() {
-        return reference::linear_acc_into_ref(x, w, out, m, kin, nout);
-    }
     for i in 0..m {
         micro::linear_row_acc(
             &x[i * kin..(i + 1) * kin],
@@ -158,7 +149,7 @@ pub fn batched_matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     let mut out = vec![0.0f32; ba * m * n];
     micro::fork_if_worthwhile(ba * m * k * n, || {
         out.par_chunks_mut(m * n).enumerate().for_each(|(i, o)| {
-            gemm_into(
+            micro::gemm_tiled(
                 &ad[i * m * k..(i + 1) * m * k],
                 &bd[i * k * n..(i + 1) * k * n],
                 o,
@@ -171,42 +162,10 @@ pub fn batched_matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     Tensor::from_vec(vec![ba, m, n], out)
 }
 
-/// GEMM into a preallocated output (`c` is overwritten, len m*n).
-///
-/// Dispatches to the register-tiled engine (writes every element; exact
-/// contract) or, in reference mode, zero-fills and runs the seed
-/// accumulate kernel — reproducing the seed bytes exactly.
-pub(crate) fn gemm_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    if reference::reference_mode() {
-        c.fill(0.0);
-        reference::gemm_acc_ref(a, b, c, m, k, n);
-        return;
-    }
-    micro::gemm_tiled(a, b, c, m, k, n);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
-        let (m, k) = (a.shape().dim(0), a.shape().dim(1));
-        let n = b.shape().dim(1);
-        let mut out = vec![0.0; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for t in 0..k {
-                    acc = a.data()[i * k + t].mul_add(b.data()[t * n + j], acc);
-                }
-                out[i * n + j] = acc;
-            }
-        }
-        Tensor::from_vec(vec![m, n], out).unwrap()
-    }
+    use crate::kernels::reference;
 
     #[test]
     fn matmul_identity() {
@@ -223,7 +182,7 @@ mod tests {
             let a = Tensor::randn(vec![m, k], 1.0, m as u64);
             let b = Tensor::randn(vec![k, n], 1.0, n as u64);
             let fast = matmul(&a, &b).unwrap();
-            let slow = naive_matmul(&a, &b);
+            let slow = reference::matmul(&a, &b);
             assert!(fast.approx_eq(&slow, 1e-3), "mismatch at ({m},{k},{n})");
         }
     }
@@ -237,7 +196,7 @@ mod tests {
             let a = Tensor::randn(vec![m, k], 1.0, (m + n) as u64);
             let b = Tensor::randn(vec![k, n], 1.0, (k + 1) as u64);
             let fast = matmul(&a, &b).unwrap();
-            let slow = naive_matmul(&a, &b);
+            let slow = reference::matmul(&a, &b);
             assert!(
                 fast.data()
                     .iter()

@@ -7,8 +7,9 @@
 //!
 //! # Reduction-order contracts
 //!
-//! Every kernel documents one of two numeric contracts, and the test suite
-//! in `crates/tensor/tests/kernel_contract.rs` enforces them:
+//! Every kernel documents one of two numeric contracts against its oracle
+//! in [`super::reference`], and the test suite in
+//! `crates/tensor/tests/kernel_contract.rs` enforces them:
 //!
 //! * **Exact (`to_bits` identity).** The kernel performs each output
 //!   element's reduction as a single fused multiply-add chain in a fixed
@@ -79,7 +80,7 @@ pub(crate) const FORK_MIN_WORK: usize = 3 << 20;
 
 /// Fork-gate weight, in GEMM multiply-adds, of one operation of the kernels
 /// that are not on the register tile: a lane-split dot-product multiply-add
-/// (`linear`, the seed GEMM), a pooling or depthwise window tap. They retire
+/// (`linear`), a pooling or depthwise window tap. They retire
 /// at most ≈ 20 per ns, a third of the tile's rate, so their regions fork
 /// from 2²⁰ of their own operations.
 pub(crate) const LANE_OP_WORK: usize = 3;

@@ -23,9 +23,9 @@
 //! microkernels with documented reduction-order contracts (exact `to_bits`
 //! identity where reassociation-free — GEMM and conv2d, one fused
 //! multiply-add chain per output — ulp-bounded where the k-reduction is
-//! lane-split). [`set_reference_mode`] routes the heavy kernels through the
-//! seed scalar implementations instead — the oracle for contract tests and
-//! the baseline for the `duet-kernel-floor` CI gate.
+//! lane-split). There is one engine; [`reference`](mod@reference) is the contract's
+//! oracle, plain single-threaded loops that contract tests and the
+//! `duet-kernel-floor` CI gate call by name next to the engine's kernels.
 
 mod attention;
 mod conv;
@@ -34,7 +34,7 @@ mod gemm;
 mod linalg;
 pub mod micro;
 mod norm;
-mod reference;
+pub mod reference;
 mod rnn;
 mod util;
 
@@ -53,6 +53,5 @@ pub use linalg::{
     concat, embedding, reduce_max, reduce_mean, reduce_sum, slice_rows, split, transpose2d,
 };
 pub use norm::{layer_norm, log_softmax, softmax};
-pub use reference::{reference_mode, set_reference_mode};
 pub use rnn::{gru_step, lstm, lstm_step, LstmState};
 pub use util::{argmax, cosine_similarity, one_hot, topk};

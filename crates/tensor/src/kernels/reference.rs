@@ -1,148 +1,230 @@
-//! Reference (pre-vectorization) kernels and the global reference-mode
-//! switch.
+//! The oracle: the kernel contract's specification, written as the plainest
+//! single-threaded loops.
 //!
-//! These are the seed implementations of the heavy kernels: the
-//! cache-blocked zero-skipping accumulate GEMM and the serial
-//! one-chain-per-output linear, kept as they were but for one thing — the
-//! GEMM's axpy step is `f32::mul_add`, as the register tile's is, so that
-//! the exact contract between the two engines is a statement about loop
-//! structure and not about who fuses. (`conv2d` in reference mode builds
-//! the whole patch matrix and multiplies it here: the seed lowering.) They
-//! serve two roles:
+//! Every function here computes what a heavy kernel of the engine is
+//! specified to compute, one output element at a time, in the order the
+//! contract fixes, and shares no code with the engine — no tiling, no
+//! packing, no lane split, no thread. The engine's contract tests
+//! (`tests/kernel_contract.rs`, the root `tests/kernel_pool_width.rs`) and
+//! its speed gates (`duet-kernel-floor`, `ext-kernel-speed`) call these by
+//! name next to the engine's entry point of the same name:
 //!
-//! 1. **Numeric oracle.** The ulp-bounded contract of the lane-split
-//!    kernels (see `micro.rs`) is stated *against these*: the contract
-//!    tests compare vectorized output to reference-mode output.
-//! 2. **Before/after measurement.** `duet-bench`'s kernel-speed experiment
-//!    and the `duet-kernel-floor` CI gate flip [`set_reference_mode`]
-//!    between alternating trials inside one process, so the speedup they
-//!    record compares the two engines under identical build flags, cache
-//!    state and scheduler conditions.
+//! * **Exact** (`to_bits` identity): [`matmul`] and [`conv2d`] are one
+//!   `f32::mul_add` chain per output from `+0.0`, k-ascending; the
+//!   convolution's bias is added after the chain. [`depthwise_conv2d`]
+//!   starts each output at its bias and adds the in-image taps, unfused.
+//! * **Ulp-bounded** ([`within_ulps`]): [`linear`] and [`linear_acc_into`]
+//!   are one serial unfused chain per output, which the engine's lane-split
+//!   dot products reassociate; [`lstm`] is two such linears per step plus
+//!   the gate math, its activations computed here.
 //!
-//! The switch is process-global and intended for benchmarks and tests
-//! only; the serving path never touches it.
+//! Shapes are the caller's to get right: an oracle panics on a shape the
+//! engine would reject.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use super::rnn::LstmState;
+use crate::Tensor;
 
-use rayon::prelude::*;
-
-use super::micro::{fork_if_worthwhile, LANE_OP_WORK};
-
-static REFERENCE_MODE: AtomicBool = AtomicBool::new(false);
-
-/// Route the heavy kernels (GEMM, linear, depthwise conv, LSTM) through the
-/// seed scalar implementations (`true`) or the vectorized engine (`false`,
-/// the default).
-pub fn set_reference_mode(on: bool) {
-    REFERENCE_MODE.store(on, Ordering::SeqCst);
-}
-
-/// Whether reference mode is currently active.
-pub fn reference_mode() -> bool {
-    REFERENCE_MODE.load(Ordering::Relaxed)
-}
-
-/// Tile height for the parallel row split (seed value).
-const ROW_BLOCK: usize = 32;
-/// K-blocking factor (seed value).
-const K_BLOCK: usize = 256;
-
-/// Seed blocked GEMM, accumulating into `c` (`c` must be pre-zeroed).
-/// i-k-j loop order with a fused axpy inner loop straight through memory.
-pub(crate) fn gemm_acc_ref(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    if m <= ROW_BLOCK {
-        gemm_block(a, b, c, 0, m, k, n);
-        return;
+/// `a @ b` for `a: [m, k]`, `b: [k, n]`: the naive triple loop, each output
+/// one fused multiply-add chain over `t = 0..k`.
+pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    let (m, k, n) = (a.shape().dim(0), a.shape().dim(1), b.shape().dim(1));
+    let (ad, bd) = (a.data(), b.data());
+    let mut out = Vec::with_capacity(m * n);
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for t in 0..k {
+                acc = ad[i * k + t].mul_add(bd[t * n + j], acc);
+            }
+            out.push(acc);
+        }
     }
-    fork_if_worthwhile(m * k * n * LANE_OP_WORK, || {
-        c.par_chunks_mut(ROW_BLOCK * n)
-            .enumerate()
-            .for_each(|(blk, cblk)| {
-                let i0 = blk * ROW_BLOCK;
-                let rows = cblk.len() / n.max(1);
-                gemm_block(a, b, cblk, i0, rows, k, n);
-            });
-    });
+    tensor(vec![m, n], out)
 }
 
-/// One ROW_BLOCK-tall tile of the seed GEMM: rows `[i0, i0+rows)` of A
-/// into `cblk`, k-blocked, reduction strictly k-ascending per element.
-fn gemm_block(a: &[f32], b: &[f32], cblk: &mut [f32], i0: usize, rows: usize, k: usize, n: usize) {
-    for kk in (0..k).step_by(K_BLOCK) {
-        let kend = (kk + K_BLOCK).min(k);
-        for di in 0..rows {
-            let i = i0 + di;
-            let crow = &mut cblk[di * n..(di + 1) * n];
-            for t in kk..kend {
-                let aval = a[i * k + t];
-                if aval == 0.0 {
-                    continue;
-                }
-                let brow = &b[t * n..(t + 1) * n];
-                for (cv, bv) in crow.iter_mut().zip(brow.iter()) {
-                    *cv = aval.mul_add(*bv, *cv);
+/// Direct convolution, NCHW: each output one fused chain over its taps in
+/// (c_in, ky, kx) order, out-of-image taps skipped, then the bias.
+pub fn conv2d(
+    x: &Tensor,
+    w: &Tensor,
+    bias: Option<&Tensor>,
+    stride: usize,
+    padding: usize,
+) -> Tensor {
+    let [n, c_in, h, wd] = dims4(x);
+    let [c_out, _, kh, kw] = dims4(w);
+    let oh = (h + 2 * padding - kh) / stride + 1;
+    let ow = (wd + 2 * padding - kw) / stride + 1;
+    let (xd, wgt) = (x.data(), w.data());
+    let mut out = Vec::with_capacity(n * c_out * oh * ow);
+    for img in 0..n {
+        for co in 0..c_out {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = 0.0f32;
+                    for ci in 0..c_in {
+                        for ky in 0..kh {
+                            for kx in 0..kw {
+                                let iy = (oy * stride + ky).wrapping_sub(padding);
+                                let ix = (ox * stride + kx).wrapping_sub(padding);
+                                if iy < h && ix < wd {
+                                    acc = wgt[((co * c_in + ci) * kh + ky) * kw + kx]
+                                        .mul_add(xd[((img * c_in + ci) * h + iy) * wd + ix], acc);
+                                }
+                            }
+                        }
+                    }
+                    if let Some(b) = bias {
+                        acc += b.data()[co];
+                    }
+                    out.push(acc);
                 }
             }
         }
     }
+    tensor(vec![n, c_out, oh, ow], out)
 }
 
-/// Seed linear: one serial scalar accumulation chain per output element.
-pub(crate) fn linear_into_ref(
-    x: &[f32],
-    w: &[f32],
-    bias: Option<&[f32]>,
-    out: &mut [f32],
-    m: usize,
-    kin: usize,
-    nout: usize,
-) {
-    let row = |i: usize, orow: &mut [f32]| {
-        let xrow = &x[i * kin..(i + 1) * kin];
-        for (j, o) in orow.iter_mut().enumerate() {
-            let wrow = &w[j * kin..(j + 1) * kin];
+/// Depthwise convolution, `w: [c, 1, kh, kw]`: each output starts at its
+/// channel's bias and adds the in-image taps in (ky, kx) order, unfused.
+pub fn depthwise_conv2d(
+    x: &Tensor,
+    w: &Tensor,
+    bias: Option<&Tensor>,
+    stride: usize,
+    padding: usize,
+) -> Tensor {
+    let [n, c, h, wd] = dims4(x);
+    let [_, _, kh, kw] = dims4(w);
+    let oh = (h + 2 * padding - kh) / stride + 1;
+    let ow = (wd + 2 * padding - kw) / stride + 1;
+    let (xd, wgt) = (x.data(), w.data());
+    let mut out = Vec::with_capacity(n * c * oh * ow);
+    for img in 0..n {
+        for ci in 0..c {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = bias.map_or(0.0, |b| b.data()[ci]);
+                    for ky in 0..kh {
+                        for kx in 0..kw {
+                            let iy = (oy * stride + ky).wrapping_sub(padding);
+                            let ix = (ox * stride + kx).wrapping_sub(padding);
+                            if iy < h && ix < wd {
+                                acc += xd[((img * c + ci) * h + iy) * wd + ix]
+                                    * wgt[(ci * kh + ky) * kw + kx];
+                            }
+                        }
+                    }
+                    out.push(acc);
+                }
+            }
+        }
+    }
+    tensor(vec![n, c, oh, ow], out)
+}
+
+/// `x @ w^T + bias` for `x: [m, kin]`, `w: [nout, kin]`: one serial
+/// unfused chain per output, then the bias.
+pub fn linear(x: &Tensor, w: &Tensor, bias: Option<&Tensor>) -> Tensor {
+    let (m, kin, nout) = (x.shape().dim(0), x.shape().dim(1), w.shape().dim(0));
+    let mut out = vec![0.0f32; m * nout];
+    if let Some(b) = bias {
+        for row in out.chunks_mut(nout) {
+            row.copy_from_slice(b.data());
+        }
+    }
+    // `b + chain` and `chain + b` are the same IEEE sum.
+    linear_acc_into(x.data(), w.data(), &mut out, m, kin, nout);
+    tensor(vec![m, nout], out)
+}
+
+/// `out[i, j] += x_i · w_j` over raw slices: one serial unfused chain per
+/// output, added to what `out` held.
+pub fn linear_acc_into(x: &[f32], w: &[f32], out: &mut [f32], m: usize, kin: usize, nout: usize) {
+    for i in 0..m {
+        for j in 0..nout {
             let mut acc = 0.0f32;
             for t in 0..kin {
-                acc += xrow[t] * wrow[t];
+                acc += x[i * kin + t] * w[j * kin + t];
             }
-            *o = acc + bias.map_or(0.0, |b| b[j]);
+            out[i * nout + j] += acc;
+        }
+    }
+}
+
+/// Single-layer LSTM over `x: [seq, batch, in]` from a zero state, gate
+/// order i, f, g, o: the `[seq, batch, hidden]` stack of hidden states and
+/// the final state. Each step is [`linear`] of the input (with `b`) and of
+/// the hidden state, summed, then the cell equations.
+pub fn lstm(x: &Tensor, w_ih: &Tensor, w_hh: &Tensor, b: &Tensor) -> (Tensor, LstmState) {
+    let (seq, batch, input) = (x.shape().dim(0), x.shape().dim(1), x.shape().dim(2));
+    let hidden = w_hh.shape().dim(1);
+    let mut state = LstmState::zeros(batch, hidden);
+    let mut outputs = Vec::with_capacity(seq * batch * hidden);
+    for t in 0..seq {
+        let xt = x.data()[t * batch * input..(t + 1) * batch * input].to_vec();
+        state = lstm_step(&tensor(vec![batch, input], xt), &state, w_ih, w_hh, b);
+        outputs.extend_from_slice(state.h.data());
+    }
+    (tensor(vec![seq, batch, hidden], outputs), state)
+}
+
+fn lstm_step(x: &Tensor, state: &LstmState, w_ih: &Tensor, w_hh: &Tensor, b: &Tensor) -> LstmState {
+    let (batch, hidden) = (x.shape().dim(0), w_hh.shape().dim(1));
+    let (gx, gh) = (linear(x, w_ih, Some(b)), linear(&state.h, w_hh, None));
+    let gate = |bi: usize, g: usize, j: usize| {
+        let at = (bi * 4 + g) * hidden + j;
+        gx.data()[at] + gh.data()[at]
+    };
+    let sigmoid = |v: f32| 1.0 / (1.0 + (-v).exp());
+    let (mut h, mut c) = (Vec::new(), Vec::new());
+    for bi in 0..batch {
+        for j in 0..hidden {
+            let (i_g, f_g) = (sigmoid(gate(bi, 0, j)), sigmoid(gate(bi, 1, j)));
+            let (g_g, o_g) = (gate(bi, 2, j).tanh(), sigmoid(gate(bi, 3, j)));
+            let c_new = f_g * state.c.data()[bi * hidden + j] + i_g * g_g;
+            c.push(c_new);
+            h.push(o_g * c_new.tanh());
+        }
+    }
+    LstmState {
+        h: tensor(vec![batch, hidden], h),
+        c: tensor(vec![batch, hidden], c),
+    }
+}
+
+/// The ulp-bounded contract between an engine result `got` and the oracle's
+/// `want`: at most `ulps` representable values apart, or — where the
+/// result sits too close to zero for bit distance to mean anything, as under
+/// cancellation — within `ulps` ulp of the accumulated magnitude `mag`
+/// (`Σ|xᵢ·wᵢ|` plus any addend), which bounds either association's rounding.
+pub fn within_ulps(got: f32, want: f32, mag: f32, ulps: u32) -> bool {
+    ulps_apart(got, want) <= u64::from(ulps)
+        || (got - want).abs() <= ulps as f32 * mag * f32::EPSILON
+}
+
+/// Number of representable f32 values between `a` and `b` (0 for equal
+/// values, so +0 and −0 are 0 apart).
+pub fn ulps_apart(a: f32, b: f32) -> u64 {
+    if a == b {
+        return 0;
+    }
+    let order = |f: f32| -> i64 {
+        let i = i64::from(f.to_bits() as i32);
+        if i < 0 {
+            i64::from(i32::MIN) - i
+        } else {
+            i
         }
     };
-    if m <= 1 {
-        if m == 1 {
-            row(0, out);
-        }
-        return;
-    }
-    fork_if_worthwhile(m * kin * nout * LANE_OP_WORK, || {
-        out.par_chunks_mut(nout)
-            .enumerate()
-            .for_each(|(i, orow)| row(i, orow));
-    });
+    order(a).abs_diff(order(b))
 }
 
-/// Accumulating seed linear: `out[i][j] += x_i · w_j`, serial chains.
-pub(crate) fn linear_acc_into_ref(
-    x: &[f32],
-    w: &[f32],
-    out: &mut [f32],
-    m: usize,
-    kin: usize,
-    nout: usize,
-) {
-    for i in 0..m {
-        let xrow = &x[i * kin..(i + 1) * kin];
-        let orow = &mut out[i * nout..(i + 1) * nout];
-        for (j, o) in orow.iter_mut().enumerate() {
-            let wrow = &w[j * kin..(j + 1) * kin];
-            let mut acc = 0.0f32;
-            for t in 0..kin {
-                acc += xrow[t] * wrow[t];
-            }
-            *o += acc;
-        }
-    }
+fn dims4(t: &Tensor) -> [usize; 4] {
+    let d = t.shape().dims();
+    [d[0], d[1], d[2], d[3]]
+}
+
+fn tensor(dims: Vec<usize>, data: Vec<f32>) -> Tensor {
+    Tensor::from_vec(dims, data).expect("an oracle sizes its output from its own loop bounds")
 }

@@ -11,15 +11,13 @@
 //! then accumulates `h @ w_hh^T` in place (`linear_acc_into`), and the
 //! sequence driver reuses that buffer plus ping-pong h/c state across
 //! timesteps — no per-step tensor allocation. The gate arithmetic
-//! `σ((x·w+b) + h·w)` associates exactly as the two-GEMM composition the
-//! seed used, so the fused path is **bit-identical** to composing
-//! `linear` + `linear` + gate math with the same dot kernel (the contract
-//! test asserts this). Reference mode routes through the composed seed
-//! path with serial dots.
+//! `σ((x·w+b) + h·w)` associates exactly as a two-GEMM composition does, so
+//! the fused path is **bit-identical** to composing `linear` + `linear` +
+//! gate math with the same dot kernel (a unit test asserts this), and within
+//! the ulp contract of [`super::reference::lstm`], whose dots are serial.
 
 use super::elementwise::UnaryOp;
 use super::gemm::{linear, linear_acc_into, linear_into};
-use super::reference;
 use crate::{Tensor, TensorError};
 
 /// Hidden and cell state of an LSTM layer, each `[batch, hidden]`.
@@ -102,50 +100,6 @@ fn lstm_step_fused(
     }
 }
 
-/// Seed composition: two allocating GEMMs then gate math. Kept as the
-/// reference-mode path; the fused path must match it bit-for-bit when
-/// both use the same dot kernel.
-fn lstm_step_composed(
-    x: &Tensor,
-    state: &LstmState,
-    w_ih: &Tensor,
-    w_hh: &Tensor,
-    b: &Tensor,
-) -> Result<LstmState, TensorError> {
-    let batch = x.shape().dim(0);
-    let hidden = state.h.shape().dim(1);
-    let gates_x = linear(x, w_ih, Some(b))?;
-    let gates_h = linear(&state.h, w_hh, None)?;
-    if gates_x.shape() != gates_h.shape() || gates_x.shape().dim(1) != 4 * hidden {
-        return Err(TensorError::ShapeMismatch {
-            op: "lstm_step",
-            lhs: gates_x.shape().dims().to_vec(),
-            rhs: gates_h.shape().dims().to_vec(),
-        });
-    }
-    let gx = gates_x.data();
-    let gh = gates_h.data();
-    let cd = state.c.data();
-    let mut h = vec![0.0f32; batch * hidden];
-    let mut c = vec![0.0f32; batch * hidden];
-    for bi in 0..batch {
-        let row = bi * 4 * hidden;
-        for j in 0..hidden {
-            let i_g = UnaryOp::Sigmoid.apply(gx[row + j] + gh[row + j]);
-            let f_g = UnaryOp::Sigmoid.apply(gx[row + hidden + j] + gh[row + hidden + j]);
-            let g_g = (gx[row + 2 * hidden + j] + gh[row + 2 * hidden + j]).tanh();
-            let o_g = UnaryOp::Sigmoid.apply(gx[row + 3 * hidden + j] + gh[row + 3 * hidden + j]);
-            let c_new = f_g * cd[bi * hidden + j] + i_g * g_g;
-            c[bi * hidden + j] = c_new;
-            h[bi * hidden + j] = o_g * c_new.tanh();
-        }
-    }
-    Ok(LstmState {
-        h: Tensor::from_vec(vec![batch, hidden], h)?,
-        c: Tensor::from_vec(vec![batch, hidden], c)?,
-    })
-}
-
 /// One LSTM timestep.
 ///
 /// `x: [batch, in]`, `w_ih: [4*hidden, in]`, `w_hh: [4*hidden, hidden]`,
@@ -157,9 +111,6 @@ pub fn lstm_step(
     w_hh: &Tensor,
     b: &Tensor,
 ) -> Result<LstmState, TensorError> {
-    if reference::reference_mode() {
-        return lstm_step_composed(x, state, w_ih, w_hh, b);
-    }
     x.shape().expect_rank("lstm_step", 2)?;
     state.h.shape().expect_rank("lstm_step", 2)?;
     let (batch, input) = (x.shape().dim(0), x.shape().dim(1));
@@ -210,20 +161,6 @@ pub fn lstm(
 ) -> Result<(Tensor, LstmState), TensorError> {
     x.shape().expect_rank("lstm", 3)?;
     let (seq, batch, input) = (x.shape().dim(0), x.shape().dim(1), x.shape().dim(2));
-    if reference::reference_mode() {
-        let hidden = w_hh.shape().dim(1);
-        let mut state = LstmState::zeros(batch, hidden);
-        let mut outputs = Vec::with_capacity(seq * batch * hidden);
-        for t in 0..seq {
-            let xt = Tensor::from_vec(
-                vec![batch, input],
-                x.data()[t * batch * input..(t + 1) * batch * input].to_vec(),
-            )?;
-            state = lstm_step(&xt, &state, w_ih, w_hh, b)?;
-            outputs.extend_from_slice(state.h.data());
-        }
-        return Ok((Tensor::from_vec(vec![seq, batch, hidden], outputs)?, state));
-    }
     let hidden = lstm_weight_dims(input, w_ih, w_hh, b)?;
     let mut h = vec![0.0f32; batch * hidden];
     let mut c = vec![0.0f32; batch * hidden];
@@ -359,6 +296,40 @@ mod tests {
         assert_eq!(&stack.data()[3 * 10..], st.h.data());
     }
 
+    /// The step as two allocating `linear` calls, then the gate math — on
+    /// the engine's own dot kernel, unlike the oracle's serial one.
+    fn lstm_step_composed(
+        x: &Tensor,
+        state: &LstmState,
+        w_ih: &Tensor,
+        w_hh: &Tensor,
+        b: &Tensor,
+    ) -> LstmState {
+        let (batch, hidden) = (x.shape().dim(0), state.h.shape().dim(1));
+        let gx = linear(x, w_ih, Some(b)).unwrap();
+        let gh = linear(&state.h, w_hh, None).unwrap();
+        let gate = |bi: usize, g: usize, j: usize| {
+            let at = (bi * 4 + g) * hidden + j;
+            gx.data()[at] + gh.data()[at]
+        };
+        let (mut h, mut c) = (Vec::new(), Vec::new());
+        for bi in 0..batch {
+            for j in 0..hidden {
+                let i_g = UnaryOp::Sigmoid.apply(gate(bi, 0, j));
+                let f_g = UnaryOp::Sigmoid.apply(gate(bi, 1, j));
+                let g_g = gate(bi, 2, j).tanh();
+                let o_g = UnaryOp::Sigmoid.apply(gate(bi, 3, j));
+                let c_new = f_g * state.c.data()[bi * hidden + j] + i_g * g_g;
+                c.push(c_new);
+                h.push(o_g * c_new.tanh());
+            }
+        }
+        LstmState {
+            h: Tensor::from_vec(vec![batch, hidden], h).unwrap(),
+            c: Tensor::from_vec(vec![batch, hidden], c).unwrap(),
+        }
+    }
+
     /// The fused step and the two-GEMM composition share every arithmetic
     /// operation in the same association, so they must agree bit-for-bit.
     #[test]
@@ -370,7 +341,7 @@ mod tests {
             c: Tensor::randn(vec![3, 17], 0.7, 33),
         };
         let fused = lstm_step(&x, &s, &w_ih, &w_hh, &b).unwrap();
-        let composed = lstm_step_composed(&x, &s, &w_ih, &w_hh, &b).unwrap();
+        let composed = lstm_step_composed(&x, &s, &w_ih, &w_hh, &b);
         assert!(fused
             .h
             .data()

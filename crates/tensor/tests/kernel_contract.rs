@@ -1,79 +1,32 @@
-//! Reduction-order contract tests for the vectorized kernel engine.
+//! Reduction-order contract tests for the kernel engine.
 //!
-//! Every heavy kernel documents one of two numeric contracts against the
-//! seed scalar implementations (reachable via `set_reference_mode`, see
-//! `kernels/reference.rs`):
+//! Every heavy kernel documents one of two numeric contracts against its
+//! oracle in `kernels::reference` — the same computation written as plain
+//! single-threaded loops that share no code with the engine. Each test
+//! calls `kernels::X` and `reference::X` on the same inputs:
 //!
 //! * **Exact (`to_bits` identity).** GEMM (and everything lowered onto it:
 //!   `matmul`, `conv2d`) computes each output element as one fused
 //!   multiply-add chain, `acc = a.mul_add(b, acc)`, in a fixed k-ascending
-//!   order — in both engines; the depthwise convolution as one unfused
-//!   chain, in both. Tiling and lane-chunking change which elements
-//!   advance together, never the order within one element's chain, and
-//!   IEEE 754 fixes each step's rounding, so the vectorized engine must
-//!   reproduce the seed bytes bit-for-bit.
+//!   order; the depthwise convolution as one unfused chain. Tiling and
+//!   lane-chunking change which elements advance together, never the order
+//!   within one element's chain, and IEEE 754 fixes each step's rounding, so
+//!   the engine must reproduce the oracle's bytes bit-for-bit.
 //! * **Ulp-bounded.** `linear` (and the LSTM gates on top of it) splits
 //!   each dot product into `LANES` independent partial sums — the
 //!   reassociation that makes a dot product vectorizable. The contract is
 //!   ≤ 4 ulp *measured at the scale of the accumulated magnitude*
-//!   `Σ|xᵢ·wᵢ|`: under cancellation the result itself can land arbitrarily
-//!   close to zero, where "ulp of the result" is not a meaningful unit,
-//!   but the rounding error of either association is still bounded by a
-//!   few ulp of the magnitude that flowed through the accumulators.
-//!
-//! Reference mode is process-global, so every test serializes on one lock
-//! and restores the flag via a drop guard.
+//!   `Σ|xᵢ·wᵢ|` (`reference::within_ulps`): under cancellation the result
+//!   itself can land arbitrarily close to zero, where "ulp of the result" is
+//!   not a meaningful unit, but the rounding error of either association is
+//!   still bounded by a few ulp of the magnitude that flowed through the
+//!   accumulators.
 
-use std::sync::Mutex;
-
-use duet_tensor::kernels::{self, set_reference_mode, LstmState};
+use duet_tensor::kernels::{self, reference, LstmState};
 use duet_tensor::Tensor;
 use proptest::prelude::*;
 
-static REF_LOCK: Mutex<()> = Mutex::new(());
-
-struct RefModeGuard;
-impl Drop for RefModeGuard {
-    fn drop(&mut self) {
-        set_reference_mode(false);
-    }
-}
-
-/// Run `f` with the seed kernels active; the flag is restored even if
-/// `f` panics. Callers must hold [`REF_LOCK`].
-fn reference<T>(f: impl FnOnce() -> T) -> T {
-    set_reference_mode(true);
-    let _guard = RefModeGuard;
-    f()
-}
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    REF_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Number of representable f32 values between `a` and `b` (0 for equal
-/// values, treating +0 and −0 as equal).
-fn bits_apart(a: f32, b: f32) -> u64 {
-    if a == b {
-        return 0;
-    }
-    let order = |f: f32| -> i64 {
-        let i = f.to_bits() as i32 as i64;
-        if i < 0 {
-            (i32::MIN as i64) - i
-        } else {
-            i
-        }
-    };
-    order(a).abs_diff(order(b))
-}
-
-/// The ulp-bounded contract: within `ulps` representable values, or
-/// within `ulps` ulp of the accumulated magnitude `mag` when the result
-/// sits too close to zero for bit distance to mean anything.
-fn close_ulps(a: f32, b: f32, mag: f32, ulps: u32) -> bool {
-    bits_apart(a, b) <= ulps as u64 || (a - b).abs() <= ulps as f32 * mag * f32::EPSILON
-}
+use reference::{ulps_apart, within_ulps};
 
 fn assert_bits_eq(fast: &Tensor, slow: &Tensor, what: &str) {
     assert_eq!(fast.shape(), slow.shape(), "{what}: shape");
@@ -87,21 +40,20 @@ fn assert_bits_eq(fast: &Tensor, slow: &Tensor, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The register-tiled GEMM reproduces the seed blocked GEMM's bytes on
+    /// The register-tiled GEMM reproduces the naive loop's bytes on
     /// arbitrary shapes — row-tile stragglers, narrow and wide tail strips
     /// below and above one full strip, and the chunk split on both axes.
     #[test]
-    fn matmul_bits_identical_across_engines(
+    fn matmul_bits_identical_to_reference(
         m in 1usize..40,
         k in 1usize..160,
         n in 1usize..100,
         seed in 0u64..1000,
     ) {
-        let _l = lock();
         let a = Tensor::randn(vec![m, k], 1.0, seed);
         let b = Tensor::randn(vec![k, n], 1.0, seed.wrapping_add(1));
         let fast = kernels::matmul(&a, &b).unwrap();
-        let slow = reference(|| kernels::matmul(&a, &b).unwrap());
+        let slow = reference::matmul(&a, &b);
         assert_bits_eq(&fast, &slow, &format!("matmul {m}x{k}x{n}"));
     }
 }
@@ -113,14 +65,13 @@ fn matmul_every_tile_residue_bits_identical() {
     // enough for one chunk and large enough for several, k of one step, a
     // round number and the stem's 147. Neither the split nor the tile shape
     // may change any element's chain.
-    let _l = lock();
     for m in [1, 2, 3, 4, 5, 6, 13, 65] {
         for n in [1, 15, 16, 17, 31, 32, 33, 36, 47, 64, 81] {
             for k in [1, 64, 147] {
                 let a = Tensor::randn(vec![m, k], 1.0, 7);
                 let b = Tensor::randn(vec![k, n], 1.0, 8);
                 let fast = kernels::matmul(&a, &b).unwrap();
-                let slow = reference(|| kernels::matmul(&a, &b).unwrap());
+                let slow = reference::matmul(&a, &b);
                 assert_bits_eq(&fast, &slow, &format!("matmul {m}x{k}x{n}"));
             }
         }
@@ -128,12 +79,10 @@ fn matmul_every_tile_residue_bits_identical() {
 }
 
 #[test]
-fn conv2d_bits_identical_across_engines() {
-    // conv2d is the exact-contract GEMM over strips packed from the image
-    // (the seed engine: over the whole patch matrix), so it inherits bit
-    // identity — padded borders, strided geometries, strips that span
+fn conv2d_bits_identical_to_reference() {
+    // conv2d is the exact-contract GEMM over strips packed from the image,
+    // so it is bit-identical to the direct loop — padded borders, strided geometries, strips that span
     // several output rows (widths 7, 14, 28, 56), the strided 1x1.
-    let _l = lock();
     for &(n, c_in, c_out, hw, k, stride, padding) in &[
         (1usize, 3usize, 8usize, 11usize, 3usize, 1usize, 1usize),
         (2, 4, 6, 9, 3, 2, 1),
@@ -150,7 +99,7 @@ fn conv2d_bits_identical_across_engines() {
         let w = Tensor::randn(vec![c_out, c_in, k, k], 0.5, 12);
         let b = Tensor::randn(vec![c_out], 0.5, 13);
         let fast = kernels::conv2d(&x, &w, Some(&b), stride, padding).unwrap();
-        let slow = reference(|| kernels::conv2d(&x, &w, Some(&b), stride, padding).unwrap());
+        let slow = reference::conv2d(&x, &w, Some(&b), stride, padding);
         assert_bits_eq(
             &fast,
             &slow,
@@ -160,13 +109,11 @@ fn conv2d_bits_identical_across_engines() {
 }
 
 #[test]
-fn depthwise_bits_identical_across_engines() {
+fn depthwise_bits_identical_to_reference() {
     // The lane-chunked interior computes 8 outputs at once but keeps each
-    // output's chain `bias, then taps in (ky,kx) order` — the scalar
-    // kernel's order exactly. Geometries cover interior spans wider and
-    // narrower than one lane chunk, padded borders, and the strided path
-    // (which shares the scalar kernel by construction).
-    let _l = lock();
+    // output's chain `bias, then taps in (ky,kx) order` — the oracle's
+    // order exactly. Geometries cover interior spans wider and narrower
+    // than one lane chunk, padded borders, and the strided path.
     for &(c, hw, stride, padding) in &[
         (3usize, 12usize, 1usize, 1usize),
         (8, 7, 1, 0),
@@ -177,8 +124,7 @@ fn depthwise_bits_identical_across_engines() {
         let w = Tensor::randn(vec![c, 1, 3, 3], 0.5, 22);
         let b = Tensor::randn(vec![c], 0.5, 23);
         let fast = kernels::depthwise_conv2d(&x, &w, Some(&b), stride, padding).unwrap();
-        let slow =
-            reference(|| kernels::depthwise_conv2d(&x, &w, Some(&b), stride, padding).unwrap());
+        let slow = reference::depthwise_conv2d(&x, &w, Some(&b), stride, padding);
         assert_bits_eq(
             &fast,
             &slow,
@@ -193,7 +139,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The lane-split linear stays within 4 ulp (at accumulated-magnitude
-    /// scale) of the serial seed kernel for the zoo's distributions:
+    /// scale) of the serial oracle for the zoo's distributions:
     /// k up to a few hundred, unit-variance values. Sizes sweep every
     /// lane-tail residue (`kin % LANES`) and the 4-row output tiling tail.
     #[test]
@@ -204,13 +150,12 @@ proptest! {
         bias_on in any::<bool>(),
         seed in 0u64..1000,
     ) {
-        let _l = lock();
         let x = Tensor::randn(vec![m, kin], 1.0, seed);
         let w = Tensor::randn(vec![nout, kin], 1.0, seed.wrapping_add(1));
         let b = Tensor::randn(vec![nout], 1.0, seed.wrapping_add(2));
         let bias = bias_on.then_some(&b);
         let fast = kernels::linear(&x, &w, bias).unwrap();
-        let slow = reference(|| kernels::linear(&x, &w, bias).unwrap());
+        let slow = reference::linear(&x, &w, bias);
         for i in 0..m {
             let xrow = &x.data()[i * kin..(i + 1) * kin];
             for j in 0..nout {
@@ -223,9 +168,9 @@ proptest! {
                     + if bias_on { b.data()[j].abs() } else { 0.0 };
                 let (f, s) = (fast.data()[i * nout + j], slow.data()[i * nout + j]);
                 prop_assert!(
-                    close_ulps(f, s, mag, 4),
+                    within_ulps(f, s, mag, 4),
                     "linear {m}x{kin}x{nout} at ({i},{j}): {f} vs {s} ({} bits apart, mag {mag})",
-                    bits_apart(f, s)
+                    ulps_apart(f, s)
                 );
             }
         }
@@ -238,14 +183,13 @@ proptest! {
         nout in 1usize..30,
         seed in 0u64..1000,
     ) {
-        let _l = lock();
         let x = Tensor::randn(vec![2, kin], 1.0, seed);
         let w = Tensor::randn(vec![nout, kin], 1.0, seed.wrapping_add(1));
         let init = Tensor::randn(vec![2, nout], 1.0, seed.wrapping_add(2));
         let mut fast = init.data().to_vec();
         kernels::linear_acc_into(x.data(), w.data(), &mut fast, 2, kin, nout);
         let mut slow = init.data().to_vec();
-        reference(|| kernels::linear_acc_into(x.data(), w.data(), &mut slow, 2, kin, nout));
+        reference::linear_acc_into(x.data(), w.data(), &mut slow, 2, kin, nout);
         for i in 0..2 {
             let xrow = &x.data()[i * kin..(i + 1) * kin];
             for j in 0..nout {
@@ -258,9 +202,9 @@ proptest! {
                     + init.data()[i * nout + j].abs();
                 let (f, s) = (fast[i * nout + j], slow[i * nout + j]);
                 prop_assert!(
-                    close_ulps(f, s, mag, 4),
+                    within_ulps(f, s, mag, 4),
                     "linear_acc {kin}x{nout} at ({i},{j}): {f} vs {s} ({} bits apart)",
-                    bits_apart(f, s)
+                    ulps_apart(f, s)
                 );
             }
         }
@@ -271,17 +215,16 @@ proptest! {
 /// hot path that skips the parallel split entirely).
 #[test]
 fn linear_batch1_every_tail_residue() {
-    let _l = lock();
     for kin in 1..=2 * kernels::micro::LANES + 1 {
         let x = Tensor::randn(vec![1, kin], 1.0, kin as u64);
         let w = Tensor::randn(vec![5, kin], 1.0, 100 + kin as u64);
         let fast = kernels::linear(&x, &w, None).unwrap();
-        let slow = reference(|| kernels::linear(&x, &w, None).unwrap());
+        let slow = reference::linear(&x, &w, None);
         for j in 0..5 {
             let wrow = &w.data()[j * kin..(j + 1) * kin];
             let mag: f32 = x.data().iter().zip(wrow).map(|(a, c)| (a * c).abs()).sum();
             assert!(
-                close_ulps(fast.data()[j], slow.data()[j], mag, 4),
+                within_ulps(fast.data()[j], slow.data()[j], mag, 4),
                 "kin={kin} j={j}: {} vs {}",
                 fast.data()[j],
                 slow.data()[j]
@@ -290,21 +233,20 @@ fn linear_batch1_every_tail_residue() {
     }
 }
 
-/// The fused LSTM (shared gates buffer, lane-split dots) against the seed
-/// composition (two allocating GEMMs, serial dots) over a full sequence.
+/// The fused LSTM (shared gates buffer, lane-split dots) against the
+/// oracle (two allocating linears per step, serial dots) over a full sequence.
 /// The gate pre-activations carry the 4-ulp linear contract; sigmoid and
 /// tanh are contractive (|σ'| ≤ ¼, |tanh'| ≤ 1), so the natural bound on
 /// the state trajectory is a small absolute tolerance, not ulp.
 #[test]
 fn lstm_sequence_close_to_reference() {
-    let _l = lock();
     let (seq, batch, input, hidden) = (6, 2, 13, 17);
     let x = Tensor::randn(vec![seq, batch, input], 1.0, 41);
     let w_ih = Tensor::randn(vec![4 * hidden, input], 0.3, 42);
     let w_hh = Tensor::randn(vec![4 * hidden, hidden], 0.3, 43);
     let b = Tensor::randn(vec![4 * hidden], 0.3, 44);
     let (fast_out, fast_fin) = kernels::lstm(&x, &w_ih, &w_hh, &b).unwrap();
-    let (slow_out, slow_fin) = reference(|| kernels::lstm(&x, &w_ih, &w_hh, &b).unwrap());
+    let (slow_out, slow_fin) = reference::lstm(&x, &w_ih, &w_hh, &b);
     let max_diff = |a: &Tensor, c: &Tensor| {
         a.data()
             .iter()
@@ -334,12 +276,11 @@ fn lstm_sequence_close_to_reference() {
     assert_bits_eq(&st.c, &fast_fin.c, "lstm step-vs-driver c");
 }
 
-/// Determinism: the vectorized engine's lane structure is fixed, so the
+/// Determinism: the engine's lane structure is fixed, so the
 /// same inputs produce the same bits run over run — the property the
 /// tape's bit-identity suite builds on.
 #[test]
 fn vectorized_kernels_deterministic() {
-    let _l = lock();
     let x = Tensor::randn(vec![3, 100], 1.0, 51);
     let w = Tensor::randn(vec![20, 100], 1.0, 52);
     let y1 = kernels::linear(&x, &w, None).unwrap();

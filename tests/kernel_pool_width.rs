@@ -4,9 +4,10 @@
 //! shapes sit below the fork gate, so the forked paths — 2-D GEMM chunks
 //! that pack their own strips, image/plane/row splits — need shapes chosen
 //! to pass the gate and a pool with background workers. Every kernel here is
-//! compared bit for bit (`to_bits`) against a naive loop that shares no
-//! code with the engine, and against the same kernel with its regions
-//! forced inline (the width-1 result).
+//! compared bit for bit (`to_bits`) against its oracle in
+//! `kernels::reference` (or, for pooling, a naive loop), plain loops that
+//! share no code with the engine, and against the same kernel with its
+//! regions forced inline (the width-1 result).
 //!
 //! Its own test binary: the pool is process-global and sized at first use,
 //! so `rayon::configure` must win the race here.
@@ -15,7 +16,7 @@ use std::sync::{Mutex, Once};
 
 use duet::prelude::*;
 use duet_models::input_feeds;
-use duet_tensor::kernels;
+use duet_tensor::kernels::{self, reference};
 use duet_tensor::Tensor;
 
 const POOL_WIDTH: usize = 3; // 1 participating caller + 2 background workers
@@ -58,48 +59,6 @@ fn check(what: &str, want: &[f32], kernel: impl Fn() -> Tensor) {
     assert_bits_eq(inline.data(), want, &format!("{what} (inline)"));
 }
 
-/// Direct convolution: one fused k-ascending chain per output, taps in
-/// (channel, row, column) order, out-of-image taps skipped.
-fn naive_conv(x: &Tensor, w: &Tensor, stride: usize, padding: usize) -> Vec<f32> {
-    let (n, c_in, h, wd) = dims4(x);
-    let (c_out, _, kh, kw) = dims4(w);
-    let oh = (h + 2 * padding - kh) / stride + 1;
-    let ow = (wd + 2 * padding - kw) / stride + 1;
-    let (xd, wgt) = (x.data(), w.data());
-    let mut out = vec![0.0f32; n * c_out * oh * ow];
-    for img in 0..n {
-        for co in 0..c_out {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0f32;
-                    for ci in 0..c_in {
-                        for ky in 0..kh {
-                            let iy = (oy * stride + ky).wrapping_sub(padding);
-                            if iy >= h {
-                                continue;
-                            }
-                            for kx in 0..kw {
-                                let ix = (ox * stride + kx).wrapping_sub(padding);
-                                if ix < wd {
-                                    acc = wgt[((co * c_in + ci) * kh + ky) * kw + kx]
-                                        .mul_add(xd[((img * c_in + ci) * h + iy) * wd + ix], acc);
-                                }
-                            }
-                        }
-                    }
-                    out[((img * c_out + co) * oh + oy) * ow + ox] = acc;
-                }
-            }
-        }
-    }
-    out
-}
-
-fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {
-    let d = t.shape().dims();
-    (d[0], d[1], d[2], d[3])
-}
-
 #[test]
 fn conv2d_matches_the_naive_loop_bit_for_bit() {
     configure();
@@ -123,8 +82,8 @@ fn conv2d_matches_the_naive_loop_bit_for_bit() {
     for (i, (what, xs, ws, stride, padding)) in cases.into_iter().enumerate() {
         let x = Tensor::randn(xs.to_vec(), 1.0, 40 + i as u64);
         let w = Tensor::randn(ws.to_vec(), 0.1, 50 + i as u64);
-        let want = naive_conv(&x, &w, stride, padding);
-        check(&format!("conv2d {what}"), &want, || {
+        let want = reference::conv2d(&x, &w, None, stride, padding);
+        check(&format!("conv2d {what}"), want.data(), || {
             kernels::conv2d(&x, &w, None, stride, padding).unwrap()
         });
     }
@@ -138,17 +97,8 @@ fn matmul_matches_the_naive_loop_bit_for_bit() {
     let (m, k, n) = (70, 300, 130);
     let a = Tensor::randn(vec![m, k], 1.0, 60);
     let b = Tensor::randn(vec![k, n], 1.0, 61);
-    let mut want = vec![0.0f32; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for t in 0..k {
-                acc = a.data()[i * k + t].mul_add(b.data()[t * n + j], acc);
-            }
-            want[i * n + j] = acc;
-        }
-    }
-    check("matmul 70x300x130", &want, || {
+    let want = reference::matmul(&a, &b);
+    check("matmul 70x300x130", want.data(), || {
         kernels::matmul(&a, &b).unwrap()
     });
 
@@ -174,26 +124,8 @@ fn depthwise_and_pooling_match_naive_loops_bit_for_bit() {
     let x = Tensor::randn(vec![1, c, h, w], 1.0, 70);
     let wk = Tensor::randn(vec![c, 1, 3, 3], 0.5, 71);
     let bias = Tensor::randn(vec![c], 0.5, 72);
-    // Depthwise 3x3 s1 p1: bias first, then in-image taps in (ky, kx) order.
-    let mut want = vec![0.0f32; c * h * w];
-    for ci in 0..c {
-        for oy in 0..h {
-            for ox in 0..w {
-                let mut acc = bias.data()[ci];
-                for ky in 0..3 {
-                    for kx in 0..3 {
-                        let (iy, ix) = ((oy + ky).wrapping_sub(1), (ox + kx).wrapping_sub(1));
-                        if iy < h && ix < w {
-                            acc +=
-                                x.data()[(ci * h + iy) * w + ix] * wk.data()[ci * 9 + ky * 3 + kx];
-                        }
-                    }
-                }
-                want[(ci * h + oy) * w + ox] = acc;
-            }
-        }
-    }
-    check("depthwise 32ch 64x64 k3", &want, || {
+    let want = reference::depthwise_conv2d(&x, &wk, Some(&bias), 1, 1);
+    check("depthwise 32ch 64x64 k3", want.data(), || {
         kernels::depthwise_conv2d(&x, &wk, Some(&bias), 1, 1).unwrap()
     });
 
@@ -233,18 +165,34 @@ fn depthwise_and_pooling_match_naive_loops_bit_for_bit() {
     }
 }
 
-/// `linear` is lane-split (<= 4 ulp against a serial chain), so its oracle
-/// is the same kernel at width 1: the row split must not change a bit.
+/// `linear` is lane-split (<= 4 ulp against the serial oracle), so its
+/// bit-exact oracle is the same kernel at width 1: the row split must not
+/// change a bit. The forked rows — `want`, to the bit, once `check` passes —
+/// also keep the ulp contract against the oracle.
 #[test]
 fn linear_rows_are_bit_identical_to_the_inline_run() {
     configure();
-    let x = Tensor::randn(vec![8, 512], 1.0, 80);
-    let w = Tensor::randn(vec![512, 512], 0.05, 81);
-    let b = Tensor::randn(vec![512], 0.05, 82);
+    let (m, kin, nout) = (8, 512, 512);
+    let x = Tensor::randn(vec![m, kin], 1.0, 80);
+    let w = Tensor::randn(vec![nout, kin], 0.05, 81);
+    let b = Tensor::randn(vec![nout], 0.05, 82);
     let want = rayon::inline_scope(|| kernels::linear(&x, &w, Some(&b)).unwrap());
     check("linear 8x512x512", want.data(), || {
         kernels::linear(&x, &w, Some(&b)).unwrap()
     });
+    let serial = reference::linear(&x, &w, Some(&b));
+    for (at, (&got, &oracle)) in want.data().iter().zip(serial.data()).enumerate() {
+        let (i, j) = (at / nout, at % nout);
+        let products = x.data()[i * kin..][..kin]
+            .iter()
+            .zip(&w.data()[j * kin..][..kin]);
+        let mag = products.map(|(a, c)| (a * c).abs()).sum::<f32>() + b.data()[j].abs();
+        assert!(
+            reference::within_ulps(got, oracle, mag, 4),
+            "linear 8x512x512 at ({i},{j}): {got} vs {oracle} ({} ulps apart, mag {mag})",
+            reference::ulps_apart(got, oracle)
+        );
+    }
 }
 
 /// The whole engine on a width-3 pool: a placed, two-lane `Duet::run` of
