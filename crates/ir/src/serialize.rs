@@ -17,7 +17,6 @@
 //!
 //! Strings are `u32 length + UTF-8`; shapes are `u8 rank + u64 dims`.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use duet_tensor::{Shape, Tensor};
 
 use crate::graph::{Graph, NodeId};
@@ -58,191 +57,213 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    buf.extend((s.len() as u32).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
-fn put_shape(buf: &mut BytesMut, shape: &Shape) {
-    buf.put_u8(shape.rank() as u8);
+fn put_shape(buf: &mut Vec<u8>, shape: &Shape) {
+    buf.push(shape.rank() as u8);
     for &d in shape.dims() {
-        buf.put_u64_le(d as u64);
+        buf.extend((d as u64).to_le_bytes());
     }
 }
 
-fn put_op(buf: &mut BytesMut, op: &Op) {
+fn put_op(buf: &mut Vec<u8>, op: &Op) {
     match op {
-        Op::Input => buf.put_u8(0),
-        Op::Constant => buf.put_u8(1),
-        Op::Linear => buf.put_u8(2),
-        Op::MatMul => buf.put_u8(3),
+        Op::Input => buf.push(0),
+        Op::Constant => buf.push(1),
+        Op::Linear => buf.push(2),
+        Op::MatMul => buf.push(3),
         Op::Conv2d {
             stride,
             padding,
             bias,
         } => {
-            buf.put_u8(4);
-            buf.put_u32_le(*stride as u32);
-            buf.put_u32_le(*padding as u32);
-            buf.put_u8(u8::from(*bias));
+            buf.push(4);
+            buf.extend((*stride as u32).to_le_bytes());
+            buf.extend((*padding as u32).to_le_bytes());
+            buf.push(u8::from(*bias));
         }
-        Op::BatchNorm2d => buf.put_u8(5),
+        Op::BatchNorm2d => buf.push(5),
         Op::MaxPool2d { window, stride } => {
-            buf.put_u8(6);
-            buf.put_u32_le(*window as u32);
-            buf.put_u32_le(*stride as u32);
+            buf.push(6);
+            buf.extend((*window as u32).to_le_bytes());
+            buf.extend((*stride as u32).to_le_bytes());
         }
         Op::AvgPool2d { window, stride } => {
-            buf.put_u8(7);
-            buf.put_u32_le(*window as u32);
-            buf.put_u32_le(*stride as u32);
+            buf.push(7);
+            buf.extend((*window as u32).to_le_bytes());
+            buf.extend((*stride as u32).to_le_bytes());
         }
-        Op::GlobalAvgPool2d => buf.put_u8(8),
-        Op::Lstm => buf.put_u8(9),
-        Op::Gru => buf.put_u8(10),
+        Op::GlobalAvgPool2d => buf.push(8),
+        Op::Lstm => buf.push(9),
+        Op::Gru => buf.push(10),
         Op::Mha { heads } => {
-            buf.put_u8(11);
-            buf.put_u32_le(*heads as u32);
+            buf.push(11);
+            buf.extend((*heads as u32).to_le_bytes());
         }
         Op::LayerNorm { eps } => {
-            buf.put_u8(12);
-            buf.put_f32_le(*eps);
+            buf.push(12);
+            buf.extend(eps.to_le_bytes());
         }
-        Op::Softmax => buf.put_u8(13),
-        Op::LogSoftmax => buf.put_u8(14),
-        Op::Relu => buf.put_u8(15),
-        Op::Sigmoid => buf.put_u8(16),
-        Op::Tanh => buf.put_u8(17),
-        Op::Gelu => buf.put_u8(18),
-        Op::Add => buf.put_u8(19),
-        Op::Sub => buf.put_u8(20),
-        Op::Mul => buf.put_u8(21),
-        Op::BiasAdd => buf.put_u8(22),
+        Op::Softmax => buf.push(13),
+        Op::LogSoftmax => buf.push(14),
+        Op::Relu => buf.push(15),
+        Op::Sigmoid => buf.push(16),
+        Op::Tanh => buf.push(17),
+        Op::Gelu => buf.push(18),
+        Op::Add => buf.push(19),
+        Op::Sub => buf.push(20),
+        Op::Mul => buf.push(21),
+        Op::BiasAdd => buf.push(22),
         Op::Scale { factor } => {
-            buf.put_u8(23);
-            buf.put_f32_le(*factor);
+            buf.push(23);
+            buf.extend(factor.to_le_bytes());
         }
         Op::Concat { axis } => {
-            buf.put_u8(24);
-            buf.put_u32_le(*axis as u32);
+            buf.push(24);
+            buf.extend((*axis as u32).to_le_bytes());
         }
-        Op::Embedding => buf.put_u8(25),
+        Op::Embedding => buf.push(25),
         Op::Reshape { shape } => {
-            buf.put_u8(26);
-            buf.put_u8(shape.len() as u8);
+            buf.push(26);
+            buf.push(shape.len() as u8);
             for &d in shape {
-                buf.put_u64_le(d as u64);
+                buf.extend((d as u64).to_le_bytes());
             }
         }
-        Op::Transpose2d => buf.put_u8(27),
-        Op::ReduceSum => buf.put_u8(28),
-        Op::ReduceMean => buf.put_u8(29),
-        Op::ReduceMax => buf.put_u8(30),
+        Op::Transpose2d => buf.push(27),
+        Op::ReduceSum => buf.push(28),
+        Op::ReduceMean => buf.push(29),
+        Op::ReduceMax => buf.push(30),
         Op::SliceRows { start, end } => {
-            buf.put_u8(31);
-            buf.put_u64_le(*start as u64);
-            buf.put_u64_le(*end as u64);
+            buf.push(31);
+            buf.extend((*start as u64).to_le_bytes());
+            buf.extend((*end as u64).to_le_bytes());
         }
         Op::DepthwiseConv2d {
             stride,
             padding,
             bias,
         } => {
-            buf.put_u8(32);
-            buf.put_u32_le(*stride as u32);
-            buf.put_u32_le(*padding as u32);
-            buf.put_u8(u8::from(*bias));
+            buf.push(32);
+            buf.extend((*stride as u32).to_le_bytes());
+            buf.extend((*padding as u32).to_le_bytes());
+            buf.push(u8::from(*bias));
         }
     }
 }
 
 /// Serialize a graph (structure + weights) to bytes.
-pub fn encode(graph: &Graph) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + graph.param_bytes() + graph.len() * 32);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
+pub fn encode(graph: &Graph) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64 + graph.param_bytes() + graph.len() * 32);
+    buf.extend_from_slice(MAGIC);
+    buf.extend(VERSION.to_le_bytes());
     put_str(&mut buf, &graph.name);
-    buf.put_u32_le(graph.len() as u32);
+    buf.extend((graph.len() as u32).to_le_bytes());
     for node in graph.nodes() {
         put_str(&mut buf, &node.label);
         put_op(&mut buf, &node.op);
         put_shape(&mut buf, &node.shape);
-        buf.put_u32_le(node.inputs.len() as u32);
+        buf.extend((node.inputs.len() as u32).to_le_bytes());
         for &i in &node.inputs {
-            buf.put_u32_le(i as u32);
+            buf.extend((i as u32).to_le_bytes());
         }
     }
-    buf.put_u32_le(graph.outputs().len() as u32);
+    buf.extend((graph.outputs().len() as u32).to_le_bytes());
     for &o in graph.outputs() {
-        buf.put_u32_le(o as u32);
+        buf.extend((o as u32).to_le_bytes());
     }
     let params: Vec<(NodeId, &Tensor)> = graph
         .nodes()
         .iter()
         .filter_map(|n| graph.param(n.id).map(|t| (n.id, t)))
         .collect();
-    buf.put_u32_le(params.len() as u32);
+    buf.extend((params.len() as u32).to_le_bytes());
     for (id, t) in params {
-        buf.put_u32_le(id as u32);
-        buf.put_u64_le((t.len() * 4) as u64);
+        buf.extend((id as u32).to_le_bytes());
+        buf.extend(((t.len() * 4) as u64).to_le_bytes());
         for &v in t.data() {
-            buf.put_f32_le(v);
+            buf.extend(v.to_le_bytes());
         }
     }
-    buf.freeze()
+    buf
 }
 
-struct Reader {
-    buf: Bytes,
+/// Smallest encoded node: empty label, bare op tag, rank 0, no inputs.
+const MIN_NODE_BYTES: usize = 4 + 1 + 1 + 4;
+/// Encoded node id.
+const ID_BYTES: usize = 4;
+/// Smallest encoded param: node id and byte length, no data.
+const MIN_PARAM_BYTES: usize = 4 + 8;
+/// The most `f32`s one allocation holds: decoded shapes stay within it, so
+/// no later step overflows multiplying their dims.
+const MAX_ELEMENTS: usize = isize::MAX as usize / 4;
+
+/// Little-endian cursor over a model file. Every read checks the bytes
+/// left before it takes or allocates, so a corrupt file is an error.
+struct Reader<'a> {
+    buf: &'a [u8],
 }
 
-impl Reader {
-    fn need(&self, n: usize) -> Result<(), DecodeError> {
-        if self.buf.remaining() < n {
-            return Err(DecodeError::Truncated);
-        }
-        Ok(())
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        let (head, rest) = self.buf.split_at_checked(n).ok_or(DecodeError::Truncated)?;
+        self.buf = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let (head, rest) = self.buf.split_first_chunk().ok_or(DecodeError::Truncated)?;
+        self.buf = rest;
+        Ok(*head)
     }
 
     fn u8(&mut self) -> Result<u8, DecodeError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
-    }
-
-    fn u16(&mut self) -> Result<u16, DecodeError> {
-        self.need(2)?;
-        Ok(self.buf.get_u16_le())
+        Ok(u8::from_le_bytes(self.array()?))
     }
 
     fn u32(&mut self) -> Result<usize, DecodeError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le() as usize)
+        Ok(u32::from_le_bytes(self.array()?) as usize)
     }
 
     fn u64(&mut self) -> Result<usize, DecodeError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le() as usize)
+        usize::try_from(u64::from_le_bytes(self.array()?))
+            .map_err(|_| DecodeError::Invalid("value exceeds the address space".into()))
     }
 
     fn f32(&mut self) -> Result<f32, DecodeError> {
-        self.need(4)?;
-        Ok(self.buf.get_f32_le())
+        Ok(f32::from_le_bytes(self.array()?))
+    }
+
+    /// A record count, `Truncated` before anything is allocated for it if
+    /// the rest of the file cannot hold that many `min_bytes` records.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, DecodeError> {
+        let n = self.u32()?;
+        if n > self.buf.len() / min_bytes {
+            return Err(DecodeError::Truncated);
+        }
+        Ok(n)
     }
 
     fn string(&mut self) -> Result<String, DecodeError> {
         let n = self.u32()?;
-        self.need(n)?;
-        let raw = self.buf.copy_to_bytes(n);
-        String::from_utf8(raw.to_vec()).map_err(|_| DecodeError::BadString)
+        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| DecodeError::BadString)
     }
 
-    fn shape(&mut self) -> Result<Shape, DecodeError> {
-        let rank = self.u8()? as usize;
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(self.u64()?);
+    /// `u8 rank + u64 dims`, for a shape or a reshape target.
+    fn dims(&mut self) -> Result<Vec<usize>, DecodeError> {
+        let rank = self.u8()?;
+        let dims: Vec<usize> = (0..rank).map(|_| self.u64()).collect::<Result<_, _>>()?;
+        // Zero dims count as one, so no single dim escapes the bound.
+        let elements = dims
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d.max(1)));
+        match elements {
+            Some(n) if n <= MAX_ELEMENTS => Ok(dims),
+            _ => Err(DecodeError::Invalid("shape larger than any tensor".into())),
         }
-        Ok(Shape::new(dims))
     }
 
     fn op(&mut self) -> Result<Op, DecodeError> {
@@ -286,14 +307,9 @@ impl Reader {
             },
             24 => Op::Concat { axis: self.u32()? },
             25 => Op::Embedding,
-            26 => {
-                let rank = self.u8()? as usize;
-                let mut shape = Vec::with_capacity(rank);
-                for _ in 0..rank {
-                    shape.push(self.u64()?);
-                }
-                Op::Reshape { shape }
-            }
+            26 => Op::Reshape {
+                shape: self.dims()?,
+            },
             27 => Op::Transpose2d,
             28 => Op::ReduceSum,
             29 => Op::ReduceMean,
@@ -315,19 +331,17 @@ impl Reader {
 /// Decode a graph from bytes. The graph is rebuilt through the validated
 /// construction API, so malformed files fail with [`DecodeError::Invalid`]
 /// rather than producing a broken graph.
-pub fn decode(data: impl Into<Bytes>) -> Result<Graph, DecodeError> {
-    let mut r = Reader { buf: data.into() };
-    r.need(4)?;
-    let magic = r.buf.copy_to_bytes(4);
-    if magic.as_ref() != MAGIC {
+pub fn decode(data: &[u8]) -> Result<Graph, DecodeError> {
+    let mut r = Reader { buf: data };
+    if r.take(MAGIC.len())? != MAGIC {
         return Err(DecodeError::BadMagic);
     }
-    let version = r.u16()?;
+    let version = u16::from_le_bytes(r.array()?);
     if version != VERSION {
         return Err(DecodeError::UnsupportedVersion(version));
     }
     let name = r.string()?;
-    let node_count = r.u32()?;
+    let node_count = r.count(MIN_NODE_BYTES)?;
 
     struct RawNode {
         label: String,
@@ -339,12 +353,9 @@ pub fn decode(data: impl Into<Bytes>) -> Result<Graph, DecodeError> {
     for _ in 0..node_count {
         let label = r.string()?;
         let op = r.op()?;
-        let shape = r.shape()?;
-        let n_inputs = r.u32()?;
-        let mut inputs = Vec::with_capacity(n_inputs);
-        for _ in 0..n_inputs {
-            inputs.push(r.u32()?);
-        }
+        let shape = Shape::new(r.dims()?);
+        let n_inputs = r.count(ID_BYTES)?;
+        let inputs = (0..n_inputs).map(|_| r.u32()).collect::<Result<_, _>>()?;
         raw.push(RawNode {
             label,
             op,
@@ -352,15 +363,11 @@ pub fn decode(data: impl Into<Bytes>) -> Result<Graph, DecodeError> {
             inputs,
         });
     }
-    let n_outputs = r.u32()?;
-    let mut outputs = Vec::with_capacity(n_outputs);
-    for _ in 0..n_outputs {
-        outputs.push(r.u32()?);
-    }
-    let n_params = r.u32()?;
+    let n_outputs = r.count(ID_BYTES)?;
+    let outputs: Vec<NodeId> = (0..n_outputs).map(|_| r.u32()).collect::<Result<_, _>>()?;
+    let n_params = r.count(MIN_PARAM_BYTES)?;
     let mut params: std::collections::HashMap<NodeId, Tensor> =
         std::collections::HashMap::with_capacity(n_params);
-    let mut param_shapes: Vec<(NodeId, usize)> = Vec::with_capacity(n_params);
     for _ in 0..n_params {
         let id = r.u32()?;
         let bytes = r.u64()?;
@@ -369,18 +376,14 @@ pub fn decode(data: impl Into<Bytes>) -> Result<Graph, DecodeError> {
                 "param byte length not f32-aligned".into(),
             ));
         }
-        let n = bytes / 4;
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(r.f32()?);
-        }
+        let (values, _) = r.take(bytes)?.as_chunks();
+        let data = values.iter().map(|&v| f32::from_le_bytes(v)).collect();
         let shape = raw
             .get(id)
             .map(|rn| rn.shape.clone())
             .ok_or_else(|| DecodeError::Invalid(format!("param for unknown node {id}")))?;
         let t = Tensor::from_vec(shape, data).map_err(|e| DecodeError::Invalid(e.to_string()))?;
         params.insert(id, t);
-        param_shapes.push((id, n));
     }
 
     // Rebuild through the validated API.
@@ -442,7 +445,7 @@ mod tests {
     fn roundtrip_preserves_structure_and_weights() {
         let g = sample();
         let bytes = encode(&g);
-        let back = decode(bytes).unwrap();
+        let back = decode(&bytes).unwrap();
         assert_eq!(back.len(), g.len());
         assert_eq!(back.name, g.name);
         assert_eq!(back.outputs(), g.outputs());
@@ -459,7 +462,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_evaluation() {
         let g = sample();
-        let back = decode(encode(&g)).unwrap();
+        let back = decode(&encode(&g)).unwrap();
         let x = g.input_ids()[0];
         let input = Tensor::randn(vec![1, 3, 8, 8], 1.0, 5);
         let a = g.eval(&HashMap::from([(x, input.clone())])).unwrap();
@@ -480,38 +483,65 @@ mod tests {
             .unwrap();
         let sc = b.op("scale", Op::Scale { factor: -2.5 }, &[rs]).unwrap();
         let g1 = b.finish(&[sc]).unwrap();
-        let g2 = decode(encode(&g1)).unwrap();
+        let g2 = decode(&encode(&g1)).unwrap();
         assert_eq!(g2.node(sl).op, Op::SliceRows { start: 1, end: 3 });
         assert_eq!(g2.node(sc).op, Op::Scale { factor: -2.5 });
     }
 
     #[test]
-    fn rejects_bad_magic_and_truncation() {
+    fn rejects_bad_magic_and_wrong_version() {
+        assert_eq!(decode(b"DU").unwrap_err(), DecodeError::Truncated);
+        assert_eq!(decode(b"NOPE").unwrap_err(), DecodeError::BadMagic);
+        assert_eq!(decode(b"XXXXxxxxxxxx").unwrap_err(), DecodeError::BadMagic);
+        let mut data = encode(&sample());
+        data[4] = 99;
         assert_eq!(
-            decode(Bytes::from_static(b"DU")).unwrap_err(),
-            DecodeError::Truncated
+            decode(&data).unwrap_err(),
+            DecodeError::UnsupportedVersion(99)
         );
-        assert_eq!(
-            decode(Bytes::from_static(b"NOPE")).unwrap_err(),
-            DecodeError::BadMagic
-        );
-        assert_eq!(
-            decode(Bytes::from_static(b"XXXXxxxxxxxx")).unwrap_err(),
-            DecodeError::BadMagic
-        );
-        let good = encode(&sample());
-        let cut = good.slice(0..good.len() / 2);
-        assert!(decode(cut).is_err());
+    }
+
+    /// A count the rest of the file cannot back is `Truncated`, not an
+    /// allocation of the claimed size.
+    #[test]
+    fn counts_the_file_cannot_back_are_truncated() {
+        let mut header = MAGIC.to_vec();
+        header.extend(VERSION.to_le_bytes());
+        header.extend(0u32.to_le_bytes()); // empty name
+        let mut nodes = header.clone();
+        nodes.extend(u32::MAX.to_le_bytes());
+        assert_eq!(nodes.len(), 14);
+        assert_eq!(decode(&nodes).unwrap_err(), DecodeError::Truncated);
+        // No nodes, no outputs, and one param for node 0 claiming 2^62
+        // bytes.
+        let mut param = header;
+        for field in [0u32, 0, 1, 0] {
+            param.extend(field.to_le_bytes());
+        }
+        param.extend((1u64 << 62).to_le_bytes());
+        assert_eq!(decode(&param).unwrap_err(), DecodeError::Truncated);
     }
 
     #[test]
-    fn rejects_wrong_version() {
-        let mut data = encode(&sample()).to_vec();
-        data[4] = 99;
-        assert_eq!(
-            decode(Bytes::from(data)).unwrap_err(),
-            DecodeError::UnsupportedVersion(99)
-        );
+    fn every_proper_prefix_is_an_error() {
+        let good = encode(&sample());
+        for len in 0..good.len() {
+            assert!(decode(&good[..len]).is_err(), "{len}-byte prefix decoded");
+        }
+    }
+
+    /// Whatever one corrupted byte makes of the file, decoding returns:
+    /// each of its bits flipped alone, and all eight at once.
+    #[test]
+    fn every_single_byte_flip_returns() {
+        let good = encode(&sample());
+        for at in 0..good.len() {
+            for flip in (0..8).map(|bit| 1u8 << bit).chain([u8::MAX]) {
+                let mut bad = good.clone();
+                bad[at] ^= flip;
+                let _ = decode(&bad);
+            }
+        }
     }
 
     #[test]
@@ -522,7 +552,7 @@ mod tests {
         let ids = g.add_input("ids", vec![16]);
         let e = g.add_op("embed", Op::Embedding, &[table, ids]).unwrap();
         g.mark_output(e).unwrap();
-        let back = decode(encode(&g)).unwrap();
+        let back = decode(&encode(&g)).unwrap();
         assert_eq!(back.param_bytes(), g.param_bytes());
     }
 }

@@ -5,15 +5,17 @@
 //! queue: it polls for ready subgraphs, executes them, and triggers the
 //! subgraphs that depend on the results. The paper uses two child
 //! processes with a shared-memory queue; this reproduction runs one *lane*
-//! per device over MPMC channels (the vendored `crossbeam` stand-in: a
-//! `Mutex<VecDeque>` and a `Condvar`) and a mutex-protected value store
-//! — same architecture, same dependency-triggered dataflow. The unit of
-//! concurrency is the lane, not the thread: the calling thread runs the
-//! lane of the device that owns the last subgraph, and the other device's
-//! lane gets a scoped thread only if the placement gives that device
-//! work. A single-device placement spawns nothing and hands nothing across
-//! threads; Fig. 9's long-lived worker is whoever calls — a serve worker,
-//! a `Duet::run` caller.
+//! per device, each draining its own `std::sync::mpsc` channel, over a
+//! mutex-protected value store — same architecture, same
+//! dependency-triggered dataflow. A lane that panics stops both queues on
+//! its way out, so the panic reaches the caller instead of leaving the
+//! other lane waiting on an empty queue. The unit of concurrency is the
+//! lane, not the thread: the calling thread runs the lane of the device
+//! that owns the last subgraph, and the other device's lane gets a scoped
+//! thread only if the placement gives that device work. A single-device
+//! placement spawns nothing and hands nothing across threads; Fig. 9's
+//! long-lived worker is whoever calls — a serve worker, a `Duet::run`
+//! caller.
 //!
 //! As in the paper, everything structural is settled before the workers
 //! start: the executor holds the placement's [`Timeline`] — the engine's
@@ -36,16 +38,16 @@
 //! interleaving without changing what a correct run may produce.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::unbounded;
 use duet_compiler::ArenaPool;
 use duet_device::{DeviceKind, SystemModel};
 use duet_ir::{Graph, GraphError, NodeId, Op};
 use duet_telemetry::{Span, SpanKind, TraceContext};
 use duet_tensor::Tensor;
-use parking_lot::Mutex;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use crate::sim::Placed;
@@ -102,6 +104,19 @@ pub struct ExecutionOutcome {
 enum Msg {
     Run(usize),
     Stop,
+}
+
+/// Sends `Stop` to both lanes if the lane holding it unwinds: the other
+/// lane, and the caller joining it, would otherwise wait on an empty queue
+/// forever. The panic itself still reaches the caller.
+struct StopOnUnwind<F: Fn()>(F);
+
+impl<F: Fn()> Drop for StopOnUnwind<F> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            (self.0)();
+        }
+    }
 }
 
 /// What one device worker hands back when it exits.
@@ -206,7 +221,7 @@ impl<'g> HeterogeneousExecutor<'g> {
         let witness = ExecutionWitness {
             model: self.graph.name.clone(),
             source: WitnessSource::Executor,
-            events: log.into_inner(),
+            events: log.into_inner().unwrap_or_else(PoisonError::into_inner),
             virtual_latency_us: outcome.virtual_latency_us,
         };
         Ok((outcome, witness))
@@ -242,17 +257,21 @@ impl<'g> HeterogeneousExecutor<'g> {
         let boundary_values = self.placed.iter().map(|p| p.sg.outputs.len()).sum();
         let values: Mutex<HashMap<NodeId, Tensor>> =
             Mutex::new(HashMap::with_capacity(boundary_values));
-        let finish_us: Vec<Mutex<f64>> = (0..n).map(|_| Mutex::new(0.0)).collect();
-        let error: Mutex<Option<GraphError>> = Mutex::new(None);
+        // Each subgraph's virtual finish, as `f64` bits. It is stored before
+        // the triggers that dispatch its consumers, so they load it final.
+        let finish_us: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+        let finished_at = |i: usize| f64::from_bits(finish_us[i].load(Ordering::Acquire));
+        let error: OnceLock<GraphError> = OnceLock::new();
         let done = AtomicUsize::new(0);
         let trace = self.trace.unwrap_or(TraceContext::UNTRACED);
         let run_ctx = trace.child();
 
-        // One queue per device. Both ends live to the end of this function,
-        // so a send cannot fail.
-        let queues = DeviceKind::both().map(|_| unbounded::<Msg>());
+        // One queue per device; each lane owns its receiver. A send fails
+        // only once that lane has stopped, when the run is over or failing.
+        let [(cpu_tx, cpu_rx), (gpu_tx, gpu_rx)] = [mpsc::channel(), mpsc::channel()];
+        let senders = [cpu_tx, gpu_tx];
         let send = |device: DeviceKind, msg: Msg| {
-            let _ = queues[device as usize].0.send(msg);
+            let _ = senders[device as usize].send(msg);
         };
         let stop = || {
             send(DeviceKind::Cpu, Msg::Stop);
@@ -270,13 +289,14 @@ impl<'g> HeterogeneousExecutor<'g> {
         }
 
         // Worker loop: poll own queue, execute, trigger dependents.
-        let worker = |device: DeviceKind| -> Lane {
+        let worker = |device: DeviceKind, queue: Receiver<Msg>| -> Lane {
+            let _stop_on_unwind = StopOnUnwind(stop);
             let mut lane = Lane::default();
             let mut device_time = 0.0f64;
             let mut delay_rng = self
                 .delays
                 .map(|d| SmallRng::seed_from_u64(d.seed ^ (0xD1CE << device as u64)));
-            while let Ok(Msg::Run(i)) = queues[device as usize].1.recv() {
+            while let Ok(Msg::Run(i)) = queue.recv() {
                 if let (Some(d), Some(rng)) = (self.delays, delay_rng.as_mut()) {
                     std::thread::sleep(Duration::from_micros(rng.gen_range(0..d.max_us + 1)));
                 }
@@ -285,7 +305,7 @@ impl<'g> HeterogeneousExecutor<'g> {
                 // Virtual readiness: producers' finish + priced transfers.
                 let mut ready = 0.0f64;
                 for d in deps {
-                    let produced_at = d.producer.map_or(0.0, |p| *finish_us[p].lock());
+                    let produced_at = d.producer.map_or(0.0, finished_at);
                     let xfer = d.paid_us(&devices, device);
                     ready = ready.max(produced_at + xfer);
                     lane.transfer_us += xfer;
@@ -298,7 +318,9 @@ impl<'g> HeterogeneousExecutor<'g> {
                 let finished = log.map(|log| {
                     let (started, finished) =
                         WitnessEvent::dispatch(timeline, &devices, i, &placed.sg.name, start, end);
-                    log.lock().extend(started);
+                    log.lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .extend(started);
                     finished
                 });
 
@@ -308,7 +330,7 @@ impl<'g> HeterogeneousExecutor<'g> {
                 // traffic on deep graphs.
                 if let Some(feeds) = feeds {
                     let env: HashMap<NodeId, Tensor> = {
-                        let store = values.lock();
+                        let store = values.lock().unwrap_or_else(PoisonError::into_inner);
                         let held = |id| store.get(id).or_else(|| feeds.get(id));
                         let inputs = placed.sg.inputs.iter();
                         inputs
@@ -325,21 +347,26 @@ impl<'g> HeterogeneousExecutor<'g> {
                         None => placed.sg.execute(&env),
                     };
                     match result {
-                        Ok(outs) => values.lock().extend(outs),
+                        Ok(outs) => values
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .extend(outs),
                         Err(e) => {
                             // First error wins: a second worker failing
                             // while we shut down must not mask the
                             // original cause.
-                            error.lock().get_or_insert(e);
+                            let _ = error.set(e);
                             stop();
                             break;
                         }
                     }
                 }
                 device_time = end;
-                *finish_us[i].lock() = end;
+                finish_us[i].store(end.to_bits(), Ordering::Release);
                 if let (Some(log), Some(finished)) = (log, finished) {
-                    log.lock().push(finished);
+                    log.lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(finished);
                 }
                 lane.tasks += 1;
                 lane.busy_us += exec;
@@ -383,15 +410,20 @@ impl<'g> HeterogeneousExecutor<'g> {
         // last subgraph's — so its result is handed to no other thread; the
         // other device gets a thread only if the placement gives it work.
         let mine = devices.last().copied().unwrap_or(DeviceKind::Cpu);
+        let (my_queue, other_queue) = match mine {
+            DeviceKind::Cpu => (cpu_rx, gpu_rx),
+            DeviceKind::Gpu => (gpu_rx, cpu_rx),
+        };
         let mut lanes = if devices.contains(&mine.other()) {
             std::thread::scope(|scope| {
-                let other = scope.spawn(|| worker(mine.other()));
+                let worker = &worker;
+                let other = scope.spawn(move || worker(mine.other(), other_queue));
                 // A worker's panic continues here, as the scope's own would.
                 let resume = |e| std::panic::resume_unwind(e);
-                [worker(mine), other.join().unwrap_or_else(resume)]
+                [worker(mine, my_queue), other.join().unwrap_or_else(resume)]
             })
         } else {
-            [worker(mine), Lane::default()]
+            [worker(mine, my_queue), Lane::default()]
         };
         if mine == DeviceKind::Gpu {
             lanes.reverse();
@@ -406,12 +438,14 @@ impl<'g> HeterogeneousExecutor<'g> {
         let mut latency = 0.0f64;
         let mut transfer_us = cpu.transfer_us + gpu.transfer_us;
         for o in timeline.outputs() {
-            let mut t = *finish_us[o.producer].lock();
+            let mut t = finished_at(o.producer);
             if devices[o.producer] == DeviceKind::Gpu {
                 t += o.d2h_us;
                 transfer_us += o.d2h_us;
                 if let Some(log) = log {
-                    log.lock().push(WitnessEvent::output_landed(o));
+                    log.lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(WitnessEvent::output_landed(o));
                 }
             }
             latency = latency.max(t);
@@ -419,7 +453,7 @@ impl<'g> HeterogeneousExecutor<'g> {
         // Output values. A source named as an output never left the
         // host: the fed tensor or the constant's parameter, exactly as
         // `Graph::eval` returns it.
-        let values = values.into_inner();
+        let values = values.into_inner().unwrap_or_else(PoisonError::into_inner);
         let mut outputs = HashMap::new();
         if let Some(feeds) = feeds {
             for &out in self.graph.outputs() {
@@ -683,6 +717,36 @@ mod tests {
         let cat = b.op("cat", Op::Concat { axis: 1 }, &[l, r]).unwrap();
         let y = b.dense("head", cat, 4, None).unwrap();
         b.finish(&[y]).unwrap()
+    }
+
+    /// A subgraph that panics, on either lane, ends the run: its panic
+    /// comes back to the caller instead of leaving the other lane, or the
+    /// caller joining it, blocked on an empty queue.
+    #[test]
+    fn a_panicking_subgraph_on_either_lane_returns_its_panic() {
+        use std::sync::mpsc::RecvTimeoutError;
+        use DeviceKind::{Cpu, Gpu};
+        let g = branchy();
+        for devices in [[Gpu, Cpu, Cpu], [Cpu, Gpu, Gpu]] {
+            for broken in 0..devices.len() {
+                let mut placed = on(split(&g, &["left", "right"]), &devices);
+                // A destination slot past the arena: the tape indexes out
+                // of bounds.
+                placed[broken].sg.tape.instrs[0].out = usize::MAX;
+                let g = g.clone();
+                let (tx, rx) = mpsc::channel();
+                std::thread::spawn(move || {
+                    let exec = HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server());
+                    let _ = tx.send(exec.run(&input_feeds(&g, 1)).is_ok());
+                });
+                // The panic drops `tx` unsent; a hang times out.
+                assert_eq!(
+                    rx.recv_timeout(Duration::from_secs(10)),
+                    Err(RecvTimeoutError::Disconnected),
+                    "{devices:?} with subgraph {broken} broken"
+                );
+            }
+        }
     }
 
     #[test]

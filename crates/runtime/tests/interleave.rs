@@ -1,5 +1,6 @@
 //! Interleaving stress harness: a practical race/deadlock detector for
-//! the executor's crossbeam/Mutex machinery.
+//! the executor's lane queues (`std::sync::mpsc`), trigger counters and
+//! value-store mutex.
 //!
 //! Each case runs a branchy model through the threaded executor many
 //! times with seeded random worker delays ([`DelayInjection`]) that

@@ -10,12 +10,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 use duet_analysis::{check_plan_model, ModelCheckConfig, PlanModel};
 use duet_core::{Duet, SchedulePlan};
 use duet_device::SystemModel;
-use parking_lot::{Mutex, RwLock};
 
 use crate::spec::ModelSpec;
 
@@ -41,12 +40,12 @@ impl<T> ArcCell<T> {
 
     /// Snapshot the current value.
     pub fn load(&self) -> Arc<T> {
-        self.inner.read().clone()
+        Arc::clone(&self.inner.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Atomically publish a new value.
     pub fn store(&self, value: Arc<T>) {
-        *self.inner.write() = value;
+        *self.inner.write().unwrap_or_else(PoisonError::into_inner) = value;
     }
 }
 
@@ -80,7 +79,7 @@ pub struct PlanCache {
     slots: Mutex<BTreeMap<usize, Arc<ArcCell<EngineVariant>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    swap_chaos: Mutex<Option<SwapChaos>>,
+    swap_chaos: OnceLock<SwapChaos>,
 }
 
 impl PlanCache {
@@ -92,16 +91,17 @@ impl PlanCache {
             slots: Mutex::new(BTreeMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            swap_chaos: Mutex::new(None),
+            swap_chaos: OnceLock::new(),
         }
     }
 
     /// Install a perturbation applied to every re-corrected plan model
     /// before the D5xx hot-swap gate checks it. Test-only in spirit: it
     /// exists to demonstrate (and regression-test) that a dirty
-    /// candidate is refused and the old engine stays published.
+    /// candidate is refused and the old engine stays published. The first
+    /// perturbation installed stays; later calls change nothing.
     pub fn set_swap_chaos(&self, f: impl Fn(&mut PlanModel) + Send + Sync + 'static) {
-        *self.swap_chaos.lock() = Some(Box::new(f));
+        let _ = self.swap_chaos.set(Box::new(f));
     }
 
     pub fn spec(&self) -> &ModelSpec {
@@ -111,15 +111,20 @@ impl PlanCache {
     /// The engine for `batch`, building (and caching) it on first use.
     pub fn get_or_build(&self, batch: usize) -> Arc<EngineVariant> {
         assert!(batch > 0, "batch must be positive");
-        let mut slots = self.slots.lock();
+        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(cell) = slots.get(&batch) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return cell.load();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let graph = self.spec.graph_at(batch);
+        let system = self
+            .system
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
         let duet = Duet::builder()
-            .system(self.system.lock().clone())
+            .system(system)
             .profile_runs(self.profile_runs.0, self.profile_runs.1)
             .build(&graph)
             .expect("serving model builds");
@@ -139,8 +144,7 @@ impl PlanCache {
     /// currently-published engine keeps serving. Returns
     /// `(swapped, rejected)` variant counts.
     pub fn recorrect_all(&self, system: &SystemModel) -> (usize, usize) {
-        let slots = self.slots.lock();
-        let chaos = self.swap_chaos.lock();
+        let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         let mut swapped = 0;
         let mut rejected = 0;
         for cell in slots.values() {
@@ -148,7 +152,7 @@ impl PlanCache {
             let duet = old.duet.recorrect(system.clone());
             let clean = match duet.plan_model() {
                 Ok(mut model) => {
-                    if let Some(f) = chaos.as_ref() {
+                    if let Some(f) = self.swap_chaos.get() {
                         f(&mut model);
                     }
                     !check_plan_model(&model, &ModelCheckConfig::default())
@@ -165,14 +169,15 @@ impl PlanCache {
             }
         }
         if swapped > 0 {
-            *self.system.lock() = system.clone();
+            *self.system.lock().unwrap_or_else(PoisonError::into_inner) = system.clone();
         }
         (swapped, rejected)
     }
 
     /// Batch sizes with a built engine.
     pub fn cached_batches(&self) -> Vec<usize> {
-        self.slots.lock().keys().copied().collect()
+        let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        slots.keys().copied().collect()
     }
 
     /// (cache hits, cache misses — i.e. builds).

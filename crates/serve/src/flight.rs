@@ -26,11 +26,10 @@ use std::collections::VecDeque;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use duet_telemetry::registry as tm;
 use duet_telemetry::{Span, SpanKind};
-use parking_lot::Mutex;
 use serde_json::{json, Value};
 
 use crate::insight::Attribution;
@@ -278,7 +277,7 @@ pub struct FlightRecorder {
     dir: Option<PathBuf>,
     ring: Mutex<VecDeque<Arc<RequestTrace>>>,
     dumped: AtomicBool,
-    last_dump: Mutex<Option<PathBuf>>,
+    last_dump: OnceLock<PathBuf>,
 }
 
 impl FlightRecorder {
@@ -288,14 +287,14 @@ impl FlightRecorder {
             dir,
             ring: Mutex::new(VecDeque::new()),
             dumped: AtomicBool::new(false),
-            last_dump: Mutex::new(None),
+            last_dump: OnceLock::new(),
         }
     }
 
     /// Append one completed request, evicting the oldest past capacity.
     pub fn record(&self, trace: Arc<RequestTrace>) {
         tm::INSIGHT_TRACES.inc();
-        let mut ring = self.ring.lock();
+        let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
         if ring.len() == self.capacity {
             ring.pop_front();
         }
@@ -304,7 +303,8 @@ impl FlightRecorder {
 
     /// Snapshot of the ring, oldest first.
     pub fn traces(&self) -> Vec<Arc<RequestTrace>> {
-        self.ring.lock().iter().cloned().collect()
+        let ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
+        ring.iter().cloned().collect()
     }
 
     /// Whether a trigger would actually write a dump (a directory is
@@ -316,7 +316,7 @@ impl FlightRecorder {
 
     /// Where the dump landed, if one was written.
     pub fn last_dump(&self) -> Option<PathBuf> {
-        self.last_dump.lock().clone()
+        self.last_dump.get().cloned()
     }
 
     /// Fire an anomaly rule. The first firing writes the bundle and
@@ -337,7 +337,9 @@ impl FlightRecorder {
         match self.write_dump(dir, rule, &payload) {
             Ok(path) => {
                 rule.counter().inc();
-                *self.last_dump.lock() = Some(path.clone());
+                // The latch above lets one trigger this far: the set
+                // cannot find the cell full.
+                let _ = self.last_dump.set(path.clone());
                 Some(path)
             }
             Err(e) => {

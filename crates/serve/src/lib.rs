@@ -72,7 +72,9 @@ pub enum ServeError {
     QueueFull,
     /// The request's SLA deadline elapsed before execution started.
     Expired,
-    /// The server is shutting down.
+    /// The model's worker is gone: the server is shutting down, or the
+    /// worker died. Requests it had admitted but not answered resolve to
+    /// [`ServeError::Exec`] ("response channel closed").
     ShuttingDown,
     /// A request feed is missing an input tensor.
     MissingInput { label: String },

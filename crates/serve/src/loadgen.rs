@@ -187,7 +187,7 @@ impl LoadGen {
             None => {
                 // Open loop: Poisson arrivals on this thread, responses
                 // drained by a collector thread.
-                let (tx, rx) = crossbeam::channel::unbounded::<(u64, crate::server::ServeHandle)>();
+                let (tx, rx) = std::sync::mpsc::channel::<(u64, crate::server::ServeHandle)>();
                 let drain_timeout = self.cfg.drain_timeout;
                 std::thread::scope(|scope| {
                     let handle_response = &handle_response;

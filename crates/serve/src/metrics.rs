@@ -28,11 +28,11 @@
 //! remains the source for [`MetricsSnapshot`] reports.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use duet_runtime::LatencyStats;
 use duet_telemetry::registry as tm;
 use duet_telemetry::{Histogram, Reservoir};
-use parking_lot::Mutex;
 
 /// Bounded sample count for the wall-sojourn and virtual-service windows.
 const RESERVOIR_CAP: usize = 4096;
@@ -184,7 +184,10 @@ impl Metrics {
         }
         let per_request = virtual_batch_us / batch as f64;
         {
-            let mut windows = self.epoch_service_us.lock();
+            let mut windows = self
+                .epoch_service_us
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             while windows.len() <= epoch && windows.len() < MAX_EPOCHS {
                 windows.push(Reservoir::new(EPOCH_RESERVOIR_CAP));
             }
@@ -202,7 +205,10 @@ impl Metrics {
 
     /// Latency summary of per-request virtual service in one epoch.
     pub fn epoch_service_stats(&self, epoch: usize) -> Option<LatencyStats> {
-        let windows = self.epoch_service_us.lock();
+        let windows = self
+            .epoch_service_us
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let samples = windows.get(epoch).map(Reservoir::snapshot)?;
         (!samples.is_empty()).then(|| LatencyStats::from_samples(samples))
     }

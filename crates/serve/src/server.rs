@@ -18,11 +18,11 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use duet_device::SystemModel;
 use duet_ir::{Graph, Op};
 use duet_telemetry::registry as tm;
@@ -137,11 +137,11 @@ struct Pending {
     /// Causal trace context minted at admission: the trace id and the
     /// root (request) span id.
     trace: TraceContext,
-    tx: Sender<Result<ServeResponse, ServeError>>,
+    tx: SyncSender<Result<ServeResponse, ServeError>>,
 }
 
 struct ModelHandle {
-    tx: Sender<Pending>,
+    tx: SyncSender<Pending>,
     metrics: Arc<Metrics>,
     system: Arc<ArcCell<SystemModel>>,
     cache: Arc<PlanCache>,
@@ -182,7 +182,7 @@ impl ServeServer {
             FLIGHT_CAPACITY,
             self.cfg.flight_dir.clone(),
         ));
-        let (tx, rx) = bounded::<Pending>(self.cfg.queue_cap);
+        let (tx, rx) = sync_channel::<Pending>(self.cfg.queue_cap);
         let worker = {
             let cache = cache.clone();
             let system = system.clone();
@@ -231,7 +231,7 @@ impl ServeServer {
         check_feeds(handle.cache.spec().reference(), &feeds)?;
         let now = Instant::now();
         let trace = TraceContext::root();
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         let pending = Pending {
             feeds,
             deadline: sla.map(|d| now + d),
@@ -413,11 +413,11 @@ fn worker_loop(
         // window that expired while the oldest request sat in the queue.
         while batch.len() < cfg.max_batch {
             match rx.try_recv() {
-                Some(mut p) => {
+                Ok(mut p) => {
                     p.pulled = Some(Instant::now());
                     batch.push(p);
                 }
-                None => break,
+                Err(_) => break,
             }
         }
         // Linger relative to the oldest pending request so a request's

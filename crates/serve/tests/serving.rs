@@ -335,6 +335,50 @@ fn triggering_batch_is_answered_before_the_replan() {
     assert_eq!(metrics.snapshot().plan_swaps, 1);
 }
 
+/// A serving worker that dies leaves no caller waiting: every request
+/// admitted before its death resolves to a response or to "response
+/// channel closed", and the model refuses submits afterwards. The drift
+/// replan is made to panic on the worker thread.
+#[test]
+fn a_dead_worker_answers_every_admitted_request_and_refuses_new_ones() {
+    let model = "wide_and_deep";
+    let server = server_for(model, ServeConfig::default());
+    let spec = ModelSpec::serving_zoo(model).unwrap();
+    let cache = server.cache(model).unwrap();
+    cache.set_swap_chaos(|_| panic!("injected"));
+    assert!(server.inject_system(model, degraded_gpu(&SystemModel::paper_server())));
+
+    let closed = ServeError::Exec("response channel closed".into());
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let mut seed = 0u64;
+    let mut refused = false;
+    while !refused {
+        assert!(Instant::now() < deadline, "the replan never ran");
+        // Bursts keep requests queued behind the batch whose replan
+        // kills the worker.
+        let mut handles = Vec::new();
+        for _ in 0..4 {
+            match server.submit(model, spec.request_feeds(seed), None) {
+                Ok(handle) => handles.push((seed, handle)),
+                Err(e) => {
+                    assert_eq!(e, ServeError::ShuttingDown, "request {seed}");
+                    refused = true;
+                }
+            }
+            seed += 1;
+        }
+        for (seed, handle) in handles {
+            match handle.wait_timeout(Duration::from_secs(10)) {
+                Some(Ok(_)) => {}
+                Some(Err(e)) => assert_eq!(e, closed, "request {seed}"),
+                None => panic!("request {seed} unanswered after 10 s"),
+            }
+        }
+    }
+    let later = server.submit(model, spec.request_feeds(seed), None);
+    assert_eq!(later.unwrap_err(), ServeError::ShuttingDown);
+}
+
 /// Satellite (f)'s conformance hook: a witnessed request through the
 /// serving engines passes the D3xx runtime checks.
 #[test]

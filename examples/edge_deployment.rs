@@ -42,7 +42,7 @@ fn main() {
 
     // --- On the "device": decode the model, apply the shipped plan
     // (no profiling, no scheduling), run.
-    let on_device_model = decode(artifact).expect("artifact decodes");
+    let on_device_model = decode(&artifact).expect("artifact decodes");
     let shipped_plan = SchedulePlan::from_json(&plan.to_json()).expect("plan parses");
     let engine = Duet::builder()
         .system(SystemModel::edge_soc())

@@ -60,7 +60,7 @@ fn main() {
     // --- Round-trip through the binary model format.
     let bytes = encode(&graph);
     println!("\nserialized model: {} KB", bytes.len() / 1024);
-    let reloaded = decode(bytes).expect("model decodes");
+    let reloaded = decode(&bytes).expect("model decodes");
 
     // --- Schedule and execute the *decoded* model.
     let engine = Duet::builder().build(&reloaded).expect("engine builds");

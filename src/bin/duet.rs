@@ -180,7 +180,7 @@ fn main() {
         "report-file" => {
             let path = rest.first().map(String::as_str).unwrap_or_else(|| usage());
             let bytes = std::fs::read(path).expect("model readable");
-            let graph = match duet_ir::decode(bytes) {
+            let graph = match duet_ir::decode(&bytes) {
                 Ok(g) => g,
                 Err(e) => {
                     eprintln!("cannot load {path}: {e}");

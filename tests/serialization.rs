@@ -24,7 +24,7 @@ fn small_zoo() -> Vec<duet_ir::Graph> {
 #[test]
 fn every_zoo_model_roundtrips_bitexactly() {
     for g in small_zoo() {
-        let back = decode(encode(&g)).unwrap_or_else(|e| panic!("{}: {e}", g.name));
+        let back = decode(&encode(&g)).unwrap_or_else(|e| panic!("{}: {e}", g.name));
         assert_eq!(back.len(), g.len(), "{}", g.name);
         let feeds = input_feeds(&g, 17);
         let a = g.eval(&feeds).unwrap();
@@ -40,7 +40,7 @@ fn deployment_path_save_load_schedule_execute() {
     let g = wide_and_deep(&WideAndDeepConfig::small());
     // "Ship" the model as bytes, then serve it from the decoded copy.
     let artifact = encode(&g);
-    let served = decode(artifact).unwrap();
+    let served = decode(&artifact).unwrap();
     let engine = Duet::builder().no_fallback().build(&served).unwrap();
     let feeds = input_feeds(engine.graph(), 23);
     let out = engine.run(&feeds).unwrap();
@@ -52,13 +52,15 @@ fn deployment_path_save_load_schedule_execute() {
 fn schedules_identical_for_original_and_decoded_model() {
     let g = siamese(&SiameseConfig::default());
     let a = Duet::builder().build(&g).unwrap();
-    let b = Duet::builder().build(&decode(encode(&g)).unwrap()).unwrap();
+    let b = Duet::builder()
+        .build(&decode(&encode(&g)).unwrap())
+        .unwrap();
     assert_eq!(a.latency_us(), b.latency_us());
     assert_eq!(a.fallback_device(), b.fallback_device());
     // And plans exported from either apply to the other.
     let plan = a.export_plan();
     assert!(Duet::builder()
-        .build_with_plan(&decode(encode(&g)).unwrap(), &plan)
+        .build_with_plan(&decode(&encode(&g)).unwrap(), &plan)
         .is_ok());
 }
 
