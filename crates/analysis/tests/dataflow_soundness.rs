@@ -14,7 +14,8 @@ use std::collections::HashMap;
 
 /// One randomly chosen 2-D layer appended to a running stack of
 /// same-batch tensors. Kept to the zoo op families: dense algebra,
-/// elementwise, normalization, activations, reductions, concat.
+/// elementwise, normalization, activations, reductions, concat, and the
+/// recurrent layers (the rows as a sequence, its last hidden state out).
 #[derive(Debug, Clone)]
 #[allow(clippy::enum_variant_names)] // `LayerNorm` is the op's real name
 enum Layer {
@@ -33,6 +34,8 @@ enum Layer {
     LayerNorm,
     ReduceSum,
     ReduceMean,
+    Lstm { hidden: usize },
+    Gru { hidden: usize },
 }
 
 fn layer_strategy() -> impl Strategy<Value = Layer> {
@@ -52,6 +55,8 @@ fn layer_strategy() -> impl Strategy<Value = Layer> {
         Just(Layer::LayerNorm),
         Just(Layer::ReduceSum),
         Just(Layer::ReduceMean),
+        (1usize..12).prop_map(|hidden| Layer::Lstm { hidden }),
+        (1usize..12).prop_map(|hidden| Layer::Gru { hidden }),
     ]
 }
 
@@ -137,6 +142,62 @@ fn build_graph(batch: usize, feat: usize, layers: &[Layer], seed: u64) -> Graph 
                 g.add_op(lbl, Op::ReduceMean, &[cur]).unwrap(),
                 dims[..1].to_vec(),
             ),
+            Layer::Lstm { hidden } | Layer::Gru { hidden } if rank2 => {
+                // [rows, width] read as a sequence of `rows` steps of batch
+                // 1; the layer's value is its last hidden state, [1, hidden].
+                let (op, gates) = match layer {
+                    Layer::Lstm { .. } => (Op::Lstm, 4),
+                    _ => (Op::Gru, 3),
+                };
+                let seq = dims[0];
+                let x3 = g
+                    .add_op(
+                        format!("{lbl}_seq"),
+                        Op::Reshape {
+                            shape: vec![seq, 1, width],
+                        },
+                        &[cur],
+                    )
+                    .unwrap();
+                let w_ih = g.add_constant(
+                    format!("{lbl}_wih"),
+                    Tensor::randn(vec![gates * hidden, width], 0.6, seed ^ (i as u64) << 5),
+                );
+                let w_hh = g.add_constant(
+                    format!("{lbl}_whh"),
+                    Tensor::randn(vec![gates * hidden, *hidden], 0.6, seed ^ (i as u64) << 6),
+                );
+                let b = g.add_constant(
+                    format!("{lbl}_b"),
+                    Tensor::randn(vec![gates * hidden], 0.3, seed ^ (i as u64) << 7),
+                );
+                let hs = g
+                    .add_op(format!("{lbl}_rnn"), op, &[x3, w_ih, w_hh, b])
+                    .unwrap();
+                // Checked directly too, not only through the slice.
+                stack.push((hs, vec![seq, 1, *hidden]));
+                let hs2 = g
+                    .add_op(
+                        format!("{lbl}_hs"),
+                        Op::Reshape {
+                            shape: vec![seq, *hidden],
+                        },
+                        &[hs],
+                    )
+                    .unwrap();
+                (
+                    g.add_op(
+                        lbl,
+                        Op::SliceRows {
+                            start: seq - 1,
+                            end: seq,
+                        },
+                        &[hs2],
+                    )
+                    .unwrap(),
+                    vec![1, *hidden],
+                )
+            }
             // Relu, plus every rank-2-only layer landing on rank-1.
             _ => (g.add_op(lbl, Op::Relu, &[cur]).unwrap(), dims),
         };

@@ -54,14 +54,14 @@ const WARMUP: usize = 4;
 const RUNS: u64 = 64;
 /// Exact-count budget per steady-state inference (see module docs).
 const BUDGET_PER_RUN: u64 = 32;
-/// Budget for the conv tape. Of its 321 allocations per run at pool width 2
-/// (counted exactly; none from a kernel), 309 are the tape's own: a shape
+/// Budget for the conv tape. Of its 319 allocations per run at pool width 2
+/// (counted exactly; none from a kernel), 307 are the tape's own: a shape
 /// clone per tensor-view operand and a result tensor per op without an
 /// `_into` twin (LSTM, pooling, embedding, concat). The other 12 are the job
 /// headers of the regions that pass the fork gate (none at width 1). The
 /// slack of 4 is fewer than the model's 20 convolutions: one temporary per
 /// conv call trips it.
-const CONV_BUDGET_PER_RUN: u64 = 325;
+const CONV_BUDGET_PER_RUN: u64 = 323;
 
 /// Allocation calls of one `recorrect(degraded_gpu)`: 2469 and 3057,
 /// counted exactly (the search is deterministic), plus 1 % slack. The
@@ -71,13 +71,13 @@ const CONV_BUDGET_PER_RUN: u64 = 325;
 const RECORRECT_BUDGETS: [(&str, u64); 2] = [("wide_and_deep", 2494), ("squeezenet", 3088)];
 
 /// Allocation calls of one steady-state `Duet::run` per small model, and
-/// whether its plan is heterogeneous: 144 and 376, counted over 64 runs.
+/// whether its plan is heterogeneous: 140 and 371, counted over 64 runs.
 /// The first spawns no thread and the second one; a spawn is at least
 /// three calls, so a thread per run or per device coming back trips both.
 /// The single-lane count is exact; with both lanes busy two or three
 /// calls per 64 runs come and go with the interleaving, so the gate trips
 /// at one whole allocation per run over the budget.
-const RUN_BUDGETS: [(&str, bool, u64); 2] = [("siamese", false, 144), ("wide_and_deep", true, 376)];
+const RUN_BUDGETS: [(&str, bool, u64); 2] = [("siamese", false, 140), ("wide_and_deep", true, 371)];
 
 fn main() {
     // The budget must hold with telemetry ON: counters are relaxed

@@ -2,7 +2,8 @@
 //! measured in-process.
 //!
 //! One microbenchmark per zoo family, shaped like the family's dominant
-//! kernel (batch-1 linear for wide&deep, the LSTM sequence for Siamese,
+//! kernel (batch-1 linear and the paper-scale LSTM for wide&deep, the LSTM
+//! sequence for Siamese,
 //! attention GEMM for MT-DNN, 3x3/1x1 convs for the CNNs, depthwise for
 //! MobileNet), alternates `kernels::reference::X` and `kernels::X` on
 //! successive trials — the same discipline as the telemetry-overhead gate:
@@ -231,6 +232,22 @@ pub fn micro_speedups(pairs: usize) -> Vec<EngineBench> {
         push(
             "siamese",
             "lstm seq16 128->128",
+            0,
+            &mut || drop(reference::lstm(&x, &w_ih, &w_hh, &b)),
+            &mut || drop(kernels::lstm(&x, &w_ih, &w_hh, &b).unwrap()),
+        );
+    }
+    // wide_and_deep: the paper-scale recurrent tower (§III-B), the lane that
+    // shares the cores with the CNN on `infer_heavy`.
+    {
+        let (input, hidden, seq) = (128, 256, 100);
+        let x = Tensor::randn(vec![seq, 1, input], 1.0, 24);
+        let w_ih = Tensor::randn(vec![4 * hidden, input], 0.05, 25);
+        let w_hh = Tensor::randn(vec![4 * hidden, hidden], 0.05, 26);
+        let b = Tensor::randn(vec![4 * hidden], 0.05, 27);
+        push(
+            "wide_and_deep",
+            "lstm seq100 128->256",
             0,
             &mut || drop(reference::lstm(&x, &w_ih, &w_hh, &b)),
             &mut || drop(kernels::lstm(&x, &w_ih, &w_hh, &b).unwrap()),

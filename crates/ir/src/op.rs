@@ -481,7 +481,7 @@ impl Op {
             Op::AvgPool2d { window, stride } => kernels::avg_pool2d(need(0)?, *window, *stride),
             Op::GlobalAvgPool2d => kernels::global_avg_pool2d(need(0)?),
             Op::Lstm => kernels::lstm(need(0)?, need(1)?, need(2)?, need(3)?).map(|(o, _)| o),
-            Op::Gru => run_gru(need(0)?, need(1)?, need(2)?, need(3)?),
+            Op::Gru => kernels::gru(need(0)?, need(1)?, need(2)?, need(3)?),
             Op::Mha { heads } => kernels::multi_head_attention(
                 need(0)?,
                 need(1)?,
@@ -595,23 +595,6 @@ impl Op {
             kernel_launches: launches,
         }
     }
-}
-
-fn run_gru(x: &Tensor, w_ih: &Tensor, w_hh: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    x.shape().expect_rank("gru", 3)?;
-    let (seq, batch, input) = (x.shape().dim(0), x.shape().dim(1), x.shape().dim(2));
-    let hidden = w_hh.shape().dim(1);
-    let mut h = Tensor::zeros(vec![batch, hidden]);
-    let mut out = Vec::with_capacity(seq * batch * hidden);
-    for t in 0..seq {
-        let xt = Tensor::from_vec(
-            vec![batch, input],
-            x.data()[t * batch * input..(t + 1) * batch * input].to_vec(),
-        )?;
-        h = kernels::gru_step(&xt, &h, w_ih, w_hh, b)?;
-        out.extend_from_slice(h.data());
-    }
-    Tensor::from_vec(vec![seq, batch, hidden], out)
 }
 
 impl std::fmt::Display for Op {

@@ -5,10 +5,10 @@
 //! bit-identical to [`super::reference::matmul`], the naive triple loop of
 //! `f32::mul_add`.
 //!
-//! `linear` is dot-product shaped (`x @ w^T`), so it uses the lane-split
-//! reduction with the **ulp-bounded** contract rather than the exact one:
-//! a serial dot product is a single dependency chain that cannot
-//! vectorize without reassociating.
+//! `linear` and `linear_acc_into` are dot-product shaped (`x @ w^T`), so
+//! they use lane-split reductions with the **ulp-bounded** contract rather
+//! than the exact one: a serial dot product is a single dependency chain
+//! that cannot vectorize without reassociating.
 
 use rayon::prelude::*;
 
@@ -74,10 +74,11 @@ pub fn linear_into(
     });
 }
 
-/// Accumulating linear: `out[i,j] += x_i · w_j` (no bias). The LSTM/GRU
-/// gate kernels use this to fold the hidden-state GEMM onto the input
-/// GEMM's buffer without a separate gates tensor. Same lane-split dot and
-/// ulp-bounded contract as [`linear_into`].
+/// Accumulating linear: `out[i,j] += x_i · w_j` (no bias). The recurrent
+/// matvec of the LSTM/GRU gates: it adds `h @ w_hh^T` onto the buffer that
+/// holds the input projection. Each dot is the fused 16-lane split of
+/// [`micro::linear_row_acc`], ulp-bounded against the serial oracle like
+/// [`linear_into`] but not bit-equal to it.
 pub fn linear_acc_into(x: &[f32], w: &[f32], out: &mut [f32], m: usize, kin: usize, nout: usize) {
     debug_assert_eq!(x.len(), m * kin);
     debug_assert_eq!(w.len(), kin * nout);

@@ -22,9 +22,11 @@
 //!   `fma` exactly (one rounding), so the bits are the same on every ISA —
 //!   a host without FMA hardware gets them from libm's software `fmaf`,
 //!   correctly and slowly.
-//! * **Ulp-bounded.** The kernel splits the k-reduction across `LANES`
-//!   independent partial sums (that's what makes a dot product
-//!   vectorizable), which reassociates the sum. [`dot_lanes`] and friends
+//! * **Ulp-bounded.** The kernel splits the k-reduction across independent
+//!   partial sums (that's what makes a dot product vectorizable), which
+//!   reassociates the sum. [`dot_lanes`] and friends (`LANES` unfused
+//!   sums, the batch-1 `linear`) and [`linear_row_acc`] (16 `mul_add`
+//!   chains, eight rows per pass: the recurrent matvec of the RNN gates)
 //!   carry this contract: results differ from the serial reference by a
 //!   bounded number of ulp (property-tested ≤ 4 ulp for the distributions
 //!   the zoo produces), and are still fully deterministic — the lane
@@ -203,30 +205,114 @@ pub fn linear_row(xrow: &[f32], w: &[f32], bias: Option<&[f32]>, orow: &mut [f32
     }
 }
 
-/// Accumulating variant of [`linear_row`]: `orow[j] += xrow · w[j]`.
-/// Same lane structure, same ulp-bounded contract per dot.
+/// Rows of `w` per pass of [`linear_row_acc`] over `xrow`: eight 512-bit
+/// accumulators, enough independent FMA chains for two pipes of 4-cycle
+/// latency, with one `x` vector and the eight row loads beside them.
+const ACC_ROWS: usize = 8;
+/// Accumulator lanes per row in [`linear_row_acc`]: one 512-bit vector.
+const ACC_LANES: usize = 2 * LANES;
+
+/// The recurrent matvec: `orow[j] += xrow · w[j]` for every row `j` of `w`
+/// (`orow.len()` rows of `kin`), the hidden-state term of the LSTM and GRU
+/// gates.
+///
+/// Each dot is 16 `mul_add` chains over the `kin / 16` full vectors of the
+/// row, summed by a fixed halving tree, plus one serial `mul_add` chain
+/// over the `kin % 16` trailing elements: the **ulp-bounded contract**
+/// against the serial oracle. Rows go eight to a pass over `xrow`; a last
+/// pass with fewer real rows repeats its last row and stores nothing for
+/// the repeats, so a row's bits do not depend on where the passes fall.
 #[inline]
 pub fn linear_row_acc(xrow: &[f32], w: &[f32], orow: &mut [f32], kin: usize) {
     let nout = orow.len();
     debug_assert_eq!(w.len(), nout * kin);
-    let mut j = 0;
-    while j + 4 <= nout {
-        let d = dot_lanes_x4(
-            xrow,
-            &w[j * kin..(j + 1) * kin],
-            &w[(j + 1) * kin..(j + 2) * kin],
-            &w[(j + 2) * kin..(j + 3) * kin],
-            &w[(j + 3) * kin..(j + 4) * kin],
-        );
-        for (o, dv) in orow[j..j + 4].iter_mut().zip(d.iter()) {
-            *o += dv;
+    debug_assert_eq!(xrow.len(), kin);
+    let (xv, xtail) = xrow.as_chunks::<ACC_LANES>();
+    for j in (0..nout).step_by(ACC_ROWS) {
+        let real = (nout - j).min(ACC_ROWS);
+        let rows: [&[f32]; ACC_ROWS] = std::array::from_fn(|r| {
+            let row = j + r.min(real - 1);
+            &w[row * kin..(row + 1) * kin]
+        });
+        let acc = accumulate_rows(xv, rows);
+        for ((o, acc), row) in orow[j..j + real].iter_mut().zip(&acc).zip(rows) {
+            let mut tail = 0.0f32;
+            for (x, w) in xtail.iter().zip(&row[xv.len() * ACC_LANES..]) {
+                tail = x.mul_add(*w, tail);
+            }
+            *o += reduce_halving(acc) + tail;
         }
-        j += 4;
     }
-    while j < nout {
-        orow[j] += dot_lanes(xrow, &w[j * kin..(j + 1) * kin]);
-        j += 1;
+}
+
+/// The lane accumulators of [`ACC_ROWS`] dot products sharing one pass
+/// over the full vectors `xv` of `x`.
+///
+/// Codegen-fragile, so written for LLVM, which must keep the eight
+/// accumulators in vector registers for the whole loop:
+/// - eight named rows and accumulators, not arrays indexed by a row loop
+///   (indexed, the FMAs went scalar: 3× slower than the unfused loop this
+///   replaced);
+/// - the accumulators are locals updated by value and copied into the
+///   result at the end: as the returned array itself, they were built in
+///   the caller's return slot, in memory, and the FMAs went scalar again —
+///   only in builds without debug info, such as the benchmark's;
+/// - the rows walked by one zipped iterator, so the loop holds no bounds
+///   check;
+/// - the lane sums left to the caller (summed in here, the SLP vectorizer
+///   turned the loop across rows into gathers, 2× slower);
+/// - never inlined, like the GEMM tile, so no caller can undo any of it.
+///
+/// To check a build: `objdump -d` shows 8–24 `vfmadd…ps` on `zmm` in this
+/// function and no `vfmadd…ss`. A scalar loop makes the paper-shape LSTM
+/// ≈ 3.4× slower (8.4 instead of 2.5 ms).
+#[inline(never)]
+fn accumulate_rows(
+    xv: &[[f32; ACC_LANES]],
+    rows: [&[f32]; ACC_ROWS],
+) -> [[f32; ACC_LANES]; ACC_ROWS] {
+    let w = |r: usize| rows[r].as_chunks::<ACC_LANES>().0.iter();
+    let steps = xv
+        .iter()
+        .zip(w(0).zip(w(1)))
+        .zip(w(2).zip(w(3)))
+        .zip(w(4).zip(w(5)))
+        .zip(w(6).zip(w(7)));
+    let zero = [0.0f32; ACC_LANES];
+    let (mut a0, mut a1, mut a2, mut a3) = (zero, zero, zero, zero);
+    let (mut a4, mut a5, mut a6, mut a7) = (zero, zero, zero, zero);
+    for ((((x, (w0, w1)), (w2, w3)), (w4, w5)), (w6, w7)) in steps {
+        a0 = fma_lanes(a0, x, w0);
+        a1 = fma_lanes(a1, x, w1);
+        a2 = fma_lanes(a2, x, w2);
+        a3 = fma_lanes(a3, x, w3);
+        a4 = fma_lanes(a4, x, w4);
+        a5 = fma_lanes(a5, x, w5);
+        a6 = fma_lanes(a6, x, w6);
+        a7 = fma_lanes(a7, x, w7);
     }
+    [a0, a1, a2, a3, a4, a5, a6, a7]
+}
+
+/// `acc[l] + x[l]·w[l]`, one rounding per lane.
+#[inline(always)]
+fn fma_lanes(
+    acc: [f32; ACC_LANES],
+    x: &[f32; ACC_LANES],
+    w: &[f32; ACC_LANES],
+) -> [f32; ACC_LANES] {
+    std::array::from_fn(|l| x[l].mul_add(w[l], acc[l]))
+}
+
+/// Fixed pairwise sum of [`ACC_LANES`] lanes by halving: lane `l` plus lane
+/// `l + 8`, then `l + 4`, `l + 2`, `l + 1` — each level one vector shuffle
+/// and add.
+#[inline(always)]
+fn reduce_halving(acc: &[f32; ACC_LANES]) -> f32 {
+    let s8: [f32; 8] = std::array::from_fn(|l| acc[l] + acc[l + 8]);
+    let s4: [f32; 4] = std::array::from_fn(|l| s8[l] + s8[l + 4]);
+    let s2: [f32; 2] = std::array::from_fn(|l| s4[l] + s4[l + 2]);
+    s2[0] + s2[1]
 }
 
 /// Register-tiled GEMM over a row-major `b`: `c = a @ b` (every element of

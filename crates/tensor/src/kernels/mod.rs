@@ -53,5 +53,5 @@ pub use linalg::{
     concat, embedding, reduce_max, reduce_mean, reduce_sum, slice_rows, split, transpose2d,
 };
 pub use norm::{layer_norm, log_softmax, softmax};
-pub use rnn::{gru_step, lstm, lstm_step, LstmState};
+pub use rnn::{gru, gru_step, lstm, lstm_step, LstmState};
 pub use util::{argmax, cosine_similarity, one_hot, topk};

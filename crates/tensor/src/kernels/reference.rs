@@ -15,8 +15,9 @@
 //!   starts each output at its bias and adds the in-image taps, unfused.
 //! * **Ulp-bounded** ([`within_ulps`]): [`linear`] and [`linear_acc_into`]
 //!   are one serial unfused chain per output, which the engine's lane-split
-//!   dot products reassociate; [`lstm`] is two such linears per step plus
-//!   the gate math, its activations computed here.
+//!   dot products reassociate; [`lstm`] and [`gru`] are two such linears
+//!   per step plus the gate math, with libm's `exp` and `tanh`. The
+//!   engine's recurrent kernels match them within an absolute tolerance.
 //!
 //! Shapes are the caller's to get right: an oracle panics on a shape the
 //! engine would reject.
@@ -176,7 +177,6 @@ fn lstm_step(x: &Tensor, state: &LstmState, w_ih: &Tensor, w_hh: &Tensor, b: &Te
         let at = (bi * 4 + g) * hidden + j;
         gx.data()[at] + gh.data()[at]
     };
-    let sigmoid = |v: f32| 1.0 / (1.0 + (-v).exp());
     let (mut h, mut c) = (Vec::new(), Vec::new());
     for bi in 0..batch {
         for j in 0..hidden {
@@ -191,6 +191,40 @@ fn lstm_step(x: &Tensor, state: &LstmState, w_ih: &Tensor, w_hh: &Tensor, b: &Te
         h: tensor(vec![batch, hidden], h),
         c: tensor(vec![batch, hidden], c),
     }
+}
+
+/// Single-layer GRU over `x: [seq, batch, in]` from a zero state, gate
+/// order r, z, n, `b` on the input side: the `[seq, batch, hidden]` stack of
+/// hidden states. Each step is [`linear`] of the input (with `b`) and of the
+/// hidden state, kept apart, then the cell equations.
+pub fn gru(x: &Tensor, w_ih: &Tensor, w_hh: &Tensor, b: &Tensor) -> Tensor {
+    let (seq, batch, input) = (x.shape().dim(0), x.shape().dim(1), x.shape().dim(2));
+    let hidden = w_hh.shape().dim(1);
+    let mut h = tensor(vec![batch, hidden], vec![0.0; batch * hidden]);
+    let mut outputs = Vec::with_capacity(seq * batch * hidden);
+    for t in 0..seq {
+        let xt = x.data()[t * batch * input..(t + 1) * batch * input].to_vec();
+        let gx = linear(&tensor(vec![batch, input], xt), w_ih, Some(b));
+        let gh = linear(&h, w_hh, None);
+        let at =
+            |g: &Tensor, bi: usize, gate: usize, j: usize| g.data()[(bi * 3 + gate) * hidden + j];
+        let mut next = Vec::with_capacity(batch * hidden);
+        for bi in 0..batch {
+            for j in 0..hidden {
+                let r = sigmoid(at(&gx, bi, 0, j) + at(&gh, bi, 0, j));
+                let z = sigmoid(at(&gx, bi, 1, j) + at(&gh, bi, 1, j));
+                let n = (at(&gx, bi, 2, j) + r * at(&gh, bi, 2, j)).tanh();
+                next.push((1.0 - z) * n + z * h.data()[bi * hidden + j]);
+            }
+        }
+        h = tensor(vec![batch, hidden], next);
+        outputs.extend_from_slice(h.data());
+    }
+    tensor(vec![seq, batch, hidden], outputs)
+}
+
+fn sigmoid(v: f32) -> f32 {
+    1.0 / (1.0 + (-v).exp())
 }
 
 /// The ulp-bounded contract between an engine result `got` and the oracle's

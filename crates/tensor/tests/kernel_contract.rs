@@ -12,8 +12,8 @@
 //!   lane-chunking change which elements advance together, never the order
 //!   within one element's chain, and IEEE 754 fixes each step's rounding, so
 //!   the engine must reproduce the oracle's bytes bit-for-bit.
-//! * **Ulp-bounded.** `linear` (and the LSTM gates on top of it) splits
-//!   each dot product into `LANES` independent partial sums — the
+//! * **Ulp-bounded.** `linear` and the recurrent matvec `linear_acc_into`
+//!   split each dot product into independent lane partial sums — the
 //!   reassociation that makes a dot product vectorizable. The contract is
 //!   ≤ 4 ulp *measured at the scale of the accumulated magnitude*
 //!   `Σ|xᵢ·wᵢ|` (`reference::within_ulps`): under cancellation the result
@@ -21,6 +21,10 @@
 //!   not a meaningful unit, but the rounding error of either association is
 //!   still bounded by a few ulp of the magnitude that flowed through the
 //!   accumulators.
+//! * **Absolute.** The LSTM and GRU compose an exact input-projection GEMM,
+//!   the ulp-bounded matvec and polynomial activations; their oracles use
+//!   serial dots and libm. The gates are contractive, so whole state
+//!   trajectories stay within an absolute 1e-4.
 
 use duet_tensor::kernels::{self, reference, LstmState};
 use duet_tensor::Tensor;
@@ -274,6 +278,87 @@ fn lstm_sequence_close_to_reference() {
     }
     assert_bits_eq(&st.h, &fast_fin.h, "lstm step-vs-driver h");
     assert_bits_eq(&st.c, &fast_fin.c, "lstm step-vs-driver c");
+}
+
+fn max_abs_diff(a: &Tensor, b: &Tensor) -> f32 {
+    assert_eq!(a.shape(), b.shape());
+    a.data()
+        .iter()
+        .zip(b.data())
+        .map(|(p, q)| (p - q).abs())
+        .fold(0.0f32, f32::max)
+}
+
+/// A recurrent layer of `gates` gates: `[x, w_ih, w_hh, b]`, weights of
+/// standard deviation 0.3, `x` of unit variance.
+fn rnn_case(
+    seq: usize,
+    batch: usize,
+    input: usize,
+    hidden: usize,
+    gates: usize,
+    seed: u64,
+) -> [Tensor; 4] {
+    [
+        Tensor::randn(vec![seq, batch, input], 1.0, seed),
+        Tensor::randn(vec![gates * hidden, input], 0.3, seed.wrapping_add(1)),
+        Tensor::randn(vec![gates * hidden, hidden], 0.3, seed.wrapping_add(2)),
+        Tensor::randn(vec![gates * hidden], 0.3, seed.wrapping_add(3)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The LSTM against its oracle on every tail of the engine underneath
+    /// it: `hidden % 16` (the matvec's lane tail is `hidden`), `4·hidden %
+    /// 32` (the projection's strip tail, narrow tile included), any input
+    /// width (the GEMM's k), batch 1–3 and sequences up to 9 steps.
+    #[test]
+    fn lstm_close_to_reference(
+        seq in 1usize..10,
+        batch in 1usize..4,
+        input in 1usize..40,
+        hidden in 1usize..40,
+        seed in 0u64..1000,
+    ) {
+        let [x, w_ih, w_hh, b] = rnn_case(seq, batch, input, hidden, 4, seed);
+        let (fast_out, fast_fin) = kernels::lstm(&x, &w_ih, &w_hh, &b).unwrap();
+        let (slow_out, slow_fin) = reference::lstm(&x, &w_ih, &w_hh, &b);
+        prop_assert!(max_abs_diff(&fast_out, &slow_out) <= 1e-4);
+        prop_assert!(max_abs_diff(&fast_fin.c, &slow_fin.c) <= 1e-4);
+    }
+}
+
+/// The paper's shape (§III-B: seq 100, batch 1, 128 → 256), whose
+/// projection is large enough to fork onto the pool.
+#[test]
+fn lstm_paper_shape_close_to_reference() {
+    let [x, w_ih, w_hh, b] = rnn_case(100, 1, 128, 256, 4, 61);
+    let (fast_out, fast_fin) = kernels::lstm(&x, &w_ih, &w_hh, &b).unwrap();
+    let (slow_out, slow_fin) = reference::lstm(&x, &w_ih, &w_hh, &b);
+    let (dh, dc) = (
+        max_abs_diff(&fast_out, &slow_out),
+        max_abs_diff(&fast_fin.c, &slow_fin.c),
+    );
+    assert!(dh <= 1e-4 && dc <= 1e-4, "max |Δh| {dh:e}, |Δc| {dc:e}");
+}
+
+/// The GRU sequence kernel (hoisted projection, fused matvec, polynomial
+/// gates) against its oracle, on a strip tail (3·17 = 51 columns) and a lane
+/// tail.
+#[test]
+fn gru_sequence_close_to_reference() {
+    for (seq, batch, input, hidden) in [(6, 2, 13, 17), (9, 3, 40, 35)] {
+        let [x, w_ih, w_hh, b] = rnn_case(seq, batch, input, hidden, 3, 71);
+        let fast = kernels::gru(&x, &w_ih, &w_hh, &b).unwrap();
+        let slow = reference::gru(&x, &w_ih, &w_hh, &b);
+        let d = max_abs_diff(&fast, &slow);
+        assert!(
+            d <= 1e-4,
+            "gru {seq}x{batch} {input}->{hidden}: max |Δh| {d:e}"
+        );
+    }
 }
 
 /// Determinism: the engine's lane structure is fixed, so the
