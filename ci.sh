@@ -73,6 +73,17 @@ trap 'rm -f "$METRICS_OUT"' EXIT
 cargo run -q --release -p duet-serve --bin duet-serve -- \
   --model wide_deep --qps 25 --duration-ms 1200 --max-batch 4 \
   --require-zero-shed --metrics-out "$METRICS_OUT"
+# At 25 qps arrivals are ~40 ms apart, so the batcher should almost
+# never linger: the median request's linger segment is under 1 ms.
+python3 - "$METRICS_OUT" <<'PY'
+import re, sys
+pattern = r'duet_serve_segment_us_bucket\{segment="linger",le="([^"]+)"\} (\d+)'
+buckets = [(float(m[1]), int(m[2])) for m in map(re.compile(pattern).match, open(sys.argv[1])) if m]
+assert buckets, "no linger segment histogram in the metrics dump"
+median_le = next(le for le, n in buckets if 2 * n >= buckets[-1][1])
+assert median_le < 1000, f"median linger bucket is le={median_le} us, not under 1 ms"
+print(f"median linger bucket le={median_le:.0f} us - under 1 ms.")
+PY
 
 step "prometheus exposition carries every pipeline stage"
 for family in \

@@ -49,22 +49,3 @@ pub fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let result = f();
     (allocations() - before, result)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counts_a_heap_allocation() {
-        let (n, v) = count_allocs(|| Vec::<u64>::with_capacity(32));
-        assert!(n >= 1, "Vec::with_capacity must hit the allocator");
-        drop(v);
-    }
-
-    #[test]
-    fn counts_nothing_for_pure_code() {
-        let (n, sum) = count_allocs(|| (0u64..100).sum::<u64>());
-        assert_eq!(sum, 4950);
-        assert_eq!(n, 0);
-    }
-}

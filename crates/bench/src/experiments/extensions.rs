@@ -267,6 +267,16 @@ pub fn serving_real() -> serde_json::Value {
             ModelSpec::serving_zoo("wide_deep").expect("zoo model"),
             SystemModel::paper_server(),
         );
+        // `register` builds batch 1 and `max_batch` only. Build the
+        // power-of-two sizes between them too: a build inside the window
+        // stalls every request queued behind it for a whole engine build.
+        let cache = server.cache("wide_and_deep").expect("model is registered");
+        let mut batch = 2;
+        while batch < ServeConfig::default().max_batch {
+            cache.get_or_build(batch);
+            batch *= 2;
+        }
+        let misses_before = cache.counters().1;
         let report = LoadGen::new(LoadGenConfig {
             qps,
             duration: Duration::from_millis(1200),
@@ -278,6 +288,7 @@ pub fn serving_real() -> serde_json::Value {
         .expect("load run");
         let (checked, failures, _) = report.verified;
         assert_eq!(failures, 0, "batched outputs diverged from reference");
+        let window_builds = cache.counters().1 - misses_before;
 
         let s = &report.snapshot;
         let service_p50 = s.virtual_service.as_ref().map(|v| v.p50());
@@ -308,6 +319,7 @@ pub fn serving_real() -> serde_json::Value {
                 "mean_batch": s.mean_batch(),
                 "completed": s.completed,
                 "shed": s.shed(),
+                "engine_builds_in_window": window_builds,
                 "bit_identity_checked": checked,
             },
         }));

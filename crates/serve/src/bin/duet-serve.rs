@@ -84,7 +84,9 @@ OPTIONS:
   --qps RATE            open-loop Poisson arrival rate (default 200)
   --duration-ms MS      load generation window (default 2000)
   --max-batch N         dynamic batcher ceiling (default 8)
-  --linger-us US        batching linger window (default 2000)
+  --linger-us US        longest batching linger (default 2000); the batcher
+                        lingers only while the last two arrivals were closer
+                        than this, otherwise a batch runs at once
   --queue-cap N         admission queue bound (default 256)
   --sla-ms MS           per-request SLA budget (default: none)
   --seed N              arrival/content seed (default 0x10ad)

@@ -6,7 +6,9 @@
 //! * **queue** — submit until the batcher pulled the request off the
 //!   bounded queue (admission backlog).
 //! * **linger** — pulled until the chunk started executing (time spent
-//!   coalescing the batch, bounded by `ServeConfig::linger`).
+//!   coalescing the batch, bounded by `ServeConfig::linger`; near zero
+//!   when the last two arrivals were a whole `linger` or more apart,
+//!   because the batcher then does not wait).
 //! * **compute_cpu / compute_gpu / transfer** — the executor's wall time
 //!   split by the ratios of its virtual-time [`ExecBreakdown`] (the
 //!   virtual parts can overlap each other, so only their *ratios* are

@@ -110,18 +110,19 @@ impl Metrics {
     }
 
     /// One request admitted into the bounded queue. Must be balanced by
-    /// [`Metrics::queue_dec`] when the worker pulls it off — the pairing
-    /// is what makes `queue_depth` return to zero on a drained server.
+    /// [`Metrics::queue_dec`] once the request leaves the queue, pulled
+    /// or dropped — the pairing is what makes `queue_depth` return to
+    /// zero on a drained server.
     pub fn queue_inc(&self) {
         self.queue_depth.fetch_add(1, Ordering::Relaxed);
         tm::SERVE_ADMITTED.inc();
         tm::SERVE_QUEUE_DEPTH.inc();
     }
 
-    /// `n` requests pulled off the queue by the worker.
-    pub fn queue_dec(&self, n: usize) {
-        self.queue_depth.fetch_sub(n, Ordering::Relaxed);
-        tm::SERVE_QUEUE_DEPTH.add(-(n as i64));
+    /// One request left the queue.
+    pub fn queue_dec(&self) {
+        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        tm::SERVE_QUEUE_DEPTH.add(-1);
     }
 
     /// Requests currently queued.
@@ -129,8 +130,8 @@ impl Metrics {
         self.queue_depth.load(Ordering::Relaxed)
     }
 
-    /// One request shed at admission (queue full). The submit-side inc
-    /// is rolled back by the caller via [`Metrics::queue_dec`].
+    /// One request shed at admission (queue full). Dropping the refused
+    /// request rolls its [`Metrics::queue_inc`] back.
     pub fn shed_queue_full(&self) {
         self.shed_queue_full.fetch_add(1, Ordering::Relaxed);
         tm::SERVE_SHED_QUEUE_FULL.inc();
@@ -356,8 +357,9 @@ mod tests {
             m.queue_inc();
         }
         assert_eq!(m.queue_depth(), 5);
-        m.queue_dec(3);
-        m.queue_dec(2);
+        for _ in 0..5 {
+            m.queue_dec();
+        }
         assert_eq!(m.queue_depth(), 0);
     }
 }

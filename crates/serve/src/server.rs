@@ -6,8 +6,11 @@
 //!
 //! 1. blocks on the bounded request queue (the queue bound *is* the
 //!    admission control — a full queue sheds at submit time);
-//! 2. on the first request, lingers up to `ServeConfig::linger` to
-//!    coalesce more arrivals, up to `max_batch`;
+//! 2. takes whatever else is already queued, then — only if the last two
+//!    requests it pulled arrived less than `ServeConfig::linger` apart —
+//!    lingers up to `linger` past the oldest one to coalesce more
+//!    arrivals, up to `max_batch`; a request after a quiet spell runs at
+//!    once;
 //! 3. drops requests whose SLA deadline already expired;
 //! 4. executes the batch on the engine variant for its size (rounded
 //!    down to a power of two, so the plan cache holds at most
@@ -45,8 +48,10 @@ use crate::ServeError;
 pub struct ServeConfig {
     /// Largest batch the coalescer will form.
     pub max_batch: usize,
-    /// How long the batcher waits past the first pending request for
-    /// more arrivals.
+    /// The longest the batcher waits past the oldest pending request for
+    /// more arrivals. It waits at all only while arrivals come closer
+    /// together than this: when the last two requests it pulled were
+    /// `linger` or more apart, the batch it holds runs at once.
     pub linger: Duration,
     /// Bounded queue depth per model — admission control: submits
     /// beyond this shed immediately with [`ServeError::QueueFull`].
@@ -128,6 +133,12 @@ impl ServeHandle {
 }
 
 struct Pending {
+    /// The request's place in the model's queue depth until the worker
+    /// pulls it. Whoever drops an unpulled request — a refused
+    /// `try_send`, a dead worker's discarded queue — gives it back.
+    /// Declared before `tx` so the count is down before the caller can
+    /// see its channel close.
+    queued: Option<Queued>,
     feeds: HashMap<String, Tensor>,
     deadline: Option<Instant>,
     enqueued: Instant,
@@ -138,6 +149,33 @@ struct Pending {
     /// root (request) span id.
     trace: TraceContext,
     tx: SyncSender<Result<ServeResponse, ServeError>>,
+}
+
+impl Pending {
+    /// The worker took this request off the queue: stamp it and take it
+    /// out of the queue depth.
+    fn pull(mut self) -> Self {
+        self.pulled = Some(Instant::now());
+        self.queued = None;
+        self
+    }
+}
+
+/// One request counted in [`Metrics::queue_depth`]: counted when made,
+/// uncounted when dropped.
+struct Queued(Arc<Metrics>);
+
+impl Queued {
+    fn new(metrics: &Arc<Metrics>) -> Self {
+        metrics.queue_inc();
+        Queued(metrics.clone())
+    }
+}
+
+impl Drop for Queued {
+    fn drop(&mut self) {
+        self.0.queue_dec();
+    }
 }
 
 struct ModelHandle {
@@ -232,7 +270,11 @@ impl ServeServer {
         let now = Instant::now();
         let trace = TraceContext::root();
         let (tx, rx) = sync_channel(1);
+        // Counted *before* try_send so the worker can never pull the
+        // request, and uncount it, first; a refused send drops it, which
+        // uncounts it.
         let pending = Pending {
+            queued: Some(Queued::new(&handle.metrics)),
             feeds,
             deadline: sla.map(|d| now + d),
             enqueued: now,
@@ -240,14 +282,9 @@ impl ServeServer {
             trace,
             tx,
         };
-        // Inc *before* try_send so the worker (which decs per pulled
-        // request) can never observe depth below zero; a failed send
-        // rolls the inc back.
-        handle.metrics.queue_inc();
         match handle.tx.try_send(pending) {
             Ok(()) => Ok(ServeHandle { rx }),
             Err(TrySendError::Full(_)) => {
-                handle.metrics.queue_dec(1);
                 handle.metrics.shed_queue_full();
                 if handle.flight.armed() {
                     let system = (*handle.system.load()).clone();
@@ -257,10 +294,7 @@ impl ServeServer {
                 }
                 Err(ServeError::QueueFull)
             }
-            Err(TrySendError::Disconnected(_)) => {
-                handle.metrics.queue_dec(1);
-                Err(ServeError::ShuttingDown)
-            }
+            Err(TrySendError::Disconnected(_)) => Err(ServeError::ShuttingDown),
         }
     }
 
@@ -400,30 +434,39 @@ fn worker_loop(
 ) {
     let mut monitor = DriftMonitor::new(cfg.feedback.clone());
     let mut slo = cfg.slo.clone().map(SloMonitor::new);
+    // When the request pulled last was submitted: the arrival before the
+    // next batch's first one.
+    let mut last_arrival: Option<Instant> = None;
     loop {
         // Block for the first request; a closed channel is shutdown.
-        let mut first = match rx.recv() {
-            Ok(p) => p,
+        let mut batch = match rx.recv() {
+            Ok(p) => vec![p.pull()],
             Err(_) => return,
         };
-        first.pulled = Some(Instant::now());
-        let mut batch = vec![first];
         // Greedily drain whatever is already queued: under backlog the
         // batch should fill instantly instead of waiting out a linger
         // window that expired while the oldest request sat in the queue.
         while batch.len() < cfg.max_batch {
             match rx.try_recv() {
-                Ok(mut p) => {
-                    p.pulled = Some(Instant::now());
-                    batch.push(p);
-                }
+                Ok(p) => batch.push(p.pull()),
                 Err(_) => break,
             }
         }
+        // Linger only while arrivals come close together: the last two
+        // requests pulled arrived less than one `linger` apart (with no
+        // earlier arrival, as on a fresh server, linger). After a quiet
+        // spell a lone request would wait the whole window for company
+        // that is not coming, so the batch runs at once.
+        let newest = batch[batch.len() - 1].enqueued;
+        let before = match batch.len() {
+            1 => last_arrival,
+            n => Some(batch[n - 2].enqueued),
+        };
+        let lingers = before.is_none_or(|t| newest.saturating_duration_since(t) < cfg.linger);
         // Linger relative to the oldest pending request so a request's
         // added latency is bounded by `linger` regardless of arrivals.
         let linger_deadline = batch[0].enqueued + cfg.linger;
-        while batch.len() < cfg.max_batch {
+        while lingers && batch.len() < cfg.max_batch {
             let now = Instant::now();
             let Some(remaining) = linger_deadline
                 .checked_duration_since(now)
@@ -432,17 +475,11 @@ fn worker_loop(
                 break;
             };
             match rx.recv_timeout(remaining) {
-                Ok(mut p) => {
-                    p.pulled = Some(Instant::now());
-                    batch.push(p);
-                }
+                Ok(p) => batch.push(p.pull()),
                 Err(_) => break,
             }
         }
-        // One dec per request pulled off the queue — the exact pair of
-        // the submit-side inc, so depth drains back to zero (expired
-        // requests included: they left the queue too).
-        metrics.queue_dec(batch.len());
+        last_arrival = Some(batch[batch.len() - 1].enqueued);
 
         // SLA expiry: shed requests whose budget elapsed while queued.
         let now = Instant::now();

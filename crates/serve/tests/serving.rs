@@ -132,6 +132,51 @@ fn linger_window_coalesces_a_burst() {
     assert!(cached.contains(&4), "cached variants: {cached:?}");
 }
 
+/// The batcher lingers only while arrivals come closer together than the
+/// linger window. A request after a quiet spell runs at once instead of
+/// waiting the window out for company; two back-to-back submits right
+/// after it still form one batch. The window is long (200 ms) so host
+/// noise cannot decide either half.
+#[test]
+fn a_lone_request_runs_at_once_and_a_burst_after_it_still_coalesces() {
+    let linger = Duration::from_millis(200);
+    let server = server_for(
+        "mlp",
+        ServeConfig {
+            linger,
+            ..ServeConfig::default()
+        },
+    );
+    let spec = ModelSpec::serving_zoo("mlp").unwrap();
+    let submit = |seed| {
+        server
+            .submit("mlp", spec.request_feeds(seed), None)
+            .unwrap()
+    };
+
+    // Warm: no earlier arrival, so this one lingers as it always did.
+    submit(0).wait().unwrap();
+    std::thread::sleep(linger + Duration::from_millis(100));
+    let alone = submit(1).wait().unwrap();
+    assert_eq!(alone.batch_size, 1);
+    assert!(
+        alone.attribution.linger_us < 50_000.0,
+        "a request after a quiet spell lingered {:.0} us",
+        alone.attribution.linger_us
+    );
+    assert!(
+        alone.sojourn < Duration::from_millis(100),
+        "sojourn {:?}",
+        alone.sojourn
+    );
+
+    let feeds = [2, 3].map(|seed| spec.request_feeds(seed));
+    let pair = feeds.map(|feeds| server.submit("mlp", feeds, None).unwrap());
+    for handle in pair {
+        assert_eq!(handle.wait().unwrap().batch_size, 2);
+    }
+}
+
 /// Admission control: a burst far beyond the bounded queue sheds with
 /// [`ServeError::QueueFull`] at submit time, and every accepted request
 /// still completes.
@@ -338,7 +383,9 @@ fn triggering_batch_is_answered_before_the_replan() {
 /// A serving worker that dies leaves no caller waiting: every request
 /// admitted before its death resolves to a response or to "response
 /// channel closed", and the model refuses submits afterwards. The drift
-/// replan is made to panic on the worker thread.
+/// replan is made to panic on the worker thread. The requests its queue
+/// discarded leave the queue depth too: it is back to zero once every
+/// handle has resolved.
 #[test]
 fn a_dead_worker_answers_every_admitted_request_and_refuses_new_ones() {
     let model = "wide_and_deep";
@@ -377,6 +424,7 @@ fn a_dead_worker_answers_every_admitted_request_and_refuses_new_ones() {
     }
     let later = server.submit(model, spec.request_feeds(seed), None);
     assert_eq!(later.unwrap_err(), ServeError::ShuttingDown);
+    assert_eq!(server.metrics(model).unwrap().queue_depth(), 0);
 }
 
 /// Satellite (f)'s conformance hook: a witnessed request through the
