@@ -221,6 +221,22 @@ assert any(e.get("ph") == "X" for e in events), "no duration slices"
 print(f"trace OK: {len(events)} events across {len(pids)} processes")
 PY
 
+step "plan replay (export-plan, apply-plan on its model, refused as stale on another)"
+PLAN_OUT="$(mktemp --suffix .json)"
+trap 'rm -f "$METRICS_OUT" "$TRACE_OUT" "$PLAN_OUT"' EXIT
+cargo run -q --release --bin duet -- export-plan siamese "$PLAN_OUT"
+cargo run -q --release --bin duet -- apply-plan siamese "$PLAN_OUT" >/dev/null
+# A plan made for another graph is refused with exactly one error: the
+# stale fingerprint (D206), not one per node of the other graph.
+STATUS=0
+STALE="$(cargo run -q --release --bin duet -- apply-plan mtdnn "$PLAN_OUT" 2>&1)" || STATUS=$?
+[ "$STATUS" -eq 1 ] \
+  || { echo "FAIL: apply-plan of a stale plan exited $STATUS, not 1"; exit 1; }
+ERRORS="$(grep 'error\[' <<<"$STALE" || true)"
+[ "$(grep -c . <<<"$ERRORS")" -eq 1 ] && grep -q 'error\[D206\]' <<<"$ERRORS" \
+  || { echo "FAIL: expected exactly one error, D206, in:"; echo "$STALE"; exit 1; }
+echo "stale plan refused with one error: D206."
+
 step "telemetry overhead gate (enabled vs disabled, <3% median)"
 cargo run -q --release -p duet-bench --bin duet-telemetry-overhead
 

@@ -16,11 +16,11 @@
 //!   runs them itself whenever `CompileOptions::check` is set (the
 //!   default in debug builds); this crate maps violations to coded
 //!   diagnostics that name the offending pass.
-//! * **Plan/schedule linter** ([`lint_plan`], [`lint_schedule`],
-//!   `D2xx`) — subsumes the runtime's schedule validation (coverage,
-//!   sources, cycles) and the plan fingerprint check, then adds
-//!   performance lints: cross-device boundary traffic per phase,
-//!   sub-fusion-granularity subgraphs, unbalanced multi-path phases.
+//! * **Plan linter** ([`lint_plan`], `D2xx`) — the one schedule
+//!   validator: stale fingerprint, batch, coverage, covered sources and
+//!   subgraph cycles, then performance lints: cross-device boundary
+//!   traffic per phase, sub-fusion-granularity subgraphs, unbalanced
+//!   multi-path phases.
 //! * **Runtime-conformance checker** ([`check_witness`],
 //!   [`check_agreement`], `D3xx`) — the only analyzer that looks at
 //!   what actually *ran*: it verifies a recorded
@@ -79,7 +79,7 @@ pub use model_check::{
     SubgraphModel, TransferModel,
 };
 pub use pass_check::{check_optimize, violation_to_diagnostic};
-pub use plan_lint::{lint_plan, lint_schedule, LintConfig, PlanFacts, PlanSubgraphFacts};
+pub use plan_lint::{lint_plan, LintConfig, PlanFacts, PlanSubgraphFacts};
 pub use witness_check::{check_agreement, check_witness, WitnessCheckConfig};
 
 /// The stable diagnostic code namespace.

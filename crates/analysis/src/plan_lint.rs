@@ -1,9 +1,11 @@
-//! The plan/schedule linter (`D2xx`).
+//! The plan linter (`D2xx`): the one check that a schedule is well
+//! formed.
 //!
-//! Subsumes the hard errors of `duet_runtime::validate_schedule` and
-//! `SchedulePlan::validate_against` (coverage, sources, cycles, stale
-//! fingerprints) with precise per-finding codes, and layers performance
-//! lints on top: plans that will *run* but waste the coupled
+//! Its hard errors — stale fingerprint (reported alone), batch mismatch,
+//! unknown, source, doubly covered or uncovered nodes, missing outputs,
+//! cyclic subgraphs — each carry a precise code, and they are what
+//! `Duet::build_with_plan` refuses a plan on. Performance lints sit on
+//! top: plans that will *run* but waste the coupled
 //! architecture — excessive cross-device boundary traffic inside a
 //! phase (the PCIe tax of §III-B), subgraphs split below fusion
 //! granularity, and unbalanced multi-path phases whose slowest path
@@ -17,7 +19,6 @@ use std::collections::HashMap;
 
 use duet_device::DeviceKind;
 use duet_ir::{fingerprint, Graph, NodeId, Op};
-use duet_runtime::Placed;
 
 use crate::codes;
 use crate::diagnostics::{Diagnostic, Report};
@@ -92,7 +93,8 @@ impl Default for LintConfig {
 ///
 /// Hard errors come first; the performance lints only run on plans with
 /// no errors — linting a structurally broken plan would index nodes
-/// that may not exist.
+/// that may not exist. A stale fingerprint is the only finding reported
+/// for a plan made for another graph.
 pub fn lint_plan(graph: &Graph, facts: &PlanFacts, config: &LintConfig) -> Report {
     let mut report = Report::new(format!("{}:plan", facts.model));
     let n = graph.len();
@@ -107,6 +109,10 @@ pub fn lint_plan(graph: &Graph, facts: &PlanFacts, config: &LintConfig) -> Repor
                 facts.fingerprint
             ),
         ));
+        // The plan's node ids name another graph's nodes: every further
+        // finding would be noise.
+        crate::telemetry::record_check(crate::telemetry::Family::Plan, &report);
+        return report;
     }
 
     // Batch consistency: the graph's outputs define its batch size
@@ -208,33 +214,6 @@ pub fn lint_plan(graph: &Graph, facts: &PlanFacts, config: &LintConfig) -> Repor
         perf_lints(graph, facts, &owner, config, &mut report);
     }
     crate::telemetry::record_check(crate::telemetry::Family::Plan, &report);
-    report
-}
-
-/// Lint an executable placed schedule (the `duet-runtime` view, no
-/// phase structure). Strictly subsumes `validate_schedule`: every
-/// `ScheduleError` maps to a `D2xx` code here.
-pub fn lint_schedule(graph: &Graph, placed: &[Placed]) -> Report {
-    let facts = PlanFacts {
-        model: graph.name.clone(),
-        fingerprint: fingerprint(graph),
-        batch: graph.leading_batch().unwrap_or(1),
-        expected_latency_us: None,
-        fallback: false,
-        critical_path_lb_us: None,
-        subgraphs: placed
-            .iter()
-            .map(|p| PlanSubgraphFacts {
-                name: p.sg.name.clone(),
-                phase: 0,
-                multi_path: false,
-                nodes: p.sg.node_ids.clone(),
-                device: p.device,
-            })
-            .collect(),
-    };
-    let mut report = lint_plan(graph, &facts, &LintConfig::default());
-    report.subject = format!("{}:schedule", graph.name);
     report
 }
 
@@ -422,5 +401,70 @@ fn perf_lints(
                 ),
             ));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use duet_ir::GraphBuilder;
+
+    fn facts_for(g: &Graph, chunks: &[Vec<NodeId>]) -> PlanFacts {
+        PlanFacts {
+            model: g.name.clone(),
+            fingerprint: fingerprint(g),
+            batch: 1,
+            expected_latency_us: None,
+            fallback: false,
+            critical_path_lb_us: None,
+            subgraphs: chunks
+                .iter()
+                .enumerate()
+                .map(|(i, nodes)| PlanSubgraphFacts {
+                    name: format!("s{i}"),
+                    phase: 0,
+                    multi_path: false,
+                    nodes: nodes.clone(),
+                    device: DeviceKind::Cpu,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn mutually_feeding_subgraphs_are_d205() {
+        // a -> b -> c with {a, c} in one subgraph and {b} in the other.
+        let mut b = GraphBuilder::new("g3", 1);
+        let x = b.input("x", vec![1, 8]);
+        let a = b.dense("a", x, 8, None).unwrap();
+        let m = b.dense("b", a, 8, None).unwrap();
+        let y = b.dense("c", m, 4, None).unwrap();
+        let g = b.finish(&[y]).unwrap();
+        let of = |label: &str| -> Vec<NodeId> {
+            let ids = g.compute_ids().into_iter();
+            ids.filter(|&i| g.node(i).label.starts_with(label))
+                .collect()
+        };
+        let config = LintConfig::default();
+        let outer = [of("a"), of("c")].concat();
+        let cyclic = lint_plan(&g, &facts_for(&g, &[outer, of("b")]), &config);
+        assert_eq!(cyclic.error_count(), 1, "{cyclic}");
+        assert!(cyclic.contains(codes::PLAN_CYCLIC), "{cyclic}");
+        let chain = lint_plan(&g, &facts_for(&g, &[of("c"), of("a"), of("b")]), &config);
+        assert!(!chain.has_errors(), "{chain}");
+    }
+
+    #[test]
+    fn source_named_as_output_needs_no_producer() {
+        let mut b = GraphBuilder::new("g", 1);
+        let x = b.input("x", vec![1, 8]);
+        let y = b.dense("a", x, 4, None).unwrap();
+        let g = b.finish(&[y, x]).unwrap();
+        let report = lint_plan(
+            &g,
+            &facts_for(&g, &[g.compute_ids()]),
+            &LintConfig::default(),
+        );
+        assert!(!report.has_errors(), "{report}");
     }
 }

@@ -215,13 +215,12 @@ pub struct ExecutableTape {
 ///
 /// Slots are `Arc<[f32]>` so escaping outputs can be published without a
 /// copy; a slot still shared at the next execution (its consumer kept the
-/// tensor alive) is transparently re-allocated and counted as a refresh.
+/// tensor alive) is transparently re-allocated.
 #[derive(Debug)]
 pub struct TapeArena {
     fingerprint: u64,
     slots: Vec<Arc<[f32]>>,
     empty: Arc<[f32]>,
-    refreshes: u64,
 }
 
 impl TapeArena {
@@ -236,18 +235,12 @@ impl TapeArena {
                 .map(|s| zero_arc(s.volume()))
                 .collect(),
             empty: Vec::new().into(),
-            refreshes: 0,
         }
     }
 
     /// Fingerprint of the tape this arena was sized for.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// Slots re-allocated because an escaped output kept them alive.
-    pub fn refreshes(&self) -> u64 {
-        self.refreshes
     }
 
     fn take(&mut self, slot: usize) -> Arc<[f32]> {
@@ -938,7 +931,6 @@ impl ExecutableTape {
         // A slot still shared with a previous run's published output (or
         // wrongly sized) must be re-allocated before we may write it.
         if Arc::get_mut(&mut out_arc).map(|b| b.len()) != Some(out_len) {
-            arena.refreshes += 1;
             out_arc = if instr.in_place && out_arc.len() == out_len {
                 // In-place ops read the old value: copy it into the
                 // fresh buffer.

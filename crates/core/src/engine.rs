@@ -32,7 +32,7 @@ use duet_runtime::{
 use duet_tensor::Tensor;
 
 use crate::partition::{partition, partition_per_operator, Partition, Phase};
-use crate::plan::{fingerprint, PlanError, PlannedSubgraph, SchedulePlan};
+use crate::plan::{fingerprint, PlannedSubgraph, SchedulePlan};
 use crate::report::{PlacementReport, SubgraphRow};
 use crate::sched::{self, SchedulePolicy, SubgraphUnit};
 
@@ -44,10 +44,9 @@ pub enum EngineError {
     /// Graph optimization failed (a pass errored, or — in check mode —
     /// broke a pipeline invariant).
     Compile(CompileError),
-    /// A supplied schedule plan did not match the model.
-    Plan(PlanError),
-    /// The `duet-analysis` plan linter found hard errors in a supplied
-    /// plan; the report carries the individual `D2xx` diagnostics.
+    /// A supplied schedule plan does not fit the model: the
+    /// `duet-analysis` plan linter found hard errors, and the report
+    /// carries the individual `D2xx` diagnostics.
     Lint(duet_analysis::Report),
     /// The `duet-analysis` plan model checker proved a `D5xx` violation
     /// (reachable deadlock, nondeterministic dispatch, transfer race,
@@ -84,18 +83,11 @@ impl From<CompileError> for EngineError {
     }
 }
 
-impl From<PlanError> for EngineError {
-    fn from(e: PlanError) -> Self {
-        EngineError::Plan(e)
-    }
-}
-
 impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EngineError::Graph(e) => write!(f, "{e}"),
             EngineError::Compile(e) => write!(f, "{e}"),
-            EngineError::Plan(e) => write!(f, "{e}"),
             EngineError::Lint(r) => write!(f, "{r}"),
             EngineError::ModelCheck(r) => write!(f, "{r}"),
             EngineError::Dataflow(r) => write!(f, "{r}"),
@@ -204,17 +196,14 @@ impl DuetBuilder {
     /// skipping the scheduler entirely (the production fast path: the
     /// offline decision ships next to the model).
     ///
-    /// The plan is validated against the optimized graph's structural
-    /// fingerprint; weight changes are fine, architecture changes are not.
+    /// The `duet-analysis` plan linter gates the plan against the
+    /// optimized graph: its structural fingerprint (weight changes are
+    /// fine, architecture changes are not), its batch size, exact
+    /// coverage of the compute nodes, and acyclic subgraph dependencies.
+    /// Any `D2xx` error is [`EngineError::Lint`]; warnings are advisory.
     pub fn build_with_plan(self, model: &Graph, plan: &SchedulePlan) -> Result<Duet, EngineError> {
         let compiler = Compiler::new(self.compile_options);
         let graph = optimize_gated(&compiler, model)?;
-        plan.validate_against(&graph)?;
-        // Beyond the coarse fingerprint/coverage gate: run the full
-        // `duet-analysis` plan linter so a structurally broken plan
-        // (double coverage, covered sources, cyclic subgraphs) is
-        // rejected with precise diagnostics instead of surfacing as an
-        // executor panic. Warnings are advisory and do not block.
         let lint = duet_analysis::lint_plan(&graph, &plan.to_facts(), &LintConfig::default());
         if lint.has_errors() {
             return Err(EngineError::Lint(lint));
@@ -977,20 +966,29 @@ mod tests {
     fn plan_missing_a_producer_is_rejected_without_unwinding() {
         // The matching `Timeline::new` case (typed `ScheduleError`) is
         // tested next to the constructor; an engine never gets that far,
-        // because the coverage gate in front of it answers first — and
+        // because the lint gate in front of it answers first — and
         // neither of them panics.
+        use duet_analysis::codes;
         let g = wide_and_deep(&WideAndDeepConfig::small());
         let duet = Duet::builder().no_fallback().build(&g).unwrap();
-        let mut plan = duet.export_plan();
-        plan.subgraphs.remove(0);
-        let err = Duet::builder()
-            .no_fallback()
-            .build_with_plan(&g, &plan)
-            .unwrap_err();
-        assert!(
-            matches!(err, EngineError::Plan(PlanError::BadCoverage)),
-            "{err}"
-        );
+        let rejected = |edit: fn(&mut SchedulePlan)| {
+            let mut plan = duet.export_plan();
+            edit(&mut plan);
+            match Duet::builder().no_fallback().build_with_plan(&g, &plan) {
+                Err(EngineError::Lint(report)) => report,
+                Err(e) => panic!("not a lint rejection: {e}"),
+                Ok(_) => panic!("plan accepted"),
+            }
+        };
+        let stale = rejected(|p| p.fingerprint ^= 1);
+        assert_eq!(stale.error_count(), 1, "{stale}");
+        assert!(stale.contains(codes::PLAN_STALE_FINGERPRINT), "{stale}");
+        let batch = rejected(|p| p.batch = 4);
+        assert!(batch.contains(codes::PLAN_BATCH_MISMATCH), "{batch}");
+        let uncovered = rejected(|p| {
+            p.subgraphs.remove(0);
+        });
+        assert!(uncovered.contains(codes::PLAN_UNCOVERED), "{uncovered}");
     }
 
     #[test]

@@ -40,6 +40,6 @@ pub use partition::{
     partition, partition_nested, partition_nodes, partition_per_operator, Partition, Phase,
     PhaseKind,
 };
-pub use plan::{fingerprint, PlanError, PlannedSubgraph, SchedulePlan};
+pub use plan::{fingerprint, PlannedSubgraph, SchedulePlan};
 pub use report::{PlacementReport, SubgraphRow};
 pub use sched::{SchedulePolicy, SubgraphUnit};

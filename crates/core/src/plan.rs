@@ -14,7 +14,7 @@
 
 use duet_analysis::{PlanFacts, PlanSubgraphFacts};
 use duet_device::DeviceKind;
-use duet_ir::{Graph, NodeId};
+use duet_ir::NodeId;
 use serde::{Deserialize, Serialize};
 
 // The structural fingerprint lives in `duet-ir` (so `duet-analysis` can
@@ -66,66 +66,7 @@ fn default_batch() -> usize {
     1
 }
 
-/// Why a plan could not be applied.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlanError {
-    /// The plan was produced for a structurally different graph.
-    FingerprintMismatch { expected: u64, actual: u64 },
-    /// Plan subgraphs do not cover the graph's compute nodes exactly.
-    BadCoverage,
-    /// The plan's recorded batch size disagrees with the batch the
-    /// graph's shapes imply.
-    BatchMismatch { plan: usize, graph: usize },
-}
-
-impl std::fmt::Display for PlanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanError::FingerprintMismatch { expected, actual } => write!(
-                f,
-                "plan fingerprint {expected:#x} does not match graph {actual:#x}"
-            ),
-            PlanError::BadCoverage => write!(f, "plan does not cover the graph's compute nodes"),
-            PlanError::BatchMismatch { plan, graph } => write!(
-                f,
-                "plan was compiled for batch {plan} but the graph is batch {graph}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for PlanError {}
-
 impl SchedulePlan {
-    /// Verify this plan matches `graph` (fingerprint + exact coverage).
-    pub fn validate_against(&self, graph: &Graph) -> Result<(), PlanError> {
-        let actual = fingerprint(graph);
-        if actual != self.fingerprint {
-            return Err(PlanError::FingerprintMismatch {
-                expected: self.fingerprint,
-                actual,
-            });
-        }
-        if let Some(graph_batch) = graph.leading_batch() {
-            if self.batch != graph_batch {
-                return Err(PlanError::BatchMismatch {
-                    plan: self.batch,
-                    graph: graph_batch,
-                });
-            }
-        }
-        let mut covered: Vec<NodeId> = self
-            .subgraphs
-            .iter()
-            .flat_map(|s| s.nodes.iter().copied())
-            .collect();
-        covered.sort_unstable();
-        if covered != graph.compute_ids() {
-            return Err(PlanError::BadCoverage);
-        }
-        Ok(())
-    }
-
     /// Serialize to pretty JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("plan serializes")
@@ -165,7 +106,7 @@ impl SchedulePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use duet_ir::{GraphBuilder, Op};
+    use duet_ir::{Graph, GraphBuilder, Op};
 
     fn graph(hidden: usize) -> Graph {
         let mut b = GraphBuilder::new("m", 1);
@@ -259,38 +200,5 @@ mod tests {
         }"#;
         let plan = SchedulePlan::from_json(json).unwrap();
         assert_eq!(plan.batch, 1);
-    }
-
-    #[test]
-    fn validate_catches_mismatch_and_bad_coverage() {
-        let g = graph(8);
-        let mut plan = SchedulePlan {
-            model: "m".into(),
-            fingerprint: fingerprint(&g),
-            batch: 1,
-            subgraphs: vec![PlannedSubgraph {
-                name: "all".into(),
-                phase: 0,
-                kind: PhaseKind::Sequential,
-                nodes: g.compute_ids(),
-                device: DeviceKind::Gpu,
-            }],
-            fallback: None,
-            expected_latency_us: 1.0,
-            critical_path_lb_us: None,
-        };
-        assert!(plan.validate_against(&g).is_ok());
-        assert!(matches!(
-            plan.validate_against(&graph(9)),
-            Err(PlanError::FingerprintMismatch { .. })
-        ));
-        plan.batch = 4;
-        assert_eq!(
-            plan.validate_against(&g),
-            Err(PlanError::BatchMismatch { plan: 4, graph: 1 })
-        );
-        plan.batch = 1;
-        plan.subgraphs[0].nodes.pop();
-        assert_eq!(plan.validate_against(&g), Err(PlanError::BadCoverage));
     }
 }

@@ -4,10 +4,11 @@
 //! decision must never lose to the best single device by more than the
 //! fallback guarantee allows.
 
+use duet_analysis::{lint_plan, LintConfig};
 use duet_core::{partition, partition_per_operator, sched, Duet, SchedulePolicy};
 use duet_device::{DeviceKind, SystemModel};
 use duet_ir::{Graph, GraphBuilder, NodeId, Op};
-use duet_runtime::{validate_schedule, Profiler, Timeline};
+use duet_runtime::{Profiler, Timeline};
 use proptest::prelude::*;
 
 /// A fan-out model with `branches` parallel dense towers of varying
@@ -57,13 +58,6 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let g = fan_model(branches, &widths);
-        let sys = SystemModel::paper_server();
-        let part = partition(&g);
-        let compiler = duet_compiler::Compiler::default();
-        let sgs = part.compile(&g, &compiler);
-        let profiles = Profiler::new(sys.clone()).with_runs(60, 10).profile_all(&g, &sgs);
-        let units = sched::make_units(&part, sgs, profiles);
-        let tl = Timeline::new(&g, units.iter().map(|u| &u.sg), &sys).unwrap();
         for policy in [
             SchedulePolicy::GreedyCorrection,
             SchedulePolicy::Random { seed },
@@ -71,10 +65,10 @@ proptest! {
             SchedulePolicy::FlopsProxy,
             SchedulePolicy::Pin(DeviceKind::Gpu),
         ] {
-            let devices = sched::schedule(&tl, &units, &sys, policy);
-            prop_assert_eq!(devices.len(), units.len());
-            let placed = sched::to_placed(&units, &devices);
-            prop_assert_eq!(validate_schedule(&g, &placed), Ok(()));
+            let duet = Duet::builder().policy(policy).profile_runs(60, 10).build(&g).unwrap();
+            let facts = duet.export_plan().to_facts();
+            let report = lint_plan(duet.graph(), &facts, &LintConfig::default());
+            prop_assert!(!report.has_errors(), "{:?}: {}", policy, report);
         }
     }
 

@@ -144,7 +144,7 @@ impl<'g> HeterogeneousExecutor<'g> {
     /// Create an executor over a hand-assembled placed schedule, priced
     /// under `system`. A schedule that does not cover the producer of a
     /// boundary value or of a graph output makes every run return a typed
-    /// error (see [`crate::validate_schedule`] to check up front).
+    /// error (`duet_analysis::lint_plan` checks a plan up front).
     ///
     /// The executor runs one lane per device — on the caller's thread and
     /// at most one scoped thread (module doc) — and does not size the

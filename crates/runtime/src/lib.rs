@@ -34,7 +34,6 @@ pub mod sim;
 pub mod stats;
 pub mod timeline;
 pub mod trace;
-pub mod validate;
 pub mod witness;
 
 pub use executor::{ExecBreakdown, ExecutionOutcome, HeterogeneousExecutor};
@@ -45,9 +44,8 @@ pub use sim::{
     simulate, simulate_witnessed, subgraph_exec_time_us, Placed, SimNoise, SimResult, TimelineEntry,
 };
 pub use stats::LatencyStats;
-pub use timeline::{NoNoise, Noise, Observer, Timeline};
+pub use timeline::{NoNoise, Noise, Observer, ScheduleError, Timeline};
 pub use trace::{merged_perfetto_trace, witness_to_chrome_trace};
-pub use validate::{validate_schedule, ScheduleError};
 pub use witness::{
     DelayInjection, ExecutionWitness, TransferKind, TriggerEdge, WitnessEvent, WitnessSource,
 };

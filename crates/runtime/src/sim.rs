@@ -105,9 +105,9 @@ impl Noise for SimNoise {
 ///
 /// # Panics
 /// Panics if `placed` does not cover the producer of a boundary input or
-/// of a graph output — direct callers hand over whole schedules (see
-/// [`crate::validate_schedule`]); the engine uses the fallible
-/// [`Timeline::new`].
+/// of a graph output — direct callers hand over whole schedules (the
+/// `duet-analysis` plan linter checks one up front); the engine uses the
+/// fallible [`Timeline::new`].
 pub(crate) fn placed_timeline(
     graph: &Graph,
     placed: &[Placed],

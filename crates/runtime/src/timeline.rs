@@ -50,9 +50,43 @@ use std::sync::Arc;
 
 use duet_compiler::CompiledSubgraph;
 use duet_device::{DeviceKind, SystemModel};
-use duet_ir::{CostProfile, Graph, NodeId, Op};
+use duet_ir::{CostProfile, Graph, GraphError, NodeId, Op};
 
-use crate::validate::ScheduleError;
+/// Why [`Timeline::new`] cannot build a timeline for a set of subgraphs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ScheduleError {
+    /// A compute node is not covered by any subgraph.
+    Uncovered(NodeId),
+    /// A subgraph references a node id outside the graph.
+    UnknownNode(NodeId),
+    /// A graph output is produced by no subgraph.
+    MissingOutput(NodeId),
+}
+
+impl std::fmt::Display for ScheduleError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ScheduleError::Uncovered(n) => write!(f, "compute node {n} not scheduled"),
+            ScheduleError::UnknownNode(n) => write!(f, "schedule references unknown node {n}"),
+            ScheduleError::MissingOutput(n) => write!(f, "graph output {n} not produced"),
+        }
+    }
+}
+
+impl std::error::Error for ScheduleError {}
+
+/// A schedule error in the executor's error type: a value no subgraph
+/// produces is a missing feed, a stale id an unknown node.
+impl From<ScheduleError> for GraphError {
+    fn from(e: ScheduleError) -> Self {
+        match e {
+            ScheduleError::Uncovered(n) | ScheduleError::MissingOutput(n) => {
+                GraphError::MissingFeed(n)
+            }
+            ScheduleError::UnknownNode(n) => GraphError::UnknownNode(n),
+        }
+    }
+}
 
 /// One boundary dependency of a subgraph.
 #[derive(Debug, Clone, Copy)]

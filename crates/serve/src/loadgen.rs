@@ -11,7 +11,7 @@
 //! latency.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use duet_device::SystemModel;
@@ -169,8 +169,11 @@ impl LoadGen {
                     {
                         attribution_mismatches.fetch_add(1, Ordering::Relaxed);
                     }
-                    attributions.lock().unwrap().push(resp.attribution);
-                    let mut s = samples.lock().unwrap();
+                    attributions
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(resp.attribution);
+                    let mut s = samples.lock().unwrap_or_else(PoisonError::into_inner);
                     if s.len() < self.cfg.verify_samples {
                         s.push((seed, resp));
                     }
@@ -215,7 +218,11 @@ impl LoadGen {
                         match server.submit(model, feeds, self.cfg.sla) {
                             Ok(handle) => {
                                 accepted.fetch_add(1, Ordering::Relaxed);
-                                tx.send((seed, handle)).expect("collector alive");
+                                // A closed channel means the collector is
+                                // gone: nobody will drain this request.
+                                if tx.send((seed, handle)).is_err() {
+                                    undrained.fetch_add(1, Ordering::Relaxed);
+                                }
                             }
                             Err(ServeError::QueueFull) => {
                                 shed_at_submit.fetch_add(1, Ordering::Relaxed);
@@ -226,7 +233,9 @@ impl LoadGen {
                         }
                     }
                     drop(tx);
-                    collector.join().expect("collector thread");
+                    if let Err(panic) = collector.join() {
+                        std::panic::resume_unwind(panic);
+                    }
                 });
             }
             Some(workers) => {
@@ -274,7 +283,7 @@ impl LoadGen {
         // Bit-identity verification against direct reference runs. The
         // system model never affects numeric outputs, so this holds
         // across drift epochs too.
-        let samples = samples.into_inner().unwrap();
+        let samples = samples.into_inner().unwrap_or_else(PoisonError::into_inner);
         let mut failures = 0;
         let mut max_checked_batch = 0;
         for (seed, resp) in &samples {
@@ -301,7 +310,11 @@ impl LoadGen {
             (None, None, None)
         };
         let completed = snapshot.completed;
-        let attribution = AttributionSummary::from_samples(&attributions.into_inner().unwrap());
+        let attribution = AttributionSummary::from_samples(
+            &attributions
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
         Ok(LoadReport {
             wall: started.elapsed(),
             snapshot,

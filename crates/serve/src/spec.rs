@@ -127,15 +127,6 @@ impl ModelSpec {
         &self.reference
     }
 
-    /// Labels of the model's input tensors.
-    pub fn input_labels(&self) -> Vec<String> {
-        self.reference
-            .input_ids()
-            .iter()
-            .map(|&id| self.reference.node(id).label.clone())
-            .collect()
-    }
-
     /// Deterministic batch-1 request feeds, keyed by input label.
     pub fn request_feeds(&self, seed: u64) -> HashMap<String, Tensor> {
         duet_models::input_feeds(&self.reference, seed)
@@ -184,10 +175,11 @@ mod tests {
     fn request_feeds_cover_every_input() {
         let spec = ModelSpec::serving_zoo("wide_deep").unwrap();
         let feeds = spec.request_feeds(3);
-        let labels = spec.input_labels();
-        assert_eq!(feeds.len(), labels.len());
-        for l in &labels {
-            assert!(feeds.contains_key(l), "missing feed for {l}");
+        let g = spec.reference();
+        assert_eq!(feeds.len(), g.input_ids().len());
+        for id in g.input_ids() {
+            let label = &g.node(id).label;
+            assert!(feeds.contains_key(label), "missing feed for {label}");
         }
         // Text feed is [seq, 1, embed] — batch extent 1 on axis 1.
         assert_eq!(feeds["rnn.text"].shape().dim(1), 1);

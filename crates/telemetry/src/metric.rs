@@ -104,11 +104,6 @@ impl Gauge {
     }
 
     #[inline]
-    pub fn dec(&self) {
-        self.v.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    #[inline]
     pub fn add(&self, n: i64) {
         self.v.fetch_add(n, Ordering::Relaxed);
     }
@@ -293,24 +288,6 @@ impl Histogram {
             .collect()
     }
 
-    /// Upper-bound estimate of quantile `q` in `[0, 1]` from the bucket
-    /// boundaries; `None` when empty.
-    pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return Some(bucket_upper_bound(i));
-            }
-        }
-        Some(u64::MAX)
-    }
-
     pub fn name(&self) -> &'static str {
         self.name
     }
@@ -353,17 +330,5 @@ mod tests {
         assert_eq!(H.pow2_values(), vec![(1, 1), (2, 1), (4, 2)]);
         assert_eq!(H.count(), 4);
         assert_eq!(H.sum(), 11);
-    }
-
-    #[test]
-    fn quantile_upper_bounds_bracket() {
-        let h = Histogram::new("q", "test");
-        assert_eq!(h.quantile_upper_bound(0.5), None);
-        for v in [1u64, 2, 3, 100, 1000] {
-            h.observe(v);
-        }
-        // P50 of {1,2,3,100,1000}: nearest rank 3 → value 3 → bucket ub 3.
-        assert_eq!(h.quantile_upper_bound(0.5), Some(3));
-        assert_eq!(h.quantile_upper_bound(1.0), Some(1023));
     }
 }

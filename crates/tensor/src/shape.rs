@@ -49,17 +49,6 @@ impl Shape {
         self.volume() * std::mem::size_of::<f32>()
     }
 
-    /// Row-major strides, in elements.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![0; self.rank()];
-        let mut acc = 1;
-        for (i, d) in self.0.iter().enumerate().rev() {
-            strides[i] = acc;
-            acc *= d;
-        }
-        strides
-    }
-
     /// Check that `axis` is in range for this shape.
     pub fn check_axis(&self, op: &'static str, axis: usize) -> Result<(), TensorError> {
         if axis >= self.rank() {
@@ -133,17 +122,6 @@ mod tests {
         let s = Shape::scalar();
         assert_eq!(s.rank(), 0);
         assert_eq!(s.volume(), 1);
-    }
-
-    #[test]
-    fn row_major_strides() {
-        let s = Shape::new(vec![2, 3, 4]);
-        assert_eq!(s.strides(), vec![12, 4, 1]);
-    }
-
-    #[test]
-    fn strides_of_scalar_empty() {
-        assert!(Shape::scalar().strides().is_empty());
     }
 
     #[test]

@@ -72,19 +72,8 @@ use duet_analysis::{
 };
 use duet_compiler::CompileOptions;
 use duet_core::{Duet, SchedulePlan};
-use duet_models::{input_feeds, zoo_model};
+use duet_models::{input_feeds, zoo_model, zoo_names};
 use duet_runtime::{simulate_witnessed, witness_to_chrome_trace, SimNoise};
-
-const MODELS: &[&str] = &[
-    "wide_and_deep",
-    "siamese",
-    "mtdnn",
-    "resnet18",
-    "resnet50",
-    "vgg16",
-    "squeezenet",
-    "mobilenet",
-];
 
 fn usage() -> ! {
     eprintln!(
@@ -106,7 +95,7 @@ fn usage() -> ! {
          0  clean (warnings allowed unless --deny-warnings)\n  \
          1  errors found, or warnings under --deny-warnings\n  \
          2  usage or I/O failure",
-        MODELS.join(", ")
+        zoo_names().join(", ")
     );
     std::process::exit(2);
 }
@@ -511,7 +500,7 @@ fn main() {
             eprintln!("--out needs a single model");
             usage();
         }
-        names = MODELS.iter().map(|s| s.to_string()).collect();
+        names = zoo_names().iter().map(|s| s.to_string()).collect();
     }
 
     let mut errors = 0usize;

@@ -19,18 +19,7 @@ use std::collections::HashMap;
 
 use duet_core::{Duet, SchedulePolicy};
 use duet_device::DeviceKind;
-use duet_models::{input_feeds, zoo_model};
-
-const MODELS: &[&str] = &[
-    "wide_and_deep",
-    "siamese",
-    "mtdnn",
-    "resnet18",
-    "resnet50",
-    "vgg16",
-    "squeezenet",
-    "mobilenet",
-];
+use duet_models::{input_feeds, zoo_model, zoo_names};
 
 fn usage() -> ! {
     eprintln!(
@@ -47,7 +36,7 @@ fn usage() -> ! {
          greedy-correction | greedy | random | round-robin | random-correction | ideal | \
          flops-proxy | cpu | gpu\n\nonline serving lives in its own binary: \
          cargo run --release -p duet-serve --bin duet-serve -- --help",
-        MODELS.join(", ")
+        zoo_names().join(", ")
     );
     std::process::exit(2);
 }
@@ -91,7 +80,7 @@ fn main() {
     };
     match cmd {
         "list" => {
-            for m in MODELS {
+            for m in zoo_names() {
                 let g = zoo_model(m).expect("zoo model");
                 println!(
                     "{m:<16} {:>4} operators  {:>8.1} MB params",
@@ -403,7 +392,7 @@ fn cmd_tune(rest: &[String]) {
     }
     let drift = rest.iter().any(|a| a == "--drift");
     let names: Vec<&str> = if model == "all" {
-        MODELS.to_vec()
+        zoo_names().to_vec()
     } else {
         vec![model]
     };
@@ -415,12 +404,8 @@ fn cmd_tune(rest: &[String]) {
         let engine = Duet::builder().build(&graph).expect("engine builds");
         let out = if drift {
             // The canonical drift scenario (duet-serve's smoke test):
-            // the GPU loses most of its compute, bandwidth and launch
-            // throughput, and the tuner races the stale plan.
-            let mut deployed = engine.system().clone();
-            deployed.gpu.peak_gflops /= 12.0;
-            deployed.gpu.mem_bw_gbps /= 8.0;
-            deployed.gpu.kernel_launch_us *= 8.0;
+            // the tuner races the stale plan.
+            let deployed = duet_serve::loadgen::degraded_gpu(engine.system());
             duet_tune::tune_drifted(&engine, deployed, &cfg)
         } else {
             duet_tune::tune(&engine, &cfg)

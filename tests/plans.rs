@@ -5,6 +5,7 @@
 use duet::core::{Duet, EngineError, SchedulePlan};
 use duet::device::DeviceKind;
 use duet::prelude::*;
+use duet_analysis::codes;
 use duet_models::input_feeds;
 
 #[test]
@@ -51,14 +52,16 @@ fn plan_survives_weight_changes_but_not_architecture_changes() {
     });
     assert!(Duet::builder().build_with_plan(&retrained, &plan).is_ok());
 
-    // Different architecture: refused.
+    // Different architecture: refused, with the stale fingerprint alone
+    // (the plan's node ids name the other graph's nodes).
     let deeper = siamese(&SiameseConfig {
         rnn_layers: 2,
         ..cfg
     });
     match Duet::builder().build_with_plan(&deeper, &plan) {
-        Err(EngineError::Plan(_)) => {}
-        other => panic!("expected plan mismatch, got {other:?}"),
+        Err(EngineError::Lint(report))
+            if report.contains(codes::PLAN_STALE_FINGERPRINT) && report.error_count() == 1 => {}
+        other => panic!("expected one stale-fingerprint lint, got {other:?}"),
     }
 }
 
