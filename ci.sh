@@ -190,10 +190,10 @@ EXP_DIR="$(mktemp -d)"
 trap 'rm -f "$METRICS_OUT" "$TUNE_A" "$TUNE_B" "$TUNE_METRICS"; rm -rf "$EXP_DIR"' EXIT
 # duet-experiments writes results/<id>.json under its working directory.
 # Not compared: the wall-clock experiments (ext-kernel-speed,
-# ext-memory-plan, ext-serving-real), which measure the host; and four
-# virtual-time files that no longer reproduce (table2, fig12, ext-serving,
-# fig13), skipped by name until ROADMAP.md item 1(a) fixes each drift.
-COMPARED=(table1 table3 fig4 fig5 fig11 fig14 fig15 fig16 fig17
+# ext-memory-plan, ext-serving-real), which measure the host; and three
+# virtual-time files that no longer reproduce (fig12, ext-serving, fig13),
+# skipped by name until ROADMAP.md item 1(a) fixes each drift.
+COMPARED=(table1 table2 table3 fig4 fig5 fig11 fig14 fig15 fig16 fig17
   ext-granularity ext-concurrency ext-flops-proxy ext-systems ext-nested)
 ROOT="$PWD"
 (cd "$EXP_DIR" && cargo run -q --release --manifest-path "$ROOT/Cargo.toml" \

@@ -653,9 +653,11 @@ impl Duet {
     /// fallback decision re-run under `system`. Nothing here can fail:
     /// coverage was established when the engine was built.
     pub fn recorrect(&self, system: SystemModel) -> Duet {
-        // Re-profiling is pure cost-model evaluation (no noise source at
-        // play beyond the seeded micro-benchmarks), so a short run count
-        // keeps hot-swap cheap relative to the offline build.
+        // Re-profiling is pure cost-model evaluation over the seeded
+        // micro-benchmark draws, which the profiler makes once per process,
+        // so the run count no longer buys time. It stays at 100/10 because
+        // every recorrected price, and the `results/` files built on them,
+        // depend on it.
         let profiler = Profiler::new(system.clone()).with_runs(100, 10);
         let units: Vec<SubgraphUnit> = self
             .units

@@ -4,7 +4,7 @@ use duet_device::{DeviceKind, SystemModel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use duet_runtime::{LatencyStats, SubgraphProfile, Timeline};
+use duet_runtime::{SubgraphProfile, Timeline};
 
 use super::{greedy, SubgraphUnit};
 
@@ -47,14 +47,10 @@ pub fn flops_proxy(units: &[SubgraphUnit], system: &SystemModel) -> Vec<DeviceKi
         .iter()
         .map(|u| {
             let t = |peak_gflops: f64| (u.sg.cost.flops / (peak_gflops * 1e3)).max(1e-3);
-            let cpu = t(system.cpu.peak_gflops);
-            let gpu = t(system.gpu.peak_gflops);
             SubgraphUnit {
                 profile: SubgraphProfile {
-                    cpu_time_us: cpu,
-                    gpu_time_us: gpu,
-                    cpu_stats: LatencyStats::from_samples(vec![cpu]),
-                    gpu_stats: LatencyStats::from_samples(vec![gpu]),
+                    cpu_time_us: t(system.cpu.peak_gflops),
+                    gpu_time_us: t(system.gpu.peak_gflops),
                     ..u.profile.clone()
                 },
                 ..u.clone()

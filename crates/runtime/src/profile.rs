@@ -9,13 +9,17 @@
 //! In this reproduction "running on a device" means sampling the device
 //! model with per-run noise — the same noise the simulator applies at
 //! schedule time — so profiled statistics and scheduled reality line up
-//! exactly the way they do for the paper's system.
+//! exactly the way they do for the paper's system. A run's noise draw
+//! depends only on the subgraph's name, so "once" is literal: each seed's
+//! draw sequence is made once per process and every later profile of that
+//! subgraph (plan replay, `recorrect`, a drift replan) reads it again.
+
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use duet_compiler::CompiledSubgraph;
 use duet_device::{DeviceKind, NoiseModel, SystemModel};
 use duet_ir::Graph;
-
-use crate::stats::LatencyStats;
 
 /// Profiled statistics of one compiled subgraph.
 #[derive(Debug, Clone)]
@@ -25,9 +29,6 @@ pub struct SubgraphProfile {
     pub cpu_time_us: f64,
     /// Mean execution time on the GPU, microseconds.
     pub gpu_time_us: f64,
-    /// Full per-device sample statistics.
-    pub cpu_stats: LatencyStats,
-    pub gpu_stats: LatencyStats,
     /// Boundary input payload (what would cross PCIe inbound).
     pub input_bytes: f64,
     /// Boundary output payload.
@@ -75,6 +76,36 @@ pub struct Profiler {
 /// Seed of the profiling noise (mixed with a per-subgraph tag).
 const NOISE_SEED: u64 = 0xbe9c;
 
+/// Hash of a subgraph name: the per-subgraph half of its noise seeds.
+fn name_tag(name: &str) -> u64 {
+    name.bytes()
+        .fold(0u64, |h, b| h.wrapping_mul(131).wrapping_add(b as u64))
+}
+
+/// Distinct noise streams per (subgraph, device).
+fn noise_seed(tag: u64, device: DeviceKind) -> u64 {
+    match device {
+        DeviceKind::Cpu => NOISE_SEED ^ tag,
+        DeviceKind::Gpu => NOISE_SEED ^ tag ^ 0xffff,
+    }
+}
+
+/// The first `runs` multipliers of `NoiseModel::new(seed)`, drawn once per
+/// process. A longer request redraws the stream from the seed and replaces
+/// the entry; the new draws extend the old ones, so a shorter request reads
+/// the same values either way.
+fn multipliers(seed: u64, runs: usize) -> Arc<[f64]> {
+    static DRAWS: Mutex<BTreeMap<u64, Arc<[f64]>>> = Mutex::new(BTreeMap::new());
+    // The map is never left half-updated, so a poisoned lock is still sound.
+    let mut draws = DRAWS.lock().unwrap_or_else(PoisonError::into_inner);
+    let entry = draws.entry(seed).or_default();
+    if entry.len() < runs {
+        let mut noise = NoiseModel::new(seed);
+        *entry = (0..runs).map(|_| noise.multiplier()).collect();
+    }
+    entry.clone()
+}
+
 impl Profiler {
     /// Profiler with the paper's defaults: 500 runs, 50 warm-up, on the
     /// paper's server model.
@@ -103,41 +134,32 @@ impl Profiler {
     pub fn profile(&self, graph: &Graph, sg: &CompiledSubgraph) -> SubgraphProfile {
         use duet_telemetry::registry as tm;
         let span_start = duet_telemetry::clock_us();
-        let run_device = |device: DeviceKind, seed: u64| -> LatencyStats {
+        // Mean of the runs after warm-up: run `i` takes `base · m[i]`.
+        let run_device = |device: DeviceKind, seed: u64| -> f64 {
             let base = crate::sim::subgraph_exec_time_us(&self.system, device, sg);
-            let mut noise = NoiseModel::new(seed);
-            let samples: Vec<f64> = (0..self.runs)
-                .map(|_| noise.sample(base))
-                .skip(self.warmup)
-                .collect();
+            let measured = &multipliers(seed, self.runs)[self.warmup..self.runs];
             match device {
-                DeviceKind::Cpu => tm::PROFILE_SAMPLES_CPU.add(samples.len() as u64),
-                DeviceKind::Gpu => tm::PROFILE_SAMPLES_GPU.add(samples.len() as u64),
+                DeviceKind::Cpu => tm::PROFILE_SAMPLES_CPU.add(measured.len() as u64),
+                DeviceKind::Gpu => tm::PROFILE_SAMPLES_GPU.add(measured.len() as u64),
             }
-            LatencyStats::from_samples(samples)
+            measured.iter().map(|m| base * m).sum::<f64>() / measured.len() as f64
         };
-        // Distinct noise streams per (subgraph, device).
-        let tag = sg
-            .name
-            .bytes()
-            .fold(0u64, |h, b| h.wrapping_mul(131).wrapping_add(b as u64));
-        let cpu_stats = run_device(DeviceKind::Cpu, NOISE_SEED ^ tag);
-        let gpu_stats = run_device(DeviceKind::Gpu, NOISE_SEED ^ tag ^ 0xffff);
+        let tag = name_tag(&sg.name);
+        let cpu_time_us = run_device(DeviceKind::Cpu, noise_seed(tag, DeviceKind::Cpu));
+        let gpu_time_us = run_device(DeviceKind::Gpu, noise_seed(tag, DeviceKind::Gpu));
         tm::PROFILE_SUBGRAPHS.inc();
         duet_telemetry::record_span(
             duet_telemetry::SpanKind::ProfileSubgraph,
             tag % 1024,
             span_start,
             duet_telemetry::clock_us() - span_start,
-            cpu_stats.mean(),
-            gpu_stats.mean(),
+            cpu_time_us,
+            gpu_time_us,
         );
         SubgraphProfile {
             name: sg.name.clone(),
-            cpu_time_us: cpu_stats.mean(),
-            gpu_time_us: gpu_stats.mean(),
-            cpu_stats,
-            gpu_stats,
+            cpu_time_us,
+            gpu_time_us,
             input_bytes: sg.input_bytes(graph),
             output_bytes: sg.output_bytes(graph),
             kernel_count: sg.kernel_count(),
@@ -190,14 +212,66 @@ mod tests {
         assert_eq!(a.gpu_time_us, b.gpu_time_us);
     }
 
-    #[test]
-    fn warmup_excluded_from_count() {
+    /// A profile mean computed without the memo: a fresh noise stream,
+    /// `runs` samples, warm-up skipped, summed in order.
+    fn fresh_mean(sg: &CompiledSubgraph, device: DeviceKind, runs: usize, warmup: usize) -> f64 {
+        let base = crate::sim::subgraph_exec_time_us(&SystemModel::paper_server(), device, sg);
+        let mut noise = NoiseModel::new(noise_seed(name_tag(&sg.name), device));
+        let samples: Vec<f64> = (0..runs).map(|_| noise.sample(base)).skip(warmup).collect();
+        samples.iter().sum::<f64>() / samples.len() as f64
+    }
+
+    /// Profiles `sg` at each (runs, warmup) in turn and requires every
+    /// mean to equal the memo-free one bit for bit.
+    fn assert_profiles_match_fresh_draws(name: &str) {
         let g = siamese(&SiameseConfig::small());
-        let c = Compiler::default();
-        let sg = c.compile_whole(&g, "s");
-        let prof = Profiler::new(SystemModel::paper_server()).with_runs(100, 20);
-        let p = prof.profile(&g, &sg);
-        assert_eq!(p.cpu_stats.count(), 80);
+        let sg = Compiler::default().compile_whole(&g, name);
+        // The last two are shorter than the stored 1000 draws.
+        for (runs, warmup) in [(100, 10), (500, 50), (1000, 100), (60, 10), (100, 10)] {
+            let prof = Profiler::new(SystemModel::paper_server()).with_runs(runs, warmup);
+            let p = prof.profile(&g, &sg);
+            for (device, got) in [
+                (DeviceKind::Cpu, p.cpu_time_us),
+                (DeviceKind::Gpu, p.gpu_time_us),
+            ] {
+                let want = fresh_mean(&sg, device, runs, warmup);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{device} at ({runs}, {warmup})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn memoized_draws_give_the_fresh_means_bit_for_bit() {
+        assert_profiles_match_fresh_draws("memo-serial");
+    }
+
+    #[test]
+    fn memoized_draws_are_shared_safely_between_threads() {
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| assert_profiles_match_fresh_draws("memo-threads"));
+            }
+        });
+    }
+
+    #[test]
+    fn warmup_runs_are_excluded_from_the_mean() {
+        let g = siamese(&SiameseConfig::small());
+        let sg = Compiler::default().compile_whole(&g, "memo-warmup");
+        let profile = |runs, warmup| {
+            let prof = Profiler::new(SystemModel::paper_server()).with_runs(runs, warmup);
+            prof.profile(&g, &sg).cpu_time_us
+        };
+        let with_warmup = profile(100, 20);
+        assert_eq!(
+            with_warmup.to_bits(),
+            fresh_mean(&sg, DeviceKind::Cpu, 100, 20).to_bits()
+        );
+        assert_ne!(with_warmup, profile(100, 0));
     }
 
     #[test]

@@ -63,12 +63,13 @@ impl DriftMonitor {
             return false;
         }
         let ratio = measured_us / predicted_us;
-        self.ewma = Some(match self.ewma {
+        let ewma = match self.ewma {
             None => ratio,
             Some(prev) => self.cfg.alpha * ratio + (1.0 - self.cfg.alpha) * prev,
-        });
+        };
+        self.ewma = Some(ewma);
         self.samples += 1;
-        self.samples >= self.cfg.min_samples && self.ewma.unwrap() > self.cfg.threshold
+        self.samples >= self.cfg.min_samples && ewma > self.cfg.threshold
     }
 
     /// Forget history — call after a hot-swap so the new plan gets a

@@ -349,7 +349,9 @@ impl ServeServer {
             .run(&merged)
             .map_err(|e| ServeError::Exec(e.to_string()))?;
         let mut split = split_outputs(variant.duet.graph(), &outcome.outputs, 1)?;
-        Ok(split.pop().expect("one request, one output map"))
+        split
+            .pop()
+            .ok_or_else(|| ServeError::Exec("batch split returned no output map".into()))
     }
 
     /// Execute one witnessed batch-1 request and run the `duet-analysis`
