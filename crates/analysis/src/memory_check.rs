@@ -406,6 +406,7 @@ pub fn check_memory_plan(graph: &Graph, sg: &CompiledSubgraph) -> Report {
                     beta,
                     mean,
                     var,
+                    ..
                 } => vec![gamma, beta, mean, var],
             };
             for &r in &refs {

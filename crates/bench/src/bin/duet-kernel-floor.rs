@@ -22,10 +22,14 @@
 //! one thread must reach half of it. Both sides of that ratio come from
 //! one process on one core, so host speed cancels; what moves it is the
 //! kernel — the `mul_add` chain or `.cargo/config.toml`'s vector-width flag
-//! going missing halves it.
+//! going missing halves it. Two whole convolutions on one thread — the
+//! ResNet-18 3×3 conv at 55×55 and the 7×7/2 stem, padding, stores and bias
+//! included — are held the same way, each to its own floor: a layout that
+//! packs again, or a tile that goes scalar, shows there.
 
 use duet_bench::experiments::kernels::{
-    fma_peak_gflops, fork_join_speedups, geomean, matmul_one_thread_gflops, micro_speedups,
+    conv_one_thread_gflops, fma_peak_gflops, fork_join_speedups, geomean, matmul_one_thread_gflops,
+    micro_speedups,
 };
 
 const PAIRS: usize = 9;
@@ -37,6 +41,12 @@ const FORK_JOIN_MAX_SLOWDOWN: f64 = 1.1;
 const PEAK_TRIALS: usize = 40;
 /// Least share of the measured FMA peak for the one-thread GEMM.
 const FLOOR_PEAK_SHARE: f64 = 0.5;
+/// Least share of the measured FMA peak for each whole one-thread
+/// convolution of [`conv_one_thread_gflops`], in its order: the 3×3 conv at
+/// 55×55, then the 7×7/2 stem. Measured at 79–138 % and 78–125 % (the host
+/// moves ±30 % between minutes); each floor is the lowest reading less 25
+/// points. The stem packing its strips again (47–61 %) trips the second.
+const FLOOR_CONV_SHARES: [f64; 2] = [0.55, 0.55];
 
 fn main() {
     let benches = micro_speedups(PAIRS);
@@ -87,6 +97,24 @@ fn main() {
             100.0 * FLOOR_PEAK_SHARE
         );
         failed = true;
+    }
+    for ((what, g), floor) in conv_one_thread_gflops(PEAK_TRIALS)
+        .into_iter()
+        .zip(FLOOR_CONV_SHARES)
+    {
+        println!(
+            "roofline: {what} on one thread {g:.1} GFLOP/s = {:.0} % of the FMA peak (floor {:.0} %)",
+            100.0 * g / peak,
+            100.0 * floor
+        );
+        if g < floor * peak {
+            eprintln!(
+                "FAIL: the one-thread {what} runs at {:.0} % of the measured FMA peak, below {:.0} %",
+                100.0 * g / peak,
+                100.0 * floor
+            );
+            failed = true;
+        }
     }
     // Width is `available_parallelism()` unless overridden: 1 on a one-CPU host.
     let width = rayon::current_num_threads();

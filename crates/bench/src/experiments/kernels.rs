@@ -95,6 +95,43 @@ pub fn matmul_one_thread_gflops(trials: usize) -> f64 {
     2.0 * (m * k * n) as f64 / (us * 1e3)
 }
 
+/// Whole convolutions with their regions forced inline — the strip packing
+/// or padded image, the register tile, the stores and the bias, on one
+/// thread — in GFLOP/s, best of `trials`: the ResNet-18 layer-1 3×3
+/// convolution at 55×55 and the 7×7/2 stem, each with its name.
+pub fn conv_one_thread_gflops(trials: usize) -> [(&'static str, f64); 2] {
+    let cases = [
+        (
+            "conv2d 64->64 55x55 k3",
+            [1, 64, 55, 55],
+            [64, 64, 3, 3],
+            1,
+            1,
+        ),
+        (
+            "stem conv2d 3->64 224x224 k7 s2",
+            [1, 3, 224, 224],
+            [64, 3, 7, 7],
+            2,
+            3,
+        ),
+    ];
+    cases.map(|(what, xs, ws, stride, padding)| {
+        let x = Tensor::randn(xs.to_vec(), 1.0, 12);
+        let w = Tensor::randn(ws.to_vec(), 0.05, 13);
+        let b = Tensor::randn(vec![ws[0]], 0.05, 14);
+        let out_side = (xs[2] + 2 * padding - ws[2]) / stride + 1;
+        let mut out = vec![0.0f32; ws[0] * out_side * out_side];
+        let us = best_us(trials, &mut || {
+            rayon::inline_scope(|| {
+                kernels::conv2d_into(&x, &w, Some(&b), stride, padding, &mut out).unwrap()
+            })
+        });
+        let macs = ws.iter().product::<usize>() * out_side * out_side;
+        (what, 2.0 * macs as f64 / (us * 1e3))
+    })
+}
+
 /// Fastest of `trials` runs of `f`, in µs: the estimate of an undisturbed
 /// run on a host whose disturbances only ever add time.
 fn best_us(trials: usize, f: &mut dyn FnMut()) -> f64 {

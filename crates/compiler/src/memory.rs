@@ -80,14 +80,28 @@ pub enum EpilogueOp {
     /// `buf += inputs[bias]` broadcast over the trailing dim.
     BiasAdd { bias: usize },
     /// Inference batch-norm over the buffer interpreted through the
-    /// instruction's `out_shape` (NCHW). Fused only when
-    /// [`duet_ir::absint::prove_batchnorm_inplace`] holds for the node.
+    /// node's NCHW shape. Fused only when
+    /// [`duet_ir::absint::prove_batchnorm_inplace`] holds for the node, so
+    /// its four parameters are constants: they are folded at tape build
+    /// into [`ExecutableTape::bn_folds`]`[fold]`, which is what runs.
     BatchNorm {
         gamma: usize,
         beta: usize,
         mean: usize,
         var: usize,
+        fold: usize,
     },
+}
+
+/// A fused batch norm's per-channel parameters, folded at tape build by
+/// [`kernels::batch_norm2d_fold`] from its constant operands (`eps` 1e-5),
+/// so they are the bits the unfused kernel computes per call.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BnFold {
+    pub scale: Vec<f32>,
+    pub shift: Vec<f32>,
+    /// Floats per channel plane of the normalized value.
+    pub plane: usize,
 }
 
 /// One node of an absorbed epilogue chain: which graph node it computes
@@ -207,6 +221,9 @@ pub struct ExecutableTape {
     pub output_shapes: Vec<Shape>,
     /// The slot plan and its accounting.
     pub plan: MemoryPlan,
+    /// Folded parameters of the fused batch norms
+    /// ([`EpilogueOp::BatchNorm`]'s `fold`), shared by the tape's clones.
+    pub bn_folds: Arc<[BnFold]>,
     /// FNV fold over the whole tape; arenas are keyed by this.
     pub fingerprint: u64,
 }
@@ -665,6 +682,7 @@ impl ExecutableTape {
         let mut reused_slots = 0usize;
         let mut fused_epilogues = 0usize;
         let mut coalesced_slots = 0usize;
+        let mut bn_folds: Vec<BnFold> = Vec::new();
 
         let mut instrs: Vec<Instr> = Vec::with_capacity(groups.len());
         for (k, &gi) in order.iter().enumerate() {
@@ -733,12 +751,16 @@ impl ExecutableTape {
                     Op::BiasAdd => EpilogueOp::BiasAdd {
                         bias: extra(enode.inputs[1], &mut inputs, &mut arg_shapes),
                     },
-                    Op::BatchNorm2d => EpilogueOp::BatchNorm {
-                        gamma: extra(enode.inputs[1], &mut inputs, &mut arg_shapes),
-                        beta: extra(enode.inputs[2], &mut inputs, &mut arg_shapes),
-                        mean: extra(enode.inputs[3], &mut inputs, &mut arg_shapes),
-                        var: extra(enode.inputs[4], &mut inputs, &mut arg_shapes),
-                    },
+                    Op::BatchNorm2d => {
+                        bn_folds.push(fold_batch_norm(graph, enode));
+                        EpilogueOp::BatchNorm {
+                            gamma: extra(enode.inputs[1], &mut inputs, &mut arg_shapes),
+                            beta: extra(enode.inputs[2], &mut inputs, &mut arg_shapes),
+                            mean: extra(enode.inputs[3], &mut inputs, &mut arg_shapes),
+                            var: extra(enode.inputs[4], &mut inputs, &mut arg_shapes),
+                            fold: bn_folds.len() - 1,
+                        }
+                    }
                     ref other => unreachable!("non-fusable epilogue op {}", other.name()),
                 };
                 epilogue.push(EpilogueStep { node: e, op });
@@ -849,8 +871,27 @@ impl ExecutableTape {
             outputs: out_slots,
             output_shapes,
             plan,
+            bn_folds: bn_folds.into(),
             fingerprint,
         }
+    }
+}
+
+/// The folded parameters of a batch norm that
+/// [`duet_ir::absint::prove_batchnorm_inplace`] admitted: its four
+/// parameters are constants with data.
+fn fold_batch_norm(graph: &Graph, node: &Node) -> BnFold {
+    let param = |i: usize| {
+        graph
+            .param(node.inputs[i])
+            .expect("a fused batch norm's parameters are proven constants")
+            .data()
+    };
+    let (scale, shift) = kernels::batch_norm2d_fold(param(1), param(2), param(3), param(4), 1e-5);
+    BnFold {
+        scale,
+        shift,
+        plane: node.shape.dim(2) * node.shape.dim(3),
     }
 }
 
@@ -941,8 +982,12 @@ impl ExecutableTape {
         }
         let res = {
             let out = Arc::get_mut(&mut out_arc).expect("refresh made the slot unique");
-            self.dispatch(instr, feeds, arena, out)
-                .and_then(|()| self.apply_epilogue(instr, feeds, arena, out))
+            self.dispatch(instr, feeds, arena, out).map(|()| {
+                // A convolution runs its epilogue inside its GEMM's chunks.
+                if !matches!(instr.op, Op::Conv2d { .. }) {
+                    self.finish(instr, feeds, arena, 0, out);
+                }
+            })
         };
         arena.slots[instr.out] = out_arc;
         res.map_err(GraphError::from)
@@ -983,55 +1028,45 @@ impl ExecutableTape {
         }
     }
 
-    /// Apply the fused epilogue chain to the anchor's output buffer, in
-    /// chain order. Each step is the in-place twin of the standalone
-    /// kernel, so the buffer ends bit-identical to the unfused sequence.
-    fn apply_epilogue(
+    /// Apply the fused epilogue chain to `seg`, elements `[at, at +
+    /// seg.len())` of the anchor's output, in chain order: the whole buffer
+    /// after most anchors, a GEMM chunk's run of one channel from inside a
+    /// convolution. Each step is the in-place twin of the standalone
+    /// kernel, element by element, so the buffer ends bit-identical to the
+    /// unfused sequence however it is cut into runs.
+    fn finish(
         &self,
         instr: &Instr,
         feeds: &[&Tensor],
         arena: &TapeArena,
-        out: &mut [f32],
-    ) -> Result<(), TensorError> {
+        at: usize,
+        seg: &mut [f32],
+    ) {
+        let len = seg.len();
+        let operand = |idx: usize| &self.src(instr, idx, feeds, arena).0[at..at + len];
         for step in &instr.epilogue {
             match step.op {
-                EpilogueOp::Unary(u) => kernels::unary_inplace(u, out),
-                EpilogueOp::Scale(f) => kernels::scale_inplace(out, f),
-                EpilogueOp::Add { rhs } => {
-                    let (bd, _) = self.src(instr, rhs, feeds, arena);
-                    kernels::add_inplace(out, bd);
-                }
-                EpilogueOp::Mul { rhs } => {
-                    let (bd, _) = self.src(instr, rhs, feeds, arena);
-                    kernels::mul_inplace(out, bd);
-                }
+                EpilogueOp::Unary(u) => kernels::unary_inplace(u, seg),
+                EpilogueOp::Scale(f) => kernels::scale_inplace(seg, f),
+                EpilogueOp::Add { rhs } => kernels::add_inplace(seg, operand(rhs)),
+                EpilogueOp::Mul { rhs } => kernels::mul_inplace(seg, operand(rhs)),
                 EpilogueOp::Sub { rhs, reversed } => {
-                    let (bd, _) = self.src(instr, rhs, feeds, arena);
                     if reversed {
-                        kernels::rsub_inplace(out, bd);
+                        kernels::rsub_inplace(seg, operand(rhs));
                     } else {
-                        kernels::sub_inplace(out, bd);
+                        kernels::sub_inplace(seg, operand(rhs));
                     }
                 }
                 EpilogueOp::BiasAdd { bias } => {
                     let (bd, _) = self.src(instr, bias, feeds, arena);
-                    kernels::bias_add_inplace(out, bd);
+                    kernels::bias_add_inplace_at(seg, at, bd);
                 }
-                EpilogueOp::BatchNorm {
-                    gamma,
-                    beta,
-                    mean,
-                    var,
-                } => {
-                    let g = self.src_tensor(instr, gamma, feeds, arena)?;
-                    let b = self.src_tensor(instr, beta, feeds, arena)?;
-                    let m = self.src_tensor(instr, mean, feeds, arena)?;
-                    let v = self.src_tensor(instr, var, feeds, arena)?;
-                    kernels::batch_norm2d_inplace(out, &instr.out_shape, &g, &b, &m, &v, 1e-5)?;
+                EpilogueOp::BatchNorm { fold, .. } => {
+                    let f = &self.bn_folds[fold];
+                    kernels::batch_norm2d_folded_inplace(seg, at, f.plane, &f.scale, &f.shift);
                 }
             }
         }
-        Ok(())
     }
 
     fn dispatch(
@@ -1060,14 +1095,21 @@ impl ExecutableTape {
                 padding,
                 bias,
             } => {
-                let x = self.src_tensor(instr, 0, feeds, arena)?;
-                let w = self.src_tensor(instr, 1, feeds, arena)?;
-                let b = if *bias {
-                    Some(self.src_tensor(instr, 2, feeds, arena)?)
-                } else {
-                    None
-                };
-                kernels::conv2d_into(&x, &w, b.as_ref(), *stride, *padding, out)
+                let (xd, xs) = self.src(instr, 0, feeds, arena);
+                let (wd, ws) = self.src(instr, 1, feeds, arena);
+                let bd = bias.then(|| self.src(instr, 2, feeds, arena).0);
+                let dims = kernels::Conv2dDims::new(xs.dims(), ws.dims(), *stride, *padding)?;
+                kernels::conv2d_fused_into(xd, wd, bd, dims, out, |at, seg| {
+                    self.finish(instr, feeds, arena, at, seg)
+                })
+            }
+            Op::MaxPool2d { window, stride } => {
+                let (xd, xs) = self.src(instr, 0, feeds, arena);
+                kernels::max_pool2d_into(xd, xs.dims(), *window, *stride, out)
+            }
+            Op::AvgPool2d { window, stride } => {
+                let (xd, xs) = self.src(instr, 0, feeds, arena);
+                kernels::avg_pool2d_into(xd, xs.dims(), *window, *stride, out)
             }
             Op::Relu | Op::Sigmoid | Op::Tanh | Op::Gelu => {
                 let u = match instr.op {
@@ -1225,6 +1267,7 @@ fn tape_fingerprint(instrs: &[Instr], plan: &MemoryPlan, outputs: &[(NodeId, usi
                     beta,
                     mean,
                     var,
+                    ..
                 } => {
                     fold(0x47);
                     fold(gamma as u64);

@@ -144,9 +144,15 @@ pub fn bias_add_into(x: &[f32], bias: &[f32], out: &mut [f32]) {
 
 /// `buf += bias` (broadcast over the trailing dim) in place.
 pub fn bias_add_inplace(buf: &mut [f32], bias: &[f32]) {
+    bias_add_inplace_at(buf, 0, bias);
+}
+
+/// [`bias_add_inplace`] on a run of a larger buffer: `buf[j]` is element
+/// `at + j`, and takes `bias[(at + j) % bias.len()]`.
+pub fn bias_add_inplace_at(buf: &mut [f32], at: usize, bias: &[f32]) {
     let c = bias.len();
     for (i, v) in buf.iter_mut().enumerate() {
-        *v += bias[i % c];
+        *v += bias[(at + i) % c];
     }
 }
 

@@ -320,12 +320,20 @@ fn reduce_halving(acc: &[f32; ACC_LANES]) -> f32 {
 /// already exists in memory.
 pub fn gemm_tiled(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(b.len(), k * n);
-    gemm_packed(a, c, m, k, n, |j0, width, strip| {
+    gemm_packed(a, c, m, k, n, row_major_strips(b, n), |_, _, _| {});
+}
+
+/// The strip packer of a row-major matrix `b` with `n` columns.
+pub(crate) fn row_major_strips(
+    b: &[f32],
+    n: usize,
+) -> impl Fn(usize, usize, &mut [f32]) + Sync + '_ {
+    move |j0, width, strip| {
         for (t, dst) in strip.as_chunks_mut::<NR>().0.iter_mut().enumerate() {
             dst[..width].copy_from_slice(&b[t * n + j0..t * n + j0 + width]);
             dst[width..].fill(0.0);
         }
-    });
+    }
 }
 
 /// The GEMM engine: `c = a @ B`, where `a` is `m × k` row-major and B
@@ -334,12 +342,18 @@ pub fn gemm_tiled(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: us
 /// `pack(j0, width, strip)` must fill `strip` (`k × NR`, row-major) with
 /// columns `[j0, j0 + width)` of B in lanes `0..width` of every row and zero
 /// in the rest: `matmul` copies them out of a row-major matrix, `conv2d`
-/// gathers them straight from the image, so the im2col matrix never exists.
-/// A strip is packed once per chunk and swept by every row tile of the
-/// chunk. A tail strip (`width < NR`) runs the same loop on its zero padding
-/// and stores only its `width` real columns — there is no cascade of ever
-/// narrower tiles, only the [`MR_NARROW`]×[`NR_NARROW`] shape for strips
-/// that are at least half padding.
+/// gathers them straight from the image. Each strip is packed once per
+/// GEMM: by the one chunk that sweeps it, or — when the rows are cut too, so
+/// that chunks share strips, and the region is large enough to fork — all
+/// strips up front, in parallel, into one buffer every chunk reads. A tail
+/// strip (`width < NR`) runs the same loop on its zero padding and stores
+/// only its `width` real columns; the [`MR_NARROW`]×[`NR_NARROW`] tile
+/// sweeps strips that are at least half padding.
+///
+/// `finish(i, j0, row)` runs on each chunk's part of C's row `i` (columns
+/// `[j0, j0 + row.len())`) right after the chunk's last tile, on the thread
+/// that ran the chunk: the place for a per-element epilogue, while the rows
+/// are still in cache.
 ///
 /// **Exact contract**: each `c[i][j]` is one `f32::mul_add` chain over
 /// `t = 0..k` in ascending order, started from `+0.0` — bit-identical to the
@@ -354,6 +368,7 @@ pub(crate) fn gemm_packed(
     k: usize,
     n: usize,
     pack: impl Fn(usize, usize, &mut [f32]) + Sync,
+    finish: impl Fn(usize, usize, &mut [f32]) + Sync,
 ) {
     use rayon::prelude::*;
     debug_assert_eq!(a.len(), m * k);
@@ -361,115 +376,373 @@ pub(crate) fn gemm_packed(
     if n == 0 || m == 0 {
         return;
     }
-    let (rows, cols) = chunk_shape(m, n);
-    fork_if_worthwhile(m * k * n.next_multiple_of(NR), || {
-        c.par_tiles_mut(n, rows, cols)
-            .for_each(|(i0, j0, mut cblk)| gemm_chunk(a, &mut cblk, i0, j0, k, &pack));
-    });
-}
-
-/// Rows × columns of a GEMM chunk. Columns split first, into whole strips: a
-/// chunk packs each of its strips once, so chunks that share columns repeat
-/// that packing, and the taller a chunk the more row tiles reuse one strip.
-/// Only when the strips are fewer than the [`CHUNKS_PER_THREAD`] chunks per
-/// pool thread a region aims for (a 7×7 feature map is two) are the rows
-/// cut as well, into whole tiles of either shape.
-fn chunk_shape(m: usize, n: usize) -> (usize, usize) {
-    let want = CHUNKS_PER_THREAD * rayon::current_num_threads();
     let strips = n.div_ceil(NR);
-    let strips_per_chunk = strips.div_ceil(want);
-    let panels = strips.div_ceil(strips_per_chunk);
-    let row_blocks = want.div_ceil(panels).min(m.div_ceil(MR_NARROW));
-    let rows = m.div_ceil(row_blocks).next_multiple_of(MR_NARROW);
-    (rows, strips_per_chunk * NR)
-}
-
-/// One chunk of the GEMM: rows `[i0, i0 + cblk.rows())` × columns
-/// `[j0, j0 + cblk.cols())` of C, strip by strip. A strip of at most
-/// [`NR_NARROW`] real columns is swept by the narrow tile.
-fn gemm_chunk(
-    a: &[f32],
-    cblk: &mut TileMut<'_, f32>,
-    i0: usize,
-    j0: usize,
-    k: usize,
-    pack: &(impl Fn(usize, usize, &mut [f32]) + Sync),
-) {
-    let (rows, cols) = (cblk.rows(), cblk.cols());
-    let arows = &a[i0 * k..(i0 + rows) * k];
-    with_pack_scratch(k * NR, |strip| {
-        for dj in (0..cols).step_by(NR) {
-            let width = (cols - dj).min(NR);
-            pack(j0 + dj, width, strip);
-            if width > NR_NARROW {
-                for di in (0..rows).step_by(MR) {
-                    tile::<MR, NR>(arows, strip, cblk, di, dj, width, k);
-                }
-            } else {
-                for di in (0..rows).step_by(MR_NARROW) {
-                    tile::<MR_NARROW, NR_NARROW>(arows, strip, cblk, di, dj, width, k);
-                }
-            }
+    let (rows, per_panel) = chunk_shape(m, strips);
+    let work = m * k * strips * NR;
+    fork_if_worthwhile(work, || {
+        if rows < m && work >= FORK_MIN_WORK {
+            with_scratch(strips * k * NR, |packed| {
+                packed
+                    .par_chunks_mut(k * NR)
+                    .enumerate()
+                    .for_each(|(s, strip)| pack(s * NR, (n - s * NR).min(NR), strip));
+                let packed = packed.as_chunks::<NR>().0;
+                c.par_tiles_mut(n, rows, per_panel * NR)
+                    .for_each(|(i0, j0, mut cblk)| {
+                        let arows = &a[i0 * k..(i0 + cblk.rows()) * k];
+                        for dj in (0..cblk.cols()).step_by(NR) {
+                            let (s, width) = ((j0 + dj) / NR, (cblk.cols() - dj).min(NR));
+                            let strip = &packed[s * k..(s + 1) * k];
+                            sweep(arows, strip, &mut cblk, k, width, &[(0, width, dj)]);
+                        }
+                        finish_rows(&mut cblk, i0, j0, &finish);
+                    });
+            });
+        } else {
+            c.par_tiles_mut(n, rows, per_panel * NR)
+                .for_each(|(i0, j0, mut cblk)| {
+                    let arows = &a[i0 * k..(i0 + cblk.rows()) * k];
+                    with_scratch(k * NR, |strip| {
+                        for dj in (0..cblk.cols()).step_by(NR) {
+                            let width = (cblk.cols() - dj).min(NR);
+                            pack(j0 + dj, width, strip);
+                            let strip = strip.as_chunks::<NR>().0;
+                            sweep(arows, strip, &mut cblk, k, width, &[(0, width, dj)]);
+                        }
+                    });
+                    finish_rows(&mut cblk, i0, j0, &finish);
+                });
         }
     });
 }
 
+/// B read in place from a pitched image, so nothing is packed: B's row `t`
+/// at pitched column `q` is `image[offsets[t] + q]`. Pitched column
+/// `q = y·pitch + x` is C's column `y·width + x` when `x < width`; the
+/// `pitch − width` other columns of each row are computed and dropped. So
+/// any [`NR`] consecutive pitched columns of a row of B are one slice of the
+/// image, even across C's rows. `image` must extend `NR` floats past the
+/// last real column any row of B reads.
+pub(crate) struct Pitched<'a> {
+    pub image: &'a [f32],
+    pub offsets: &'a [usize],
+    pub pitch: usize,
+    pub width: usize,
+}
+
+/// A store of a strip's lanes: `(first lane, lanes, first column of the
+/// chunk's C window)`.
+type Run = (usize, usize, usize);
+
+/// The pitched column of C's column `j` for rows `pitch` apart holding
+/// `width` real columns each.
+fn pitched_column(pitch: usize, width: usize, j: usize) -> usize {
+    j / width * pitch + j % width
+}
+
+/// Rows and C columns of a [`gemm_pitched`] chunk over `n` columns of C,
+/// rows as for packed strips counted over the pitched span. Of two cuts of
+/// C into column panels, the one that sweeps fewer tile columns: evenly,
+/// or each panel as wide as its whole strips hold wherever it starts (`c`
+/// columns cross at most `⌈c / width⌉` row ends, each followed by
+/// `pitch − width` junk columns). Even cuts leave each panel's last strip
+/// half empty on average (a 55×55 map at width 2: 104 strips); fitted ones
+/// sweep 99, but on a map of one or two strips a fitted cut adds a panel.
+fn pitched_panels(pitch: usize, width: usize, m: usize, n: usize) -> (usize, usize) {
+    let strips = (pitched_column(pitch, width, n - 1) + 1).div_ceil(NR);
+    let (rows, per_panel) = chunk_shape(m, strips);
+    let even = n.div_ceil(strips.div_ceil(per_panel));
+    let (room, junk) = (per_panel * NR, pitch - width);
+    let mut fitted = room;
+    while fitted > 1 && fitted + fitted.div_ceil(width) * junk > room {
+        fitted -= 1;
+    }
+    let cols = [even, fitted]
+        .into_iter()
+        .min_by_key(|&cols| swept_columns(pitch, width, n, cols))
+        .expect("two candidates");
+    (rows, cols)
+}
+
+/// Tile columns [`gemm_pitched`] sweeps for `n` columns of C with `width`
+/// real columns per `pitch`: its panels' pitched spans, in strips, a strip
+/// of at most [`NR_NARROW`] lanes counting half. [`packed_columns`] is the
+/// same count for [`gemm_packed`]; the difference is the junk a caller weighs
+/// against the packing it saves.
+pub(crate) fn pitched_columns(pitch: usize, width: usize, n: usize) -> usize {
+    let (_, cols) = pitched_panels(pitch, width, 1, n);
+    swept_columns(pitch, width, n, cols)
+}
+
+/// Tile columns swept by panels of `cols` columns of C.
+fn swept_columns(pitch: usize, width: usize, n: usize, cols: usize) -> usize {
+    (0..n)
+        .step_by(cols)
+        .map(|j0| {
+            let j1 = (j0 + cols).min(n);
+            let span = pitched_column(pitch, width, j1 - 1) + 1 - pitched_column(pitch, width, j0);
+            span / NR * NR + swept(span % NR)
+        })
+        .sum()
+}
+
+/// Tile columns [`gemm_packed`] sweeps for `n` columns of C.
+pub(crate) fn packed_columns(n: usize) -> usize {
+    n / NR * NR + swept(n % NR)
+}
+
+/// Lanes a tile computes for a strip of `lanes` real ones.
+fn swept(lanes: usize) -> usize {
+    match lanes {
+        0 => 0,
+        1..=NR_NARROW => NR_NARROW,
+        _ => NR,
+    }
+}
+
+impl Pitched<'_> {
+    /// Where lanes `0..lanes` of the strip at pitched column `q0` land in a
+    /// chunk whose C window starts at column `j0`: its real runs, in lane
+    /// order, written to the front of `runs`; returns how many.
+    fn runs(&self, q0: usize, lanes: usize, j0: usize, runs: &mut [Run; NR]) -> usize {
+        let (end, mut count, mut q) = (q0 + lanes, 0, q0);
+        while q < end {
+            let (y, x) = (q / self.pitch, q % self.pitch);
+            if x < self.width {
+                let (lane, len, col) = (
+                    q - q0,
+                    (self.width - x).min(end - q),
+                    y * self.width + x - j0,
+                );
+                match runs[..count].last_mut() {
+                    Some(prev) if prev.0 + prev.1 == lane && prev.2 + prev.1 == col => {
+                        prev.1 += len
+                    }
+                    _ => {
+                        runs[count] = (lane, len, col);
+                        count += 1;
+                    }
+                }
+            }
+            q = (y + 1) * self.pitch;
+        }
+        count
+    }
+}
+
+/// [`gemm_packed`] with B read in place from a [`Pitched`] image instead of
+/// packed, and the same `finish` hook. Column panels are cut evenly in C
+/// and each sweeps the pitched span its columns need, so a panel (and a
+/// strip) may start or end mid-row; each strip's lanes are stored run by
+/// run, junk lanes skipped. Same exact contract: a junk lane is a chain of
+/// its own, and nothing reads it.
+pub(crate) fn gemm_pitched(
+    a: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    b: &Pitched<'_>,
+    finish: impl Fn(usize, usize, &mut [f32]) + Sync,
+) {
+    use rayon::prelude::*;
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(c.len(), m * n);
+    debug_assert_eq!(b.offsets.len(), k);
+    if n == 0 || m == 0 {
+        return;
+    }
+    let (rows, cols) = pitched_panels(b.pitch, b.width, m, n);
+    let work = m * k * pitched_columns(b.pitch, b.width, n);
+    fork_if_worthwhile(work, || {
+        c.par_tiles_mut(n, rows, cols)
+            .for_each(|(i0, j0, mut cblk)| {
+                let arows = &a[i0 * k..(i0 + cblk.rows()) * k];
+                let first = pitched_column(b.pitch, b.width, j0);
+                let end = pitched_column(b.pitch, b.width, j0 + cblk.cols() - 1) + 1;
+                let mut runs = [(0, 0, 0); NR];
+                for q0 in (first..end).step_by(NR) {
+                    let lanes = (end - q0).min(NR);
+                    let count = b.runs(q0, lanes, j0, &mut runs);
+                    let strip = InPlace {
+                        image: b.image,
+                        offsets: b.offsets,
+                        q0,
+                    };
+                    sweep(arows, &strip, &mut cblk, k, lanes, &runs[..count]);
+                }
+                finish_rows(&mut cblk, i0, j0, &finish);
+            });
+    });
+}
+
+/// Rows × strips of a GEMM chunk, for `strips` strips of B. Columns split
+/// first, into whole strips: the taller a chunk the more row tiles reuse
+/// one strip. Only when the strips are fewer than the [`CHUNKS_PER_THREAD`]
+/// chunks per pool thread a region aims for (a 7×7 feature map is two) are
+/// the rows cut as well, into whole tiles of either shape.
+fn chunk_shape(m: usize, strips: usize) -> (usize, usize) {
+    let want = CHUNKS_PER_THREAD * rayon::current_num_threads();
+    let per_panel = strips.div_ceil(want);
+    let panels = strips.div_ceil(per_panel);
+    let row_blocks = want.div_ceil(panels).min(m.div_ceil(MR_NARROW));
+    let rows = m.div_ceil(row_blocks).next_multiple_of(MR_NARROW);
+    (rows, per_panel)
+}
+
+/// `finish` on every row of a chunk's C window.
+fn finish_rows(
+    cblk: &mut TileMut<'_, f32>,
+    i0: usize,
+    j0: usize,
+    finish: &impl Fn(usize, usize, &mut [f32]),
+) {
+    for r in 0..cblk.rows() {
+        finish(i0 + r, j0, cblk.row_mut(r));
+    }
+}
+
+/// The rows of one strip of B, as the tile reads them.
+trait StripRows {
+    /// Lanes `0..NR` of row `t`.
+    fn row(&self, t: usize) -> &[f32; NR];
+}
+
+/// A packed strip.
+impl StripRows for [[f32; NR]] {
+    #[inline(always)]
+    fn row(&self, t: usize) -> &[f32; NR] {
+        &self[t]
+    }
+}
+
+/// A strip of a [`Pitched`] image, starting at pitched column `q0`.
+struct InPlace<'a> {
+    image: &'a [f32],
+    offsets: &'a [usize],
+    q0: usize,
+}
+
+impl StripRows for InPlace<'_> {
+    #[inline(always)]
+    fn row(&self, t: usize) -> &[f32; NR] {
+        let at = self.offsets[t] + self.q0;
+        self.image[at..at + NR]
+            .try_into()
+            .expect("a slice of NR floats")
+    }
+}
+
+/// Every row tile of a chunk against one strip of `lanes` computed lanes,
+/// stored through `runs`. A strip of at most [`NR_NARROW`] lanes is swept by
+/// the narrow tile.
+fn sweep<B: StripRows + ?Sized>(
+    arows: &[f32],
+    strip: &B,
+    cblk: &mut TileMut<'_, f32>,
+    k: usize,
+    lanes: usize,
+    runs: &[Run],
+) {
+    if lanes > NR_NARROW {
+        for di in (0..cblk.rows()).step_by(MR) {
+            tile::<MR, NR, B>(arows, strip, cblk, di, k, runs);
+        }
+    } else {
+        for di in (0..cblk.rows()).step_by(MR_NARROW) {
+            tile::<MR_NARROW, NR_NARROW, B>(arows, strip, cblk, di, k, runs);
+        }
+    }
+}
+
 /// One `R`×`NC` register tile: chunk rows `di..di + R` (rows of `arows`, `k`
-/// apart) against lanes `0..NC` of a packed strip, accumulators held in
-/// `[[f32; NC]; R]` for the entire k loop, then the strip's `width` real
-/// columns stored at column `dj`. Below the chunk's last row the tile runs
-/// on a repeat of it and stores nothing — like the zero lanes right of a
-/// tail strip, chains that are computed and dropped, so that one shape of
-/// loop serves every edge.
+/// apart) against lanes `0..NC` of a strip, accumulators held in
+/// `[[f32; NC]; R]` for the entire k loop, then each run of lanes stored at
+/// its column of the chunk's C window. Below the chunk's last row the tile
+/// runs on a repeat of it and stores nothing — like the lanes no run
+/// covers, chains that are computed and dropped, so that one shape of loop
+/// serves every edge.
 ///
 /// Never inlined: on its own the k loop gets twelve accumulator registers;
 /// merged into the chunk's strip and row loops it was measured a third
 /// slower (the same source, 95 vs 140 GFLOP/s on one thread).
 #[inline(never)]
-fn tile<const R: usize, const NC: usize>(
+#[allow(clippy::needless_range_loop)] // `t` indexes six rows of A and B: one counter
+fn tile<const R: usize, const NC: usize, B: StripRows + ?Sized>(
     arows: &[f32],
-    strip: &[f32],
+    strip: &B,
     cblk: &mut TileMut<'_, f32>,
     di: usize,
-    dj: usize,
-    width: usize,
     k: usize,
+    runs: &[Run],
 ) {
     let real = (cblk.rows() - di).min(R);
     let arows: [&[f32]; R] = std::array::from_fn(|r| {
         let row = di + r.min(real - 1);
         &arows[row * k..(row + 1) * k]
     });
-    let strip = &strip.as_chunks::<NR>().0[..k];
     let mut acc = [[0.0f32; NC]; R];
     for t in 0..k {
+        // Copied out as a value: read through the reference, the in-place
+        // instances lost the unrolled row loop and went scalar (or worse,
+        // gathered), 4–20× slower.
+        let brow: [f32; NC] = *strip.row(t).first_chunk().expect("NC <= NR");
         for r in 0..R {
             let av = arows[r][t];
             for l in 0..NC {
-                acc[r][l] = av.mul_add(strip[t][l], acc[r][l]);
+                acc[r][l] = av.mul_add(brow[l], acc[r][l]);
             }
         }
     }
     for (r, accrow) in acc[..real].iter().enumerate() {
-        cblk.row_mut(di + r)[dj..dj + width].copy_from_slice(&accrow[..width]);
+        let crow = cblk.row_mut(di + r);
+        for &(lane, len, col) in runs {
+            crow[col..col + len].copy_from_slice(&accrow[lane..lane + len]);
+        }
     }
 }
 
-/// Grow-only strip buffers: a GEMM chunk checks one out and returns it, so
-/// steady-state inference allocates none. The list is process-wide rather
-/// than per-thread because a chunk runs on whichever thread claims it — a
-/// pool worker, or an executor lane that lives for one run — and it never
-/// holds more buffers than chunks ran at once.
-static PACK_SCRATCH: Mutex<Vec<Vec<f32>>> = Mutex::new(Vec::new());
+/// Grow-only scratch buffers: strips, prepacked B, padded images. A kernel
+/// checks one out and returns it, so steady-state inference allocates none.
+/// The lists are process-wide rather than per-thread because a chunk runs on
+/// whichever thread claims it — a pool worker, or an executor lane that
+/// lives for one run — and they never hold more buffers than were in use at
+/// once. A buffer comes back holding whatever its last user wrote.
+static SCRATCH: Mutex<Vec<Vec<f32>>> = Mutex::new(Vec::new());
+/// Index tables (a pitched GEMM's row offsets), kept like [`SCRATCH`].
+static INDEX_SCRATCH: Mutex<Vec<Vec<usize>>> = Mutex::new(Vec::new());
 
-fn with_pack_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    const LOCK: &str = "pack scratch list: push and pop cannot panic";
-    let mut buf = PACK_SCRATCH.lock().expect(LOCK).pop().unwrap_or_default();
+/// Run `f` on a scratch slice of `len` floats (contents unspecified).
+pub(crate) fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    borrow(&SCRATCH, len, f)
+}
+
+/// Run `f` on a scratch slice of `len` indices (contents unspecified).
+pub(crate) fn with_index_scratch<R>(len: usize, f: impl FnOnce(&mut [usize]) -> R) -> R {
+    borrow(&INDEX_SCRATCH, len, f)
+}
+
+/// Check out the shortest buffer of `list` that holds `len` elements (else
+/// the longest, grown), so buffers keep to the sizes they are used at.
+fn borrow<T: Copy + Default, R>(
+    list: &Mutex<Vec<Vec<T>>>,
+    len: usize,
+    f: impl FnOnce(&mut [T]) -> R,
+) -> R {
+    const LOCK: &str = "scratch list: push and pop cannot panic";
+    let mut buf = {
+        let mut list = list.lock().expect(LOCK);
+        let fits = (0..list.len())
+            .filter(|&i| list[i].len() >= len)
+            .min_by_key(|&i| list[i].len());
+        let pick = fits.or_else(|| (0..list.len()).max_by_key(|&i| list[i].len()));
+        pick.map(|i| list.swap_remove(i)).unwrap_or_default()
+    };
     if buf.len() < len {
-        buf.resize(len, 0.0);
+        buf.resize(len, T::default());
     }
     let result = f(&mut buf[..len]);
-    PACK_SCRATCH.lock().expect(LOCK).push(buf);
+    list.lock().expect(LOCK).push(buf);
     result
 }
 

@@ -2,17 +2,20 @@
 //!
 //! Each kernel validates shapes and writes its output in one pass. The
 //! `_into` entry points the tape runs allocate nothing per call: outputs are
-//! caller-owned, the one kernel temporary — the packed B strip of a GEMM
-//! chunk, `k × 32` floats — is borrowed from a grow-only process-wide list,
-//! and a parallel region is described by a pointer and a chunk geometry, not
-//! a chunk list (one that forks allocates its job header, nothing else). The
-//! tensor-returning wrappers allocate their result, once.
+//! caller-owned, the kernel temporaries — a GEMM's packed B strips, a
+//! convolution's padded image and its row-offset table — are borrowed from
+//! grow-only process-wide lists, and a parallel region is described by a
+//! pointer and a chunk geometry, not a chunk list (one that forks allocates
+//! its job header, nothing else). The tensor-returning wrappers allocate
+//! their result, once.
 //!
 //! Heavy kernels split their output across the global kernel pool
 //! (`vendor/rayon`: as wide as the machine): GEMM into column-panel ×
-//! row-block chunks that each pack their own strips, conv2d into images and
-//! then into those GEMM chunks, depthwise and pooling into planes, `linear`
-//! into rows.
+//! row-block chunks, which pack each B strip once per GEMM (or read B in
+//! place from a pitched image), conv2d into images and then into those GEMM
+//! chunks, which also run the convolution's bias and fused epilogue on the
+//! rows they just stored, depthwise and pooling into planes, `linear` into
+//! rows.
 //! Every split goes through one fork gate, `micro::fork_if_worthwhile`: a
 //! region whose estimated work is below `FORK_MIN_WORK` runs inline on its
 //! caller. Each output element is produced by exactly one reduction,
@@ -40,13 +43,14 @@ mod util;
 
 pub use attention::{multi_head_attention, scaled_dot_attention};
 pub use conv::{
-    avg_pool2d, batch_norm2d, batch_norm2d_inplace, batch_norm2d_into, conv2d, conv2d_into,
-    depthwise_conv2d, global_avg_pool2d, max_pool2d,
+    avg_pool2d, avg_pool2d_into, batch_norm2d, batch_norm2d_fold, batch_norm2d_folded_inplace,
+    batch_norm2d_inplace, batch_norm2d_into, conv2d, conv2d_fused_into, conv2d_into,
+    depthwise_conv2d, global_avg_pool2d, max_pool2d, max_pool2d_into, Conv2dDims,
 };
 pub use elementwise::{
-    add, add_inplace, add_into, bias_add, bias_add_inplace, bias_add_into, gelu, mul, mul_inplace,
-    mul_into, relu, rsub_inplace, scale, scale_inplace, scale_into, sigmoid, sub, sub_inplace,
-    sub_into, tanh, unary_inplace, unary_into, UnaryOp,
+    add, add_inplace, add_into, bias_add, bias_add_inplace, bias_add_inplace_at, bias_add_into,
+    gelu, mul, mul_inplace, mul_into, relu, rsub_inplace, scale, scale_inplace, scale_into,
+    sigmoid, sub, sub_inplace, sub_into, tanh, unary_inplace, unary_into, UnaryOp,
 };
 pub use gemm::{batched_matmul, linear, linear_acc_into, linear_into, matmul, matmul_into};
 pub use linalg::{

@@ -13,6 +13,8 @@
 //!   `f32::mul_add` chain per output from `+0.0`, k-ascending; the
 //!   convolution's bias is added after the chain. [`depthwise_conv2d`]
 //!   starts each output at its bias and adds the in-image taps, unfused.
+//!   [`max_pool2d`] and [`avg_pool2d`] take each output's taps in (ky, kx)
+//!   order (`f32::max` from `-inf`; a sum from `0.0`, then `/ area`).
 //! * **Ulp-bounded** ([`within_ulps`]): [`linear`] and [`linear_acc_into`]
 //!   are one serial unfused chain per output, which the engine's lane-split
 //!   dot products reassociate; [`lstm`] and [`gru`] are two such linears
@@ -118,6 +120,50 @@ pub fn depthwise_conv2d(
                     }
                     out.push(acc);
                 }
+            }
+        }
+    }
+    tensor(vec![n, c, oh, ow], out)
+}
+
+/// Max pooling with a square `window`, NCHW: each output `f32::max` over
+/// its window's taps in (ky, kx) order, from `-inf`.
+pub fn max_pool2d(x: &Tensor, window: usize, stride: usize) -> Tensor {
+    pool2d(x, window, stride, f32::NEG_INFINITY, f32::max, |acc| acc)
+}
+
+/// Average pooling with a square `window`, NCHW: each output the sum of its
+/// window's taps in (ky, kx) order, from `0.0`, divided by the window's area.
+pub fn avg_pool2d(x: &Tensor, window: usize, stride: usize) -> Tensor {
+    let area = (window * window) as f32;
+    pool2d(x, window, stride, 0.0, |acc, v| acc + v, |acc| acc / area)
+}
+
+fn pool2d(
+    x: &Tensor,
+    window: usize,
+    stride: usize,
+    init: f32,
+    step: fn(f32, f32) -> f32,
+    finish: impl Fn(f32) -> f32,
+) -> Tensor {
+    let [n, c, h, w] = dims4(x);
+    let (oh, ow) = ((h - window) / stride + 1, (w - window) / stride + 1);
+    let xd = x.data();
+    let mut out = Vec::with_capacity(n * c * oh * ow);
+    for plane in 0..n * c {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut acc = init;
+                for ky in 0..window {
+                    for kx in 0..window {
+                        acc = step(
+                            acc,
+                            xd[(plane * h + oy * stride + ky) * w + ox * stride + kx],
+                        );
+                    }
+                }
+                out.push(finish(acc));
             }
         }
     }

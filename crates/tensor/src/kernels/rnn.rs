@@ -139,18 +139,26 @@ fn project(x: &[f32], w: &[f32], b: &[f32], out: &mut [f32], rows: usize, input:
     if n == 0 {
         return;
     }
-    micro::gemm_packed(x, out, rows, input, n, |j0, width, strip| {
-        let strip = strip.as_chunks_mut::<NR>().0;
-        if width < NR {
-            strip.iter_mut().for_each(|lanes| lanes.fill(0.0));
-        }
-        for l in 0..width {
-            let wrow = &w[(j0 + l) * input..(j0 + l + 1) * input];
-            for (lanes, &v) in strip.iter_mut().zip(wrow) {
-                lanes[l] = v;
+    micro::gemm_packed(
+        x,
+        out,
+        rows,
+        input,
+        n,
+        |j0, width, strip| {
+            let strip = strip.as_chunks_mut::<NR>().0;
+            if width < NR {
+                strip.iter_mut().for_each(|lanes| lanes.fill(0.0));
             }
-        }
-    });
+            for l in 0..width {
+                let wrow = &w[(j0 + l) * input..(j0 + l + 1) * input];
+                for (lanes, &v) in strip.iter_mut().zip(wrow) {
+                    lanes[l] = v;
+                }
+            }
+        },
+        |_, _, _| {},
+    );
     for row in out.chunks_exact_mut(n) {
         for (o, bv) in row.iter_mut().zip(b) {
             *o += bv;
@@ -382,10 +390,19 @@ fn exp_nonpositive(x: f32) -> f32 {
         .mul_add(r, C3)
         .mul_add(r, C2);
     let p = 1.0 + q.mul_add(r * r, r);
-    let n = n as i32;
+    // `n` is an integer in [-150, 0], so adding 1.5·2²³ puts it, exactly, in
+    // the low bits of the sum's mantissa. `n as i32` would be the same
+    // number, but as a saturating cast it compiles to a scalar convert and
+    // two compares per call, and the cell loops no longer vectorize. A NaN
+    // reads as some integer here and stays NaN through `p`.
+    let n = (n + ROUND_BIAS).to_bits() as i32 - ROUND_BIAS.to_bits() as i32;
     let half = n >> 1;
     p * pow2(half) * pow2(n - half)
 }
+
+/// 1.5·2²³: an integer `n` with `|n| ≤ 2²²` added to it lands in the low
+/// mantissa bits, `to_bits() − ROUND_BIAS.to_bits()` reads it back.
+const ROUND_BIAS: f32 = 12_582_912.0;
 
 /// `2ⁿ` for `-126 ≤ n ≤ 127`, built in the exponent field.
 #[inline(always)]
@@ -602,6 +619,54 @@ mod tests {
             (t - t_true).abs() <= 2f32.powi(-22) && (-1.0..=1.0).contains(&t),
             "tanh({x:e}) = {t:e}, truth {t_true:e}"
         );
+    }
+
+    /// `exp_nonpositive` with its exponent read by the saturating cast
+    /// `n as i32`, as it was before the exponent came from the bits.
+    fn exp_nonpositive_by_cast(x: f32) -> f32 {
+        let x = if x < -104.0 { -104.0 } else { x };
+        let n = (x * LOG2_E).round_ties_even();
+        let r = n.mul_add(-LN_2, x);
+        let r = n.mul_add(-LN_2_LO, r);
+        let q = C6
+            .mul_add(r, C5)
+            .mul_add(r, C4)
+            .mul_add(r, C3)
+            .mul_add(r, C2);
+        let p = 1.0 + q.mul_add(r * r, r);
+        let n = n as i32;
+        let half = n >> 1;
+        p * pow2(half) * pow2(n - half)
+    }
+
+    #[test]
+    fn exponent_from_the_bits_matches_the_cast() {
+        // The arguments sigmoid and tanh pass: -|x| and -2|x| over the
+        // activation sweep, then the special values and the clamp.
+        let top = 40.0f32.to_bits();
+        let sweep = (0..=top).step_by(509).map(f32::from_bits);
+        let tiny = f32::from_bits(1);
+        let specials = [
+            0.0,
+            f32::INFINITY,
+            f32::NAN,
+            88.0,
+            52.0,
+            104.0,
+            200.0,
+            f32::MIN_POSITIVE,
+            tiny,
+        ];
+        for x in sweep.chain(specials) {
+            for v in [-x.abs(), -2.0 * x.abs(), x.abs(), -x] {
+                let (got, want) = (exp_nonpositive(v), exp_nonpositive_by_cast(v));
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "e^{v:e}: {got:e} vs {want:e}"
+                );
+            }
+        }
     }
 
     #[test]

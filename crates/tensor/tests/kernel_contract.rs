@@ -11,7 +11,8 @@
 //!   order; the depthwise convolution as one unfused chain. Tiling and
 //!   lane-chunking change which elements advance together, never the order
 //!   within one element's chain, and IEEE 754 fixes each step's rounding, so
-//!   the engine must reproduce the oracle's bytes bit-for-bit.
+//!   the engine must reproduce the oracle's bytes bit-for-bit. Pooling
+//!   takes each output's taps in (ky, kx) order, so it is exact too.
 //! * **Ulp-bounded.** `linear` and the recurrent matvec `linear_acc_into`
 //!   split each dot product into independent lane partial sums — the
 //!   reassociation that makes a dot product vectorizable. The contract is
@@ -133,6 +134,34 @@ fn depthwise_bits_identical_to_reference() {
             &fast,
             &slow,
             &format!("depthwise c{c} {hw}x{hw} s{stride} p{padding}"),
+        );
+    }
+}
+
+#[test]
+fn pooling_bits_identical_to_reference() {
+    // Each output's taps in (ky, kx) order, whatever the stride-specialised
+    // row loop does: stride 1, 2 (the stem's overlapping 3x3) and 3, odd
+    // and even sides, a window as wide as the input, two images.
+    for &(c, hw, window, stride) in &[
+        (3usize, 12usize, 2usize, 1usize),
+        (4, 112, 3, 2),
+        (2, 13, 3, 2),
+        (5, 16, 2, 2),
+        (3, 17, 3, 3),
+        (2, 5, 5, 1),
+    ] {
+        let x = Tensor::randn(vec![2, c, hw, hw], 1.0, 24);
+        let what = format!("c{c} {hw}x{hw} window {window} s{stride}");
+        assert_bits_eq(
+            &kernels::max_pool2d(&x, window, stride).unwrap(),
+            &reference::max_pool2d(&x, window, stride),
+            &format!("max_pool2d {what}"),
+        );
+        assert_bits_eq(
+            &kernels::avg_pool2d(&x, window, stride).unwrap(),
+            &reference::avg_pool2d(&x, window, stride),
+            &format!("avg_pool2d {what}"),
         );
     }
 }

@@ -1,11 +1,10 @@
 //! Kernel results at pool width >= 2.
 //!
 //! On a 2-vCPU host the default pool is two threads wide and most test
-//! shapes sit below the fork gate, so the forked paths — 2-D GEMM chunks
-//! that pack their own strips, image/plane/row splits — need shapes chosen
-//! to pass the gate and a pool with background workers. Every kernel here is
-//! compared bit for bit (`to_bits`) against its oracle in
-//! `kernels::reference` (or, for pooling, a naive loop), plain loops that
+//! shapes sit below the fork gate, so the forked paths — 2-D GEMM chunks,
+//! image/plane/row splits — need shapes chosen to pass the gate and a pool
+//! with background workers. Every kernel here is compared bit for bit
+//! (`to_bits`) against its oracle in `kernels::reference`, plain loops that
 //! share no code with the engine, and against the same kernel with its
 //! regions forced inline (the width-1 result).
 //!
@@ -133,33 +132,14 @@ fn depthwise_and_pooling_match_naive_loops_bit_for_bit() {
     // 3x3 stride 2 (odd output width) and the tiling 2x2 stride 2.
     for (window, c, hw) in [(3, 32, 128), (2, 64, 128)] {
         let x = Tensor::randn(vec![1, c, hw, hw], 1.0, 73);
-        let o = (hw - window) / 2 + 1;
-        let pool = |init: f32, step: fn(f32, f32) -> f32, finish: fn(f32, f32) -> f32| {
-            let mut out = vec![0.0f32; c * o * o];
-            for ci in 0..c {
-                for oy in 0..o {
-                    for ox in 0..o {
-                        let mut acc = init;
-                        for ky in 0..window {
-                            for kx in 0..window {
-                                acc =
-                                    step(acc, x.data()[(ci * hw + oy * 2 + ky) * hw + ox * 2 + kx]);
-                            }
-                        }
-                        out[(ci * o + oy) * o + ox] = finish(acc, (window * window) as f32);
-                    }
-                }
-            }
-            out
-        };
         check(
             &format!("max_pool {window}x{window} s2"),
-            &pool(f32::NEG_INFINITY, f32::max, |a, _| a),
+            reference::max_pool2d(&x, window, 2).data(),
             || kernels::max_pool2d(&x, window, 2).unwrap(),
         );
         check(
             &format!("avg_pool {window}x{window} s2"),
-            &pool(0.0, |a, v| a + v, |a, n| a / n),
+            reference::avg_pool2d(&x, window, 2).data(),
             || kernels::avg_pool2d(&x, window, 2).unwrap(),
         );
     }
