@@ -148,19 +148,24 @@ cargo run -q --release --bin duet-lint -- trace --dump "${DUMPS[0]}"
 step "duet tune gate (drift scenario: never worse than Algorithm 1, promoted, reproduces results/ext-autotune.json)"
 TUNE_A="$(mktemp --suffix .json)"
 TUNE_B="$(mktemp --suffix .json)"
+TUNE_C="$(mktemp --suffix .json)"
 TUNE_METRICS="$(mktemp)"
-trap 'rm -f "$METRICS_OUT" "$TUNE_A" "$TUNE_B" "$TUNE_METRICS"' EXIT
+trap 'rm -f "$METRICS_OUT" "$TUNE_A" "$TUNE_B" "$TUNE_C" "$TUNE_METRICS"' EXIT
 # The CLI exits nonzero on a never-worse violation or failed promotion;
 # on the zoo the drift run must also strictly beat the stale plan.
 cargo run -q --release --bin duet -- tune wide_and_deep \
   --drift --json "$TUNE_A" --metrics-out "$TUNE_METRICS"
 cargo run -q --release --bin duet -- tune mtdnn \
   --drift --json "$TUNE_B"
+# mobilenet's depthwise→BN→ReLU chains are priced as the one instruction
+# each runs as; its row holds that pricing.
+cargo run -q --release --bin duet -- tune mobilenet \
+  --drift --json "$TUNE_C"
 # Each fresh process must also reproduce its row of the committed results
 # file (regenerate it with `duet tune all --drift --json
 # results/ext-autotune.json`): a deterministic search, and a results file
 # that still describes the code.
-python3 - results/ext-autotune.json "$TUNE_A" "$TUNE_B" <<'PY'
+python3 - results/ext-autotune.json "$TUNE_A" "$TUNE_B" "$TUNE_C" <<'PY'
 import json, sys
 drop = lambda r: {k: v for k, v in r.items() if k != "wall_us"}
 committed = {r["model"]: drop(r) for r in json.load(open(sys.argv[1]))["runs"]}
@@ -187,14 +192,14 @@ echo "all duet_tune_* metric families present."
 
 step "paper results reproduce (virtual-time experiments regenerated, equal to results/ as parsed JSON)"
 EXP_DIR="$(mktemp -d)"
-trap 'rm -f "$METRICS_OUT" "$TUNE_A" "$TUNE_B" "$TUNE_METRICS"; rm -rf "$EXP_DIR"' EXIT
+trap 'rm -f "$METRICS_OUT" "$TUNE_A" "$TUNE_B" "$TUNE_C" "$TUNE_METRICS"; rm -rf "$EXP_DIR"' EXIT
 # duet-experiments writes results/<id>.json under its working directory.
 # Not compared: the wall-clock experiments (ext-kernel-speed,
-# ext-memory-plan, ext-serving-real), which measure the host; and three
-# virtual-time files that no longer reproduce (fig12, ext-serving, fig13),
-# skipped by name until ROADMAP.md item 1(a) fixes each drift.
-COMPARED=(table1 table2 table3 fig4 fig5 fig11 fig14 fig15 fig16 fig17
-  ext-granularity ext-concurrency ext-flops-proxy ext-systems ext-nested)
+# ext-memory-plan, ext-serving-real), which measure the host; and
+# ext-serving, a virtual-time file that no longer reproduces, skipped by
+# name until ROADMAP.md item 2 regenerates it.
+COMPARED=(table1 table2 table3 fig4 fig5 fig11 fig12 fig13 fig14 fig15 fig16
+  fig17 ext-granularity ext-concurrency ext-flops-proxy ext-systems ext-nested)
 ROOT="$PWD"
 (cd "$EXP_DIR" && cargo run -q --release --manifest-path "$ROOT/Cargo.toml" \
   -p duet-bench --bin duet-experiments -- "${COMPARED[@]}" >/dev/null)

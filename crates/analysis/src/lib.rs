@@ -202,7 +202,8 @@ pub mod codes {
 
     // D4xx — memory-plan (tape) checker
     /// Tape instructions, feeds, weight bindings or output bindings do
-    /// not cover the subgraph exactly.
+    /// not cover the subgraph exactly, or the priced kernels are not the
+    /// tape's instructions in order.
     pub const TAPE_COVERAGE: &str = "D400";
     /// Tape order violates graph data dependencies (consumer scheduled
     /// at or before its producer).

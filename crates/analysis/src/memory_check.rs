@@ -12,7 +12,9 @@
 //!
 //! * **D400** the tape covers exactly the subgraph's nodes (anchors
 //!   plus fused epilogue steps), feeds and outputs, with weight
-//!   bindings matching the graph's parameters;
+//!   bindings matching the graph's parameters — and the priced kernels
+//!   are the instructions: kernel *k*'s nodes are instruction *k*'s
+//!   anchor followed by its epilogue nodes;
 //! * **D401** tape order respects graph dependencies (a producer's
 //!   instruction precedes every consumer's; within one fused
 //!   instruction, only the chain-predecessor may be read);
@@ -39,15 +41,6 @@ use duet_tensor::kernels::UnaryOp;
 use crate::codes;
 use crate::diagnostics::{Diagnostic, Report};
 
-/// All graph nodes one fused instruction computes: the anchor followed
-/// by its epilogue chain, in execution order. The last member is the
-/// value the instruction leaves in its output slot.
-fn members(instr: &Instr) -> Vec<NodeId> {
-    std::iter::once(instr.node)
-        .chain(instr.epilogue.iter().map(|s| s.node))
-        .collect()
-}
-
 /// Verify `sg`'s memory plan against the graph it was compiled from.
 pub fn check_memory_plan(graph: &Graph, sg: &CompiledSubgraph) -> Report {
     let mut report = Report::new(format!("{}/tape", sg.name));
@@ -55,7 +48,7 @@ pub fn check_memory_plan(graph: &Graph, sg: &CompiledSubgraph) -> Report {
     let n_slots = tape.plan.slot_shapes.len();
 
     // --- D400: coverage -------------------------------------------------
-    let tape_nodes: Vec<_> = tape.instrs.iter().flat_map(members).collect();
+    let tape_nodes: Vec<_> = tape.instrs.iter().flat_map(Instr::members).collect();
     let tape_set: HashSet<_> = tape_nodes.iter().copied().collect();
     let sg_set: HashSet<_> = sg.node_ids.iter().copied().collect();
     if tape_set != sg_set || tape_nodes.len() != sg.node_ids.len() {
@@ -66,6 +59,25 @@ pub fn check_memory_plan(graph: &Graph, sg: &CompiledSubgraph) -> Report {
                     "tape instructions cover {} nodes but the subgraph has {}",
                     tape_nodes.len(),
                     sg.node_ids.len()
+                ),
+            )
+            .with_context(&sg.name),
+        );
+    }
+    let priced_as_run = sg.kernels.len() == tape.instrs.len()
+        && sg
+            .kernels
+            .iter()
+            .zip(&tape.instrs)
+            .all(|(k, i)| k.nodes.iter().copied().eq(i.members()));
+    if !priced_as_run {
+        report.push(
+            Diagnostic::error(
+                codes::TAPE_COVERAGE,
+                format!(
+                    "the {} priced kernels are not the tape's {} instructions in order",
+                    sg.kernels.len(),
+                    tape.instrs.len()
                 ),
             )
             .with_context(&sg.name),
@@ -97,7 +109,7 @@ pub fn check_memory_plan(graph: &Graph, sg: &CompiledSubgraph) -> Report {
         .instrs
         .iter()
         .enumerate()
-        .flat_map(|(k, i)| members(i).into_iter().map(move |m| (m, k)))
+        .flat_map(|(k, i)| i.members().map(move |m| (m, k)))
         .collect();
     for (k, instr) in tape.instrs.iter().enumerate() {
         if instr.out >= n_slots {
@@ -112,7 +124,7 @@ pub fn check_memory_plan(graph: &Graph, sg: &CompiledSubgraph) -> Report {
             continue;
         }
         // The value left in the slot is the chain tail's.
-        let tail = *members(instr).last().expect("anchor always present");
+        let tail = instr.members().last().expect("anchor always present");
         let value_shape = &graph.node(tail).shape;
         let slot = &tape.plan.slot_shapes[instr.out];
         if slot.volume() != value_shape.volume() {
@@ -217,7 +229,7 @@ pub fn check_memory_plan(graph: &Graph, sg: &CompiledSubgraph) -> Report {
 
     // --- D401: tape order respects graph dependencies -------------------
     for (k, instr) in tape.instrs.iter().enumerate() {
-        let chain = members(instr);
+        let chain: Vec<NodeId> = instr.members().collect();
         for (mi, &m) in chain.iter().enumerate() {
             for &src in &graph.node(m).inputs {
                 let Some(&kp) = instr_of.get(&src) else {
@@ -310,7 +322,7 @@ pub fn check_memory_plan(graph: &Graph, sg: &CompiledSubgraph) -> Report {
             // when the tape is checked.
             let proven = instr.node < graph.len()
                 && duet_compiler::memory::in_place_extended(graph, graph.node(instr.node));
-            if !duet_compiler::memory::in_place_capable(&instr.op) && !proven {
+            if !instr.op.is_fusable_elementwise() && !proven {
                 report.push(
                     Diagnostic::error(
                         codes::TAPE_INPLACE,
@@ -369,7 +381,7 @@ pub fn check_memory_plan(graph: &Graph, sg: &CompiledSubgraph) -> Report {
     // --- D406: fused epilogue chains ------------------------------------
     let escaping_nodes: HashSet<NodeId> = tape.outputs.iter().map(|&(id, _)| id).collect();
     for (k, instr) in tape.instrs.iter().enumerate() {
-        let chain = members(instr);
+        let chain: Vec<NodeId> = instr.members().collect();
         // Interior chain values are elided — they never materialize, so
         // every one must be consumed by its chain successor alone and
         // must not escape the subgraph.

@@ -5,7 +5,7 @@
 
 use duet_analysis::{check_memory_plan, codes};
 use duet_compiler::passes::fuse_groups;
-use duet_compiler::{CompiledSubgraph, EpilogueOp, Operand, TapeOptions};
+use duet_compiler::{CompiledSubgraph, EpilogueOp, Operand};
 use duet_ir::{Graph, GraphBuilder, Op};
 
 /// fc1 → relu → fc2: one in-place epilogue, two distinct slot shapes.
@@ -17,12 +17,12 @@ fn mlp() -> Graph {
     b.finish(&[y]).unwrap()
 }
 
-/// The legacy (PR-4) tape layout: one instruction per node, graph
-/// order. The slot/in-place corruptions below need the relu to be its
-/// own instruction rather than a fused epilogue step.
+/// The unfused tape layout: singleton groups, one instruction per node.
+/// The slot/in-place corruptions below need the relu to be its own
+/// instruction rather than a fused epilogue step.
 fn compile(g: &Graph) -> CompiledSubgraph {
-    let ids = g.compute_ids();
-    CompiledSubgraph::from_groups_with(g, "all", fuse_groups(g, &ids), TapeOptions::none())
+    let singletons = g.compute_ids().into_iter().map(|id| vec![id]).collect();
+    CompiledSubgraph::from_groups(g, "all", singletons)
 }
 
 /// The default register-graph layout, epilogue chains fused.
@@ -175,6 +175,20 @@ fn missing_instruction_is_caught() {
     assert!(report.has_errors());
 }
 
+#[test]
+fn swapped_kernels_are_caught() {
+    let g = mlp();
+    let mut sg = compile(&g);
+    // The tape is untouched; only the priced kernel list is out of order.
+    sg.kernels.swap(0, 1);
+    let report = check_memory_plan(&g, &sg);
+    assert!(
+        report.contains(codes::TAPE_COVERAGE),
+        "missed D400:\n{report}"
+    );
+    assert!(report.has_errors());
+}
+
 // --- fused-tape (D406 and friends) corruptions --------------------------
 
 #[test]
@@ -230,6 +244,26 @@ fn dropped_epilogue_step_is_caught() {
     // Silently dropping the chain's last step loses the residual add:
     // coverage no longer matches the subgraph.
     sg.tape.instrs[0].epilogue.pop();
+    let report = check_memory_plan(&g, &sg);
+    assert!(
+        report.contains(codes::TAPE_COVERAGE),
+        "missed D400:\n{report}"
+    );
+    assert!(report.has_errors());
+}
+
+#[test]
+fn split_fused_kernel_is_caught() {
+    let g = residual_mlp();
+    let mut sg = compile_fused(&g);
+    // Price the one fused instruction as two kernels: the linear alone,
+    // then its relu and residual add.
+    let mut anchor = sg.kernels[0].clone();
+    let mut rest = anchor.clone();
+    anchor.nodes.truncate(1);
+    rest.nodes.remove(0);
+    rest.anchor = rest.nodes[0];
+    sg.kernels = vec![anchor, rest];
     let report = check_memory_plan(&g, &sg);
     assert!(
         report.contains(codes::TAPE_COVERAGE),

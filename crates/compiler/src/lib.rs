@@ -10,15 +10,18 @@
 //! * **Graph-level passes** (the ones that matter for coarse-grained
 //!   partitioning, §III-B opportunity 3): constant folding, common
 //!   subexpression elimination, dead-code elimination.
-//! * **Lowering with operator fusion**: a subgraph becomes a sequence of
-//!   [`CompiledKernel`]s, where elementwise epilogues (ReLU, bias-add,
-//!   residual adds) and conv-side batch norms are folded into their
-//!   producers — fewer kernel launches, less memory traffic, and a cost
-//!   profile the device models price accordingly.
+//! * **Lowering with operator fusion**: one grouper
+//!   ([`passes::fuse_groups`]) folds elementwise epilogues (ReLU,
+//!   bias-add, residual adds) and proven batch norms into their producers.
+//!   Each group runs as one instruction of the subgraph's memory-planned
+//!   [`ExecutableTape`] and is priced as one [`CompiledKernel`] — fewer
+//!   kernel launches, less memory traffic — so kernel *k* is instruction
+//!   *k*, and what the device models price is what runs.
 //!
-//! The unfused path (`CompileOptions::none()`) is what the DL-framework
-//! baseline in `duet-frameworks` uses; the delta between the two *is* the
-//! compiler's contribution to the evaluation figures.
+//! The unfused path (`CompileOptions::none()`: one instruction per
+//! operator) is what the DL-framework baseline in `duet-frameworks` uses,
+//! priced and run; the delta between the two *is* the compiler's
+//! contribution to the evaluation figures.
 
 pub mod invariants;
 pub mod lower;
@@ -30,6 +33,6 @@ pub use invariants::{PassViolation, ViolationKind};
 pub use lower::{CompiledKernel, CompiledSubgraph};
 pub use memory::{
     ArenaPool, ArenaPoolStats, EpilogueOp, EpilogueStep, ExecutableTape, Instr, MemoryPlan,
-    Operand, TapeArena, TapeOptions,
+    Operand, TapeArena,
 };
 pub use pass::{CompileError, CompileOptions, Compiler, OptimizeStats};

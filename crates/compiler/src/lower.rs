@@ -11,9 +11,10 @@ use std::collections::{HashMap, HashSet};
 use duet_ir::{CostProfile, Graph, GraphError, NodeId, Op};
 use duet_tensor::Tensor;
 
-use crate::memory::{ExecutableTape, TapeArena, TapeOptions};
+use crate::memory::{ExecutableTape, TapeArena};
 
-/// One fused kernel: an anchor operator plus absorbed epilogues.
+/// One fused kernel: an anchor operator plus absorbed epilogues — the
+/// pricing of one tape instruction.
 #[derive(Debug, Clone)]
 pub struct CompiledKernel {
     /// Representative node (first in the group).
@@ -31,7 +32,7 @@ pub struct CompiledSubgraph {
     pub name: String,
     /// Compute nodes covered, topologically ordered.
     pub node_ids: Vec<NodeId>,
-    /// Fused kernels in execution order.
+    /// Fused kernels in execution order: kernel *k* is `tape.instrs[k]`.
     pub kernels: Vec<CompiledKernel>,
     /// Boundary inputs: graph `Input` nodes or compute nodes *outside*
     /// this subgraph whose values must be fed (and, if the producer ran on
@@ -47,41 +48,14 @@ pub struct CompiledSubgraph {
 }
 
 impl CompiledSubgraph {
-    /// Lower `nodes` of `graph` into a kernel sequence using the given
-    /// fusion groups (`groups` must exactly cover `nodes`; see
-    /// [`crate::passes::fuse_groups`]).
+    /// Lower the nodes covered by `groups` into a tape with one
+    /// instruction per group (see [`crate::passes::fuse_groups`];
+    /// singleton groups run unfused), and price each instruction as one
+    /// kernel, in the tape's emission order.
     pub fn from_groups(graph: &Graph, name: impl Into<String>, groups: Vec<Vec<NodeId>>) -> Self {
-        Self::from_groups_with(graph, name, groups, TapeOptions::default())
-    }
-
-    /// [`CompiledSubgraph::from_groups`] with explicit tape planner
-    /// switches — A/B benchmarking and checker fixtures that need the
-    /// unfused/unscheduled tape layout.
-    pub fn from_groups_with(
-        graph: &Graph,
-        name: impl Into<String>,
-        groups: Vec<Vec<NodeId>>,
-        tape_opts: TapeOptions,
-    ) -> Self {
         let mut node_ids: Vec<NodeId> = groups.iter().flatten().copied().collect();
         node_ids.sort_unstable();
         let in_set: HashSet<NodeId> = node_ids.iter().copied().collect();
-
-        let kernels: Vec<CompiledKernel> = groups
-            .into_iter()
-            .map(|nodes| {
-                let anchor = nodes[0];
-                let mut cost = graph.node_cost(anchor);
-                for &m in &nodes[1..] {
-                    cost = cost.absorb_epilogue(&graph.node_cost(m));
-                }
-                CompiledKernel {
-                    anchor,
-                    nodes,
-                    cost,
-                }
-            })
-            .collect();
 
         let mut inputs: Vec<NodeId> = Vec::new();
         let mut input_set: HashSet<NodeId> = HashSet::new();
@@ -106,11 +80,27 @@ impl CompiledSubgraph {
             }
         }
 
+        let tape = ExecutableTape::build(graph, &groups, &inputs, &outputs);
+        let kernels: Vec<CompiledKernel> = tape
+            .instrs
+            .iter()
+            .map(|instr| {
+                let nodes: Vec<NodeId> = instr.members().collect();
+                let cost = nodes[1..]
+                    .iter()
+                    .fold(graph.node_cost(instr.node), |cost, &m| {
+                        cost.absorb_epilogue(&graph.node_cost(m))
+                    });
+                CompiledKernel {
+                    anchor: instr.node,
+                    nodes,
+                    cost,
+                }
+            })
+            .collect();
         let cost = kernels
             .iter()
             .fold(CostProfile::zero(), |acc, k| acc.merge(&k.cost));
-
-        let tape = ExecutableTape::build_with(graph, &node_ids, &inputs, &outputs, tape_opts);
 
         CompiledSubgraph {
             name: name.into(),

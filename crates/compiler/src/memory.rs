@@ -5,16 +5,18 @@
 //! the graph and allocated a fresh buffer per op. This module replaces
 //! that with a compile-time plan:
 //!
-//! * **Epilogue-chain fusion** — a maximal sole-consumer chain of
-//!   elementwise followers (relu, scale, residual add, bias-add, and
-//!   proof-gated inference batch-norm) is absorbed into its producer's
-//!   instruction as [`EpilogueStep`]s. `linear → relu → add` and
-//!   `conv → batchnorm → relu` each emit as a *single* fused instruction
-//!   whose intermediates never materialize: the epilogue mutates the
-//!   anchor's output buffer in registers-to-slot order, exactly as the
-//!   unfused kernels would have written it (the in-place elementwise
-//!   kernels are bit-identical to their `_into` twins).
-//! * **Tape-order scheduling** — fused groups are list-scheduled with a
+//! * **Epilogue-chain fusion** — each fusion group
+//!   ([`crate::passes::fuse_groups`]: an anchor and its sole-consumer
+//!   chain of elementwise followers — relu, scale, residual add, bias-add,
+//!   proof-gated inference batch-norm) emits as *one* instruction, the
+//!   followers as [`EpilogueStep`]s. `linear → relu → add` and
+//!   `conv → batchnorm → relu` each run as a single instruction whose
+//!   intermediates never materialize: the epilogue mutates the anchor's
+//!   output buffer in registers-to-slot order, exactly as the unfused
+//!   kernels would have written it (the in-place elementwise kernels are
+//!   bit-identical to their `_into` twins). Singleton groups give one
+//!   instruction per node.
+//! * **Tape-order scheduling** — the groups are list-scheduled with a
 //!   bytes-freed-greedy heuristic: among ready groups, prefer the one
 //!   that releases the most dead input bytes net of its own output
 //!   allocation. Any topological order is semantically equal; this one
@@ -22,7 +24,7 @@
 //! * **Liveness-based slot assignment** — each value's last use is
 //!   computed over the tape; a dead *equal-volume* slot is recycled
 //!   (shape-changing reuse is "coalescing", counted separately) before a
-//!   new one is opened, and capable anchors run **in place** on their
+//!   new one is opened, and elementwise anchors run **in place** on their
 //!   first operand when it dies at that instruction. [`MemoryPlan`]
 //!   records planned vs. naive peak bytes plus fusion/coalescing counts.
 //! * **Arena** — a [`TapeArena`] is the slab of slot buffers one
@@ -142,6 +144,14 @@ pub struct Instr {
     pub in_place: bool,
 }
 
+impl Instr {
+    /// The graph nodes this instruction computes: the anchor, then its
+    /// epilogue steps in chain order.
+    pub fn members(&self) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::once(self.node).chain(self.epilogue.iter().map(|s| s.node))
+    }
+}
+
 /// What the liveness planner decided, plus its accounting.
 #[derive(Debug, Clone)]
 pub struct MemoryPlan {
@@ -163,42 +173,6 @@ pub struct MemoryPlan {
     /// Slot reuses whose new shape differed from the slot's opening
     /// shape (equal volume) — reuse a shape-keyed free list would miss.
     pub coalesced_slots: usize,
-}
-
-/// Planner switches; the default enables the whole register-graph
-/// pipeline. Turning a knob off is for A/B benchmarks and for checker
-/// fixtures that need the unfused/unscheduled layout.
-#[derive(Debug, Clone, Copy)]
-pub struct TapeOptions {
-    /// Absorb sole-consumer elementwise chains as [`EpilogueStep`]s.
-    pub fuse_epilogues: bool,
-    /// Bytes-freed-greedy list scheduling (off: original graph order,
-    /// still topologically valid).
-    pub reorder: bool,
-    /// Volume-keyed slot recycling (off: exact-shape matches only).
-    pub coalesce: bool,
-}
-
-impl Default for TapeOptions {
-    fn default() -> Self {
-        TapeOptions {
-            fuse_epilogues: true,
-            reorder: true,
-            coalesce: true,
-        }
-    }
-}
-
-impl TapeOptions {
-    /// Everything off: one instruction per node, graph order,
-    /// exact-shape slot reuse — the PR-4 tape layout.
-    pub fn none() -> Self {
-        TapeOptions {
-            fuse_epilogues: false,
-            reorder: false,
-            coalesce: false,
-        }
-    }
 }
 
 /// A compiled, memory-planned executable for one subgraph.
@@ -339,26 +313,9 @@ impl ArenaPool {
     }
 }
 
-/// Ops the planner may run in place on their first operand: elementwise,
-/// output shape identical to input 0.
-pub fn in_place_capable(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Relu
-            | Op::Sigmoid
-            | Op::Tanh
-            | Op::Gelu
-            | Op::Scale { .. }
-            | Op::Add
-            | Op::Sub
-            | Op::Mul
-            | Op::BiasAdd
-    )
-}
-
 /// Ops the planner may run in place only when the dataflow analyzer can
-/// *prove* the specific node safe (vs. the unconditional whitelist
-/// above). Today: a BatchNorm2d epilogue whose four parameters are
+/// *prove* the specific node safe (vs. the unconditional
+/// [`Op::is_fusable_elementwise`] list). Today: a BatchNorm2d epilogue whose four parameters are
 /// constants proven finite with `min(var) + eps > 0` — its kernel is
 /// elementwise per position, so overwriting the dying input slot is
 /// exactly as safe as a relu, but only once the scale factors are known
@@ -367,108 +324,14 @@ pub fn in_place_extended(graph: &Graph, node: &Node) -> bool {
     matches!(node.op, Op::BatchNorm2d) && duet_ir::absint::prove_batchnorm_inplace(graph, node)
 }
 
-/// Can `node` be absorbed as an epilogue step onto a chain whose current
-/// value is `chain`? Structural conditions only (sole-consumer and
-/// escape checks are the caller's job): the op must be realizable as an
-/// in-place mutation of the chain buffer, read the chain value exactly
-/// once, and preserve its volume.
-fn epilogue_fusable(graph: &Graph, node: &Node, chain: NodeId) -> bool {
-    if node.inputs.iter().filter(|&&i| i == chain).count() != 1 {
-        return false;
-    }
-    let chain_shape = &graph.node(chain).shape;
-    if node.shape.volume() != chain_shape.volume() {
-        return false;
-    }
-    match node.op {
-        Op::Relu
-        | Op::Sigmoid
-        | Op::Tanh
-        | Op::Gelu
-        | Op::Scale { .. }
-        | Op::Add
-        | Op::Sub
-        | Op::Mul => true,
-        // Broadcast over the trailing dim: only the data operand may be
-        // the chain value.
-        Op::BiasAdd => node.inputs[0] == chain,
-        // The in-place kernel reinterprets the buffer through the node's
-        // NCHW shape, so dims must match exactly — and the scale factors
-        // must be proven well-conditioned, the same gate standalone
-        // in-place batch-norm uses.
-        Op::BatchNorm2d => {
-            node.inputs[0] == chain
-                && node.shape == *chain_shape
-                && duet_ir::absint::prove_batchnorm_inplace(graph, node)
-        }
-        _ => false,
-    }
-}
-
-/// Partition `node_ids` (topological order) into fused emission groups:
-/// each group is an anchor followed by its absorbed sole-consumer
-/// elementwise chain, in chain order. With fusion off every node is its
-/// own group.
-fn fuse_chains(
-    graph: &Graph,
-    node_ids: &[NodeId],
-    escape_set: &HashSet<NodeId>,
-    fuse: bool,
-) -> Vec<Vec<NodeId>> {
-    if !fuse {
-        return node_ids.iter().map(|&id| vec![id]).collect();
-    }
-    let mut groups: Vec<Vec<NodeId>> = Vec::new();
-    // Chain tails open for extension: tail value id → group index.
-    let mut open_tail: HashMap<NodeId, usize> = HashMap::new();
-    for &id in node_ids {
-        let node = graph.node(id);
-        // A producer chain absorbs `id` when the chain's tail value is
-        // consumed by `id` alone (globally — a consumer outside the
-        // subgraph would make the tail escape anyway, but the explicit
-        // escape check also covers graph outputs) and the op can run as
-        // an in-place mutation of the tail's buffer.
-        let absorbed = node.inputs.iter().find_map(|&p| {
-            let g = *open_tail.get(&p)?;
-            let pn = graph.node(p);
-            (pn.outputs.len() == 1
-                && pn.outputs[0] == id
-                && !escape_set.contains(&p)
-                && epilogue_fusable(graph, node, p)
-                // Every other operand must be computable before the
-                // anchor: a weight, a feed, or another group's value —
-                // never a member of this same chain (impossible under
-                // sole-consumer links, but cheap to enforce).
-                && node
-                    .inputs
-                    .iter()
-                    .all(|&o| o == p || !groups[g].contains(&o)))
-            .then_some((g, p))
-        });
-        match absorbed {
-            Some((g, p)) => {
-                groups[g].push(id);
-                open_tail.remove(&p);
-                open_tail.insert(id, g);
-            }
-            None => {
-                open_tail.insert(id, groups.len());
-                groups.push(vec![id]);
-            }
-        }
-    }
-    groups
-}
-
-/// Order `groups` topologically. With `reorder` on, ties are broken
-/// bytes-freed-greedy: among ready groups pick the one releasing the
-/// most dead input bytes net of its own output allocation (then lowest
-/// original index, for determinism). Off, original order wherever valid.
+/// Order `groups` topologically, ties broken bytes-freed-greedy: among
+/// ready groups pick the one releasing the most dead input bytes net of
+/// its own output allocation (then lowest original index, for
+/// determinism).
 fn schedule_groups(
     graph: &Graph,
     groups: &[Vec<NodeId>],
     escape_set: &HashSet<NodeId>,
-    reorder: bool,
 ) -> Vec<usize> {
     let n = groups.len();
     let mut group_of: HashMap<NodeId, usize> = HashMap::new();
@@ -517,24 +380,17 @@ fn schedule_groups(
     let mut ready: Vec<usize> = (0..n).filter(|&g| indegree[g] == 0).collect();
     let mut order: Vec<usize> = Vec::with_capacity(n);
     while !ready.is_empty() {
-        let pos = if !reorder {
-            // Stable topological order: lowest original index first.
-            (0..ready.len())
-                .min_by_key(|&i| ready[i])
-                .expect("non-empty ready set")
-        } else {
-            let score = |g: usize| -> i64 {
-                let freed: i64 = consumed[g]
-                    .iter()
-                    .filter(|&&v| !escape_set.contains(&v) && consumers_left[&v] == 1)
-                    .map(|&v| graph.node(v).shape.byte_size() as i64)
-                    .sum();
-                freed - tail_bytes(g)
-            };
-            (0..ready.len())
-                .max_by_key(|&i| (score(ready[i]), std::cmp::Reverse(ready[i])))
-                .expect("non-empty ready set")
+        let score = |g: usize| -> i64 {
+            let freed: i64 = consumed[g]
+                .iter()
+                .filter(|&&v| !escape_set.contains(&v) && consumers_left[&v] == 1)
+                .map(|&v| graph.node(v).shape.byte_size() as i64)
+                .sum();
+            freed - tail_bytes(g)
         };
+        let pos = (0..ready.len())
+            .max_by_key(|&i| (score(ready[i]), std::cmp::Reverse(ready[i])))
+            .expect("non-empty ready set");
         let g = ready.swap_remove(pos);
         order.push(g);
         for &v in &consumed[g] {
@@ -583,59 +439,21 @@ impl OperandBinder<'_> {
     }
 }
 
-/// The free-slot pool: volume-keyed under coalescing (any dead
-/// equal-volume slot may be recycled), exact-shape-keyed otherwise.
-enum FreeList {
-    ByVolume(HashMap<usize, Vec<usize>>),
-    ByShape(HashMap<Shape, Vec<usize>>),
-}
-
-impl FreeList {
-    fn pop(&mut self, shape: &Shape) -> Option<usize> {
-        match self {
-            FreeList::ByVolume(m) => m.get_mut(&shape.volume()).and_then(Vec::pop),
-            FreeList::ByShape(m) => m.get_mut(shape).and_then(Vec::pop),
-        }
-    }
-
-    fn push(&mut self, shape: &Shape, slot: usize) {
-        match self {
-            FreeList::ByVolume(m) => m.entry(shape.volume()).or_default().push(slot),
-            FreeList::ByShape(m) => m.entry(shape.clone()).or_default().push(slot),
-        }
-    }
-}
-
 impl ExecutableTape {
-    /// Plan `node_ids` (topologically ordered) of `graph` into a tape
-    /// with the default [`TapeOptions`].
+    /// Plan fusion `groups` of `graph` into a tape: one instruction per
+    /// group, its anchor first and the rest as epilogue steps, each member
+    /// reading the one before it ([`crate::passes::fuse_groups`] makes
+    /// such groups; singletons are always valid).
     ///
     /// `boundary_inputs` are the values fed at run time; `outputs` the
     /// values that escape the subgraph (their slots are never recycled).
     pub fn build(
         graph: &Graph,
-        node_ids: &[NodeId],
+        groups: &[Vec<NodeId>],
         boundary_inputs: &[NodeId],
         outputs: &[NodeId],
     ) -> Self {
-        Self::build_with(
-            graph,
-            node_ids,
-            boundary_inputs,
-            outputs,
-            TapeOptions::default(),
-        )
-    }
-
-    /// [`ExecutableTape::build`] with explicit planner switches.
-    pub fn build_with(
-        graph: &Graph,
-        node_ids: &[NodeId],
-        boundary_inputs: &[NodeId],
-        outputs: &[NodeId],
-        opts: TapeOptions,
-    ) -> Self {
-        let in_set: HashSet<NodeId> = node_ids.iter().copied().collect();
+        let in_set: HashSet<NodeId> = groups.iter().flatten().copied().collect();
         let escape_set: HashSet<NodeId> = outputs.iter().copied().collect();
         let feed_index: HashMap<NodeId, usize> = boundary_inputs
             .iter()
@@ -643,8 +461,7 @@ impl ExecutableTape {
             .map(|(i, &id)| (id, i))
             .collect();
 
-        let groups = fuse_chains(graph, node_ids, &escape_set, opts.fuse_epilogues);
-        let order = schedule_groups(graph, &groups, &escape_set, opts.reorder);
+        let order = schedule_groups(graph, groups, &escape_set);
 
         // Last emission index reading each materialized value (group
         // tails); escaping values stay live to the end of the tape.
@@ -673,11 +490,8 @@ impl ExecutableTape {
         };
         let mut slot_shapes: Vec<Shape> = Vec::new();
         let mut slot_of: HashMap<NodeId, usize> = HashMap::new();
-        let mut free = if opts.coalesce {
-            FreeList::ByVolume(HashMap::new())
-        } else {
-            FreeList::ByShape(HashMap::new())
-        };
+        // Dead slots by volume: any equal-volume slot may be recycled.
+        let mut free: HashMap<usize, Vec<usize>> = HashMap::new();
         let mut in_place_ops = 0usize;
         let mut reused_slots = 0usize;
         let mut fused_epilogues = 0usize;
@@ -710,6 +524,10 @@ impl ExecutableTape {
             let mut chain = anchor_id;
             for &e in &group[1..] {
                 let enode = graph.node(e);
+                assert!(
+                    enode.inputs.contains(&chain),
+                    "fusion group member {e} does not read its predecessor {chain}"
+                );
                 // Append the non-chain operand(s) and record their index.
                 let mut extra = |src: NodeId,
                                  inputs: &mut Vec<Operand>,
@@ -776,7 +594,7 @@ impl ExecutableTape {
             // incoming value's shape to match the node's exactly,
             // because their kernels reinterpret the buffer through it.
             let extended = in_place_extended(graph, anchor);
-            let in_place_slot = if in_place_capable(&anchor.op) || extended {
+            let in_place_slot = if anchor.op.is_fusable_elementwise() || extended {
                 match (anchor.inputs.first(), inputs.first()) {
                     (Some(&src0), Some(&Operand::Slot(s)))
                         if dies_here(src0)
@@ -798,7 +616,7 @@ impl ExecutableTape {
                     (s, true)
                 }
                 None => {
-                    let slot = match free.pop(&out_shape) {
+                    let slot = match free.get_mut(&out_shape.volume()).and_then(Vec::pop) {
                         Some(s) => {
                             reused_slots += 1;
                             if slot_shapes[s] != out_shape {
@@ -823,7 +641,7 @@ impl ExecutableTape {
             for &src in &consumed {
                 if let Some(&s) = slot_of.get(&src) {
                     if src != tail_id && dies_here(src) && s != out && !freed.contains(&s) {
-                        free.push(&slot_shapes[s], s);
+                        free.entry(slot_shapes[s].volume()).or_default().push(s);
                         freed.push(s);
                     }
                 }
@@ -845,7 +663,7 @@ impl ExecutableTape {
         let out_slots: Vec<(NodeId, usize)> = outputs.iter().map(|&o| (o, slot_of[&o])).collect();
         let output_shapes: Vec<Shape> = outputs.iter().map(|&o| node_shape(graph, o)).collect();
         let planned_peak_bytes: usize = slot_shapes.iter().map(Shape::byte_size).sum();
-        let naive_peak_bytes: usize = node_ids
+        let naive_peak_bytes: usize = in_set
             .iter()
             .map(|&id| graph.node(id).shape.byte_size())
             .sum();
@@ -896,7 +714,8 @@ fn fold_batch_norm(graph: &Graph, node: &Node) -> BnFold {
 }
 
 /// The operand of a binary `node` that is *not* the chain value (the
-/// chain appears exactly once; guaranteed by [`epilogue_fusable`]).
+/// chain appears exactly once; guaranteed by the fusion grouper's
+/// `epilogue_fusable`).
 fn other_operand(node: &Node, chain: NodeId) -> NodeId {
     if node.inputs[0] == chain {
         node.inputs[1]

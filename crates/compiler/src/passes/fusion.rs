@@ -1,80 +1,93 @@
-//! Operator fusion grouping.
+//! Operator fusion grouping: the one rule that decides what runs as a
+//! single tape instruction and what is priced as a single kernel.
 //!
 //! Fusion is the graph-level optimization the paper leans on hardest: it is
 //! why DUET partitions *coarsely* — fine-grained (per-operator) partitions
 //! destroy fusion opportunities and with them single-device efficiency
 //! (§III-B, opportunity 3). Grouping here follows the classic
-//! producer-epilogue rule TVM applies:
+//! producer-epilogue rule TVM applies, restricted to what the tape can run
+//! as an in-place mutation of the producer's output buffer
+//! (`epilogue_fusable`):
 //!
-//! * an elementwise operator (ReLU, bias-add, residual add, …) fuses into
-//!   the group of its unique single-consumer producer;
-//! * an inference batch-norm fuses into the convolution that feeds it;
-//! * everything else anchors a fresh kernel.
+//! * an elementwise operator (ReLU, bias-add, residual add, …) joins the
+//!   group whose tail is its sole-consumer producer, when it reads that
+//!   tail once and keeps its volume;
+//! * an inference batch-norm joins the same way (after a convolution, a
+//!   depthwise convolution, anything of its shape) when the dataflow
+//!   analyzer proves its folded scale well-conditioned;
+//! * a graph output never takes a follower (its value must materialize);
+//! * everything else anchors a fresh group.
 //!
-//! Fusion changes *cost*, not semantics: members of a group still execute
-//! their own kernels numerically, but the group is priced as one kernel
-//! launch whose intermediate tensors never travel through memory
-//! ([`duet_ir::CostProfile::absorb_epilogue`]).
+//! Each group runs as *one* tape instruction — the anchor's kernel with
+//! the members applied as [`crate::EpilogueStep`]s to its output buffer,
+//! so intermediates never materialize — and is priced as one kernel launch
+//! ([`duet_ir::CostProfile::absorb_epilogue`]). Kernel *k* of a
+//! [`crate::CompiledSubgraph`] is instruction *k* of its tape.
 
 use std::collections::{HashMap, HashSet};
 
-use duet_ir::{Graph, NodeId, Op};
+use duet_ir::{Graph, Node, NodeId, Op};
 
 /// Partition `nodes` (compute nodes of one subgraph, any order) into fused
-/// kernel groups. Returns groups in topological order; each group's first
-/// element is its anchor and members are topologically ordered.
+/// kernel groups. Returns groups in anchor order; each group's first
+/// element is its anchor and every later member reads the one before it.
 pub fn fuse_groups(graph: &Graph, nodes: &[NodeId]) -> Vec<Vec<NodeId>> {
-    let in_set: HashSet<NodeId> = nodes.iter().copied().collect();
     let mut sorted: Vec<NodeId> = nodes.to_vec();
     sorted.sort_unstable();
+    let graph_outputs: HashSet<NodeId> = graph.outputs().iter().copied().collect();
 
-    let mut group_of: HashMap<NodeId, usize> = HashMap::new();
     let mut groups: Vec<Vec<NodeId>> = Vec::new();
+    // Only nodes of this subgraph have a group, so a producer found here
+    // whose sole consumer is `id` never leaves the subgraph. It is also
+    // its group's tail: every earlier member's sole consumer is the member
+    // after it.
+    let mut group_of: HashMap<NodeId, usize> = HashMap::new();
     for &id in &sorted {
         let node = graph.node(id);
-        let fused = fusion_producer(graph, &in_set, id).and_then(|p| {
-            // Producer must already sit in a group (always true in topo
-            // order) and this op must be an epilogue candidate for it.
-            let pg = *group_of.get(&p)?;
-            let pop = &graph.node(p).op;
-            let ok = node.op.is_fusable_elementwise()
-                || (matches!(node.op, Op::BatchNorm2d) && matches!(pop, Op::Conv2d { .. }));
-            ok.then_some(pg)
+        let joined = node.inputs.iter().find_map(|&p| {
+            let g = *group_of.get(&p)?;
+            (graph.node(p).outputs == [id]
+                && !graph_outputs.contains(&p)
+                && epilogue_fusable(graph, node, p))
+            .then_some(g)
         });
-        match fused {
-            Some(g) => {
-                groups[g].push(id);
-                group_of.insert(id, g);
-            }
-            None => {
-                group_of.insert(id, groups.len());
-                groups.push(vec![id]);
-            }
-        }
+        let g = joined.unwrap_or_else(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(id);
+        group_of.insert(id, g);
     }
     groups
 }
 
-/// The unique in-set producer of `id` whose *only* consumer is `id`
-/// (so its output never needs materialising), if any.
-fn fusion_producer(graph: &Graph, in_set: &HashSet<NodeId>, id: NodeId) -> Option<NodeId> {
-    let mut found = None;
-    for &i in &graph.node(id).inputs {
-        let p = graph.node(i);
-        if matches!(p.op, Op::Input | Op::Constant) || !in_set.contains(&i) {
-            continue;
-        }
-        if p.outputs.len() == 1 && p.outputs[0] == id {
-            if found.is_some() {
-                // Two fusable edges — ambiguous; pick the first (both are
-                // single-consumer so either choice is valid; determinism
-                // matters more than optimality here).
-                continue;
-            }
-            found = Some(i);
-        }
+/// Can `node` run as an in-place epilogue step on `tail`'s output buffer?
+/// Structural conditions only (the sole-consumer and graph-output checks
+/// are [`fuse_groups`]'s): the op must read the tail exactly once and
+/// preserve its volume.
+fn epilogue_fusable(graph: &Graph, node: &Node, tail: NodeId) -> bool {
+    if node.inputs.iter().filter(|&&i| i == tail).count() != 1 {
+        return false;
     }
-    found
+    let tail_shape = &graph.node(tail).shape;
+    if node.shape.volume() != tail_shape.volume() {
+        return false;
+    }
+    match node.op {
+        // Broadcast over the trailing dim: only the data operand may be
+        // the tail.
+        Op::BiasAdd => node.inputs[0] == tail,
+        // The in-place kernel reinterprets the buffer through the node's
+        // NCHW shape, so dims must match exactly — and the scale factors
+        // must be proven well-conditioned, the same gate standalone
+        // in-place batch-norm uses.
+        Op::BatchNorm2d => {
+            node.inputs[0] == tail
+                && node.shape == *tail_shape
+                && duet_ir::absint::prove_batchnorm_inplace(graph, node)
+        }
+        ref op => op.is_fusable_elementwise(),
+    }
 }
 
 #[cfg(test)]
@@ -92,6 +105,43 @@ mod tests {
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].len(), 3); // conv, bn, relu
         assert!(matches!(g.node(groups[0][0]).op, Op::Conv2d { .. }));
+    }
+
+    #[test]
+    fn depthwise_bn_relu_fuses_to_one_group() {
+        let mut b = GraphBuilder::new("t", 1);
+        let x = b.input("x", vec![1, 4, 8, 8]);
+        let w = b.weight("dw.w", &[4, 1, 3, 3]);
+        let dw = Op::DepthwiseConv2d {
+            stride: 1,
+            padding: 1,
+            bias: false,
+        };
+        let dw = b.op("dw", dw, &[x, w]).unwrap();
+        let params = [b.ones("g", &[4]), b.zeros("b", &[4]), b.zeros("m", &[4])];
+        let var = b.ones("v", &[4]);
+        let bn = b
+            .op(
+                "bn",
+                Op::BatchNorm2d,
+                &[dw, params[0], params[1], params[2], var],
+            )
+            .unwrap();
+        let y = b.op("relu", Op::Relu, &[bn]).unwrap();
+        let g = b.finish(&[y]).unwrap();
+        assert_eq!(fuse_groups(&g, &g.compute_ids()), vec![vec![dw, bn, y]]);
+    }
+
+    #[test]
+    fn graph_output_takes_no_follower() {
+        // fc is a graph output *and* relu's sole consumer edge: its value
+        // must materialize, so relu anchors its own group.
+        let mut b = GraphBuilder::new("t", 1);
+        let x = b.input("x", vec![1, 8]);
+        let fc = b.dense("fc", x, 4, None).unwrap();
+        let r = b.op("r", Op::Relu, &[fc]).unwrap();
+        let g = b.finish(&[fc, r]).unwrap();
+        assert_eq!(fuse_groups(&g, &g.compute_ids()), vec![vec![fc], vec![r]]);
     }
 
     #[test]

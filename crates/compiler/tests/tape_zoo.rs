@@ -15,9 +15,7 @@
 use std::collections::HashMap;
 
 use duet_compiler::passes::fuse_groups;
-use duet_compiler::{
-    CompileOptions, CompiledSubgraph, Compiler, EpilogueOp, TapeArena, TapeOptions,
-};
+use duet_compiler::{CompileOptions, CompiledSubgraph, Compiler, EpilogueOp, TapeArena};
 use duet_ir::{Graph, NodeId, Op};
 use duet_models::{
     input_feeds, mobilenet, mtdnn, resnet, siamese, wide_and_deep, zoo_model, MobileNetConfig,
@@ -162,37 +160,24 @@ fn batch_norm_fuses_into_conv_on_zoo_cnns() {
     }
 }
 
-/// Fusion, scheduling and coalescing are each independently
-/// bit-transparent: toggling any subset of [`TapeOptions`] produces the
-/// same outputs, to the bit, on every zoo family.
+/// Fusion is bit-transparent: the fused groups and singleton groups (one
+/// instruction per node) produce the same outputs, to the bit, on every
+/// zoo family.
 #[test]
-fn tape_options_are_bit_transparent() {
+fn fused_and_singleton_groups_are_bit_identical() {
     for (name, model) in families() {
         let (graph, _) = Compiler::new(CompileOptions::default())
             .optimize(&model)
             .expect("optimize");
         let ids = graph.compute_ids();
-        let groups = fuse_groups(&graph, &ids);
         let env = input_feeds(&graph, 42);
-        let full = CompiledSubgraph::from_groups(&graph, name, groups.clone());
-        let want = full.execute(&env).unwrap();
-        for opts in [
-            TapeOptions::none(),
-            TapeOptions {
-                fuse_epilogues: true,
-                reorder: false,
-                coalesce: false,
-            },
-            TapeOptions {
-                fuse_epilogues: false,
-                reorder: true,
-                coalesce: true,
-            },
-        ] {
-            let sg = CompiledSubgraph::from_groups_with(&graph, name, groups.clone(), opts);
-            let got = sg.execute(&env).unwrap();
-            assert_bit_identical(name, &want, &got);
-        }
+        let fused = CompiledSubgraph::from_groups(&graph, name, fuse_groups(&graph, &ids));
+        let want = fused.execute(&env).unwrap();
+        let singletons = ids.iter().map(|&id| vec![id]).collect();
+        let unfused = CompiledSubgraph::from_groups(&graph, name, singletons);
+        assert_eq!(unfused.tape.instrs.len(), ids.len(), "{name}: one per node");
+        let got = unfused.execute(&env).unwrap();
+        assert_bit_identical(name, &want, &got);
     }
 }
 

@@ -11,6 +11,7 @@
 
 use std::collections::HashMap;
 
+use duet_compiler::passes::fuse_groups;
 use duet_compiler::ExecutableTape;
 use duet_ir::{GraphBuilder, Op};
 use duet_tensor::kernels::{self, reference};
@@ -87,12 +88,8 @@ pub fn fused_conv_matches_the_unfused_kernels() {
         let add_id = b.op("res", Op::Add, &[bn_id, ri]).unwrap();
         let relu_id = b.op("relu", Op::Relu, &[add_id]).unwrap();
         let graph = b.finish(&[relu_id]).unwrap();
-        let tape = ExecutableTape::build(
-            &graph,
-            &[conv_id, bn_id, add_id, relu_id],
-            &[xi, ri],
-            &[relu_id],
-        );
+        let groups = fuse_groups(&graph, &[conv_id, bn_id, add_id, relu_id]);
+        let tape = ExecutableTape::build(&graph, &groups, &[xi, ri], &[relu_id]);
         assert_eq!(tape.instrs.len(), 1, "{what}: one fused instruction");
         assert_eq!(
             tape.plan.fused_epilogues, 3,
