@@ -195,11 +195,10 @@ EXP_DIR="$(mktemp -d)"
 trap 'rm -f "$METRICS_OUT" "$TUNE_A" "$TUNE_B" "$TUNE_C" "$TUNE_METRICS"; rm -rf "$EXP_DIR"' EXIT
 # duet-experiments writes results/<id>.json under its working directory.
 # Not compared: the wall-clock experiments (ext-kernel-speed,
-# ext-memory-plan, ext-serving-real), which measure the host; and
-# ext-serving, a virtual-time file that no longer reproduces, skipped by
-# name until ROADMAP.md item 2 regenerates it.
+# ext-memory-plan, ext-serving-real), which measure the host.
 COMPARED=(table1 table2 table3 fig4 fig5 fig11 fig12 fig13 fig14 fig15 fig16
-  fig17 ext-granularity ext-concurrency ext-flops-proxy ext-systems ext-nested)
+  fig17 ext-granularity ext-concurrency ext-flops-proxy ext-systems ext-nested
+  ext-serving)
 ROOT="$PWD"
 (cd "$EXP_DIR" && cargo run -q --release --manifest-path "$ROOT/Cargo.toml" \
   -p duet-bench --bin duet-experiments -- "${COMPARED[@]}" >/dev/null)

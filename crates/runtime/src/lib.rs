@@ -14,6 +14,9 @@
 //!   noise). All evaluation figures and every price the scheduler, the
 //!   tuner and the engine take come from it; [`simulate`] and
 //!   [`measure_latency`] are its front ends for one finished placement.
+//!   Latency under load is `duet-serve`'s: its virtual driver runs the
+//!   server's batching policy on seeded arrivals and prices each batch
+//!   with [`simulate`].
 //! * [`HeterogeneousExecutor`] — the engine of §IV-D: one lane per device
 //!   polling its own synchronization queue, dependency-triggered subgraph
 //!   execution, real tensor numerics. The caller's thread runs one lane;
@@ -29,7 +32,6 @@
 pub mod executor;
 pub mod measure;
 pub mod profile;
-pub mod serving;
 pub mod sim;
 pub mod stats;
 pub mod timeline;
@@ -39,7 +41,6 @@ pub mod witness;
 pub use executor::{ExecBreakdown, ExecutionOutcome, HeterogeneousExecutor};
 pub use measure::{measure_latency, measure_stats};
 pub use profile::{Profiler, SubgraphProfile};
-pub use serving::{simulate_serving, ServingConfig, ServingResult};
 pub use sim::{
     simulate, simulate_witnessed, subgraph_exec_time_us, Placed, SimNoise, SimResult, TimelineEntry,
 };

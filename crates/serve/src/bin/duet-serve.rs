@@ -20,7 +20,8 @@
 // macro recursion limit of the vendored serde_json.
 #![recursion_limit = "512"]
 
-use std::path::PathBuf;
+use std::fmt::Display;
+use std::str::FromStr;
 use std::time::Duration;
 
 use duet_device::SystemModel;
@@ -29,48 +30,38 @@ use duet_serve::{
     LoadGen, LoadGenConfig, LoadReport, ModelSpec, ServeConfig, ServeServer, SloConfig,
 };
 
+/// The command line: the server's and the load generator's own configs,
+/// plus what only this binary decides.
 struct Args {
     model: String,
-    qps: f64,
-    duration_ms: u64,
-    max_batch: usize,
-    linger_us: u64,
-    queue_cap: usize,
-    sla_ms: Option<u64>,
-    seed: u64,
     drift: bool,
-    closed: Option<usize>,
     require_zero_shed: bool,
     json: bool,
     metrics_addr: Option<String>,
     metrics_out: Option<String>,
+    /// `--slo`: SLO monitoring is on only when a limit is given.
     slo_us: Option<f64>,
-    slo_window: usize,
-    slo_burn: usize,
-    flight_dir: Option<PathBuf>,
+    slo: SloConfig,
+    serve: ServeConfig,
+    load: LoadGenConfig,
 }
 
 impl Default for Args {
     fn default() -> Self {
         Args {
             model: "wide_deep".into(),
-            qps: 200.0,
-            duration_ms: 2000,
-            max_batch: 8,
-            linger_us: 2000,
-            queue_cap: 256,
-            sla_ms: None,
-            seed: 0x10ad,
             drift: true,
-            closed: None,
             require_zero_shed: false,
             json: false,
             metrics_addr: None,
             metrics_out: None,
             slo_us: None,
-            slo_window: 64,
-            slo_burn: 8,
-            flight_dir: None,
+            slo: SloConfig::default(),
+            serve: ServeConfig::default(),
+            load: LoadGenConfig {
+                qps: 200.0,
+                ..LoadGenConfig::default()
+            },
         }
     }
 }
@@ -106,68 +97,41 @@ OPTIONS:
                         metrics + plan + witness) under DIR, at most once
   --help                this text";
 
+/// The value after `flag`, parsed.
+fn value<T: FromStr>(rest: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let v = rest
+        .next()
+        .ok_or_else(|| format!("{flag} requires a value"))?;
+    v.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args::default();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
+        let it = &mut it;
         match flag.as_str() {
-            "--model" => args.model = val("--model")?,
-            "--qps" => args.qps = val("--qps")?.parse().map_err(|e| format!("--qps: {e}"))?,
-            "--duration-ms" => {
-                args.duration_ms = val("--duration-ms")?
-                    .parse()
-                    .map_err(|e| format!("--duration-ms: {e}"))?
-            }
-            "--max-batch" => {
-                args.max_batch = val("--max-batch")?
-                    .parse()
-                    .map_err(|e| format!("--max-batch: {e}"))?
-            }
-            "--linger-us" => {
-                args.linger_us = val("--linger-us")?
-                    .parse()
-                    .map_err(|e| format!("--linger-us: {e}"))?
-            }
-            "--queue-cap" => {
-                args.queue_cap = val("--queue-cap")?
-                    .parse()
-                    .map_err(|e| format!("--queue-cap: {e}"))?
-            }
-            "--sla-ms" => {
-                args.sla_ms = Some(
-                    val("--sla-ms")?
-                        .parse()
-                        .map_err(|e| format!("--sla-ms: {e}"))?,
-                )
-            }
-            "--seed" => args.seed = val("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
+            "--model" => args.model = value(it, &flag)?,
+            "--qps" => args.load.qps = value(it, &flag)?,
+            "--duration-ms" => args.load.duration = Duration::from_millis(value(it, &flag)?),
+            "--max-batch" => args.serve.max_batch = value(it, &flag)?,
+            "--linger-us" => args.serve.linger = Duration::from_micros(value(it, &flag)?),
+            "--queue-cap" => args.serve.queue_cap = value(it, &flag)?,
+            "--sla-ms" => args.load.sla = Some(Duration::from_millis(value(it, &flag)?)),
+            "--seed" => args.load.seed = value(it, &flag)?,
             "--no-drift" => args.drift = false,
-            "--closed" => {
-                args.closed = Some(
-                    val("--closed")?
-                        .parse()
-                        .map_err(|e| format!("--closed: {e}"))?,
-                )
-            }
+            "--closed" => args.load.closed_workers = Some(value(it, &flag)?),
             "--require-zero-shed" => args.require_zero_shed = true,
             "--json" => args.json = true,
-            "--metrics-addr" => args.metrics_addr = Some(val("--metrics-addr")?),
-            "--metrics-out" => args.metrics_out = Some(val("--metrics-out")?),
-            "--slo" => {
-                args.slo_us = Some(val("--slo")?.parse().map_err(|e| format!("--slo: {e}"))?)
-            }
-            "--slo-window" => {
-                args.slo_window = val("--slo-window")?
-                    .parse()
-                    .map_err(|e| format!("--slo-window: {e}"))?
-            }
-            "--slo-burn" => {
-                args.slo_burn = val("--slo-burn")?
-                    .parse()
-                    .map_err(|e| format!("--slo-burn: {e}"))?
-            }
-            "--flight-dir" => args.flight_dir = Some(PathBuf::from(val("--flight-dir")?)),
+            "--metrics-addr" => args.metrics_addr = Some(value(it, &flag)?),
+            "--metrics-out" => args.metrics_out = Some(value(it, &flag)?),
+            "--slo" => args.slo_us = Some(value(it, &flag)?),
+            "--slo-window" => args.slo.window = value(it, &flag)?,
+            "--slo-burn" => args.slo.burn_threshold = value(it, &flag)?,
+            "--flight-dir" => args.serve.flight_dir = Some(value(it, &flag)?),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -175,7 +139,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    if args.max_batch == 0 || args.qps <= 0.0 || args.duration_ms == 0 {
+    if args.serve.max_batch == 0 || args.load.qps <= 0.0 || args.load.duration.is_zero() {
         return Err("--max-batch, --qps and --duration-ms must be positive".into());
     }
     Ok(args)
@@ -229,16 +193,13 @@ fn print_report(model: &str, report: &LoadReport) {
             v.p99()
         );
     }
+    let us = |v: Option<f64>| v.map_or("-".into(), |v| format!("{v:.1} us"));
     println!(
         "feedback  plan swaps {} | epoch {} | drifted-epoch P50 {} | post-swap P50 {}",
         s.plan_swaps,
         s.epoch,
-        report
-            .drift_epoch_p50_us
-            .map_or("-".into(), |v| format!("{v:.1} us")),
-        report
-            .post_swap_epoch_p50_us
-            .map_or("-".into(), |v| format!("{v:.1} us")),
+        us(report.drift_epoch_p50_us),
+        us(report.post_swap_epoch_p50_us),
     );
     let (checked, failures, max_batch) = report.verified;
     println!(
@@ -316,42 +277,29 @@ fn main() {
     }
 
     let mut server = ServeServer::new(ServeConfig {
-        max_batch: args.max_batch,
-        linger: Duration::from_micros(args.linger_us),
-        queue_cap: args.queue_cap,
         slo: args.slo_us.map(|limit_us| SloConfig {
             limit_us,
-            window: args.slo_window,
-            burn_threshold: args.slo_burn,
+            ..args.slo.clone()
         }),
-        flight_dir: args.flight_dir.clone(),
-        ..ServeConfig::default()
+        ..args.serve.clone()
     });
-    eprintln!(
-        "building engines for {model} (batch 1 + {})...",
-        args.max_batch
-    );
+    let max_batch = args.serve.max_batch;
+    eprintln!("building engines for {model} (batch 1 + {max_batch})...");
     server.register(spec, system.clone());
 
     let gen = LoadGen::new(LoadGenConfig {
-        qps: args.qps,
-        duration: Duration::from_millis(args.duration_ms),
-        seed: args.seed,
-        sla: args.sla_ms.map(Duration::from_millis),
-        closed_workers: args.closed,
         drift: args.drift.then(|| degraded_gpu(&system)),
-        verify_samples: 8,
-        drain_timeout: Duration::from_secs(30),
+        ..args.load.clone()
     });
     eprintln!(
         "running {} load: {:.0} qps for {} ms (drift {})...",
-        if args.closed.is_some() {
+        if args.load.closed_workers.is_some() {
             "closed-loop"
         } else {
             "open-loop Poisson"
         },
-        args.qps,
-        args.duration_ms,
+        args.load.qps,
+        args.load.duration.as_millis(),
         if args.drift { "on at half-time" } else { "off" },
     );
     let report = match gen.run(&server, &model) {
@@ -360,7 +308,7 @@ fn main() {
     };
 
     // Runtime conformance on a fresh witnessed request.
-    let witness = match server.witness_check(&model, args.seed ^ 0x3157) {
+    let witness = match server.witness_check(&model, args.load.seed ^ 0x3157) {
         Ok(r) => r,
         Err(e) => fail(6, &format!("witness run failed: {e}")),
     };

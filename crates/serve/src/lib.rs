@@ -15,10 +15,15 @@
 //! * **SLA admission** — bounded per-model queues shed at submit time
 //!   ([`ServeError::QueueFull`]); per-request deadlines shed while
 //!   queued ([`ServeError::Expired`]).
-//! * **Dynamic batcher** — coalesces requests up to a max batch within
-//!   a linger window, executes power-of-two sized chunks on the
-//!   batch-appropriate engine variant; batched outputs are bit-identical
-//!   to individual batch-1 runs (every kernel is row-independent).
+//! * **Dynamic batcher** ([`Batcher`]) — coalesces requests up to a max
+//!   batch within a linger window, executes power-of-two sized chunks on
+//!   the batch-appropriate engine variant; batched outputs are
+//!   bit-identical to individual batch-1 runs (every kernel is
+//!   row-independent). Its decisions are one pure step over µs
+//!   timestamps, driven on two clocks: the server's worker thread on the
+//!   wall clock, and [`serve_virtual`] on a virtual one (seeded
+//!   [`poisson_arrivals`], priced service) — the source of
+//!   `results/ext-serving.json` and of `ext-serving-real`'s sim column.
 //! * **Runtime feedback** ([`DriftMonitor`]) — EWMA of measured vs
 //!   predicted virtual latency per batch; sustained drift re-runs
 //!   Algorithm 1's correction against the observed system and hot-swaps
@@ -48,8 +53,10 @@ pub mod flight;
 pub mod insight;
 pub mod loadgen;
 pub mod metrics;
+pub mod policy;
 pub mod server;
 pub mod spec;
+pub mod virtual_time;
 
 pub use batch::{merge_feeds, split_outputs};
 pub use cache::{ArcCell, EngineVariant, PlanCache};
@@ -58,10 +65,12 @@ pub use flight::{
     AnomalyRule, FlightDump, FlightRecorder, RequestTrace, SloConfig, SloMonitor, SloVerdict,
 };
 pub use insight::{Attribution, AttributionSummary, SegmentSummary};
-pub use loadgen::{LoadGen, LoadGenConfig, LoadReport};
+pub use loadgen::{poisson_arrivals, LoadGen, LoadGenConfig, LoadReport};
 pub use metrics::{Metrics, MetricsSnapshot};
+pub use policy::{Action, Batcher};
 pub use server::{ServeConfig, ServeHandle, ServeResponse, ServeServer};
 pub use spec::{batch_axis, ModelSpec};
+pub use virtual_time::{serve_virtual, VirtualReport};
 
 /// Everything that can go wrong between submit and response.
 #[derive(Debug, Clone, PartialEq)]

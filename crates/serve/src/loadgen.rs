@@ -36,6 +36,19 @@ pub fn degraded_gpu(base: &SystemModel) -> SystemModel {
     sys
 }
 
+/// Arrival times, µs from 0, of a seeded Poisson process: exponential
+/// gaps by inverse transform. The open-loop load generator and the
+/// virtual driver ([`crate::serve_virtual`]) both draw from it.
+pub fn poisson_arrivals(qps: f64, seed: u64) -> impl Iterator<Item = f64> {
+    assert!(qps > 0.0, "need a positive arrival rate");
+    let (mut rng, mean_gap_us, mut at_us) = (SmallRng::seed_from_u64(seed), 1e6 / qps, 0.0);
+    std::iter::repeat_with(move || {
+        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+        at_us += -mean_gap_us * u.ln();
+        at_us
+    })
+}
+
 /// Scenario description.
 #[derive(Debug, Clone)]
 pub struct LoadGenConfig {
@@ -186,6 +199,26 @@ impl LoadGen {
                 }
             };
 
+        // One counted submit attempt: the handle if it was admitted.
+        let submit = |seed: u64| {
+            offered.fetch_add(1, Ordering::Relaxed);
+            let feeds = cache.spec().request_feeds(seed);
+            match server.submit(model, feeds, self.cfg.sla) {
+                Ok(handle) => {
+                    accepted.fetch_add(1, Ordering::Relaxed);
+                    Some(handle)
+                }
+                Err(ServeError::QueueFull) => {
+                    shed_at_submit.fetch_add(1, Ordering::Relaxed);
+                    None
+                }
+                Err(_) => {
+                    error_responses.fetch_add(1, Ordering::Relaxed);
+                    None
+                }
+            }
+        };
+
         match self.cfg.closed_workers {
             None => {
                 // Open loop: Poisson arrivals on this thread, responses
@@ -199,36 +232,22 @@ impl LoadGen {
                             handle_response(seed, handle.wait_timeout(drain_timeout));
                         }
                     });
-                    let mut rng = SmallRng::seed_from_u64(self.cfg.seed);
-                    let mean_gap = Duration::from_secs_f64(1.0 / self.cfg.qps.max(1e-9));
-                    let mut next_arrival = started;
-                    let mut i: u64 = 0;
-                    while started.elapsed() < self.cfg.duration {
-                        inject_if_due(started.elapsed());
-                        let now = Instant::now();
-                        if next_arrival > now {
-                            std::thread::sleep(next_arrival - now);
+                    // The first request goes out at once.
+                    let poisson = poisson_arrivals(self.cfg.qps.max(1e-9), self.cfg.seed);
+                    let arrivals = std::iter::once(0.0).chain(poisson);
+                    for (i, at_us) in (0u64..).zip(arrivals) {
+                        if started.elapsed() >= self.cfg.duration {
+                            break;
                         }
-                        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                        next_arrival += mean_gap.mul_f64(-u.ln());
+                        inject_if_due(started.elapsed());
+                        let due = started + Duration::from_secs_f64(at_us / 1e6);
+                        std::thread::sleep(due.saturating_duration_since(Instant::now()));
                         let seed = self.cfg.seed.wrapping_add(i);
-                        i += 1;
-                        offered.fetch_add(1, Ordering::Relaxed);
-                        let feeds = cache.spec().request_feeds(seed);
-                        match server.submit(model, feeds, self.cfg.sla) {
-                            Ok(handle) => {
-                                accepted.fetch_add(1, Ordering::Relaxed);
-                                // A closed channel means the collector is
-                                // gone: nobody will drain this request.
-                                if tx.send((seed, handle)).is_err() {
-                                    undrained.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            Err(ServeError::QueueFull) => {
-                                shed_at_submit.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(_) => {
-                                error_responses.fetch_add(1, Ordering::Relaxed);
+                        // A closed channel means the collector is gone:
+                        // nobody will drain this request.
+                        if let Some(handle) = submit(seed) {
+                            if tx.send((seed, handle)).is_err() {
+                                undrained.fetch_add(1, Ordering::Relaxed);
                             }
                         }
                     }
@@ -243,31 +262,16 @@ impl LoadGen {
                 // flight; drift injection runs on this thread's clock.
                 std::thread::scope(|scope| {
                     for w in 0..workers.max(1) {
-                        let offered = &offered;
-                        let accepted = &accepted;
-                        let shed_at_submit = &shed_at_submit;
-                        let handle_response = &handle_response;
-                        let cache = &cache;
+                        let (submit, handle_response) = (&submit, &handle_response);
                         scope.spawn(move || {
                             let mut i: u64 = 0;
                             while started.elapsed() < self.cfg.duration {
                                 let seed =
                                     self.cfg.seed.wrapping_add((w as u64) << 32).wrapping_add(i);
                                 i += 1;
-                                offered.fetch_add(1, Ordering::Relaxed);
-                                let feeds = cache.spec().request_feeds(seed);
-                                match server.submit(model, feeds, self.cfg.sla) {
-                                    Ok(handle) => {
-                                        accepted.fetch_add(1, Ordering::Relaxed);
-                                        handle_response(
-                                            seed,
-                                            handle.wait_timeout(self.cfg.drain_timeout),
-                                        );
-                                    }
-                                    Err(ServeError::QueueFull) => {
-                                        shed_at_submit.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    Err(_) => {}
+                                if let Some(handle) = submit(seed) {
+                                    let response = handle.wait_timeout(self.cfg.drain_timeout);
+                                    handle_response(seed, response);
                                 }
                             }
                         });
@@ -300,14 +304,11 @@ impl LoadGen {
             .ok_or_else(|| ServeError::UnknownModel(model.to_string()))?;
         let snapshot = metrics.snapshot();
         let drift = drift_injected.load(Ordering::Relaxed);
-        let (baseline_p50, drift_p50, post_p50) = if drift {
-            (
-                metrics.epoch_service_stats(0).map(|s| s.p50()),
-                metrics.epoch_service_stats(1).map(|s| s.p50()),
-                metrics.epoch_service_stats(2).map(|s| s.p50()),
-            )
-        } else {
-            (None, None, None)
+        let epoch_p50 = |e| {
+            metrics
+                .epoch_service_stats(e)
+                .filter(|_| drift)
+                .map(|s| s.p50())
         };
         let completed = snapshot.completed;
         let attribution = AttributionSummary::from_samples(
@@ -326,9 +327,9 @@ impl LoadGen {
             undrained: undrained.load(Ordering::Relaxed),
             verified: (samples.len(), failures, max_checked_batch),
             drift_injected: drift,
-            baseline_epoch_p50_us: baseline_p50,
-            drift_epoch_p50_us: drift_p50,
-            post_swap_epoch_p50_us: post_p50,
+            baseline_epoch_p50_us: epoch_p50(0),
+            drift_epoch_p50_us: epoch_p50(1),
+            post_swap_epoch_p50_us: epoch_p50(2),
             throughput_qps: completed as f64 / self.cfg.duration.as_secs_f64().max(1e-9),
             attribution,
             attribution_mismatches: attribution_mismatches.load(Ordering::Relaxed),

@@ -44,9 +44,10 @@ const EPOCH_RESERVOIR_CAP: usize = 1024;
 /// per-epoch summary.
 const MAX_EPOCHS: usize = 32;
 
-/// Epoch indices: 0 until the system model changes, bumped on every
-/// injected change and on every plan hot-swap. The drift experiment
-/// reads epoch 1 as "drifted, stale plan" and epoch 2 as "post-swap".
+/// Epoch indices: 0 until the system model changes. The serving worker
+/// bumps the epoch when a batch first runs on an injected system and on
+/// every plan hot-swap. The drift experiment reads epoch 1 as "drifted,
+/// stale plan" and epoch 2 as "post-swap".
 #[derive(Debug)]
 pub struct Metrics {
     submitted: AtomicU64,

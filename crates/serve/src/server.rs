@@ -6,16 +6,16 @@
 //!
 //! 1. blocks on the bounded request queue (the queue bound *is* the
 //!    admission control — a full queue sheds at submit time);
-//! 2. takes whatever else is already queued, then — only if the last two
-//!    requests it pulled arrived less than `ServeConfig::linger` apart —
-//!    lingers up to `linger` past the oldest one to coalesce more
-//!    arrivals, up to `max_batch`; a request after a quiet spell runs at
-//!    once;
-//! 3. drops requests whose SLA deadline already expired;
-//! 4. executes the batch on the engine variant for its size (rounded
-//!    down to a power of two, so the plan cache holds at most
-//!    `log2(max_batch)+1` variants), through the current system model;
-//! 5. feeds measured-vs-predicted virtual latency to the drift monitor,
+//! 2. forms a batch as the [`Batcher`] policy step decides — drain the
+//!    backlog, linger or not, expire past-deadline requests, chunk to
+//!    powers of two (see [`crate::policy`]). The worker only moves
+//!    requests between the channel and the batch, converting `Instant`s
+//!    to µs against one origin; the same step runs on a virtual clock in
+//!    [`crate::serve_virtual`];
+//! 3. executes each chunk on the engine variant for its size, through
+//!    the current system model, opening a new metrics epoch whenever that
+//!    system is not the one its last batch ran on;
+//! 4. feeds measured-vs-predicted virtual latency to the drift monitor,
 //!    and on sustained drift re-corrects every cached plan against the
 //!    observed system and atomically publishes the result (hot swap).
 
@@ -28,18 +28,20 @@ use std::time::{Duration, Instant};
 
 use duet_device::SystemModel;
 use duet_ir::{Graph, Op};
+use duet_runtime::ExecutionWitness;
 use duet_telemetry::registry as tm;
 use duet_telemetry::{clock_us, Span, SpanKind, TraceContext};
 use duet_tensor::Tensor;
 
 use crate::batch::{merge_feeds, split_outputs};
-use crate::cache::{ArcCell, PlanCache};
+use crate::cache::{ArcCell, EngineVariant, PlanCache};
 use crate::feedback::{DriftMonitor, FeedbackConfig};
 use crate::flight::{
     AnomalyRule, DumpPayload, FlightRecorder, RequestTrace, SloConfig, SloMonitor,
 };
 use crate::insight::Attribution;
 use crate::metrics::Metrics;
+use crate::policy::{chunks, largest_pow2, Action, Batcher};
 use crate::spec::ModelSpec;
 use crate::ServeError;
 
@@ -222,14 +224,22 @@ impl ServeServer {
         ));
         let (tx, rx) = sync_channel::<Pending>(self.cfg.queue_cap);
         let worker = {
-            let cache = cache.clone();
-            let system = system.clone();
-            let metrics = metrics.clone();
-            let flight = flight.clone();
+            // Taken here, before any submit can be: every request's
+            // timestamps come after the worker's origin and first system.
+            let origin = Instant::now();
+            let worker = Worker {
+                cache: cache.clone(),
+                system: system.clone(),
+                metrics: metrics.clone(),
+                flight: flight.clone(),
+                monitor: DriftMonitor::new(self.cfg.feedback.clone()),
+                slo: self.cfg.slo.clone().map(SloMonitor::new),
+                ran_on: system.load(),
+            };
             let cfg = self.cfg.clone();
             std::thread::Builder::new()
                 .name(format!("duet-serve:{name}"))
-                .spawn(move || worker_loop(rx, cache, system, metrics, flight, cfg))
+                .spawn(move || worker.serve(rx, &cfg, origin))
                 .expect("spawn serving worker")
         };
         self.models.insert(
@@ -243,6 +253,11 @@ impl ServeServer {
                 worker: Some(worker),
             },
         );
+    }
+
+    fn handle(&self, model: &str) -> Result<&ModelHandle, ServeError> {
+        let handle = self.models.get(model);
+        handle.ok_or_else(|| ServeError::UnknownModel(model.to_string()))
     }
 
     /// Registered model names.
@@ -261,10 +276,7 @@ impl ServeServer {
         feeds: HashMap<String, Tensor>,
         sla: Option<Duration>,
     ) -> Result<ServeHandle, ServeError> {
-        let handle = self
-            .models
-            .get(model)
-            .ok_or_else(|| ServeError::UnknownModel(model.to_string()))?;
+        let handle = self.handle(model)?;
         handle.metrics.inc_submitted();
         check_feeds(handle.cache.spec().reference(), &feeds)?;
         let now = Instant::now();
@@ -315,17 +327,14 @@ impl ServeServer {
 
     /// Replace the model's *deployed* system model (drift injection for
     /// tests and the load generator — in production this is the slot a
-    /// hardware telemetry feed would write). Bumps the metrics epoch so
-    /// pre- and post-drift samples stay separable.
+    /// hardware telemetry feed would write). The first batch that runs on
+    /// it opens a new metrics epoch, so pre- and post-drift samples stay
+    /// separable.
     pub fn inject_system(&self, model: &str, system: SystemModel) -> bool {
-        match self.models.get(model) {
-            Some(h) => {
-                h.system.store(Arc::new(system));
-                h.metrics.bump_epoch();
-                true
-            }
-            None => false,
-        }
+        self.models
+            .get(model)
+            .map(|h| h.system.store(Arc::new(system)))
+            .is_some()
     }
 
     /// Run `feeds` as a single batch-1 request directly on the cached
@@ -336,10 +345,7 @@ impl ServeServer {
         model: &str,
         feeds: &HashMap<String, Tensor>,
     ) -> Result<HashMap<String, Tensor>, ServeError> {
-        let handle = self
-            .models
-            .get(model)
-            .ok_or_else(|| ServeError::UnknownModel(model.to_string()))?;
+        let handle = self.handle(model)?;
         let variant = handle.cache.get_or_build(1);
         let merged = merge_feeds(variant.duet.graph(), &[feeds])?;
         let system = (*handle.system.load()).clone();
@@ -361,19 +367,9 @@ impl ServeServer {
         model: &str,
         seed: u64,
     ) -> Result<duet_analysis::Report, ServeError> {
-        let handle = self
-            .models
-            .get(model)
-            .ok_or_else(|| ServeError::UnknownModel(model.to_string()))?;
-        let variant = handle.cache.get_or_build(1);
-        let feeds = handle.cache.spec().request_feeds(seed);
-        let merged = merge_feeds(variant.duet.graph(), &[&feeds])?;
+        let handle = self.handle(model)?;
         let system = (*handle.system.load()).clone();
-        let (_, witness) = variant
-            .duet
-            .executor_with(system.clone())
-            .run_witnessed(&merged)
-            .map_err(|e| ServeError::Exec(e.to_string()))?;
+        let (variant, witness) = witnessed(&handle.cache, &system, seed)?;
         Ok(duet_analysis::check_witness(
             variant.duet.graph(),
             variant.duet.placed(),
@@ -421,119 +417,14 @@ fn check_feeds(reference: &Graph, feeds: &HashMap<String, Tensor>) -> Result<(),
     Ok(())
 }
 
-/// Largest power of two `<= n` (n > 0).
-fn largest_pow2(n: usize) -> usize {
-    1 << n.ilog2()
-}
-
-fn worker_loop(
-    rx: Receiver<Pending>,
-    cache: Arc<PlanCache>,
-    system: Arc<ArcCell<SystemModel>>,
-    metrics: Arc<Metrics>,
-    flight: Arc<FlightRecorder>,
-    cfg: ServeConfig,
-) {
-    let mut monitor = DriftMonitor::new(cfg.feedback.clone());
-    let mut slo = cfg.slo.clone().map(SloMonitor::new);
-    // When the request pulled last was submitted: the arrival before the
-    // next batch's first one.
-    let mut last_arrival: Option<Instant> = None;
-    loop {
-        // Block for the first request; a closed channel is shutdown.
-        let mut batch = match rx.recv() {
-            Ok(p) => vec![p.pull()],
-            Err(_) => return,
-        };
-        // Greedily drain whatever is already queued: under backlog the
-        // batch should fill instantly instead of waiting out a linger
-        // window that expired while the oldest request sat in the queue.
-        while batch.len() < cfg.max_batch {
-            match rx.try_recv() {
-                Ok(p) => batch.push(p.pull()),
-                Err(_) => break,
-            }
-        }
-        // Linger only while arrivals come close together: the last two
-        // requests pulled arrived less than one `linger` apart (with no
-        // earlier arrival, as on a fresh server, linger). After a quiet
-        // spell a lone request would wait the whole window for company
-        // that is not coming, so the batch runs at once.
-        let newest = batch[batch.len() - 1].enqueued;
-        let before = match batch.len() {
-            1 => last_arrival,
-            n => Some(batch[n - 2].enqueued),
-        };
-        let lingers = before.is_none_or(|t| newest.saturating_duration_since(t) < cfg.linger);
-        // Linger relative to the oldest pending request so a request's
-        // added latency is bounded by `linger` regardless of arrivals.
-        let linger_deadline = batch[0].enqueued + cfg.linger;
-        while lingers && batch.len() < cfg.max_batch {
-            let now = Instant::now();
-            let Some(remaining) = linger_deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                break;
-            };
-            match rx.recv_timeout(remaining) {
-                Ok(p) => batch.push(p.pull()),
-                Err(_) => break,
-            }
-        }
-        last_arrival = Some(batch[batch.len() - 1].enqueued);
-
-        // SLA expiry: shed requests whose budget elapsed while queued.
-        let now = Instant::now();
-        let (live, expired): (Vec<_>, Vec<_>) = batch
-            .into_iter()
-            .partition(|p| p.deadline.is_none_or(|d| d > now));
-        for p in expired {
-            metrics.shed_expired();
-            if flight.armed() {
-                let deployed = (*system.load()).clone();
-                flight.trigger(AnomalyRule::Shed, || {
-                    anomaly_payload(&cache, &deployed, p.trace.trace_id)
-                });
-            }
-            let _ = p.tx.send(Err(ServeError::Expired));
-        }
-
-        // Execute in power-of-two chunks (largest first) so every chunk
-        // maps to a cached engine variant.
-        let mut rest = live;
-        while !rest.is_empty() {
-            let k = largest_pow2(rest.len().min(cfg.max_batch));
-            let chunk: Vec<Pending> = rest.drain(..k).collect();
-            execute_chunk(
-                chunk,
-                &cache,
-                &system,
-                &metrics,
-                &flight,
-                &mut monitor,
-                &mut slo,
-            );
-        }
-    }
-}
-
 /// Build the forensic context for a flight dump: the serving batch-1
 /// plan, the deployed system model and one freshly witnessed batch-1
 /// run. Only called when a dump is actually about to be written (the
 /// dump-once latch means each server process pays this at most once).
 fn anomaly_payload(cache: &PlanCache, system: &SystemModel, trigger_trace: u64) -> DumpPayload {
     let variant = cache.get_or_build(1);
-    let witness_json = (|| {
-        let feeds = cache.spec().request_feeds(0);
-        let merged = merge_feeds(variant.duet.graph(), &[&feeds]).ok()?;
-        let (_, witness) = variant
-            .duet
-            .executor_with(system.clone())
-            .run_witnessed(&merged)
-            .ok()?;
-        serde_json::to_string_pretty(&witness).ok()
-    })();
+    let witness = witnessed(cache, system, 0).ok();
+    let witness_json = witness.and_then(|(_, w)| serde_json::to_string_pretty(&w).ok());
     DumpPayload {
         model: cache.spec().name().to_string(),
         plan_json: variant.plan.to_json(),
@@ -544,233 +435,300 @@ fn anomaly_payload(cache: &PlanCache, system: &SystemModel, trigger_trace: u64) 
     }
 }
 
-fn execute_chunk(
-    chunk: Vec<Pending>,
+/// One witnessed batch-1 run of request `seed`'s feeds on `system`.
+fn witnessed(
     cache: &PlanCache,
-    system: &ArcCell<SystemModel>,
-    metrics: &Metrics,
-    flight: &FlightRecorder,
-    monitor: &mut DriftMonitor,
-    slo: &mut Option<SloMonitor>,
-) {
-    let k = chunk.len();
-    let variant = cache.get_or_build(k);
-    // Epoch before system: `inject_system` stores the system and then
-    // bumps the epoch, so a batch is never booked to the drifted epoch
-    // having run on the healthy system.
-    let epoch = metrics.epoch();
-    let deployed = (*system.load()).clone();
+    system: &SystemModel,
+    seed: u64,
+) -> Result<(Arc<EngineVariant>, ExecutionWitness), ServeError> {
+    let variant = cache.get_or_build(1);
+    let merged = merge_feeds(variant.duet.graph(), &[&cache.spec().request_feeds(seed)])?;
+    let executor = variant.duet.executor_with(system.clone());
+    let run = executor.run_witnessed(&merged);
+    let (_, witness) = run.map_err(|e| ServeError::Exec(e.to_string()))?;
+    Ok((variant, witness))
+}
 
-    let fail_all = |chunk: Vec<Pending>, err: ServeError| {
-        metrics.exec_error();
-        for p in chunk {
-            let _ = p.tx.send(Err(err.clone()));
-        }
-    };
+/// What a model's serving worker owns besides its queue and its policy.
+struct Worker {
+    cache: Arc<PlanCache>,
+    system: Arc<ArcCell<SystemModel>>,
+    metrics: Arc<Metrics>,
+    flight: Arc<FlightRecorder>,
+    monitor: DriftMonitor,
+    slo: Option<SloMonitor>,
+    /// The deployed system the last batch ran on. The worker alone moves
+    /// the epoch: a batch that loads any other system opens a new one, so
+    /// every batch is booked to the epoch it ran in. Holding the `Arc`
+    /// keeps its address from being reused by a later system.
+    ran_on: Arc<SystemModel>,
+}
 
-    let t_exec = Instant::now();
-    let req_feeds: Vec<&HashMap<String, Tensor>> = chunk.iter().map(|p| &p.feeds).collect();
-    let feeds = match merge_feeds(variant.duet.graph(), &req_feeds) {
-        Ok(f) => f,
-        Err(e) => return fail_all(chunk, e),
-    };
-    // Causal context: the shared batch span is a child of the *oldest*
-    // request's root, so at least one trace id runs admission → batch →
-    // subgraph → kernel unbroken; every other member links to the batch
-    // span through its exec span's arg0.
-    let lead = chunk[0].trace;
-    let batch_ctx = lead.child();
-    // Execute through the *deployed* system model, not the one the plan
-    // was built against — that gap is exactly what the drift monitor
-    // measures.
-    // The engine-owned arena pool makes this steady-state path recycle
-    // its tape buffers across requests.
-    let t_run_start = Instant::now();
-    let outcome = match variant
-        .duet
-        .executor_with(deployed.clone())
-        .with_trace(batch_ctx)
-        .run(&feeds)
-    {
-        Ok(o) => o,
-        Err(e) => return fail_all(chunk, ServeError::Exec(e.to_string())),
-    };
-    let run_wall_us = t_run_start.elapsed().as_secs_f64() * 1e6;
-    let pieces = match split_outputs(variant.duet.graph(), &outcome.outputs, k) {
-        Ok(p) => p,
-        Err(e) => return fail_all(chunk, e),
-    };
-
-    let done = Instant::now();
-    let sojourns_us: Vec<f64> = chunk
-        .iter()
-        .map(|p| done.duration_since(p.enqueued).as_secs_f64() * 1e6)
-        .collect();
-    metrics.record_batch(epoch, k, &sojourns_us, outcome.virtual_latency_us);
-
-    // Anchor for converting `Instant`s into the telemetry wall clock:
-    // one sample serves every span of this batch.
-    let anchor = Instant::now();
-    let anchor_us = clock_us();
-    let us_of = |t: Instant| anchor_us - anchor.saturating_duration_since(t).as_secs_f64() * 1e6;
-    let exec_wall_us = done.duration_since(t_exec).as_secs_f64() * 1e6;
-    let batch_span = Span::linked(
-        SpanKind::ServeBatch,
-        k as u64,
-        us_of(t_exec),
-        exec_wall_us,
-        outcome.virtual_latency_us,
-        batch_ctx,
-        lead.span_id,
-    );
-    batch_span.record();
-
-    let plan_fingerprint = variant.plan.fingerprint;
-    let model = cache.spec().name().to_string();
-    for ((p, piece), sojourn_us) in chunk.into_iter().zip(pieces).zip(sojourns_us) {
-        let pulled = p.pulled.unwrap_or(t_exec);
-        let queue_us = pulled.saturating_duration_since(p.enqueued).as_secs_f64() * 1e6;
-        let linger_us = t_exec.saturating_duration_since(pulled).as_secs_f64() * 1e6;
-        // Per-member execution share is the sojourn remainder, so the
-        // attribution sums to the measured sojourn *exactly*.
-        let attribution = Attribution::attribute(
-            queue_us,
-            linger_us,
-            sojourn_us - queue_us - linger_us,
-            run_wall_us,
-            &outcome.breakdown,
-        );
-        let tid = p.trace.trace_id;
-        tm::SERVE_SEGMENT_QUEUE.observe_exemplar(attribution.queue_us as u64, tid);
-        tm::SERVE_SEGMENT_LINGER.observe_exemplar(attribution.linger_us as u64, tid);
-        tm::SERVE_SEGMENT_COMPUTE_CPU.observe_exemplar(attribution.compute_cpu_us as u64, tid);
-        tm::SERVE_SEGMENT_COMPUTE_GPU.observe_exemplar(attribution.compute_gpu_us as u64, tid);
-        tm::SERVE_SEGMENT_TRANSFER.observe_exemplar(attribution.transfer_us as u64, tid);
-        tm::SERVE_SEGMENT_OVERHEAD.observe_exemplar(attribution.overhead_us as u64, tid);
-        // Sojourn was already observed by `record_batch`; only attach
-        // the trace linkage here.
-        tm::SERVE_SOJOURN_US.exemplar_hint(sojourn_us as u64, tid);
-
-        // The request's own span tree: root + one span per segment
-        // phase, children of the root.
-        let (enqueued_us, root) = (us_of(p.enqueued), p.trace.span_id);
-        let phase = |seq, kind, detail, start_us, dur_us, arg0| Span {
-            seq,
-            ..Span::linked(kind, detail, start_us, dur_us, arg0, p.trace.child(), root)
+impl Worker {
+    /// The batcher's channel plumbing: block for a request, drain what is
+    /// queued, wait with a timeout, all as [`Batcher`] decides, with every
+    /// `Instant` in µs since `origin`.
+    fn serve(mut self, rx: Receiver<Pending>, cfg: &ServeConfig, origin: Instant) {
+        let us = |t: Instant| t.saturating_duration_since(origin).as_secs_f64() * 1e6;
+        let hold = |batcher: &mut Batcher, batch: &mut Vec<Pending>, p: Pending| {
+            batcher.hold(us(p.enqueued), p.deadline.map_or(f64::INFINITY, us));
+            batch.push(p.pull());
         };
-        let member_spans = [
-            Span::linked(
-                SpanKind::ServeRequest,
-                k as u64,
-                enqueued_us,
-                sojourn_us,
-                0.0,
-                p.trace,
-                0,
-            ),
-            phase(1, SpanKind::ServeQueue, 0, enqueued_us, queue_us, 0.0),
-            phase(2, SpanKind::ServeLinger, 0, us_of(pulled), linger_us, 0.0),
-            // arg0 links into the shared batch span (which lives in the
-            // lead request's trace).
-            phase(
-                3,
-                SpanKind::ServeExec,
-                k as u64,
-                us_of(t_exec),
-                exec_wall_us,
-                batch_ctx.span_id as f64,
-            ),
-        ];
-        for s in &member_spans {
-            s.record();
-        }
-
-        // Flight ring: the member's own tree plus the shared batch and
-        // executor spans, so a dumped trace replays end to end.
-        let mut spans = member_spans.to_vec();
-        spans.push(batch_span);
-        spans.extend(outcome.trace_spans.iter().copied());
-        flight.record(Arc::new(RequestTrace {
-            trace_id: tid,
-            model: model.clone(),
-            batch: k,
-            epoch,
-            plan_fingerprint,
-            sojourn_us,
-            attribution,
-            spans,
-        }));
-
-        // SLO accounting, and the flight trigger on a burn.
-        if let Some(m) = slo.as_mut() {
-            let verdict = m.observe(sojourn_us);
-            if verdict.breached {
-                tm::SERVE_SLO_BREACHES.inc();
+        let mut batcher = Batcher::new(cfg);
+        let mut batch = Vec::with_capacity(cfg.max_batch);
+        loop {
+            // Block for the first request; a closed channel is shutdown.
+            if batch.is_empty() {
+                let Ok(p) = rx.recv() else { return };
+                hold(&mut batcher, &mut batch, p);
             }
-            if verdict.burning && flight.armed() {
-                flight.trigger(AnomalyRule::SloBurn, || {
-                    anomaly_payload(cache, &deployed, tid)
-                });
+            let now = us(Instant::now());
+            match batcher.decide(now) {
+                Action::Take(room) => {
+                    for p in rx.try_iter().take(room) {
+                        hold(&mut batcher, &mut batch, p);
+                    }
+                }
+                Action::WaitUntil(until) => {
+                    let wait = Duration::from_secs_f64((until - now) / 1e6);
+                    match rx.recv_timeout(wait) {
+                        Ok(p) => hold(&mut batcher, &mut batch, p),
+                        Err(RecvTimeoutError::Timeout) => {}
+                        // Nothing more can arrive: the wait ends as if none did.
+                        Err(RecvTimeoutError::Disconnected) => std::thread::sleep(wait),
+                    }
+                }
+                // Answer the expired requests; execute the live ones in chunks.
+                Action::Run { expired, live } => {
+                    for (n, i) in expired.iter().enumerate() {
+                        let p = batch.remove(i - n);
+                        self.metrics.shed_expired();
+                        if self.flight.armed() {
+                            let deployed = (*self.system.load()).clone();
+                            self.flight.trigger(AnomalyRule::Shed, || {
+                                anomaly_payload(&self.cache, &deployed, p.trace.trace_id)
+                            });
+                        }
+                        let _ = p.tx.send(Err(ServeError::Expired));
+                    }
+                    for k in chunks(live) {
+                        self.execute_chunk(batch.drain(..k).collect());
+                    }
+                }
             }
         }
-
-        let _ = p.tx.send(Ok(ServeResponse {
-            outputs: piece,
-            batch_size: k,
-            virtual_service_us: outcome.virtual_latency_us / k as f64,
-            sojourn: Duration::from_secs_f64(sojourn_us / 1e6),
-            epoch,
-            trace_id: tid,
-            attribution,
-        }));
     }
 
-    // Feedback: measured vs predicted, both in the virtual domain. A
-    // sustained gap means the deployed system no longer matches the one
-    // the plans were corrected against → re-correct and hot-swap every
-    // cached variant, once. After the responses are out: this batch ran
-    // under the old plans and epoch, its `sojourn` was stamped at `done`,
-    // and its callers must not wait out a replan that stamp leaves out.
-    if monitor.observe(outcome.virtual_latency_us, variant.duet.latency_us()) {
-        // Re-planning runs here, on the worker thread, in front of every
-        // request still queued: its wall time is the stall a hot-swap costs.
-        let replan_start = Instant::now();
-        let (swapped, rejected) = cache.recorrect_all(&deployed);
-        tm::SERVE_SWAP_STALL_US.observe_us(replan_start.elapsed().as_secs_f64() * 1e6);
-        if rejected > 0 {
-            metrics.plan_swap_rejected(rejected as u64);
-            if flight.armed() {
-                flight.trigger(AnomalyRule::SwapRefused, || {
-                    anomaly_payload(cache, &deployed, 0)
-                });
-            }
+    fn execute_chunk(&mut self, chunk: Vec<Pending>) {
+        let k = chunk.len();
+        let variant = self.cache.get_or_build(k);
+        // A system this worker has not run on yet opens a new epoch.
+        let deployed = self.system.load();
+        if !Arc::ptr_eq(&deployed, &self.ran_on) {
+            self.metrics.bump_epoch();
+            self.ran_on = deployed.clone();
         }
-        if swapped > 0 {
-            metrics.plan_swap();
-            if flight.armed() {
-                flight.trigger(AnomalyRule::DriftSwap, || {
-                    anomaly_payload(cache, &deployed, 0)
-                });
+        let epoch = self.metrics.epoch();
+        let deployed = (*deployed).clone();
+
+        let t_exec = Instant::now();
+        // Causal context: the shared batch span is a child of the *oldest*
+        // request's root, so at least one trace id runs admission → batch →
+        // subgraph → kernel unbroken; every other member links to the batch
+        // span through its exec span's arg0.
+        let lead = chunk[0].trace;
+        let batch_ctx = lead.child();
+        let mut run_wall_us = 0.0;
+        let ran = (|| {
+            let req_feeds: Vec<_> = chunk.iter().map(|p| &p.feeds).collect();
+            let feeds = merge_feeds(variant.duet.graph(), &req_feeds)?;
+            // Execute through the *deployed* system model, not the one the
+            // plan was built against — that gap is exactly what the drift
+            // monitor measures. The engine-owned arena pool makes this
+            // steady-state path recycle its tape buffers across requests.
+            let t_run_start = Instant::now();
+            let executor = variant.duet.executor_with(deployed.clone());
+            let run = executor.with_trace(batch_ctx).run(&feeds);
+            let outcome = run.map_err(|e| ServeError::Exec(e.to_string()))?;
+            run_wall_us = t_run_start.elapsed().as_secs_f64() * 1e6;
+            let pieces = split_outputs(variant.duet.graph(), &outcome.outputs, k)?;
+            Ok::<_, ServeError>((outcome, pieces))
+        })();
+        let (outcome, pieces) = match ran {
+            Ok(ran) => ran,
+            Err(err) => {
+                self.metrics.exec_error();
+                for p in chunk {
+                    let _ = p.tx.send(Err(err.clone()));
+                }
+                return;
             }
+        };
+
+        let done = Instant::now();
+        let sojourn_us = |p: &Pending| done.duration_since(p.enqueued).as_secs_f64() * 1e6;
+        let sojourns_us: Vec<f64> = chunk.iter().map(sojourn_us).collect();
+        self.metrics
+            .record_batch(epoch, k, &sojourns_us, outcome.virtual_latency_us);
+
+        // Anchor for converting `Instant`s into the telemetry wall clock:
+        // one sample serves every span of this batch.
+        let anchor = Instant::now();
+        let anchor_us = clock_us();
+        let us_of =
+            |t: Instant| anchor_us - anchor.saturating_duration_since(t).as_secs_f64() * 1e6;
+        let exec_wall_us = done.duration_since(t_exec).as_secs_f64() * 1e6;
+        let batch_span = Span::linked(
+            SpanKind::ServeBatch,
+            k as u64,
+            us_of(t_exec),
+            exec_wall_us,
+            outcome.virtual_latency_us,
+            batch_ctx,
+            lead.span_id,
+        );
+        batch_span.record();
+
+        let plan_fingerprint = variant.plan.fingerprint;
+        let model = self.cache.spec().name().to_string();
+        for ((p, piece), sojourn_us) in chunk.into_iter().zip(pieces).zip(sojourns_us) {
+            let pulled = p.pulled.unwrap_or(t_exec);
+            let queue_us = pulled.saturating_duration_since(p.enqueued).as_secs_f64() * 1e6;
+            let linger_us = t_exec.saturating_duration_since(pulled).as_secs_f64() * 1e6;
+            // Per-member execution share is the sojourn remainder, so the
+            // attribution sums to the measured sojourn *exactly*.
+            let attribution = Attribution::attribute(
+                queue_us,
+                linger_us,
+                sojourn_us - queue_us - linger_us,
+                run_wall_us,
+                &outcome.breakdown,
+            );
+            let tid = p.trace.trace_id;
+            tm::SERVE_SEGMENT_QUEUE.observe_exemplar(attribution.queue_us as u64, tid);
+            tm::SERVE_SEGMENT_LINGER.observe_exemplar(attribution.linger_us as u64, tid);
+            tm::SERVE_SEGMENT_COMPUTE_CPU.observe_exemplar(attribution.compute_cpu_us as u64, tid);
+            tm::SERVE_SEGMENT_COMPUTE_GPU.observe_exemplar(attribution.compute_gpu_us as u64, tid);
+            tm::SERVE_SEGMENT_TRANSFER.observe_exemplar(attribution.transfer_us as u64, tid);
+            tm::SERVE_SEGMENT_OVERHEAD.observe_exemplar(attribution.overhead_us as u64, tid);
+            // Sojourn was already observed by `record_batch`; only attach
+            // the trace linkage here.
+            tm::SERVE_SOJOURN_US.exemplar_hint(sojourn_us as u64, tid);
+
+            // The request's own span tree: root + one span per segment
+            // phase, children of the root.
+            let (enqueued_us, root) = (us_of(p.enqueued), p.trace.span_id);
+            let phase = |seq, kind, detail, start_us, dur_us, arg0| Span {
+                seq,
+                ..Span::linked(kind, detail, start_us, dur_us, arg0, p.trace.child(), root)
+            };
+            let member_spans = [
+                Span::linked(
+                    SpanKind::ServeRequest,
+                    k as u64,
+                    enqueued_us,
+                    sojourn_us,
+                    0.0,
+                    p.trace,
+                    0,
+                ),
+                phase(1, SpanKind::ServeQueue, 0, enqueued_us, queue_us, 0.0),
+                phase(2, SpanKind::ServeLinger, 0, us_of(pulled), linger_us, 0.0),
+                // arg0 links into the shared batch span (which lives in the
+                // lead request's trace).
+                phase(
+                    3,
+                    SpanKind::ServeExec,
+                    k as u64,
+                    us_of(t_exec),
+                    exec_wall_us,
+                    batch_ctx.span_id as f64,
+                ),
+            ];
+            for s in &member_spans {
+                s.record();
+            }
+
+            // Flight ring: the member's own tree plus the shared batch and
+            // executor spans, so a dumped trace replays end to end.
+            let mut spans = member_spans.to_vec();
+            spans.push(batch_span);
+            spans.extend(outcome.trace_spans.iter().copied());
+            self.flight.record(Arc::new(RequestTrace {
+                trace_id: tid,
+                model: model.clone(),
+                batch: k,
+                epoch,
+                plan_fingerprint,
+                sojourn_us,
+                attribution,
+                spans,
+            }));
+
+            // SLO accounting, and the flight trigger on a burn.
+            if let Some(m) = self.slo.as_mut() {
+                let verdict = m.observe(sojourn_us);
+                if verdict.breached {
+                    tm::SERVE_SLO_BREACHES.inc();
+                }
+                if verdict.burning && self.flight.armed() {
+                    self.flight.trigger(AnomalyRule::SloBurn, || {
+                        anomaly_payload(&self.cache, &deployed, tid)
+                    });
+                }
+            }
+
+            let _ = p.tx.send(Ok(ServeResponse {
+                outputs: piece,
+                batch_size: k,
+                virtual_service_us: outcome.virtual_latency_us / k as f64,
+                sojourn: Duration::from_secs_f64(sojourn_us / 1e6),
+                epoch,
+                trace_id: tid,
+                attribution,
+            }));
         }
-        metrics.bump_epoch();
-        monitor.reset();
+
+        // Feedback: measured vs predicted, both in the virtual domain. A
+        // sustained gap means the deployed system no longer matches the one
+        // the plans were corrected against → re-correct and hot-swap every
+        // cached variant, once. After the responses are out: this batch ran
+        // under the old plans and epoch, its `sojourn` was stamped at `done`,
+        // and its callers must not wait out a replan that stamp leaves out.
+        if self
+            .monitor
+            .observe(outcome.virtual_latency_us, variant.duet.latency_us())
+        {
+            // Re-planning runs here, on the worker thread, in front of every
+            // request still queued: its wall time is the stall a hot-swap costs.
+            let replan_start = Instant::now();
+            let (swapped, rejected) = self.cache.recorrect_all(&deployed);
+            tm::SERVE_SWAP_STALL_US.observe_us(replan_start.elapsed().as_secs_f64() * 1e6);
+            if rejected > 0 {
+                self.metrics.plan_swap_rejected(rejected as u64);
+                if self.flight.armed() {
+                    self.flight.trigger(AnomalyRule::SwapRefused, || {
+                        anomaly_payload(&self.cache, &deployed, 0)
+                    });
+                }
+            }
+            if swapped > 0 {
+                self.metrics.plan_swap();
+                if self.flight.armed() {
+                    self.flight.trigger(AnomalyRule::DriftSwap, || {
+                        anomaly_payload(&self.cache, &deployed, 0)
+                    });
+                }
+            }
+            self.metrics.bump_epoch();
+            self.monitor.reset();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pow2_rounding() {
-        assert_eq!(largest_pow2(1), 1);
-        assert_eq!(largest_pow2(2), 2);
-        assert_eq!(largest_pow2(3), 2);
-        assert_eq!(largest_pow2(7), 4);
-        assert_eq!(largest_pow2(8), 8);
-        assert_eq!(largest_pow2(9), 8);
-    }
 
     fn mlp_server(cfg: ServeConfig) -> ServeServer {
         let mut s = ServeServer::new(cfg);
