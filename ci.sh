@@ -225,9 +225,29 @@ assert any(e.get("ph") == "X" for e in events), "no duration slices"
 print(f"trace OK: {len(events)} events across {len(pids)} processes")
 PY
 
+step "witness-only trace (duet trace) is one process with one slice per dispatched subgraph"
+WTRACE_OUT="$(mktemp --suffix .json)"
+WPLAN_OUT="$(mktemp --suffix .json)"
+trap 'rm -f "$METRICS_OUT" "$TRACE_OUT" "$WTRACE_OUT" "$WPLAN_OUT"' EXIT
+cargo run -q --release --bin duet -- trace wide_and_deep "$WTRACE_OUT"
+cargo run -q --release --bin duet -- export-plan wide_and_deep "$WPLAN_OUT" >/dev/null
+python3 - "$WTRACE_OUT" "$WPLAN_OUT" <<'PY'
+import json, sys
+events = json.load(open(sys.argv[1]))
+plan = json.load(open(sys.argv[2]))
+# A fallback plan runs the whole graph as one subgraph.
+dispatched = 1 if plan["fallback"] is not None else len(plan["subgraphs"])
+pids = {e["pid"] for e in events}
+assert pids == {1}, f"expected the virtual-clock process alone, got {pids}"
+sgs = sorted(e["args"]["sg"] for e in events if e.get("ph") == "X")
+assert sgs == list(range(dispatched)), \
+    f"expected one X slice per dispatched subgraph (0..{dispatched}), got {sgs}"
+print(f"witness trace OK: {len(events)} events, {len(sgs)} slices for {dispatched} subgraphs")
+PY
+
 step "plan replay (export-plan, apply-plan on its model, refused as stale on another)"
 PLAN_OUT="$(mktemp --suffix .json)"
-trap 'rm -f "$METRICS_OUT" "$TRACE_OUT" "$PLAN_OUT"' EXIT
+trap 'rm -f "$METRICS_OUT" "$TRACE_OUT" "$WTRACE_OUT" "$WPLAN_OUT" "$PLAN_OUT"' EXIT
 cargo run -q --release --bin duet -- export-plan siamese "$PLAN_OUT"
 cargo run -q --release --bin duet -- apply-plan siamese "$PLAN_OUT" >/dev/null
 # A plan made for another graph is refused with exactly one error: the

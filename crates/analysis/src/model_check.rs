@@ -24,8 +24,8 @@
 //!   plan whose serialized per-device work exceeds its own
 //!   `expected_latency_us` is promising intra-device concurrency the
 //!   engine does not have (a double-booked device);
-//! * **D504 bounded trigger staleness** — under `DelayInjection`-style
-//!   perturbation, the number of other completions that can interleave
+//! * **D504 bounded trigger staleness** — under perturbation of the kind
+//!   the `DelayInjection` observer applies to real runs, the number of other completions that can interleave
 //!   between a trigger edge's producer finishing and its consumer
 //!   starting stays within a bound (a stale trigger value must survive
 //!   at most that many arena-recycling opportunities).
@@ -60,8 +60,8 @@
 //!
 //! The first violation's event path is replayed into a synthetic
 //! [`ExecutionWitness`] (virtual clocks from the priced model when
-//! available), so `duet-lint model-check --trace` renders it through the
-//! existing `witness_to_chrome_trace` path and the static finding
+//! available), so `duet-lint model-check --out` renders it through the
+//! one trace writer, `duet_runtime::chrome_trace`, and the static finding
 //! reproduces as a `D3xx` violation when fed to the dynamic checker.
 
 use std::collections::{HashMap, HashSet};
@@ -363,7 +363,7 @@ pub struct ModelCheckOutcome {
     pub stats: ModelCheckStats,
     /// A synthetic witness reaching the first violation (then greedily
     /// completed), present whenever the report has errors. Renderable
-    /// via `duet_runtime::witness_to_chrome_trace` and checkable by the
+    /// via `duet_runtime::chrome_trace` and checkable by the
     /// dynamic D3xx checker.
     pub counterexample: Option<ExecutionWitness>,
 }

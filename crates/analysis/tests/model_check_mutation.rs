@@ -16,7 +16,7 @@ use duet_analysis::plan_lint::{PlanFacts, PlanSubgraphFacts};
 use duet_compiler::Compiler;
 use duet_device::{DeviceKind, SystemModel};
 use duet_ir::{fingerprint, Graph, GraphBuilder, NodeId, Op};
-use duet_runtime::{simulate, witness_to_chrome_trace, Placed, SimNoise, Timeline, WitnessEvent};
+use duet_runtime::{chrome_trace, simulate, Placed, SimNoise, Timeline, WitnessEvent};
 
 /// `x -> pre -> {big, side} -> head`: a diamond whose `big` branch is
 /// heavy enough (1024x2048 dense) to be genuinely GPU-favorable, so
@@ -155,7 +155,7 @@ fn dropped_trigger_is_d501_with_rendered_counterexample() {
         "violation visible in the log order"
     );
 
-    let trace = witness_to_chrome_trace("victim", &cex);
+    let trace = chrome_trace("victim", &cex, &[]);
     let parsed: serde_json::Value =
         serde_json::from_str(&trace).expect("counterexample trace is valid JSON");
     let events = parsed.as_array().expect("chrome trace-event array");

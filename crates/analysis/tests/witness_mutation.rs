@@ -10,6 +10,7 @@ use duet_ir::{Graph, GraphBuilder, NodeId, Op};
 use duet_models::input_feeds;
 use duet_runtime::{
     simulate_witnessed, ExecutionWitness, HeterogeneousExecutor, Placed, SimNoise, WitnessEvent,
+    WitnessLog, WitnessSource,
 };
 
 /// Two dense branches joined by a concat head — enough structure for
@@ -55,7 +56,9 @@ fn witnessed(devices: [DeviceKind; 3]) -> (Graph, Vec<Placed>, SystemModel, Exec
     let placed = split(&g, devices);
     let sys = SystemModel::paper_server();
     let exec = HeterogeneousExecutor::new(&g, &placed, sys.clone());
-    let (_, w) = exec.run_witnessed(&input_feeds(&g, 7)).unwrap();
+    let log = WitnessLog::default();
+    let out = exec.run_observed(&input_feeds(&g, 7), &log).unwrap();
+    let w = log.seal(&g.name, WitnessSource::Executor, out.virtual_latency_us);
     (g, placed, sys, w)
 }
 

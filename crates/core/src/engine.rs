@@ -27,7 +27,8 @@ use duet_compiler::{
 use duet_device::{DeviceKind, SystemModel};
 use duet_ir::{Graph, GraphError, NodeId};
 use duet_runtime::{
-    measure_stats, HeterogeneousExecutor, LatencyStats, Placed, Profiler, ScheduleError, Timeline,
+    measure_stats, HeterogeneousExecutor, LatencyStats, Observer, Placed, Profiler, ScheduleError,
+    Timeline,
 };
 use duet_tensor::Tensor;
 
@@ -491,7 +492,21 @@ impl Duet {
         &self,
         feeds: &HashMap<NodeId, Tensor>,
     ) -> Result<duet_runtime::executor::ExecutionOutcome, GraphError> {
-        self.executor_with(self.system.clone()).run(feeds)
+        self.run_observed(feeds, &())
+    }
+
+    /// [`Duet::run`], reporting every dispatch to `observer` — a
+    /// [`WitnessLog`] records the ordered event log the `duet-analysis`
+    /// D3xx conformance checker (and `duet-lint trace`) consumes.
+    ///
+    /// [`WitnessLog`]: duet_runtime::WitnessLog
+    pub fn run_observed<O: Observer + Sync>(
+        &self,
+        feeds: &HashMap<NodeId, Tensor>,
+        observer: &O,
+    ) -> Result<duet_runtime::executor::ExecutionOutcome, GraphError> {
+        self.executor_with(self.system.clone())
+            .run_observed(feeds, observer)
     }
 
     /// Build a pooled executor over this engine's schedule under an
@@ -509,24 +524,6 @@ impl Duet {
     /// Arena-pool checkout statistics (created vs. reused).
     pub fn arena_stats(&self) -> ArenaPoolStats {
         self.arenas.stats()
-    }
-
-    /// Execute one inference and also record an [`ExecutionWitness`] —
-    /// the ordered event log the `duet-analysis` D3xx conformance
-    /// checker (and `duet-lint trace`) consumes.
-    ///
-    /// [`ExecutionWitness`]: duet_runtime::ExecutionWitness
-    pub fn run_witnessed(
-        &self,
-        feeds: &HashMap<NodeId, Tensor>,
-    ) -> Result<
-        (
-            duet_runtime::executor::ExecutionOutcome,
-            duet_runtime::ExecutionWitness,
-        ),
-        GraphError,
-    > {
-        self.executor_with(self.system.clone()).run_witnessed(feeds)
     }
 
     /// Measure the latency distribution over repeated (noisy, seeded)
@@ -854,11 +851,17 @@ mod tests {
     }
 
     #[test]
-    fn run_witnessed_is_conformant_and_matches_reference() {
+    fn witnessed_run_is_conformant_and_matches_reference() {
         let g = wide_and_deep(&WideAndDeepConfig::small());
         let duet = Duet::builder().no_fallback().build(&g).unwrap();
         let feeds = input_feeds(duet.graph(), 5);
-        let (outcome, witness) = duet.run_witnessed(&feeds).unwrap();
+        let log = duet_runtime::WitnessLog::default();
+        let outcome = duet.run_observed(&feeds, &log).unwrap();
+        let witness = log.seal(
+            &duet.graph().name,
+            duet_runtime::WitnessSource::Executor,
+            outcome.virtual_latency_us,
+        );
         let want = duet.graph().eval(&feeds).unwrap();
         let out_id = duet.graph().outputs()[0];
         assert!(outcome.outputs[&out_id].approx_eq(&want[0], 1e-5));

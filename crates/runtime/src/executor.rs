@@ -29,13 +29,22 @@
 //! have achieved — [`Timeline::makespan`] bit for bit wherever the
 //! per-device order is forced, within the D310 tolerance where it is free.
 //!
-//! Runs can be **witnessed**: [`HeterogeneousExecutor::run_witnessed`]
-//! has the workers commit the `D3xx`-checkable event log of
-//! [`crate::witness`], built by the [`WitnessEvent::dispatch`] the
-//! simulator uses too; other runs build no events and take no log
-//! lock. For race hunting, [`DelayInjection`] makes each worker sleep a
-//! seeded random interval before every dispatch, perturbing the real
-//! interleaving without changing what a correct run may produce.
+//! What a run reports besides its outcome goes to an [`Observer`], the
+//! seam the timeline's replay reports to as well:
+//! [`HeterogeneousExecutor::run_observed`] has each lane report a
+//! subgraph `dispatched` before its numerics, `executed` once its values
+//! are stored and before any consumer is triggered, and every GPU-resident
+//! output landing on the host. A [`WitnessLog`] records the
+//! `D3xx`-checkable event log of [`crate::witness`] from those calls, the
+//! same observer the simulator's replay reports to; for race hunting,
+//! [`DelayInjection`] sleeps a seeded random interval in every
+//! `dispatched`, perturbing the real interleaving without changing what a
+//! correct run may produce. A pair observes with both. [`run`] observes
+//! with `()`, which compiles to nothing.
+//!
+//! [`WitnessLog`]: crate::WitnessLog
+//! [`DelayInjection`]: crate::DelayInjection
+//! [`run`]: HeterogeneousExecutor::run
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -48,11 +57,9 @@ use duet_device::{DeviceKind, SystemModel};
 use duet_ir::{Graph, GraphError, NodeId, Op};
 use duet_telemetry::{Span, SpanKind, TraceContext};
 use duet_tensor::Tensor;
-use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use crate::sim::Placed;
-use crate::timeline::Timeline;
-use crate::witness::{DelayInjection, ExecutionWitness, WitnessEvent, WitnessSource};
+use crate::timeline::{Dispatch, Observer, Timeline};
 
 /// Virtual-time decomposition of one run: where the modeled hardware
 /// spent its microseconds. Busy times are summed per device (they can
@@ -135,7 +142,6 @@ pub struct HeterogeneousExecutor<'g> {
     /// Structure and prices of `placed`; the error of a hand-assembled
     /// schedule that does not cover the graph surfaces at run.
     timeline: Result<Timeline, GraphError>,
-    delays: Option<DelayInjection>,
     pool: Option<&'g ArenaPool>,
     trace: Option<TraceContext>,
 }
@@ -175,17 +181,9 @@ impl<'g> HeterogeneousExecutor<'g> {
             graph,
             placed,
             timeline,
-            delays: None,
             pool: None,
             trace: None,
         }
-    }
-
-    /// Inject seeded random wall-clock delays before every dispatch
-    /// (interleaving stress testing; virtual clocks are unaffected).
-    pub fn with_delays(mut self, delays: DelayInjection) -> Self {
-        self.delays = Some(delays);
-        self
     }
 
     /// Check tape arenas out of `pool` instead of allocating slot slabs
@@ -207,24 +205,18 @@ impl<'g> HeterogeneousExecutor<'g> {
 
     /// Execute one inference with the given input feeds.
     pub fn run(&self, feeds: &HashMap<NodeId, Tensor>) -> Result<ExecutionOutcome, GraphError> {
-        self.run_inner(Some(feeds), None)
+        self.run_observed(feeds, &())
     }
 
-    /// Execute one inference and return the sealed witness next to the
-    /// outcome.
-    pub fn run_witnessed(
+    /// Execute one inference, reporting every dispatch to `observer` from
+    /// the lane that runs it (module doc). A panic in the observer ends
+    /// the run and reaches the caller, as a panicking subgraph's does.
+    pub fn run_observed<O: Observer + Sync>(
         &self,
         feeds: &HashMap<NodeId, Tensor>,
-    ) -> Result<(ExecutionOutcome, ExecutionWitness), GraphError> {
-        let log = Mutex::new(Vec::new());
-        let outcome = self.run_inner(Some(feeds), Some(&log))?;
-        let witness = ExecutionWitness {
-            model: self.graph.name.clone(),
-            source: WitnessSource::Executor,
-            events: log.into_inner().unwrap_or_else(PoisonError::into_inner),
-            virtual_latency_us: outcome.virtual_latency_us,
-        };
-        Ok((outcome, witness))
+        observer: &O,
+    ) -> Result<ExecutionOutcome, GraphError> {
+        self.run_inner(Some(feeds), observer)
     }
 
     /// Drive the full two-lane machinery — queues, triggers, virtual
@@ -233,13 +225,13 @@ impl<'g> HeterogeneousExecutor<'g> {
     /// run would produce. This makes the threaded engine's *scheduling*
     /// behavior testable on paper-size models in milliseconds.
     pub fn run_virtual(&self) -> Result<ExecutionOutcome, GraphError> {
-        self.run_inner(None, None)
+        self.run_inner(None, &())
     }
 
-    fn run_inner(
+    fn run_inner<O: Observer + Sync>(
         &self,
         feeds: Option<&HashMap<NodeId, Tensor>>,
-        log: Option<&Mutex<Vec<WitnessEvent>>>,
+        observer: &O,
     ) -> Result<ExecutionOutcome, GraphError> {
         let wall_start = Instant::now();
         let timeline = self.timeline.as_ref().map_err(GraphError::clone)?;
@@ -293,13 +285,7 @@ impl<'g> HeterogeneousExecutor<'g> {
             let _stop_on_unwind = StopOnUnwind(stop);
             let mut lane = Lane::default();
             let mut device_time = 0.0f64;
-            let mut delay_rng = self
-                .delays
-                .map(|d| SmallRng::seed_from_u64(d.seed ^ (0xD1CE << device as u64)));
             while let Ok(Msg::Run(i)) = queue.recv() {
-                if let (Some(d), Some(rng)) = (self.delays, delay_rng.as_mut()) {
-                    std::thread::sleep(Duration::from_micros(rng.gen_range(0..d.max_us + 1)));
-                }
                 let placed = &self.placed[i];
                 let deps = timeline.deps(i);
                 // Virtual readiness: producers' finish + priced transfers.
@@ -313,16 +299,15 @@ impl<'g> HeterogeneousExecutor<'g> {
                 let start = ready.max(device_time);
                 let exec = timeline.exec_time_us(i, device);
                 let end = start + exec;
-                // The dispatch goes on record before the values exist, the
-                // retirement only after them.
-                let finished = log.map(|log| {
-                    let (started, finished) =
-                        WitnessEvent::dispatch(timeline, &devices, i, &placed.sg.name, start, end);
-                    log.lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .extend(started);
-                    finished
-                });
+                let at = Dispatch {
+                    timeline,
+                    devices: &devices,
+                    sg: i,
+                    name: &placed.sg.name,
+                    start_us: start,
+                    end_us: end,
+                };
+                observer.dispatched(&at);
 
                 // Real numerics on the host. Only the values this
                 // subgraph's boundary inputs name are cloned out of the
@@ -363,11 +348,7 @@ impl<'g> HeterogeneousExecutor<'g> {
                 }
                 device_time = end;
                 finish_us[i].store(end.to_bits(), Ordering::Release);
-                if let (Some(log), Some(finished)) = (log, finished) {
-                    log.lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(finished);
-                }
+                observer.executed(&at);
                 lane.tasks += 1;
                 lane.busy_us += exec;
                 match device {
@@ -442,11 +423,7 @@ impl<'g> HeterogeneousExecutor<'g> {
             if devices[o.producer] == DeviceKind::Gpu {
                 t += o.d2h_us;
                 transfer_us += o.d2h_us;
-                if let Some(log) = log {
-                    log.lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(WitnessEvent::output_landed(o));
-                }
+                observer.output_landed(o);
             }
             latency = latency.max(t);
         }
@@ -504,7 +481,9 @@ impl<'g> HeterogeneousExecutor<'g> {
 mod tests {
     use super::*;
     use crate::sim::{simulate_witnessed, SimNoise};
-    use crate::witness::TransferKind;
+    use crate::witness::{
+        DelayInjection, ExecutionWitness, TransferKind, WitnessEvent, WitnessLog, WitnessSource,
+    };
     use duet_compiler::Compiler;
     use duet_ir::GraphBuilder;
     use duet_models::{input_feeds, siamese, SiameseConfig};
@@ -590,7 +569,9 @@ mod tests {
         let devices: Vec<DeviceKind> = placed.iter().map(|p| p.device).collect();
         let want = timeline.makespan(&devices).to_bits();
         let exec = HeterogeneousExecutor::new(g, placed, sys.clone());
-        let (real, exec_w) = exec.run_witnessed(&input_feeds(g, 1)).unwrap();
+        let log = WitnessLog::default();
+        let real = exec.run_observed(&input_feeds(g, 1), &log).unwrap();
+        let exec_w = log.seal(&g.name, WitnessSource::Executor, real.virtual_latency_us);
         let virt = exec.run_virtual().unwrap();
         assert!(virt.outputs.is_empty());
         assert_eq!(real.virtual_latency_us.to_bits(), want);
@@ -719,13 +700,37 @@ mod tests {
         b.finish(&[y]).unwrap()
     }
 
+    /// Panics in the dispatch of every subgraph placed on its device.
+    struct PanicOn(DeviceKind);
+
+    impl Observer for PanicOn {
+        fn dispatched(&self, at: &Dispatch<'_>) {
+            assert_ne!(at.device(), self.0, "injected fault");
+        }
+    }
+
     /// A subgraph that panics, on either lane, ends the run: its panic
     /// comes back to the caller instead of leaving the other lane, or the
-    /// caller joining it, blocked on an empty queue.
+    /// caller joining it, blocked on an empty queue. So does an observer
+    /// that panics in `dispatched`, a fault the seam hosts on its own.
     #[test]
     fn a_panicking_subgraph_on_either_lane_returns_its_panic() {
         use std::sync::mpsc::RecvTimeoutError;
         use DeviceKind::{Cpu, Gpu};
+        fn run_alone<O: Observer + Sync + Send + 'static>(
+            g: &Graph,
+            placed: Vec<Placed>,
+            observer: O,
+        ) -> Result<bool, RecvTimeoutError> {
+            let g = g.clone();
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let exec = HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server());
+                let _ = tx.send(exec.run_observed(&input_feeds(&g, 1), &observer).is_ok());
+            });
+            // The panic drops `tx` unsent; a hang times out.
+            rx.recv_timeout(Duration::from_secs(10))
+        }
         let g = branchy();
         for devices in [[Gpu, Cpu, Cpu], [Cpu, Gpu, Gpu]] {
             for broken in 0..devices.len() {
@@ -733,17 +738,18 @@ mod tests {
                 // A destination slot past the arena: the tape indexes out
                 // of bounds.
                 placed[broken].sg.tape.instrs[0].out = usize::MAX;
-                let g = g.clone();
-                let (tx, rx) = mpsc::channel();
-                std::thread::spawn(move || {
-                    let exec = HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server());
-                    let _ = tx.send(exec.run(&input_feeds(&g, 1)).is_ok());
-                });
-                // The panic drops `tx` unsent; a hang times out.
                 assert_eq!(
-                    rx.recv_timeout(Duration::from_secs(10)),
+                    run_alone(&g, placed, ()),
                     Err(RecvTimeoutError::Disconnected),
                     "{devices:?} with subgraph {broken} broken"
+                );
+            }
+            for lane in DeviceKind::both() {
+                let placed = on(split(&g, &["left", "right"]), &devices);
+                assert_eq!(
+                    run_alone(&g, placed, PanicOn(lane)),
+                    Err(RecvTimeoutError::Disconnected),
+                    "{devices:?} with the observer panicking on the {lane} lane"
                 );
             }
         }
@@ -764,9 +770,10 @@ mod tests {
         let mut feeds = input_feeds(&g, 4);
         feeds.remove(&z);
         for seed in 0..20 {
-            let exec = HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server())
-                .with_delays(DelayInjection::new(seed, 80));
-            let err = exec.run(&feeds).unwrap_err();
+            let exec = HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server());
+            let err = exec
+                .run_observed(&feeds, &DelayInjection::new(seed, 80))
+                .unwrap_err();
             assert_eq!(err, GraphError::MissingFeed(z), "seed {seed}");
         }
     }
@@ -836,7 +843,9 @@ mod tests {
             &[DeviceKind::Cpu, DeviceKind::Gpu, DeviceKind::Cpu],
         );
         let exec = HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server());
-        let (out, w) = exec.run_witnessed(&input_feeds(&g, 5)).unwrap();
+        let log = WitnessLog::default();
+        let out = exec.run_observed(&input_feeds(&g, 5), &log).unwrap();
+        let w = log.seal(&g.name, WitnessSource::Executor, out.virtual_latency_us);
         assert_eq!(w.source, WitnessSource::Executor);
         assert_eq!(w.virtual_latency_us, out.virtual_latency_us);
         assert_eq!(w.dispatch_count(), placed.len());
@@ -877,7 +886,9 @@ mod tests {
             let whole = Compiler::default().compile_whole(&g, "whole");
             let placed = on(vec![whole], &[device]);
             let exec = HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server());
-            let (out, witness) = exec.run_witnessed(&feeds).unwrap();
+            let log = WitnessLog::default();
+            let out = exec.run_observed(&feeds, &log).unwrap();
+            let witness = log.seal(&g.name, WitnessSource::Executor, out.virtual_latency_us);
             assert_eq!(out.outputs.len(), 3);
             for (id, want) in outs.iter().zip(&want) {
                 assert_eq!(&out.outputs[id], want, "output {id} on {device:?}");

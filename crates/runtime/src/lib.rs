@@ -21,13 +21,18 @@
 //!   polling its own synchronization queue, dependency-triggered subgraph
 //!   execution, real tensor numerics. The caller's thread runs one lane;
 //!   the other device gets a thread only if the placement gives it work.
+//! * [`Observer`] — the one seam both clocks report a run to: the
+//!   executor's lanes (`run_observed`) and the [`Timeline`] replay call
+//!   it per dispatch. Witnessing ([`WitnessLog`]) and interleaving stress
+//!   ([`DelayInjection`]) are observers; `()` is none.
 //! * [`LatencyStats`] — mean and percentile statistics over repeated runs
 //!   (the paper reports P50/P99/P99.9 over 5000 runs).
-//! * [`ExecutionWitness`] — an ordered event log both engines can emit
-//!   (`run_witnessed`, [`simulate_witnessed`]); `duet-analysis` checks
-//!   witnesses for runtime conformance (`D3xx`): happens-before order,
-//!   virtual-clock readiness, per-device monotonicity, transfer
-//!   accounting, reported latency.
+//! * [`ExecutionWitness`] — an ordered event log both engines emit
+//!   through one [`WitnessLog`] (`run_observed`, [`simulate_witnessed`]);
+//!   `duet-analysis` checks witnesses for runtime conformance (`D3xx`):
+//!   happens-before order, virtual-clock readiness, per-device
+//!   monotonicity, transfer accounting, reported latency. [`chrome_trace`]
+//!   renders one, with any telemetry spans, for a trace viewer.
 
 pub mod executor;
 pub mod measure;
@@ -45,8 +50,9 @@ pub use sim::{
     simulate, simulate_witnessed, subgraph_exec_time_us, Placed, SimNoise, SimResult, TimelineEntry,
 };
 pub use stats::LatencyStats;
-pub use timeline::{NoNoise, Noise, Observer, ScheduleError, Timeline};
-pub use trace::{merged_perfetto_trace, witness_to_chrome_trace};
+pub use timeline::{Dispatch, NoNoise, Noise, Observer, ScheduleError, Timeline};
+pub use trace::chrome_trace;
 pub use witness::{
-    DelayInjection, ExecutionWitness, TransferKind, TriggerEdge, WitnessEvent, WitnessSource,
+    DelayInjection, ExecutionWitness, TransferKind, TriggerEdge, WitnessEvent, WitnessLog,
+    WitnessSource,
 };

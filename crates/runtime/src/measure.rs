@@ -31,7 +31,7 @@ pub fn measure_stats(
     let (timeline, devices) = placed_timeline(graph, placed, system);
     let mut noise = SimNoise::seeded(seed);
     let samples: Vec<f64> = (0..runs)
-        .map(|_| timeline.replay(&devices, &mut noise, &mut ()))
+        .map(|_| timeline.replay(&devices, &mut noise, &()))
         .skip(warmup)
         .collect();
     LatencyStats::from_samples(samples)

@@ -6,19 +6,22 @@
 //! with a finished placement works with — [`Placed`], [`SimNoise`],
 //! [`SimResult`] — and [`simulate`] and [`simulate_witnessed`], which
 //! build a [`Timeline`] for the placement, replay it once and turn what
-//! the replay observed into timeline entries, a transfer-byte total and
-//! (when witnessed) the event log.
+//! the replay observed into timeline entries and a transfer-byte total —
+//! and, when witnessed, hand the replay to the same [`WitnessLog`]
+//! observer the threaded executor reports to.
 //!
 //! Code that prices *many* placements of the same subgraphs (the
 //! scheduler, the tuner, the engine) builds the [`Timeline`] once and
 //! calls [`Timeline::makespan`] instead.
 
+use std::cell::RefCell;
+
 use duet_compiler::CompiledSubgraph;
 use duet_device::{DeviceKind, NoiseModel, SystemModel};
 use duet_ir::Graph;
 
-use crate::timeline::{Dep, Noise, Observer, OutputEdge, Timeline};
-use crate::witness::{ExecutionWitness, WitnessEvent, WitnessSource};
+use crate::timeline::{Dep, Dispatch, Noise, Observer, OutputEdge, Timeline};
+use crate::witness::{ExecutionWitness, WitnessLog, WitnessSource};
 
 /// A subgraph with its device assignment.
 #[derive(Debug, Clone)]
@@ -126,7 +129,7 @@ pub fn simulate(
     system: &SystemModel,
     noise: &mut SimNoise,
 ) -> SimResult {
-    replay_logged(graph, placed, system, noise, false).0
+    replay_observed(graph, placed, system, noise, ()).0
 }
 
 /// [`simulate`] with its witness (events in dispatch order) sealed next
@@ -140,79 +143,57 @@ pub fn simulate_witnessed(
     system: &SystemModel,
     noise: &mut SimNoise,
 ) -> (SimResult, ExecutionWitness) {
-    let (result, events) = replay_logged(graph, placed, system, noise, true);
-    let witness = ExecutionWitness {
-        model: graph.name.clone(),
-        source: WitnessSource::Simulator,
-        events,
-        virtual_latency_us: result.latency_us,
-    };
+    let (result, log) = replay_observed(graph, placed, system, noise, WitnessLog::default());
+    let witness = log.seal(&graph.name, WitnessSource::Simulator, result.latency_us);
     (result, witness)
 }
 
-/// One replay of the placement's timeline; witness events are built
-/// only when `witnessed`.
-fn replay_logged(
+/// One replay of the placement's timeline, reported to `observer` as well
+/// as to the simulation's own log.
+fn replay_observed<O: Observer>(
     graph: &Graph,
     placed: &[Placed],
     system: &SystemModel,
     noise: &mut SimNoise,
-    witnessed: bool,
-) -> (SimResult, Vec<WitnessEvent>) {
+    observer: O,
+) -> (SimResult, O) {
     let (timeline, devices) = placed_timeline(graph, placed, system);
-    let mut log = SimLog {
-        timeline: &timeline,
-        placed,
-        devices: &devices,
-        events: witnessed.then(Vec::new),
-        entries: Vec::with_capacity(placed.len()),
+    let log = SimLog(RefCell::new(SimResult {
+        latency_us: 0.0,
+        timeline: Vec::with_capacity(placed.len()),
         transferred_bytes: 0.0,
-    };
-    let latency_us = timeline.replay(&devices, noise, &mut log);
+    }));
+    let observed = (log, observer);
+    let latency_us = timeline.replay(&devices, noise, &observed);
+    let (SimLog(log), observer) = observed;
     let result = SimResult {
         latency_us,
-        timeline: log.entries,
-        transferred_bytes: log.transferred_bytes,
+        ..log.into_inner()
     };
-    (result, log.events.unwrap_or_default())
+    (result, observer)
 }
 
-/// What a simulation keeps of a replay.
-struct SimLog<'a> {
-    timeline: &'a Timeline,
-    placed: &'a [Placed],
-    devices: &'a [DeviceKind],
-    events: Option<Vec<WitnessEvent>>,
-    entries: Vec<TimelineEntry>,
-    transferred_bytes: f64,
-}
+/// What a simulation keeps of a replay: the Fig. 4 timeline and the bytes
+/// moved.
+struct SimLog(RefCell<SimResult>);
 
-impl Observer for SimLog<'_> {
-    fn executed(&mut self, sg: usize, start_us: f64, end_us: f64) {
-        let device = self.devices[sg];
-        let crossing = |d: &&Dep| d.crosses(self.devices, device);
-        let deps = self.timeline.deps(sg);
-        self.transferred_bytes += deps.iter().filter(crossing).map(|d| d.bytes).sum::<f64>();
-        let name = &self.placed[sg].sg.name;
-        if let Some(events) = &mut self.events {
-            let (started, finished) =
-                WitnessEvent::dispatch(self.timeline, self.devices, sg, name, start_us, end_us);
-            events.extend(started);
-            events.push(finished);
-        }
-        self.entries.push(TimelineEntry {
-            name: name.clone(),
+impl Observer for SimLog {
+    fn executed(&self, at: &Dispatch<'_>) {
+        let device = at.device();
+        let crossing = |d: &&Dep| d.crosses(at.devices, device);
+        let deps = at.timeline.deps(at.sg);
+        let mut log = self.0.borrow_mut();
+        log.transferred_bytes += deps.iter().filter(crossing).map(|d| d.bytes).sum::<f64>();
+        log.timeline.push(TimelineEntry {
+            name: at.name.to_string(),
             device,
-            start_us,
-            end_us,
+            start_us: at.start_us,
+            end_us: at.end_us,
         });
     }
 
-    fn output_landed(&mut self, output: &OutputEdge) {
-        self.transferred_bytes += output.bytes;
-        if let Some(events) = &mut self.events {
-            events.push(WitnessEvent::output_landed(output));
-        }
+    fn output_landed(&self, output: &OutputEdge) {
+        self.0.borrow_mut().transferred_bytes += output.bytes;
     }
 }
 

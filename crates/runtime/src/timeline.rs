@@ -158,16 +158,60 @@ impl Noise for NoNoise {
     }
 }
 
-/// What a replay reports besides its makespan. The unit observer `()`
-/// records nothing and compiles to nothing.
+/// One subgraph's dispatch as an [`Observer`] sees it: the placement it
+/// ran under and its virtual interval. The timeline and the device
+/// vector travel with it, so an observer needs no back-references.
+#[derive(Debug)]
+pub struct Dispatch<'a> {
+    pub timeline: &'a Timeline,
+    pub devices: &'a [DeviceKind],
+    pub sg: usize,
+    pub name: &'a str,
+    pub start_us: f64,
+    pub end_us: f64,
+}
+
+impl Dispatch<'_> {
+    /// The device the subgraph ran on.
+    pub fn device(&self) -> DeviceKind {
+        self.devices[self.sg]
+    }
+}
+
+/// What a run reports besides its latency: the one seam both clocks call,
+/// [`Timeline::replay`] and the threaded executor's lanes. Methods take
+/// `&self` because both lanes report to one observer at once (the
+/// executor asks for `Sync`). The unit observer `()` records nothing and
+/// compiles to nothing; a pair reports to its first half, then its second.
 pub trait Observer {
-    /// Subgraph `sg` was dispatched and ran over `[start_us, end_us]`.
-    fn executed(&mut self, _sg: usize, _start_us: f64, _end_us: f64) {}
+    /// `at` was dispatched: its inputs are ready and its interval is
+    /// fixed, but none of its values exist yet. The executor calls this
+    /// on the lane's thread before the numerics.
+    fn dispatched(&self, _at: &Dispatch<'_>) {}
+    /// `at`'s values are stored and none of its consumers has been
+    /// triggered: the commit order the D3xx happens-before checks read.
+    /// The replay calls this right after [`Observer::dispatched`].
+    fn executed(&self, _at: &Dispatch<'_>) {}
     /// A GPU-resident graph output was copied back to the host.
-    fn output_landed(&mut self, _output: &OutputEdge) {}
+    fn output_landed(&self, _output: &OutputEdge) {}
 }
 
 impl Observer for () {}
+
+impl<A: Observer, B: Observer> Observer for (A, B) {
+    fn dispatched(&self, at: &Dispatch<'_>) {
+        self.0.dispatched(at);
+        self.1.dispatched(at);
+    }
+    fn executed(&self, at: &Dispatch<'_>) {
+        self.0.executed(at);
+        self.1.executed(at);
+    }
+    fn output_landed(&self, output: &OutputEdge) {
+        self.0.output_landed(output);
+        self.1.output_landed(output);
+    }
+}
 
 /// A reusable, allocation-light evaluator of placements over one fixed
 /// set of compiled subgraphs. See the module docs.
@@ -176,10 +220,12 @@ pub struct Timeline {
     /// Boundary dependencies of every subgraph, flattened;
     /// `deps[dep_start[i]..dep_start[i + 1]]` belong to subgraph `i`.
     deps: Vec<Dep>,
-    /// Never written after [`Timeline::new`], like `kernel_costs`: clones
-    /// (one per executor) share both.
+    /// Never written after [`Timeline::new`], like `names` and
+    /// `kernel_costs`: clones (one per executor) share all three.
     dep_start: Arc<[usize]>,
     outputs: Vec<OutputEdge>,
+    /// Subgraph names, for observers.
+    names: Arc<[String]>,
     /// Per-subgraph fused-kernel costs, kept so [`Timeline::reprice`]
     /// needs nothing but the new system model.
     kernel_costs: Arc<[Vec<CostProfile>]>,
@@ -252,6 +298,7 @@ impl Timeline {
             deps,
             dep_start: dep_start.into(),
             outputs,
+            names: subgraphs.iter().map(|sg| sg.name.clone()).collect(),
             kernel_costs: subgraphs
                 .iter()
                 .map(|sg| sg.kernels.iter().map(|k| k.cost).collect())
@@ -315,7 +362,7 @@ impl Timeline {
 
     /// Noise-free end-to-end makespan of one placement, µs.
     pub fn makespan(&self, devices: &[DeviceKind]) -> f64 {
-        self.replay(devices, &mut NoNoise, &mut ())
+        self.replay(devices, &mut NoNoise, &())
     }
 
     /// Replay one placement: the earliest-start list-scheduling loop.
@@ -327,7 +374,7 @@ impl Timeline {
         &self,
         devices: &[DeviceKind],
         noise: &mut N,
-        observer: &mut O,
+        observer: &O,
     ) -> f64 {
         let n = self.len();
         assert_eq!(devices.len(), n, "one device per subgraph");
@@ -409,7 +456,16 @@ impl Timeline {
             finish[i] = end;
             done[i] = true;
             lanes[lane] = end;
-            observer.executed(i, start, end);
+            let at = Dispatch {
+                timeline: self,
+                devices,
+                sg: i,
+                name: &self.names[i],
+                start_us: start,
+                end_us: end,
+            };
+            observer.dispatched(&at);
+            observer.executed(&at);
         }
         let mut latency: f64 = 0.0;
         for o in &self.outputs {

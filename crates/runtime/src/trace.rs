@@ -1,25 +1,31 @@
-//! Chrome-tracing export of execution witnesses.
+//! Chrome-tracing export of witnessed runs.
 //!
-//! The paper's Fig. 4 is an execution timeline.
-//! [`witness_to_chrome_trace`] turns an [`ExecutionWitness`] — simulated
-//! or recorded by the executor — into the Chrome `chrome://tracing` /
-//! Perfetto JSON array format (one complete event per subgraph, one lane
-//! per device), so schedules can be inspected in a real trace viewer:
+//! The paper's Fig. 4 is an execution timeline. [`chrome_trace`] turns
+//! an [`ExecutionWitness`] — simulated or recorded by the executor —
+//! into the Chrome `chrome://tracing` / Perfetto JSON array format (one
+//! complete event per subgraph, one lane per device), so schedules can be
+//! inspected in a real trace viewer:
 //!
 //! ```text
-//! duet trace wide_and_deep trace.json   # then open in ui.perfetto.dev
+//! duet trace wide_and_deep trace.json          # then open in ui.perfetto.dev
+//! duet trace wide_and_deep trace.json --full   # plus the pipeline's spans
 //! ```
 //!
 //! The trace is annotated: each subgraph slice carries its index, device
 //! and triggering edges in `args`, and every modeled transfer appears as
-//! an instant event on a dedicated PCIe lane. All events are serialized
-//! with `serde_json`, so arbitrary subgraph names — quotes, newlines,
-//! any control character — always produce valid JSON.
+//! an instant event on a dedicated PCIe lane. Telemetry spans, when given,
+//! join it: executor spans on the witness's virtual clock, offline spans
+//! in a wall-clock process of their own. All events are serialized with
+//! `serde_json`, so arbitrary subgraph names — quotes, newlines, any
+//! control character — always produce valid JSON.
+
+use std::collections::HashMap;
 
 use duet_device::DeviceKind;
+use duet_telemetry::Span;
 use serde_json::{json, Value};
 
-use crate::witness::{ExecutionWitness, WitnessEvent};
+use crate::witness::{ExecutionWitness, TriggerEdge, WitnessEvent};
 
 fn device_tid(device: DeviceKind) -> i64 {
     match device {
@@ -28,8 +34,21 @@ fn device_tid(device: DeviceKind) -> i64 {
     }
 }
 
-/// The PCIe/interconnect lane in witness traces.
+/// The PCIe/interconnect lane of the virtual-clock process.
 const TRANSFER_TID: i64 = 3;
+
+/// The telemetry lane alongside the runtime's CPU/GPU/PCIe lanes.
+const TELEMETRY_TID: i64 = 4;
+
+/// Offline-span lane ids within the wall-clock process.
+fn stage_tid(stage: &str) -> i64 {
+    match stage {
+        "compile" => 1,
+        "profile" => 2,
+        "schedule" => 3,
+        _ => 4, // serve
+    }
+}
 
 fn metadata_for(pid: i64, process: &str, lanes: &[(i64, &str)]) -> Vec<Value> {
     let mut events = vec![json!({
@@ -45,69 +64,51 @@ fn metadata_for(pid: i64, process: &str, lanes: &[(i64, &str)]) -> Vec<Value> {
     events
 }
 
-fn render(events: Vec<Value>) -> String {
-    let body: Vec<String> = events
-        .iter()
-        .map(|e| serde_json::to_string(e).expect("trace event serializes"))
-        .collect();
-    format!("[\n{}\n]\n", body.join(",\n"))
-}
-
-/// Render an execution witness as an annotated Chrome trace: one "X"
-/// slice per subgraph dispatch (with its index, device and triggering
-/// edges in `args`), one instant event per modeled transfer on a
-/// dedicated interconnect lane, placed at the consumer's start time (or
-/// the end of the run for the final D2H transfers).
-pub fn witness_to_chrome_trace(process: &str, witness: &ExecutionWitness) -> String {
-    let title = format!("{} ({})", process, witness.source);
-    render(witness_events(&title, witness))
-}
-
-fn witness_events(title: &str, witness: &ExecutionWitness) -> Vec<Value> {
-    let mut events = metadata_for(1, title, &[(1, "CPU"), (2, "GPU"), (TRANSFER_TID, "PCIe")]);
-    // Starts indexed by subgraph so Finish and Transfer events can be
-    // matched up and transfers anchored to a timestamp.
-    let mut start_at: Vec<Option<f64>> = Vec::new();
-    for ev in &witness.events {
-        if let WitnessEvent::Start { sg, at_us, .. } = ev {
-            if start_at.len() <= *sg {
-                start_at.resize(*sg + 1, None);
-            }
-            start_at[*sg] = Some(*at_us);
-        }
+/// Render a witnessed run, and the telemetry `spans` around it, as one
+/// annotated Chrome trace.
+///
+/// Process 1 is the witness on the virtual clock: one "X" slice per
+/// subgraph dispatch (with its index, device and triggering edges in
+/// `args`) and one instant event per modeled transfer on a dedicated
+/// interconnect lane, placed at the consumer's start time (or the end of
+/// the run for the final D2H transfers). Executor spans share that clock,
+/// so they land on a telemetry lane of process 1, *on* the slices they
+/// describe; the offline pipeline's spans go to process 2
+/// (compile/profile/schedule/serve lanes), because their wall-clock
+/// timestamps are not comparable to virtual microseconds. Zero-duration
+/// spans render as instants. With no spans the trace is process 1 alone.
+pub fn chrome_trace(process: &str, witness: &ExecutionWitness, spans: &[Span]) -> String {
+    let title = format!("{process} ({}, virtual clock)", witness.source);
+    let mut lanes = vec![(1, "CPU"), (2, "GPU"), (TRANSFER_TID, "PCIe")];
+    if !spans.is_empty() {
+        lanes.push((TELEMETRY_TID, "dispatch (telemetry)"));
     }
-    let run_end = witness.virtual_latency_us;
+    let mut events = metadata_for(1, &title, &lanes);
+    // Each `Start` indexed by subgraph, so a `Finish` finds its slice's
+    // start, name and triggers and a transfer its timestamp. A map, not a
+    // vector: a loaded witness's indices are not bounded by anything.
+    let starts: HashMap<usize, (f64, &str, &[TriggerEdge])> = witness
+        .events
+        .iter()
+        .filter_map(|ev| match ev {
+            WitnessEvent::Start {
+                sg,
+                name,
+                at_us,
+                triggers,
+                ..
+            } => Some((*sg, (*at_us, name.as_str(), triggers.as_slice()))),
+            _ => None,
+        })
+        .collect();
+    let start_of = |sg: usize| starts.get(&sg).copied();
     for ev in &witness.events {
         match ev {
             WitnessEvent::Start { .. } => {}
             WitnessEvent::Finish { sg, device, at_us } => {
-                let Some(start) = start_at.get(*sg).copied().flatten() else {
+                let Some((start, name, triggers)) = start_of(*sg) else {
                     continue; // malformed witness: finish without start
                 };
-                let (name, triggers) = witness
-                    .events
-                    .iter()
-                    .find_map(|e| match e {
-                        WitnessEvent::Start {
-                            sg: s,
-                            name,
-                            triggers,
-                            ..
-                        } if s == sg => Some((name.as_str(), triggers)),
-                        _ => None,
-                    })
-                    .expect("start exists");
-                let trigger_args: Vec<Value> = triggers
-                    .iter()
-                    .map(|t| {
-                        json!({
-                            "node": t.node,
-                            "producer": t.producer,
-                            "bytes": t.bytes,
-                            "transfer_us": t.transfer_us,
-                        })
-                    })
-                    .collect();
                 events.push(json!({
                     "name": name,
                     "ph": "X",
@@ -115,7 +116,7 @@ fn witness_events(title: &str, witness: &ExecutionWitness) -> Vec<Value> {
                     "tid": device_tid(*device),
                     "ts": start,
                     "dur": at_us - start,
-                    "args": {"sg": sg, "triggers": trigger_args},
+                    "args": {"sg": sg, "triggers": triggers},
                 }));
             }
             WitnessEvent::Transfer {
@@ -126,8 +127,8 @@ fn witness_events(title: &str, witness: &ExecutionWitness) -> Vec<Value> {
                 consumer,
             } => {
                 let ts = consumer
-                    .and_then(|c| start_at.get(c).copied().flatten())
-                    .unwrap_or(run_end);
+                    .and_then(|c| Some(start_of(c)?.0))
+                    .unwrap_or(witness.virtual_latency_us);
                 events.push(json!({
                     "name": format!("{kind} node {node}"),
                     "ph": "i",
@@ -145,55 +146,13 @@ fn witness_events(title: &str, witness: &ExecutionWitness) -> Vec<Value> {
             }
         }
     }
-    events
-}
-
-/// Offline-span lane ids within the merged trace's wall-clock process.
-fn stage_tid(stage: &str) -> i64 {
-    match stage {
-        "compile" => 1,
-        "profile" => 2,
-        "schedule" => 3,
-        _ => 4, // serve
+    if !spans.is_empty() {
+        events.extend(metadata_for(
+            2,
+            &format!("{process} offline pipeline (wall clock)"),
+            &["compile", "profile", "schedule", "serve"].map(|stage| (stage_tid(stage), stage)),
+        ));
     }
-}
-
-/// The telemetry lane alongside the runtime's CPU/GPU/PCIe lanes.
-const TELEMETRY_TID: i64 = 4;
-
-/// Render the *merged* Perfetto timeline: the witnessed runtime
-/// execution (virtual clock, pid 1: CPU/GPU/PCIe lanes plus a telemetry
-/// dispatch lane) interleaved with the offline pipeline's telemetry
-/// spans (wall clock, pid 2: compile/profile/schedule/serve lanes).
-///
-/// Executor spans share the witness's virtual clock, so they land *on*
-/// the witness slices they describe; offline spans live in a separate
-/// process group because their wall-clock timestamps are not comparable
-/// to virtual microseconds. Zero-duration spans render as instants.
-pub fn merged_perfetto_trace(
-    process: &str,
-    witness: &ExecutionWitness,
-    spans: &[duet_telemetry::Span],
-) -> String {
-    let mut events = Vec::new();
-    events.extend(metadata_for(
-        2,
-        &format!("{process} offline pipeline (wall clock)"),
-        &[
-            (stage_tid("compile"), "compile"),
-            (stage_tid("profile"), "profile"),
-            (stage_tid("schedule"), "schedule"),
-            (stage_tid("serve"), "serve"),
-        ],
-    ));
-    events.extend(witness_events(
-        &format!("{process} runtime (virtual clock)"),
-        witness,
-    ));
-    events.push(json!({
-        "name": "thread_name", "ph": "M", "pid": 1, "tid": TELEMETRY_TID,
-        "args": {"name": "dispatch (telemetry)"},
-    }));
     for s in spans {
         let (pid, tid) = if s.kind.stage() == "execute" {
             (1, TELEMETRY_TID)
@@ -240,7 +199,11 @@ pub fn merged_perfetto_trace(
             }));
         }
     }
-    render(events)
+    let body: Vec<String> = events
+        .iter()
+        .map(|e| serde_json::to_string(e).expect("trace event serializes"))
+        .collect();
+    format!("[\n{}\n]\n", body.join(",\n"))
 }
 
 #[cfg(test)]
@@ -290,10 +253,13 @@ mod tests {
         };
         // Quotes, newlines and control characters in model and subgraph
         // names must still produce valid JSON.
-        let json = witness_to_chrome_trace("multi\nline model", &w);
+        let json = chrome_trace("multi\nline model", &w, &[]);
         let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         let arr = parsed.as_array().unwrap();
-        assert_eq!(arr[0]["args"]["name"], "multi\nline model (executor)");
+        assert_eq!(
+            arr[0]["args"]["name"],
+            "multi\nline model (executor, virtual clock)"
+        );
         let slice = arr.iter().find(|e| e["ph"] == "X").unwrap();
         assert_eq!(slice["name"], "branch \"a\"\n\tcol\u{1}");
         assert_eq!(slice["tid"], 2);
@@ -307,6 +273,39 @@ mod tests {
         assert_eq!(instants[0]["ts"], 2.0);
         assert_eq!(instants[1]["ts"], 42.0);
         assert!(instants.iter().all(|e| e["tid"] == 3));
+        // Without spans the trace is the virtual-clock process alone.
+        assert!(arr.iter().all(|e| e["pid"] == 1));
+    }
+
+    /// A loaded witness's subgraph index sizes nothing: a huge one
+    /// renders like any other.
+    #[test]
+    fn huge_subgraph_index_renders_its_slice() {
+        let sg = usize::MAX - 1;
+        let device = DeviceKind::Cpu;
+        let w = ExecutionWitness {
+            model: "m".into(),
+            source: WitnessSource::Simulator,
+            virtual_latency_us: 1.0,
+            events: vec![
+                WitnessEvent::Start {
+                    sg,
+                    name: "big".into(),
+                    device,
+                    at_us: 0.0,
+                    triggers: vec![],
+                },
+                WitnessEvent::Finish {
+                    sg,
+                    device,
+                    at_us: 1.0,
+                },
+            ],
+        };
+        let json = chrome_trace("m", &w, &[]);
+        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+        let arr = parsed.as_array().unwrap();
+        assert!(arr.iter().any(|e| e["name"] == "big" && e["ph"] == "X"));
     }
 
     #[test]
@@ -369,7 +368,7 @@ mod tests {
                 parent_id: 0,
             },
         ];
-        let json = merged_perfetto_trace("m", &w, &spans);
+        let json = chrome_trace("m", &w, &spans);
         let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         let arr = parsed.as_array().unwrap();
         // Offline spans live in pid 2, runtime (witness + exec spans) in pid 1.

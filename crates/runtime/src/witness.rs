@@ -2,29 +2,33 @@
 //!
 //! A witness is the runtime-conformance counterpart of a schedule plan:
 //! where the plan says what *should* happen, the witness records what
-//! *did*. Both the threaded [`HeterogeneousExecutor`] (`run_witnessed`)
-//! and the virtual-clock simulator ([`crate::simulate_witnessed`]) can
-//! emit one, from the same event builder ([`WitnessEvent::dispatch`]);
-//! their unwitnessed runs build no events and take no lock. The
-//! `duet-analysis` crate re-prices and checks witnesses against
-//! their graph + placed schedule (`D3xx` diagnostics): happens-before
-//! order, virtual-clock readiness, per-device monotonicity, transfer
-//! accounting and reported latency.
+//! *did*. One observer, [`WitnessLog`], records it on both clocks: the
+//! threaded [`HeterogeneousExecutor`] reports to it through `run_observed`,
+//! the virtual-clock simulator through [`crate::simulate_witnessed`]; runs
+//! that pass no log build no events and take no lock. The `duet-analysis`
+//! crate re-prices and checks witnesses against their graph + placed
+//! schedule (`D3xx` diagnostics): happens-before order, virtual-clock
+//! readiness, per-device monotonicity, transfer accounting and reported
+//! latency.
 //!
 //! Event order in the log is **observed order** — the order the engine
 //! actually committed the events, which for the threaded executor is a
-//! genuine happens-before trace: a producer records its `Finish` before
-//! it triggers any consumer, so a consumer's `Start` appearing earlier
-//! in the log than a producer's `Finish` is proof of a synchronization
-//! bug, independent of the virtual timestamps.
+//! genuine happens-before trace: a producer's lane reports its `Finish`
+//! before it triggers any consumer, so a consumer's `Start` appearing
+//! earlier in the log than a producer's `Finish` is proof of a
+//! synchronization bug, independent of the virtual timestamps.
 //!
 //! [`HeterogeneousExecutor`]: crate::HeterogeneousExecutor
 
+use std::sync::{Mutex, PoisonError};
+use std::time::Duration;
+
 use duet_device::DeviceKind;
 use duet_ir::NodeId;
+use rand::{rngs::SmallRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::timeline::{OutputEdge, Timeline};
+use crate::timeline::{Dispatch, Observer, OutputEdge};
 
 /// Which engine produced a witness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -206,70 +210,6 @@ impl WitnessEvent {
             WitnessEvent::Transfer { .. } => None,
         }
     }
-
-    fn transfer(
-        node: NodeId,
-        kind: TransferKind,
-        bytes: f64,
-        time_us: f64,
-        consumer: Option<usize>,
-    ) -> Self {
-        WitnessEvent::Transfer {
-            node,
-            kind,
-            bytes,
-            time_us,
-            consumer,
-        }
-    }
-
-    /// The final D2H copy of a GPU-resident graph output.
-    pub(crate) fn output_landed(o: &OutputEdge) -> Self {
-        Self::transfer(o.node, TransferKind::DeviceToHost, o.bytes, o.d2h_us, None)
-    }
-
-    /// What one dispatch of subgraph `sg` over `[start_us, end_us]` puts
-    /// on record: a `Transfer` per boundary value that crossed the
-    /// interconnect and the `Start` with every triggering edge — and,
-    /// apart, the `Finish`, which an engine computing real values commits
-    /// only once they exist. Structure and prices are `timeline`'s;
-    /// `duet-analysis` re-prices them from the system model on its own.
-    pub(crate) fn dispatch(
-        timeline: &Timeline,
-        devices: &[DeviceKind],
-        sg: usize,
-        name: &str,
-        start_us: f64,
-        end_us: f64,
-    ) -> (Vec<WitnessEvent>, WitnessEvent) {
-        let device = devices[sg];
-        let deps = timeline.deps(sg);
-        let crossing = deps.iter().filter(|d| d.crosses(devices, device));
-        let mut started: Vec<WitnessEvent> = crossing
-            .map(|d| {
-                let kind = match d.producer {
-                    None => TransferKind::HostToDevice,
-                    Some(_) => TransferKind::DeviceToDevice,
-                };
-                Self::transfer(d.node, kind, d.bytes, d.transfer_us, Some(sg))
-            })
-            .collect();
-        let triggers = deps.iter().map(|d| TriggerEdge {
-            node: d.node,
-            producer: d.producer,
-            bytes: d.bytes,
-            transfer_us: d.paid_us(devices, device),
-        });
-        started.push(WitnessEvent::Start {
-            sg,
-            name: name.to_string(),
-            device,
-            at_us: start_us,
-            triggers: triggers.collect(),
-        });
-        let at_us = end_us;
-        (started, WitnessEvent::Finish { sg, device, at_us })
-    }
 }
 
 /// The complete record of one run: every event in observed order plus
@@ -296,23 +236,120 @@ impl ExecutionWitness {
     }
 }
 
+/// The observer that records an [`ExecutionWitness`], for the simulator's
+/// replay and the threaded executor alike: the one place a `Start` is
+/// built. Structure and prices come from the dispatch's timeline;
+/// `duet-analysis` re-prices them from the system model on its own.
+#[derive(Debug, Default)]
+pub struct WitnessLog {
+    events: Mutex<Vec<WitnessEvent>>,
+}
+
+impl WitnessLog {
+    /// The witness of the observed run of `model`, carrying the latency
+    /// `source` reported for it.
+    pub fn seal(self, model: &str, source: WitnessSource, latency_us: f64) -> ExecutionWitness {
+        let events = self.events.into_inner();
+        ExecutionWitness {
+            model: model.to_string(),
+            source,
+            events: events.unwrap_or_else(PoisonError::into_inner),
+            virtual_latency_us: latency_us,
+        }
+    }
+
+    fn commit(&self, events: impl IntoIterator<Item = WitnessEvent>) {
+        let mut log = self.events.lock().unwrap_or_else(PoisonError::into_inner);
+        log.extend(events);
+    }
+}
+
+impl Observer for WitnessLog {
+    /// A `Transfer` per boundary value that crossed the interconnect, then
+    /// the `Start` with every triggering edge.
+    fn dispatched(&self, at: &Dispatch<'_>) {
+        let (sg, device) = (at.sg, at.device());
+        let deps = at.timeline.deps(sg);
+        let triggers = deps.iter().map(|d| TriggerEdge {
+            node: d.node,
+            producer: d.producer,
+            bytes: d.bytes,
+            transfer_us: d.paid_us(at.devices, device),
+        });
+        let start = WitnessEvent::Start {
+            sg,
+            name: at.name.to_string(),
+            device,
+            at_us: at.start_us,
+            triggers: triggers.collect(),
+        };
+        let crossing = deps.iter().filter(|d| d.crosses(at.devices, device));
+        let transfers = crossing.map(|d| WitnessEvent::Transfer {
+            node: d.node,
+            kind: match d.producer {
+                None => TransferKind::HostToDevice,
+                Some(_) => TransferKind::DeviceToDevice,
+            },
+            bytes: d.bytes,
+            time_us: d.transfer_us,
+            consumer: Some(sg),
+        });
+        self.commit(transfers.chain([start]));
+    }
+
+    /// The `Finish`, which an engine computing real values commits only
+    /// once they exist.
+    fn executed(&self, at: &Dispatch<'_>) {
+        let (sg, device, at_us) = (at.sg, at.device(), at.end_us);
+        self.commit([WitnessEvent::Finish { sg, device, at_us }]);
+    }
+
+    /// The final D2H copy of a GPU-resident graph output.
+    fn output_landed(&self, o: &OutputEdge) {
+        self.commit([WitnessEvent::Transfer {
+            node: o.node,
+            kind: TransferKind::DeviceToHost,
+            bytes: o.bytes,
+            time_us: o.d2h_us,
+            consumer: None,
+        }]);
+    }
+}
+
 /// Seeded wall-clock delay injection for interleaving stress tests.
 ///
-/// Each executor worker sleeps a uniformly random `0..=max_us`
-/// microseconds before dispatching every subgraph, perturbing the real
-/// interleaving of the two workers without touching the virtual clocks'
-/// inputs. Any ordering the delays can provoke must still satisfy the
-/// witness checks and produce bit-identical outputs — that is the
-/// stress harness's race detector.
-#[derive(Debug, Clone, Copy)]
+/// An observer that sleeps a uniformly random `0..=max_us` microseconds
+/// in every `dispatched`, before the numerics, perturbing the real
+/// interleaving of the executor's two lanes without touching the virtual
+/// clocks' inputs. Each device draws from its own seeded stream, so a
+/// lane's delays do not depend on how far the other lane got. Any
+/// ordering the delays can provoke must still satisfy the witness checks
+/// and produce bit-identical outputs — that is the stress harness's race
+/// detector.
+#[derive(Debug)]
 pub struct DelayInjection {
-    pub seed: u64,
     /// Upper bound (inclusive) of each injected sleep, microseconds.
-    pub max_us: u64,
+    max_us: u64,
+    rngs: [Mutex<SmallRng>; 2],
 }
 
 impl DelayInjection {
     pub fn new(seed: u64, max_us: u64) -> Self {
-        DelayInjection { seed, max_us }
+        let rng = |device| Mutex::new(SmallRng::seed_from_u64(seed ^ (0xD1CE << device as u64)));
+        DelayInjection {
+            max_us,
+            rngs: DeviceKind::both().map(rng),
+        }
+    }
+}
+
+impl Observer for DelayInjection {
+    fn dispatched(&self, at: &Dispatch<'_>) {
+        // The guard is a temporary: the lock is released before the sleep.
+        let us = self.rngs[at.device() as usize]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .gen_range(0..self.max_us + 1);
+        std::thread::sleep(Duration::from_micros(us));
     }
 }

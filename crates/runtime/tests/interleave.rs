@@ -25,7 +25,7 @@ use duet_ir::{Graph, GraphBuilder, NodeId, Op};
 use duet_models::{
     input_feeds, mtdnn, siamese, wide_and_deep, MtDnnConfig, SiameseConfig, WideAndDeepConfig,
 };
-use duet_runtime::{DelayInjection, HeterogeneousExecutor, Placed};
+use duet_runtime::{DelayInjection, HeterogeneousExecutor, Placed, WitnessLog, WitnessSource};
 
 /// Split a graph's compute nodes into `k` contiguous topo-order chunks,
 /// alternating devices — always a valid schedule, always branchy enough
@@ -109,11 +109,17 @@ fn stress(graph: &Graph, placed: &[Placed], seeds: std::ops::Range<u64>, max_del
         .run(&feeds)
         .expect("reference run succeeds");
     for seed in seeds {
-        let exec = HeterogeneousExecutor::new(graph, placed, sys.clone())
-            .with_delays(DelayInjection::new(seed, max_delay_us));
-        let (out, witness) = exec
-            .run_witnessed(&feeds)
+        let exec = HeterogeneousExecutor::new(graph, placed, sys.clone());
+        let observer = (
+            WitnessLog::default(),
+            DelayInjection::new(seed, max_delay_us),
+        );
+        let out = exec
+            .run_observed(&feeds, &observer)
             .unwrap_or_else(|e| panic!("seed {seed}: run failed: {e}"));
+        let witness = observer
+            .0
+            .seal(&graph.name, WitnessSource::Executor, out.virtual_latency_us);
         let report = check_witness(graph, placed, &sys, &witness, &cfg);
         assert!(
             !report.has_errors(),

@@ -15,7 +15,7 @@
 use duet_compiler::Compiler;
 use duet_device::{DeviceKind, SystemModel};
 use duet_models::{input_feeds, wide_and_deep, WideAndDeepConfig};
-use duet_runtime::{HeterogeneousExecutor, Placed, WitnessEvent};
+use duet_runtime::{HeterogeneousExecutor, Placed, WitnessEvent, WitnessLog, WitnessSource};
 use duet_telemetry::{Span, SpanKind};
 
 /// Contiguous topo chunks on alternating devices (always valid).
@@ -60,7 +60,9 @@ fn executor_spans_agree_with_witness_happens_before() {
     let exec = HeterogeneousExecutor::new(&graph, &placed, SystemModel::paper_server());
 
     duet_telemetry::reset_spans();
-    let (_, witness) = exec.run_witnessed(&feeds).expect("run succeeds");
+    let log = WitnessLog::default();
+    let out = exec.run_observed(&feeds, &log).expect("run succeeds");
+    let witness = log.seal(&graph.name, WitnessSource::Executor, out.virtual_latency_us);
     let spans: Vec<Span> = duet_telemetry::spans()
         .into_iter()
         .filter(|s| s.kind == SpanKind::ExecSubgraph)

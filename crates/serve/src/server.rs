@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use duet_device::SystemModel;
 use duet_ir::{Graph, Op};
-use duet_runtime::ExecutionWitness;
+use duet_runtime::{ExecutionWitness, WitnessLog, WitnessSource};
 use duet_telemetry::registry as tm;
 use duet_telemetry::{clock_us, Span, SpanKind, TraceContext};
 use duet_tensor::Tensor;
@@ -444,8 +444,11 @@ fn witnessed(
     let variant = cache.get_or_build(1);
     let merged = merge_feeds(variant.duet.graph(), &[&cache.spec().request_feeds(seed)])?;
     let executor = variant.duet.executor_with(system.clone());
-    let run = executor.run_witnessed(&merged);
-    let (_, witness) = run.map_err(|e| ServeError::Exec(e.to_string()))?;
+    let log = WitnessLog::default();
+    let run = executor.run_observed(&merged, &log);
+    let outcome = run.map_err(|e| ServeError::Exec(e.to_string()))?;
+    let model = &variant.duet.graph().name;
+    let witness = log.seal(model, WitnessSource::Executor, outcome.virtual_latency_us);
     Ok((variant, witness))
 }
 

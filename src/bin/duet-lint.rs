@@ -73,7 +73,7 @@ use duet_analysis::{
 use duet_compiler::CompileOptions;
 use duet_core::{Duet, SchedulePlan};
 use duet_models::{input_feeds, zoo_model, zoo_names};
-use duet_runtime::{simulate_witnessed, witness_to_chrome_trace, SimNoise};
+use duet_runtime::{chrome_trace, simulate_witnessed, SimNoise, WitnessLog, WitnessSource};
 
 fn usage() -> ! {
     eprintln!(
@@ -212,8 +212,9 @@ fn trace_model(name: &str, opts: &Options) -> Vec<Report> {
     };
     let cfg = WitnessCheckConfig::default();
     let feeds = input_feeds(engine.graph(), opts.seed);
-    let (_, exec_witness) = match engine.run_witnessed(&feeds) {
-        Ok(pair) => pair,
+    let log = WitnessLog::default();
+    let latency_us = match engine.run_observed(&feeds, &log) {
+        Ok(outcome) => outcome.virtual_latency_us,
         Err(e) => {
             let mut r = Report::new(format!("{name}:trace"));
             r.push(duet_analysis::Diagnostic::error(
@@ -223,6 +224,7 @@ fn trace_model(name: &str, opts: &Options) -> Vec<Report> {
             return vec![r];
         }
     };
+    let exec_witness = log.seal(&engine.graph().name, WitnessSource::Executor, latency_us);
     // Conformance checking assumes noise-free virtual clocks.
     let (_, sim_witness) = simulate_witnessed(
         engine.graph(),
@@ -248,7 +250,7 @@ fn trace_model(name: &str, opts: &Options) -> Vec<Report> {
         check_agreement(&exec_witness, &sim_witness, &cfg),
     ];
     if let Some(path) = &opts.out {
-        write_file(path, &witness_to_chrome_trace(name, &exec_witness));
+        write_file(path, &chrome_trace(name, &exec_witness, &[]));
     }
     reports
 }
@@ -318,7 +320,7 @@ fn trace_flight_dump(opts: &Options) -> Vec<Report> {
         check_agreement(witness, &sim_witness, &cfg),
     ];
     if let Some(path) = &opts.out {
-        write_file(path, &witness_to_chrome_trace(&model, witness));
+        write_file(path, &chrome_trace(&model, witness, &[]));
     }
     reports
 }
@@ -356,7 +358,7 @@ fn model_check_model(name: &str, opts: &Options) -> (Vec<Report>, usize, f64) {
     };
     if let Some(path) = &opts.out {
         match &outcome.counterexample {
-            Some(witness) => write_file(path, &witness_to_chrome_trace(name, witness)),
+            Some(witness) => write_file(path, &chrome_trace(name, witness, &[])),
             None => eprintln!("{name}: clean — no counterexample to write"),
         }
     }

@@ -199,13 +199,16 @@ fn main() {
                 duet_telemetry::reset_spans();
                 let engine = Duet::builder().build(&graph).expect("engine builds");
                 let feeds = input_feeds(&graph, 7);
-                let (_, witness) = engine.run_witnessed(&feeds).expect("model runs");
+                let log = duet_runtime::WitnessLog::default();
+                let outcome = engine.run_observed(&feeds, &log).expect("model runs");
+                let witness = log.seal(
+                    &engine.graph().name,
+                    duet_runtime::WitnessSource::Executor,
+                    outcome.virtual_latency_us,
+                );
                 let spans = duet_telemetry::spans();
-                std::fs::write(
-                    path,
-                    duet_runtime::merged_perfetto_trace(model, &witness, &spans),
-                )
-                .expect("trace written");
+                std::fs::write(path, duet_runtime::chrome_trace(model, &witness, &spans))
+                    .expect("trace written");
                 println!(
                     "merged timeline for {model} written to {path}: {} telemetry spans \
                      across compile/profile/schedule/execute plus witness lanes \
@@ -220,7 +223,7 @@ fn main() {
                     engine.system(),
                     &mut duet_runtime::SimNoise::disabled(),
                 );
-                std::fs::write(path, duet_runtime::witness_to_chrome_trace(model, &witness))
+                std::fs::write(path, duet_runtime::chrome_trace(model, &witness, &[]))
                     .expect("trace written");
                 println!("timeline for {model} written to {path} (open in ui.perfetto.dev)");
             }
@@ -294,11 +297,8 @@ fn cmd_insight(rest: &[String]) {
             }
             spans.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
             let model = dump.model().unwrap_or("unknown").to_string();
-            std::fs::write(
-                out,
-                duet_runtime::merged_perfetto_trace(&model, witness, &spans),
-            )
-            .expect("trace written");
+            std::fs::write(out, duet_runtime::chrome_trace(&model, witness, &spans))
+                .expect("trace written");
             header(dir, &dump);
             println!(
                 "merged timeline: {} spans across {} request trees written to {out} \

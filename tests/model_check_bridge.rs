@@ -172,8 +172,7 @@ proptest! {
         // A deadlocked dispatch would hang rather than return: the run
         // completing at all is the deadlock-freedom half of the bridge.
         let out = HeterogeneousExecutor::new(&graph, &placed, sys)
-            .with_delays(DelayInjection::new(seed, 150))
-            .run(&feeds)
+            .run_observed(&feeds, &DelayInjection::new(seed, 150))
             .unwrap_or_else(|e| panic!("{}: k={k} seed={seed}: {e}", graph.name));
         prop_assert_eq!(reference.outputs.len(), out.outputs.len());
         for (id, want) in &reference.outputs {
