@@ -38,8 +38,8 @@ cargo run -q --release -p duet-bench --bin duet-kernel-floor
 step "duet-lint over all built-in models"
 cargo run -q --release --bin duet-lint -- all
 
-step "duet-lint trace over all built-in models (D3xx conformance)"
-cargo run -q --release --bin duet-lint -- trace all
+step "duet-lint trace over all built-in models (D3xx conformance; executor and replay agree exactly)"
+cargo run -q --release --bin duet-lint -- trace all --deny-warnings
 
 step "duet-lint model-check over all built-in models (D5xx proof, <1s checker budget)"
 MC_OUT="$(cargo run -q --release --bin duet-lint -- \
@@ -143,7 +143,7 @@ assert pids == {1, 2}, f"expected virtual+wall process lanes, got {pids}"
 assert any(e.get("ph") == "X" for e in events), "no duration slices"
 print(f"insight render OK: {len(events)} events across {len(pids)} processes")
 PY
-cargo run -q --release --bin duet-lint -- trace --dump "${DUMPS[0]}"
+cargo run -q --release --bin duet-lint -- trace --dump "${DUMPS[0]}" --deny-warnings
 
 step "duet tune gate (drift scenario: never worse than Algorithm 1, promoted, reproduces results/ext-autotune.json)"
 TUNE_A="$(mktemp --suffix .json)"

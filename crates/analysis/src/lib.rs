@@ -193,11 +193,11 @@ pub mod codes {
     /// The reported end-to-end latency differs from the max output-ready
     /// time recomputed from the event log.
     pub const WITNESS_LATENCY: &str = "D308";
-    /// Executor and simulator latencies for one placement diverge beyond
-    /// the documented tolerance.
+    /// Executor and simulator latencies for one placement are not the
+    /// same `f64`.
     pub const WITNESS_DIVERGENCE_LATENCY: &str = "D310";
     /// Executor and simulator dispatched same-device work in different
-    /// orders (warning; both orders are legal).
+    /// orders.
     pub const WITNESS_DIVERGENCE_ORDER: &str = "D311";
 
     // D4xx — memory-plan (tape) checker

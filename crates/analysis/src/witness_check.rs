@@ -30,11 +30,11 @@
 //!   recomputed independently from the recorded finishes (`D308`).
 //!
 //! [`check_agreement`] cross-checks two witnesses of the same placement
-//! — typically the threaded executor's against the simulator's: end-to-
-//! end latencies must agree within the documented tolerance (`D310`;
-//! the two engines may serialize same-device work differently, which
-//! shifts idle gaps but stays within [`WitnessCheckConfig::agreement_tol`])
-//! and per-device dispatch orders are compared (`D311`, warning).
+//! — typically the threaded executor's against the simulator's. The
+//! executor runs the schedule one noise-free replay dispatched and reads
+//! its clock from it, so the two are one schedule: end-to-end latencies
+//! must be equal to the bit (`D310`) and so must each device's dispatch
+//! order (`D311`). Both are errors; neither has a tolerance.
 //!
 //! Checks assume noise-free clocks: record witnesses with
 //! [`duet_runtime::SimNoise::disabled`] (the executor's virtual clock is
@@ -48,26 +48,19 @@ use duet_runtime::{ExecutionWitness, Placed, TransferKind, WitnessEvent};
 
 use crate::{codes, Diagnostic, Report};
 
-/// Tolerances for witness checking.
+/// Tolerances for [`check_witness`], which re-prices every event from
+/// the system model on its own; [`check_agreement`] takes none.
 #[derive(Debug, Clone)]
 pub struct WitnessCheckConfig {
-    /// Relative tolerance for virtual-clock arithmetic (floating-point
-    /// accumulation across threads), applied to readiness, overlap and
-    /// latency recomputation.
+    /// Relative tolerance for virtual-clock arithmetic (the checker sums
+    /// its own prices in its own order), applied to readiness, overlap
+    /// and latency recomputation.
     pub clock_tol: f64,
-    /// Relative tolerance for executor↔simulator latency agreement. The
-    /// two engines may order same-device work differently, so their
-    /// makespans differ by idle-gap placement; 25% bounds every zoo
-    /// model and every random valid placement we test.
-    pub agreement_tol: f64,
 }
 
 impl Default for WitnessCheckConfig {
     fn default() -> Self {
-        WitnessCheckConfig {
-            clock_tol: 1e-6,
-            agreement_tol: 0.25,
-        }
+        WitnessCheckConfig { clock_tol: 1e-6 }
     }
 }
 
@@ -504,15 +497,11 @@ pub fn check_witness(
 }
 
 /// Cross-check two witnesses of the *same* placed schedule — typically
-/// the threaded executor's against the simulator's. Latency must agree
-/// within [`WitnessCheckConfig::agreement_tol`] (`D310`); differing
-/// per-device dispatch orders are reported as a warning (`D311`), since
-/// both engines may legally serialize same-device work differently.
-pub fn check_agreement(
-    a: &ExecutionWitness,
-    b: &ExecutionWitness,
-    cfg: &WitnessCheckConfig,
-) -> Report {
+/// the threaded executor's against the simulator's. Both record the one
+/// noise-free replay, so the latencies must be the same `f64` (`D310`)
+/// and every device must have dispatched the same subgraphs in the same
+/// order (`D311`).
+pub fn check_agreement(a: &ExecutionWitness, b: &ExecutionWitness) -> Report {
     let mut report = Report::new(format!("{}:agreement", a.model));
     if a.model != b.model {
         report.push(Diagnostic::error(
@@ -524,24 +513,15 @@ pub fn check_agreement(
         ));
         return report;
     }
-    let denom = a.virtual_latency_us.abs().max(b.virtual_latency_us.abs());
-    if denom > 0.0 {
-        let rel = (a.virtual_latency_us - b.virtual_latency_us).abs() / denom;
-        if rel > cfg.agreement_tol {
-            report.push(Diagnostic::error(
-                codes::WITNESS_DIVERGENCE_LATENCY,
-                format!(
-                    "{} reports {:.3} us but {} reports {:.3} us \
-                     ({:.1}% apart, tolerance {:.0}%)",
-                    a.source,
-                    a.virtual_latency_us,
-                    b.source,
-                    b.virtual_latency_us,
-                    rel * 100.0,
-                    cfg.agreement_tol * 100.0
-                ),
-            ));
-        }
+    let (la, lb) = (a.virtual_latency_us, b.virtual_latency_us);
+    if la.to_bits() != lb.to_bits() {
+        report.push(Diagnostic::error(
+            codes::WITNESS_DIVERGENCE_LATENCY,
+            format!(
+                "{} reports {la:?} us but {} reports {lb:?} us",
+                a.source, b.source
+            ),
+        ));
     }
     let order_of = |w: &ExecutionWitness, device: DeviceKind| -> Vec<usize> {
         w.events
@@ -557,7 +537,7 @@ pub fn check_agreement(
         let ob = order_of(b, device);
         if oa != ob {
             report.push(
-                Diagnostic::warning(
+                Diagnostic::error(
                     codes::WITNESS_DIVERGENCE_ORDER,
                     format!(
                         "{device:?} dispatch order differs: {} ran {oa:?}, {} ran {ob:?}",

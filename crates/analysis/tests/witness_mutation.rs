@@ -89,8 +89,8 @@ fn baseline_executor_and_simulator_witnesses_are_clean() {
     let r = check_witness(&g, &placed, &sys, &sw, &cfg);
     assert!(r.is_clean(), "simulator witness must start clean:\n{r}");
 
-    let a = check_agreement(&w, &sw, &cfg);
-    assert!(!a.has_errors(), "executor and simulator must agree:\n{a}");
+    let a = check_agreement(&w, &sw);
+    assert!(a.is_clean(), "executor and simulator must agree:\n{a}");
 }
 
 #[test]
@@ -255,7 +255,14 @@ fn latency_divergence_is_caught_as_d310() {
     let (_, _, _, w) = witnessed(BASE);
     let mut other = w.clone();
     other.virtual_latency_us *= 2.0;
-    let r = check_agreement(&w, &other, &WitnessCheckConfig::default());
+    let r = check_agreement(&w, &other);
+    assert!(
+        r.contains(codes::WITNESS_DIVERGENCE_LATENCY),
+        "expected D310 in:\n{r}"
+    );
+    // One ulp apart is apart: both witnesses record the same replay.
+    other.virtual_latency_us = f64::from_bits(w.virtual_latency_us.to_bits() + 1);
+    let r = check_agreement(&w, &other);
     assert!(
         r.contains(codes::WITNESS_DIVERGENCE_LATENCY),
         "expected D310 in:\n{r}"
@@ -263,17 +270,17 @@ fn latency_divergence_is_caught_as_d310() {
 }
 
 #[test]
-fn order_divergence_is_caught_as_d311_warning() {
+fn order_divergence_is_caught_as_d311_error() {
     let (_, _, _, w) = witnessed(BASE);
     let mut other = w.clone();
     // Swap the two CPU dispatches ("left" sg 0 and "rest" sg 2) in the
     // copy: same sets per device, different order.
     let (a, b) = (start_pos(&other, 0), start_pos(&other, 2));
     other.events.swap(a, b);
-    let r = check_agreement(&w, &other, &WitnessCheckConfig::default());
+    let r = check_agreement(&w, &other);
     assert!(
         r.contains(codes::WITNESS_DIVERGENCE_ORDER),
         "expected D311 in:\n{r}"
     );
-    assert!(!r.has_errors(), "D311 is a warning:\n{r}");
+    assert!(r.has_errors(), "D311 is an error:\n{r}");
 }

@@ -27,8 +27,8 @@ use duet_compiler::{
 use duet_device::{DeviceKind, SystemModel};
 use duet_ir::{Graph, GraphError, NodeId};
 use duet_runtime::{
-    measure_stats, HeterogeneousExecutor, LatencyStats, Observer, Placed, Profiler, ScheduleError,
-    Timeline,
+    measure_stats, HeterogeneousExecutor, LatencyStats, Observer, Placed, Profiler, Schedule,
+    ScheduleError, Timeline,
 };
 use duet_tensor::Tensor;
 
@@ -340,7 +340,9 @@ pub struct Duet {
     units: Vec<SubgraphUnit>,
     devices: Vec<DeviceKind>,
     placed: Vec<Placed>,
-    latency_us: f64,
+    /// What one noise-free replay of `placed` dispatched: the latency
+    /// the engine claims and the order its runs execute.
+    schedule: Schedule,
     cpu_only_us: f64,
     gpu_only_us: f64,
     fallback: Option<DeviceKind>,
@@ -377,7 +379,8 @@ impl Duet {
     /// otherwise the §VI-E rule — heterogeneous execution is kept only
     /// if it beats the best single device by [`MIN_GAIN`].
     fn resolve(s: Scheduled, dictated: Option<Option<DeviceKind>>) -> Duet {
-        let hetero_us = s.timeline.makespan(&s.devices);
+        let hetero = s.timeline.schedule(&s.devices);
+        let hetero_us = hetero.latency_us();
         let cpu_only_us = s.whole_timeline.makespan(&[DeviceKind::Cpu]);
         let gpu_only_us = s.whole_timeline.makespan(&[DeviceKind::Gpu]);
         let best_single = cpu_only_us.min(gpu_only_us);
@@ -390,25 +393,22 @@ impl Duet {
                 },
             )
         });
-        let (placed, latency_us) = match fallback {
+        let (placed, schedule) = match fallback {
             Some(device) => (
                 vec![Placed {
                     sg: s.whole.clone(),
                     device,
                 }],
-                match device {
-                    DeviceKind::Cpu => cpu_only_us,
-                    DeviceKind::Gpu => gpu_only_us,
-                },
+                s.whole_timeline.schedule(&[device]),
             ),
-            None => (sched::to_placed(&s.units, &s.devices), hetero_us),
+            None => (sched::to_placed(&s.units, &s.devices), hetero),
         };
         Duet {
             graph: s.graph,
             units: s.units,
             devices: s.devices,
             placed,
-            latency_us,
+            schedule,
             cpu_only_us,
             gpu_only_us,
             fallback,
@@ -476,7 +476,7 @@ impl Duet {
 
     /// Scheduled (noise-free) end-to-end latency, microseconds.
     pub fn latency_us(&self) -> f64 {
-        self.latency_us
+        self.schedule.latency_us()
     }
 
     /// Noise-free latency of single-device execution.
@@ -511,14 +511,21 @@ impl Duet {
 
     /// Build a pooled executor over this engine's schedule under an
     /// arbitrary system model (duet-serve runs against the *deployed*
-    /// model, which may drift from the one the plan was made with).
+    /// model, which may drift from the one the plan was made with). Under
+    /// the engine's own system it runs the schedule priced at build;
+    /// under another, the placement is re-priced and replayed once.
     /// Arenas come from the engine's shared pool, so steady-state
     /// inference reuses slot buffers across requests.
     pub fn executor_with(&self, system: SystemModel) -> HeterogeneousExecutor<'_> {
-        let mut timeline = self.placed_timeline().clone();
-        timeline.reprice(&system);
-        HeterogeneousExecutor::with_timeline(&self.graph, &self.placed, timeline)
-            .with_arena_pool(&self.arenas)
+        let (graph, placed, timeline) = (&self.graph, &self.placed, self.placed_timeline());
+        let executor = if system == self.system {
+            HeterogeneousExecutor::with_schedule(graph, placed, timeline, &self.schedule)
+        } else {
+            let mut timeline = timeline.clone();
+            timeline.reprice(&system);
+            HeterogeneousExecutor::with_timeline(graph, placed, timeline)
+        };
+        executor.with_arena_pool(&self.arenas)
     }
 
     /// Arena-pool checkout statistics (created vs. reused).
@@ -552,7 +559,7 @@ impl Duet {
                 })
                 .collect(),
             fallback: self.fallback,
-            expected_latency_us: self.latency_us,
+            expected_latency_us: self.latency_us(),
             critical_path_lb_us: Some(self.critical_path_lower_bound_us()),
         }
     }
@@ -712,7 +719,7 @@ impl Duet {
         PlacementReport {
             model: self.graph.name.clone(),
             subgraphs,
-            latency_us: self.latency_us,
+            latency_us: self.latency_us(),
             cpu_only_us: self.cpu_only_us,
             gpu_only_us: self.gpu_only_us,
             fallback: self.fallback,

@@ -50,7 +50,7 @@ impl std::fmt::Display for DeviceKind {
 /// of a percent of peak while a ResNet conv with 10^5-10^6 output pixels
 /// runs near it. Constants below were calibrated against the paper's
 /// Table II (see `tests::calibration_*`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeviceModel {
     pub kind: DeviceKind,
     pub name: String,
@@ -154,7 +154,7 @@ impl DeviceModel {
 }
 
 /// The whole coupled system: one CPU, one GPU, one interconnect.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SystemModel {
     pub cpu: DeviceModel,
     pub gpu: DeviceModel,

@@ -5,8 +5,8 @@
 //! queue: it polls for ready subgraphs, executes them, and triggers the
 //! subgraphs that depend on the results. The paper uses two child
 //! processes with a shared-memory queue; this reproduction runs one *lane*
-//! per device, each draining its own `std::sync::mpsc` channel, over a
-//! mutex-protected value store — same architecture, same
+//! per device, each woken through its own `std::sync::mpsc` channel, over
+//! a mutex-protected value store — same architecture, same
 //! dependency-triggered dataflow. A lane that panics stops both queues on
 //! its way out, so the panic reaches the caller instead of leaving the
 //! other lane waiting on an empty queue. The unit of concurrency is the
@@ -17,17 +17,18 @@
 //! long-lived worker is whoever calls — a serve worker, a `Duet::run`
 //! caller.
 //!
-//! As in the paper, everything structural is settled before the workers
-//! start: the executor holds the placement's [`Timeline`] — the engine's
-//! own, re-priced for the system it runs under, or one built by
-//! [`HeterogeneousExecutor::new`] for a hand-assembled schedule — and
-//! reads dependencies, trigger counts, transfer and execution prices and
-//! the graph-output table from it, deriving and pricing nothing itself.
-//! What the workers add is what only real threads can: the *dispatch
-//! order* the virtual clock then follows. A run yields real tensors (host
-//! numerics for both devices) and the latency the modeled hardware would
-//! have achieved — [`Timeline::makespan`] bit for bit wherever the
-//! per-device order is forced, within the D310 tolerance where it is free.
+//! As in the paper, everything is settled before the workers start: the
+//! executor holds the placement's [`Timeline`] — the engine's own, or one
+//! built by [`HeterogeneousExecutor::new`] for a hand-assembled schedule —
+//! and the [`Schedule`] one noise-free [`Timeline::replay`] of it
+//! dispatched, the order and the virtual intervals Algorithm 1 priced.
+//! Each lane walks its device's list in that order, waiting on the trigger
+//! countdowns until its next subgraph's producers have all run; a trigger
+//! that readies the other lane's work wakes it. The replay is one linear
+//! extension of the dependency order, so the per-device lists cannot
+//! deadlock. A run yields real tensors (host numerics for both devices)
+//! and the replay's latency, breakdown and virtual intervals, bit for bit:
+//! the executor keeps no clock of its own.
 //!
 //! What a run reports besides its outcome goes to an [`Observer`], the
 //! seam the timeline's replay reports to as well:
@@ -46,8 +47,9 @@
 //! [`DelayInjection`]: crate::DelayInjection
 //! [`run`]: HeterogeneousExecutor::run
 
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
@@ -59,38 +61,15 @@ use duet_telemetry::{Span, SpanKind, TraceContext};
 use duet_tensor::Tensor;
 
 use crate::sim::Placed;
-use crate::timeline::{Dispatch, Observer, Timeline};
-
-/// Virtual-time decomposition of one run: where the modeled hardware
-/// spent its microseconds. Busy times are summed per device (they can
-/// overlap in wall terms — the two workers run concurrently — so the
-/// three parts bound, rather than partition, the virtual latency); the
-/// attribution layer in `duet-serve` uses their *ratios* to split a
-/// measured wall interval into per-device compute and transfer shares.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ExecBreakdown {
-    /// Summed virtual execution time of CPU-placed subgraphs, µs.
-    pub cpu_busy_us: f64,
-    /// Summed virtual execution time of GPU-placed subgraphs, µs.
-    pub gpu_busy_us: f64,
-    /// Summed virtual interconnect time (H2D + D2D + final D2H), µs.
-    pub transfer_us: f64,
-}
-
-impl ExecBreakdown {
-    /// Total accounted virtual time across all three parts.
-    pub fn total_us(&self) -> f64 {
-        self.cpu_busy_us + self.gpu_busy_us + self.transfer_us
-    }
-}
+use crate::timeline::{Dispatch, ExecBreakdown, Observer, Schedule, Timeline};
 
 /// Result of one heterogeneous inference.
 #[derive(Debug)]
 pub struct ExecutionOutcome {
-    /// Values of the graph outputs, keyed by node id. Empty for
-    /// virtual-clock-only runs ([`HeterogeneousExecutor::run_virtual`]).
+    /// Values of the graph outputs, keyed by node id.
     pub outputs: HashMap<NodeId, Tensor>,
-    /// End-to-end latency on the modeled hardware, microseconds.
+    /// End-to-end latency on the modeled hardware, microseconds: the
+    /// priced schedule's, [`Timeline::makespan`] bit for bit.
     pub virtual_latency_us: f64,
     /// Wall-clock time of the host-side numeric execution (not the metric
     /// the paper reports — the virtual latency is — but useful for
@@ -108,8 +87,10 @@ pub struct ExecutionOutcome {
     pub trace_spans: Vec<Span>,
 }
 
+/// What a lane's queue carries: one of its planned subgraphs may have
+/// become ready, or the run is over.
 enum Msg {
-    Run(usize),
+    Wake,
     Stop,
 }
 
@@ -126,22 +107,16 @@ impl<F: Fn()> Drop for StopOnUnwind<F> {
     }
 }
 
-/// What one device worker hands back when it exits.
-#[derive(Default)]
-struct Lane {
-    tasks: usize,
-    busy_us: f64,
-    transfer_us: f64,
-    spans: Vec<Span>,
-}
+/// The structure, prices and priced schedule a run executes.
+type Plan<'g> = (Cow<'g, Timeline>, Cow<'g, Schedule>);
 
 /// Two-lane dependency-triggered executor for a placed schedule.
 pub struct HeterogeneousExecutor<'g> {
     graph: &'g Graph,
     placed: &'g [Placed],
-    /// Structure and prices of `placed`; the error of a hand-assembled
-    /// schedule that does not cover the graph surfaces at run.
-    timeline: Result<Timeline, GraphError>,
+    /// The error of a hand-assembled schedule that does not cover the
+    /// graph surfaces at run.
+    plan: Result<Plan<'g>, GraphError>,
     pool: Option<&'g ArenaPool>,
     trace: Option<TraceContext>,
 }
@@ -159,28 +134,52 @@ impl<'g> HeterogeneousExecutor<'g> {
     /// CPU; only while both lanes are inside kernels at once does the
     /// machine carry one runnable thread more than it has CPUs.
     pub fn new(graph: &'g Graph, placed: &'g [Placed], system: SystemModel) -> Self {
-        let timeline = Timeline::new(graph, placed.iter().map(|p| &p.sg), &system);
-        Self::over(graph, placed, timeline.map_err(GraphError::from))
+        match Timeline::new(graph, placed.iter().map(|p| &p.sg), &system) {
+            Ok(timeline) => Self::with_timeline(graph, placed, timeline),
+            Err(e) => Self::over(graph, placed, Err(e.into())),
+        }
     }
 
     /// Create an executor over `placed` that runs on an already built
     /// `timeline` of exactly those subgraphs, priced for the system the
-    /// run is to model — how an engine hands over its own tables instead
-    /// of having them derived again.
+    /// run is to model, and replays it once for the schedule to run.
     pub fn with_timeline(graph: &'g Graph, placed: &'g [Placed], timeline: Timeline) -> Self {
         assert_eq!(timeline.len(), placed.len(), "one row per subgraph");
-        Self::over(graph, placed, Ok(timeline))
+        let devices: Vec<DeviceKind> = placed.iter().map(|p| p.device).collect();
+        let schedule = timeline.schedule(&devices);
+        Self::over(
+            graph,
+            placed,
+            Ok((Cow::Owned(timeline), Cow::Owned(schedule))),
+        )
     }
 
-    fn over(
+    /// Create an executor that runs `schedule`, already replayed on
+    /// `timeline` for `placed` — how an engine hands over what it priced
+    /// instead of having it derived again.
+    pub fn with_schedule(
         graph: &'g Graph,
         placed: &'g [Placed],
-        timeline: Result<Timeline, GraphError>,
+        timeline: &'g Timeline,
+        schedule: &'g Schedule,
     ) -> Self {
+        assert_eq!(
+            schedule.dispatches.len(),
+            placed.len(),
+            "one row per subgraph"
+        );
+        Self::over(
+            graph,
+            placed,
+            Ok((Cow::Borrowed(timeline), Cow::Borrowed(schedule))),
+        )
+    }
+
+    fn over(graph: &'g Graph, placed: &'g [Placed], plan: Result<Plan<'g>, GraphError>) -> Self {
         HeterogeneousExecutor {
             graph,
             placed,
-            timeline,
+            plan,
             pool: None,
             trace: None,
         }
@@ -216,25 +215,11 @@ impl<'g> HeterogeneousExecutor<'g> {
         feeds: &HashMap<NodeId, Tensor>,
         observer: &O,
     ) -> Result<ExecutionOutcome, GraphError> {
-        self.run_inner(Some(feeds), observer)
-    }
-
-    /// Drive the full two-lane machinery — queues, triggers, virtual
-    /// clocks — without computing any tensor numerics. `outputs` comes
-    /// back empty; everything else (latency, task counts) is as a real
-    /// run would produce. This makes the threaded engine's *scheduling*
-    /// behavior testable on paper-size models in milliseconds.
-    pub fn run_virtual(&self) -> Result<ExecutionOutcome, GraphError> {
-        self.run_inner(None, &())
-    }
-
-    fn run_inner<O: Observer + Sync>(
-        &self,
-        feeds: Option<&HashMap<NodeId, Tensor>>,
-        observer: &O,
-    ) -> Result<ExecutionOutcome, GraphError> {
         let wall_start = Instant::now();
-        let timeline = self.timeline.as_ref().map_err(GraphError::clone)?;
+        let (timeline, schedule) = match &self.plan {
+            Ok((timeline, schedule)) => (&**timeline, &**schedule),
+            Err(e) => return Err(e.clone()),
+        };
         let n = self.placed.len();
         let devices: Vec<DeviceKind> = self.placed.iter().map(|p| p.device).collect();
         // One trigger per dependency edge that has a producing subgraph.
@@ -249,12 +234,7 @@ impl<'g> HeterogeneousExecutor<'g> {
         let boundary_values = self.placed.iter().map(|p| p.sg.outputs.len()).sum();
         let values: Mutex<HashMap<NodeId, Tensor>> =
             Mutex::new(HashMap::with_capacity(boundary_values));
-        // Each subgraph's virtual finish, as `f64` bits. It is stored before
-        // the triggers that dispatch its consumers, so they load it final.
-        let finish_us: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let finished_at = |i: usize| f64::from_bits(finish_us[i].load(Ordering::Acquire));
         let error: OnceLock<GraphError> = OnceLock::new();
-        let done = AtomicUsize::new(0);
         let trace = self.trace.unwrap_or(TraceContext::UNTRACED);
         let run_ctx = trace.child();
 
@@ -270,35 +250,22 @@ impl<'g> HeterogeneousExecutor<'g> {
             send(DeviceKind::Gpu, Msg::Stop);
         };
 
-        // Seed the queues with dependency-free subgraphs.
-        for (i, waits) in pending.iter().enumerate() {
-            if waits.load(Ordering::Relaxed) == 0 {
-                send(devices[i], Msg::Run(i));
-            }
-        }
-        if n == 0 {
-            stop();
-        }
-
-        // Worker loop: poll own queue, execute, trigger dependents.
-        let worker = |device: DeviceKind, queue: Receiver<Msg>| -> Lane {
+        // Worker loop: walk the device's planned list, wait for the next
+        // subgraph's triggers, execute, trigger its consumers.
+        let worker = |device: DeviceKind, queue: Receiver<Msg>| -> Vec<Span> {
             let _stop_on_unwind = StopOnUnwind(stop);
-            let mut lane = Lane::default();
-            let mut device_time = 0.0f64;
-            while let Ok(Msg::Run(i)) = queue.recv() {
-                let placed = &self.placed[i];
-                let deps = timeline.deps(i);
-                // Virtual readiness: producers' finish + priced transfers.
-                let mut ready = 0.0f64;
-                for d in deps {
-                    let produced_at = d.producer.map_or(0.0, finished_at);
-                    let xfer = d.paid_us(&devices, device);
-                    ready = ready.max(produced_at + xfer);
-                    lane.transfer_us += xfer;
+            let mut spans = Vec::new();
+            let mine = schedule
+                .dispatches
+                .iter()
+                .filter(|(i, _)| devices[*i] == device);
+            for &(i, [start, end]) in mine {
+                while pending[i].load(Ordering::Acquire) > 0 {
+                    if !matches!(queue.recv(), Ok(Msg::Wake)) {
+                        return spans;
+                    }
                 }
-                let start = ready.max(device_time);
-                let exec = timeline.exec_time_us(i, device);
-                let end = start + exec;
+                let placed = &self.placed[i];
                 let at = Dispatch {
                     timeline,
                     devices: &devices,
@@ -313,44 +280,38 @@ impl<'g> HeterogeneousExecutor<'g> {
                 // subgraph's boundary inputs name are cloned out of the
                 // shared store — cloning the whole map would be O(n²)
                 // traffic on deep graphs.
-                if let Some(feeds) = feeds {
-                    let env: HashMap<NodeId, Tensor> = {
-                        let store = values.lock().unwrap_or_else(PoisonError::into_inner);
-                        let held = |id| store.get(id).or_else(|| feeds.get(id));
-                        let inputs = placed.sg.inputs.iter();
-                        inputs
-                            .filter_map(|id| Some((*id, held(id)?.clone())))
-                            .collect()
-                    };
-                    let result = match self.pool {
-                        Some(pool) => {
-                            let mut arena = pool.checkout(&placed.sg.tape);
-                            let r = placed.sg.execute_with_arena(&env, &mut arena);
-                            pool.give_back(arena);
-                            r
-                        }
-                        None => placed.sg.execute(&env),
-                    };
-                    match result {
-                        Ok(outs) => values
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .extend(outs),
-                        Err(e) => {
-                            // First error wins: a second worker failing
-                            // while we shut down must not mask the
-                            // original cause.
-                            let _ = error.set(e);
-                            stop();
-                            break;
-                        }
+                let env: HashMap<NodeId, Tensor> = {
+                    let store = values.lock().unwrap_or_else(PoisonError::into_inner);
+                    let held = |id| store.get(id).or_else(|| feeds.get(id));
+                    let inputs = placed.sg.inputs.iter();
+                    inputs
+                        .filter_map(|id| Some((*id, held(id)?.clone())))
+                        .collect()
+                };
+                let result = match self.pool {
+                    Some(pool) => {
+                        let mut arena = pool.checkout(&placed.sg.tape);
+                        let r = placed.sg.execute_with_arena(&env, &mut arena);
+                        pool.give_back(arena);
+                        r
+                    }
+                    None => placed.sg.execute(&env),
+                };
+                match result {
+                    Ok(outs) => values
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .extend(outs),
+                    Err(e) => {
+                        // First error wins: a second worker failing
+                        // while we shut down must not mask the
+                        // original cause.
+                        let _ = error.set(e);
+                        stop();
+                        return spans;
                     }
                 }
-                device_time = end;
-                finish_us[i].store(end.to_bits(), Ordering::Release);
                 observer.executed(&at);
-                lane.tasks += 1;
-                lane.busy_us += exec;
                 match device {
                     DeviceKind::Cpu => duet_telemetry::registry::EXEC_SUBGRAPHS_CPU.inc(),
                     DeviceKind::Gpu => duet_telemetry::registry::EXEC_SUBGRAPHS_GPU.inc(),
@@ -359,7 +320,8 @@ impl<'g> HeterogeneousExecutor<'g> {
                 // tree, stamped in *virtual* µs: the witness's clock, so span
                 // order can be checked against its happens-before.
                 let span = |kind, detail, ctx, parent| {
-                    Span::linked(kind, detail, start, exec, device as u64 as f64, ctx, parent)
+                    let lane = device as u64 as f64;
+                    Span::linked(kind, detail, start, end - start, lane, ctx, parent)
                 };
                 let sg_ctx = run_ctx.child();
                 let sg_span = span(SpanKind::ExecSubgraph, i as u64, sg_ctx, run_ctx.span_id);
@@ -369,23 +331,18 @@ impl<'g> HeterogeneousExecutor<'g> {
                     let kernel_span =
                         span(SpanKind::ExecKernel, instrs, sg_ctx.child(), sg_ctx.span_id);
                     kernel_span.record();
-                    lane.spans.extend([sg_span, kernel_span]);
+                    spans.extend([sg_span, kernel_span]);
                 }
 
-                // Trigger every dependency edge this subgraph feeds; the
-                // consumer whose last edge this was is dispatched.
-                for (c, waits) in pending.iter().enumerate() {
-                    for d in timeline.deps(c) {
-                        if d.producer == Some(i) && waits.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            send(devices[c], Msg::Run(c));
-                        }
+                // Trigger every dependency edge this subgraph feeds, and
+                // wake the other lane when one of its subgraphs is ready.
+                for &c in timeline.consumers(i) {
+                    if pending[c].fetch_sub(1, Ordering::AcqRel) == 1 && devices[c] != device {
+                        send(devices[c], Msg::Wake);
                     }
                 }
-                if done.fetch_add(1, Ordering::AcqRel) + 1 == n {
-                    stop();
-                }
             }
-            lane
+            spans
         };
         // The caller is the lane of the device that finishes the run — the
         // last subgraph's — so its result is handed to no other thread; the
@@ -395,7 +352,9 @@ impl<'g> HeterogeneousExecutor<'g> {
             DeviceKind::Cpu => (cpu_rx, gpu_rx),
             DeviceKind::Gpu => (gpu_rx, cpu_rx),
         };
-        let mut lanes = if devices.contains(&mine.other()) {
+        let mut lanes = if !devices.contains(&mine.other()) {
+            [worker(mine, my_queue), Vec::new()]
+        } else {
             std::thread::scope(|scope| {
                 let worker = &worker;
                 let other = scope.spawn(move || worker(mine.other(), other_queue));
@@ -403,46 +362,36 @@ impl<'g> HeterogeneousExecutor<'g> {
                 let resume = |e| std::panic::resume_unwind(e);
                 [worker(mine, my_queue), other.join().unwrap_or_else(resume)]
             })
-        } else {
-            [worker(mine, my_queue), Lane::default()]
         };
         if mine == DeviceKind::Gpu {
             lanes.reverse();
         }
-        let [cpu, gpu] = lanes;
+        let [mut trace_spans, gpu_spans] = lanes;
+        trace_spans.extend(gpu_spans);
 
         if let Some(e) = error.into_inner() {
             return Err(e);
         }
-
-        // Latency: every produced graph output back on the host.
-        let mut latency = 0.0f64;
-        let mut transfer_us = cpu.transfer_us + gpu.transfer_us;
         for o in timeline.outputs() {
-            let mut t = finished_at(o.producer);
             if devices[o.producer] == DeviceKind::Gpu {
-                t += o.d2h_us;
-                transfer_us += o.d2h_us;
                 observer.output_landed(o);
             }
-            latency = latency.max(t);
         }
         // Output values. A source named as an output never left the
         // host: the fed tensor or the constant's parameter, exactly as
         // `Graph::eval` returns it.
         let values = values.into_inner().unwrap_or_else(PoisonError::into_inner);
         let mut outputs = HashMap::new();
-        if let Some(feeds) = feeds {
-            for &out in self.graph.outputs() {
-                let value = match self.graph.node(out).op {
-                    Op::Input => feeds.get(&out).ok_or(GraphError::MissingFeed(out))?,
-                    Op::Constant => self.graph.param(out).ok_or(GraphError::UnknownNode(out))?,
-                    _ => values.get(&out).ok_or(GraphError::MissingFeed(out))?,
-                };
-                outputs.insert(out, value.clone());
-            }
+        for &out in self.graph.outputs() {
+            let value = match self.graph.node(out).op {
+                Op::Input => feeds.get(&out).ok_or(GraphError::MissingFeed(out))?,
+                Op::Constant => self.graph.param(out).ok_or(GraphError::UnknownNode(out))?,
+                _ => values.get(&out).ok_or(GraphError::MissingFeed(out))?,
+            };
+            outputs.insert(out, value.clone());
         }
         duet_telemetry::registry::EXEC_RUNS.inc();
+        let latency = schedule.latency_us;
         let run_span = Span::linked(
             SpanKind::ExecRun,
             n as u64,
@@ -453,8 +402,6 @@ impl<'g> HeterogeneousExecutor<'g> {
             trace.span_id,
         );
         run_span.record();
-        let mut trace_spans = cpu.spans;
-        trace_spans.extend(gpu.spans);
         trace_spans.extend(run_span.is_traced().then_some(run_span));
         for (seq, span) in trace_spans.iter_mut().enumerate() {
             span.seq = seq as u64;
@@ -463,15 +410,10 @@ impl<'g> HeterogeneousExecutor<'g> {
             outputs,
             virtual_latency_us: latency,
             wall_time: wall_start.elapsed(),
-            tasks_per_device: HashMap::from([
-                (DeviceKind::Cpu, cpu.tasks),
-                (DeviceKind::Gpu, gpu.tasks),
-            ]),
-            breakdown: ExecBreakdown {
-                cpu_busy_us: cpu.busy_us,
-                gpu_busy_us: gpu.busy_us,
-                transfer_us,
-            },
+            tasks_per_device: HashMap::from(
+                DeviceKind::both().map(|d| (d, devices.iter().filter(|&&on| on == d).count())),
+            ),
+            breakdown: schedule.breakdown,
             trace_spans,
         })
     }
@@ -559,34 +501,49 @@ mod tests {
             .collect()
     }
 
-    /// Where the per-device dispatch order is forced, the threaded
-    /// executor *is* the timeline: real and virtual runs land on
-    /// `Timeline::makespan` bit for bit, and executor and simulator put
-    /// the same events on record for every subgraph.
+    /// `Start`s on `device`, in log order.
+    fn order_of(w: &ExecutionWitness, device: DeviceKind) -> Vec<usize> {
+        let on = |e: &WitnessEvent| match e {
+            WitnessEvent::Start { sg, device: d, .. } => (*d == device).then_some(*sg),
+            _ => None,
+        };
+        w.events.iter().filter_map(on).collect()
+    }
+
+    /// The threaded executor *is* the timeline: a run lands on
+    /// `Timeline::makespan` bit for bit, each lane runs its device's
+    /// subgraphs in the replay's order, and executor and simulator put the
+    /// same events on record for every subgraph. That holds with two lanes
+    /// per device too, where the replay overlaps subgraphs that the one
+    /// worker per device runs one after the other.
     fn assert_executor_is_the_timeline(g: &Graph, placed: &[Placed]) {
-        let sys = SystemModel::paper_server();
-        let timeline = Timeline::new(g, placed.iter().map(|p| &p.sg), &sys).unwrap();
-        let devices: Vec<DeviceKind> = placed.iter().map(|p| p.device).collect();
-        let want = timeline.makespan(&devices).to_bits();
-        let exec = HeterogeneousExecutor::new(g, placed, sys.clone());
-        let log = WitnessLog::default();
-        let real = exec.run_observed(&input_feeds(g, 1), &log).unwrap();
-        let exec_w = log.seal(&g.name, WitnessSource::Executor, real.virtual_latency_us);
-        let virt = exec.run_virtual().unwrap();
-        assert!(virt.outputs.is_empty());
-        assert_eq!(real.virtual_latency_us.to_bits(), want);
-        assert_eq!(virt.virtual_latency_us.to_bits(), want);
-        assert_eq!(virt.breakdown, real.breakdown);
-        // Each lane's account comes back under its own device, whichever
-        // of the two the caller ran.
-        for device in DeviceKind::both() {
-            let placed_here = devices.iter().filter(|&&d| d == device).count();
-            assert_eq!(real.tasks_per_device[&device], placed_here, "{device}");
-        }
-        let (_, sim_w) = simulate_witnessed(g, placed, &sys, &mut SimNoise::disabled());
-        assert_eq!(exec_w.events.len(), sim_w.events.len());
-        for sg in (0..placed.len()).map(Some).chain([None]) {
-            assert_eq!(events_of(&exec_w, sg), events_of(&sim_w, sg), "{sg:?}");
+        let paper = SystemModel::paper_server();
+        let mut two_lanes = paper.clone();
+        two_lanes.cpu = two_lanes.cpu.with_lanes(2, 0.7);
+        two_lanes.gpu = two_lanes.gpu.with_lanes(2, 0.7);
+        for sys in [paper, two_lanes] {
+            let timeline = Timeline::new(g, placed.iter().map(|p| &p.sg), &sys).unwrap();
+            let devices: Vec<DeviceKind> = placed.iter().map(|p| p.device).collect();
+            let want = timeline.makespan(&devices).to_bits();
+            let exec = HeterogeneousExecutor::new(g, placed, sys.clone());
+            let log = WitnessLog::default();
+            let real = exec.run_observed(&input_feeds(g, 1), &log).unwrap();
+            let exec_w = log.seal(&g.name, WitnessSource::Executor, real.virtual_latency_us);
+            assert_eq!(real.virtual_latency_us.to_bits(), want);
+            // Each lane's account comes back under its own device, whichever
+            // of the two the caller ran.
+            for device in DeviceKind::both() {
+                let placed_here = devices.iter().filter(|&&d| d == device).count();
+                assert_eq!(real.tasks_per_device[&device], placed_here, "{device}");
+            }
+            let (_, sim_w) = simulate_witnessed(g, placed, &sys, &mut SimNoise::disabled());
+            for device in DeviceKind::both() {
+                assert_eq!(order_of(&exec_w, device), order_of(&sim_w, device));
+            }
+            assert_eq!(exec_w.events.len(), sim_w.events.len());
+            for sg in (0..placed.len()).map(Some).chain([None]) {
+                assert_eq!(events_of(&exec_w, sg), events_of(&sim_w, sg), "{sg:?}");
+            }
         }
     }
 
@@ -594,8 +551,8 @@ mod tests {
     fn single_device_runs_equal_the_timeline_bit_for_bit() {
         use DeviceKind::{Cpu, Gpu};
         let g = branchy();
-        // One lane, the caller's, drains one queue seeded in index order;
-        // on the GPU pass the first device has no work.
+        // One lane, the caller's, runs everything; on the GPU pass the
+        // first device has no work.
         for device in [Cpu, Gpu] {
             let placed = on(split(&g, &["left", "right"]), &[device; 3]);
             assert_executor_is_the_timeline(&g, &placed);
@@ -639,6 +596,27 @@ mod tests {
             let placed = on(split(&g, &["left"]), &devices);
             assert_executor_is_the_timeline(&g, &placed);
         }
+    }
+
+    /// Two dependency-free subgraphs share the GPU lane; the lower index
+    /// waits on the larger H2D copy, so the replay starts the higher one
+    /// first — and so does the lane, though both are ready at once.
+    #[test]
+    fn a_lane_runs_its_subgraphs_in_the_replayed_order() {
+        use DeviceKind::{Cpu, Gpu};
+        let mut b = GraphBuilder::new("uneven_feeds", 4);
+        let big = b.input("big", vec![1, 4096]);
+        let small = b.input("small", vec![1, 8]);
+        let l = b.dense("left", big, 16, Some(Op::Relu)).unwrap();
+        let r = b.dense("right", small, 16, Some(Op::Relu)).unwrap();
+        let cat = b.op("cat", Op::Concat { axis: 1 }, &[l, r]).unwrap();
+        let y = b.dense("head", cat, 4, None).unwrap();
+        let g = b.finish(&[y]).unwrap();
+        let placed = on(split(&g, &["left", "right"]), &[Gpu, Gpu, Cpu]);
+        let sys = SystemModel::paper_server();
+        let (_, sim_w) = simulate_witnessed(&g, &placed, &sys, &mut SimNoise::disabled());
+        assert_eq!(order_of(&sim_w, Gpu), [1, 0]);
+        assert_executor_is_the_timeline(&g, &placed);
     }
 
     #[test]
@@ -922,13 +900,11 @@ mod tests {
         let left = sgs.remove(0);
         let placed = on(sgs, &[Gpu, Cpu]);
         let exec = HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server());
-        for res in [exec.run(&input_feeds(&g, 1)), exec.run_virtual()] {
-            let err = res.unwrap_err();
-            assert!(
-                matches!(err, GraphError::MissingFeed(n) if left.node_ids.contains(&n)),
-                "{err:?}"
-            );
-        }
+        let err = exec.run(&input_feeds(&g, 1)).unwrap_err();
+        assert!(
+            matches!(err, GraphError::MissingFeed(n) if left.node_ids.contains(&n)),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -941,6 +917,5 @@ mod tests {
         let exec = HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server());
         let missing = GraphError::MissingFeed(g.outputs()[0]);
         assert_eq!(exec.run(&input_feeds(&g, 1)).unwrap_err(), missing);
-        assert_eq!(exec.run_virtual().unwrap_err(), missing);
     }
 }

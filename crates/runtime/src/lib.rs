@@ -17,10 +17,12 @@
 //!   Latency under load is `duet-serve`'s: its virtual driver runs the
 //!   server's batching policy on seeded arrivals and prices each batch
 //!   with [`simulate`].
-//! * [`HeterogeneousExecutor`] — the engine of §IV-D: one lane per device
-//!   polling its own synchronization queue, dependency-triggered subgraph
-//!   execution, real tensor numerics. The caller's thread runs one lane;
-//!   the other device gets a thread only if the placement gives it work.
+//! * [`HeterogeneousExecutor`] — the engine of §IV-D: one lane per device,
+//!   dependency-triggered subgraph execution, real tensor numerics. Each
+//!   lane runs its device's subgraphs in the order the noise-free replay
+//!   dispatched them (a [`Schedule`]) and reports that replay's clock. The
+//!   caller's thread runs one lane; the other device gets a thread only if
+//!   the placement gives it work.
 //! * [`Observer`] — the one seam both clocks report a run to: the
 //!   executor's lanes (`run_observed`) and the [`Timeline`] replay call
 //!   it per dispatch. Witnessing ([`WitnessLog`]) and interleaving stress
@@ -43,14 +45,16 @@ pub mod timeline;
 pub mod trace;
 pub mod witness;
 
-pub use executor::{ExecBreakdown, ExecutionOutcome, HeterogeneousExecutor};
+pub use executor::{ExecutionOutcome, HeterogeneousExecutor};
 pub use measure::{measure_latency, measure_stats};
 pub use profile::{Profiler, SubgraphProfile};
 pub use sim::{
     simulate, simulate_witnessed, subgraph_exec_time_us, Placed, SimNoise, SimResult, TimelineEntry,
 };
 pub use stats::LatencyStats;
-pub use timeline::{Dispatch, NoNoise, Noise, Observer, ScheduleError, Timeline};
+pub use timeline::{
+    Dispatch, ExecBreakdown, NoNoise, Noise, Observer, Schedule, ScheduleError, Timeline,
+};
 pub use trace::chrome_trace;
 pub use witness::{
     DelayInjection, ExecutionWitness, TransferKind, TriggerEdge, WitnessEvent, WitnessLog,

@@ -20,7 +20,7 @@ use duet_compiler::CompiledSubgraph;
 use duet_device::{DeviceKind, NoiseModel, SystemModel};
 use duet_ir::Graph;
 
-use crate::timeline::{Dep, Dispatch, Noise, Observer, OutputEdge, Timeline};
+use crate::timeline::{Noise, Observer, Schedule, Timeline};
 use crate::witness::{ExecutionWitness, WitnessLog, WitnessSource};
 
 /// A subgraph with its device assignment.
@@ -149,7 +149,7 @@ pub fn simulate_witnessed(
 }
 
 /// One replay of the placement's timeline, reported to `observer` as well
-/// as to the simulation's own log.
+/// as to the [`Schedule`] the result is read from.
 fn replay_observed<O: Observer>(
     graph: &Graph,
     placed: &[Placed],
@@ -158,43 +158,22 @@ fn replay_observed<O: Observer>(
     observer: O,
 ) -> (SimResult, O) {
     let (timeline, devices) = placed_timeline(graph, placed, system);
-    let log = SimLog(RefCell::new(SimResult {
-        latency_us: 0.0,
-        timeline: Vec::with_capacity(placed.len()),
-        transferred_bytes: 0.0,
-    }));
-    let observed = (log, observer);
+    let observed = (RefCell::new(Schedule::default()), observer);
     let latency_us = timeline.replay(&devices, noise, &observed);
-    let (SimLog(log), observer) = observed;
+    let (schedule, observer) = observed;
+    let schedule = schedule.into_inner();
+    let entry = |&(i, [start_us, end_us]): &(usize, [f64; 2])| TimelineEntry {
+        name: placed[i].sg.name.clone(),
+        device: devices[i],
+        start_us,
+        end_us,
+    };
     let result = SimResult {
         latency_us,
-        ..log.into_inner()
+        timeline: schedule.dispatches.iter().map(entry).collect(),
+        transferred_bytes: schedule.transferred_bytes,
     };
     (result, observer)
-}
-
-/// What a simulation keeps of a replay: the Fig. 4 timeline and the bytes
-/// moved.
-struct SimLog(RefCell<SimResult>);
-
-impl Observer for SimLog {
-    fn executed(&self, at: &Dispatch<'_>) {
-        let device = at.device();
-        let crossing = |d: &&Dep| d.crosses(at.devices, device);
-        let deps = at.timeline.deps(at.sg);
-        let mut log = self.0.borrow_mut();
-        log.transferred_bytes += deps.iter().filter(crossing).map(|d| d.bytes).sum::<f64>();
-        log.timeline.push(TimelineEntry {
-            name: at.name.to_string(),
-            device,
-            start_us: at.start_us,
-            end_us: at.end_us,
-        });
-    }
-
-    fn output_landed(&self, output: &OutputEdge) {
-        self.0.borrow_mut().transferred_bytes += output.bytes;
-    }
 }
 
 #[cfg(test)]

@@ -18,6 +18,12 @@
 //! | per-edge payload bytes | per-output D2H time |
 //! | graph-output table (producing subgraph, bytes) | `n × 2` execution table |
 //! | per-kernel cost profiles | lanes and lane-sharing penalty per device |
+//! | consumer-edge table (producer → consumer per edge) | |
+//!
+//! [`Timeline::schedule`] records what the noise-free replay of one
+//! placement dispatched — order, intervals, latency, breakdown — as a
+//! [`Schedule`]: the engine's claimed latency and the order its threaded
+//! executor runs.
 //!
 //! # Event semantics
 //!
@@ -46,6 +52,7 @@
 //! percentiles of Fig. 12 are a function of this order; the golden
 //! fixture (`tests/golden.rs`) pins it.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use duet_compiler::CompiledSubgraph;
@@ -213,6 +220,82 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
     }
 }
 
+/// Virtual-time decomposition of one run: where the modeled hardware
+/// spent its microseconds. Busy times are summed per device (they can
+/// overlap in wall terms — the two workers run concurrently — so the
+/// three parts bound, rather than partition, the virtual latency); the
+/// attribution layer in `duet-serve` uses their *ratios* to split a
+/// measured wall interval into per-device compute and transfer shares.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ExecBreakdown {
+    /// Summed virtual execution time of CPU-placed subgraphs, µs.
+    pub cpu_busy_us: f64,
+    /// Summed virtual execution time of GPU-placed subgraphs, µs.
+    pub gpu_busy_us: f64,
+    /// Summed virtual interconnect time (H2D + D2D + final D2H), µs.
+    pub transfer_us: f64,
+}
+
+impl ExecBreakdown {
+    /// Total accounted virtual time across all three parts.
+    pub fn total_us(&self) -> f64 {
+        self.cpu_busy_us + self.gpu_busy_us + self.transfer_us
+    }
+}
+
+/// What one replay of a placement dispatched: the order, every
+/// subgraph's virtual interval, the latency and where it went. The
+/// noise-free one ([`Timeline::schedule`]) is what Algorithm 1 priced and
+/// what the threaded executor runs; a simulation keeps a noisy one.
+#[derive(Debug, Clone, Default)]
+pub struct Schedule {
+    /// Each subgraph with its virtual `[start, end]` (µs), in dispatch
+    /// order.
+    pub(crate) dispatches: Vec<(usize, [f64; 2])>,
+    pub(crate) latency_us: f64,
+    pub(crate) breakdown: ExecBreakdown,
+    /// Bytes moved across the interconnect.
+    pub(crate) transferred_bytes: f64,
+}
+
+impl Schedule {
+    /// End-to-end latency, µs.
+    pub fn latency_us(&self) -> f64 {
+        self.latency_us
+    }
+}
+
+/// A schedule observing a replay records what it dispatched; the latency
+/// is what the replay returns.
+impl Observer for RefCell<Schedule> {
+    fn executed(&self, at: &Dispatch<'_>) {
+        let device = at.device();
+        let crossing = at
+            .timeline
+            .deps(at.sg)
+            .iter()
+            .filter(|d| d.crosses(at.devices, device));
+        let (bytes, paid_us) =
+            crossing.fold((0.0, 0.0), |(b, t), d| (b + d.bytes, t + d.transfer_us));
+        let mut s = self.borrow_mut();
+        s.dispatches.push((at.sg, [at.start_us, at.end_us]));
+        s.transferred_bytes += bytes;
+        let b = &mut s.breakdown;
+        let busy = match device {
+            DeviceKind::Cpu => &mut b.cpu_busy_us,
+            DeviceKind::Gpu => &mut b.gpu_busy_us,
+        };
+        *busy += at.end_us - at.start_us;
+        b.transfer_us += paid_us;
+    }
+
+    fn output_landed(&self, output: &OutputEdge) {
+        let mut s = self.borrow_mut();
+        s.transferred_bytes += output.bytes;
+        s.breakdown.transfer_us += output.d2h_us;
+    }
+}
+
 /// A reusable, allocation-light evaluator of placements over one fixed
 /// set of compiled subgraphs. See the module docs.
 #[derive(Debug, Clone)]
@@ -220,9 +303,11 @@ pub struct Timeline {
     /// Boundary dependencies of every subgraph, flattened;
     /// `deps[dep_start[i]..dep_start[i + 1]]` belong to subgraph `i`.
     deps: Vec<Dep>,
-    /// Never written after [`Timeline::new`], like `names` and
-    /// `kernel_costs`: clones (one per executor) share all three.
+    /// Never written after [`Timeline::new`], like the consumer table,
+    /// `names` and `kernel_costs`: clones (one per executor) share them.
     dep_start: Arc<[usize]>,
+    /// Per producing subgraph, the consumer of each edge it feeds.
+    consumers: Arc<[Vec<usize>]>,
     outputs: Vec<OutputEdge>,
     /// Subgraph names, for observers.
     names: Arc<[String]>,
@@ -262,19 +347,24 @@ impl Timeline {
         };
         let mut deps = Vec::new();
         let mut dep_start = Vec::with_capacity(subgraphs.len() + 1);
-        for sg in &subgraphs {
+        let mut consumers = vec![Vec::new(); subgraphs.len()];
+        for (consumer, sg) in subgraphs.iter().enumerate() {
             dep_start.push(deps.len());
             for &src in &sg.inputs {
                 let node = graph
                     .nodes()
                     .get(src)
                     .ok_or(ScheduleError::UnknownNode(src))?;
+                let producer = match node.op {
+                    Op::Input => None,
+                    _ => Some(produced_by(src)?),
+                };
+                if let Some(p) = producer {
+                    consumers[p].push(consumer);
+                }
                 deps.push(Dep {
                     node: src,
-                    producer: match node.op {
-                        Op::Input => None,
-                        _ => Some(produced_by(src)?),
-                    },
+                    producer,
                     bytes: node.shape.byte_size() as f64,
                     transfer_us: 0.0,
                 });
@@ -297,6 +387,7 @@ impl Timeline {
         let mut timeline = Timeline {
             deps,
             dep_start: dep_start.into(),
+            consumers: consumers.into(),
             outputs,
             names: subgraphs.iter().map(|sg| sg.name.clone()).collect(),
             kernel_costs: subgraphs
@@ -354,6 +445,12 @@ impl Timeline {
         &self.deps[self.dep_start[i]..self.dep_start[i + 1]]
     }
 
+    /// The consumer of each dependency edge subgraph `i` produces (a
+    /// consumer reading two of its values is listed twice).
+    pub fn consumers(&self, i: usize) -> &[usize] {
+        &self.consumers[i]
+    }
+
     /// Graph outputs a subgraph produces, in graph-output order (outputs
     /// that name a source are host-resident and not listed).
     pub fn outputs(&self) -> &[OutputEdge] {
@@ -363,6 +460,16 @@ impl Timeline {
     /// Noise-free end-to-end makespan of one placement, µs.
     pub fn makespan(&self, devices: &[DeviceKind]) -> f64 {
         self.replay(devices, &mut NoNoise, &())
+    }
+
+    /// The noise-free [`Schedule`] of one placement.
+    pub fn schedule(&self, devices: &[DeviceKind]) -> Schedule {
+        let record = RefCell::default();
+        let latency_us = self.replay(devices, &mut NoNoise, &record);
+        Schedule {
+            latency_us,
+            ..record.into_inner()
+        }
     }
 
     /// Replay one placement: the earliest-start list-scheduling loop.
@@ -405,11 +512,7 @@ impl Timeline {
                 let mut ready = 0.0f64;
                 for d in self.deps(i) {
                     let produced_at = d.producer.map_or(0.0, |p| finish[p]);
-                    ready = ready.max(if d.crosses(devices, dev) {
-                        produced_at + d.transfer_us
-                    } else {
-                        produced_at
-                    });
+                    ready = ready.max(produced_at + d.paid_us(devices, dev));
                 }
                 let lanes = &*free[dev as usize];
                 let est = ready.max(lanes[earliest_lane(lanes)]);

@@ -5,38 +5,49 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use duet_analysis::WitnessCheckConfig;
 use duet_compiler::Compiler;
 use duet_device::{DeviceKind, SystemModel};
 use duet_ir::{Graph, Op};
-use duet_models::zoo_model;
+use duet_models::{
+    input_feeds, mobilenet, mtdnn, resnet, siamese, squeezenet, vgg16, wide_and_deep,
+    MobileNetConfig, MtDnnConfig, ResNetConfig, SiameseConfig, WideAndDeepConfig,
+};
 use duet_runtime::{
-    measure_latency, simulate, subgraph_exec_time_us, HeterogeneousExecutor, Placed, Profiler,
-    SimNoise,
+    measure_latency, simulate, simulate_witnessed, subgraph_exec_time_us, ExecutionWitness,
+    HeterogeneousExecutor, Placed, Profiler, SimNoise, WitnessEvent, WitnessLog, WitnessSource,
 };
 use duet_tensor::Tensor;
 use proptest::prelude::*;
 
-/// The paper workloads, built once: the executor-vs-simulator agreement
-/// property samples random placements of all of them, and graph
-/// construction (not placement) dominates the cost.
-fn zoo() -> &'static [(String, Graph)] {
-    static ZOO: OnceLock<Vec<(String, Graph)>> = OnceLock::new();
+/// The paper's eight architectures at small configs, built once: the
+/// executor-vs-simulator property samples random placements of all of
+/// them and runs their numerics, too slow at paper scale.
+fn zoo() -> &'static [Graph] {
+    static ZOO: OnceLock<Vec<Graph>> = OnceLock::new();
     ZOO.get_or_init(|| {
-        [
-            "wide_and_deep",
-            "siamese",
-            "mtdnn",
-            "resnet18",
-            "resnet50",
-            "vgg16",
-            "squeezenet",
-            "mobilenet",
+        vec![
+            wide_and_deep(&WideAndDeepConfig::small()),
+            siamese(&SiameseConfig::small()),
+            mtdnn(&MtDnnConfig::small()),
+            resnet(&ResNetConfig::small()),
+            resnet(&ResNetConfig {
+                depth: 50,
+                ..ResNetConfig::small()
+            }),
+            vgg16(1, 32),
+            squeezenet(1, 32),
+            mobilenet(&MobileNetConfig::small()),
         ]
-        .iter()
-        .map(|&n| (n.to_string(), zoo_model(n).expect("zoo model exists")))
-        .collect()
     })
+}
+
+/// `Start`s on `device`, in log order.
+fn order_of(w: &ExecutionWitness, device: DeviceKind) -> Vec<usize> {
+    let on = |e: &WitnessEvent| match e {
+        WitnessEvent::Start { sg, device: d, .. } => (*d == device).then_some(*sg),
+        _ => None,
+    };
+    w.events.iter().filter_map(on).collect()
 }
 
 #[derive(Debug, Clone)]
@@ -198,34 +209,33 @@ proptest! {
         prop_assert!(out.virtual_latency_us > 0.0);
     }
 
-    /// Satellite of the D3xx conformance work: for every paper workload
-    /// under a random valid placement, the threaded executor's virtual
-    /// latency and the noise-free simulator's latency agree within the
-    /// documented agreement tolerance ([`WitnessCheckConfig`]'s
-    /// `agreement_tol`, the same bound `check_agreement` enforces as
-    /// D310). The executor runs in virtual mode (no tensor numerics),
-    /// which makes paper-size models cheap to drive through the real
-    /// threaded machinery.
+    /// For every paper architecture under a random valid placement, a
+    /// real threaded run is the noise-free replay: the simulator's latency
+    /// to the bit and its dispatch order on each device — what
+    /// `check_agreement` demands as D310 and D311.
     #[test]
     fn zoo_executor_and_simulator_latencies_agree(
         model in any::<prop::sample::Index>(),
         k in 2usize..9,
         bits in any::<u64>(),
     ) {
-        let (name, g) = &zoo()[model.index(zoo().len())];
+        let g = &zoo()[model.index(zoo().len())];
         let sys = SystemModel::paper_server();
         let placed = chunked(g, k, bits);
-        let sim = simulate(g, &placed, &sys, &mut SimNoise::disabled()).latency_us;
-        let exec = HeterogeneousExecutor::new(g, &placed, sys)
-            .run_virtual()
-            .unwrap()
-            .virtual_latency_us;
-        let tol = WitnessCheckConfig::default().agreement_tol;
-        let rel = (exec - sim).abs() / sim.max(1e-9);
-        prop_assert!(
-            rel <= tol,
-            "{name} (k={k}, bits={bits:#x}): executor {exec:.1}us vs sim {sim:.1}us \
-             diverge by {rel:.3} > {tol}"
+        let (sim, sim_w) = simulate_witnessed(g, &placed, &sys, &mut SimNoise::disabled());
+        let log = WitnessLog::default();
+        let out = HeterogeneousExecutor::new(g, &placed, sys)
+            .run_observed(&input_feeds(g, bits), &log)
+            .unwrap();
+        let exec_w = log.seal(&g.name, WitnessSource::Executor, out.virtual_latency_us);
+        prop_assert_eq!(
+            out.virtual_latency_us.to_bits(),
+            sim.latency_us.to_bits(),
+            "{} (k={}, bits={:#x}): executor {} us vs sim {} us",
+            g.name, k, bits, out.virtual_latency_us, sim.latency_us
         );
+        for device in DeviceKind::both() {
+            prop_assert_eq!(order_of(&exec_w, device), order_of(&sim_w, device), "{}", g.name);
+        }
     }
 }

@@ -18,10 +18,10 @@
 pub struct FeedbackConfig {
     /// EWMA smoothing factor in `(0, 1]`; higher reacts faster.
     pub alpha: f64,
-    /// Sustained `measured / predicted` ratio that triggers a swap. The
-    /// executor and the noise-free predictor legitimately disagree by up
-    /// to ~20% (the D310 agreement tolerance), so the threshold sits
-    /// well above that band.
+    /// Sustained `measured / predicted` ratio that triggers a swap. Under
+    /// the plan's own system the executor reports the predicted latency
+    /// exactly, so any excess is the deployed system's drift; the
+    /// threshold leaves room for drifts too small to pay for a re-plan.
     pub threshold: f64,
     /// Minimum observations before the monitor may trigger — one noisy
     /// batch is not drift.

@@ -548,6 +548,48 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Every number in `v` as `f64` bits, in document order.
+    fn f64_bits(v: &Value) -> Vec<u64> {
+        match v {
+            Value::Number(n) => vec![n.as_f64().expect("a number").to_bits()],
+            Value::Array(items) => items.iter().flat_map(f64_bits).collect(),
+            Value::Object(map) => map.values().flat_map(f64_bits).collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// `duet-lint trace --dump` holds the dumped witness to a fresh replay
+    /// under the dumped system bit for bit (D310), so both files must read
+    /// back with every `f64` they were written with: here a witness run
+    /// under a drifted system, whose prices are no short decimals.
+    #[test]
+    fn dumped_witness_and_system_keep_every_f64_bit() {
+        use duet_runtime::{ExecutionWitness, WitnessLog, WitnessSource};
+        let system = crate::loadgen::degraded_gpu(&duet_device::SystemModel::paper_server());
+        let spec = crate::ModelSpec::serving_zoo("wide_deep").expect("serving model");
+        let engine = duet_core::Duet::builder().build(&spec.graph_at(1)).unwrap();
+        let feeds = duet_models::input_feeds(engine.graph(), 3);
+        let log = WitnessLog::default();
+        let out = engine
+            .executor_with(system.clone())
+            .run_observed(&feeds, &log);
+        let latency_us = out.unwrap().virtual_latency_us;
+        let witness = log.seal(&engine.graph().name, WitnessSource::Executor, latency_us);
+
+        let text = serde_json::to_string_pretty(&witness).unwrap();
+        let back: ExecutionWitness = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, witness);
+        let bits = |w: &ExecutionWitness| f64_bits(&serde_json::to_value(w));
+        assert_eq!(bits(&back), bits(&witness));
+        assert!(bits(&witness).len() > 10, "the witness carries its clocks");
+
+        let text = serde_json::to_string_pretty(&system).unwrap();
+        let back: duet_device::SystemModel = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, system);
+        let bits = |s: &duet_device::SystemModel| f64_bits(&serde_json::to_value(s));
+        assert_eq!(bits(&back), bits(&system));
+    }
+
     #[test]
     fn slo_monitor_burns_at_threshold() {
         let mut m = SloMonitor::new(SloConfig {

@@ -30,14 +30,18 @@
 //! engine, executes one inference on the threaded executor *and* one in
 //! the noise-free simulator, records an execution witness from each,
 //! runs the `D3xx` conformance checker on both, and cross-checks the
-//! two witnesses against each other (`check_agreement`). `--out <file>`
+//! two witnesses against each other (`check_agreement`): the executor
+//! runs the schedule the replay priced and reads its clock from it, so
+//! the latencies must be the same `f64` and every device's dispatch
+//! order the same (`D310`, `D311`, both errors). `--out <file>`
 //! additionally dumps the executor witness as an annotated Chrome trace
 //! (load in `chrome://tracing` / Perfetto). With `--dump <dir>` it
 //! instead replays a `duet-serve` flight-recorder dump post mortem: the
 //! engine is rebuilt from the dumped plan and system model, the dumped
 //! witness goes through `check_witness`, and a fresh noise-free
-//! simulation cross-checks it (`check_agreement`) — proving the
-//! anomalous serving run still obeyed every runtime invariant.
+//! simulation cross-checks it (`check_agreement`, exact: the dumped JSON
+//! keeps every `f64` bit) — proving the anomalous serving run still
+//! obeyed every runtime invariant.
 //!
 //! The `model-check` subcommand proves the `D5xx` interleaving
 //! properties of a plan *before* it runs: deadlock-freedom,
@@ -247,7 +251,7 @@ fn trace_model(name: &str, opts: &Options) -> Vec<Report> {
             &sim_witness,
             &cfg,
         ),
-        check_agreement(&exec_witness, &sim_witness, &cfg),
+        check_agreement(&exec_witness, &sim_witness),
     ];
     if let Some(path) = &opts.out {
         write_file(path, &chrome_trace(name, &exec_witness, &[]));
@@ -317,7 +321,7 @@ fn trace_flight_dump(opts: &Options) -> Vec<Report> {
             witness,
             &cfg,
         ),
-        check_agreement(witness, &sim_witness, &cfg),
+        check_agreement(witness, &sim_witness),
     ];
     if let Some(path) = &opts.out {
         write_file(path, &chrome_trace(&model, witness, &[]));
