@@ -35,16 +35,18 @@ cargo run -q --release -p duet-bench --bin duet-alloc-gate
 step "kernel engine perf floor (engine vs reference oracle, alternating trials; one-thread GEMM vs measured FMA peak)"
 cargo run -q --release -p duet-bench --bin duet-kernel-floor
 
-step "duet-lint over all built-in models"
-cargo run -q --release --bin duet-lint -- all
+step "duet lint over all built-in models"
+cargo run -q --release --bin duet -- lint all
 
-step "duet-lint trace over all built-in models (D3xx conformance; executor and replay agree exactly)"
-cargo run -q --release --bin duet-lint -- trace all --deny-warnings
+step "duet trace over all built-in models (D3xx conformance; executor and replay agree exactly)"
+cargo run -q --release --bin duet -- trace all --deny-warnings
 
-step "duet-lint model-check over all built-in models (D5xx proof, <1s checker budget)"
-MC_OUT="$(cargo run -q --release --bin duet-lint -- \
-  model-check all --deny-warnings --max-states 200000 | tee /dev/stderr)"
-echo "$MC_OUT" | awk '
+step "duet model-check over all built-in models (D5xx proof, <1s checker budget)"
+# awk echoes every line itself: a `tee /dev/stderr` reopens the log when
+# stderr is redirected to a file, and truncates it or overwrites the copy.
+cargo run -q --release --bin duet -- \
+  model-check all --deny-warnings --max-states 200000 | awk '
+  { print }
   /^model-check: / {
     found = 1
     for (i = 1; i <= NF; i++) if ($(i + 1) == "ms") ms = $i
@@ -54,10 +56,9 @@ echo "$MC_OUT" | awk '
   END { if (!found) { print "FAIL: no model-check summary line"; exit 1 } }
 '
 
-step "duet-lint dataflow over all built-in models (D6xx proof, <10ms/model budget)"
-DF_OUT="$(cargo run -q --release --bin duet-lint -- \
-  dataflow all --deny-warnings | tee /dev/stderr)"
-echo "$DF_OUT" | awk '
+step "duet dataflow over all built-in models (D6xx proof, <10ms/model budget)"
+cargo run -q --release --bin duet -- dataflow all --deny-warnings | awk '
+  { print }
   /^dataflow: / {
     found = 1
     for (i = 1; i <= NF; i++) if ($(i + 1) == "ms/model,") ms = $i
@@ -143,7 +144,7 @@ assert pids == {1, 2}, f"expected virtual+wall process lanes, got {pids}"
 assert any(e.get("ph") == "X" for e in events), "no duration slices"
 print(f"insight render OK: {len(events)} events across {len(pids)} processes")
 PY
-cargo run -q --release --bin duet-lint -- trace --dump "${DUMPS[0]}" --deny-warnings
+cargo run -q --release --bin duet -- trace --dump "${DUMPS[0]}" --deny-warnings
 
 step "duet tune gate (drift scenario: never worse than Algorithm 1, promoted, reproduces results/ext-autotune.json)"
 TUNE_A="$(mktemp --suffix .json)"
@@ -154,15 +155,15 @@ trap 'rm -f "$METRICS_OUT" "$TUNE_A" "$TUNE_B" "$TUNE_C" "$TUNE_METRICS"' EXIT
 # The CLI exits nonzero on a never-worse violation or failed promotion;
 # on the zoo the drift run must also strictly beat the stale plan.
 cargo run -q --release --bin duet -- tune wide_and_deep \
-  --drift --json "$TUNE_A" --metrics-out "$TUNE_METRICS"
+  --drift --out "$TUNE_A" --metrics-out "$TUNE_METRICS"
 cargo run -q --release --bin duet -- tune mtdnn \
-  --drift --json "$TUNE_B"
+  --drift --out "$TUNE_B"
 # mobilenet's depthwise→BN→ReLU chains are priced as the one instruction
 # each runs as; its row holds that pricing.
 cargo run -q --release --bin duet -- tune mobilenet \
-  --drift --json "$TUNE_C"
+  --drift --out "$TUNE_C"
 # Each fresh process must also reproduce its row of the committed results
-# file (regenerate it with `duet tune all --drift --json
+# file (regenerate it with `duet tune all --drift --out
 # results/ext-autotune.json`): a deterministic search, and a results file
 # that still describes the code.
 python3 - results/ext-autotune.json "$TUNE_A" "$TUNE_B" "$TUNE_C" <<'PY'
@@ -215,7 +216,7 @@ rm -rf "$EXP_DIR"
 step "merged perfetto trace (duet trace --full) is one valid JSON document"
 TRACE_OUT="$(mktemp --suffix .json)"
 trap 'rm -f "$METRICS_OUT" "$TRACE_OUT"' EXIT
-cargo run -q --release --bin duet -- trace siamese "$TRACE_OUT" --full
+cargo run -q --release --bin duet -- trace siamese --out "$TRACE_OUT" --full
 python3 - "$TRACE_OUT" <<'PY'
 import json, sys
 events = json.load(open(sys.argv[1]))
@@ -225,11 +226,11 @@ assert any(e.get("ph") == "X" for e in events), "no duration slices"
 print(f"trace OK: {len(events)} events across {len(pids)} processes")
 PY
 
-step "witness-only trace (duet trace) is one process with one slice per dispatched subgraph"
+step "witness-only trace (duet trace --out) is one process with one slice per dispatched subgraph"
 WTRACE_OUT="$(mktemp --suffix .json)"
 WPLAN_OUT="$(mktemp --suffix .json)"
 trap 'rm -f "$METRICS_OUT" "$TRACE_OUT" "$WTRACE_OUT" "$WPLAN_OUT"' EXIT
-cargo run -q --release --bin duet -- trace wide_and_deep "$WTRACE_OUT"
+cargo run -q --release --bin duet -- trace wide_and_deep --out "$WTRACE_OUT"
 cargo run -q --release --bin duet -- export-plan wide_and_deep "$WPLAN_OUT" >/dev/null
 python3 - "$WTRACE_OUT" "$WPLAN_OUT" <<'PY'
 import json, sys
@@ -245,17 +246,17 @@ assert sgs == list(range(dispatched)), \
 print(f"witness trace OK: {len(events)} events, {len(sgs)} slices for {dispatched} subgraphs")
 PY
 
-step "plan replay (export-plan, apply-plan on its model, refused as stale on another)"
+step "plan replay (export-plan, report --plan on its model, refused as stale on another)"
 PLAN_OUT="$(mktemp --suffix .json)"
 trap 'rm -f "$METRICS_OUT" "$TRACE_OUT" "$WTRACE_OUT" "$WPLAN_OUT" "$PLAN_OUT"' EXIT
 cargo run -q --release --bin duet -- export-plan siamese "$PLAN_OUT"
-cargo run -q --release --bin duet -- apply-plan siamese "$PLAN_OUT" >/dev/null
+cargo run -q --release --bin duet -- report siamese --plan "$PLAN_OUT" >/dev/null
 # A plan made for another graph is refused with exactly one error: the
 # stale fingerprint (D206), not one per node of the other graph.
 STATUS=0
-STALE="$(cargo run -q --release --bin duet -- apply-plan mtdnn "$PLAN_OUT" 2>&1)" || STATUS=$?
+STALE="$(cargo run -q --release --bin duet -- report mtdnn --plan "$PLAN_OUT" 2>&1)" || STATUS=$?
 [ "$STATUS" -eq 1 ] \
-  || { echo "FAIL: apply-plan of a stale plan exited $STATUS, not 1"; exit 1; }
+  || { echo "FAIL: report --plan with a stale plan exited $STATUS, not 1"; exit 1; }
 ERRORS="$(grep 'error\[' <<<"$STALE" || true)"
 [ "$(grep -c . <<<"$ERRORS")" -eq 1 ] && grep -q 'error\[D206\]' <<<"$ERRORS" \
   || { echo "FAIL: expected exactly one error, D206, in:"; echo "$STALE"; exit 1; }

@@ -53,11 +53,11 @@
 //!   the tape planner's extended in-place eligibility.
 //!
 //! Severities are [`Severity::Error`] (do not run/deploy this artifact)
-//! and [`Severity::Warning`] (runs, but suspicious). The `duet-lint`
-//! CLI in the root crate drives all seven over the model zoo and exits
-//! non-zero on errors; its `trace` subcommand runs a model, records
-//! witnesses and checks them; its `model-check` subcommand proves the
-//! `D5xx` properties per plan. Every analyzer invocation is counted in
+//! and [`Severity::Warning`] (runs, but suspicious). The `duet` CLI in
+//! the root crate drives all seven over the model zoo and exits non-zero
+//! on errors: `duet lint` runs the static stages, `duet trace` runs a
+//! model, records witnesses and checks them, `duet model-check` proves
+//! the `D5xx` properties per plan and `duet dataflow` the `D6xx` ones. Every analyzer invocation is counted in
 //! the `duet-telemetry` registry (see [`telemetry`]).
 
 pub mod dataflow;

@@ -60,7 +60,7 @@
 //!
 //! The first violation's event path is replayed into a synthetic
 //! [`ExecutionWitness`] (virtual clocks from the priced model when
-//! available), so `duet-lint model-check --out` renders it through the
+//! available), so `duet model-check --out` renders it through the
 //! one trace writer, `duet_runtime::chrome_trace`, and the static finding
 //! reproduces as a `D3xx` violation when fed to the dynamic checker.
 
@@ -420,7 +420,7 @@ impl State {
 }
 
 /// Exhaustively check a plan model. This is the D5xx oracle proper;
-/// `duet-lint model-check`, checked engine builds and the serve
+/// `duet model-check`, checked engine builds and the serve
 /// hot-swap gate all funnel here.
 pub fn check_plan_model(model: &PlanModel, cfg: &ModelCheckConfig) -> ModelCheckOutcome {
     let clock = Instant::now();

@@ -36,7 +36,7 @@ pub fn violation_to_diagnostic(v: &PassViolation) -> Diagnostic {
 ///
 /// Returns the optimized graph and stats when the pipeline held its
 /// invariants, `None` plus the failure diagnostics otherwise. This is
-/// what `duet-lint` runs per model; passing means fold → CSE → DCE all
+/// what `duet lint` runs per model; passing means fold → CSE → DCE all
 /// preserved the graph's interface and structure.
 pub fn check_optimize(
     graph: &Graph,

@@ -83,7 +83,7 @@ proptest! {
 }
 
 /// Deterministic sweep: every full-size zoo model verifies clean before
-/// and after the complete pipeline (the same property `duet-lint all`
+/// and after the complete pipeline (the same property `duet lint all`
 /// enforces from the CLI).
 #[test]
 fn zoo_models_verify_clean_through_full_pipeline() {

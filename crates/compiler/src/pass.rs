@@ -52,7 +52,7 @@ impl CompileOptions {
     }
 
     /// All passes on, invariant checking forced on regardless of build
-    /// profile (what `duet-lint` and the analysis harness use).
+    /// profile (what `duet lint` and the analysis harness use).
     pub fn checked() -> Self {
         CompileOptions {
             check: true,

@@ -497,7 +497,7 @@ impl Duet {
 
     /// [`Duet::run`], reporting every dispatch to `observer` — a
     /// [`WitnessLog`] records the ordered event log the `duet-analysis`
-    /// D3xx conformance checker (and `duet-lint trace`) consumes.
+    /// D3xx conformance checker (and `duet trace`) consumes.
     ///
     /// [`WitnessLog`]: duet_runtime::WitnessLog
     pub fn run_observed<O: Observer + Sync>(

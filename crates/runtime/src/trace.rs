@@ -7,8 +7,8 @@
 //! inspected in a real trace viewer:
 //!
 //! ```text
-//! duet trace wide_and_deep trace.json          # then open in ui.perfetto.dev
-//! duet trace wide_and_deep trace.json --full   # plus the pipeline's spans
+//! duet trace wide_and_deep --out trace.json          # then open in ui.perfetto.dev
+//! duet trace wide_and_deep --out trace.json --full   # plus the pipeline's spans
 //! ```
 //!
 //! The trace is annotated: each subgraph slice carries its index, device

@@ -19,7 +19,7 @@
 //! * **Self-contained bundle** — the dump directory holds the last N
 //!   traces, a full `/metrics` snapshot, the serving plan + fingerprint,
 //!   the deployed system model and a freshly recorded execution witness,
-//!   so `duet insight` and `duet-lint trace --dump` can replay it with
+//!   so `duet insight` and `duet trace --dump` can replay it with
 //!   no access to the original process.
 
 use std::collections::VecDeque;
@@ -385,7 +385,7 @@ impl FlightRecorder {
     }
 }
 
-/// A dump bundle read back from disk (`duet insight`, `duet-lint trace
+/// A dump bundle read back from disk (`duet insight`, `duet trace
 /// --dump`).
 pub struct FlightDump {
     pub manifest: Value,
@@ -558,7 +558,7 @@ mod tests {
         }
     }
 
-    /// `duet-lint trace --dump` holds the dumped witness to a fresh replay
+    /// `duet trace --dump` holds the dumped witness to a fresh replay
     /// under the dumped system bit for bit (D310), so both files must read
     /// back with every `f64` they were written with: here a witness run
     /// under a drifted system, whose prices are no short decimals.

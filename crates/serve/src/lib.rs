@@ -40,7 +40,7 @@
 //!   measured sojourn; an always-on bounded ring of completed span
 //!   trees is dumped to disk on anomalies (SLO burn, shed, drift
 //!   hot-swap, checker-refused swap) for offline analysis with
-//!   `duet insight` and `duet-lint trace --dump`.
+//!   `duet insight` and `duet trace --dump`.
 //!
 //! The `duet-serve` binary is a closed/open-loop Poisson load generator
 //! over this runtime; `cargo run --release -p duet-serve --bin

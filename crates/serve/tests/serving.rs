@@ -612,7 +612,7 @@ fn slo_breach_writes_exactly_one_dump_with_breaching_trace() {
     );
     assert!(
         dump.witness.is_some(),
-        "dump carries a witnessed replay for duet-lint trace"
+        "dump carries a witnessed replay for duet trace"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

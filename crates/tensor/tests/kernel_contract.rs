@@ -406,3 +406,55 @@ fn vectorized_kernels_deterministic() {
     let c2 = kernels::matmul(&a, &bm).unwrap();
     assert_bits_eq(&c1, &c2, "matmul determinism");
 }
+
+// --- batch-row invariance ------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A row's bits do not depend on the batch it rides in: each row of a
+    /// batch-`m` `linear`, `linear_acc_into` and `matmul` equals the same
+    /// row computed alone at `m = 1`. Serving rests on this — a batched
+    /// request must answer what it answers alone — so m = 1 and m ≥ 2 must
+    /// share one per-row reduction order. `kin` covers the dot's lane tails
+    /// on both sides of 16.
+    #[test]
+    fn batched_rows_bit_identical_to_rows_alone(
+        m in 2usize..=9,
+        kin in 1usize..=40,
+        nout in 1usize..40,
+        seed in 0u64..1000,
+    ) {
+        let x = Tensor::randn(vec![m, kin], 1.0, seed);
+        let w = Tensor::randn(vec![nout, kin], 1.0, seed.wrapping_add(1));
+        let b = Tensor::randn(vec![nout], 1.0, seed.wrapping_add(2));
+        let init = Tensor::randn(vec![m, nout], 1.0, seed.wrapping_add(3));
+        let wt = Tensor::randn(vec![kin, nout], 1.0, seed.wrapping_add(4));
+        let linear = kernels::linear(&x, &w, Some(&b)).unwrap();
+        let mut acc = init.data().to_vec();
+        kernels::linear_acc_into(x.data(), w.data(), &mut acc, m, kin, nout);
+        let matmul = kernels::matmul(&x, &wt).unwrap();
+        for i in 0..m {
+            let row = Tensor::from_vec(vec![1, kin], x.data()[i * kin..(i + 1) * kin].to_vec())
+                .unwrap();
+            let out = i * nout..(i + 1) * nout;
+            let alone = kernels::linear(&row, &w, Some(&b)).unwrap();
+            assert_bits_eq(
+                &alone,
+                &Tensor::from_vec(vec![1, nout], linear.data()[out.clone()].to_vec()).unwrap(),
+                &format!("linear row {i} of {m}x{kin}x{nout}"),
+            );
+            let mut acc_alone = init.data()[out.clone()].to_vec();
+            kernels::linear_acc_into(row.data(), w.data(), &mut acc_alone, 1, kin, nout);
+            for (j, (a, b)) in acc_alone.iter().zip(&acc[out.clone()]).enumerate() {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "linear_acc row {} col {}", i, j);
+            }
+            let alone = kernels::matmul(&row, &wt).unwrap();
+            assert_bits_eq(
+                &alone,
+                &Tensor::from_vec(vec![1, nout], matmul.data()[out].to_vec()).unwrap(),
+                &format!("matmul row {i} of {m}x{kin}x{nout}"),
+            );
+        }
+    }
+}

@@ -20,7 +20,7 @@
 //! serialize on one device lane, where delay injection cannot reorder
 //! anything. The full-size zoo plans themselves are proven clean here
 //! too — statically, which is milliseconds — and again in release mode
-//! by the `duet-lint model-check all` CI gate.
+//! by the `duet model-check all` CI gate.
 
 use std::sync::OnceLock;
 
