@@ -8,7 +8,10 @@
 //! across the suite, and no individual kernel below 1.25x. Alternating trials
 //! plus medians is what makes a ratio gate (rather than an absolute
 //! latency gate) stable enough for CI: both populations absorb the same
-//! machine noise, and the floor sits well under the measured margins.
+//! machine noise, and the floor sits well under the measured margins. The
+//! GELU row has a floor of its own, between the vectorized polynomial and
+//! the same polynomial scalarized, so an activation that goes scalar or back
+//! to libm fails.
 //!
 //! The same method guards fork/join: one paper-scale and one serving-scale
 //! convolution, kernel pool vs regions forced inline. The pool must never
@@ -35,6 +38,11 @@ use duet_bench::experiments::kernels::{
 const PAIRS: usize = 9;
 const FLOOR_GEOMEAN: f64 = 2.0;
 const FLOOR_EACH: f64 = 1.25;
+/// Least speedup of the `gelu 128x3072` row over its f64 oracle. On a
+/// 2-vCPU AMD EPYC host the vectorized polynomial measured 11–37× (the low
+/// end when each call faults its 1.5 MB result in), the same polynomial
+/// scalarized 3.2–3.5× and the libm loop it replaced 1.05–1.11×.
+const FLOOR_GELU: f64 = 6.0;
 const FORK_JOIN_PAIRS: usize = 25;
 /// Pooled may take at most this multiple of the inline time.
 const FORK_JOIN_MAX_SLOWDOWN: f64 = 1.1;
@@ -64,9 +72,14 @@ fn main() {
             b.vectorized_us,
             b.speedup()
         );
-        if b.speedup() < FLOOR_EACH {
+        let floor = if b.what.starts_with("gelu") {
+            FLOOR_GELU
+        } else {
+            FLOOR_EACH
+        };
+        if b.speedup() < floor {
             eprintln!(
-                "FAIL: {} ({}) at {:.2}x is below the {FLOOR_EACH}x per-kernel floor",
+                "FAIL: {} ({}) at {:.2}x is below its {floor}x floor",
                 b.name,
                 b.what,
                 b.speedup()

@@ -3,9 +3,8 @@
 //!
 //! One microbenchmark per zoo family, shaped like the family's dominant
 //! kernel (batch-1 linear and the paper-scale LSTM for wide&deep, the LSTM
-//! sequence for Siamese,
-//! attention GEMM for MT-DNN, 3x3/1x1 convs for the CNNs, depthwise for
-//! MobileNet), alternates `kernels::reference::X` and `kernels::X` on
+//! sequence for Siamese, attention GEMM and the feed-forward GELU for
+//! MT-DNN, 3x3/1x1 convs for the CNNs, depthwise for MobileNet), alternates `kernels::reference::X` and `kernels::X` on
 //! successive trials — the same discipline as the telemetry-overhead gate:
 //! scheduler noise, thermal drift and cache state hit both populations
 //! identically, and per-trial medians make the ratio stable on a
@@ -301,6 +300,18 @@ pub fn micro_speedups(pairs: usize) -> Vec<EngineBench> {
             flops,
             &mut || drop(reference::matmul(&a, &b)),
             &mut || drop(kernels::matmul(&a, &b).unwrap()),
+        );
+    }
+    // mtdnn: the GELU after each feed-forward up-projection, one
+    // allocating call as `Graph::eval` makes it.
+    {
+        let x = Tensor::randn(vec![128, 3072], 1.0, 28);
+        push(
+            "mtdnn",
+            "gelu 128x3072",
+            0,
+            &mut || drop(reference::gelu(&x)),
+            &mut || drop(kernels::gelu(&x)),
         );
     }
     // resnet18: the canonical 3x3 residual-stage convolution.

@@ -12,10 +12,11 @@
 //!   followers as [`EpilogueStep`]s. `linear → relu → add` and
 //!   `conv → batchnorm → relu` each run as a single instruction whose
 //!   intermediates never materialize: the epilogue mutates the anchor's
-//!   output buffer in registers-to-slot order, exactly as the unfused
-//!   kernels would have written it (the in-place elementwise kernels are
-//!   bit-identical to their `_into` twins). Singleton groups give one
-//!   instruction per node.
+//!   output buffer in registers-to-slot order. A standalone elementwise
+//!   instruction runs the same step code on operand 0 copied into its
+//!   slot (or on the slot itself, in place), so fused and unfused tapes
+//!   run one loop per operator and agree bit for bit. Singleton groups
+//!   give one instruction per node.
 //! * **Tape-order scheduling** — the groups are list-scheduled with a
 //!   bytes-freed-greedy heuristic: among ready groups, prefer the one
 //!   that releases the most dead input bytes net of its own output
@@ -541,11 +542,9 @@ impl ExecutableTape {
                     inputs.len() - 1
                 };
                 let op = match enode.op {
-                    Op::Relu => EpilogueOp::Unary(UnaryOp::Relu),
-                    Op::Sigmoid => EpilogueOp::Unary(UnaryOp::Sigmoid),
-                    Op::Tanh => EpilogueOp::Unary(UnaryOp::Tanh),
-                    Op::Gelu => EpilogueOp::Unary(UnaryOp::Gelu),
-                    Op::Scale { factor } => EpilogueOp::Scale(factor),
+                    Op::Relu | Op::Sigmoid | Op::Tanh | Op::Gelu | Op::Scale { .. } => {
+                        standalone_step(&enode.op)
+                    }
                     Op::Add => {
                         let other = other_operand(enode, chain);
                         EpilogueOp::Add {
@@ -705,11 +704,49 @@ fn fold_batch_norm(graph: &Graph, node: &Node) -> BnFold {
             .expect("a fused batch norm's parameters are proven constants")
             .data()
     };
-    let (scale, shift) = kernels::batch_norm2d_fold(param(1), param(2), param(3), param(4), 1e-5);
-    BnFold {
-        scale,
-        shift,
-        plane: node.shape.dim(2) * node.shape.dim(3),
+    BnFold::new([param(1), param(2), param(3), param(4)], &node.shape)
+}
+
+impl BnFold {
+    /// Batch norm's `[gamma, beta, mean, var]` folded for an NCHW value of
+    /// `shape`.
+    fn new(p: [&[f32]; 4], shape: &Shape) -> BnFold {
+        let (scale, shift) = kernels::batch_norm2d_fold(p[0], p[1], p[2], p[3], 1e-5);
+        BnFold {
+            scale,
+            shift,
+            plane: shape.dim(2) * shape.dim(3),
+        }
+    }
+}
+
+/// The in-place step a standalone elementwise instruction runs once
+/// operand 0 is in its output: the epilogue step the op is fused as, with
+/// its other operands from operand 1 on. A standalone batch norm's
+/// parameters need not be constants, so it names fold 0 of a list its
+/// instruction folds per run.
+fn standalone_step(op: &Op) -> EpilogueOp {
+    match *op {
+        Op::Relu => EpilogueOp::Unary(UnaryOp::Relu),
+        Op::Sigmoid => EpilogueOp::Unary(UnaryOp::Sigmoid),
+        Op::Tanh => EpilogueOp::Unary(UnaryOp::Tanh),
+        Op::Gelu => EpilogueOp::Unary(UnaryOp::Gelu),
+        Op::Scale { factor } => EpilogueOp::Scale(factor),
+        Op::Add => EpilogueOp::Add { rhs: 1 },
+        Op::Sub => EpilogueOp::Sub {
+            rhs: 1,
+            reversed: false,
+        },
+        Op::Mul => EpilogueOp::Mul { rhs: 1 },
+        Op::BiasAdd => EpilogueOp::BiasAdd { bias: 1 },
+        Op::BatchNorm2d => EpilogueOp::BatchNorm {
+            gamma: 1,
+            beta: 2,
+            mean: 3,
+            var: 4,
+            fold: 0,
+        },
+        ref other => unreachable!("{} is not elementwise", other.name()),
     }
 }
 
@@ -850,9 +887,8 @@ impl ExecutableTape {
     /// Apply the fused epilogue chain to `seg`, elements `[at, at +
     /// seg.len())` of the anchor's output, in chain order: the whole buffer
     /// after most anchors, a GEMM chunk's run of one channel from inside a
-    /// convolution. Each step is the in-place twin of the standalone
-    /// kernel, element by element, so the buffer ends bit-identical to the
-    /// unfused sequence however it is cut into runs.
+    /// convolution. Each step is elementwise, so the buffer ends
+    /// bit-identical to the unfused sequence however it is cut into runs.
     fn finish(
         &self,
         instr: &Instr,
@@ -861,29 +897,47 @@ impl ExecutableTape {
         at: usize,
         seg: &mut [f32],
     ) {
+        for step in &instr.epilogue {
+            self.step(instr, feeds, arena, step.op, &self.bn_folds, at, seg);
+        }
+    }
+
+    /// Run one step's in-place kernel on `seg`, elements `[at, at +
+    /// seg.len())` of the instruction's output: an epilogue step, or a
+    /// standalone elementwise instruction's own op. A batch norm reads
+    /// `folds[fold]`.
+    #[allow(clippy::too_many_arguments)]
+    fn step(
+        &self,
+        instr: &Instr,
+        feeds: &[&Tensor],
+        arena: &TapeArena,
+        op: EpilogueOp,
+        folds: &[BnFold],
+        at: usize,
+        seg: &mut [f32],
+    ) {
         let len = seg.len();
         let operand = |idx: usize| &self.src(instr, idx, feeds, arena).0[at..at + len];
-        for step in &instr.epilogue {
-            match step.op {
-                EpilogueOp::Unary(u) => kernels::unary_inplace(u, seg),
-                EpilogueOp::Scale(f) => kernels::scale_inplace(seg, f),
-                EpilogueOp::Add { rhs } => kernels::add_inplace(seg, operand(rhs)),
-                EpilogueOp::Mul { rhs } => kernels::mul_inplace(seg, operand(rhs)),
-                EpilogueOp::Sub { rhs, reversed } => {
-                    if reversed {
-                        kernels::rsub_inplace(seg, operand(rhs));
-                    } else {
-                        kernels::sub_inplace(seg, operand(rhs));
-                    }
+        match op {
+            EpilogueOp::Unary(u) => kernels::unary_inplace(u, seg),
+            EpilogueOp::Scale(f) => kernels::scale_inplace(seg, f),
+            EpilogueOp::Add { rhs } => kernels::add_inplace(seg, operand(rhs)),
+            EpilogueOp::Mul { rhs } => kernels::mul_inplace(seg, operand(rhs)),
+            EpilogueOp::Sub { rhs, reversed } => {
+                if reversed {
+                    kernels::rsub_inplace(seg, operand(rhs));
+                } else {
+                    kernels::sub_inplace(seg, operand(rhs));
                 }
-                EpilogueOp::BiasAdd { bias } => {
-                    let (bd, _) = self.src(instr, bias, feeds, arena);
-                    kernels::bias_add_inplace_at(seg, at, bd);
-                }
-                EpilogueOp::BatchNorm { fold, .. } => {
-                    let f = &self.bn_folds[fold];
-                    kernels::batch_norm2d_folded_inplace(seg, at, f.plane, &f.scale, &f.shift);
-                }
+            }
+            EpilogueOp::BiasAdd { bias } => {
+                let (bd, _) = self.src(instr, bias, feeds, arena);
+                kernels::bias_add_inplace_at(seg, at, bd);
+            }
+            EpilogueOp::BatchNorm { fold, .. } => {
+                let f = &folds[fold];
+                kernels::batch_norm2d_folded_inplace(seg, at, f.plane, &f.scale, &f.shift);
             }
         }
     }
@@ -930,80 +984,22 @@ impl ExecutableTape {
                 let (xd, xs) = self.src(instr, 0, feeds, arena);
                 kernels::avg_pool2d_into(xd, xs.dims(), *window, *stride, out)
             }
-            Op::Relu | Op::Sigmoid | Op::Tanh | Op::Gelu => {
-                let u = match instr.op {
-                    Op::Relu => UnaryOp::Relu,
-                    Op::Sigmoid => UnaryOp::Sigmoid,
-                    Op::Tanh => UnaryOp::Tanh,
-                    _ => UnaryOp::Gelu,
+            // Elementwise: operand 0 into the slot (already there in
+            // place), then the step code a fused epilogue runs.
+            op if op.is_fusable_elementwise() || matches!(op, Op::BatchNorm2d) => {
+                if !instr.in_place {
+                    out.copy_from_slice(self.src(instr, 0, feeds, arena).0);
+                }
+                let step = standalone_step(op);
+                let folds = match step {
+                    EpilogueOp::BatchNorm { .. } => {
+                        let p = |i: usize| self.src(instr, i, feeds, arena).0;
+                        vec![BnFold::new([p(1), p(2), p(3), p(4)], &instr.arg_shapes[0])]
+                    }
+                    _ => Vec::new(),
                 };
-                if instr.in_place {
-                    kernels::unary_inplace(u, out);
-                } else {
-                    let (xd, _) = self.src(instr, 0, feeds, arena);
-                    kernels::unary_into(u, xd, out);
-                }
+                self.step(instr, feeds, arena, step, &folds, 0, out);
                 Ok(())
-            }
-            Op::Scale { factor } => {
-                if instr.in_place {
-                    kernels::scale_inplace(out, *factor);
-                } else {
-                    let (xd, _) = self.src(instr, 0, feeds, arena);
-                    kernels::scale_into(xd, *factor, out);
-                }
-                Ok(())
-            }
-            Op::Add | Op::Sub | Op::Mul => {
-                let (bd, _) = self.src(instr, 1, feeds, arena);
-                if instr.in_place {
-                    match instr.op {
-                        Op::Add => kernels::add_inplace(out, bd),
-                        Op::Sub => kernels::sub_inplace(out, bd),
-                        _ => kernels::mul_inplace(out, bd),
-                    }
-                } else {
-                    let (ad, _) = self.src(instr, 0, feeds, arena);
-                    match instr.op {
-                        Op::Add => kernels::add_into(ad, bd, out),
-                        Op::Sub => kernels::sub_into(ad, bd, out),
-                        _ => kernels::mul_into(ad, bd, out),
-                    }
-                }
-                Ok(())
-            }
-            Op::BiasAdd => {
-                let (bd, _) = self.src(instr, 1, feeds, arena);
-                if instr.in_place {
-                    kernels::bias_add_inplace(out, bd);
-                } else {
-                    let (xd, _) = self.src(instr, 0, feeds, arena);
-                    kernels::bias_add_into(xd, bd, out);
-                }
-                Ok(())
-            }
-            Op::BatchNorm2d => {
-                let gamma = self.src_tensor(instr, 1, feeds, arena)?;
-                let beta = self.src_tensor(instr, 2, feeds, arena)?;
-                let mean = self.src_tensor(instr, 3, feeds, arena)?;
-                let var = self.src_tensor(instr, 4, feeds, arena)?;
-                if instr.in_place {
-                    // The planner only flags extended in-place when the
-                    // incoming value's shape equals the node's NCHW
-                    // shape — which, absent an epilogue, is out_shape.
-                    kernels::batch_norm2d_inplace(
-                        out,
-                        &instr.arg_shapes[0],
-                        &gamma,
-                        &beta,
-                        &mean,
-                        &var,
-                        1e-5,
-                    )
-                } else {
-                    let x = self.src_tensor(instr, 0, feeds, arena)?;
-                    kernels::batch_norm2d_into(&x, &gamma, &beta, &mean, &var, 1e-5, out)
-                }
             }
             // Every other op keeps its allocating kernel; inputs are
             // wrapped zero-copy and the result is copied into the slot.

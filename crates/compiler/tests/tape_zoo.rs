@@ -16,7 +16,7 @@ use std::collections::HashMap;
 
 use duet_compiler::passes::fuse_groups;
 use duet_compiler::{CompileOptions, CompiledSubgraph, Compiler, EpilogueOp, TapeArena};
-use duet_ir::{Graph, NodeId, Op};
+use duet_ir::{Graph, GraphBuilder, NodeId, Op};
 use duet_models::{
     input_feeds, mobilenet, mtdnn, resnet, siamese, wide_and_deep, zoo_model, MobileNetConfig,
     MtDnnConfig, ResNetConfig, SiameseConfig, WideAndDeepConfig,
@@ -33,6 +33,30 @@ fn families() -> Vec<(&'static str, Graph)> {
         ("resnet", resnet(&ResNetConfig::small())),
         ("mobilenet", mobilenet(&MobileNetConfig::small())),
     ]
+}
+
+/// A chain of every elementwise operator with no anchor to fuse into. As
+/// singletons its instructions copy operand 0 from a feed (`x` is read
+/// twice) and from live slots (`s` and `d` are read twice), and its batch
+/// norm runs standalone.
+fn elementwise_chain() -> Graph {
+    let mut b = GraphBuilder::new("elementwise_chain", 11);
+    let x = b.input("x", vec![2, 3, 4, 4]);
+    let bias = b.weight("bias", &[4]);
+    let (gamma, beta) = (b.weight("gamma", &[3]), b.weight("beta", &[3]));
+    let (mean, var) = (b.zeros("mean", &[3]), b.ones("var", &[3]));
+    let mut op = |label: &str, op: Op, inputs: &[NodeId]| b.op(label, op, inputs).unwrap();
+    let s = op("sigmoid", Op::Sigmoid, &[x]);
+    let t = op("scale", Op::Scale { factor: 0.5 }, &[s]);
+    let p = op("mul", Op::Mul, &[s, t]);
+    let d = op("sub", Op::Sub, &[x, p]);
+    let g = op("gelu", Op::Gelu, &[d]);
+    let h = op("tanh", Op::Tanh, &[g]);
+    let c = op("bias_add", Op::BiasAdd, &[h, bias]);
+    let n = op("batch_norm", Op::BatchNorm2d, &[c, gamma, beta, mean, var]);
+    let r = op("relu", Op::Relu, &[n]);
+    let y = op("add", Op::Add, &[r, d]);
+    b.finish(&[y]).unwrap()
 }
 
 /// Optimize through the real pipeline and lower the whole graph into
@@ -165,7 +189,8 @@ fn batch_norm_fuses_into_conv_on_zoo_cnns() {
 /// zoo family.
 #[test]
 fn fused_and_singleton_groups_are_bit_identical() {
-    for (name, model) in families() {
+    let elementwise = ("elementwise_chain", elementwise_chain());
+    for (name, model) in families().into_iter().chain([elementwise]) {
         let (graph, _) = Compiler::new(CompileOptions::default())
             .optimize(&model)
             .expect("optimize");

@@ -185,25 +185,33 @@ pub fn span_to_value(s: &Span) -> Value {
 fn num(v: &Value, key: &str) -> Result<f64, String> {
     v.get(key)
         .and_then(Value::as_f64)
-        .ok_or_else(|| format!("span field `{key}` missing or not a number"))
+        .ok_or_else(|| format!("field `{key}` missing or not a number"))
+}
+
+/// An integer field, read as one: through `f64` a fingerprint or an id
+/// above 2⁵³ would lose its low bits.
+fn int(v: &Value, key: &str) -> Result<u64, String> {
+    v.get(key)
+        .and_then(Value::as_u64)
+        .ok_or_else(|| format!("field `{key}` missing or not an unsigned integer"))
 }
 
 /// Decode one span of `traces.json`.
 pub fn span_from_value(v: &Value) -> Result<Span, String> {
-    let kind_raw = num(v, "kind")? as u64;
+    let kind_raw = int(v, "kind")?;
     let kind =
         SpanKind::from_u64(kind_raw).ok_or_else(|| format!("unknown span kind {kind_raw}"))?;
     Ok(Span {
-        seq: num(v, "seq")? as u64,
+        seq: int(v, "seq")?,
         kind,
-        detail: num(v, "detail")? as u64,
+        detail: int(v, "detail")?,
         start_us: num(v, "start_us")?,
         dur_us: num(v, "dur_us")?,
         arg0: num(v, "arg0")?,
         arg1: num(v, "arg1")?,
-        trace_id: num(v, "trace_id")? as u64,
-        span_id: num(v, "span_id")? as u64,
-        parent_id: num(v, "parent_id")? as u64,
+        trace_id: int(v, "trace_id")?,
+        span_id: int(v, "span_id")?,
+        parent_id: int(v, "parent_id")?,
     })
 }
 
@@ -236,15 +244,15 @@ impl RequestTrace {
                 serde::Deserialize::from_value(a).map_err(|_| "bad `attribution` object")
             })?;
         Ok(RequestTrace {
-            trace_id: num(v, "trace_id")? as u64,
+            trace_id: int(v, "trace_id")?,
             model: v
                 .get("model")
                 .and_then(Value::as_str)
                 .ok_or("trace has no `model`")?
                 .to_string(),
-            batch: num(v, "batch")? as usize,
-            epoch: num(v, "epoch")? as usize,
-            plan_fingerprint: num(v, "plan_fingerprint")? as u64,
+            batch: int(v, "batch")? as usize,
+            epoch: int(v, "epoch")? as usize,
+            plan_fingerprint: int(v, "plan_fingerprint")?,
             sojourn_us: num(v, "sojourn_us")?,
             attribution,
             spans,
@@ -487,13 +495,24 @@ mod tests {
         assert_eq!(ids, vec![3, 4, 5]);
     }
 
+    /// A real plan fingerprint uses all 64 bits, more than an `f64` keeps.
     #[test]
     fn request_trace_round_trips_through_json() {
-        let t = trace(7);
+        let spec = crate::ModelSpec::serving_zoo("mlp").expect("serving model");
+        let fingerprint = duet_ir::fingerprint(&spec.graph_at(1));
+        assert_ne!(fingerprint as f64 as u64, fingerprint, "not exact in f64");
+        let t = RequestTrace {
+            plan_fingerprint: fingerprint,
+            ..(*trace(7)).clone()
+        };
         let back = RequestTrace::from_value(&t.to_value()).unwrap();
         assert_eq!(back.trace_id, 7);
         assert_eq!(back.model, "mlp");
-        assert_eq!(back.plan_fingerprint, 0xfeed);
+        assert_eq!(back.plan_fingerprint, fingerprint);
+        let text = serde_json::to_string(&t.to_value()).unwrap();
+        let parsed: Value = serde_json::from_str(&text).unwrap();
+        let back = RequestTrace::from_value(&parsed).unwrap();
+        assert_eq!(back.plan_fingerprint, fingerprint);
         assert_eq!(back.spans.len(), 1);
         assert_eq!(back.spans[0].kind, SpanKind::ServeRequest);
         assert_eq!(back.spans[0].span_id, 70);

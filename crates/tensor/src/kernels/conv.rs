@@ -21,9 +21,15 @@
 //! The conv bias and the caller's `finish` (the tape's fused epilogue: batch
 //! norm, residual add, activation) run inside the GEMM's chunks on the rows
 //! they just stored, on whichever thread ran the chunk.
+//!
+//! Inference batch norm is one loop, [`batch_norm2d_folded_inplace`] over
+//! the per-channel scale and shift [`batch_norm2d_fold`] computes: a fused
+//! epilogue runs it on runs of the GEMM's rows, a standalone tape
+//! instruction on its slot, and [`batch_norm2d`] on a copy of its input.
 
 use rayon::prelude::*;
 
+use super::elementwise::copied;
 use super::micro::{
     fork_if_worthwhile, gemm_packed, gemm_pitched, packed_columns, pitched_columns,
     row_major_strips, with_index_scratch, with_scratch, Pitched, LANE_OP_WORK, NR,
@@ -827,7 +833,9 @@ fn depthwise_scalar_span(
 
 /// Inference-mode batch norm over NCHW input with per-channel statistics.
 ///
-/// `y = gamma * (x - mean) / sqrt(var + eps) + beta`, all params `[c]`.
+/// `y = gamma * (x - mean) / sqrt(var + eps) + beta`, all params `[c]`:
+/// [`batch_norm2d_fold`], then [`batch_norm2d_folded_inplace`] on a copy of
+/// `x`, the loop a fused tape epilogue runs.
 pub fn batch_norm2d(
     x: &Tensor,
     gamma: &Tensor,
@@ -837,7 +845,7 @@ pub fn batch_norm2d(
     eps: f32,
 ) -> Result<Tensor, TensorError> {
     x.shape().expect_rank("batch_norm2d", 4)?;
-    let (n, c, h, w) = dims4(x);
+    let (_, c, h, w) = dims4(x);
     for p in [gamma, beta, mean, var] {
         p.shape().expect_rank("batch_norm2d", 1)?;
         if p.len() != c {
@@ -848,115 +856,15 @@ pub fn batch_norm2d(
             });
         }
     }
-    let plane = h * w;
-    let (g, b, m, v) = (gamma.data(), beta.data(), mean.data(), var.data());
-    let mut out = vec![0.0f32; x.len()];
-    for img in 0..n {
-        for ci in 0..c {
-            let scale = g[ci] / (v[ci] + eps).sqrt();
-            let shift = b[ci] - m[ci] * scale;
-            let base = (img * c + ci) * plane;
-            for i in 0..plane {
-                out[base + i] = x.data()[base + i] * scale + shift;
-            }
-        }
-    }
-    Tensor::from_vec(x.shape().clone(), out)
-}
-
-/// Validate batch-norm parameter shapes against an NCHW input shape.
-/// Returns `(n, c, plane)`.
-fn batch_norm2d_check(
-    shape: &crate::Shape,
-    gamma: &Tensor,
-    beta: &Tensor,
-    mean: &Tensor,
-    var: &Tensor,
-) -> Result<(usize, usize, usize), TensorError> {
-    shape.expect_rank("batch_norm2d", 4)?;
-    let (n, c) = (shape.dim(0), shape.dim(1));
-    for p in [gamma, beta, mean, var] {
-        p.shape().expect_rank("batch_norm2d", 1)?;
-        if p.len() != c {
-            return Err(TensorError::ShapeMismatch {
-                op: "batch_norm2d",
-                lhs: shape.dims().to_vec(),
-                rhs: p.shape().dims().to_vec(),
-            });
-        }
-    }
-    Ok((n, c, shape.dim(2) * shape.dim(3)))
-}
-
-/// Writing variant of [`batch_norm2d`]: identical per-channel
-/// scale/shift loop, result into a caller-owned buffer.
-pub fn batch_norm2d_into(
-    x: &Tensor,
-    gamma: &Tensor,
-    beta: &Tensor,
-    mean: &Tensor,
-    var: &Tensor,
-    eps: f32,
-    out: &mut [f32],
-) -> Result<(), TensorError> {
-    let (n, c, plane) = batch_norm2d_check(x.shape(), gamma, beta, mean, var)?;
-    if out.len() != x.len() {
-        return Err(TensorError::LengthMismatch {
-            expected: x.len(),
-            actual: out.len(),
-        });
-    }
-    let (g, b, m, v) = (gamma.data(), beta.data(), mean.data(), var.data());
-    for img in 0..n {
-        for ci in 0..c {
-            let scale = g[ci] / (v[ci] + eps).sqrt();
-            let shift = b[ci] - m[ci] * scale;
-            let base = (img * c + ci) * plane;
-            for i in 0..plane {
-                out[base + i] = x.data()[base + i] * scale + shift;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// In-place variant of [`batch_norm2d`]: `buf` is both the NCHW input
-/// and the destination. Elementwise per position, so overwriting is
-/// safe — each element is read exactly once, before its write.
-pub fn batch_norm2d_inplace(
-    buf: &mut [f32],
-    shape: &crate::Shape,
-    gamma: &Tensor,
-    beta: &Tensor,
-    mean: &Tensor,
-    var: &Tensor,
-    eps: f32,
-) -> Result<(), TensorError> {
-    let (n, c, plane) = batch_norm2d_check(shape, gamma, beta, mean, var)?;
-    if buf.len() != shape.volume() {
-        return Err(TensorError::LengthMismatch {
-            expected: shape.volume(),
-            actual: buf.len(),
-        });
-    }
-    let (g, b, m, v) = (gamma.data(), beta.data(), mean.data(), var.data());
-    for img in 0..n {
-        for ci in 0..c {
-            let scale = g[ci] / (v[ci] + eps).sqrt();
-            let shift = b[ci] - m[ci] * scale;
-            let base = (img * c + ci) * plane;
-            for i in 0..plane {
-                buf[base + i] = buf[base + i] * scale + shift;
-            }
-        }
-    }
-    Ok(())
+    let (scale, shift) = batch_norm2d_fold(gamma.data(), beta.data(), mean.data(), var.data(), eps);
+    Ok(copied(x, |buf| {
+        batch_norm2d_folded_inplace(buf, 0, h * w, &scale, &shift)
+    }))
 }
 
 /// Inference batch norm's per-channel `(scale, shift)`, with the
 /// expressions every batch-norm kernel here uses: `scale = g / (v +
-/// eps).sqrt()`, `shift = b − m·scale`. [`batch_norm2d_folded_inplace`]
-/// with them gives [`batch_norm2d`]'s bits.
+/// eps).sqrt()`, `shift = b − m·scale`, for [`batch_norm2d_folded_inplace`].
 pub fn batch_norm2d_fold(
     gamma: &[f32],
     beta: &[f32],
@@ -1223,33 +1131,5 @@ mod tests {
         let ok = Tensor::zeros(vec![3]);
         let bad = Tensor::zeros(vec![2]);
         assert!(batch_norm2d(&x, &bad, &ok, &ok, &ok, 1e-5).is_err());
-    }
-
-    /// The writing and in-place variants must be bit-identical to the
-    /// allocating kernel — the tape planner swaps them in freely.
-    #[test]
-    fn batch_norm_variants_are_bit_identical() {
-        let x = Tensor::randn(vec![2, 3, 4, 5], 1.3, 7);
-        let gamma = Tensor::randn(vec![3], 0.5, 8);
-        let beta = Tensor::randn(vec![3], 0.5, 9);
-        let mean = Tensor::randn(vec![3], 0.5, 10);
-        let var = Tensor::rand_uniform(vec![3], 0.1, 2.0, 11);
-        let want = batch_norm2d(&x, &gamma, &beta, &mean, &var, 1e-5).unwrap();
-
-        let mut out = vec![0.0f32; x.len()];
-        batch_norm2d_into(&x, &gamma, &beta, &mean, &var, 1e-5, &mut out).unwrap();
-        assert!(want
-            .data()
-            .iter()
-            .zip(&out)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-
-        let mut buf = x.data().to_vec();
-        batch_norm2d_inplace(&mut buf, x.shape(), &gamma, &beta, &mean, &var, 1e-5).unwrap();
-        assert!(want
-            .data()
-            .iter()
-            .zip(&buf)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 }

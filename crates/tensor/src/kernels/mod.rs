@@ -44,13 +44,12 @@ mod util;
 pub use attention::{multi_head_attention, scaled_dot_attention};
 pub use conv::{
     avg_pool2d, avg_pool2d_into, batch_norm2d, batch_norm2d_fold, batch_norm2d_folded_inplace,
-    batch_norm2d_inplace, batch_norm2d_into, conv2d, conv2d_fused_into, conv2d_into,
-    depthwise_conv2d, global_avg_pool2d, max_pool2d, max_pool2d_into, Conv2dDims,
+    conv2d, conv2d_fused_into, conv2d_into, depthwise_conv2d, global_avg_pool2d, max_pool2d,
+    max_pool2d_into, Conv2dDims,
 };
 pub use elementwise::{
-    add, add_inplace, add_into, bias_add, bias_add_inplace, bias_add_inplace_at, bias_add_into,
-    gelu, mul, mul_inplace, mul_into, relu, rsub_inplace, scale, scale_inplace, scale_into,
-    sigmoid, sub, sub_inplace, sub_into, tanh, unary_inplace, unary_into, UnaryOp,
+    add, add_inplace, bias_add, bias_add_inplace_at, gelu, mul, mul_inplace, relu, rsub_inplace,
+    scale, scale_inplace, sigmoid, sub, sub_inplace, tanh, unary_inplace, UnaryOp,
 };
 pub use gemm::{batched_matmul, linear, linear_acc_into, linear_into, matmul, matmul_into};
 pub use linalg::{

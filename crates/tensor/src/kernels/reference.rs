@@ -20,6 +20,9 @@
 //!   dot products reassociate; [`lstm`] and [`gru`] are two such linears
 //!   per step plus the gate math, with libm's `exp` and `tanh`. The
 //!   engine's recurrent kernels match them within an absolute tolerance.
+//! * **Bounded against f64**: [`gelu`] evaluates its formula in f64 and
+//!   rounds once; the engine's polynomial GELU stays within
+//!   2⁻²²·max(|y|, 1) of it.
 //!
 //! Shapes are the caller's to get right: an oracle panics on a shape the
 //! engine would reject.
@@ -197,6 +200,21 @@ pub fn linear_acc_into(x: &[f32], w: &[f32], out: &mut [f32], m: usize, kin: usi
             out[i * nout + j] += acc;
         }
     }
+}
+
+/// Tanh-approximated GELU, `x/2 · (1 + tanh(√(2/π)·(x + 0.044715·x³)))`,
+/// evaluated in f64 with libm's `tanh` and rounded once per element.
+pub fn gelu(x: &Tensor) -> Tensor {
+    let c = (2.0 / std::f64::consts::PI).sqrt();
+    let data = x
+        .data()
+        .iter()
+        .map(|&v| {
+            let v = f64::from(v);
+            (0.5 * v * (1.0 + (c * (v + 0.044715 * v * v * v)).tanh())) as f32
+        })
+        .collect();
+    tensor(x.shape().dims().to_vec(), data)
 }
 
 /// Single-layer LSTM over `x: [seq, batch, in]` from a zero state, gate

@@ -21,10 +21,11 @@
 //! * **Recurrent matvec.** `h @ w_hh^T` is added per step by
 //!   [`linear_acc_into`]: 16-lane `mul_add` chains, eight rows of `w_hh`
 //!   per pass over `h`, ulp-bounded against a serial dot.
-//! * **Gates without libm.** [`sigmoid`] and [`tanh`] are built on an
-//!   inlined polynomial `exp`, branch-free, so the cell loop vectorizes.
-//!   Their contracts, swept over every 509th f32 of `|x| ≤ 40` and the
-//!   special values by the unit tests: sigmoid within 4 ulp of the
+//! * **Gates without libm.** The cells call the elementwise kernels'
+//!   scalar `sigmoid` and `tanh` (`elementwise.rs`), built on an inlined
+//!   polynomial `exp`, branch-free, so the cell loop vectorizes. Their
+//!   contracts, swept over every 509th f32 of `|x| ≤ 40` and the special
+//!   values in `tests/kernel_contract.rs`: sigmoid within 4 ulp of the
 //!   f64-rounded truth (2 measured), tanh within absolute 2⁻²² (2⁻²³
 //!   measured), NaN in gives NaN out, and outputs stay in `[0, 1]` and
 //!   `[−1, 1]`.
@@ -40,8 +41,7 @@
 //! absolute 1e-4: the gates are contractive, so the ulp-level differences
 //! of the parts do not grow along the sequence.
 
-use std::f32::consts::{LN_2, LOG2_E};
-
+use super::elementwise::scalar::{sigmoid, tanh};
 use super::gemm::linear_acc_into;
 use super::micro::{self, NR};
 use crate::{Tensor, TensorError};
@@ -359,81 +359,8 @@ pub fn gru(x: &Tensor, w_ih: &Tensor, w_hh: &Tensor, b: &Tensor) -> Result<Tenso
     Tensor::from_vec(vec![seq, batch, hidden], outputs)
 }
 
-/// `ln 2 − LN_2`: the part of ln 2 the f32 constant drops, so that the
-/// Cody–Waite reduction subtracts `n·ln 2` to well past f32 precision.
-const LN_2_LO: f32 = -1.904_654_2e-9;
-/// `e^r ≈ 1 + r + r²·(C2 + C3·r + C4·r² + C5·r³ + C6·r⁴)` on `|r| ≤ ln 2 / 2`:
-/// a minimax fit of the relative error with `1 + r` held exact (so
-/// `e^0 = 1`), 4.3e-9 at most before rounding — a twelfth of f32's half ulp.
-const C2: f32 = 0.499_999_97;
-const C3: f32 = 0.166_665_06;
-const C4: f32 = 0.041_667_09;
-const C5: f32 = 0.008_370_263;
-const C6: f32 = 0.001_389_340_3;
-
-/// `e^x` for `x ≤ 0`, in `[0, 1]`; NaN propagates. Cody–Waite reduction
-/// `x = n·ln 2 + r`, `|r| ≤ ln 2 / 2`, the degree-6 polynomial for `e^r`,
-/// then `2ⁿ` as two exponent-field factors, so that a result below `2⁻¹²⁶`
-/// rounds once to a subnormal instead of flushing to zero. No libm call and
-/// no branch: the cell loops around it vectorize.
-#[inline(always)]
-fn exp_nonpositive(x: f32) -> f32 {
-    // e^-104 rounds to zero, and n ≥ -150 keeps both factors normal. A NaN
-    // compares false and passes through.
-    let x = if x < -104.0 { -104.0 } else { x };
-    let n = (x * LOG2_E).round_ties_even();
-    let r = n.mul_add(-LN_2, x);
-    let r = n.mul_add(-LN_2_LO, r);
-    let q = C6
-        .mul_add(r, C5)
-        .mul_add(r, C4)
-        .mul_add(r, C3)
-        .mul_add(r, C2);
-    let p = 1.0 + q.mul_add(r * r, r);
-    // `n` is an integer in [-150, 0], so adding 1.5·2²³ puts it, exactly, in
-    // the low bits of the sum's mantissa. `n as i32` would be the same
-    // number, but as a saturating cast it compiles to a scalar convert and
-    // two compares per call, and the cell loops no longer vectorize. A NaN
-    // reads as some integer here and stays NaN through `p`.
-    let n = (n + ROUND_BIAS).to_bits() as i32 - ROUND_BIAS.to_bits() as i32;
-    let half = n >> 1;
-    p * pow2(half) * pow2(n - half)
-}
-
-/// 1.5·2²³: an integer `n` with `|n| ≤ 2²²` added to it lands in the low
-/// mantissa bits, `to_bits() − ROUND_BIAS.to_bits()` reads it back.
-const ROUND_BIAS: f32 = 12_582_912.0;
-
-/// `2ⁿ` for `-126 ≤ n ≤ 127`, built in the exponent field.
-#[inline(always)]
-fn pow2(n: i32) -> f32 {
-    f32::from_bits(((n + 127) as u32) << 23)
-}
-
-/// Logistic sigmoid in `[0, 1]`, within 4 ulp of the f64-rounded truth.
-/// With `e = e^-|x| ∈ [0, 1]` it is `1 / (1 + e)` for `x ≥ 0` and
-/// `e / (1 + e)` below, so nothing overflows and the left tail keeps its
-/// relative accuracy down into the subnormals.
-#[inline(always)]
-fn sigmoid(x: f32) -> f32 {
-    let e = exp_nonpositive(-x.abs());
-    let num = if x < 0.0 { e } else { 1.0 };
-    num / (1.0 + e)
-}
-
-/// `tanh x = sign(x)·(1 − e) / (1 + e)` with `e = e^-2|x| ∈ [0, 1]`, so the
-/// magnitude is in `[0, 1]` by construction and ±0 keep their sign. Within
-/// absolute 2⁻²² of the truth: near zero `1 − e` cancels, which costs
-/// relative accuracy there, not absolute.
-#[inline(always)]
-fn tanh(x: f32) -> f32 {
-    let e = exp_nonpositive(-2.0 * x.abs());
-    ((1.0 - e) / (1.0 + e)).copysign(x)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::reference::ulps_apart;
     use super::*;
 
     fn tiny_weights(hidden: usize, input: usize, gates: usize) -> (Tensor, Tensor, Tensor) {
@@ -596,102 +523,5 @@ mod tests {
             let bh = batch * hidden;
             assert!(bits_eq(h.data(), &stack.data()[t * bh..(t + 1) * bh]));
         }
-    }
-
-    /// Check one input against the activation contracts: sigmoid within 4
-    /// ulp of the f64-rounded truth and in [0, 1]; tanh within absolute
-    /// 2⁻²² and in [−1, 1]; NaN in, NaN out.
-    fn check_activations(x: f32) {
-        let (s, t) = (sigmoid(x), tanh(x));
-        if x.is_nan() {
-            assert!(s.is_nan() && t.is_nan(), "NaN in gave {s}, {t}");
-            return;
-        }
-        let xd = f64::from(x);
-        let s_true = (1.0 / (1.0 + (-xd).exp())) as f32;
-        let t_true = xd.tanh() as f32;
-        assert!(
-            ulps_apart(s, s_true) <= 4 && (0.0..=1.0).contains(&s),
-            "sigmoid({x:e}) = {s:e}, truth {s_true:e}: {} ulp",
-            ulps_apart(s, s_true)
-        );
-        assert!(
-            (t - t_true).abs() <= 2f32.powi(-22) && (-1.0..=1.0).contains(&t),
-            "tanh({x:e}) = {t:e}, truth {t_true:e}"
-        );
-    }
-
-    /// `exp_nonpositive` with its exponent read by the saturating cast
-    /// `n as i32`, as it was before the exponent came from the bits.
-    fn exp_nonpositive_by_cast(x: f32) -> f32 {
-        let x = if x < -104.0 { -104.0 } else { x };
-        let n = (x * LOG2_E).round_ties_even();
-        let r = n.mul_add(-LN_2, x);
-        let r = n.mul_add(-LN_2_LO, r);
-        let q = C6
-            .mul_add(r, C5)
-            .mul_add(r, C4)
-            .mul_add(r, C3)
-            .mul_add(r, C2);
-        let p = 1.0 + q.mul_add(r * r, r);
-        let n = n as i32;
-        let half = n >> 1;
-        p * pow2(half) * pow2(n - half)
-    }
-
-    #[test]
-    fn exponent_from_the_bits_matches_the_cast() {
-        // The arguments sigmoid and tanh pass: -|x| and -2|x| over the
-        // activation sweep, then the special values and the clamp.
-        let top = 40.0f32.to_bits();
-        let sweep = (0..=top).step_by(509).map(f32::from_bits);
-        let tiny = f32::from_bits(1);
-        let specials = [
-            0.0,
-            f32::INFINITY,
-            f32::NAN,
-            88.0,
-            52.0,
-            104.0,
-            200.0,
-            f32::MIN_POSITIVE,
-            tiny,
-        ];
-        for x in sweep.chain(specials) {
-            for v in [-x.abs(), -2.0 * x.abs(), x.abs(), -x] {
-                let (got, want) = (exp_nonpositive(v), exp_nonpositive_by_cast(v));
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "e^{v:e}: {got:e} vs {want:e}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn activations_meet_their_contracts() {
-        // Every 509th f32 from +0 up to 40 on both signs: the subnormals,
-        // the cancellation region of tanh near zero and both saturations.
-        let top = 40.0f32.to_bits();
-        for bits in (0..=top).step_by(509) {
-            let x = f32::from_bits(bits);
-            check_activations(x);
-            check_activations(-x);
-        }
-        let tiny = f32::from_bits(1);
-        let specials = [0.0, f32::INFINITY, 88.0, f32::MIN_POSITIVE, tiny];
-        for x in specials {
-            check_activations(x);
-            check_activations(-x);
-        }
-        check_activations(f32::NAN);
-        assert_eq!(sigmoid(f32::INFINITY), 1.0);
-        assert_eq!(sigmoid(f32::NEG_INFINITY), 0.0);
-        assert_eq!((tanh(f32::INFINITY), tanh(f32::NEG_INFINITY)), (1.0, -1.0));
-        assert_eq!((sigmoid(0.0), sigmoid(-0.0)), (0.5, 0.5));
-        assert_eq!(tanh(-0.0).to_bits(), (-0.0f32).to_bits());
-        // Deep in the left tail the truth is subnormal and still matched.
-        assert!(sigmoid(-100.0) > 0.0);
     }
 }

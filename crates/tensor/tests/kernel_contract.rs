@@ -26,6 +26,11 @@
 //!   the ulp-bounded matvec and polynomial activations; their oracles use
 //!   serial dots and libm. The gates are contractive, so whole state
 //!   trajectories stay within an absolute 1e-4.
+//! * **Activations.** Sigmoid, tanh and GELU — one polynomial
+//!   implementation, shared by the elementwise kernels, the tape's fused
+//!   epilogues and the recurrent gates — against their f64 formulas:
+//!   sigmoid within 4 ulp of the rounded truth, tanh within absolute 2⁻²²,
+//!   GELU within 2⁻²²·max(|y|, 1); NaN in gives NaN out.
 
 use duet_tensor::kernels::{self, reference, LstmState};
 use duet_tensor::Tensor;
@@ -405,6 +410,87 @@ fn vectorized_kernels_deterministic() {
     let c1 = kernels::matmul(&a, &bm).unwrap();
     let c2 = kernels::matmul(&a, &bm).unwrap();
     assert_bits_eq(&c1, &c2, "matmul determinism");
+}
+
+// --- the activations' contract --------------------------------------------
+
+/// Every 509th f32 from +0 up to 40 on both signs — the subnormals, tanh's
+/// cancellation near zero and both saturations — then ±0, ±∞, ±88, the
+/// least normal and the least subnormal on both signs, and NaN.
+fn activation_inputs() -> Tensor {
+    let top = 40.0f32.to_bits();
+    let sweep = (0..=top).step_by(509).map(f32::from_bits);
+    let specials = [
+        0.0,
+        f32::INFINITY,
+        88.0,
+        f32::MIN_POSITIVE,
+        f32::from_bits(1),
+    ];
+    let mut xs: Vec<f32> = sweep.chain(specials).flat_map(|x| [x, -x]).collect();
+    xs.push(f32::NAN);
+    Tensor::from_vec(vec![xs.len()], xs).unwrap()
+}
+
+/// `got` within `tol` of the f64 `truth`; where the truth is not finite,
+/// the same infinity or NaN.
+fn within(got: f32, truth: f64, tol: f64) -> bool {
+    if truth.is_finite() {
+        (f64::from(got) - truth).abs() <= tol
+    } else {
+        f64::from(got) == truth || (got.is_nan() && truth.is_nan())
+    }
+}
+
+#[test]
+fn activations_meet_their_contracts() {
+    let x = activation_inputs();
+    let (s, t, g) = (kernels::sigmoid(&x), kernels::tanh(&x), kernels::gelu(&x));
+    let g_ref = reference::gelu(&x);
+    for (i, &xi) in x.data().iter().enumerate() {
+        let (si, ti, gi) = (s.data()[i], t.data()[i], g.data()[i]);
+        let xd = f64::from(xi);
+        let s_true = (1.0 / (1.0 + (-xd).exp())) as f32;
+        let t_true = xd.tanh();
+        let g_true = f64::from(g_ref.data()[i]);
+        if xi.is_nan() {
+            assert!(
+                si.is_nan() && ti.is_nan() && gi.is_nan(),
+                "NaN in gave {si}, {ti}, {gi}"
+            );
+            continue;
+        }
+        assert!(
+            ulps_apart(si, s_true) <= 4 && (0.0..=1.0).contains(&si),
+            "sigmoid({xi:e}) = {si:e}, truth {s_true:e}: {} ulp",
+            ulps_apart(si, s_true)
+        );
+        assert!(
+            within(ti, t_true, 2f64.powi(-22)) && (-1.0..=1.0).contains(&ti),
+            "tanh({xi:e}) = {ti:e}, truth {t_true:e}"
+        );
+        assert!(
+            within(gi, g_true, 2f64.powi(-22) * g_true.abs().max(1.0)),
+            "gelu({xi:e}) = {gi:e}, truth {g_true:e}"
+        );
+    }
+    let at = |f: fn(&Tensor) -> Tensor, v: f32| {
+        f(&Tensor::from_vec(vec![1], vec![v]).unwrap()).data()[0]
+    };
+    let (sigmoid, tanh) = (kernels::sigmoid, kernels::tanh);
+    assert_eq!(
+        (at(sigmoid, f32::INFINITY), at(sigmoid, f32::NEG_INFINITY)),
+        (1.0, 0.0)
+    );
+    assert_eq!(
+        (at(tanh, f32::INFINITY), at(tanh, f32::NEG_INFINITY)),
+        (1.0, -1.0)
+    );
+    assert_eq!((at(sigmoid, 0.0), at(sigmoid, -0.0)), (0.5, 0.5));
+    assert_eq!(at(tanh, -0.0).to_bits(), (-0.0f32).to_bits());
+    assert_eq!(at(kernels::gelu, -0.0).to_bits(), (-0.0f32).to_bits());
+    // Deep in the left tail the truth is subnormal and still matched.
+    assert!(at(sigmoid, -100.0) > 0.0);
 }
 
 // --- batch-row invariance ------------------------------------------------

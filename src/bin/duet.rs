@@ -65,7 +65,8 @@
 //!   refused plan or engine build, or a failed tuning gate
 //! * `2` — usage or I/O: an unknown verb, model or flag, a flag the verb
 //!   does not take, a malformed value, an unreadable, unparsable or
-//!   unwritable file
+//!   unwritable file, or a stdout its reader closed (`duet list | head
+//!   -1`), which ends the run without a message
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -152,6 +153,26 @@ fn usage_text() -> String {
          cargo run --release -p duet-serve --bin duet-serve -- --help",
         zoo_names().join(", ")
     )
+}
+
+/// Write `text` to stdout, where all of the binary's output goes. A closed
+/// stdout is an I/O failure: exit 2, quietly when the reader closed the
+/// pipe.
+fn emit(text: impl Display) {
+    use std::io::{ErrorKind, Write};
+    if let Err(e) = write!(std::io::stdout(), "{text}") {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(2);
+        }
+        exit(2, format!("cannot write to stdout: {e}"));
+    }
+}
+
+/// `println!` through [`emit`].
+macro_rules! say {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
 }
 
 /// Print `msg` and exit with `code`: 1 for a finding, 2 for usage or I/O.
@@ -342,21 +363,21 @@ fn main() {
         "list" => {
             for &m in zoo_names() {
                 let g = model(m);
-                println!(
+                say!(
                     "{m:<16} {:>4} operators  {:>8.1} MB params",
                     g.compute_ids().len(),
                     g.param_bytes() as f64 / 1e6
                 );
             }
         }
-        "report" | "schedule" => print!("{}", built(&model(arg(&args, 0)), &o).placement_report()),
+        "report" | "schedule" => emit(built(&model(arg(&args, 0)), &o).placement_report()),
         "run" => {
             let engine = built(&model(arg(&args, 0)), &o);
             let feeds = input_feeds(engine.graph(), 0);
             let out = engine
                 .run(&feeds)
                 .unwrap_or_else(|e| exit(1, format!("inference failed: {e}")));
-            println!(
+            say!(
                 "virtual latency {:.3} ms (host wall {:?})",
                 out.virtual_latency_us / 1e3,
                 out.wall_time
@@ -364,7 +385,7 @@ fn main() {
             for (&id, v) in &out.outputs {
                 let d = v.data();
                 let preview: Vec<String> = d.iter().take(4).map(|x| format!("{x:.4}")).collect();
-                println!(
+                say!(
                     "  output {:<18} {} [{}{}]",
                     engine.graph().node(id).label,
                     v.shape(),
@@ -376,14 +397,14 @@ fn main() {
         "analyze" => {
             let name = arg(&args, 0);
             let graph = model(name);
-            println!("{name}:");
-            print!("{}", duet_ir::analyze(&graph));
+            say!("{name}:");
+            emit(duet_ir::analyze(&graph));
         }
         "export-plan" => {
             let (name, path) = (arg(&args, 0), arg(&args, 1));
             let engine = built(&model(name), &o);
             write(path, engine.export_plan().to_json());
-            println!(
+            say!(
                 "plan for {name} written to {path} (expected latency {:.3} ms)",
                 engine.latency_us() / 1e3
             );
@@ -392,7 +413,7 @@ fn main() {
             let (name, path) = (arg(&args, 0), arg(&args, 1));
             let bytes = duet_ir::encode(&model(name));
             write(path, &bytes);
-            println!(
+            say!(
                 "{name} saved to {path} ({:.1} MB)",
                 bytes.len() as f64 / 1e6
             );
@@ -401,16 +422,16 @@ fn main() {
             let path = arg(&args, 0);
             let graph = duet_ir::decode(&read(path))
                 .unwrap_or_else(|e| exit(2, format!("cannot load {path}: {e}")));
-            print!("{}", built(&graph, &o).placement_report());
+            emit(built(&graph, &o).placement_report());
         }
-        "explain" => print!("{}", duet_core::explain(&built(&model(arg(&args, 0)), &o))),
+        "explain" => emit(duet_core::explain(&built(&model(arg(&args, 0)), &o))),
         "measure" => {
             let name = arg(&args, 0);
             if o.runs == 0 {
                 usage("--runs must be at least 1");
             }
             let s = built(&model(name), &o).measure(o.runs, 0xC11);
-            println!(
+            say!(
                 "{name}: mean {:.3} ms  p50 {:.3}  p99 {:.3}  p99.9 {:.3}  (n={})",
                 s.mean() / 1e3,
                 s.p50() / 1e3,
@@ -470,30 +491,30 @@ fn cmd_check(verb: &str, args: &[String], o: &Opts) {
             if o.json {
                 json.push(report.to_json());
             } else if report.is_clean() {
-                println!("{}: clean", report.subject);
+                say!("{}: clean", report.subject);
             } else {
-                print!("{report}");
+                emit(&report);
             }
         }
     }
     let n = names.len();
     if o.json {
-        println!("{}", pretty(&serde_json::Value::Array(json)));
+        say!("{}", pretty(&serde_json::Value::Array(json)));
     } else if verb == "model-check" {
-        println!(
+        say!(
             "model-check: {n} plan(s), {states} state(s), {:.2} ms total, \
              {errors} error(s), {warnings} warning(s)",
             total_us / 1e3,
         );
     } else if verb == "dataflow" {
-        println!(
+        say!(
             "dataflow: {n} model(s), {:.2} ms total, worst {:.2} ms/model, \
              {errors} error(s), {warnings} warning(s)",
             total_us / 1e3,
             worst_us / 1e3,
         );
     } else {
-        println!("{n} model(s): {errors} error(s), {warnings} warning(s)");
+        say!("{n} model(s): {errors} error(s), {warnings} warning(s)");
     }
     if errors > 0 || (o.deny_warnings && warnings > 0) {
         std::process::exit(1);
@@ -628,7 +649,7 @@ fn model_check(name: &str, o: &Opts) -> Checked {
     }
     let s = &outcome.stats;
     if !o.json {
-        println!(
+        say!(
             "{name}: {} state(s), {} transition(s), {} pruned, {:.2} ms{}",
             s.states,
             s.transitions,
@@ -648,7 +669,7 @@ fn dataflow(name: &str, o: &Opts) -> Checked {
     let report = duet_analysis::check_dataflow(&graph);
     let wall_us = t0.elapsed().as_secs_f64() * 1e6;
     if !o.json {
-        println!(
+        say!(
             "{name}: {} node(s), {} error(s), {} warning(s), {:.2} ms",
             graph.len(),
             report.error_count(),
@@ -671,7 +692,7 @@ fn cmd_insight(args: &[String]) {
             .unwrap_or_else(|e| exit(2, format!("cannot load flight dump: {e}")))
     };
     let header = |dir: &str, d: &FlightDump| {
-        println!(
+        say!(
             "dump {dir}: model {} | rule {} | trigger trace {} | {} traces",
             d.model().unwrap_or("?"),
             d.rule().unwrap_or("?"),
@@ -705,7 +726,7 @@ fn cmd_insight(args: &[String]) {
             let model = dump.model().unwrap_or("unknown").to_string();
             write(out, chrome_trace(&model, witness, &spans));
             header(dir, &dump);
-            println!(
+            say!(
                 "merged timeline: {} spans across {} request trees written to {out} \
                  (open in ui.perfetto.dev)",
                 spans.len(),
@@ -717,18 +738,18 @@ fn cmd_insight(args: &[String]) {
             let dump = load(dir);
             header(dir, &dump);
             let samples: Vec<_> = dump.traces.iter().map(|t| t.attribution).collect();
-            print!(
-                "{}",
-                AttributionSummary::from_samples(&samples).render_table()
-            );
+            emit(AttributionSummary::from_samples(&samples).render_table());
             if let Some(w) = dump
                 .traces
                 .iter()
                 .max_by(|a, b| a.sojourn_us.total_cmp(&b.sojourn_us))
             {
-                println!(
+                say!(
                     "worst sojourn: trace {} at {:.1} us (batch {}, epoch {})",
-                    w.trace_id, w.sojourn_us, w.batch, w.epoch
+                    w.trace_id,
+                    w.sojourn_us,
+                    w.batch,
+                    w.epoch
                 );
             }
         }
@@ -744,7 +765,7 @@ fn cmd_insight(args: &[String]) {
                     .unwrap_or(0)
             };
             if fp(&a) != fp(&b) {
-                println!(
+                say!(
                     "plan fingerprints differ: {:#018x} vs {:#018x} (a plan swap happened between dumps)",
                     fp(&a),
                     fp(&b)
@@ -756,9 +777,12 @@ fn cmd_insight(args: &[String]) {
             let sum_b = AttributionSummary::from_samples(
                 &b.traces.iter().map(|t| t.attribution).collect::<Vec<_>>(),
             );
-            println!(
+            say!(
                 "  {:<12} {:>12} {:>12} {:>12}",
-                "segment", "mean_a_us", "mean_b_us", "delta_us"
+                "segment",
+                "mean_a_us",
+                "mean_b_us",
+                "delta_us"
             );
             for sa in &sum_a.segments {
                 let mean_b = sum_b
@@ -766,7 +790,7 @@ fn cmd_insight(args: &[String]) {
                     .iter()
                     .find(|sb| sb.segment == sa.segment)
                     .map_or(0.0, |sb| sb.mean_us);
-                println!(
+                say!(
                     "  {:<12} {:>12.1} {:>12.1} {:>+12.1}",
                     sa.segment,
                     sa.mean_us,
@@ -800,11 +824,10 @@ fn cmd_tune(arg: &str, o: &Opts) {
         } else {
             duet_tune::tune(&engine, &o.tune)
         };
-        println!("{out}");
+        say!("{out}\n");
         if !out.promoted || out.tuned_us > out.algorithm1_us {
             failed = true;
         }
-        println!();
         rows.push(serde_json::json!({
             "model": out.model,
             "algorithm1_us": out.algorithm1_us,
@@ -828,7 +851,7 @@ fn cmd_tune(arg: &str, o: &Opts) {
         .iter()
         .filter(|r| r["speedup"].as_f64() < Some(1.0))
         .count();
-    println!(
+    say!(
         "tuned {} model(s): {} strictly better than Algorithm 1, {} tie(s), {} worse",
         rows.len(),
         better,
@@ -840,11 +863,11 @@ fn cmd_tune(arg: &str, o: &Opts) {
             path,
             pretty(&serde_json::json!({ "drift": o.drift, "runs": rows })),
         );
-        println!("json report written to {path}");
+        say!("json report written to {path}");
     }
     if let Some(path) = &o.metrics_out {
         write(path, duet_telemetry::prometheus_text());
-        println!("metrics exposition dumped to {path}");
+        say!("metrics exposition dumped to {path}");
     }
     if failed {
         exit(

@@ -57,3 +57,34 @@ fn dataflow_of_a_clean_model_exits_0() {
     assert_eq!(code, 0, "{text}");
     assert!(text.contains("dataflow: 1 model(s)"), "{text}");
 }
+
+/// A reader that stops early closes the pipe under `duet`'s output
+/// (`duet list | head -c 1`): the next write fails, and `duet` must end
+/// with a contract code, not a panic.
+#[test]
+fn a_closed_stdout_ends_with_a_contract_code() {
+    use std::io::Read;
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_duet"))
+        .arg("list")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("duet starts");
+    let mut stdout = child.stdout.take().expect("piped stdout");
+    let mut byte = [0u8; 1];
+    stdout.read_exact(&mut byte).expect("duet list prints");
+    drop(stdout);
+    let out = child.wait_with_output().expect("duet exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !stderr.contains("panicked"),
+        "duet list panicked:\n{stderr}"
+    );
+    let code = out.status.code().expect("duet exits, not killed");
+    assert!(
+        (0..=2).contains(&code),
+        "duet list exited {code}:\n{stderr}"
+    );
+}

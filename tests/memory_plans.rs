@@ -7,11 +7,15 @@
 //! it over every subgraph the engine builds in the shapes the repository
 //! uses: the paper-scale zoo (every candidate unit, not only the placed
 //! ones), a per-operator partition, the unfused framework lowering and
-//! the serving zoo at the batch sizes the plan cache builds.
+//! the serving zoo at the batch sizes the plan cache builds. The placed
+//! zoo and serving tapes must also have no standalone elementwise
+//! instruction: only unfused lowerings copy an operand before an in-place
+//! kernel.
 
 use duet_analysis::{check_memory_plans, Report};
 use duet_compiler::{CompileOptions, Compiler};
 use duet_core::{Duet, Granularity};
+use duet_ir::Op;
 use duet_models::zoo_model;
 use duet_serve::ModelSpec;
 
@@ -35,6 +39,25 @@ fn check_units(what: &str, engine: &Duet) {
     assert_clean(what, &check_memory_plans(engine.graph(), sgs));
 }
 
+/// A standalone elementwise instruction copies its first operand into its
+/// slot before the in-place kernel runs. With full compile options every
+/// elementwise operator of a placed tape fuses into an anchor's epilogue
+/// instead, so the tapes a run executes never pay that copy. (A candidate
+/// unit may still begin at one: resnet18's `cnn#3@p2` starts at a residual
+/// add whose producers sit in other units.)
+fn assert_no_standalone_elementwise(what: &str, engine: &Duet) {
+    for p in engine.placed() {
+        for instr in &p.sg.tape.instrs {
+            assert!(
+                !instr.op.is_fusable_elementwise() && !matches!(instr.op, Op::BatchNorm2d),
+                "{what}: {} runs {} as a standalone instruction",
+                p.sg.name,
+                instr.op.name()
+            );
+        }
+    }
+}
+
 #[test]
 fn every_zoo_unit_prices_the_instructions_it_runs() {
     for name in ZOO {
@@ -42,6 +65,7 @@ fn every_zoo_unit_prices_the_instructions_it_runs() {
             .build(&zoo_model(name).expect("zoo model"))
             .expect("zoo engine builds");
         check_units(name, &engine);
+        assert_no_standalone_elementwise(name, &engine);
     }
 }
 
@@ -77,6 +101,7 @@ fn serving_zoo_prices_what_it_runs_at_every_batch() {
                 .build(&spec.graph_at(batch))
                 .expect("serving engine builds");
             check_units(&format!("{name}@{batch}"), &engine);
+            assert_no_standalone_elementwise(&format!("{name}@{batch}"), &engine);
         }
     }
 }
