@@ -25,7 +25,7 @@ cargo test -q
 #   duet-analysis --test model_check_mutation  each corruption maps to its D5xx code
 #   duet-analysis --test dataflow_soundness    abstract intervals contain concrete runs
 #   duet-analysis --test dataflow_mutation     each seeded hazard maps to its D6xx code
-#   duet (root)   --test model_check_bridge    D5xx-clean plans survive interleaving stress
+#   duet (root)   --test model_check_bridge    D5xx-clean plans survive interleaving stress in lane order
 step "cargo test --workspace -q"
 cargo test --workspace -q
 
@@ -44,8 +44,7 @@ cargo run -q --release --bin duet -- trace all --deny-warnings
 step "duet model-check over all built-in models (D5xx proof, <1s checker budget)"
 # awk echoes every line itself: a `tee /dev/stderr` reopens the log when
 # stderr is redirected to a file, and truncates it or overwrites the copy.
-cargo run -q --release --bin duet -- \
-  model-check all --deny-warnings --max-states 200000 | awk '
+cargo run -q --release --bin duet -- model-check all --deny-warnings | awk '
   { print }
   /^model-check: / {
     found = 1
@@ -201,8 +200,11 @@ COMPARED=(table1 table2 table3 fig4 fig5 fig11 fig12 fig13 fig14 fig15 fig16
   fig17 ext-granularity ext-concurrency ext-flops-proxy ext-systems ext-nested
   ext-serving)
 ROOT="$PWD"
-(cd "$EXP_DIR" && cargo run -q --release --manifest-path "$ROOT/Cargo.toml" \
-  -p duet-bench --bin duet-experiments -- "${COMPARED[@]}" >/dev/null)
+# Built here, at the repo root, where cargo reads .cargo/config.toml: a
+# build started from $EXP_DIR would replace the shared binary with one
+# compiled without target-cpu=native.
+cargo build -q --release -p duet-bench --bin duet-experiments
+(cd "$EXP_DIR" && "$ROOT/target/release/duet-experiments" "${COMPARED[@]}" >/dev/null)
 python3 - "$ROOT/results" "$EXP_DIR/results" "${COMPARED[@]}" <<'PY'
 import json, sys
 committed, fresh, *ids = sys.argv[1:]

@@ -33,15 +33,15 @@
 //!   slots: coverage, dependency order, no overlapping live ranges
 //!   sharing a slot, in-place aliasing discipline, slot/weight shape
 //!   agreement, peak-byte accounting.
-//! * **Plan model checker** ([`check_plan`], [`check_plan_model`],
-//!   `D5xx`) — the static counterpart of the witness checker: it
-//!   exhaustively explores every reachable interleaving of a plan's
-//!   concurrent execution (memoized frontier + sleep-set partial-order
-//!   reduction) and proves deadlock-freedom, schedule-determinism,
-//!   transfer/aliasing race freedom, device-occupancy soundness and
-//!   bounded trigger staleness *before* the plan ever runs. Violations
-//!   come with a synthetic counterexample witness renderable as a
-//!   Chrome trace and re-checkable by the `D3xx` analyzer.
+//! * **Plan model checker** ([`check_plan_model`], `D5xx`) — the static
+//!   counterpart of the witness checker: over the happens-before
+//!   closure of the order the plan runs in (trigger edges plus each
+//!   device lane's dispatch order) it proves deadlock-freedom,
+//!   schedule-determinism, transfer/aliasing race freedom,
+//!   device-occupancy soundness and bounded trigger staleness *before*
+//!   the plan ever runs. Violations come with a synthetic
+//!   counterexample witness renderable as a Chrome trace and
+//!   re-checkable by the `D3xx` analyzer.
 //! * **Dataflow analyzer** ([`check_dataflow`], `D6xx`) — abstract
 //!   interpretation over the graph (see [`duet_ir::absint`]): every
 //!   node gets a value interval, NaN/Inf reachability flags,
@@ -75,7 +75,7 @@ pub use diagnostics::{Diagnostic, Report, Severity};
 pub use graph_verifier::verify_graph;
 pub use memory_check::{check_memory_plan, check_memory_plans};
 pub use model_check::{
-    check_plan, check_plan_model, ModelCheckConfig, ModelCheckOutcome, ModelCheckStats, PlanModel,
+    check_plan_model, ModelCheckConfig, ModelCheckOutcome, ModelCheckStats, PlanModel,
     SubgraphModel, TransferModel,
 };
 pub use pass_check::{check_optimize, violation_to_diagnostic};
@@ -228,12 +228,14 @@ pub mod codes {
     pub const TAPE_FUSED_ALIAS: &str = "D406";
 
     // D5xx — plan model checker
-    /// A reachable state has unfinished subgraphs but no enabled event
-    /// (trigger cycle / phantom dependency): the engine stalls forever.
+    /// Some subgraph can never dispatch: its triggers and lane
+    /// predecessors wait on it (a trigger cycle, a phantom dependency or
+    /// a lane ordering a consumer before its producer), so the engine
+    /// stalls forever.
     pub const MODEL_DEADLOCK: &str = "D500";
-    /// Some interleaving dispatches a subgraph while the producer of one
-    /// of its boundary inputs is unfinished — outputs depend on the
-    /// interleaving (missing trigger edge).
+    /// A subgraph can dispatch while the producer of one of its boundary
+    /// inputs is unfinished: no trigger edge or lane order makes it wait,
+    /// so outputs depend on the interleaving (missing trigger edge).
     pub const MODEL_NONDETERMINISM: &str = "D501";
     /// A transfer departs while the producer may still be mutating the
     /// buffer, or a boundary value is not an escaped tape output (its
@@ -246,9 +248,8 @@ pub mod codes {
     /// producer finish and consumer start under delay injection) exceeds
     /// the configured bound.
     pub const MODEL_TRIGGER_STALENESS: &str = "D504";
-    /// The exploration was truncated (state budget or plan size): the
-    /// interleaving properties were not fully proven (warning).
-    pub const MODEL_STATE_BUDGET: &str = "D510";
+    // D510 (proof truncated by the state budget) is retired: the checker
+    // walks one run, so there is no budget to exhaust.
 
     // D6xx — dataflow (abstract interpretation) analyzer
     /// A divisor is certainly exactly zero on every execution.

@@ -1,7 +1,7 @@
 //! Mutation coverage for the `D5xx` plan model checker: each injected
 //! plan corruption must produce exactly the diagnostic code that names
 //! it, with a renderable counterexample trace where the property is an
-//! interleaving property. `ci.sh` runs this suite as the model-check
+//! ordering property. `ci.sh` runs this suite as the model-check
 //! mutation gate.
 //!
 //! The victim is a two-branch heterogeneous plan with a deliberately
@@ -115,7 +115,6 @@ fn unmutated_plan_proves_every_property() {
         outcome.report
     );
     assert!(outcome.counterexample.is_none());
-    assert!(!outcome.stats.truncated);
     assert!(
         outcome.stats.wall_us < 50_000.0,
         "milliseconds, not seconds"
@@ -244,17 +243,41 @@ fn tight_staleness_bound_is_d504() {
 }
 
 #[test]
-fn exhausted_state_budget_is_d510_warning_not_error() {
-    let (_, model, _) = priced_model();
-    let cfg = ModelCheckConfig {
-        max_states: 2,
-        ..Default::default()
-    };
-    let outcome = check_plan_model(&model, &cfg);
-    assert!(outcome.report.contains(codes::MODEL_STATE_BUDGET));
-    assert!(outcome.stats.truncated);
+fn lane_order_running_a_consumer_before_its_producer_is_exactly_d500() {
+    let (_, mut model, _) = priced_model();
+    // `side` and `head` share the CPU lane and `head` reads `side`: run
+    // `head` first and the lane waits on a trigger only it can fire.
+    let side = index_of(&model, "side");
+    let head = index_of(&model, "head");
+    model.swap_order(side, head);
+    let outcome = check_plan_model(&model, &ModelCheckConfig::default());
+    let found: Vec<&str> = outcome
+        .report
+        .diagnostics()
+        .iter()
+        .map(|d| d.code)
+        .collect();
     assert!(
-        !outcome.report.has_errors(),
-        "truncation weakens the proof; it does not condemn the plan"
+        !found.is_empty() && found.iter().all(|&c| c == codes::MODEL_DEADLOCK),
+        "a consumer ahead of its producer on one lane is D500 alone:\n{}",
+        outcome.report
     );
+    assert!(outcome.counterexample.is_some());
+}
+
+#[test]
+fn dropped_trigger_covered_by_the_lane_order_is_clean() {
+    let (_, mut model, _) = priced_model();
+    // `side` runs ahead of `head` on the CPU lane, so `head` still waits
+    // for it without the trigger edge.
+    let side = index_of(&model, "side");
+    let head = index_of(&model, "head");
+    model.drop_trigger(head, side);
+    let outcome = check_plan_model(&model, &ModelCheckConfig::default());
+    assert!(
+        outcome.report.is_clean(),
+        "the lane order covers the dropped edge:\n{}",
+        outcome.report
+    );
+    assert!(outcome.counterexample.is_none());
 }

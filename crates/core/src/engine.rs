@@ -612,22 +612,28 @@ impl Duet {
         )
     }
 
-    /// Model-check this engine's scheduling decision (`D5xx`): explore
-    /// every reachable interleaving of the exported plan's concurrent
-    /// execution and prove deadlock-freedom, determinism, transfer-race
-    /// freedom, occupancy soundness and bounded trigger staleness.
+    /// Model-check this engine's scheduling decision (`D5xx`): over the
+    /// happens-before closure of the run its executor takes — trigger
+    /// edges plus each device lane's dispatch order — prove
+    /// deadlock-freedom, determinism, transfer-race freedom, occupancy
+    /// soundness and bounded trigger staleness.
     ///
     /// The model is priced from the engine's own timeline — the very
-    /// execution table its claimed latency was replayed from — so the
-    /// `D503` occupancy bound is checked against what the plan's
-    /// `expected_latency_us` actually claims. Checked builds run this
+    /// execution table its claimed latency was replayed from, and the
+    /// replay whose order the executor walks — so the `D503` occupancy
+    /// bound is checked against what the plan's `expected_latency_us`
+    /// actually claims. A structurally unmodelable plan comes back as
+    /// [`Duet::plan_model`]'s lint report. Checked builds run this
     /// automatically and refuse dirty plans; it is public so serving can
     /// gate hot-swaps and tools can render counterexamples.
     pub fn check_plan(&self, cfg: &ModelCheckConfig) -> ModelCheckOutcome {
         match self.plan_model() {
             Ok(model) => duet_analysis::check_plan_model(&model, cfg),
-            // Structurally unmodelable plan: surface the lint report.
-            Err(_) => duet_analysis::check_plan(&self.graph, &self.export_plan().to_facts(), cfg),
+            Err(report) => ModelCheckOutcome {
+                report,
+                stats: Default::default(),
+                counterexample: None,
+            },
         }
     }
 

@@ -263,6 +263,11 @@ impl Schedule {
     pub fn latency_us(&self) -> f64 {
         self.latency_us
     }
+
+    /// Subgraph indices in dispatch order.
+    pub fn order(&self) -> impl Iterator<Item = usize> + '_ {
+        self.dispatches.iter().map(|&(i, _)| i)
+    }
 }
 
 /// A schedule observing a replay records what it dispatched; the latency

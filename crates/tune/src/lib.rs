@@ -21,7 +21,7 @@
 //! * Proven-plan promotion — a winning placement is instantiated via
 //!   [`duet_core::Duet::with_devices`] (which re-applies the §VI-E
 //!   single-device fallback guardrail), then must pass the D2xx plan
-//!   lints *and* the exhaustive D5xx model check;
+//!   lints *and* the D5xx model check;
 //!   [`TuneOutcome::promoted`] records the verdict.
 //!
 //! Entry point: [`tune`] (or the `duet tune <model>` CLI).

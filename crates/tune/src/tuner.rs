@@ -6,7 +6,7 @@
 //! D503 occupancy check re-derives — instantiates the best placement
 //! via [`Duet::with_devices`] (re-applying the §VI-E
 //! single-device fallback guardrail), and gates promotion on the D2xx
-//! plan lints plus the exhaustive D5xx model check. The result is never
+//! plan lints plus the D5xx model check. The result is never
 //! worse than Algorithm 1: the seed placement is always a candidate. The
 //! run reads nothing but its two arguments.
 

