@@ -118,6 +118,12 @@ for family in \
     || { echo "FAIL: /metrics family $family missing"; exit 1; }
 done
 echo "all metric families present."
+# The text format allows one # HELP/# TYPE pair per family: a family
+# split in two (exemplars and all, after traffic) repeats its # TYPE.
+REPEATED="$(awk '/^# TYPE/ && seen[$3]++ { print $3 }' "$METRICS_OUT")"
+[ -z "$REPEATED" ] \
+  || { echo "FAIL: # TYPE repeated for: $REPEATED"; exit 1; }
+echo "every family is one group."
 
 step "flight recorder end-to-end (SLO burn -> one dump -> render/attribution/replay)"
 FLIGHT_DIR="$(mktemp -d)"

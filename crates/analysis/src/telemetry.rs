@@ -3,11 +3,12 @@
 //! Every analyzer entry point records one `duet_analysis_checks_total`
 //! tick and its emitted diagnostic count under its family label
 //! (`graph`, `pass`, `plan`, `witness`, `memory`, `model`,
-//! `dataflow`); the model checker additionally feeds its
-//! states-explored and wall-time histograms, and the dataflow analyzer
-//! its per-graph wall-time histogram. All of it lands in the existing `duet-telemetry`
-//! registry, so `duet-serve`'s `/metrics` and the `--metrics-out`
-//! snapshot expose analysis activity alongside the pipeline metrics.
+//! `dataflow`); the model checker additionally feeds its histograms of
+//! the states of the one run it walks (2n + 1 for n subgraphs) and of
+//! its wall time, and the dataflow analyzer its per-graph wall-time
+//! histogram. All of it lands in the existing `duet-telemetry` registry,
+//! so `duet-serve`'s `/metrics` and the `--metrics-out` snapshot expose
+//! analysis activity alongside the pipeline metrics.
 
 use duet_telemetry::registry as tm;
 

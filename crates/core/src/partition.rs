@@ -547,26 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_export_clusters_by_subgraph() {
-        let g = siamese(&SiameseConfig::default());
-        let p = partition(&g);
-        let mut owner: HashMap<NodeId, usize> = HashMap::new();
-        for (i, (_, _, nodes)) in p.flat().into_iter().enumerate() {
-            for &n in nodes {
-                owner.insert(n, i);
-            }
-        }
-        let f = |id: NodeId| owner.get(&id).copied();
-        let dot = duet_ir::dot::to_dot(&g, Some(&f));
-        for i in 0..p.subgraph_count() {
-            assert!(
-                dot.contains(&format!("cluster_{i}")),
-                "cluster {i} rendered"
-            );
-        }
-    }
-
-    #[test]
     fn diamond_reconverges_into_sequential_tail() {
         use duet_ir::{GraphBuilder, Op};
         let mut b = GraphBuilder::new("diamond", 1);

@@ -20,12 +20,10 @@
 pub mod absint;
 pub mod builder;
 pub mod cost;
-pub mod dot;
 pub mod expr;
 pub mod fingerprint;
 pub mod graph;
 pub mod infer;
-pub mod metrics;
 pub mod op;
 pub mod serialize;
 
@@ -33,6 +31,5 @@ pub use builder::GraphBuilder;
 pub use cost::CostProfile;
 pub use fingerprint::fingerprint;
 pub use graph::{Graph, GraphError, Node, NodeId};
-pub use metrics::{analyze, GraphMetrics};
 pub use op::Op;
 pub use serialize::{decode, encode, DecodeError};

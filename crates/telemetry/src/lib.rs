@@ -13,9 +13,10 @@
 //! * **Lock-free writers.** Metric updates are relaxed atomic RMWs; span
 //!   slots use a per-slot seqlock so readers detect (and skip) torn
 //!   writes instead of writers ever blocking.
-//! * **Static registration.** Every metric is a `static` in
-//!   [`registry`]; the Prometheus exposition walks a fixed list, so a
-//!   scrape never observes a half-registered family.
+//! * **Static registration.** Every metric is a `static` declared once
+//!   in [`registry`]'s table; the Prometheus exposition walks the lists
+//!   that table emits, so a scrape never observes a half-registered or
+//!   split family.
 //! * **No dependencies.** This crate is a leaf: every other DUET crate
 //!   may depend on it without cycles.
 //!
@@ -25,7 +26,7 @@
 //!   exposition format (`duet-serve --metrics-addr` serves it over HTTP
 //!   via [`export::serve_metrics`]; `--metrics-out` dumps it to a file).
 //! * [`spans`] drains the span ring for the merged Perfetto timeline
-//!   (`duet trace <model> <file> --full`), interleaving offline
+//!   (`duet trace <model> --out <file> --full`), interleaving offline
 //!   compile/profile/schedule spans with the runtime witness lanes.
 //!
 //! Telemetry defaults to **on**; `DUET_TELEMETRY=0` in the environment

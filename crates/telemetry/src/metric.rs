@@ -53,6 +53,13 @@ impl Counter {
         self.v.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Raise the counter to `v` if it is lower: mirrors a monotonic
+    /// count kept elsewhere (the kernel pool's own atomics).
+    #[inline]
+    pub fn raise_to(&self, v: u64) {
+        self.v.fetch_max(v, Ordering::Relaxed);
+    }
+
     /// Accumulate a duration expressed in (fractional) microseconds.
     #[inline]
     pub fn add_us(&self, us: f64) {

@@ -1,612 +1,249 @@
 //! The static metric registry and Prometheus text exposition.
 //!
-//! Every metric in the DUET pipeline is a `static` defined here, grouped
-//! by stage, and listed in the registry slices below. Instrumented
-//! crates reference the statics directly (e.g.
-//! `duet_telemetry::registry::SCHED_MOVES_ACCEPTED.inc()`); the
-//! exposition walks the fixed lists, so `/metrics` always shows every
-//! family — zero-valued families included, which is what lets a scrape
-//! assert presence before traffic arrives.
+//! Every metric in the DUET pipeline is a `static` declared once in the
+//! `registry!` table below. Instrumented crates reference the statics
+//! directly (e.g. `duet_telemetry::registry::SCHED_MOVES_ACCEPTED.inc()`);
+//! the exposition walks the lists the table emits, so `/metrics` always
+//! shows every family — zero-valued families included, which is what
+//! lets a scrape assert presence before traffic arrives.
+//!
+//! The table has one section per metric type, in exposition order:
+//! counters, gauges, histograms, then the kernel pool's counters. A
+//! plain metric is one entry, `ID = "name", "help";`. A labeled family
+//! states its name, help and label key once and lists its members,
+//! `"name", "help", "key" { ID = "value", ... }`, so its samples print
+//! as one group under one `# HELP`/`# TYPE` pair by construction.
 //!
 //! Naming scheme: `duet_<stage>_<what>[_total|_us]`, stages `compile`,
-//! `profile`, `sched`, `exec`, `tape`, `arena`, `serve`. Counters of
-//! accumulated time end in `_us_total`; histograms of microsecond
-//! values end in `_us`.
+//! `profile`, `sched`, `exec`, `tape`, `arena`, `serve`, `insight`,
+//! `tune`, `analysis` and `kernel_pool`. Counters of accumulated time
+//! end in `_us_total`; histograms of microsecond values end in `_us`.
 
 use crate::metric::{bucket_upper_bound, Counter, Gauge, Histogram};
 
-// ---- compile ----
-
-pub static COMPILE_RUNS: Counter = Counter::new(
-    "duet_compile_runs_total",
-    "Compiler::optimize pipeline invocations",
-);
-pub static COMPILE_PASS_RUNS_FOLD: Counter = Counter::with_label(
-    "duet_compile_pass_runs_total",
-    "Optimization pass executions",
-    "pass",
-    "fold_constants",
-);
-pub static COMPILE_PASS_RUNS_CSE: Counter = Counter::with_label(
-    "duet_compile_pass_runs_total",
-    "Optimization pass executions",
-    "pass",
-    "cse",
-);
-pub static COMPILE_PASS_RUNS_DCE: Counter = Counter::with_label(
-    "duet_compile_pass_runs_total",
-    "Optimization pass executions",
-    "pass",
-    "dce",
-);
-pub static COMPILE_PASS_US_FOLD: Counter = Counter::with_label(
-    "duet_compile_pass_wall_us_total",
-    "Accumulated wall time per optimization pass, microseconds",
-    "pass",
-    "fold_constants",
-);
-pub static COMPILE_PASS_US_CSE: Counter = Counter::with_label(
-    "duet_compile_pass_wall_us_total",
-    "Accumulated wall time per optimization pass, microseconds",
-    "pass",
-    "cse",
-);
-pub static COMPILE_PASS_US_DCE: Counter = Counter::with_label(
-    "duet_compile_pass_wall_us_total",
-    "Accumulated wall time per optimization pass, microseconds",
-    "pass",
-    "dce",
-);
-pub static COMPILE_PASS_DELTA_FOLD: Counter = Counter::with_label(
-    "duet_compile_pass_node_delta_total",
-    "Nodes folded/merged/removed per pass",
-    "pass",
-    "fold_constants",
-);
-pub static COMPILE_PASS_DELTA_CSE: Counter = Counter::with_label(
-    "duet_compile_pass_node_delta_total",
-    "Nodes folded/merged/removed per pass",
-    "pass",
-    "cse",
-);
-pub static COMPILE_PASS_DELTA_DCE: Counter = Counter::with_label(
-    "duet_compile_pass_node_delta_total",
-    "Nodes folded/merged/removed per pass",
-    "pass",
-    "dce",
-);
-
-// ---- profile ----
-
-pub static PROFILE_SUBGRAPHS: Counter = Counter::new(
-    "duet_profile_subgraphs_total",
-    "Compiled subgraphs micro-benchmarked (both devices each)",
-);
-pub static PROFILE_SAMPLES_CPU: Counter = Counter::with_label(
-    "duet_profile_samples_total",
-    "Profiling samples recorded after warm-up",
-    "device",
-    "cpu",
-);
-pub static PROFILE_SAMPLES_GPU: Counter = Counter::with_label(
-    "duet_profile_samples_total",
-    "Profiling samples recorded after warm-up",
-    "device",
-    "gpu",
-);
-
-// ---- schedule (Algorithm 1 correction search) ----
-
-pub static SCHED_CORRECTIONS: Counter = Counter::new(
-    "duet_sched_corrections_total",
-    "Correction searches run (offline builds + drift re-corrections)",
-);
-pub static SCHED_ROUNDS: Counter = Counter::new(
-    "duet_sched_correction_rounds_total",
-    "Correction rounds across all searches",
-);
-pub static SCHED_MOVES_EVALUATED: Counter = Counter::new(
-    "duet_sched_moves_evaluated_total",
-    "Candidate moves/swaps priced against measured latency",
-);
-pub static SCHED_MOVES_ACCEPTED: Counter = Counter::new(
-    "duet_sched_moves_accepted_total",
-    "Candidate moves that improved latency and were applied",
-);
-pub static SCHED_MOVES_REJECTED: Counter = Counter::new(
-    "duet_sched_moves_rejected_total",
-    "Candidate moves evaluated but not applied",
-);
-pub static SCHED_ACCEPTED_GAIN_US: Histogram = Histogram::new(
-    "duet_sched_accepted_gain_us",
-    "Predicted latency improvement per accepted move, microseconds",
-);
-pub static SCHED_CORRECTION_WALL_US: Histogram = Histogram::new(
-    "duet_sched_correction_wall_us",
-    "Wall time of one correction search (Algorithm 1 step 3), microseconds",
-);
-pub static SCHED_PREDICTED_LATENCY_US: Gauge = Gauge::new(
-    "duet_sched_predicted_latency_us",
-    "Predicted end-to-end latency after the most recent correction, microseconds",
-);
-
-// ---- execute ----
-
-pub static EXEC_RUNS: Counter =
-    Counter::new("duet_exec_runs_total", "Heterogeneous executor inferences");
-pub static EXEC_SUBGRAPHS_CPU: Counter = Counter::with_label(
-    "duet_exec_subgraphs_total",
-    "Subgraph dispatches per device",
-    "device",
-    "cpu",
-);
-pub static EXEC_SUBGRAPHS_GPU: Counter = Counter::with_label(
-    "duet_exec_subgraphs_total",
-    "Subgraph dispatches per device",
-    "device",
-    "gpu",
-);
-pub static TAPE_RUNS: Counter = Counter::new(
-    "duet_tape_runs_total",
-    "Instruction-tape executions (memory-planned path)",
-);
-pub static TAPE_INSTRS: Counter =
-    Counter::new("duet_tape_instructions_total", "Tape instructions executed");
-pub static ARENA_CHECKOUTS_CREATED: Counter = Counter::with_label(
-    "duet_arena_checkouts_total",
-    "Tape-arena pool checkouts",
-    "result",
-    "created",
-);
-pub static ARENA_CHECKOUTS_REUSED: Counter = Counter::with_label(
-    "duet_arena_checkouts_total",
-    "Tape-arena pool checkouts",
-    "result",
-    "reused",
-);
-
-// ---- serve ----
-
-pub static SERVE_SUBMITTED: Counter = Counter::new(
-    "duet_serve_submitted_total",
-    "Requests submitted across all models",
-);
-pub static SERVE_ADMITTED: Counter = Counter::new(
-    "duet_serve_admitted_total",
-    "Requests accepted by admission control",
-);
-pub static SERVE_COMPLETED: Counter = Counter::new(
-    "duet_serve_completed_total",
-    "Requests answered successfully",
-);
-pub static SERVE_SHED_QUEUE_FULL: Counter = Counter::with_label(
-    "duet_serve_shed_total",
-    "Requests shed",
-    "reason",
-    "queue_full",
-);
-pub static SERVE_SHED_EXPIRED: Counter = Counter::with_label(
-    "duet_serve_shed_total",
-    "Requests shed",
-    "reason",
-    "expired",
-);
-pub static SERVE_EXEC_ERRORS: Counter = Counter::new(
-    "duet_serve_exec_errors_total",
-    "Batches failed in execution",
-);
-pub static SERVE_BATCHES: Counter = Counter::new(
-    "duet_serve_batches_total",
-    "Batches executed by the dynamic batcher",
-);
-pub static SERVE_BATCH_SIZE: Histogram = Histogram::new(
-    "duet_serve_batch_size",
-    "Executed batch sizes (power-of-two chunks)",
-);
-pub static SERVE_SOJOURN_US: Histogram = Histogram::new(
-    "duet_serve_sojourn_us",
-    "Wall-clock sojourn per request (queueing + linger + execution), microseconds",
-);
-pub static SERVE_VIRTUAL_SERVICE_US: Histogram = Histogram::new(
-    "duet_serve_virtual_service_us",
-    "Per-request virtual service share on the modeled hardware, microseconds",
-);
-pub static SERVE_PLAN_SWAPS: Counter =
-    Counter::new("duet_serve_plan_swaps_total", "Drift-driven plan hot-swaps");
-pub static SERVE_PLAN_SWAP_REJECTED: Counter = Counter::new(
-    "duet_serve_plan_swap_rejected_total",
-    "Re-corrected plans refused by the D5xx model-check gate",
-);
-pub static SERVE_SWAP_STALL_US: Histogram = Histogram::new(
-    "duet_serve_swap_stall_us",
-    "Wall time the serving worker spent re-planning on confirmed drift, microseconds",
-);
-pub static SERVE_QUEUE_DEPTH: Gauge = Gauge::new(
-    "duet_serve_queue_depth",
-    "Requests currently queued across all models",
-);
-pub static SERVE_EPOCH: Gauge = Gauge::new(
-    "duet_serve_epoch",
-    "Highest metrics epoch across models (bumped on drift injection and hot-swap)",
-);
-
-// ---- insight (per-request tracing, attribution, flight recorder) ----
-
-pub static SERVE_SLO_BREACHES: Counter = Counter::new(
-    "duet_serve_slo_breaches_total",
-    "Requests whose sojourn exceeded the configured SLO budget",
-);
-pub static SERVE_SEGMENT_QUEUE: Histogram = Histogram::with_label(
-    "duet_serve_segment_us",
-    "Per-request latency attribution per segment, microseconds",
-    "segment",
-    "queue",
-);
-pub static SERVE_SEGMENT_LINGER: Histogram = Histogram::with_label(
-    "duet_serve_segment_us",
-    "Per-request latency attribution per segment, microseconds",
-    "segment",
-    "linger",
-);
-pub static SERVE_SEGMENT_COMPUTE_CPU: Histogram = Histogram::with_label(
-    "duet_serve_segment_us",
-    "Per-request latency attribution per segment, microseconds",
-    "segment",
-    "compute_cpu",
-);
-pub static SERVE_SEGMENT_COMPUTE_GPU: Histogram = Histogram::with_label(
-    "duet_serve_segment_us",
-    "Per-request latency attribution per segment, microseconds",
-    "segment",
-    "compute_gpu",
-);
-pub static SERVE_SEGMENT_TRANSFER: Histogram = Histogram::with_label(
-    "duet_serve_segment_us",
-    "Per-request latency attribution per segment, microseconds",
-    "segment",
-    "transfer",
-);
-pub static SERVE_SEGMENT_OVERHEAD: Histogram = Histogram::with_label(
-    "duet_serve_segment_us",
-    "Per-request latency attribution per segment, microseconds",
-    "segment",
-    "overhead",
-);
-pub static INSIGHT_TRACES: Counter = Counter::new(
-    "duet_insight_traces_total",
-    "Completed request traces pushed into the flight-recorder ring",
-);
-pub static INSIGHT_TORN_RETRIED: Counter = Counter::with_label(
-    "duet_insight_torn_reads_total",
-    "Span-ring snapshot reads that caught a slot mid-write",
-    "result",
-    "retried",
-);
-pub static INSIGHT_TORN_SKIPPED: Counter = Counter::with_label(
-    "duet_insight_torn_reads_total",
-    "Span-ring snapshot reads that caught a slot mid-write",
-    "result",
-    "skipped",
-);
-pub static INSIGHT_DUMPS_SLO_BURN: Counter = Counter::with_label(
-    "duet_insight_dumps_total",
-    "Flight-recorder dumps written per anomaly rule",
-    "rule",
-    "slo_burn",
-);
-pub static INSIGHT_DUMPS_SHED: Counter = Counter::with_label(
-    "duet_insight_dumps_total",
-    "Flight-recorder dumps written per anomaly rule",
-    "rule",
-    "shed",
-);
-pub static INSIGHT_DUMPS_DRIFT_SWAP: Counter = Counter::with_label(
-    "duet_insight_dumps_total",
-    "Flight-recorder dumps written per anomaly rule",
-    "rule",
-    "drift_swap",
-);
-pub static INSIGHT_DUMPS_SWAP_REFUSED: Counter = Counter::with_label(
-    "duet_insight_dumps_total",
-    "Flight-recorder dumps written per anomaly rule",
-    "rule",
-    "swap_refused",
-);
-pub static INSIGHT_DUMPS_SUPPRESSED: Counter = Counter::new(
-    "duet_insight_dumps_suppressed_total",
-    "Anomaly triggers suppressed because the once-per-run dump latch had fired",
-);
-
-// ---- tune (simulator-oracle schedule search) ----
-
-pub static TUNE_RUNS: Counter = Counter::new(
-    "duet_tune_runs_total",
-    "Autotuning searches run (one per model/batch tuned)",
-);
-pub static TUNE_CANDIDATES: Counter = Counter::new(
-    "duet_tune_candidates_total",
-    "Placement candidates priced by the simulator oracle",
-);
-pub static TUNE_PROMOTIONS_ACCEPTED: Counter = Counter::with_label(
-    "duet_tune_promotions_total",
-    "Winning plans through the D5xx/D2xx promotion gate",
-    "result",
-    "accepted",
-);
-pub static TUNE_PROMOTIONS_REJECTED: Counter = Counter::with_label(
-    "duet_tune_promotions_total",
-    "Winning plans through the D5xx/D2xx promotion gate",
-    "result",
-    "rejected",
-);
-pub static TUNE_ORACLE_WALL_US: Histogram = Histogram::new(
-    "duet_tune_oracle_wall_us",
-    "Wall time of one tune call's placement search, microseconds",
-);
-pub static TUNE_SEARCH_WALL_US: Histogram = Histogram::new(
-    "duet_tune_search_wall_us",
-    "End-to-end wall time per tune call (search and promotion), microseconds",
-);
-
-// ---- analysis ----
-
-pub static ANALYSIS_CHECKS_GRAPH: Counter = Counter::with_label(
-    "duet_analysis_checks_total",
-    "Analyzer invocations",
-    "family",
-    "graph",
-);
-pub static ANALYSIS_CHECKS_PASS: Counter = Counter::with_label(
-    "duet_analysis_checks_total",
-    "Analyzer invocations",
-    "family",
-    "pass",
-);
-pub static ANALYSIS_CHECKS_PLAN: Counter = Counter::with_label(
-    "duet_analysis_checks_total",
-    "Analyzer invocations",
-    "family",
-    "plan",
-);
-pub static ANALYSIS_CHECKS_WITNESS: Counter = Counter::with_label(
-    "duet_analysis_checks_total",
-    "Analyzer invocations",
-    "family",
-    "witness",
-);
-pub static ANALYSIS_CHECKS_MEMORY: Counter = Counter::with_label(
-    "duet_analysis_checks_total",
-    "Analyzer invocations",
-    "family",
-    "memory",
-);
-pub static ANALYSIS_CHECKS_MODEL: Counter = Counter::with_label(
-    "duet_analysis_checks_total",
-    "Analyzer invocations",
-    "family",
-    "model",
-);
-pub static ANALYSIS_DIAGNOSTICS_GRAPH: Counter = Counter::with_label(
-    "duet_analysis_diagnostics_total",
-    "Diagnostics emitted per analyzer family",
-    "family",
-    "graph",
-);
-pub static ANALYSIS_DIAGNOSTICS_PASS: Counter = Counter::with_label(
-    "duet_analysis_diagnostics_total",
-    "Diagnostics emitted per analyzer family",
-    "family",
-    "pass",
-);
-pub static ANALYSIS_DIAGNOSTICS_PLAN: Counter = Counter::with_label(
-    "duet_analysis_diagnostics_total",
-    "Diagnostics emitted per analyzer family",
-    "family",
-    "plan",
-);
-pub static ANALYSIS_DIAGNOSTICS_WITNESS: Counter = Counter::with_label(
-    "duet_analysis_diagnostics_total",
-    "Diagnostics emitted per analyzer family",
-    "family",
-    "witness",
-);
-pub static ANALYSIS_DIAGNOSTICS_MEMORY: Counter = Counter::with_label(
-    "duet_analysis_diagnostics_total",
-    "Diagnostics emitted per analyzer family",
-    "family",
-    "memory",
-);
-pub static ANALYSIS_DIAGNOSTICS_MODEL: Counter = Counter::with_label(
-    "duet_analysis_diagnostics_total",
-    "Diagnostics emitted per analyzer family",
-    "family",
-    "model",
-);
-pub static ANALYSIS_CHECKS_DATAFLOW: Counter = Counter::with_label(
-    "duet_analysis_checks_total",
-    "Analyzer invocations",
-    "family",
-    "dataflow",
-);
-pub static ANALYSIS_DIAGNOSTICS_DATAFLOW: Counter = Counter::with_label(
-    "duet_analysis_diagnostics_total",
-    "Diagnostics emitted per analyzer family",
-    "family",
-    "dataflow",
-);
-pub static ANALYSIS_MODEL_CHECK_STATES: Histogram = Histogram::new(
-    "duet_analysis_model_check_states",
-    "States expanded per plan model check",
-);
-pub static ANALYSIS_MODEL_CHECK_WALL_US: Histogram = Histogram::new(
-    "duet_analysis_model_check_wall_us",
-    "Model-checker wall time per plan, microseconds",
-);
-pub static ANALYSIS_DATAFLOW_WALL_US: Histogram = Histogram::new(
-    "duet_analysis_dataflow_wall_us",
-    "Dataflow (abstract interpretation) wall time per graph, microseconds",
-);
-
-/// Every registered counter, in exposition order.
-pub fn counters() -> &'static [&'static Counter] {
-    static COUNTERS: &[&Counter] = &[
-        &COMPILE_RUNS,
-        &COMPILE_PASS_RUNS_FOLD,
-        &COMPILE_PASS_RUNS_CSE,
-        &COMPILE_PASS_RUNS_DCE,
-        &COMPILE_PASS_US_FOLD,
-        &COMPILE_PASS_US_CSE,
-        &COMPILE_PASS_US_DCE,
-        &COMPILE_PASS_DELTA_FOLD,
-        &COMPILE_PASS_DELTA_CSE,
-        &COMPILE_PASS_DELTA_DCE,
-        &PROFILE_SUBGRAPHS,
-        &PROFILE_SAMPLES_CPU,
-        &PROFILE_SAMPLES_GPU,
-        &SCHED_CORRECTIONS,
-        &SCHED_ROUNDS,
-        &SCHED_MOVES_EVALUATED,
-        &SCHED_MOVES_ACCEPTED,
-        &SCHED_MOVES_REJECTED,
-        &EXEC_RUNS,
-        &EXEC_SUBGRAPHS_CPU,
-        &EXEC_SUBGRAPHS_GPU,
-        &TAPE_RUNS,
-        &TAPE_INSTRS,
-        &ARENA_CHECKOUTS_CREATED,
-        &ARENA_CHECKOUTS_REUSED,
-        &SERVE_SUBMITTED,
-        &SERVE_ADMITTED,
-        &SERVE_COMPLETED,
-        &SERVE_SHED_QUEUE_FULL,
-        &SERVE_SHED_EXPIRED,
-        &SERVE_EXEC_ERRORS,
-        &SERVE_BATCHES,
-        &SERVE_PLAN_SWAPS,
-        &SERVE_PLAN_SWAP_REJECTED,
-        &SERVE_SLO_BREACHES,
-        &INSIGHT_TRACES,
-        &INSIGHT_TORN_RETRIED,
-        &INSIGHT_TORN_SKIPPED,
-        &INSIGHT_DUMPS_SLO_BURN,
-        &INSIGHT_DUMPS_SHED,
-        &INSIGHT_DUMPS_DRIFT_SWAP,
-        &INSIGHT_DUMPS_SWAP_REFUSED,
-        &INSIGHT_DUMPS_SUPPRESSED,
-        &TUNE_RUNS,
-        &TUNE_CANDIDATES,
-        &TUNE_PROMOTIONS_ACCEPTED,
-        &TUNE_PROMOTIONS_REJECTED,
-        &ANALYSIS_CHECKS_GRAPH,
-        &ANALYSIS_CHECKS_PASS,
-        &ANALYSIS_CHECKS_PLAN,
-        &ANALYSIS_CHECKS_WITNESS,
-        &ANALYSIS_CHECKS_MEMORY,
-        &ANALYSIS_CHECKS_MODEL,
-        &ANALYSIS_DIAGNOSTICS_GRAPH,
-        &ANALYSIS_DIAGNOSTICS_PASS,
-        &ANALYSIS_DIAGNOSTICS_PLAN,
-        &ANALYSIS_DIAGNOSTICS_WITNESS,
-        &ANALYSIS_DIAGNOSTICS_MEMORY,
-        &ANALYSIS_DIAGNOSTICS_MODEL,
-        &ANALYSIS_CHECKS_DATAFLOW,
-        &ANALYSIS_DIAGNOSTICS_DATAFLOW,
-    ];
-    COUNTERS
+/// Declares each section's statics with their `const` constructors, and
+/// the function that returns them all in table order.
+macro_rules! registry {
+    (@ ($($head:tt)*) $ty:ident [$($id:ident)*]) => {
+        $($head)*() -> &'static [&'static $ty] {
+            static LIST: &[&$ty] = &[$(&$id),*];
+            LIST
+        }
+    };
+    (@ $head:tt $ty:ident [$($done:ident)*]
+        $id:ident = $name:literal, $help:literal; $($rest:tt)*) => {
+        pub static $id: $ty = $ty::new($name, $help);
+        registry!(@ $head $ty [$($done)* $id] $($rest)*);
+    };
+    (@ $head:tt $ty:ident [$($done:ident)*]
+        $name:literal, $help:literal, $key:literal { $($id:ident = $value:literal),+ $(,)? }
+        $($rest:tt)*) => {
+        $(pub static $id: $ty = $ty::with_label($name, $help, $key, $value);)+
+        registry!(@ $head $ty [$($done)* $($id)+] $($rest)*);
+    };
+    ($($(#[$doc:meta])* $vis:vis fn $list:ident -> $ty:ident { $($table:tt)* })*) => {
+        $(registry!(@ ($(#[$doc])* $vis fn $list) $ty [] $($table)*);)*
+    };
 }
 
-/// Every registered gauge.
-pub fn gauges() -> &'static [&'static Gauge] {
-    static GAUGES: &[&Gauge] = &[
-        &SCHED_PREDICTED_LATENCY_US,
-        &SERVE_QUEUE_DEPTH,
-        &SERVE_EPOCH,
-    ];
-    GAUGES
-}
+registry! {
+    /// Every registered counter, in exposition order.
+    pub fn counters -> Counter {
+        // ---- compile ----
+        COMPILE_RUNS = "duet_compile_runs_total", "Compiler::optimize pipeline invocations";
+        "duet_compile_pass_runs_total", "Optimization pass executions", "pass" {
+            COMPILE_PASS_RUNS_FOLD = "fold_constants",
+            COMPILE_PASS_RUNS_CSE = "cse",
+            COMPILE_PASS_RUNS_DCE = "dce",
+        }
+        "duet_compile_pass_wall_us_total",
+        "Accumulated wall time per optimization pass, microseconds", "pass" {
+            COMPILE_PASS_US_FOLD = "fold_constants",
+            COMPILE_PASS_US_CSE = "cse",
+            COMPILE_PASS_US_DCE = "dce",
+        }
+        "duet_compile_pass_node_delta_total", "Nodes folded/merged/removed per pass", "pass" {
+            COMPILE_PASS_DELTA_FOLD = "fold_constants",
+            COMPILE_PASS_DELTA_CSE = "cse",
+            COMPILE_PASS_DELTA_DCE = "dce",
+        }
+        // ---- profile ----
+        PROFILE_SUBGRAPHS = "duet_profile_subgraphs_total",
+            "Compiled subgraphs micro-benchmarked (both devices each)";
+        "duet_profile_samples_total", "Profiling samples recorded after warm-up", "device" {
+            PROFILE_SAMPLES_CPU = "cpu",
+            PROFILE_SAMPLES_GPU = "gpu",
+        }
+        // ---- schedule (Algorithm 1 correction search) ----
+        SCHED_CORRECTIONS = "duet_sched_corrections_total",
+            "Correction searches run (offline builds + drift re-corrections)";
+        SCHED_ROUNDS = "duet_sched_correction_rounds_total",
+            "Correction rounds across all searches";
+        SCHED_MOVES_EVALUATED = "duet_sched_moves_evaluated_total",
+            "Candidate moves/swaps priced against measured latency";
+        SCHED_MOVES_ACCEPTED = "duet_sched_moves_accepted_total",
+            "Candidate moves that improved latency and were applied";
+        SCHED_MOVES_REJECTED = "duet_sched_moves_rejected_total",
+            "Candidate moves evaluated but not applied";
+        // ---- execute ----
+        EXEC_RUNS = "duet_exec_runs_total", "Heterogeneous executor inferences";
+        "duet_exec_subgraphs_total", "Subgraph dispatches per device", "device" {
+            EXEC_SUBGRAPHS_CPU = "cpu",
+            EXEC_SUBGRAPHS_GPU = "gpu",
+        }
+        TAPE_RUNS = "duet_tape_runs_total", "Instruction-tape executions (memory-planned path)";
+        TAPE_INSTRS = "duet_tape_instructions_total", "Tape instructions executed";
+        "duet_arena_checkouts_total", "Tape-arena pool checkouts", "result" {
+            ARENA_CHECKOUTS_CREATED = "created",
+            ARENA_CHECKOUTS_REUSED = "reused",
+        }
+        // ---- serve ----
+        SERVE_SUBMITTED = "duet_serve_submitted_total", "Requests submitted across all models";
+        SERVE_ADMITTED = "duet_serve_admitted_total", "Requests accepted by admission control";
+        SERVE_COMPLETED = "duet_serve_completed_total", "Requests answered successfully";
+        "duet_serve_shed_total", "Requests shed", "reason" {
+            SERVE_SHED_QUEUE_FULL = "queue_full",
+            SERVE_SHED_EXPIRED = "expired",
+        }
+        SERVE_EXEC_ERRORS = "duet_serve_exec_errors_total", "Batches failed in execution";
+        SERVE_BATCHES = "duet_serve_batches_total", "Batches executed by the dynamic batcher";
+        SERVE_PLAN_SWAPS = "duet_serve_plan_swaps_total", "Drift-driven plan hot-swaps";
+        SERVE_PLAN_SWAP_REJECTED = "duet_serve_plan_swap_rejected_total",
+            "Re-corrected plans refused by the D5xx model-check gate";
+        // ---- insight (per-request tracing, attribution, flight recorder) ----
+        SERVE_SLO_BREACHES = "duet_serve_slo_breaches_total",
+            "Requests whose sojourn exceeded the configured SLO budget";
+        INSIGHT_TRACES = "duet_insight_traces_total",
+            "Completed request traces pushed into the flight-recorder ring";
+        "duet_insight_torn_reads_total",
+        "Span-ring snapshot reads that caught a slot mid-write", "result" {
+            INSIGHT_TORN_RETRIED = "retried",
+            INSIGHT_TORN_SKIPPED = "skipped",
+        }
+        "duet_insight_dumps_total", "Flight-recorder dumps written per anomaly rule", "rule" {
+            INSIGHT_DUMPS_SLO_BURN = "slo_burn",
+            INSIGHT_DUMPS_SHED = "shed",
+            INSIGHT_DUMPS_DRIFT_SWAP = "drift_swap",
+            INSIGHT_DUMPS_SWAP_REFUSED = "swap_refused",
+        }
+        INSIGHT_DUMPS_SUPPRESSED = "duet_insight_dumps_suppressed_total",
+            "Anomaly triggers suppressed because the once-per-run dump latch had fired";
+        // ---- tune (simulator-oracle schedule search) ----
+        TUNE_RUNS = "duet_tune_runs_total", "Autotuning searches run (one per model/batch tuned)";
+        TUNE_CANDIDATES = "duet_tune_candidates_total",
+            "Placement candidates priced by the simulator oracle";
+        "duet_tune_promotions_total", "Winning plans through the D5xx/D2xx promotion gate",
+        "result" {
+            TUNE_PROMOTIONS_ACCEPTED = "accepted",
+            TUNE_PROMOTIONS_REJECTED = "rejected",
+        }
+        // ---- analysis ----
+        "duet_analysis_checks_total", "Analyzer invocations", "family" {
+            ANALYSIS_CHECKS_GRAPH = "graph",
+            ANALYSIS_CHECKS_PASS = "pass",
+            ANALYSIS_CHECKS_PLAN = "plan",
+            ANALYSIS_CHECKS_WITNESS = "witness",
+            ANALYSIS_CHECKS_MEMORY = "memory",
+            ANALYSIS_CHECKS_MODEL = "model",
+            ANALYSIS_CHECKS_DATAFLOW = "dataflow",
+        }
+        "duet_analysis_diagnostics_total", "Diagnostics emitted per analyzer family", "family" {
+            ANALYSIS_DIAGNOSTICS_GRAPH = "graph",
+            ANALYSIS_DIAGNOSTICS_PASS = "pass",
+            ANALYSIS_DIAGNOSTICS_PLAN = "plan",
+            ANALYSIS_DIAGNOSTICS_WITNESS = "witness",
+            ANALYSIS_DIAGNOSTICS_MEMORY = "memory",
+            ANALYSIS_DIAGNOSTICS_MODEL = "model",
+            ANALYSIS_DIAGNOSTICS_DATAFLOW = "dataflow",
+        }
+    }
 
-/// Every registered histogram.
-pub fn histograms() -> &'static [&'static Histogram] {
-    static HISTOGRAMS: &[&Histogram] = &[
-        &SCHED_ACCEPTED_GAIN_US,
-        &SCHED_CORRECTION_WALL_US,
-        &SERVE_BATCH_SIZE,
-        &SERVE_SOJOURN_US,
-        &SERVE_VIRTUAL_SERVICE_US,
-        &SERVE_SEGMENT_QUEUE,
-        &SERVE_SEGMENT_LINGER,
-        &SERVE_SEGMENT_COMPUTE_CPU,
-        &SERVE_SEGMENT_COMPUTE_GPU,
-        &SERVE_SEGMENT_TRANSFER,
-        &SERVE_SEGMENT_OVERHEAD,
-        &SERVE_SWAP_STALL_US,
-        &TUNE_ORACLE_WALL_US,
-        &TUNE_SEARCH_WALL_US,
-        &ANALYSIS_MODEL_CHECK_STATES,
-        &ANALYSIS_MODEL_CHECK_WALL_US,
-        &ANALYSIS_DATAFLOW_WALL_US,
-    ];
-    HISTOGRAMS
+    /// Every registered gauge.
+    pub fn gauges -> Gauge {
+        SCHED_PREDICTED_LATENCY_US = "duet_sched_predicted_latency_us",
+            "Predicted end-to-end latency after the most recent correction, microseconds";
+        SERVE_QUEUE_DEPTH = "duet_serve_queue_depth", "Requests currently queued across all models";
+        SERVE_EPOCH = "duet_serve_epoch",
+            "Highest metrics epoch across models (bumped on drift injection and hot-swap)";
+    }
+
+    /// Every registered histogram.
+    pub fn histograms -> Histogram {
+        // ---- schedule ----
+        SCHED_ACCEPTED_GAIN_US = "duet_sched_accepted_gain_us",
+            "Predicted latency improvement per accepted move, microseconds";
+        SCHED_CORRECTION_WALL_US = "duet_sched_correction_wall_us",
+            "Wall time of one correction search (Algorithm 1 step 3), microseconds";
+        // ---- serve and insight ----
+        SERVE_BATCH_SIZE = "duet_serve_batch_size", "Executed batch sizes (power-of-two chunks)";
+        SERVE_SOJOURN_US = "duet_serve_sojourn_us",
+            "Wall-clock sojourn per request (queueing + linger + execution), microseconds";
+        SERVE_VIRTUAL_SERVICE_US = "duet_serve_virtual_service_us",
+            "Per-request virtual service share on the modeled hardware, microseconds";
+        "duet_serve_segment_us", "Per-request latency attribution per segment, microseconds",
+        "segment" {
+            SERVE_SEGMENT_QUEUE = "queue",
+            SERVE_SEGMENT_LINGER = "linger",
+            SERVE_SEGMENT_COMPUTE_CPU = "compute_cpu",
+            SERVE_SEGMENT_COMPUTE_GPU = "compute_gpu",
+            SERVE_SEGMENT_TRANSFER = "transfer",
+            SERVE_SEGMENT_OVERHEAD = "overhead",
+        }
+        SERVE_SWAP_STALL_US = "duet_serve_swap_stall_us",
+            "Wall time the serving worker spent re-planning on confirmed drift, microseconds";
+        // ---- tune ----
+        TUNE_ORACLE_WALL_US = "duet_tune_oracle_wall_us",
+            "Wall time of one tune call's placement search, microseconds";
+        TUNE_SEARCH_WALL_US = "duet_tune_search_wall_us",
+            "End-to-end wall time per tune call (search and promotion), microseconds";
+        // ---- analysis ----
+        ANALYSIS_MODEL_CHECK_STATES = "duet_analysis_model_check_states",
+            "States of the one run walked per plan model check (2n + 1 for n subgraphs)";
+        ANALYSIS_MODEL_CHECK_WALL_US = "duet_analysis_model_check_wall_us",
+            "Model-checker wall time per plan, microseconds";
+        ANALYSIS_DATAFLOW_WALL_US = "duet_analysis_dataflow_wall_us",
+            "Dataflow (abstract interpretation) wall time per graph, microseconds";
+    }
+
+    /// The `duet_kernel_pool_*` families: mirrors of the plain atomics the
+    /// `rayon` stand-in owns (the pool cannot depend on this crate), raised
+    /// to them at each exposition. Together they show whether the fork gate
+    /// and the pool are work-conserving — regions forked vs kept inline,
+    /// chunks run by workers vs by the submitting caller, and how often a
+    /// worker parked.
+    fn kernel_pool -> Counter {
+        "duet_kernel_pool_regions_total",
+        "Parallel kernel regions, by whether they were submitted to the pool \
+            or run inline on their caller (single chunk, width 1, or below the fork gate)",
+        "mode" {
+            KERNEL_POOL_REGIONS_FORKED = "forked",
+            KERNEL_POOL_REGIONS_INLINE = "inline",
+        }
+        "duet_kernel_pool_chunks_total",
+        "Chunks of forked kernel regions, by the thread that ran them", "by" {
+            KERNEL_POOL_CHUNKS_BY_WORKER = "worker",
+            KERNEL_POOL_CHUNKS_BY_CALLER = "caller",
+        }
+        KERNEL_POOL_PARKS = "duet_kernel_pool_parks_total",
+            "Times a pool worker stopped spinning for work and parked";
+        KERNEL_POOL_MIGRATIONS = "duet_kernel_pool_migrations_total",
+            "Times a pool worker woke on its submitter's CPU and moved itself off it";
+    }
 }
 
 /// Render the full global registry in Prometheus text exposition format,
 /// followed by the kernel pool's counters.
 pub fn prometheus_text() -> String {
-    let mut out = render_prometheus(counters(), gauges(), histograms());
-    out.push_str(&kernel_pool_text());
-    out
-}
-
-/// The `duet_kernel_pool_*` families. The counters are plain atomics owned
-/// by the `rayon` stand-in (the pool cannot depend on this crate), read at
-/// exposition time: together they show whether the fork gate and the pool
-/// are work-conserving — regions forked vs kept inline, chunks run by
-/// workers vs by the submitting caller, and how often a worker parked.
-fn kernel_pool_text() -> String {
-    const REGIONS: &str = "Parallel kernel regions, by whether they were submitted to the pool \
-        or run inline on their caller (single chunk, width 1, or below the fork gate)";
-    const CHUNKS: &str = "Chunks of forked kernel regions, by the thread that ran them";
     let s = rayon::pool_stats();
-    let families = [
-        (
-            Counter::with_label("duet_kernel_pool_regions_total", REGIONS, "mode", "forked"),
-            s.regions_forked,
-        ),
-        (
-            Counter::with_label("duet_kernel_pool_regions_total", REGIONS, "mode", "inline"),
-            s.regions_inline,
-        ),
-        (
-            Counter::with_label("duet_kernel_pool_chunks_total", CHUNKS, "by", "worker"),
-            s.chunks_by_worker,
-        ),
-        (
-            Counter::with_label("duet_kernel_pool_chunks_total", CHUNKS, "by", "caller"),
-            s.chunks_by_caller,
-        ),
-        (
-            Counter::new(
-                "duet_kernel_pool_parks_total",
-                "Times a pool worker stopped spinning for work and parked",
-            ),
-            s.parks,
-        ),
-        (
-            Counter::new(
-                "duet_kernel_pool_migrations_total",
-                "Times a pool worker woke on its submitter's CPU and moved itself off it",
-            ),
-            s.migrations,
-        ),
-    ];
-    let counters: Vec<&Counter> = families
-        .iter()
-        .map(|(counter, value)| {
-            counter.add(*value);
-            counter
-        })
-        .collect();
-    render_prometheus(&counters, &[], &[])
+    KERNEL_POOL_REGIONS_FORKED.raise_to(s.regions_forked);
+    KERNEL_POOL_REGIONS_INLINE.raise_to(s.regions_inline);
+    KERNEL_POOL_CHUNKS_BY_WORKER.raise_to(s.chunks_by_worker);
+    KERNEL_POOL_CHUNKS_BY_CALLER.raise_to(s.chunks_by_caller);
+    KERNEL_POOL_PARKS.raise_to(s.parks);
+    KERNEL_POOL_MIGRATIONS.raise_to(s.migrations);
+    let mut out = render_prometheus(counters(), gauges(), histograms());
+    out.push_str(&render_prometheus(kernel_pool(), &[], &[]));
+    out
 }
 
 /// Render arbitrary metric sets in Prometheus text exposition format

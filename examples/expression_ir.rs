@@ -12,7 +12,7 @@
 //! ```
 
 use duet::ir::expr::{to_graph, Expr};
-use duet::ir::{analyze, decode, encode, Op};
+use duet::ir::{decode, encode, Op};
 use duet::prelude::*;
 
 fn main() {
@@ -55,7 +55,6 @@ fn main() {
         graph.len(),
         graph.outputs().len()
     );
-    print!("{}", analyze(&graph));
 
     // --- Round-trip through the binary model format.
     let bytes = encode(&graph);

@@ -8,7 +8,6 @@
 //! duet schedule mtdnn --policy round-robin    # compare a policy
 //! duet run siamese                            # execute one real inference
 //! duet measure wide_and_deep --runs 5000      # latency distribution
-//! duet analyze mtdnn                          # structural metrics
 //! duet explain mtdnn                          # why each subgraph sits where it does
 //! duet export-plan siamese plan.json          # save the offline decision
 //! duet save siamese model.duet                # serialize a model
@@ -90,7 +89,6 @@ const VERBS: &[(&str, usize, &str)] = &[
     ("schedule", 1, "--policy --plan"),
     ("run", 1, ""),
     ("measure", 1, "--runs"),
-    ("analyze", 1, ""),
     ("explain", 1, ""),
     ("export-plan", 2, ""),
     ("save", 2, ""),
@@ -111,7 +109,7 @@ fn usage_text() -> String {
     format!(
         "usage:\n  duet list\n  duet report <model> [--policy <p>] [--plan <file>]\n  \
          duet schedule <model> [--policy <p>] [--plan <file>]\n  duet run <model>\n  \
-         duet measure <model> [--runs <n>]\n  duet analyze <model>\n  duet explain <model>\n  \
+         duet measure <model> [--runs <n>]\n  duet explain <model>\n  \
          duet export-plan <model> <file>\n  duet save <model> <file>\n  \
          duet report-file <file>\n  \
          duet tune <model>|all [--budget <n>] [--drift] [--out <file>] [--metrics-out <file>]\n  \
@@ -385,12 +383,6 @@ fn main() {
                     if d.len() > 4 { ", …" } else { "" }
                 );
             }
-        }
-        "analyze" => {
-            let name = arg(&args, 0);
-            let graph = model(name);
-            say!("{name}:");
-            emit(duet_ir::analyze(&graph));
         }
         "export-plan" => {
             let (name, path) = (arg(&args, 0), arg(&args, 1));

@@ -24,6 +24,7 @@ fn duet(args: &[&str]) -> (i32, String) {
 fn usage_errors_exit_2_without_a_panic() {
     for args in [
         &["no-such-verb"][..],
+        &["analyze", "mtdnn"],
         &["report", "no_such_model"],
         &["measure", "siamese", "--run", "10"],
         &["dataflow", "siamese", "--plan", "plan.json"],
