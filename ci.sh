@@ -231,7 +231,17 @@ events = json.load(open(sys.argv[1]))
 pids = {e["pid"] for e in events}
 assert pids == {1, 2}, f"expected virtual+wall process lanes, got {pids}"
 assert any(e.get("ph") == "X" for e in events), "no duration slices"
-print(f"trace OK: {len(events)} events across {len(pids)} processes")
+# The run's spans reach the telemetry lane: one `subgraph` span on each
+# witness slice (same virtual start and duration) and one `run` span.
+slices = sorted((e["ts"], e["dur"]) for e in events
+                if e["pid"] == 1 and e["tid"] in (1, 2) and e.get("ph") == "X")
+lane = [e for e in events if e["pid"] == 1 and e["tid"] == 4 and e.get("ph") != "M"]
+subgraphs = sorted((e["ts"], e["dur"]) for e in lane if e["name"] == "subgraph")
+assert subgraphs == slices, f"subgraph spans {subgraphs} != witness slices {slices}"
+runs = [e for e in lane if e["name"] == "run"]
+assert len(runs) == 1, f"expected one run span on the telemetry lane, got {len(runs)}"
+print(f"trace OK: {len(events)} events across {len(pids)} processes, "
+      f"{len(subgraphs)} subgraph spans on {len(slices)} witness slices")
 PY
 
 step "witness-only trace (duet trace --out) is one process with one slice per dispatched subgraph"

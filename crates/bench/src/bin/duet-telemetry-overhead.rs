@@ -3,8 +3,9 @@
 //!
 //! The observability layer promises to stay on by default, which only
 //! holds if it is effectively free. This gate runs repeated end-to-end
-//! MLP inferences through the threaded executor (the path that records
-//! executor spans, per-device counters and tape/arena stats), toggling
+//! MLP inferences through `Duet::run` (the threaded executor under the
+//! untraced span observer it composes: run and subgraph spans into the
+//! global ring, plus per-device counters and tape/arena stats), toggling
 //! telemetry enabled/disabled on *every successive run* — so scheduler
 //! noise, thermal drift and noisy neighbors hit both populations
 //! identically — and fails if the median enabled run is more than 3%

@@ -28,8 +28,9 @@ use duet_device::{DeviceKind, SystemModel};
 use duet_ir::{Graph, GraphError, NodeId};
 use duet_runtime::{
     measure_stats, HeterogeneousExecutor, LatencyStats, Observer, Placed, Profiler, Schedule,
-    ScheduleError, Timeline,
+    ScheduleError, SpanLog, Timeline,
 };
+use duet_telemetry::TraceContext;
 use duet_tensor::Tensor;
 
 use crate::partition::{partition, partition_per_operator, Partition, Phase};
@@ -487,7 +488,8 @@ impl Duet {
         }
     }
 
-    /// Execute one inference on the threaded heterogeneous engine.
+    /// Execute one inference on the threaded heterogeneous engine; its
+    /// telemetry spans go to the global ring, untraced.
     pub fn run(
         &self,
         feeds: &HashMap<NodeId, Tensor>,
@@ -497,7 +499,8 @@ impl Duet {
 
     /// [`Duet::run`], reporting every dispatch to `observer` — a
     /// [`WitnessLog`] records the ordered event log the `duet-analysis`
-    /// D3xx conformance checker (and `duet trace`) consumes.
+    /// D3xx conformance checker (and `duet trace`) consumes. Either way
+    /// the run's telemetry spans go to the global ring, untraced.
     ///
     /// [`WitnessLog`]: duet_runtime::WitnessLog
     pub fn run_observed<O: Observer + Sync>(
@@ -505,8 +508,12 @@ impl Duet {
         feeds: &HashMap<NodeId, Tensor>,
         observer: &O,
     ) -> Result<duet_runtime::executor::ExecutionOutcome, GraphError> {
-        self.executor_with(self.system.clone())
-            .run_observed(feeds, observer)
+        let spans = SpanLog::new(TraceContext::UNTRACED);
+        let outcome = self
+            .executor_with(self.system.clone())
+            .run_observed(feeds, &(observer, &spans))?;
+        spans.seal(outcome.virtual_latency_us);
+        Ok(outcome)
     }
 
     /// Build a pooled executor over this engine's schedule under an

@@ -30,20 +30,25 @@
 //! and the replay's latency, breakdown and virtual intervals, bit for bit:
 //! the executor keeps no clock of its own.
 //!
-//! What a run reports besides its outcome goes to an [`Observer`], the
-//! seam the timeline's replay reports to as well:
-//! [`HeterogeneousExecutor::run_observed`] has each lane report a
-//! subgraph `dispatched` before its numerics, `executed` once its values
-//! are stored and before any consumer is triggered, and every GPU-resident
-//! output landing on the host. A [`WitnessLog`] records the
-//! `D3xx`-checkable event log of [`crate::witness`] from those calls, the
-//! same observer the simulator's replay reports to; for race hunting,
+//! A lane polls, runs and triggers; everything a run reports besides its
+//! outcome goes to an [`Observer`], the seam the timeline's replay
+//! reports to as well: [`HeterogeneousExecutor::run_observed`] has each
+//! lane report a subgraph `dispatched` before its numerics, `executed`
+//! once its values are stored and before any consumer is triggered, and
+//! every GPU-resident output landing on the host. A [`WitnessLog`]
+//! records the `D3xx`-checkable event log of [`crate::witness`] from those
+//! calls, the same observer the simulator's replay reports to; a
+//! [`SpanLog`] records the telemetry spans (run → subgraph → kernel,
+//! linked into a request's trace when it has one); for race hunting,
 //! [`DelayInjection`] sleeps a seeded random interval in every
 //! `dispatched`, perturbing the real interleaving without changing what a
 //! correct run may produce. A pair observes with both. [`run`] observes
-//! with `()`, which compiles to nothing.
+//! with `()`, which compiles to nothing, so a bare executor records no
+//! spans; `Duet::run` pairs its caller's observer with an untraced
+//! [`SpanLog`].
 //!
 //! [`WitnessLog`]: crate::WitnessLog
+//! [`SpanLog`]: crate::SpanLog
 //! [`DelayInjection`]: crate::DelayInjection
 //! [`run`]: HeterogeneousExecutor::run
 
@@ -57,7 +62,6 @@ use std::time::{Duration, Instant};
 use duet_compiler::ArenaPool;
 use duet_device::{DeviceKind, SystemModel};
 use duet_ir::{Graph, GraphError, NodeId, Op};
-use duet_telemetry::{Span, SpanKind, TraceContext};
 use duet_tensor::Tensor;
 
 use crate::sim::Placed;
@@ -79,12 +83,6 @@ pub struct ExecutionOutcome {
     pub tasks_per_device: HashMap<DeviceKind, usize>,
     /// Virtual-time decomposition of the run.
     pub breakdown: ExecBreakdown,
-    /// Causally-linked spans of this run (run → subgraph → kernel),
-    /// populated only when [`HeterogeneousExecutor::with_trace`] set a
-    /// context. Independent of the global ring and of
-    /// `duet_telemetry::enabled()`, so the flight recorder sees a
-    /// complete tree even with span recording off.
-    pub trace_spans: Vec<Span>,
 }
 
 /// What a lane's queue carries: one of its planned subgraphs may have
@@ -118,7 +116,6 @@ pub struct HeterogeneousExecutor<'g> {
     /// graph surfaces at run.
     plan: Result<Plan<'g>, GraphError>,
     pool: Option<&'g ArenaPool>,
-    trace: Option<TraceContext>,
 }
 
 impl<'g> HeterogeneousExecutor<'g> {
@@ -181,7 +178,6 @@ impl<'g> HeterogeneousExecutor<'g> {
             placed,
             plan,
             pool: None,
-            trace: None,
         }
     }
 
@@ -189,16 +185,6 @@ impl<'g> HeterogeneousExecutor<'g> {
     /// per run — the steady-state serving path.
     pub fn with_arena_pool(mut self, pool: &'g ArenaPool) -> Self {
         self.pool = Some(pool);
-        self
-    }
-
-    /// Link this run into a causal trace: the run span becomes a child
-    /// of `parent`, each subgraph dispatch a child of the run span, and
-    /// each kernel-tape execution a child of its dispatch. The linked
-    /// spans go to the global ring *and* come back in
-    /// [`ExecutionOutcome::trace_spans`].
-    pub fn with_trace(mut self, parent: TraceContext) -> Self {
-        self.trace = Some(parent);
         self
     }
 
@@ -235,8 +221,6 @@ impl<'g> HeterogeneousExecutor<'g> {
         let values: Mutex<HashMap<NodeId, Tensor>> =
             Mutex::new(HashMap::with_capacity(boundary_values));
         let error: OnceLock<GraphError> = OnceLock::new();
-        let trace = self.trace.unwrap_or(TraceContext::UNTRACED);
-        let run_ctx = trace.child();
 
         // One queue per device; each lane owns its receiver. A send fails
         // only once that lane has stopped, when the run is over or failing.
@@ -252,9 +236,8 @@ impl<'g> HeterogeneousExecutor<'g> {
 
         // Worker loop: walk the device's planned list, wait for the next
         // subgraph's triggers, execute, trigger its consumers.
-        let worker = |device: DeviceKind, queue: Receiver<Msg>| -> Vec<Span> {
+        let worker = |device: DeviceKind, queue: Receiver<Msg>| {
             let _stop_on_unwind = StopOnUnwind(stop);
-            let mut spans = Vec::new();
             let mine = schedule
                 .dispatches
                 .iter()
@@ -262,7 +245,7 @@ impl<'g> HeterogeneousExecutor<'g> {
             for &(i, [start, end]) in mine {
                 while pending[i].load(Ordering::Acquire) > 0 {
                     if !matches!(queue.recv(), Ok(Msg::Wake)) {
-                        return spans;
+                        return;
                     }
                 }
                 let placed = &self.placed[i];
@@ -308,7 +291,7 @@ impl<'g> HeterogeneousExecutor<'g> {
                         // original cause.
                         let _ = error.set(e);
                         stop();
-                        return spans;
+                        return;
                     }
                 }
                 observer.executed(&at);
@@ -316,24 +299,6 @@ impl<'g> HeterogeneousExecutor<'g> {
                     DeviceKind::Cpu => duet_telemetry::registry::EXEC_SUBGRAPHS_CPU.inc(),
                     DeviceKind::Gpu => duet_telemetry::registry::EXEC_SUBGRAPHS_GPU.inc(),
                 }
-                // Request → batch → run → subgraph → kernel is one linked
-                // tree, stamped in *virtual* µs: the witness's clock, so span
-                // order can be checked against its happens-before.
-                let span = |kind, detail, ctx, parent| {
-                    let lane = device as u64 as f64;
-                    Span::linked(kind, detail, start, end - start, lane, ctx, parent)
-                };
-                let sg_ctx = run_ctx.child();
-                let sg_span = span(SpanKind::ExecSubgraph, i as u64, sg_ctx, run_ctx.span_id);
-                sg_span.record();
-                if sg_span.is_traced() {
-                    let instrs = placed.sg.tape.instrs.len() as u64;
-                    let kernel_span =
-                        span(SpanKind::ExecKernel, instrs, sg_ctx.child(), sg_ctx.span_id);
-                    kernel_span.record();
-                    spans.extend([sg_span, kernel_span]);
-                }
-
                 // Trigger every dependency edge this subgraph feeds, and
                 // wake the other lane when one of its subgraphs is ready.
                 for &c in timeline.consumers(i) {
@@ -342,7 +307,6 @@ impl<'g> HeterogeneousExecutor<'g> {
                     }
                 }
             }
-            spans
         };
         // The caller is the lane of the device that finishes the run — the
         // last subgraph's — so its result is handed to no other thread; the
@@ -352,22 +316,18 @@ impl<'g> HeterogeneousExecutor<'g> {
             DeviceKind::Cpu => (cpu_rx, gpu_rx),
             DeviceKind::Gpu => (gpu_rx, cpu_rx),
         };
-        let mut lanes = if !devices.contains(&mine.other()) {
-            [worker(mine, my_queue), Vec::new()]
+        if !devices.contains(&mine.other()) {
+            worker(mine, my_queue);
         } else {
             std::thread::scope(|scope| {
                 let worker = &worker;
                 let other = scope.spawn(move || worker(mine.other(), other_queue));
+                worker(mine, my_queue);
                 // A worker's panic continues here, as the scope's own would.
                 let resume = |e| std::panic::resume_unwind(e);
-                [worker(mine, my_queue), other.join().unwrap_or_else(resume)]
-            })
-        };
-        if mine == DeviceKind::Gpu {
-            lanes.reverse();
+                other.join().unwrap_or_else(resume);
+            });
         }
-        let [mut trace_spans, gpu_spans] = lanes;
-        trace_spans.extend(gpu_spans);
 
         if let Some(e) = error.into_inner() {
             return Err(e);
@@ -391,30 +351,14 @@ impl<'g> HeterogeneousExecutor<'g> {
             outputs.insert(out, value.clone());
         }
         duet_telemetry::registry::EXEC_RUNS.inc();
-        let latency = schedule.latency_us;
-        let run_span = Span::linked(
-            SpanKind::ExecRun,
-            n as u64,
-            0.0,
-            latency,
-            0.0,
-            run_ctx,
-            trace.span_id,
-        );
-        run_span.record();
-        trace_spans.extend(run_span.is_traced().then_some(run_span));
-        for (seq, span) in trace_spans.iter_mut().enumerate() {
-            span.seq = seq as u64;
-        }
         Ok(ExecutionOutcome {
             outputs,
-            virtual_latency_us: latency,
+            virtual_latency_us: schedule.latency_us,
             wall_time: wall_start.elapsed(),
             tasks_per_device: HashMap::from(
                 DeviceKind::both().map(|d| (d, devices.iter().filter(|&&on| on == d).count())),
             ),
             breakdown: schedule.breakdown,
-            trace_spans,
         })
     }
 }

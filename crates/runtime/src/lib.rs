@@ -25,8 +25,9 @@
 //!   the placement gives it work.
 //! * [`Observer`] — the one seam both clocks report a run to: the
 //!   executor's lanes (`run_observed`) and the [`Timeline`] replay call
-//!   it per dispatch. Witnessing ([`WitnessLog`]) and interleaving stress
-//!   ([`DelayInjection`]) are observers; `()` is none.
+//!   it per dispatch. Witnessing ([`WitnessLog`]), telemetry spans
+//!   ([`SpanLog`]) and interleaving stress ([`DelayInjection`]) are
+//!   observers; `()` is none.
 //! * [`LatencyStats`] — mean and percentile statistics over repeated runs
 //!   (the paper reports P50/P99/P99.9 over 5000 runs).
 //! * [`ExecutionWitness`] — an ordered event log both engines emit
@@ -57,6 +58,6 @@ pub use timeline::{
 };
 pub use trace::chrome_trace;
 pub use witness::{
-    DelayInjection, ExecutionWitness, TransferKind, TriggerEdge, WitnessEvent, WitnessLog,
+    DelayInjection, ExecutionWitness, SpanLog, TransferKind, TriggerEdge, WitnessEvent, WitnessLog,
     WitnessSource,
 };

@@ -205,6 +205,20 @@ pub trait Observer {
 
 impl Observer for () {}
 
+/// A borrowed observer reports as the one it borrows, so a run can pair
+/// an observer its caller lends with one of its own.
+impl<T: Observer + ?Sized> Observer for &T {
+    fn dispatched(&self, at: &Dispatch<'_>) {
+        (**self).dispatched(at);
+    }
+    fn executed(&self, at: &Dispatch<'_>) {
+        (**self).executed(at);
+    }
+    fn output_landed(&self, output: &OutputEdge) {
+        (**self).output_landed(output);
+    }
+}
+
 impl<A: Observer, B: Observer> Observer for (A, B) {
     fn dispatched(&self, at: &Dispatch<'_>) {
         self.0.dispatched(at);
@@ -443,6 +457,11 @@ impl Timeline {
     /// Execution lanes of `device`.
     pub fn lanes(&self, device: DeviceKind) -> usize {
         self.lanes[device as usize]
+    }
+
+    /// Fused kernels of subgraph `i`: one per tape instruction.
+    pub fn kernel_count(&self, i: usize) -> usize {
+        self.kernel_costs[i].len()
     }
 
     /// Boundary dependencies of subgraph `i`.

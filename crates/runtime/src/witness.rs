@@ -20,11 +20,13 @@
 //!
 //! [`HeterogeneousExecutor`]: crate::HeterogeneousExecutor
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use duet_device::DeviceKind;
 use duet_ir::NodeId;
+use duet_telemetry::{Span, SpanKind, TraceContext};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -313,6 +315,76 @@ impl Observer for WitnessLog {
             time_us: o.d2h_us,
             consumer: None,
         }]);
+    }
+}
+
+/// The observer that records a run's telemetry spans, on the witness's
+/// virtual clock so span order can be checked against its
+/// happens-before: one `ExecSubgraph` per executed dispatch (detail =
+/// subgraph index, lane = device) and, in a traced run, its
+/// `ExecKernel` over the same interval (detail = the subgraph's kernel
+/// count); [`SpanLog::seal`] adds the `ExecRun`. Each goes to the global
+/// ring as it is recorded. The spans of a traced run (one under a parent
+/// other than [`TraceContext::UNTRACED`]) form one linked tree, run →
+/// subgraph → kernel, and are also kept for the caller, so the serve
+/// flight recorder sees the whole tree even with span recording off.
+/// An untraced log keeps nothing and allocates nothing.
+#[derive(Debug)]
+pub struct SpanLog {
+    parent: TraceContext,
+    run: TraceContext,
+    executed: AtomicU64,
+    traced: Mutex<Vec<Span>>,
+}
+
+impl SpanLog {
+    /// A log for one run whose span is a child of `parent`.
+    pub fn new(parent: TraceContext) -> SpanLog {
+        SpanLog {
+            parent,
+            run: parent.child(),
+            executed: AtomicU64::new(0),
+            traced: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Record the `ExecRun` span of the observed run, which reported
+    /// `latency` µs, and return the traced spans numbered by `seq` in
+    /// recording order (none for an untraced run).
+    pub fn seal(mut self, latency: f64) -> Vec<Span> {
+        let (n, ctx, parent) = (*self.executed.get_mut(), self.run, self.parent.span_id);
+        let run = Span::linked(SpanKind::ExecRun, n, 0.0, latency, 0.0, ctx, parent);
+        self.keep(run);
+        let traced = self.traced.into_inner();
+        let mut spans = traced.unwrap_or_else(PoisonError::into_inner);
+        for (seq, span) in spans.iter_mut().enumerate() {
+            span.seq = seq as u64;
+        }
+        spans
+    }
+
+    fn keep(&self, span: Span) {
+        span.record();
+        if span.is_traced() {
+            let mut traced = self.traced.lock().unwrap_or_else(PoisonError::into_inner);
+            traced.push(span);
+        }
+    }
+}
+
+impl Observer for SpanLog {
+    fn executed(&self, at: &Dispatch<'_>) {
+        self.executed.fetch_add(1, Ordering::Relaxed);
+        let span = |kind, detail, ctx, parent| {
+            let (dur_us, lane) = (at.end_us - at.start_us, at.device() as u64 as f64);
+            Span::linked(kind, detail, at.start_us, dur_us, lane, ctx, parent)
+        };
+        let (run, sg) = (self.run, self.run.child());
+        self.keep(span(SpanKind::ExecSubgraph, at.sg as u64, sg, run.span_id));
+        if sg != TraceContext::UNTRACED {
+            let kernels = at.timeline.kernel_count(at.sg) as u64;
+            self.keep(span(SpanKind::ExecKernel, kernels, sg.child(), sg.span_id));
+        }
     }
 }
 

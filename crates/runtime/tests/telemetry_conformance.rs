@@ -15,8 +15,10 @@
 use duet_compiler::Compiler;
 use duet_device::{DeviceKind, SystemModel};
 use duet_models::{input_feeds, wide_and_deep, WideAndDeepConfig};
-use duet_runtime::{HeterogeneousExecutor, Placed, WitnessEvent, WitnessLog, WitnessSource};
-use duet_telemetry::{Span, SpanKind};
+use duet_runtime::{
+    HeterogeneousExecutor, Placed, SpanLog, WitnessEvent, WitnessLog, WitnessSource,
+};
+use duet_telemetry::{Span, SpanKind, TraceContext};
 
 /// Contiguous topo chunks on alternating devices (always valid).
 fn chunked(graph: &duet_ir::Graph, k: usize) -> Vec<Placed> {
@@ -61,7 +63,11 @@ fn executor_spans_agree_with_witness_happens_before() {
 
     duet_telemetry::reset_spans();
     let log = WitnessLog::default();
-    let out = exec.run_observed(&feeds, &log).expect("run succeeds");
+    let span_log = SpanLog::new(TraceContext::UNTRACED);
+    let out = exec
+        .run_observed(&feeds, &(&log, &span_log))
+        .expect("run succeeds");
+    span_log.seal(out.virtual_latency_us);
     let witness = log.seal(&graph.name, WitnessSource::Executor, out.virtual_latency_us);
     let spans: Vec<Span> = duet_telemetry::spans()
         .into_iter()

@@ -23,6 +23,7 @@
 //! sampling estimate.
 
 use duet_runtime::ExecBreakdown;
+use duet_telemetry::percentile_sorted;
 use serde::{Deserialize, Serialize};
 
 /// One request's sojourn, decomposed. All values are wall-clock
@@ -84,14 +85,15 @@ impl Attribution {
 
     /// `(name, value)` pairs in [`Attribution::SEGMENTS`] order.
     pub fn segments(&self) -> [(&'static str, f64); 6] {
-        [
-            ("queue", self.queue_us),
-            ("linger", self.linger_us),
-            ("compute_cpu", self.compute_cpu_us),
-            ("compute_gpu", self.compute_gpu_us),
-            ("transfer", self.transfer_us),
-            ("overhead", self.overhead_us),
-        ]
+        let values = [
+            self.queue_us,
+            self.linger_us,
+            self.compute_cpu_us,
+            self.compute_gpu_us,
+            self.transfer_us,
+            self.overhead_us,
+        ];
+        std::array::from_fn(|i| (Self::SEGMENTS[i], values[i]))
     }
 
     /// Sum of all segments — equals the request's sojourn by
@@ -118,34 +120,30 @@ pub struct AttributionSummary {
     pub segments: Vec<SegmentSummary>,
 }
 
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 impl AttributionSummary {
-    /// Summarize a set of per-request attributions. Empty input yields
-    /// an all-zero summary with `requests == 0`.
+    /// Summarize a set of per-request attributions; percentiles are
+    /// nearest-rank ([`percentile_sorted`]). Empty input yields an
+    /// all-zero summary with `requests == 0`.
     pub fn from_samples(samples: &[Attribution]) -> AttributionSummary {
         let segments = Attribution::SEGMENTS
             .iter()
             .enumerate()
             .map(|(i, name)| {
                 let mut vals: Vec<f64> = samples.iter().map(|a| a.segments()[i].1).collect();
-                vals.sort_by(|a, b| a.total_cmp(b));
-                let mean = if vals.is_empty() {
-                    0.0
-                } else {
-                    vals.iter().sum::<f64>() / vals.len() as f64
+                vals.sort_by(f64::total_cmp);
+                let (mean_us, p50_us, p99_us) = match vals.len() {
+                    0 => (0.0, 0.0, 0.0),
+                    n => (
+                        vals.iter().sum::<f64>() / n as f64,
+                        percentile_sorted(&vals, 50.0),
+                        percentile_sorted(&vals, 99.0),
+                    ),
                 };
                 SegmentSummary {
                     segment: name.to_string(),
-                    mean_us: mean,
-                    p50_us: percentile(&vals, 0.50),
-                    p99_us: percentile(&vals, 0.99),
+                    mean_us,
+                    p50_us,
+                    p99_us,
                 }
             })
             .collect();
@@ -213,10 +211,30 @@ mod tests {
         assert_eq!(s.segments.len(), 6);
         assert_eq!(s.segments[0].segment, "queue");
         assert!((s.segments[0].mean_us - 49.5).abs() < 1e-9);
-        assert!((s.segments[0].p50_us - 50.0).abs() < 1.0);
-        assert!((s.segments[0].p99_us - 98.0).abs() < 1.0);
+        // Nearest rank: the 50th and 99th of the 100 sorted values.
+        assert_eq!(s.segments[0].p50_us, 49.0);
+        assert_eq!(s.segments[0].p99_us, 98.0);
         // Untouched segments are all-zero.
         assert_eq!(s.segments[5].p99_us, 0.0);
+    }
+
+    /// One percentile definition for the workspace: of two samples the
+    /// median is the first (nearest rank), not the second.
+    #[test]
+    fn summary_percentiles_are_nearest_rank() {
+        let samples = [1.0, 2.0].map(|queue_us| Attribution {
+            queue_us,
+            ..Attribution::default()
+        });
+        let s = AttributionSummary::from_samples(&samples);
+        assert_eq!(s.segments[0].p50_us, 1.0);
+        assert_eq!(s.segments[0].p99_us, 2.0);
+        let empty = AttributionSummary::from_samples(&[]);
+        assert_eq!(empty.requests, 0);
+        assert!(empty
+            .segments
+            .iter()
+            .all(|s| (s.mean_us, s.p50_us, s.p99_us) == (0.0, 0.0, 0.0)));
     }
 
     #[test]

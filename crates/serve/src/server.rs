@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use duet_device::SystemModel;
 use duet_ir::{Graph, Op};
-use duet_runtime::{ExecutionWitness, WitnessLog, WitnessSource};
+use duet_runtime::{ExecutionWitness, SpanLog, WitnessLog, WitnessSource};
 use duet_telemetry::registry as tm;
 use duet_telemetry::{clock_us, Span, SpanKind, TraceContext};
 use duet_tensor::Tensor;
@@ -551,13 +551,15 @@ impl Worker {
             // steady-state path recycle its tape buffers across requests.
             let t_run_start = Instant::now();
             let executor = variant.duet.executor_with(deployed.clone());
-            let run = executor.with_trace(batch_ctx).run(&feeds);
+            let spans = SpanLog::new(batch_ctx);
+            let run = executor.run_observed(&feeds, &spans);
             let outcome = run.map_err(|e| ServeError::Exec(e.to_string()))?;
+            let run_spans = spans.seal(outcome.virtual_latency_us);
             run_wall_us = t_run_start.elapsed().as_secs_f64() * 1e6;
             let pieces = split_outputs(variant.duet.graph(), &outcome.outputs, k)?;
-            Ok::<_, ServeError>((outcome, pieces))
+            Ok::<_, ServeError>((outcome, run_spans, pieces))
         })();
-        let (outcome, pieces) = match ran {
+        let (outcome, run_spans, pieces) = match ran {
             Ok(ran) => ran,
             Err(err) => {
                 self.metrics.exec_error();
@@ -656,7 +658,7 @@ impl Worker {
             // executor spans, so a dumped trace replays end to end.
             let mut spans = member_spans.to_vec();
             spans.push(batch_span);
-            spans.extend(outcome.trace_spans.iter().copied());
+            spans.extend_from_slice(&run_spans);
             self.flight.record(Arc::new(RequestTrace {
                 trace_id: tid,
                 model: model.clone(),

@@ -28,6 +28,9 @@
 //! * [`spans`] drains the span ring for the merged Perfetto timeline
 //!   (`duet trace <model> --out <file> --full`), interleaving offline
 //!   compile/profile/schedule spans with the runtime witness lanes.
+//!   Every span enters the ring through one writer,
+//!   [`SpanRing::record`]; the executor's come from the runtime's span
+//!   observer, which `Duet::run` composes.
 //!
 //! Telemetry defaults to **on**; `DUET_TELEMETRY=0` in the environment
 //! or [`set_enabled`]`(false)` turns span recording off (metric counters

@@ -20,132 +20,100 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// What a span describes. A closed enum keeps span names `'static` and
-/// slot writes purely numeric (no pointers in the ring).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum SpanKind {
+/// Declares [`SpanKind`] from one row per kind: variant (with its doc),
+/// persisted code, event name and pipeline stage. The enum, `name`,
+/// `stage` and `from_u64` are all emitted from the one table.
+macro_rules! span_kinds {
+    ($($(#[doc = $doc:literal])* $kind:ident = $code:literal, $name:literal, $stage:literal;)*) => {
+        /// What a span describes. A closed enum keeps span names
+        /// `'static` and slot writes purely numeric (no pointers in the
+        /// ring). The discriminant is the code flight dumps persist.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum SpanKind {
+            $($(#[doc = $doc])* $kind = $code,)*
+        }
+
+        impl SpanKind {
+            /// Pipeline stage this kind belongs to (Perfetto lane grouping).
+            pub fn stage(self) -> &'static str {
+                match self {
+                    $(SpanKind::$kind => $stage,)*
+                }
+            }
+
+            /// Human-readable event name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(SpanKind::$kind => $name,)*
+                }
+            }
+
+            /// Inverse of the discriminant cast; `None` for out-of-range
+            /// values (a persisted span from a newer build).
+            pub fn from_u64(v: u64) -> Option<SpanKind> {
+                match v {
+                    $($code => Some(SpanKind::$kind),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+span_kinds! {
     /// Whole `Compiler::optimize` pipeline. detail = nodes before,
     /// arg0 = nodes after.
-    CompileOptimize = 0,
+    CompileOptimize = 0, "optimize", "compile";
     /// Constant folding pass. detail = constants folded.
-    PassFoldConstants = 1,
+    PassFoldConstants = 1, "fold_constants", "compile";
     /// Common-subexpression elimination. detail = merged.
-    PassCse = 2,
+    PassCse = 2, "cse", "compile";
     /// Dead-code elimination. detail = removed.
-    PassDce = 3,
+    PassDce = 3, "dce", "compile";
     /// One subgraph profiled on both devices. detail = subgraph index,
     /// arg0 = CPU mean µs, arg1 = GPU mean µs.
-    ProfileSubgraph = 4,
+    ProfileSubgraph = 4, "profile_subgraph", "profile";
     /// One full correction search. detail = rounds, arg0 = initial
     /// predicted latency µs, arg1 = final predicted latency µs.
-    SchedCorrection = 5,
+    SchedCorrection = 5, "correction", "schedule";
     /// One correction round. detail = round index, arg0 = incumbent
     /// latency µs.
-    SchedRound = 6,
+    SchedRound = 6, "round", "schedule";
     /// Candidate move/swap that improved latency and was applied.
     /// detail = encoded move (i*1024+j+1, or i+1 for single moves),
     /// arg0 = predicted latency µs, arg1 = margin vs the epsilon-scaled
     /// incumbent (positive).
-    SchedMoveAccepted = 7,
+    SchedMoveAccepted = 7, "move_accepted", "schedule";
     /// Candidate move/swap evaluated and rejected. Same payload; the
     /// margin is ≤ 0 (how far it missed the epsilon threshold).
-    SchedMoveRejected = 8,
+    SchedMoveRejected = 8, "move_rejected", "schedule";
     /// One subgraph dispatch on the executor. detail = subgraph index,
     /// start/dur in *virtual* µs, arg0 = device (0 CPU, 1 GPU).
-    ExecSubgraph = 9,
+    ExecSubgraph = 9, "subgraph", "execute";
     /// One whole executor run. detail = subgraph count, dur = virtual
     /// latency µs.
-    ExecRun = 10,
+    ExecRun = 10, "run", "execute";
     /// One executed serving batch. detail = batch size, arg0 = virtual
     /// batch latency µs.
-    ServeBatch = 11,
+    ServeBatch = 11, "batch", "serve";
     /// One request's whole serving lifetime (admission → response).
     /// detail = batch the request executed in, wall µs.
-    ServeRequest = 12,
+    ServeRequest = 12, "request", "serve";
     /// Queue-wait phase of one request (admission → worker pull),
     /// wall µs.
-    ServeQueue = 13,
+    ServeQueue = 13, "queue", "serve";
     /// Batch-linger phase of one request (worker pull → batch close),
     /// wall µs.
-    ServeLinger = 14,
+    ServeLinger = 14, "linger", "serve";
     /// Execution phase of one request (batch close → response ready),
     /// wall µs. arg0 = executed batch size.
-    ServeExec = 15,
-    /// Kernel-tape execution inside one subgraph dispatch. detail =
-    /// tape instruction count, *virtual* µs, arg0 = device.
-    ExecKernel = 16,
-}
-
-impl SpanKind {
-    /// Pipeline stage this kind belongs to (Perfetto lane grouping).
-    pub fn stage(self) -> &'static str {
-        match self {
-            SpanKind::CompileOptimize
-            | SpanKind::PassFoldConstants
-            | SpanKind::PassCse
-            | SpanKind::PassDce => "compile",
-            SpanKind::ProfileSubgraph => "profile",
-            SpanKind::SchedCorrection
-            | SpanKind::SchedRound
-            | SpanKind::SchedMoveAccepted
-            | SpanKind::SchedMoveRejected => "schedule",
-            SpanKind::ExecSubgraph | SpanKind::ExecRun | SpanKind::ExecKernel => "execute",
-            SpanKind::ServeBatch
-            | SpanKind::ServeRequest
-            | SpanKind::ServeQueue
-            | SpanKind::ServeLinger
-            | SpanKind::ServeExec => "serve",
-        }
-    }
-
-    /// Human-readable event name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SpanKind::CompileOptimize => "optimize",
-            SpanKind::PassFoldConstants => "fold_constants",
-            SpanKind::PassCse => "cse",
-            SpanKind::PassDce => "dce",
-            SpanKind::ProfileSubgraph => "profile_subgraph",
-            SpanKind::SchedCorrection => "correction",
-            SpanKind::SchedRound => "round",
-            SpanKind::SchedMoveAccepted => "move_accepted",
-            SpanKind::SchedMoveRejected => "move_rejected",
-            SpanKind::ExecSubgraph => "subgraph",
-            SpanKind::ExecRun => "run",
-            SpanKind::ServeBatch => "batch",
-            SpanKind::ServeRequest => "request",
-            SpanKind::ServeQueue => "queue",
-            SpanKind::ServeLinger => "linger",
-            SpanKind::ServeExec => "exec",
-            SpanKind::ExecKernel => "kernel",
-        }
-    }
-
-    /// Inverse of the discriminant cast; `None` for out-of-range values
-    /// (a persisted span from a newer build).
-    pub fn from_u64(v: u64) -> Option<SpanKind> {
-        Some(match v {
-            0 => SpanKind::CompileOptimize,
-            1 => SpanKind::PassFoldConstants,
-            2 => SpanKind::PassCse,
-            3 => SpanKind::PassDce,
-            4 => SpanKind::ProfileSubgraph,
-            5 => SpanKind::SchedCorrection,
-            6 => SpanKind::SchedRound,
-            7 => SpanKind::SchedMoveAccepted,
-            8 => SpanKind::SchedMoveRejected,
-            9 => SpanKind::ExecSubgraph,
-            10 => SpanKind::ExecRun,
-            11 => SpanKind::ServeBatch,
-            12 => SpanKind::ServeRequest,
-            13 => SpanKind::ServeQueue,
-            14 => SpanKind::ServeLinger,
-            15 => SpanKind::ServeExec,
-            16 => SpanKind::ExecKernel,
-            _ => return None,
-        })
-    }
+    ServeExec = 15, "exec", "serve";
+    /// One subgraph's kernel tape, traced runs only: a single span over
+    /// the whole dispatch interval (not one per kernel), a child of its
+    /// `ExecSubgraph`. detail = the subgraph's kernel count, *virtual*
+    /// µs, arg0 = device.
+    ExecKernel = 16, "kernel", "execute";
 }
 
 /// One recorded span (a snapshot copied out of the ring).
@@ -179,10 +147,12 @@ impl Span {
     }
 
     /// A span built once by an owner that both publishes it
-    /// ([`Span::record`]) and keeps it (executor `trace_spans`, the serve
-    /// flight ring): identified by `ctx` under the span `parent_id`
-    /// ([`TraceContext::UNTRACED`] and 0 outside any trace), `seq` 0 and
-    /// `arg1` 0 until the owner says otherwise.
+    /// ([`Span::record`]) and keeps it (the runtime's span observer, the
+    /// serve flight ring): identified by `ctx` under the span
+    /// `parent_id` ([`TraceContext::UNTRACED`] and 0 outside any trace),
+    /// `seq` 0 and `arg1` 0 until the owner says otherwise.
+    ///
+    /// [`TraceContext::UNTRACED`]: crate::TraceContext::UNTRACED
     pub fn linked(
         kind: SpanKind,
         detail: u64,
@@ -206,22 +176,21 @@ impl Span {
         }
     }
 
+    /// An untraced span with both args, as the offline stages record.
+    fn untraced(kind: SpanKind, detail: u64, start_us: f64, dur_us: f64, a0: f64, a1: f64) -> Span {
+        let ctx = crate::TraceContext::UNTRACED;
+        Span {
+            arg1: a1,
+            ..Span::linked(kind, detail, start_us, dur_us, a0, ctx, 0)
+        }
+    }
+
     /// Publish this span to the global ring, linkage included; a no-op
     /// when telemetry is off. The ring assigns its own sequence number.
     #[inline]
     pub fn record(&self) {
         if crate::enabled() {
-            global_ring().record_traced(
-                self.kind,
-                self.detail,
-                self.start_us,
-                self.dur_us,
-                self.arg0,
-                self.arg1,
-                self.trace_id,
-                self.span_id,
-                self.parent_id,
-            );
+            global_ring().record(self);
         }
     }
 }
@@ -278,48 +247,22 @@ impl SpanRing {
         }
     }
 
-    /// Record one span. Lock-free and allocation-free.
-    pub fn record(
-        &self,
-        kind: SpanKind,
-        detail: u64,
-        start_us: f64,
-        dur_us: f64,
-        a0: f64,
-        a1: f64,
-    ) {
-        self.record_traced(kind, detail, start_us, dur_us, a0, a1, 0, 0, 0);
-    }
-
-    /// Record one span carrying causal trace linkage (trace id, own span
-    /// id, parent span id; all 0 for untraced). Lock-free and
-    /// allocation-free.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_traced(
-        &self,
-        kind: SpanKind,
-        detail: u64,
-        start_us: f64,
-        dur_us: f64,
-        a0: f64,
-        a1: f64,
-        trace_id: u64,
-        span_id: u64,
-        parent_id: u64,
-    ) {
+    /// Record `span`, linkage included, under the ring's own sequence
+    /// number (`span.seq` is ignored). Lock-free and allocation-free.
+    pub fn record(&self, span: &Span) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
         slot.version.store(2 * seq + 1, Ordering::Relaxed);
         fence(Ordering::Release);
-        slot.kind.store(kind as u64, Ordering::Relaxed);
-        slot.detail.store(detail, Ordering::Relaxed);
-        slot.start.store(start_us.to_bits(), Ordering::Relaxed);
-        slot.dur.store(dur_us.to_bits(), Ordering::Relaxed);
-        slot.arg0.store(a0.to_bits(), Ordering::Relaxed);
-        slot.arg1.store(a1.to_bits(), Ordering::Relaxed);
-        slot.trace.store(trace_id, Ordering::Relaxed);
-        slot.span_id.store(span_id, Ordering::Relaxed);
-        slot.parent.store(parent_id, Ordering::Relaxed);
+        slot.kind.store(span.kind as u64, Ordering::Relaxed);
+        slot.detail.store(span.detail, Ordering::Relaxed);
+        slot.start.store(span.start_us.to_bits(), Ordering::Relaxed);
+        slot.dur.store(span.dur_us.to_bits(), Ordering::Relaxed);
+        slot.arg0.store(span.arg0.to_bits(), Ordering::Relaxed);
+        slot.arg1.store(span.arg1.to_bits(), Ordering::Relaxed);
+        slot.trace.store(span.trace_id, Ordering::Relaxed);
+        slot.span_id.store(span.span_id, Ordering::Relaxed);
+        slot.parent.store(span.parent_id, Ordering::Relaxed);
         slot.version.store(2 * seq + 2, Ordering::Release);
     }
 
@@ -428,7 +371,7 @@ pub fn clock_us() -> f64 {
 #[inline]
 pub fn record_span(kind: SpanKind, detail: u64, start_us: f64, dur_us: f64, a0: f64, a1: f64) {
     if crate::enabled() {
-        global_ring().record(kind, detail, start_us, dur_us, a0, a1);
+        global_ring().record(&Span::untraced(kind, detail, start_us, dur_us, a0, a1));
     }
 }
 
@@ -437,7 +380,7 @@ pub fn record_span(kind: SpanKind, detail: u64, start_us: f64, dur_us: f64, a0: 
 #[inline]
 pub fn record_instant(kind: SpanKind, detail: u64, a0: f64, a1: f64) {
     if crate::enabled() {
-        global_ring().record(kind, detail, clock_us(), 0.0, a0, a1);
+        global_ring().record(&Span::untraced(kind, detail, clock_us(), 0.0, a0, a1));
     }
 }
 

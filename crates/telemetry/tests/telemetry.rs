@@ -4,7 +4,20 @@
 //! presence (never values) is asserted on the global rendering.
 
 use duet_telemetry::metric::{Counter, Gauge, Histogram};
-use duet_telemetry::{render_prometheus, SpanKind, SpanRing};
+use duet_telemetry::{render_prometheus, Span, SpanKind, SpanRing, TraceContext};
+
+/// An untraced span, as a ring test writes it.
+fn span(kind: SpanKind, detail: u64, start_us: f64, dur_us: f64, arg0: f64) -> Span {
+    Span::linked(
+        kind,
+        detail,
+        start_us,
+        dur_us,
+        arg0,
+        TraceContext::UNTRACED,
+        0,
+    )
+}
 
 #[test]
 fn concurrent_counter_and_histogram_are_exact() {
@@ -97,7 +110,7 @@ fn global_exposition_contains_every_required_family() {
 fn span_ring_wraps_keeping_newest() {
     let ring = SpanRing::with_capacity(8);
     for i in 0..20u64 {
-        ring.record(SpanKind::ExecSubgraph, i, i as f64, 1.0, 0.0, 0.0);
+        ring.record(&span(SpanKind::ExecSubgraph, i, i as f64, 1.0, 0.0));
     }
     let spans = ring.collect();
     assert_eq!(spans.len(), 8);
@@ -111,10 +124,10 @@ fn span_ring_wraps_keeping_newest() {
 #[test]
 fn span_ring_reset_hides_existing_spans() {
     let ring = SpanRing::with_capacity(8);
-    ring.record(SpanKind::ExecRun, 1, 0.0, 5.0, 0.0, 0.0);
+    ring.record(&span(SpanKind::ExecRun, 1, 0.0, 5.0, 0.0));
     ring.reset();
     assert!(ring.collect().is_empty());
-    ring.record(SpanKind::ExecRun, 2, 5.0, 5.0, 0.0, 0.0);
+    ring.record(&span(SpanKind::ExecRun, 2, 5.0, 5.0, 0.0));
     let spans = ring.collect();
     assert_eq!(spans.len(), 1);
     assert_eq!(spans[0].detail, 2);
@@ -131,7 +144,13 @@ fn concurrent_span_writers_never_produce_torn_reads() {
                     // Payload fields all derive from detail, so a torn
                     // mix of two writes is detectable.
                     let d = t * 1_000_000 + i;
-                    ring.record(SpanKind::ExecSubgraph, d, d as f64, d as f64, d as f64, 0.0);
+                    ring.record(&span(
+                        SpanKind::ExecSubgraph,
+                        d,
+                        d as f64,
+                        d as f64,
+                        d as f64,
+                    ));
                 }
             });
         }

@@ -45,48 +45,26 @@ pub fn conv2d(
     stride: usize,
     padding: usize,
 ) -> Result<Tensor, TensorError> {
-    x.shape().expect_rank("conv2d", 4)?;
-    weight.shape().expect_rank("conv2d", 4)?;
-    if stride == 0 {
-        return Err(TensorError::InvalidArgument {
-            op: "conv2d",
-            msg: "stride must be >= 1".into(),
-        });
-    }
-    let (n, c_in, h, w) = dims4(x);
-    let (c_out, c_in2, kh, kw) = dims4(weight);
-    if c_in != c_in2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "conv2d",
-            lhs: x.shape().dims().to_vec(),
-            rhs: weight.shape().dims().to_vec(),
-        });
-    }
+    let dims = Conv2dDims::new(x.shape().dims(), weight.shape().dims(), stride, padding)?;
     if let Some(b) = bias {
-        if b.len() != c_out {
+        if b.len() != dims.c_out {
             return Err(TensorError::ShapeMismatch {
                 op: "conv2d",
-                lhs: vec![c_out],
+                lhs: vec![dims.c_out],
                 rhs: b.shape().dims().to_vec(),
             });
         }
     }
-    if h + 2 * padding < kh || w + 2 * padding < kw {
-        return Err(TensorError::InvalidArgument {
-            op: "conv2d",
-            msg: format!("kernel {kh}x{kw} larger than padded input {h}x{w}+{padding}"),
-        });
-    }
-    let oh = (h + 2 * padding - kh) / stride + 1;
-    let ow = (w + 2 * padding - kw) / stride + 1;
-    let mut out = vec![0.0f32; n * c_out * oh * ow];
-    conv2d_into(x, weight, bias, stride, padding, &mut out)?;
-    Tensor::from_vec(vec![n, c_out, oh, ow], out)
+    let (oh, ow) = dims.out_hw();
+    let mut out = vec![0.0f32; dims.images * dims.c_out * oh * ow];
+    let bias = bias.map(Tensor::data);
+    conv2d_fused_into(x.data(), weight.data(), bias, dims, &mut out, |_, _| {})?;
+    Tensor::from_vec(vec![dims.images, dims.c_out, oh, ow], out)
 }
 
 /// [`conv2d`] into a caller-provided buffer (`out` is overwritten; len
-/// `n * c_out * oh * ow`). The allocating entry point calls this one, so
-/// the bytes written are identical.
+/// `n * c_out * oh * ow`). Both entry points run [`conv2d_fused_into`],
+/// so the bytes written are identical.
 pub fn conv2d_into(
     x: &Tensor,
     weight: &Tensor,
