@@ -267,3 +267,41 @@ proptest! {
         }
     }
 }
+
+/// A padded tap computes `0·w`: with an infinite weight that is NaN, which
+/// the convolution transfers must claim. The probe is a 4×4 image in
+/// [1, 2], padding 1 and a +inf corner tap, as a convolution and as its
+/// depthwise twin; 7 of the 16 outputs put that tap in the padding.
+#[test]
+fn padded_taps_times_an_infinite_weight_are_nan() {
+    for depthwise in [false, true] {
+        let mut g = Graph::new("padded_inf");
+        let x = g.add_input("x", vec![1, 1, 4, 4]);
+        let mut w = vec![0.5f32; 9];
+        w[0] = f32::INFINITY;
+        let w = g.add_constant("w", Tensor::from_vec(vec![1, 1, 3, 3], w).unwrap());
+        let (stride, padding, bias) = (1, 1, false);
+        let op = if depthwise {
+            Op::DepthwiseConv2d {
+                stride,
+                padding,
+                bias,
+            }
+        } else {
+            Op::Conv2d {
+                stride,
+                padding,
+                bias,
+            }
+        };
+        let y = g.add_op("conv", op, &[x, w]).unwrap();
+        g.mark_output(y).unwrap();
+        let facts = analyze_values_with(&g, &AbsintConfig::with_input_range(1.0, 2.0));
+        let val = facts.val(y);
+        assert!(val.nan, "depthwise {depthwise}: {val} claims no NaN");
+        let feeds = HashMap::from([(x, Tensor::rand_uniform(vec![1, 1, 4, 4], 1.0, 2.0, 9))]);
+        let out = &g.eval(&feeds).unwrap()[0];
+        let nans = out.data().iter().filter(|v| v.is_nan()).count();
+        assert_eq!(nans, 7, "depthwise {depthwise}: {:?}", out.data());
+    }
+}

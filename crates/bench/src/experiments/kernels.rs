@@ -119,14 +119,15 @@ pub fn conv_one_thread_gflops(trials: usize) -> [(&'static str, f64); 2] {
         let x = Tensor::randn(xs.to_vec(), 1.0, 12);
         let w = Tensor::randn(ws.to_vec(), 0.05, 13);
         let b = Tensor::randn(vec![ws[0]], 0.05, 14);
-        let out_side = (xs[2] + 2 * padding - ws[2]) / stride + 1;
-        let mut out = vec![0.0f32; ws[0] * out_side * out_side];
+        let dims = kernels::Conv2dDims::new(&xs, &ws, stride, padding).expect("shapes agree");
+        let (oh, ow) = dims.out_hw();
+        let mut out = vec![0.0f32; ws[0] * oh * ow];
         let us = best_us(trials, &mut || {
             rayon::inline_scope(|| {
                 kernels::conv2d_into(&x, &w, Some(&b), stride, padding, &mut out).unwrap()
             })
         });
-        let macs = ws.iter().product::<usize>() * out_side * out_side;
+        let macs = ws.iter().product::<usize>() * oh * ow;
         (what, 2.0 * macs as f64 / (us * 1e3))
     })
 }

@@ -839,8 +839,9 @@ impl ExecutableTape {
         let res = {
             let out = Arc::get_mut(&mut out_arc).expect("refresh made the slot unique");
             self.dispatch(instr, feeds, arena, out).map(|()| {
-                // A convolution runs its epilogue inside its GEMM's chunks.
-                if !matches!(instr.op, Op::Conv2d { .. }) {
+                // A convolution runs its epilogue inside its GEMM's chunks,
+                // a depthwise one on each plane it finishes.
+                if !matches!(instr.op, Op::Conv2d { .. } | Op::DepthwiseConv2d { .. }) {
                     self.finish(instr, feeds, arena, 0, out);
                 }
             })
@@ -967,14 +968,23 @@ impl ExecutableTape {
                 stride,
                 padding,
                 bias,
+            }
+            | Op::DepthwiseConv2d {
+                stride,
+                padding,
+                bias,
             } => {
                 let (xd, xs) = self.src(instr, 0, feeds, arena);
                 let (wd, ws) = self.src(instr, 1, feeds, arena);
                 let bd = bias.then(|| self.src(instr, 2, feeds, arena).0);
-                let dims = kernels::Conv2dDims::new(xs.dims(), ws.dims(), *stride, *padding)?;
-                kernels::conv2d_fused_into(xd, wd, bd, dims, out, |at, seg| {
-                    self.finish(instr, feeds, arena, at, seg)
-                })
+                let finish = |at, seg: &mut [f32]| self.finish(instr, feeds, arena, at, seg);
+                if let Op::Conv2d { .. } = instr.op {
+                    let dims = kernels::Conv2dDims::new(xs.dims(), ws.dims(), *stride, *padding)?;
+                    kernels::conv2d_fused_into(xd, wd, bd, dims, out, finish)
+                } else {
+                    let dims = kernels::depthwise_dims(xs.dims(), ws.dims(), *stride, *padding)?;
+                    kernels::depthwise_fused_into(xd, wd, bd, dims, out, finish)
+                }
             }
             Op::MaxPool2d { window, stride } => {
                 let (xd, xs) = self.src(instr, 0, feeds, arena);

@@ -879,13 +879,15 @@ fn av_mul(a: &AbsVal, b: &AbsVal) -> AbsVal {
 }
 
 /// Length-`k` dot-product interval: `k` products each inside the
-/// elementwise product interval. `pad` hulls the product interval with
-/// zero (padded positions contribute nothing).
+/// elementwise product interval. `pad` marks a convolution over a
+/// zero-padded `a`: a padded position computes `0·b`, so the product
+/// interval is hulled with zero, and an infinite `b` makes it NaN.
 fn av_dot(a: &AbsVal, b: &AbsVal, k: usize, pad: bool) -> AbsVal {
     let mut p = av_mul(a, b);
     if pad {
         p.lo = p.lo.min(0.0);
         p.hi = p.hi.max(0.0);
+        p.nan |= b.inf;
     }
     let kk = k as f64;
     AbsVal {

@@ -245,49 +245,17 @@ impl Op {
             Op::Conv2d {
                 stride, padding, ..
             } => {
-                let x = need(0)?;
-                let w = need(1)?;
-                x.expect_rank("conv2d", 4)?;
-                w.expect_rank("conv2d", 4)?;
-                if x.dim(1) != w.dim(1) || *stride == 0 {
-                    return Err(TensorError::ShapeMismatch {
-                        op: "conv2d",
-                        lhs: x.dims().to_vec(),
-                        rhs: w.dims().to_vec(),
-                    });
-                }
-                if x.dim(2) + 2 * padding < w.dim(2) || x.dim(3) + 2 * padding < w.dim(3) {
-                    return Err(TensorError::InvalidArgument {
-                        op: "conv2d",
-                        msg: "kernel larger than padded input".into(),
-                    });
-                }
-                let oh = (x.dim(2) + 2 * padding - w.dim(2)) / stride + 1;
-                let ow = (x.dim(3) + 2 * padding - w.dim(3)) / stride + 1;
-                Ok(Shape::new(vec![x.dim(0), w.dim(0), oh, ow]))
+                let (x, w) = (need(0)?.dims(), need(1)?.dims());
+                let d = kernels::Conv2dDims::new(x, w, *stride, *padding)?;
+                let (oh, ow) = d.out_hw();
+                Ok(Shape::new(vec![d.images, d.c_out, oh, ow]))
             }
             Op::DepthwiseConv2d {
                 stride, padding, ..
             } => {
                 let x = need(0)?;
-                let w = need(1)?;
-                x.expect_rank("depthwise_conv2d", 4)?;
-                w.expect_rank("depthwise_conv2d", 4)?;
-                if x.dim(1) != w.dim(0) || w.dim(1) != 1 || *stride == 0 {
-                    return Err(TensorError::ShapeMismatch {
-                        op: "depthwise_conv2d",
-                        lhs: x.dims().to_vec(),
-                        rhs: w.dims().to_vec(),
-                    });
-                }
-                if x.dim(2) + 2 * padding < w.dim(2) || x.dim(3) + 2 * padding < w.dim(3) {
-                    return Err(TensorError::InvalidArgument {
-                        op: "depthwise_conv2d",
-                        msg: "kernel larger than padded input".into(),
-                    });
-                }
-                let oh = (x.dim(2) + 2 * padding - w.dim(2)) / stride + 1;
-                let ow = (x.dim(3) + 2 * padding - w.dim(3)) / stride + 1;
+                let d = kernels::depthwise_dims(x.dims(), need(1)?.dims(), *stride, *padding)?;
+                let (oh, ow) = d.out_hw();
                 Ok(Shape::new(vec![x.dim(0), x.dim(1), oh, ow]))
             }
             Op::BatchNorm2d => {
@@ -297,19 +265,8 @@ impl Op {
             }
             Op::MaxPool2d { window, stride } | Op::AvgPool2d { window, stride } => {
                 let x = need(0)?;
-                x.expect_rank("pool", 4)?;
-                if *window == 0 || *stride == 0 || x.dim(2) < *window || x.dim(3) < *window {
-                    return Err(TensorError::InvalidArgument {
-                        op: "pool",
-                        msg: format!("bad window {window}/stride {stride} for {x}"),
-                    });
-                }
-                Ok(Shape::new(vec![
-                    x.dim(0),
-                    x.dim(1),
-                    (x.dim(2) - window) / stride + 1,
-                    (x.dim(3) - window) / stride + 1,
-                ]))
+                let (oh, ow) = kernels::pool_dims(self.name(), x.dims(), *window, *stride)?;
+                Ok(Shape::new(vec![x.dim(0), x.dim(1), oh, ow]))
             }
             Op::GlobalAvgPool2d => {
                 let x = need(0)?;

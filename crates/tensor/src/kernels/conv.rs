@@ -22,6 +22,13 @@
 //! norm, residual add, activation) run inside the GEMM's chunks on the rows
 //! they just stored, on whichever thread ran the chunk.
 //!
+//! The depthwise convolution is the same geometry per channel plane: each
+//! plane is a one-channel image ([`depthwise_dims`]), zero-padded once into
+//! its phase images, and each tap is one `acc += x·w` pass at the pitch
+//! over the whole plane; the junk columns are dropped and `finish` runs on
+//! the plane while it is in cache. Like the dense engine, a tap in the
+//! padding computes `0·w`.
+//!
 //! Inference batch norm is one loop, [`batch_norm2d_folded_inplace`] over
 //! the per-channel scale and shift [`batch_norm2d_fold`] computes: a fused
 //! epilogue runs it on runs of the GEMM's rows, a standalone tape
@@ -32,7 +39,8 @@ use rayon::prelude::*;
 use super::elementwise::copied;
 use super::micro::{
     fork_if_worthwhile, gemm_packed, gemm_pitched, packed_columns, pitched_columns,
-    row_major_strips, with_index_scratch, with_scratch, Pitched, LANE_OP_WORK, NR,
+    row_major_strips, with_index_scratch, with_scratch, Pitched, CHUNKS_PER_THREAD, LANE_OP_WORK,
+    NR,
 };
 use crate::{Tensor, TensorError};
 
@@ -452,7 +460,7 @@ fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {
 }
 
 /// Check a pooling window over NCHW dims `x`; returns `(oh, ow)`.
-fn pool_dims(
+pub fn pool_dims(
     op: &'static str,
     x: &[usize],
     window: usize,
@@ -639,174 +647,108 @@ pub fn depthwise_conv2d(
     stride: usize,
     padding: usize,
 ) -> Result<Tensor, TensorError> {
-    x.shape().expect_rank("depthwise_conv2d", 4)?;
-    weight.shape().expect_rank("depthwise_conv2d", 4)?;
-    if stride == 0 {
-        return Err(TensorError::InvalidArgument {
+    let dims = depthwise_dims(x.shape().dims(), weight.shape().dims(), stride, padding)?;
+    let (oh, ow) = dims.out_hw();
+    let mut out = vec![0.0f32; dims.images * oh * ow];
+    let bias = bias.map(Tensor::data);
+    depthwise_fused_into(x.data(), weight.data(), bias, dims, &mut out, |_, _| {})?;
+    Tensor::from_vec(vec![x.shape().dim(0), dims.c_out, oh, ow], out)
+}
+
+/// The geometry of a depthwise convolution of `x: [n, c, h, w]` with
+/// `weight: [c, 1, kh, kw]`: the `n·c` channel planes as one-channel
+/// images (`images`), plane `p` convolved with filter `p mod c` (`c_out`
+/// filters). The weight's layout is checked here, the rest by
+/// [`Conv2dDims::new`].
+pub fn depthwise_dims(
+    x: &[usize],
+    weight: &[usize],
+    stride: usize,
+    padding: usize,
+) -> Result<Conv2dDims, TensorError> {
+    match (x, weight) {
+        (&[n, c, h, w], &[filters, 1, _, _]) if filters == c => {
+            Conv2dDims::new(&[n * c, 1, h, w], weight, stride, padding)
+        }
+        _ => Err(TensorError::ShapeMismatch {
             op: "depthwise_conv2d",
-            msg: "stride must be >= 1".into(),
-        });
+            lhs: x.to_vec(),
+            rhs: weight.to_vec(),
+        }),
     }
-    let (n, c, h, w) = dims4(x);
-    let (cw, one, kh, kw) = dims4(weight);
-    if cw != c || one != 1 {
-        return Err(TensorError::ShapeMismatch {
-            op: "depthwise_conv2d",
-            lhs: x.shape().dims().to_vec(),
-            rhs: weight.shape().dims().to_vec(),
-        });
-    }
-    if let Some(b) = bias {
-        if b.len() != c {
-            return Err(TensorError::ShapeMismatch {
-                op: "depthwise_conv2d",
-                lhs: vec![c],
-                rhs: b.shape().dims().to_vec(),
-            });
+}
+
+/// The depthwise convolution the tape runs, on raw NCHW slices with the
+/// geometry of [`depthwise_dims`], then `finish(at, plane)` on each output
+/// plane, `at` the flat index of `plane[0]` in `out`, while the plane is
+/// still in cache. Each input plane is zero-padded once into its
+/// [`PhaseImages`] and its output computed at their pitch: bias first, then
+/// per tap in (ky, kx) order one `acc += x·w` pass (unfused) over the whole
+/// plane, so a tap outside the image adds `0·w`. The `pitch − ow` junk
+/// columns are dropped. Planes split across the pool.
+pub fn depthwise_fused_into(
+    x: &[f32],
+    weight: &[f32],
+    bias: Option<&[f32]>,
+    d: Conv2dDims,
+    out: &mut [f32],
+    finish: impl Fn(usize, &mut [f32]) + Sync,
+) -> Result<(), TensorError> {
+    let (oh, ow) = d.out_hw();
+    let (plane, taps, opix) = (d.h * d.w, d.kh * d.kw, oh * ow);
+    for (expected, actual) in [
+        (d.images * plane, x.len()),
+        (d.c_out * taps, weight.len()),
+        (d.c_out, bias.map_or(d.c_out, <[f32]>::len)),
+        (d.images * opix, out.len()),
+    ] {
+        if expected != actual {
+            return Err(TensorError::LengthMismatch { expected, actual });
         }
     }
-    if h + 2 * padding < kh || w + 2 * padding < kw {
-        return Err(TensorError::InvalidArgument {
-            op: "depthwise_conv2d",
-            msg: "kernel larger than padded input".into(),
-        });
+    if out.is_empty() {
+        return Ok(());
     }
-    let oh = (h + 2 * padding - kh) / stride + 1;
-    let ow = (w + 2 * padding - kw) / stride + 1;
-    let xd = x.data();
-    let wd = weight.data();
-    let bd = bias.map(Tensor::data);
-    let mut out = vec![0.0f32; n * c * oh * ow];
-    // Each (image, channel) plane is independent: parallelise over planes.
-    fork_if_worthwhile(out.len() * kh * kw * LANE_OP_WORK, || {
-        out.par_chunks_mut(oh * ow)
-            .enumerate()
-            .for_each(|(plane, oplane)| {
-                let ci = plane % c;
-                let xplane = &xd[plane * h * w..(plane + 1) * h * w];
-                let wplane = &wd[ci * kh * kw..(ci + 1) * kh * kw];
-                let bv = bd.map_or(0.0, |b| b[ci]);
-                depthwise_plane(
-                    xplane, wplane, oplane, h, w, kh, kw, stride, padding, oh, ow, bv,
-                );
-            });
+    let phases = PhaseImages::new(&d);
+    let padded_len = phases.len(1);
+    // Pitched outputs up to the last real one: every tap of each reads
+    // inside the planes.
+    let span = (oh - 1) * phases.pitch + ow;
+    // Runs of planes, so that a chunk borrows its scratch once: one plane
+    // per chunk measured 12–21 % slower on MobileNet's 7×7 and 14×14 layers.
+    let chunks = CHUNKS_PER_THREAD * rayon::current_num_threads();
+    let per_chunk = d.images.div_ceil(chunks);
+    fork_if_worthwhile(out.len() * taps * LANE_OP_WORK, || {
+        with_index_scratch(taps, |offsets| {
+            phases.offsets(&d, offsets);
+            let offsets = &*offsets;
+            out.par_chunks_mut(per_chunk * opix)
+                .enumerate()
+                .for_each(|(chunk, ochunk)| {
+                    with_scratch(padded_len + span, |buf| {
+                        let (padded, acc) = buf.split_at_mut(padded_len);
+                        for (i, oplane) in ochunk.chunks_exact_mut(opix).enumerate() {
+                            let p = chunk * per_chunk + i;
+                            let ci = p % d.c_out;
+                            phases.fill(&d, &x[p * plane..(p + 1) * plane], padded);
+                            acc.fill(bias.map_or(0.0, |b| b[ci]));
+                            for (&offset, &wv) in offsets.iter().zip(&weight[ci * taps..]) {
+                                for (a, &v) in acc.iter_mut().zip(&padded[offset..]) {
+                                    *a += v * wv;
+                                }
+                            }
+                            for (orow, arow) in
+                                oplane.chunks_exact_mut(ow).zip(acc.chunks(phases.pitch))
+                            {
+                                orow.copy_from_slice(&arow[..ow]);
+                            }
+                            finish(p * opix, oplane);
+                        }
+                    })
+                });
+        })
     });
-    Tensor::from_vec(vec![n, c, oh, ow], out)
-}
-
-/// One (image, channel) plane of the depthwise conv.
-///
-/// The stride-1 interior runs 8 outputs per step with lane accumulators;
-/// each output element still accumulates `bias, then taps in (ky, kx)
-/// ascending order` — exactly the scalar kernel's chain — so the
-/// vectorized path is **bit-identical** to the scalar one (exact
-/// contract: independent outputs, no reassociation). Edges and stride > 1
-/// take the scalar path.
-#[allow(clippy::too_many_arguments)]
-fn depthwise_plane(
-    x: &[f32],
-    wk: &[f32],
-    o: &mut [f32],
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    padding: usize,
-    oh: usize,
-    ow: usize,
-    bv: f32,
-) {
-    const L: usize = 8;
-    if stride != 1 {
-        for oy in 0..oh {
-            depthwise_scalar_span(
-                x,
-                wk,
-                &mut o[oy * ow..(oy + 1) * ow],
-                oy,
-                0,
-                ow,
-                h,
-                w,
-                kh,
-                kw,
-                stride,
-                padding,
-                bv,
-            );
-        }
-        return;
-    }
-    // Interior span where every kx tap is in bounds (stride 1):
-    // ox >= padding and ox + kw - 1 - padding < w.
-    let ox_lo = padding.min(ow);
-    let ox_hi = (w + padding + 1).saturating_sub(kw).min(ow).max(ox_lo);
-    for oy in 0..oh {
-        let rows_ok = oy >= padding && oy + kh <= h + padding;
-        let orow = &mut o[oy * ow..(oy + 1) * ow];
-        if !rows_ok {
-            depthwise_scalar_span(x, wk, orow, oy, 0, ow, h, w, kh, kw, 1, padding, bv);
-            continue;
-        }
-        let iy0 = oy - padding;
-        depthwise_scalar_span(x, wk, orow, oy, 0, ox_lo, h, w, kh, kw, 1, padding, bv);
-        let mut ox = ox_lo;
-        while ox + L <= ox_hi {
-            let mut acc = [bv; L];
-            for ky in 0..kh {
-                let xrow = &x[(iy0 + ky) * w..(iy0 + ky + 1) * w];
-                for kx in 0..kw {
-                    let wv = wk[ky * kw + kx];
-                    let base = ox + kx - padding;
-                    let xs = <&[f32; L]>::try_from(&xrow[base..base + L]).unwrap();
-                    for l in 0..L {
-                        acc[l] += xs[l] * wv;
-                    }
-                }
-            }
-            orow[ox..ox + L].copy_from_slice(&acc);
-            ox += L;
-        }
-        depthwise_scalar_span(x, wk, orow, oy, ox, ow, h, w, kh, kw, 1, padding, bv);
-    }
-}
-
-/// Scalar depthwise span `[ox0, ox1)` of output row `oy`: bias first, then
-/// in-bounds taps in (ky, kx) ascending order.
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-fn depthwise_scalar_span(
-    x: &[f32],
-    wk: &[f32],
-    orow: &mut [f32],
-    oy: usize,
-    ox0: usize,
-    ox1: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    padding: usize,
-    bv: f32,
-) {
-    for ox in ox0..ox1 {
-        let mut acc = bv;
-        for ky in 0..kh {
-            let iy = (oy * stride + ky) as isize - padding as isize;
-            if iy < 0 || iy as usize >= h {
-                continue;
-            }
-            for kx in 0..kw {
-                let ix = (ox * stride + kx) as isize - padding as isize;
-                if ix < 0 || ix as usize >= w {
-                    continue;
-                }
-                acc += x[iy as usize * w + ix as usize] * wk[ky * kw + kx];
-            }
-        }
-        orow[ox] = acc;
-    }
+    Ok(())
 }
 
 /// Inference-mode batch norm over NCHW input with per-channel statistics.
@@ -924,6 +866,22 @@ mod tests {
                     "{c_in}->{c_out} {hw}x{hw} k{k} s{stride} p{padding} at {i}: {f} vs {s}"
                 );
             }
+        }
+        // A +inf corner tap over an image in [1, 2]: the 7 outputs whose
+        // corner tap falls in the padding compute 0·inf = NaN, the rest +inf.
+        let x = Tensor::rand_uniform(vec![1, 1, 4, 4], 1.0, 2.0, 3);
+        let mut w = vec![0.5f32; 9];
+        w[0] = f32::INFINITY;
+        let w = Tensor::from_vec(vec![1, 1, 3, 3], w).unwrap();
+        let fast = conv2d(&x, &w, None, 1, 1).unwrap();
+        let slow = reference::conv2d(&x, &w, None, 1, 1);
+        assert_eq!(fast.data().iter().filter(|v| v.is_nan()).count(), 7);
+        for (i, (f, s)) in fast.data().iter().zip(slow.data()).enumerate() {
+            assert_eq!(
+                f.to_bits(),
+                s.to_bits(),
+                "+inf corner tap at {i}: {f} vs {s}"
+            );
         }
     }
 

@@ -66,7 +66,7 @@ const NR_NARROW: usize = NR / 2;
 /// Chunks a GEMM region aims for per pool thread. With two chunks per
 /// region a worker that arrives late costs the caller half the kernel; at
 /// four per thread a straggler costs at most an eighth of it on two threads.
-const CHUNKS_PER_THREAD: usize = 4;
+pub(crate) const CHUNKS_PER_THREAD: usize = 4;
 
 /// The fork gate, in GEMM multiply-adds: estimated work below which a
 /// parallel region runs inline on its caller. On the 2-vCPU benchmark host
@@ -82,7 +82,8 @@ pub(crate) const FORK_MIN_WORK: usize = 3 << 20;
 
 /// Fork-gate weight, in GEMM multiply-adds, of one operation of the kernels
 /// that are not on the register tile: a lane-split dot-product multiply-add
-/// (`linear`), a pooling or depthwise window tap. They retire
+/// (`linear`), a pooling window tap, a depthwise tap (one unfused multiply
+/// and add of a pass over a padded plane). They retire
 /// at most ≈ 20 per ns, a third of the tile's rate, so their regions fork
 /// from 2²⁰ of their own operations.
 pub(crate) const LANE_OP_WORK: usize = 3;

@@ -3,7 +3,8 @@
 //! Each kernel validates shapes and writes its output in one pass. The
 //! `_into` entry points the tape runs allocate nothing per call: outputs are
 //! caller-owned, the kernel temporaries — a GEMM's packed B strips, a
-//! convolution's padded image and its row-offset table — are borrowed from
+//! convolution's padded image and its row-offset table, a depthwise
+//! plane's padded copy and pitched accumulator — are borrowed from
 //! grow-only process-wide lists, and a parallel region is described by a
 //! pointer and a chunk geometry, not a chunk list (one that forks allocates
 //! its job header, nothing else). The tensor-returning wrappers allocate
@@ -14,8 +15,9 @@
 //! row-block chunks, which pack each B strip once per GEMM (or read B in
 //! place from a pitched image), conv2d into images and then into those GEMM
 //! chunks, which also run the convolution's bias and fused epilogue on the
-//! rows they just stored, depthwise and pooling into planes, `linear` into
-//! rows.
+//! rows they just stored, depthwise (one padded phase-plane pass per tap,
+//! the epilogue on each finished plane) and pooling into planes, `linear`
+//! into rows.
 //! Every split goes through one fork gate, `micro::fork_if_worthwhile`: a
 //! region whose estimated work is below `FORK_MIN_WORK` runs inline on its
 //! caller. Each output element is produced by exactly one reduction,
@@ -44,8 +46,8 @@ mod util;
 pub use attention::{multi_head_attention, scaled_dot_attention};
 pub use conv::{
     avg_pool2d, avg_pool2d_into, batch_norm2d, batch_norm2d_fold, batch_norm2d_folded_inplace,
-    conv2d, conv2d_fused_into, conv2d_into, depthwise_conv2d, global_avg_pool2d, max_pool2d,
-    max_pool2d_into, Conv2dDims,
+    conv2d, conv2d_fused_into, conv2d_into, depthwise_conv2d, depthwise_dims, depthwise_fused_into,
+    global_avg_pool2d, max_pool2d, max_pool2d_into, pool_dims, Conv2dDims,
 };
 pub use elementwise::{
     add, add_inplace, bias_add, bias_add_inplace_at, gelu, mul, mul_inplace, relu, rsub_inplace,

@@ -12,7 +12,10 @@
 //! * **Exact** (`to_bits` identity): [`matmul`] and [`conv2d`] are one
 //!   `f32::mul_add` chain per output from `+0.0`, k-ascending; the
 //!   convolution's bias is added after the chain. [`depthwise_conv2d`]
-//!   starts each output at its bias and adds the in-image taps, unfused.
+//!   starts each output at its bias and adds its taps, unfused. Both
+//!   convolutions read the zero-padded image: every tap is taken, in order,
+//!   and one outside the image computes `0·w` (NaN for an infinite weight;
+//!   it turns a −0.0 sum into +0.0).
 //!   [`max_pool2d`] and [`avg_pool2d`] take each output's taps in (ky, kx)
 //!   order (`f32::max` from `-inf`; a sum from `0.0`, then `/ area`).
 //! * **Ulp-bounded** ([`within_ulps`]): [`linear`] and [`linear_acc_into`]
@@ -49,7 +52,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 }
 
 /// Direct convolution, NCHW: each output one fused chain over its taps in
-/// (c_in, ky, kx) order, out-of-image taps skipped, then the bias.
+/// (c_in, ky, kx) order, an out-of-image tap as `0·w`, then the bias.
 pub fn conv2d(
     x: &Tensor,
     w: &Tensor,
@@ -73,10 +76,12 @@ pub fn conv2d(
                             for kx in 0..kw {
                                 let iy = (oy * stride + ky).wrapping_sub(padding);
                                 let ix = (ox * stride + kx).wrapping_sub(padding);
-                                if iy < h && ix < wd {
-                                    acc = wgt[((co * c_in + ci) * kh + ky) * kw + kx]
-                                        .mul_add(xd[((img * c_in + ci) * h + iy) * wd + ix], acc);
-                                }
+                                let v = if iy < h && ix < wd {
+                                    xd[((img * c_in + ci) * h + iy) * wd + ix]
+                                } else {
+                                    0.0
+                                };
+                                acc = wgt[((co * c_in + ci) * kh + ky) * kw + kx].mul_add(v, acc);
                             }
                         }
                     }
@@ -92,7 +97,8 @@ pub fn conv2d(
 }
 
 /// Depthwise convolution, `w: [c, 1, kh, kw]`: each output starts at its
-/// channel's bias and adds the in-image taps in (ky, kx) order, unfused.
+/// channel's bias and adds its taps in (ky, kx) order, unfused, an
+/// out-of-image tap as `0·w`.
 pub fn depthwise_conv2d(
     x: &Tensor,
     w: &Tensor,
@@ -115,10 +121,12 @@ pub fn depthwise_conv2d(
                         for kx in 0..kw {
                             let iy = (oy * stride + ky).wrapping_sub(padding);
                             let ix = (ox * stride + kx).wrapping_sub(padding);
-                            if iy < h && ix < wd {
-                                acc += xd[((img * c + ci) * h + iy) * wd + ix]
-                                    * wgt[(ci * kh + ky) * kw + kx];
-                            }
+                            let v = if iy < h && ix < wd {
+                                xd[((img * c + ci) * h + iy) * wd + ix]
+                            } else {
+                                0.0
+                            };
+                            acc += v * wgt[(ci * kh + ky) * kw + kx];
                         }
                     }
                     out.push(acc);

@@ -120,10 +120,10 @@ fn conv2d_bits_identical_to_reference() {
 
 #[test]
 fn depthwise_bits_identical_to_reference() {
-    // The lane-chunked interior computes 8 outputs at once but keeps each
-    // output's chain `bias, then taps in (ky,kx) order` — the oracle's
-    // order exactly. Geometries cover interior spans wider and narrower
-    // than one lane chunk, padded borders, and the strided path.
+    // Each tap is one pass over the whole padded plane, but each output's
+    // chain stays `bias, then taps in (ky,kx) order` — the oracle's order
+    // exactly. Geometries cover unpadded and padded borders, padding 2 and
+    // the strided phase planes.
     for &(c, hw, stride, padding) in &[
         (3usize, 12usize, 1usize, 1usize),
         (8, 7, 1, 0),
@@ -141,6 +141,27 @@ fn depthwise_bits_identical_to_reference() {
             &format!("depthwise c{c} {hw}x{hw} s{stride} p{padding}"),
         );
     }
+    // A +inf corner tap over an image in [1, 2]: the 7 outputs of a 4x4
+    // plane whose corner tap falls in the padding compute 0·inf = NaN.
+    let x = Tensor::rand_uniform(vec![1, 2, 4, 4], 1.0, 2.0, 24);
+    let mut w = Tensor::randn(vec![2, 1, 3, 3], 0.5, 25).data().to_vec();
+    w[0] = f32::INFINITY;
+    let w = Tensor::from_vec(vec![2, 1, 3, 3], w).unwrap();
+    let fast = kernels::depthwise_conv2d(&x, &w, None, 1, 1).unwrap();
+    assert_eq!(fast.data().iter().filter(|v| v.is_nan()).count(), 7);
+    let slow = reference::depthwise_conv2d(&x, &w, None, 1, 1);
+    assert_bits_eq(&fast, &slow, "depthwise +inf corner tap");
+    // A -0.0 image, positive weights and a -0.0 bias: every real tap adds
+    // -0.0, so an output stays -0.0 unless one of its taps is padding,
+    // whose 0·w = +0.0 makes it +0.0 — the 16 border outputs of 5x5.
+    let x = Tensor::full(vec![1, 2, 5, 5], -0.0);
+    let w = Tensor::full(vec![2, 1, 3, 3], 0.5);
+    let b = Tensor::full(vec![2], -0.0);
+    let fast = kernels::depthwise_conv2d(&x, &w, Some(&b), 1, 1).unwrap();
+    let positive = fast.data().iter().filter(|v| v.is_sign_positive()).count();
+    assert_eq!(positive, 2 * 16);
+    let slow = reference::depthwise_conv2d(&x, &w, Some(&b), 1, 1);
+    assert_bits_eq(&fast, &slow, "depthwise -0.0 image and bias");
 }
 
 #[test]
