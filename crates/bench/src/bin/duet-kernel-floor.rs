@@ -46,7 +46,7 @@ const FLOOR_EACH: f64 = 1.25;
 const FLOOR_GELU: f64 = 6.0;
 /// Least speedup of the `depthwise 128ch 28x28 k3` row over its oracle. On
 /// a 2-vCPU Intel Xeon host the kernel on padded phase planes measured
-/// 11.2–15.7× (inline: the call stays under the fork gate) and the
+/// 10.3–15.7× inline and 11.2–20.4× since the call forks, and the
 /// scalar-border kernel it replaced 2.1–2.4× against the same oracle.
 const FLOOR_DEPTHWISE: f64 = 5.0;
 const FORK_JOIN_PAIRS: usize = 25;

@@ -2,10 +2,11 @@
 //! measured in-process.
 //!
 //! One microbenchmark per zoo family, shaped like the family's dominant
-//! kernel (batch-1 linear and the paper-scale LSTM for wide&deep, the LSTM
-//! sequence for Siamese, attention GEMM and the feed-forward GELU for
-//! MT-DNN, 3x3/1x1 convs for the CNNs, depthwise for MobileNet), alternates `kernels::reference::X` and `kernels::X` on
-//! successive trials — the same discipline as the telemetry-overhead gate:
+//! kernel (linear at batch 1 and 8 and the paper-scale LSTM for wide&deep,
+//! the LSTM sequence for Siamese, attention GEMM and the feed-forward GELU
+//! for MT-DNN, 3x3/1x1 convs for the CNNs, depthwise for MobileNet),
+//! alternates `kernels::reference::X` and `kernels::X` on successive
+//! trials — the same discipline as the telemetry-overhead gate:
 //! scheduler noise, thermal drift and cache state hit both populations
 //! identically, and per-trial medians make the ratio stable on a
 //! single-core box. The oracle is the contract's plain single-threaded
@@ -31,7 +32,7 @@ pub struct EngineBench {
     pub reference_us: f64,
     pub vectorized_us: f64,
     /// Floating-point operations of one call, for the kernels on the GEMM
-    /// register tile (`matmul`, `conv2d`); 0 for the rest.
+    /// register tile (`matmul`, `conv2d`, `linear`); 0 for the rest.
     pub flops: f64,
 }
 
@@ -246,15 +247,16 @@ pub fn micro_speedups(pairs: usize) -> Vec<EngineBench> {
         });
     };
 
-    // wide_and_deep: batch-1 fully-connected tower.
-    {
-        let x = Tensor::randn(vec![1, 1024], 1.0, 1);
+    // wide_and_deep: the fully-connected tower at batch 1 and at the serving
+    // max batch.
+    for m in [1, 8] {
+        let x = Tensor::randn(vec![m, 1024], 1.0, 1);
         let w = Tensor::randn(vec![1024, 1024], 0.05, 2);
         let b = Tensor::randn(vec![1024], 0.05, 3);
         push(
             "wide_and_deep",
-            "linear 1x1024x1024",
-            0,
+            &format!("linear {m}x1024x1024"),
+            2 * m * 1024 * 1024,
             &mut || drop(reference::linear(&x, &w, Some(&b))),
             &mut || drop(kernels::linear(&x, &w, Some(&b)).unwrap()),
         );

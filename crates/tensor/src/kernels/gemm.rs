@@ -5,10 +5,11 @@
 //! bit-identical to [`super::reference::matmul`], the naive triple loop of
 //! `f32::mul_add`.
 //!
-//! `linear` and `linear_acc_into` are dot-product shaped (`x @ w^T`), so
-//! they use lane-split reductions with the **ulp-bounded** contract rather
-//! than the exact one: a serial dot product is a single dependency chain
-//! that cannot vectorize without reassociating.
+//! [`linear`] is the same engine turned around: `x @ w^T + b` as
+//! `(w @ x^T)^T + b`, the weight read in place as the A operand, so it is
+//! exact too and bit-identical to [`super::reference::linear`]. Only the
+//! recurrent matvec [`linear_acc_into`] splits each dot into lanes and
+//! carries the **ulp-bounded** contract.
 
 use rayon::prelude::*;
 
@@ -44,9 +45,14 @@ pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n:
 
 /// `linear` into a caller-provided buffer (`out` is overwritten, len m*nout).
 ///
-/// `x: [m, kin]`, `w: [nout, kin]`, `bias: [nout]`. Shares the lane-split
-/// dot kernel with [`linear`], so results are bit-identical between the
-/// two entry points. Ulp-bounded contract versus the serial reference.
+/// `x: [m, kin]`, `w: [nout, kin]`, `bias: [nout]`: the one `x @ w^T + b` of
+/// the workspace. It runs the GEMM transposed, `C^T = w @ x^T`, so the
+/// row-major weight is exactly the A operand the tile reads in place — never
+/// copied — and only `x^T`, `m` columns wide, is packed into B strips. At
+/// m = 1 `C^T` is `out` itself; at m >= 2 it is a scratch buffer transposed
+/// into `out`. The bias is added to each row of `C^T` as its chunk finishes.
+/// **Exact contract**: each output is one k-ascending `mul_add` chain from
+/// `+0.0`, plus `b[j]`, whatever `m`, the pool width or the tile split.
 pub fn linear_into(
     x: &[f32],
     w: &[f32],
@@ -59,26 +65,32 @@ pub fn linear_into(
     debug_assert_eq!(x.len(), m * kin);
     debug_assert_eq!(w.len(), kin * nout);
     debug_assert_eq!(out.len(), m * nout);
-    if m <= 1 {
-        // Batch-1 inference: skip the parallel split (and the chunk list it
-        // allocates) entirely — the hot path for the serve arena.
-        if m == 1 {
-            micro::linear_row(x, w, bias, out, kin);
-        }
+    let gemm = |ct: &mut [f32]| {
+        let add_bias = |j: usize, _: usize, row: &mut [f32]| {
+            if let Some(b) = bias {
+                row.iter_mut().for_each(|o| *o += b[j]);
+            }
+        };
+        micro::gemm_packed(w, ct, nout, kin, m, micro::row_strips(x, kin), add_bias);
+    };
+    if m == 1 {
+        gemm(out);
         return;
     }
-    micro::fork_if_worthwhile(m * kin * nout * micro::LANE_OP_WORK, || {
-        out.par_chunks_mut(nout).enumerate().for_each(|(i, orow)| {
-            micro::linear_row(&x[i * kin..(i + 1) * kin], w, bias, orow, kin)
-        });
+    micro::with_scratch(nout * m, |ct| {
+        gemm(ct);
+        for (i, orow) in out.chunks_exact_mut(nout).enumerate() {
+            for (o, c) in orow.iter_mut().zip(ct[i..].iter().step_by(m)) {
+                *o = *c;
+            }
+        }
     });
 }
 
 /// Accumulating linear: `out[i,j] += x_i · w_j` (no bias). The recurrent
 /// matvec of the LSTM/GRU gates: it adds `h @ w_hh^T` onto the buffer that
 /// holds the input projection. Each dot is the fused 16-lane split of
-/// [`micro::linear_row_acc`], ulp-bounded against the serial oracle like
-/// [`linear_into`] but not bit-equal to it.
+/// [`micro::linear_row_acc`], ulp-bounded against the serial oracle.
 pub fn linear_acc_into(x: &[f32], w: &[f32], out: &mut [f32], m: usize, kin: usize, nout: usize) {
     debug_assert_eq!(x.len(), m * kin);
     debug_assert_eq!(w.len(), kin * nout);
@@ -119,7 +131,6 @@ pub fn linear(x: &Tensor, w: &Tensor, bias: Option<&Tensor>) -> Result<Tensor, T
         }
     }
     let mut out = vec![0.0f32; m * nout];
-    // x @ w^T: each output row is a series of dot products over rows of w.
     linear_into(
         x.data(),
         w.data(),

@@ -1,6 +1,6 @@
-//! Lane-chunked microkernels: the vector engine under every heavy kernel.
+//! Register-tiled microkernels: the vector engine under every heavy kernel.
 //!
-//! Everything here is stable Rust: fixed-width `[f32; LANES]` accumulator
+//! Everything here is stable Rust: fixed-width `[f32; N]` accumulator
 //! arrays and `chunks_exact` walks that LLVM auto-vectorizes (the same idiom
 //! `duet-ir`'s abstract interpreter proves out in `absint.rs`). No
 //! `std::simd`, no intrinsics, no `unsafe`.
@@ -11,23 +11,23 @@
 //! in [`super::reference`], and the test suite in
 //! `crates/tensor/tests/kernel_contract.rs` enforces them:
 //!
-//! * **Exact (`to_bits` identity).** The kernel performs each output
-//!   element's reduction as a single fused multiply-add chain in a fixed
-//!   (k-ascending) order, `acc = a[t].mul_add(b[t], acc)` from `+0.0`, so
-//!   the result is bit-identical to the naive fused loop no matter how the
-//!   kernel tiles rows/columns or how many threads run. [`gemm_packed`] is
-//!   exact: register tiling changes *which* elements are computed together,
-//!   never the order of any one element's chain. The fusion is written, not
-//!   hoped for: Rust never contracts `a * b + c`, and IEEE 754 specifies
-//!   `fma` exactly (one rounding), so the bits are the same on every ISA —
-//!   a host without FMA hardware gets them from libm's software `fmaf`,
-//!   correctly and slowly.
-//! * **Ulp-bounded.** The kernel splits the k-reduction across independent
-//!   partial sums (that's what makes a dot product vectorizable), which
-//!   reassociates the sum. [`dot_lanes`] and friends (`LANES` unfused
-//!   sums, the batch-1 `linear`) and [`linear_row_acc`] (16 `mul_add`
-//!   chains, eight rows per pass: the recurrent matvec of the RNN gates)
-//!   carry this contract: results differ from the serial reference by a
+//! * **Exact (`to_bits` identity).** Every dense product — `matmul`, the
+//!   convolutions lowered onto it, `linear` (which runs `w @ xᵀ` with the
+//!   weight as A) and so the LSTM/GRU input projection — is
+//!   [`gemm_packed`] or [`gemm_pitched`]: each output element one fused
+//!   multiply-add chain in a fixed (k-ascending) order,
+//!   `acc = a[t].mul_add(b[t], acc)` from `+0.0`, so the result is
+//!   bit-identical to the naive fused loop no matter how the kernel tiles
+//!   rows/columns or how many threads run. Register tiling changes *which*
+//!   elements are computed together, never the order of any one element's
+//!   chain. The fusion is written, not hoped for: Rust never contracts
+//!   `a * b + c`, and IEEE 754 specifies `fma` exactly (one rounding), so
+//!   the bits are the same on every ISA — a host without FMA hardware gets
+//!   them from libm's software `fmaf`, correctly and slowly.
+//! * **Ulp-bounded.** The recurrent matvec of the RNN gates,
+//!   [`linear_row_acc`] (16 `mul_add` chains per dot, eight rows per pass),
+//!   splits the k-reduction across independent partial sums, which
+//!   reassociates the sum: results differ from the serial reference by a
 //!   bounded number of ulp (property-tested ≤ 4 ulp for the distributions
 //!   the zoo produces), and are still fully deterministic — the lane
 //!   structure is fixed, so the same inputs give the same bits on every
@@ -36,12 +36,6 @@
 use std::sync::Mutex;
 
 use rayon::TileMut;
-
-/// Number of parallel f32 accumulator lanes for lane-split reductions.
-/// Eight f32 lanes fill one AVX2 register and half an AVX-512 register;
-/// on narrower ISAs LLVM legalizes the same code to multiple registers
-/// with identical results.
-pub const LANES: usize = 8;
 
 /// Rows per register tile in [`gemm_packed`]. A core with two FMA pipes of
 /// 4-cycle latency needs eight independent chains in flight to keep both
@@ -81,12 +75,16 @@ pub(crate) const CHUNKS_PER_THREAD: usize = 4;
 pub(crate) const FORK_MIN_WORK: usize = 3 << 20;
 
 /// Fork-gate weight, in GEMM multiply-adds, of one operation of the kernels
-/// that are not on the register tile: a lane-split dot-product multiply-add
-/// (`linear`), a pooling window tap, a depthwise tap (one unfused multiply
-/// and add of a pass over a padded plane). They retire
-/// at most ≈ 20 per ns, a third of the tile's rate, so their regions fork
-/// from 2²⁰ of their own operations.
-pub(crate) const LANE_OP_WORK: usize = 3;
+/// that are not on the register tile: a pooling window tap, a depthwise tap
+/// (one unfused multiply and add of a pass over a padded plane). On one
+/// thread of the 2-vCPU benchmark host, beside a tile at 62 multiply-adds
+/// per ns, MobileNet's nine depthwise shapes retired 0.7–8 taps per ns
+/// (median ≈ 3; stride-2 and 7×7 maps the slowest) and the zoo's max and
+/// average pools 0.8–2.8 and 0.8–2.5 (medians 2.2 and 1.7): one rate within
+/// 2× for both, ≈ a twentieth of the tile's. So their regions fork from
+/// ≈ 157 K operations, ≈ 55 µs; every one of those shapes then ran 1.2–2.8×
+/// faster on the pool than inline, in each of three runs.
+pub(crate) const LANE_OP_WORK: usize = 20;
 
 /// Run `region` — code that submits `par_chunks_mut` / `par_tiles_mut`
 /// regions — on the pool if its estimated `work` passes [`FORK_MIN_WORK`],
@@ -101,117 +99,12 @@ pub(crate) fn fork_if_worthwhile<R>(work: usize, region: impl FnOnce() -> R) -> 
     }
 }
 
-/// Fixed lane-combination order shared by every lane-split reduction:
-/// pairwise tree `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`.
-#[inline]
-pub fn reduce_lanes(acc: &[f32; LANES]) -> f32 {
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-}
-
-/// Lane-split dot product. **Ulp-bounded contract** (reassociates the
-/// k-sum into [`LANES`] partial sums, combined via [`reduce_lanes`], plus
-/// a serial tail for `len % LANES` trailing elements).
-#[inline]
-pub fn dot_lanes(x: &[f32], w: &[f32]) -> f32 {
-    debug_assert_eq!(x.len(), w.len());
-    let mut acc = [0.0f32; LANES];
-    let xc = x.chunks_exact(LANES);
-    let wc = w.chunks_exact(LANES);
-    let xr = xc.remainder();
-    let wr = wc.remainder();
-    for (xv, wv) in xc.zip(wc) {
-        for l in 0..LANES {
-            acc[l] += xv[l] * wv[l];
-        }
-    }
-    let mut tail = 0.0f32;
-    for (xv, wv) in xr.iter().zip(wr.iter()) {
-        tail += xv * wv;
-    }
-    reduce_lanes(&acc) + tail
-}
-
-/// Four lane-split dot products sharing one pass over `x`.
-///
-/// Each row's bits are **identical to [`dot_lanes`]** on the same pair of
-/// slices — the accumulation order per row does not depend on the 4-row
-/// tiling — so callers may mix the tiled and single-row paths freely.
-#[inline]
-pub fn dot_lanes_x4(x: &[f32], w0: &[f32], w1: &[f32], w2: &[f32], w3: &[f32]) -> [f32; 4] {
-    let n = x.len();
-    debug_assert!(w0.len() == n && w1.len() == n && w2.len() == n && w3.len() == n);
-    let mut acc = [[0.0f32; LANES]; 4];
-    let split = n - n % LANES;
-    let mut t = 0;
-    while t < split {
-        let xv = <&[f32; LANES]>::try_from(&x[t..t + LANES]).unwrap();
-        let w0v = <&[f32; LANES]>::try_from(&w0[t..t + LANES]).unwrap();
-        let w1v = <&[f32; LANES]>::try_from(&w1[t..t + LANES]).unwrap();
-        let w2v = <&[f32; LANES]>::try_from(&w2[t..t + LANES]).unwrap();
-        let w3v = <&[f32; LANES]>::try_from(&w3[t..t + LANES]).unwrap();
-        for l in 0..LANES {
-            acc[0][l] += xv[l] * w0v[l];
-            acc[1][l] += xv[l] * w1v[l];
-            acc[2][l] += xv[l] * w2v[l];
-            acc[3][l] += xv[l] * w3v[l];
-        }
-        t += LANES;
-    }
-    let mut tail = [0.0f32; 4];
-    for i in split..n {
-        tail[0] += x[i] * w0[i];
-        tail[1] += x[i] * w1[i];
-        tail[2] += x[i] * w2[i];
-        tail[3] += x[i] * w3[i];
-    }
-    [
-        reduce_lanes(&acc[0]) + tail[0],
-        reduce_lanes(&acc[1]) + tail[1],
-        reduce_lanes(&acc[2]) + tail[2],
-        reduce_lanes(&acc[3]) + tail[3],
-    ]
-}
-
-/// One output row of a fully-connected layer: `orow[j] = xrow · w[j] (+ b[j])`.
-///
-/// Walks `w` rows in 4-row tiles (sharing each `xrow` load across rows)
-/// with a single-row tail; every dot carries the [`dot_lanes`] ulp-bounded
-/// contract. The bias branch is hoisted out of the loop entirely: dots are
-/// written first, then bias is added in one vector pass (`acc + b[j]` — the
-/// same single rounding the fused form would produce).
-#[inline]
-pub fn linear_row(xrow: &[f32], w: &[f32], bias: Option<&[f32]>, orow: &mut [f32], kin: usize) {
-    let nout = orow.len();
-    debug_assert_eq!(w.len(), nout * kin);
-    let mut j = 0;
-    while j + 4 <= nout {
-        let d = dot_lanes_x4(
-            xrow,
-            &w[j * kin..(j + 1) * kin],
-            &w[(j + 1) * kin..(j + 2) * kin],
-            &w[(j + 2) * kin..(j + 3) * kin],
-            &w[(j + 3) * kin..(j + 4) * kin],
-        );
-        orow[j..j + 4].copy_from_slice(&d);
-        j += 4;
-    }
-    while j < nout {
-        orow[j] = dot_lanes(xrow, &w[j * kin..(j + 1) * kin]);
-        j += 1;
-    }
-    if let Some(b) = bias {
-        for (o, bv) in orow.iter_mut().zip(b.iter()) {
-            *o += bv;
-        }
-    }
-}
-
 /// Rows of `w` per pass of [`linear_row_acc`] over `xrow`: eight 512-bit
 /// accumulators, enough independent FMA chains for two pipes of 4-cycle
 /// latency, with one `x` vector and the eight row loads beside them.
 const ACC_ROWS: usize = 8;
 /// Accumulator lanes per row in [`linear_row_acc`]: one 512-bit vector.
-const ACC_LANES: usize = 2 * LANES;
+const ACC_LANES: usize = 16;
 
 /// The recurrent matvec: `orow[j] += xrow · w[j]` for every row `j` of `w`
 /// (`orow.len()` rows of `kin`), the hidden-state term of the LSTM and GRU
@@ -337,13 +230,31 @@ pub(crate) fn row_major_strips(
     }
 }
 
+/// The strip packer of the transpose of a row-major matrix `bt` with `k`
+/// columns: B's column `j` is `bt`'s row `j`.
+pub(crate) fn row_strips(bt: &[f32], k: usize) -> impl Fn(usize, usize, &mut [f32]) + Sync + '_ {
+    move |j0, width, strip| {
+        let strip = strip.as_chunks_mut::<NR>().0;
+        if width < NR {
+            strip.iter_mut().for_each(|lanes| lanes.fill(0.0));
+        }
+        for l in 0..width {
+            let row = &bt[(j0 + l) * k..(j0 + l + 1) * k];
+            for (lanes, &v) in strip.iter_mut().zip(row) {
+                lanes[l] = v;
+            }
+        }
+    }
+}
+
 /// The GEMM engine: `c = a @ B`, where `a` is `m × k` row-major and B
 /// (`k × n`) exists only as the [`NR`]-wide column strips `pack` writes.
 ///
 /// `pack(j0, width, strip)` must fill `strip` (`k × NR`, row-major) with
 /// columns `[j0, j0 + width)` of B in lanes `0..width` of every row and zero
-/// in the rest: `matmul` copies them out of a row-major matrix, `conv2d`
-/// gathers them straight from the image. Each strip is packed once per
+/// in the rest: `matmul` copies them out of a row-major matrix, `linear`
+/// gathers them from the rows of `x` ([`row_strips`]), `conv2d` straight
+/// from the image. Each strip is packed once per
 /// GEMM: by the one chunk that sweeps it, or — when the rows are cut too, so
 /// that chunks share strips, and the region is large enough to fork — all
 /// strips up front, in parallel, into one buffer every chunk reads. A tail
@@ -750,34 +661,6 @@ fn borrow<T: Copy + Default, R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn serial_dot(x: &[f32], w: &[f32]) -> f64 {
-        x.iter()
-            .zip(w)
-            .map(|(a, b)| (*a as f64) * (*b as f64))
-            .sum()
-    }
-
-    #[test]
-    fn dot_lanes_x4_matches_single_row_bits() {
-        let x: Vec<f32> = (0..37).map(|i| (i as f32 * 0.37).sin()).collect();
-        let ws: Vec<Vec<f32>> = (0..4)
-            .map(|r| (0..37).map(|i| ((i + r * 7) as f32 * 0.11).cos()).collect())
-            .collect();
-        let tiled = dot_lanes_x4(&x, &ws[0], &ws[1], &ws[2], &ws[3]);
-        for r in 0..4 {
-            assert_eq!(tiled[r].to_bits(), dot_lanes(&x, &ws[r]).to_bits());
-        }
-    }
-
-    #[test]
-    fn dot_lanes_close_to_f64_reference() {
-        let x: Vec<f32> = (0..100).map(|i| (i as f32 * 0.71).sin()).collect();
-        let w: Vec<f32> = (0..100).map(|i| (i as f32 * 0.13).cos()).collect();
-        let got = dot_lanes(&x, &w) as f64;
-        let want = serial_dot(&x, &w);
-        assert!((got - want).abs() < 1e-3, "{got} vs {want}");
-    }
 
     #[test]
     fn gemm_tiled_bit_identical_to_naive() {

@@ -9,20 +9,23 @@
 //! its speed gates (`duet-kernel-floor`, `ext-kernel-speed`) call these by
 //! name next to the engine's entry point of the same name:
 //!
-//! * **Exact** (`to_bits` identity): [`matmul`] and [`conv2d`] are one
-//!   `f32::mul_add` chain per output from `+0.0`, k-ascending; the
-//!   convolution's bias is added after the chain. [`depthwise_conv2d`]
-//!   starts each output at its bias and adds its taps, unfused. Both
+//! * **Exact** (`to_bits` identity): [`matmul`], [`conv2d`] and [`linear`]
+//!   — every dense product — are one `f32::mul_add` chain per output from
+//!   `+0.0`, k-ascending; the bias is added after the chain.
+//!   [`depthwise_conv2d`] starts each output at its bias and adds its taps,
+//!   unfused. Both
 //!   convolutions read the zero-padded image: every tap is taken, in order,
 //!   and one outside the image computes `0·w` (NaN for an infinite weight;
 //!   it turns a −0.0 sum into +0.0).
 //!   [`max_pool2d`] and [`avg_pool2d`] take each output's taps in (ky, kx)
 //!   order (`f32::max` from `-inf`; a sum from `0.0`, then `/ area`).
-//! * **Ulp-bounded** ([`within_ulps`]): [`linear`] and [`linear_acc_into`]
-//!   are one serial unfused chain per output, which the engine's lane-split
-//!   dot products reassociate; [`lstm`] and [`gru`] are two such linears
-//!   per step plus the gate math, with libm's `exp` and `tanh`. The
-//!   engine's recurrent kernels match them within an absolute tolerance.
+//! * **Ulp-bounded** ([`within_ulps`]): [`linear_acc_into`], the recurrent
+//!   matvec, is one serial unfused chain per output, which the engine's
+//!   lane-split dot products reassociate.
+//! * **Absolute**: [`lstm`] and [`gru`] are two [`linear`]s per step, of
+//!   the input and of the hidden state, plus the gate math with libm's
+//!   `exp` and `tanh`. The engine's recurrent kernels, whose hidden-state
+//!   term is the lane-split matvec, match them within an absolute tolerance.
 //! * **Bounded against f64**: [`gelu`] evaluates its formula in f64 and
 //!   rounds once; the engine's polynomial GELU stays within
 //!   2⁻²²·max(|y|, 1) of it.
@@ -181,23 +184,26 @@ fn pool2d(
     tensor(vec![n, c, oh, ow], out)
 }
 
-/// `x @ w^T + bias` for `x: [m, kin]`, `w: [nout, kin]`: one serial
-/// unfused chain per output, then the bias.
+/// `x @ w^T + bias` for `x: [m, kin]`, `w: [nout, kin]`: each output one
+/// fused multiply-add chain over `t = 0..kin` from `+0.0`, then the bias.
 pub fn linear(x: &Tensor, w: &Tensor, bias: Option<&Tensor>) -> Tensor {
     let (m, kin, nout) = (x.shape().dim(0), x.shape().dim(1), w.shape().dim(0));
-    let mut out = vec![0.0f32; m * nout];
-    if let Some(b) = bias {
-        for row in out.chunks_mut(nout) {
-            row.copy_from_slice(b.data());
+    let (xd, wd) = (x.data(), w.data());
+    let mut out = Vec::with_capacity(m * nout);
+    for i in 0..m {
+        for j in 0..nout {
+            let mut acc = 0.0f32;
+            for t in 0..kin {
+                acc = xd[i * kin + t].mul_add(wd[j * kin + t], acc);
+            }
+            out.push(acc + bias.map_or(0.0, |b| b.data()[j]));
         }
     }
-    // `b + chain` and `chain + b` are the same IEEE sum.
-    linear_acc_into(x.data(), w.data(), &mut out, m, kin, nout);
     tensor(vec![m, nout], out)
 }
 
 /// `out[i, j] += x_i · w_j` over raw slices: one serial unfused chain per
-/// output, added to what `out` held.
+/// output, added to what `out` held. The oracle of the recurrent matvec.
 pub fn linear_acc_into(x: &[f32], w: &[f32], out: &mut [f32], m: usize, kin: usize, nout: usize) {
     for i in 0..m {
         for j in 0..nout {

@@ -10,13 +10,12 @@
 //! Both sequence kernels, [`lstm`] and [`gru`], run on the engine's fast
 //! paths in three parts:
 //!
-//! * **Input projection, hoisted.** `x @ w_ih^T` does not depend on the
-//!   recurrence, so it is computed for all `seq × batch` rows in one
-//!   [`micro::gemm_packed`] call before the time loop — the B strips
-//!   gathered straight from `w_ih`'s rows, no transposed copy — and then
-//!   `b` is added. The GEMM's exact contract makes each element one
-//!   k-ascending `mul_add` chain whatever the row count, so [`lstm_step`]
-//!   and [`gru_step`], which make the same call on their `batch` rows, are
+//! * **Input projection, hoisted.** `x @ w_ih^T + b` does not depend on
+//!   the recurrence, so it is computed for all `seq × batch` rows in one
+//!   [`linear_into`] call before the time loop: the exact GEMM with `w_ih`
+//!   read in place as its A operand. Each element is one k-ascending
+//!   `mul_add` chain plus `b` whatever the row count, so [`lstm_step`] and
+//!   [`gru_step`], which make the same call on their `batch` rows, are
 //!   **bit-identical** to the sequence kernels' steps.
 //! * **Recurrent matvec.** `h @ w_hh^T` is added per step by
 //!   [`linear_acc_into`]: 16-lane `mul_add` chains, eight rows of `w_hh`
@@ -37,13 +36,13 @@
 //! one thread of the 2-vCPU AVX-512 benchmark host, most of it the matvec,
 //! which streams all of `w_hh` (1 MB) once per step.
 //! Against [`super::reference::lstm`] and [`super::reference::gru`] (serial
-//! unfused dots, libm activations) the state trajectories agree within an
-//! absolute 1e-4: the gates are contractive, so the ulp-level differences
-//! of the parts do not grow along the sequence.
+//! fused dots, libm activations)
+//! the state trajectories agree within an absolute 1e-4: the gates are
+//! contractive, so the ulp-level differences of the parts do not grow along
+//! the sequence.
 
 use super::elementwise::scalar::{sigmoid, tanh};
-use super::gemm::linear_acc_into;
-use super::micro::{self, NR};
+use super::gemm::{linear_acc_into, linear_into};
 use crate::{Tensor, TensorError};
 
 /// Hidden and cell state of an LSTM layer, each `[batch, hidden]`.
@@ -131,41 +130,6 @@ fn sequence_dims(
     Ok((seq, batch, input, hidden))
 }
 
-/// The input projection `out = x @ w^T + b` of `rows` rows of `x`
-/// (`[rows, input]`) against `w: [b.len(), input]`: one exact GEMM whose B
-/// strips are gathered from `w`'s rows, then the bias.
-fn project(x: &[f32], w: &[f32], b: &[f32], out: &mut [f32], rows: usize, input: usize) {
-    let n = b.len();
-    if n == 0 {
-        return;
-    }
-    micro::gemm_packed(
-        x,
-        out,
-        rows,
-        input,
-        n,
-        |j0, width, strip| {
-            let strip = strip.as_chunks_mut::<NR>().0;
-            if width < NR {
-                strip.iter_mut().for_each(|lanes| lanes.fill(0.0));
-            }
-            for l in 0..width {
-                let wrow = &w[(j0 + l) * input..(j0 + l + 1) * input];
-                for (lanes, &v) in strip.iter_mut().zip(wrow) {
-                    lanes[l] = v;
-                }
-            }
-        },
-        |_, _, _| {},
-    );
-    for row in out.chunks_exact_mut(n) {
-        for (o, bv) in row.iter_mut().zip(b) {
-            *o += bv;
-        }
-    }
-}
-
 /// One LSTM timestep over `batch` rows. On entry `gates` (`[batch,
 /// 4·hidden]`) holds the step's input projection plus bias; the recurrent
 /// matvec adds `h_prev @ w_hh^T` onto it, then the cell equations update `c`
@@ -245,7 +209,8 @@ pub fn lstm_step(
         });
     }
     let mut gates = vec![0.0f32; batch * 4 * hidden];
-    project(x.data(), w_ih.data(), b.data(), &mut gates, batch, input);
+    let (w, b) = (w_ih.data(), Some(b.data()));
+    linear_into(x.data(), w, b, &mut gates, batch, input, 4 * hidden);
     let mut h = vec![0.0f32; batch * hidden];
     let mut c = state.c.data().to_vec();
     lstm_cell(
@@ -276,14 +241,8 @@ pub fn lstm(
     let (seq, batch, input, hidden) = sequence_dims("lstm", 4, x, w_ih, w_hh, b)?;
     let (bh, bg) = (batch * hidden, batch * 4 * hidden);
     let mut gates = vec![0.0f32; seq * bg];
-    project(
-        x.data(),
-        w_ih.data(),
-        b.data(),
-        &mut gates,
-        seq * batch,
-        input,
-    );
+    let (w, b) = (w_ih.data(), Some(b.data()));
+    linear_into(x.data(), w, b, &mut gates, seq * batch, input, 4 * hidden);
     let mut h = vec![0.0f32; bh];
     let mut c = vec![0.0f32; bh];
     let mut outputs = vec![0.0f32; seq * bh];
@@ -325,7 +284,8 @@ pub fn gru_step(
 ) -> Result<Tensor, TensorError> {
     let (batch, input, hidden) = step_dims("gru_step", 3, x, h, w_ih, w_hh, b)?;
     let mut gx = vec![0.0f32; batch * 3 * hidden];
-    project(x.data(), w_ih.data(), b.data(), &mut gx, batch, input);
+    let (w, b) = (w_ih.data(), Some(b.data()));
+    linear_into(x.data(), w, b, &mut gx, batch, input, 3 * hidden);
     let mut gh = vec![0.0f32; batch * 3 * hidden];
     let mut out = vec![0.0f32; batch * hidden];
     gru_cell(&gx, w_hh.data(), h.data(), &mut gh, &mut out, batch, hidden);
@@ -339,7 +299,8 @@ pub fn gru(x: &Tensor, w_ih: &Tensor, w_hh: &Tensor, b: &Tensor) -> Result<Tenso
     let (seq, batch, input, hidden) = sequence_dims("gru", 3, x, w_ih, w_hh, b)?;
     let (bh, bg) = (batch * hidden, batch * 3 * hidden);
     let mut gx = vec![0.0f32; seq * bg];
-    project(x.data(), w_ih.data(), b.data(), &mut gx, seq * batch, input);
+    let (w, b) = (w_ih.data(), Some(b.data()));
+    linear_into(x.data(), w, b, &mut gx, seq * batch, input, 3 * hidden);
     let mut gh = vec![0.0f32; bg];
     let h0 = vec![0.0f32; bh];
     let mut outputs = vec![0.0f32; seq * bh];
@@ -434,18 +395,12 @@ mod tests {
             let x = Tensor::randn(vec![seq, batch, input], 1.0, 31);
             let n = 4 * hidden;
             let mut whole = vec![0.0f32; seq * batch * n];
-            project(
-                x.data(),
-                w_ih.data(),
-                b.data(),
-                &mut whole,
-                seq * batch,
-                input,
-            );
+            let (w, b) = (w_ih.data(), Some(b.data()));
+            linear_into(x.data(), w, b, &mut whole, seq * batch, input, n);
             for t in 0..seq {
                 let mut step = vec![f32::NAN; batch * n];
                 let xt = &x.data()[t * batch * input..(t + 1) * batch * input];
-                project(xt, w_ih.data(), b.data(), &mut step, batch, input);
+                linear_into(xt, w, b, &mut step, batch, input, n);
                 assert!(
                     bits_eq(&step, &whole[t * batch * n..(t + 1) * batch * n]),
                     "step {t} of seq {seq} batch {batch} {input}->{hidden}"

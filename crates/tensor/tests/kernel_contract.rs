@@ -5,16 +5,18 @@
 //! single-threaded loops that share no code with the engine. Each test
 //! calls `kernels::X` and `reference::X` on the same inputs:
 //!
-//! * **Exact (`to_bits` identity).** GEMM (and everything lowered onto it:
-//!   `matmul`, `conv2d`) computes each output element as one fused
-//!   multiply-add chain, `acc = a.mul_add(b, acc)`, in a fixed k-ascending
-//!   order; the depthwise convolution as one unfused chain. Tiling and
-//!   lane-chunking change which elements advance together, never the order
-//!   within one element's chain, and IEEE 754 fixes each step's rounding, so
-//!   the engine must reproduce the oracle's bytes bit-for-bit. Pooling
-//!   takes each output's taps in (ky, kx) order, so it is exact too.
-//! * **Ulp-bounded.** `linear` and the recurrent matvec `linear_acc_into`
-//!   split each dot product into independent lane partial sums — the
+//! * **Exact (`to_bits` identity).** Every dense product — GEMM and
+//!   everything lowered onto it: `matmul`, `conv2d`, `linear` (run as
+//!   `w @ xᵀ`, the weight read in place as A) and so the LSTM/GRU input
+//!   projection — computes each output element as one fused multiply-add
+//!   chain, `acc = a.mul_add(b, acc)`, in a fixed k-ascending order, then
+//!   adds any bias; the depthwise convolution as one unfused chain. Tiling
+//!   and lane-chunking change which elements advance together, never the
+//!   order within one element's chain, and IEEE 754 fixes each step's
+//!   rounding, so the engine must reproduce the oracle's bytes bit-for-bit.
+//!   Pooling takes each output's taps in (ky, kx) order, so it is exact too.
+//! * **Ulp-bounded.** The recurrent matvec `linear_acc_into` alone splits
+//!   each dot product into independent lane partial sums — the
 //!   reassociation that makes a dot product vectorizable. The contract is
 //!   ≤ 4 ulp *measured at the scale of the accumulated magnitude*
 //!   `Σ|xᵢ·wᵢ|` (`reference::within_ulps`): under cancellation the result
@@ -22,7 +24,7 @@
 //!   not a meaningful unit, but the rounding error of either association is
 //!   still bounded by a few ulp of the magnitude that flowed through the
 //!   accumulators.
-//! * **Absolute.** The LSTM and GRU compose an exact input-projection GEMM,
+//! * **Absolute.** The LSTM and GRU compose the exact input projection,
 //!   the ulp-bounded matvec and polynomial activations; their oracles use
 //!   serial dots and libm. The gates are contractive, so whole state
 //!   trajectories stay within an absolute 1e-4.
@@ -192,20 +194,18 @@ fn pooling_bits_identical_to_reference() {
     }
 }
 
-// --- ulp-bounded contracts ----------------------------------------------
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The lane-split linear stays within 4 ulp (at accumulated-magnitude
-    /// scale) of the serial oracle for the zoo's distributions:
-    /// k up to a few hundred, unit-variance values. Sizes sweep every
-    /// lane-tail residue (`kin % LANES`) and the 4-row output tiling tail.
+    /// `linear` is the exact GEMM turned around (`w @ xᵀ`, the weight as
+    /// A): every output is the oracle's fused k-ascending chain plus the
+    /// bias, to the bit, at every batch size — across the narrow tile's 16
+    /// and a strip's 32 columns of `xᵀ` — on the pool and inline.
     #[test]
-    fn linear_within_4_ulp_of_reference(
-        m in 1usize..4,
-        kin in 1usize..280,
-        nout in 1usize..40,
+    fn linear_bits_identical_to_fused_reference(
+        m in 1usize..=40,
+        kin in 1usize..300,
+        nout in 1usize..70,
         bias_on in any::<bool>(),
         seed in 0u64..1000,
     ) {
@@ -213,29 +213,21 @@ proptest! {
         let w = Tensor::randn(vec![nout, kin], 1.0, seed.wrapping_add(1));
         let b = Tensor::randn(vec![nout], 1.0, seed.wrapping_add(2));
         let bias = bias_on.then_some(&b);
-        let fast = kernels::linear(&x, &w, bias).unwrap();
         let slow = reference::linear(&x, &w, bias);
-        for i in 0..m {
-            let xrow = &x.data()[i * kin..(i + 1) * kin];
-            for j in 0..nout {
-                let wrow = &w.data()[j * kin..(j + 1) * kin];
-                let mag: f32 = xrow
-                    .iter()
-                    .zip(wrow)
-                    .map(|(a, c)| (a * c).abs())
-                    .sum::<f32>()
-                    + if bias_on { b.data()[j].abs() } else { 0.0 };
-                let (f, s) = (fast.data()[i * nout + j], slow.data()[i * nout + j]);
-                prop_assert!(
-                    within_ulps(f, s, mag, 4),
-                    "linear {m}x{kin}x{nout} at ({i},{j}): {f} vs {s} ({} bits apart, mag {mag})",
-                    ulps_apart(f, s)
-                );
-            }
-        }
+        let what = format!("linear {m}x{kin}x{nout} bias {bias_on}");
+        assert_bits_eq(&kernels::linear(&x, &w, bias).unwrap(), &slow, &what);
+        let inline = rayon::inline_scope(|| kernels::linear(&x, &w, bias).unwrap());
+        assert_bits_eq(&inline, &slow, &format!("{what} inline"));
     }
+}
 
-    /// Same contract for the accumulating variant the LSTM gates use.
+// --- ulp-bounded contracts ----------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The recurrent matvec the LSTM and GRU gates use stays within 4 ulp
+    /// (at accumulated-magnitude scale) of the serial unfused oracle.
     #[test]
     fn linear_acc_within_4_ulp_of_reference(
         kin in 1usize..200,
@@ -270,33 +262,11 @@ proptest! {
     }
 }
 
-/// Every lane-tail residue of the dot kernel, batch-1 (the serve-arena
-/// hot path that skips the parallel split entirely).
-#[test]
-fn linear_batch1_every_tail_residue() {
-    for kin in 1..=2 * kernels::micro::LANES + 1 {
-        let x = Tensor::randn(vec![1, kin], 1.0, kin as u64);
-        let w = Tensor::randn(vec![5, kin], 1.0, 100 + kin as u64);
-        let fast = kernels::linear(&x, &w, None).unwrap();
-        let slow = reference::linear(&x, &w, None);
-        for j in 0..5 {
-            let wrow = &w.data()[j * kin..(j + 1) * kin];
-            let mag: f32 = x.data().iter().zip(wrow).map(|(a, c)| (a * c).abs()).sum();
-            assert!(
-                within_ulps(fast.data()[j], slow.data()[j], mag, 4),
-                "kin={kin} j={j}: {} vs {}",
-                fast.data()[j],
-                slow.data()[j]
-            );
-        }
-    }
-}
-
-/// The fused LSTM (shared gates buffer, lane-split dots) against the
-/// oracle (two allocating linears per step, serial dots) over a full sequence.
-/// The gate pre-activations carry the 4-ulp linear contract; sigmoid and
-/// tanh are contractive (|σ'| ≤ ¼, |tanh'| ≤ 1), so the natural bound on
-/// the state trajectory is a small absolute tolerance, not ulp.
+/// The fused LSTM (shared gates buffer, lane-split recurrent dots) against
+/// the oracle (two allocating linears per step, serial dots) over a full
+/// sequence. The gate pre-activations carry the matvec's 4-ulp contract;
+/// sigmoid and tanh are contractive (|σ'| ≤ ¼, |tanh'| ≤ 1), so the natural
+/// bound on the state trajectory is a small absolute tolerance, not ulp.
 #[test]
 fn lstm_sequence_close_to_reference() {
     let (seq, batch, input, hidden) = (6, 2, 13, 17);
