@@ -271,14 +271,9 @@ impl PlanModel {
         self.gpu_lanes = timeline.lanes(DeviceKind::Gpu);
         for (i, (sg, compiled)) in self.subgraphs.iter_mut().zip(subgraphs).enumerate() {
             sg.exec_us = timeline.exec_time_us(i, sg.device);
-            sg.escapes = Some(
-                compiled
-                    .tape
-                    .outputs
-                    .iter()
-                    .map(|&(node, _)| node)
-                    .collect(),
-            );
+            // The values the tape publishes: its outputs are these
+            // nodes, in this order, so pricing lowers nothing.
+            sg.escapes = Some(compiled.outputs.clone());
         }
     }
 

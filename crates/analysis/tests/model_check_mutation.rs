@@ -61,7 +61,9 @@ fn priced_model() -> (Graph, PlanModel, Vec<Placed>) {
     let placed: Vec<Placed> = PLACEMENT
         .iter()
         .map(|&(name, device)| Placed {
-            sg: compiler.compile_nodes(&g, &subgraph_nodes(&g, name), name),
+            sg: compiler
+                .compile_nodes(&g, &subgraph_nodes(&g, name), name)
+                .into(),
             device,
         })
         .collect();
@@ -91,7 +93,7 @@ fn priced_model() -> (Graph, PlanModel, Vec<Placed>) {
 
 /// Price `model` from the plan's own timing core on the paper server.
 fn price(model: &mut PlanModel, g: &Graph, placed: &[Placed]) {
-    let subgraphs = || placed.iter().map(|p| &p.sg);
+    let subgraphs = || placed.iter().map(|p| &*p.sg);
     let timeline = Timeline::new(g, subgraphs(), &SystemModel::paper_server())
         .expect("the victim plan covers its graph");
     model.price_with(&timeline, subgraphs());

@@ -44,7 +44,7 @@ fn split(g: &Graph, devices: [DeviceKind; 3]) -> Vec<Placed> {
         .into_iter()
         .zip(devices)
         .map(|((nodes, name), device)| Placed {
-            sg: c.compile_nodes(g, &nodes, name),
+            sg: c.compile_nodes(g, &nodes, name).into(),
             device,
         })
         .collect()

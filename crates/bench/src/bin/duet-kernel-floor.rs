@@ -29,7 +29,9 @@
 //! going missing halves it. Two whole convolutions on one thread — the
 //! ResNet-18 3×3 conv at 55×55 and the 7×7/2 stem, padding, stores and bias
 //! included — are held the same way, each to its own floor: a layout that
-//! packs again, or a tile that goes scalar, shows there.
+//! packs again, or a tile that goes scalar, shows there. Each is timed in
+//! turns with a fresh estimate of the peak, so a host that slows or speeds
+//! up between the peak and the conv does not move the share.
 
 use duet_bench::experiments::kernels::{
     conv_one_thread_gflops, fma_peak_gflops, fork_join_speedups, geomean, matmul_one_thread_gflops,
@@ -117,18 +119,19 @@ fn main() {
         );
         failed = true;
     }
-    for ((what, g), floor) in conv_one_thread_gflops(PEAK_TRIALS)
+    for ((what, g, peak), floor) in conv_one_thread_gflops(PEAK_TRIALS)
         .into_iter()
         .zip(FLOOR_CONV_SHARES)
     {
         println!(
-            "roofline: {what} on one thread {g:.1} GFLOP/s = {:.0} % of the FMA peak (floor {:.0} %)",
+            "roofline: {what} on one thread {g:.1} GFLOP/s = {:.0} % of the FMA peak {peak:.1} \
+             GFLOP/s measured beside it (floor {:.0} %)",
             100.0 * g / peak,
             100.0 * floor
         );
         if g < floor * peak {
             eprintln!(
-                "FAIL: the one-thread {what} runs at {:.0} % of the measured FMA peak, below {:.0} %",
+                "FAIL: the one-thread {what} runs at {:.0} % of the FMA peak measured beside it, below {:.0} %",
                 100.0 * g / peak,
                 100.0 * floor
             );

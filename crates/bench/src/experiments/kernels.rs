@@ -56,14 +56,20 @@ impl EngineBench {
 /// `black_box`, so nothing folds or hoists; multipliers of a few percent
 /// keep every chain small and finite.
 pub fn fma_peak_gflops(trials: usize) -> f64 {
+    let (flops, mut sweep) = fma_peak_loop();
+    flops / (best_us(trials, &mut sweep) * 1e3)
+}
+
+/// The [`fma_peak_gflops`] loop, ready to time, and its FLOP count.
+fn fma_peak_loop() -> (f64, impl FnMut()) {
     const CHAINS: usize = 12;
     const LANES: usize = 16;
     const STEPS: usize = 256;
     const SWEEPS: usize = 256;
     let scalars = black_box(vec![0.03f32; CHAINS * STEPS]);
     let vectors = black_box(vec![[0.5f32; LANES]; STEPS]);
-    let rows: [&[f32]; CHAINS] = std::array::from_fn(|r| &scalars[r * STEPS..(r + 1) * STEPS]);
-    let us = best_us(trials, &mut || {
+    let sweep = move || {
+        let rows: [&[f32]; CHAINS] = std::array::from_fn(|r| &scalars[r * STEPS..(r + 1) * STEPS]);
         for _ in 0..SWEEPS {
             let mut acc = [[0.0f32; LANES]; CHAINS];
             for t in 0..STEPS {
@@ -76,8 +82,8 @@ pub fn fma_peak_gflops(trials: usize) -> f64 {
             }
             black_box(acc);
         }
-    });
-    (2 * CHAINS * LANES * STEPS * SWEEPS) as f64 / (us * 1e3)
+    };
+    ((2 * CHAINS * LANES * STEPS * SWEEPS) as f64, sweep)
 }
 
 /// `matmul 128x256x256` with its region forced inline — the register tile
@@ -97,9 +103,13 @@ pub fn matmul_one_thread_gflops(trials: usize) -> f64 {
 
 /// Whole convolutions with their regions forced inline — the strip packing
 /// or padded image, the register tile, the stores and the bias, on one
-/// thread — in GFLOP/s, best of `trials`: the ResNet-18 layer-1 3×3
-/// convolution at 55×55 and the 7×7/2 stem, each with its name.
-pub fn conv_one_thread_gflops(trials: usize) -> [(&'static str, f64); 2] {
+/// thread — each with its name, its GFLOP/s and the FMA peak
+/// ([`fma_peak_gflops`]) in GFLOP/s measured beside it: the ResNet-18
+/// layer-1 3×3 convolution at 55×55 and the 7×7/2 stem. A conv trial and a
+/// peak trial alternate, and each rate is the best of its `trials`, so both
+/// sides of the share come from the same minutes of a host whose speed
+/// moves ±30 % between them.
+pub fn conv_one_thread_gflops(trials: usize) -> [(&'static str, f64, f64); 2] {
     let cases = [
         (
             "conv2d 64->64 55x55 k3",
@@ -116,6 +126,7 @@ pub fn conv_one_thread_gflops(trials: usize) -> [(&'static str, f64); 2] {
             3,
         ),
     ];
+    let (peak_flops, mut peak) = fma_peak_loop();
     cases.map(|(what, xs, ws, stride, padding)| {
         let x = Tensor::randn(xs.to_vec(), 1.0, 12);
         let w = Tensor::randn(ws.to_vec(), 0.05, 13);
@@ -123,13 +134,21 @@ pub fn conv_one_thread_gflops(trials: usize) -> [(&'static str, f64); 2] {
         let dims = kernels::Conv2dDims::new(&xs, &ws, stride, padding).expect("shapes agree");
         let (oh, ow) = dims.out_hw();
         let mut out = vec![0.0f32; ws[0] * oh * ow];
-        let us = best_us(trials, &mut || {
-            rayon::inline_scope(|| {
-                kernels::conv2d_into(&x, &w, Some(&b), stride, padding, &mut out).unwrap()
-            })
-        });
+        let (mut conv_us, mut peak_us) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..trials {
+            conv_us = conv_us.min(time(&mut || {
+                rayon::inline_scope(|| {
+                    kernels::conv2d_into(&x, &w, Some(&b), stride, padding, &mut out).unwrap()
+                })
+            }));
+            peak_us = peak_us.min(time(&mut peak));
+        }
         let macs = ws.iter().product::<usize>() * oh * ow;
-        (what, 2.0 * macs as f64 / (us * 1e3))
+        (
+            what,
+            2.0 * macs as f64 / (conv_us * 1e3),
+            peak_flops / (peak_us * 1e3),
+        )
     })
 }
 

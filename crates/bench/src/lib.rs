@@ -32,7 +32,7 @@ pub fn tvm_latency_us(graph: &Graph, device: DeviceKind, system: &SystemModel) -
 pub fn tvm_plan(graph: &Graph, device: DeviceKind) -> Vec<Placed> {
     let compiler = Compiler::default();
     vec![Placed {
-        sg: compiler.compile_whole(graph, graph.name.clone()),
+        sg: compiler.compile_whole(graph, graph.name.clone()).into(),
         device,
     }]
 }

@@ -30,7 +30,7 @@ pub mod pass;
 pub mod passes;
 
 pub use invariants::{PassViolation, ViolationKind};
-pub use lower::{CompiledKernel, CompiledSubgraph};
+pub use lower::{CompiledKernel, CompiledSubgraph, LazyTape};
 pub use memory::{
     ArenaPool, ArenaPoolStats, EpilogueOp, EpilogueStep, ExecutableTape, Instr, MemoryPlan,
     Operand, TapeArena,

@@ -5,13 +5,21 @@
 //! profiler micro-benchmarks it (§IV-B "treating that subgraph as a
 //! standalone DNN model and going through the DL compilation pipeline"),
 //! the scheduler places it, and the executor runs it.
+//!
+//! Pricing needs only the fusion groups, so a subgraph is priced when it
+//! is compiled and its tape is lowered when something first reads it
+//! ([`LazyTape`]): plan-time work (profiling, scheduling, replaying a
+//! plan, model checking) lowers nothing, and engines that share a
+//! subgraph share its one lowering.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::{Deref, DerefMut};
+use std::sync::OnceLock;
 
 use duet_ir::{CostProfile, Graph, GraphError, NodeId, Op};
 use duet_tensor::Tensor;
 
-use crate::memory::{ExecutableTape, TapeArena};
+use crate::memory::{emission_order, ExecutableTape, TapeArena};
 
 /// One fused kernel: an anchor operator plus absorbed epilogues — the
 /// pricing of one tape instruction.
@@ -43,15 +51,60 @@ pub struct CompiledSubgraph {
     pub outputs: Vec<NodeId>,
     /// Total priced cost of the kernel sequence.
     pub cost: CostProfile,
-    /// Memory-planned instruction tape — the default execution path.
-    pub tape: ExecutableTape,
+    /// Memory-planned instruction tape — the default execution path,
+    /// lowered on first use.
+    pub tape: LazyTape,
+}
+
+/// A subgraph's [`ExecutableTape`], lowered the first time it is read
+/// and then kept: it dereferences to the tape. It holds what lowering
+/// needs — the graph (a clone shares its nodes and weights) and the
+/// fusion groups in emission order — so a subgraph can be priced,
+/// scheduled and shared without ever being lowered.
+#[derive(Clone)]
+pub struct LazyTape {
+    graph: Graph,
+    groups: Vec<Vec<NodeId>>,
+    inputs: Vec<NodeId>,
+    outputs: Vec<NodeId>,
+    tape: OnceLock<ExecutableTape>,
+}
+
+impl LazyTape {
+    /// Whether the tape has been lowered yet.
+    pub fn is_lowered(&self) -> bool {
+        self.tape.get().is_some()
+    }
+}
+
+impl Deref for LazyTape {
+    type Target = ExecutableTape;
+
+    fn deref(&self) -> &ExecutableTape {
+        self.tape.get_or_init(|| {
+            ExecutableTape::build(&self.graph, &self.groups, &self.inputs, &self.outputs)
+        })
+    }
+}
+
+impl DerefMut for LazyTape {
+    fn deref_mut(&mut self) -> &mut ExecutableTape {
+        let _lowered = Deref::deref(self);
+        self.tape.get_mut().expect("lowered above")
+    }
+}
+
+impl std::fmt::Debug for LazyTape {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("LazyTape").field(&self.tape).finish()
+    }
 }
 
 impl CompiledSubgraph {
-    /// Lower the nodes covered by `groups` into a tape with one
-    /// instruction per group (see [`crate::passes::fuse_groups`];
-    /// singleton groups run unfused), and price each instruction as one
-    /// kernel, in the tape's emission order.
+    /// Compile the nodes covered by `groups` into one instruction per
+    /// group (see [`crate::passes::fuse_groups`]; singleton groups run
+    /// unfused), priced as one kernel each in the tape's emission order.
+    /// The tape itself is lowered on first use ([`LazyTape`]).
     pub fn from_groups(graph: &Graph, name: impl Into<String>, groups: Vec<Vec<NodeId>>) -> Self {
         let mut node_ids: Vec<NodeId> = groups.iter().flatten().copied().collect();
         node_ids.sort_unstable();
@@ -80,20 +133,20 @@ impl CompiledSubgraph {
             }
         }
 
-        let tape = ExecutableTape::build(graph, &groups, &inputs, &outputs);
-        let kernels: Vec<CompiledKernel> = tape
-            .instrs
+        // Instruction k is group k, its anchor first and its epilogue
+        // steps in chain order.
+        let groups = emission_order(graph, groups, &outputs);
+        let kernels: Vec<CompiledKernel> = groups
             .iter()
-            .map(|instr| {
-                let nodes: Vec<NodeId> = instr.members().collect();
+            .map(|nodes| {
                 let cost = nodes[1..]
                     .iter()
-                    .fold(graph.node_cost(instr.node), |cost, &m| {
+                    .fold(graph.node_cost(nodes[0]), |cost, &m| {
                         cost.absorb_epilogue(&graph.node_cost(m))
                     });
                 CompiledKernel {
-                    anchor: instr.node,
-                    nodes,
+                    anchor: nodes[0],
+                    nodes: nodes.clone(),
                     cost,
                 }
             })
@@ -102,6 +155,13 @@ impl CompiledSubgraph {
             .iter()
             .fold(CostProfile::zero(), |acc, k| acc.merge(&k.cost));
 
+        let tape = LazyTape {
+            graph: graph.clone(),
+            groups,
+            inputs: inputs.clone(),
+            outputs: outputs.clone(),
+            tape: OnceLock::new(),
+        };
         CompiledSubgraph {
             name: name.into(),
             node_ids,

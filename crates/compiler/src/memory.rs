@@ -325,10 +325,25 @@ pub fn in_place_extended(graph: &Graph, node: &Node) -> bool {
     matches!(node.op, Op::BatchNorm2d) && duet_ir::absint::prove_batchnorm_inplace(graph, node)
 }
 
-/// Order `groups` topologically, ties broken bytes-freed-greedy: among
-/// ready groups pick the one releasing the most dead input bytes net of
-/// its own output allocation (then lowest original index, for
-/// determinism).
+/// Put fusion `groups` in the order their instructions are emitted:
+/// topological, ties broken bytes-freed-greedy — among ready groups the
+/// one releasing the most dead input bytes net of its own output
+/// allocation (then lowest original index, for determinism). `outputs`
+/// are the values that escape the subgraph (never freed).
+pub fn emission_order(
+    graph: &Graph,
+    mut groups: Vec<Vec<NodeId>>,
+    outputs: &[NodeId],
+) -> Vec<Vec<NodeId>> {
+    let escape_set: HashSet<NodeId> = outputs.iter().copied().collect();
+    let order = schedule_groups(graph, &groups, &escape_set);
+    order
+        .into_iter()
+        .map(|g| std::mem::take(&mut groups[g]))
+        .collect()
+}
+
+/// The permutation [`emission_order`] applies.
 fn schedule_groups(
     graph: &Graph,
     groups: &[Vec<NodeId>],
@@ -442,9 +457,10 @@ impl OperandBinder<'_> {
 
 impl ExecutableTape {
     /// Plan fusion `groups` of `graph` into a tape: one instruction per
-    /// group, its anchor first and the rest as epilogue steps, each member
-    /// reading the one before it ([`crate::passes::fuse_groups`] makes
-    /// such groups; singletons are always valid).
+    /// group, in the order given ([`emission_order`]), its anchor first
+    /// and the rest as epilogue steps, each member reading the one before
+    /// it ([`crate::passes::fuse_groups`] makes such groups; singletons
+    /// are always valid).
     ///
     /// `boundary_inputs` are the values fed at run time; `outputs` the
     /// values that escape the subgraph (their slots are never recycled).
@@ -455,22 +471,19 @@ impl ExecutableTape {
         outputs: &[NodeId],
     ) -> Self {
         let in_set: HashSet<NodeId> = groups.iter().flatten().copied().collect();
-        let escape_set: HashSet<NodeId> = outputs.iter().copied().collect();
         let feed_index: HashMap<NodeId, usize> = boundary_inputs
             .iter()
             .enumerate()
             .map(|(i, &id)| (id, i))
             .collect();
 
-        let order = schedule_groups(graph, groups, &escape_set);
-
         // Last emission index reading each materialized value (group
         // tails); escaping values stay live to the end of the tape.
         // Chain-internal reads are not uses — the value never exists.
         let mut last_use: HashMap<NodeId, usize> = HashMap::new();
-        for (k, &gi) in order.iter().enumerate() {
-            let members: HashSet<NodeId> = groups[gi].iter().copied().collect();
-            for &m in &groups[gi] {
+        for (k, group) in groups.iter().enumerate() {
+            let members: HashSet<NodeId> = group.iter().copied().collect();
+            for &m in group {
                 for &src in &graph.node(m).inputs {
                     if in_set.contains(&src) && !members.contains(&src) {
                         last_use.insert(src, k);
@@ -500,8 +513,7 @@ impl ExecutableTape {
         let mut bn_folds: Vec<BnFold> = Vec::new();
 
         let mut instrs: Vec<Instr> = Vec::with_capacity(groups.len());
-        for (k, &gi) in order.iter().enumerate() {
-            let group = &groups[gi];
+        for (k, group) in groups.iter().enumerate() {
             let anchor_id = group[0];
             let anchor = graph.node(anchor_id);
             let tail_id = *group.last().expect("non-empty group");

@@ -2,14 +2,31 @@
 //! compile time. Typical wins in inference graphs: pre-transposed weights,
 //! folded scales, batch-norm parameter arithmetic.
 
-use duet_ir::{Graph, GraphError, Op};
+use std::borrow::Cow;
+
+use duet_ir::{Graph, Op};
 use duet_tensor::Tensor;
 
 use super::rewrite::GraphRewriter;
+use super::Rewritten;
 
 /// Fold every operator with all-constant operands into a constant.
-/// Returns the rewritten graph and the number of nodes folded.
-pub fn fold_constants(graph: &Graph) -> Result<(Graph, usize), GraphError> {
+/// Returns the rewritten graph and the number of nodes folded; a graph
+/// with no compute node over constants alone comes back as it was given.
+pub fn fold_constants(graph: &Graph) -> Rewritten<'_> {
+    // Folding is transitive, but only through a first fold: without one
+    // every operand keeps the kind it has in `graph`.
+    let foldable = graph.nodes().iter().any(|node| {
+        !matches!(node.op, Op::Input | Op::Constant)
+            && !node.inputs.is_empty()
+            && node
+                .inputs
+                .iter()
+                .all(|&i| matches!(graph.node(i).op, Op::Constant))
+    });
+    if !foldable {
+        return Ok((Cow::Borrowed(graph), 0));
+    }
     let mut rw = GraphRewriter::new(graph);
     let mut folded = 0;
     for node in graph.nodes() {
@@ -35,7 +52,7 @@ pub fn fold_constants(graph: &Graph) -> Result<(Graph, usize), GraphError> {
             }
         }
     }
-    Ok((rw.finish(graph)?, folded))
+    Ok((Cow::Owned(rw.finish(graph)?), folded))
 }
 
 #[cfg(test)]
@@ -102,5 +119,18 @@ mod tests {
         let o1 = g.eval(&HashMap::from([(x, t.clone())])).unwrap();
         let o2 = g2.eval(&HashMap::from([(g2.input_ids()[0], t)])).unwrap();
         assert!(o1[0].approx_eq(&o2[0], 1e-6));
+    }
+
+    #[test]
+    fn a_graph_without_constant_operators_comes_back_unrewritten() {
+        // `sum` reads a constant, but also an input.
+        let mut g = Graph::new("t");
+        let x = g.add_input("x", vec![4]);
+        let a = g.add_constant("a", Tensor::full(vec![4], 3.0));
+        let s = g.add_op("sum", Op::Add, &[x, a]).unwrap();
+        g.mark_output(s).unwrap();
+        let (out, folded) = fold_constants(&g).unwrap();
+        assert_eq!(folded, 0);
+        assert!(matches!(out, Cow::Borrowed(same) if std::ptr::eq(same, &g)));
     }
 }

@@ -3,13 +3,17 @@
 //! Folding and CSE orphan nodes (replaced constants' operands, merged
 //! duplicates); DCE runs last to sweep them.
 
-use duet_ir::{Graph, GraphError};
+use std::borrow::Cow;
+
+use duet_ir::Graph;
 
 use super::rewrite::GraphRewriter;
+use super::Rewritten;
 
 /// Remove all nodes unreachable (backwards) from the declared outputs.
-/// Returns the new graph and the number of removed nodes.
-pub fn eliminate_dead_code(graph: &Graph) -> Result<(Graph, usize), GraphError> {
+/// Returns the new graph and the number of removed nodes; a graph whose
+/// every node reaches an output comes back as it was given.
+pub fn eliminate_dead_code(graph: &Graph) -> Rewritten<'_> {
     let mut live = vec![false; graph.len()];
     let mut stack: Vec<_> = graph.outputs().to_vec();
     while let Some(id) = stack.pop() {
@@ -18,6 +22,9 @@ pub fn eliminate_dead_code(graph: &Graph) -> Result<(Graph, usize), GraphError> 
         }
         live[id] = true;
         stack.extend_from_slice(&graph.node(id).inputs);
+    }
+    if live.iter().all(|&l| l) {
+        return Ok((Cow::Borrowed(graph), 0));
     }
     let mut rw = GraphRewriter::new(graph);
     let mut removed = 0;
@@ -28,7 +35,7 @@ pub fn eliminate_dead_code(graph: &Graph) -> Result<(Graph, usize), GraphError> 
             removed += 1;
         }
     }
-    Ok((rw.finish(graph)?, removed))
+    Ok((Cow::Owned(rw.finish(graph)?), removed))
 }
 
 #[cfg(test)]
@@ -90,5 +97,16 @@ mod tests {
         let (g2, removed) = eliminate_dead_code(&g).unwrap();
         assert_eq!(removed, 0);
         assert_eq!(g2.outputs().len(), 2);
+    }
+
+    #[test]
+    fn a_graph_without_dead_nodes_comes_back_unrewritten() {
+        let mut g = Graph::new("t");
+        let x = g.add_input("x", vec![4]);
+        let a = g.add_op("a", Op::Relu, &[x]).unwrap();
+        g.mark_output(a).unwrap();
+        let (out, removed) = eliminate_dead_code(&g).unwrap();
+        assert_eq!(removed, 0);
+        assert!(matches!(out, Cow::Borrowed(same) if std::ptr::eq(same, &g)));
     }
 }

@@ -227,7 +227,7 @@ impl DuetBuilder {
         let subgraphs: Vec<_> = plan
             .subgraphs
             .iter()
-            .map(|p| compiler.compile_nodes(&graph, &p.nodes, p.name.clone()))
+            .map(|p| Arc::new(compiler.compile_nodes(&graph, &p.nodes, p.name.clone())))
             .collect();
         self.assemble(compiler, graph, &part, subgraphs, Decision::Replay(plan))
     }
@@ -241,14 +241,14 @@ impl DuetBuilder {
         compiler: Compiler,
         graph: Graph,
         part: &Partition,
-        subgraphs: Vec<CompiledSubgraph>,
+        subgraphs: Vec<Arc<CompiledSubgraph>>,
         decision: Decision<'_>,
     ) -> Result<Duet, EngineError> {
         let profiler =
             Profiler::new(self.system.clone()).with_runs(self.profile_runs, self.profile_warmup);
         let profiles = profiler.profile_all(&graph, &subgraphs);
         let units = sched::make_units(part, subgraphs, profiles);
-        let timeline = Timeline::new(&graph, units.iter().map(|u| &u.sg), &self.system)?;
+        let timeline = Timeline::new(&graph, units.iter().map(|u| &*u.sg), &self.system)?;
         let (devices, batch, dictated_fallback) = match decision {
             Decision::Schedule => (
                 sched::schedule(&timeline, &units, &self.system, self.policy),
@@ -264,8 +264,8 @@ impl DuetBuilder {
 
         // Single-device baselines use whole-graph compilation (maximum
         // fusion scope — the best the compiler can do on one device).
-        let whole = compiler.compile_whole(&graph, graph.name.clone());
-        let whole_timeline = Timeline::new(&graph, [&whole], &self.system)?;
+        let whole = Arc::new(compiler.compile_whole(&graph, graph.name.clone()));
+        let whole_timeline = Timeline::new(&graph, [&*whole], &self.system)?;
         let duet = Duet::resolve(
             Scheduled {
                 graph,
@@ -327,7 +327,7 @@ struct Scheduled {
     devices: Vec<DeviceKind>,
     system: SystemModel,
     timeline: Timeline,
-    whole: CompiledSubgraph,
+    whole: Arc<CompiledSubgraph>,
     whole_timeline: Timeline,
     allow_fallback: bool,
     batch: usize,
@@ -352,7 +352,7 @@ pub struct Duet {
     /// lineage, re-priced (not rebuilt) by [`Duet::recorrect`].
     timeline: Timeline,
     /// Whole-graph compilation, for single-device execution.
-    whole: CompiledSubgraph,
+    whole: Arc<CompiledSubgraph>,
     /// Timing core over `whole`: the single-device baselines.
     whole_timeline: Timeline,
     allow_fallback: bool,
@@ -397,7 +397,7 @@ impl Duet {
         let (placed, schedule) = match fallback {
             Some(device) => (
                 vec![Placed {
-                    sg: s.whole.clone(),
+                    sg: Arc::clone(&s.whole),
                     device,
                 }],
                 s.whole_timeline.schedule(&[device]),
@@ -535,6 +535,15 @@ impl Duet {
         executor.with_arena_pool(&self.arenas)
     }
 
+    /// Lower the tape of every subgraph [`Duet::placed`] runs now, not in
+    /// the first run. Tapes are shared with every engine derived from
+    /// this one that places the same subgraphs.
+    pub fn lower_tapes(&self) {
+        for p in &self.placed {
+            let _lowered = &*p.sg.tape;
+        }
+    }
+
     /// Arena-pool checkout statistics (created vs. reused).
     pub fn arena_stats(&self) -> ArenaPoolStats {
         self.arenas.stats()
@@ -608,7 +617,7 @@ impl Duet {
                 devices,
                 system: self.system.clone(),
                 timeline: self.timeline.clone(),
-                whole: self.whole.clone(),
+                whole: Arc::clone(&self.whole),
                 whole_timeline: self.whole_timeline.clone(),
                 allow_fallback: self.allow_fallback,
                 batch: self.batch,
@@ -654,7 +663,7 @@ impl Duet {
         // The plan's subgraphs are the heterogeneous units even when a
         // fallback was recorded (self.placed is then the whole-graph
         // compilation, which has a different shape).
-        model.price_with(&self.timeline, self.units.iter().map(|u| &u.sg));
+        model.price_with(&self.timeline, self.units.iter().map(|u| &*u.sg));
         Ok(model)
     }
 
@@ -682,7 +691,7 @@ impl Duet {
             .map(|u| SubgraphUnit {
                 phase: u.phase,
                 kind: u.kind,
-                sg: u.sg.clone(),
+                sg: Arc::clone(&u.sg),
                 profile: profiler.profile(&self.graph, &u.sg),
             })
             .collect();
@@ -699,7 +708,7 @@ impl Duet {
                 devices,
                 system,
                 timeline,
-                whole: self.whole.clone(),
+                whole: Arc::clone(&self.whole),
                 whole_timeline,
                 allow_fallback: self.allow_fallback,
                 batch: self.batch,

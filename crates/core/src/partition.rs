@@ -20,6 +20,7 @@
 //! multi-level partitioning as future work).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use duet_compiler::{CompiledSubgraph, Compiler};
 use duet_ir::{Graph, NodeId, Op};
@@ -67,7 +68,7 @@ impl Partition {
     /// Compile every subgraph (fusion inside each subgraph — this is where
     /// coarse granularity preserves the compiler's graph-level wins).
     /// Subgraphs are named from the dominant label prefix of their nodes.
-    pub fn compile(&self, graph: &Graph, compiler: &Compiler) -> Vec<CompiledSubgraph> {
+    pub fn compile(&self, graph: &Graph, compiler: &Compiler) -> Vec<Arc<CompiledSubgraph>> {
         let mut used: HashMap<String, usize> = HashMap::new();
         self.flat()
             .into_iter()
@@ -80,7 +81,7 @@ impl Partition {
                     format!("{base}#{n}@p{phase}")
                 };
                 *n += 1;
-                compiler.compile_nodes(graph, nodes, name)
+                Arc::new(compiler.compile_nodes(graph, nodes, name))
             })
             .collect()
     }

@@ -104,7 +104,7 @@ mod tests {
 
     fn timeline_for(graph: &Graph, units: &[SubgraphUnit]) -> Timeline {
         let sys = SystemModel::paper_server();
-        Timeline::new(graph, units.iter().map(|u| &u.sg), &sys).unwrap()
+        Timeline::new(graph, units.iter().map(|u| &*u.sg), &sys).unwrap()
     }
 
     #[test]

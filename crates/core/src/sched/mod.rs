@@ -26,6 +26,8 @@
 pub mod baselines;
 pub mod greedy;
 
+use std::sync::Arc;
+
 use duet_compiler::CompiledSubgraph;
 use duet_device::{DeviceKind, SystemModel};
 use duet_runtime::{Placed, SubgraphProfile, Timeline};
@@ -40,7 +42,7 @@ pub struct SubgraphUnit {
     pub phase: usize,
     /// Whether the phase is sequential or multi-path.
     pub kind: PhaseKind,
-    pub sg: CompiledSubgraph,
+    pub sg: Arc<CompiledSubgraph>,
     pub profile: SubgraphProfile,
 }
 
@@ -92,15 +94,14 @@ pub fn schedule(
     }
 }
 
-/// Turn units + devices into the executor's `Placed` list (one clone of
-/// every compiled subgraph: for finished schedules, never for
-/// candidates).
+/// Turn units + devices into the executor's `Placed` list; each entry
+/// shares its unit's compiled subgraph.
 pub fn to_placed(units: &[SubgraphUnit], devices: &[DeviceKind]) -> Vec<Placed> {
     units
         .iter()
         .zip(devices)
         .map(|(u, &device)| Placed {
-            sg: u.sg.clone(),
+            sg: Arc::clone(&u.sg),
             device,
         })
         .collect()
@@ -168,7 +169,7 @@ pub fn critical_path_lower_bound_us(timeline: &Timeline) -> f64 {
 /// Build scheduling units from a compiled partition and its profiles.
 pub fn make_units(
     partition: &crate::Partition,
-    subgraphs: Vec<CompiledSubgraph>,
+    subgraphs: Vec<Arc<CompiledSubgraph>>,
     profiles: Vec<SubgraphProfile>,
 ) -> Vec<SubgraphUnit> {
     let meta = partition.flat();

@@ -45,7 +45,7 @@ proptest! {
         let sgs = part.compile(&g, &compiler);
         let profiles = Profiler::new(sys.clone()).with_runs(60, 10).profile_all(&g, &sgs);
         let units = sched::make_units(&part, sgs, profiles);
-        let tl = Timeline::new(&g, units.iter().map(|u| &u.sg), &sys).unwrap();
+        let tl = Timeline::new(&g, units.iter().map(|u| &*u.sg), &sys).unwrap();
         let greedy = sched::schedule(&tl, &units, &sys, SchedulePolicy::GreedyOnly);
         let corrected = sched::schedule(&tl, &units, &sys, SchedulePolicy::GreedyCorrection);
         prop_assert!(tl.makespan(&corrected) <= tl.makespan(&greedy) + 1e-9);

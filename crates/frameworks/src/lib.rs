@@ -69,7 +69,7 @@ impl Framework {
     pub fn plan(&self, graph: &Graph, device: DeviceKind) -> Vec<Placed> {
         let compiler = Compiler::new(CompileOptions::none());
         vec![Placed {
-            sg: compiler.compile_whole(graph, graph.name.clone()),
+            sg: compiler.compile_whole(graph, graph.name.clone()).into(),
             device,
         }]
     }
@@ -121,7 +121,7 @@ mod tests {
         let sys = SystemModel::paper_server();
         let compiler = Compiler::default();
         let tvm_like = vec![Placed {
-            sg: compiler.compile_whole(&g, "tvm"),
+            sg: compiler.compile_whole(&g, "tvm").into(),
             device: DeviceKind::Gpu,
         }];
         let tvm_gpu = simulate(&g, &tvm_like, &sys, &mut SimNoise::disabled()).latency_us;
@@ -187,7 +187,7 @@ mod tests {
             let compiled = {
                 let c = Compiler::default();
                 let placed = vec![Placed {
-                    sg: c.compile_whole(&g, "t"),
+                    sg: c.compile_whole(&g, "t").into(),
                     device: DeviceKind::Gpu,
                 }];
                 simulate(&g, &placed, &sys, &mut SimNoise::disabled()).latency_us

@@ -144,11 +144,16 @@ struct Param {
 /// operator may only reference already-existing nodes, so cycles cannot be
 /// expressed. (The builder API preserves this; deserialized graphs would
 /// need re-validation, which [`Graph::validate`] provides.)
+///
+/// Clones share the node list and the constant table until one of them
+/// is written (copy on write), so handing a graph to every subgraph
+/// compiled from it, or to an engine derived from another, costs two
+/// reference counts, not a copy of the program.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     pub name: String,
-    nodes: Vec<Node>,
-    params: HashMap<NodeId, Param>,
+    nodes: Arc<Vec<Node>>,
+    params: Arc<HashMap<NodeId, Param>>,
     outputs: Vec<NodeId>,
 }
 
@@ -164,7 +169,7 @@ impl Graph {
     /// Add an external input placeholder with an explicit shape.
     pub fn add_input(&mut self, label: impl Into<String>, shape: impl Into<Shape>) -> NodeId {
         let id = self.nodes.len();
-        self.nodes.push(Node {
+        Arc::make_mut(&mut self.nodes).push(Node {
             id,
             op: Op::Input,
             inputs: Vec::new(),
@@ -195,7 +200,7 @@ impl Graph {
 
     fn push_constant(&mut self, label: String, param: Param) -> NodeId {
         let id = self.nodes.len();
-        self.nodes.push(Node {
+        Arc::make_mut(&mut self.nodes).push(Node {
             id,
             op: Op::Constant,
             inputs: Vec::new(),
@@ -203,7 +208,7 @@ impl Graph {
             shape: param.value.shape().clone(),
             label,
         });
-        self.params.insert(id, param);
+        Arc::make_mut(&mut self.params).insert(id, param);
         id
     }
 
@@ -230,10 +235,11 @@ impl Graph {
         let shapes: Vec<&Shape> = inputs.iter().map(|&i| &self.nodes[i].shape).collect();
         let shape = op.infer_shape(&shapes)?;
         let id = self.nodes.len();
+        let nodes = Arc::make_mut(&mut self.nodes);
         for &i in inputs {
-            self.nodes[i].outputs.push(id);
+            nodes[i].outputs.push(id);
         }
-        self.nodes.push(Node {
+        nodes.push(Node {
             id,
             op,
             inputs: inputs.to_vec(),
@@ -343,7 +349,7 @@ impl Graph {
     /// graph verifier before being evaluated or scheduled.
     #[doc(hidden)]
     pub fn node_unchecked_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id]
+        &mut Arc::make_mut(&mut self.nodes)[id]
     }
 
     /// Unchecked mutable access to the declared output list; same
@@ -371,7 +377,7 @@ impl Graph {
         };
         self.outputs == other.outputs
             && self.nodes.len() == other.nodes.len()
-            && self.nodes.iter().zip(&other.nodes).all(|(a, b)| {
+            && self.nodes.iter().zip(other.nodes.iter()).all(|(a, b)| {
                 a.op == b.op
                     && a.inputs == b.inputs
                     && a.shape == b.shape
@@ -387,7 +393,7 @@ impl Graph {
     /// deserialization. Verifies edge symmetry, reference validity,
     /// topological ordering of inputs, and source-node arity.
     pub fn validate(&self) -> Result<(), GraphError> {
-        for node in &self.nodes {
+        for node in self.nodes.iter() {
             for &i in &node.inputs {
                 if i >= self.nodes.len() {
                     return Err(GraphError::UnknownNode(i));
@@ -429,7 +435,7 @@ impl Graph {
             return Err(GraphError::NoOutputs);
         }
         let mut values: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        for node in &self.nodes {
+        for node in self.nodes.iter() {
             let value = match node.op {
                 Op::Input => feeds
                     .get(&node.id)
@@ -460,7 +466,7 @@ impl Graph {
     /// Sum of cost profiles over all compute nodes (whole-model work).
     pub fn total_cost(&self) -> crate::CostProfile {
         let mut acc = crate::CostProfile::zero();
-        for node in &self.nodes {
+        for node in self.nodes.iter() {
             if matches!(node.op, Op::Input | Op::Constant) {
                 continue;
             }

@@ -131,7 +131,7 @@ impl<'g> HeterogeneousExecutor<'g> {
     /// CPU; only while both lanes are inside kernels at once does the
     /// machine carry one runnable thread more than it has CPUs.
     pub fn new(graph: &'g Graph, placed: &'g [Placed], system: SystemModel) -> Self {
-        match Timeline::new(graph, placed.iter().map(|p| &p.sg), &system) {
+        match Timeline::new(graph, placed.iter().map(|p| &*p.sg), &system) {
             Ok(timeline) => Self::with_timeline(graph, placed, timeline),
             Err(e) => Self::over(graph, placed, Err(e.into())),
         }
@@ -412,7 +412,10 @@ mod tests {
         assert_eq!(sgs.len(), devices.len());
         sgs.into_iter()
             .zip(devices)
-            .map(|(sg, &device)| Placed { sg, device })
+            .map(|(sg, &device)| Placed {
+                sg: sg.into(),
+                device,
+            })
             .collect()
     }
 
@@ -466,7 +469,7 @@ mod tests {
         two_lanes.cpu = two_lanes.cpu.with_lanes(2, 0.7);
         two_lanes.gpu = two_lanes.gpu.with_lanes(2, 0.7);
         for sys in [paper, two_lanes] {
-            let timeline = Timeline::new(g, placed.iter().map(|p| &p.sg), &sys).unwrap();
+            let timeline = Timeline::new(g, placed.iter().map(|p| &*p.sg), &sys).unwrap();
             let devices: Vec<DeviceKind> = placed.iter().map(|p| p.device).collect();
             let want = timeline.makespan(&devices).to_bits();
             let exec = HeterogeneousExecutor::new(g, placed, sys.clone());
@@ -569,7 +572,7 @@ mod tests {
         let c = Compiler::default();
         let whole = c.compile_whole(&g, "whole");
         let placed = vec![Placed {
-            sg: whole,
+            sg: whole.into(),
             device: DeviceKind::Gpu,
         }];
         let exec = HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server());
@@ -601,7 +604,7 @@ mod tests {
         let c = Compiler::default();
         let whole = c.compile_whole(&g, "whole");
         let placed = vec![Placed {
-            sg: whole,
+            sg: whole.into(),
             device: DeviceKind::Cpu,
         }];
         let exec = HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server());
@@ -659,7 +662,11 @@ mod tests {
                 let mut placed = on(split(&g, &["left", "right"]), &devices);
                 // A destination slot past the arena: the tape indexes out
                 // of bounds.
-                placed[broken].sg.tape.instrs[0].out = usize::MAX;
+                std::sync::Arc::get_mut(&mut placed[broken].sg)
+                    .expect("unshared")
+                    .tape
+                    .instrs[0]
+                    .out = usize::MAX;
                 assert_eq!(
                     run_alone(&g, placed, ()),
                     Err(RecvTimeoutError::Disconnected),
@@ -715,7 +722,7 @@ mod tests {
             .chunks(3)
             .enumerate()
             .map(|(i, chunk)| Placed {
-                sg: c.compile_nodes(&g, chunk, format!("c{i}")),
+                sg: c.compile_nodes(&g, chunk, format!("c{i}")).into(),
                 device: if i % 2 == 0 {
                     DeviceKind::Cpu
                 } else {

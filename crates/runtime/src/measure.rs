@@ -47,7 +47,10 @@ mod tests {
 
     fn whole(graph: &Graph, device: DeviceKind) -> Vec<Placed> {
         let sg = Compiler::default().compile_whole(graph, graph.name.clone());
-        vec![Placed { sg, device }]
+        vec![Placed {
+            sg: sg.into(),
+            device,
+        }]
     }
 
     #[test]

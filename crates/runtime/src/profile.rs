@@ -167,7 +167,11 @@ impl Profiler {
     }
 
     /// Profile a list of subgraphs.
-    pub fn profile_all(&self, graph: &Graph, sgs: &[CompiledSubgraph]) -> Vec<SubgraphProfile> {
+    pub fn profile_all(
+        &self,
+        graph: &Graph,
+        sgs: &[Arc<CompiledSubgraph>],
+    ) -> Vec<SubgraphProfile> {
         sgs.iter().map(|sg| self.profile(graph, sg)).collect()
     }
 }

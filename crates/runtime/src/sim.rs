@@ -15,6 +15,7 @@
 //! calls [`Timeline::makespan`] instead.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 use duet_compiler::CompiledSubgraph;
 use duet_device::{DeviceKind, NoiseModel, SystemModel};
@@ -26,7 +27,9 @@ use crate::witness::{ExecutionWitness, WitnessLog, WitnessSource};
 /// A subgraph with its device assignment.
 #[derive(Debug, Clone)]
 pub struct Placed {
-    pub sg: CompiledSubgraph,
+    /// Shared with every engine and schedule that places the same
+    /// compiled subgraph: a placement changes devices, not code.
+    pub sg: Arc<CompiledSubgraph>,
     pub device: DeviceKind,
 }
 
@@ -116,7 +119,7 @@ pub(crate) fn placed_timeline(
     placed: &[Placed],
     system: &SystemModel,
 ) -> (Timeline, Vec<DeviceKind>) {
-    let timeline = Timeline::new(graph, placed.iter().map(|p| &p.sg), system)
+    let timeline = Timeline::new(graph, placed.iter().map(|p| &*p.sg), system)
         .unwrap_or_else(|e| panic!("schedule does not cover the graph: {e}"));
     (timeline, placed.iter().map(|p| p.device).collect())
 }
@@ -231,7 +234,7 @@ mod tests {
         let placed: Vec<Placed> = sgs
             .iter()
             .map(|sg| Placed {
-                sg: sg.clone(),
+                sg: sg.clone().into(),
                 device: DeviceKind::Cpu,
             })
             .collect();
@@ -252,7 +255,7 @@ mod tests {
         let both_cpu: Vec<Placed> = sgs
             .iter()
             .map(|sg| Placed {
-                sg: sg.clone(),
+                sg: sg.clone().into(),
                 device: DeviceKind::Cpu,
             })
             .collect();
@@ -286,7 +289,7 @@ mod tests {
                 .iter()
                 .zip(devices)
                 .map(|(sg, device)| Placed {
-                    sg: sg.clone(),
+                    sg: sg.clone().into(),
                     device,
                 })
                 .collect();
@@ -311,7 +314,7 @@ mod tests {
         let gpu = simulate(
             &g,
             &[Placed {
-                sg: whole.clone(),
+                sg: whole.clone().into(),
                 device: DeviceKind::Gpu,
             }],
             &sys,
@@ -331,7 +334,7 @@ mod tests {
         let placed: Vec<Placed> = sgs
             .iter()
             .map(|sg| Placed {
-                sg: sg.clone(),
+                sg: sg.clone().into(),
                 device: DeviceKind::Cpu,
             })
             .collect();
@@ -348,7 +351,7 @@ mod tests {
         let placed: Vec<Placed> = sgs
             .iter()
             .map(|sg| Placed {
-                sg: sg.clone(),
+                sg: sg.clone().into(),
                 device: DeviceKind::Cpu,
             })
             .collect();
@@ -370,7 +373,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, sg)| Placed {
-                sg: sg.clone(),
+                sg: sg.clone().into(),
                 device: if i == 1 {
                     DeviceKind::Gpu
                 } else {

@@ -38,7 +38,7 @@ fn chunked(graph: &Graph, k: usize) -> Vec<Placed> {
     ids.chunks(chunk)
         .enumerate()
         .map(|(i, nodes)| Placed {
-            sg: c.compile_nodes(graph, nodes, format!("c{i}")),
+            sg: c.compile_nodes(graph, nodes, format!("c{i}")).into(),
             device: if i % 2 == 0 {
                 DeviceKind::Cpu
             } else {
@@ -78,7 +78,7 @@ fn branchy4_placed(g: &Graph) -> Vec<Placed> {
             .filter(|&n| g.node(n).label.starts_with(&format!("b{i}")))
             .collect();
         placed.push(Placed {
-            sg: c.compile_nodes(g, &nodes, format!("b{i}")),
+            sg: c.compile_nodes(g, &nodes, format!("b{i}")).into(),
             device: if i % 2 == 0 {
                 DeviceKind::Cpu
             } else {
@@ -92,7 +92,7 @@ fn branchy4_placed(g: &Graph) -> Vec<Placed> {
         .filter(|&n| !g.node(n).label.starts_with('b'))
         .collect();
     placed.push(Placed {
-        sg: c.compile_nodes(g, &rest, "head"),
+        sg: c.compile_nodes(g, &rest, "head").into(),
         device: DeviceKind::Cpu,
     });
     placed

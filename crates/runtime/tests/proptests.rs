@@ -108,7 +108,7 @@ fn chunked(graph: &Graph, k: usize, device_bits: u64) -> Vec<Placed> {
     ids.chunks(chunk)
         .enumerate()
         .map(|(i, nodes)| Placed {
-            sg: compiler.compile_nodes(graph, nodes, format!("c{i}")),
+            sg: compiler.compile_nodes(graph, nodes, format!("c{i}")).into(),
             device: if device_bits >> (i % 64) & 1 == 0 {
                 DeviceKind::Cpu
             } else {

@@ -28,7 +28,7 @@ fn chunked(graph: &duet_ir::Graph, k: usize) -> Vec<Placed> {
     ids.chunks(chunk)
         .enumerate()
         .map(|(i, nodes)| Placed {
-            sg: c.compile_nodes(graph, nodes, format!("c{i}")),
+            sg: c.compile_nodes(graph, nodes, format!("c{i}")).into(),
             device: if i % 2 == 0 {
                 DeviceKind::Cpu
             } else {

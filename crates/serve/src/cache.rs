@@ -162,6 +162,10 @@ impl PlanCache {
                 Err(_) => false,
             };
             if clean {
+                // Shared subgraphs are lowered already; a placement that
+                // moved between the units and the whole graph is lowered
+                // here, not in the first request after the swap.
+                duet.lower_tapes();
                 cell.store(Arc::new(EngineVariant::from_duet(old.batch, duet)));
                 swapped += 1;
             } else {

@@ -209,12 +209,13 @@ impl ServeServer {
     pub fn register(&mut self, spec: ModelSpec, system: SystemModel) {
         let name = spec.name().to_string();
         let cache = Arc::new(PlanCache::new(spec, system.clone()));
-        // Build the batch-1 and max-batch engines now, so the first
-        // requests don't pay the offline-pipeline cost inline.
-        cache.get_or_build(1);
+        // Build and lower the batch-1 and max-batch engines now, so the
+        // first requests pay neither the offline pipeline nor lowering
+        // inline.
+        cache.get_or_build(1).duet.lower_tapes();
         let top = largest_pow2(self.cfg.max_batch);
         if top > 1 {
-            cache.get_or_build(top);
+            cache.get_or_build(top).duet.lower_tapes();
         }
         let metrics = Arc::new(Metrics::new());
         let system = Arc::new(ArcCell::new(system));

@@ -290,7 +290,7 @@ pub(crate) fn gemm_packed(
     }
     let strips = n.div_ceil(NR);
     let (rows, per_panel) = chunk_shape(m, strips);
-    let work = m * k * strips * NR;
+    let work = m * k * packed_columns(n);
     fork_if_worthwhile(work, || {
         if rows < m && work >= FORK_MIN_WORK {
             with_scratch(strips * k * NR, |packed| {

@@ -9,6 +9,8 @@
 //! at ≈ 0.3 µs a replay it is too short to time by itself, so
 //! [`crate::tune`] times the whole search instead.
 
+use std::sync::Arc;
+
 use duet_compiler::CompiledSubgraph;
 use duet_device::{DeviceKind, SystemModel};
 use duet_ir::Graph;
@@ -36,9 +38,13 @@ impl Oracle {
     /// # Panics
     /// Panics if `subgraphs` do not cover `graph` (see
     /// [`Timeline::new`] for the fallible form).
-    pub fn analytic(graph: &Graph, subgraphs: &[CompiledSubgraph], system: &SystemModel) -> Self {
+    pub fn analytic(
+        graph: &Graph,
+        subgraphs: &[Arc<CompiledSubgraph>],
+        system: &SystemModel,
+    ) -> Self {
         Self::over(
-            Timeline::new(graph, subgraphs, system)
+            Timeline::new(graph, subgraphs.iter().map(|sg| &**sg), system)
                 .unwrap_or_else(|e| panic!("subgraphs do not cover the graph: {e}")),
         )
     }

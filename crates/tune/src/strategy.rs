@@ -79,11 +79,13 @@ pub(crate) fn beam_search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use duet_compiler::{CompiledSubgraph, Compiler};
     use duet_device::SystemModel;
     use duet_ir::{Graph, GraphBuilder, Op};
 
-    fn fixture() -> (Graph, Vec<CompiledSubgraph>, SystemModel) {
+    fn fixture() -> (Graph, Vec<Arc<CompiledSubgraph>>, SystemModel) {
         let mut b = GraphBuilder::new("fixture", 1);
         let x = b.input("x", vec![1, 256]);
         let l = b.dense("left", x, 2048, Some(Op::Relu)).unwrap();
@@ -106,9 +108,9 @@ mod tests {
             })
             .collect::<Vec<_>>();
         let sgs = vec![
-            c.compile_nodes(&g, &pick("left"), "left"),
-            c.compile_nodes(&g, &pick("right"), "right"),
-            c.compile_nodes(&g, &rest, "head"),
+            c.compile_nodes(&g, &pick("left"), "left").into(),
+            c.compile_nodes(&g, &pick("right"), "right").into(),
+            c.compile_nodes(&g, &rest, "head").into(),
         ];
         (g, sgs, SystemModel::paper_server())
     }

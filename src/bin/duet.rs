@@ -525,7 +525,7 @@ fn lint(name: &str, o: &Opts) -> Checked {
                 reports.push(lint_plan(engine.graph(), &facts, &LintConfig::default()));
                 reports.push(check_memory_plans(
                     engine.graph(),
-                    engine.placed().iter().map(|p| &p.sg),
+                    engine.placed().iter().map(|p| &*p.sg),
                 ));
             }
             Err(r) => reports.push(r),

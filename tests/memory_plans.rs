@@ -35,7 +35,7 @@ fn assert_clean(what: &str, report: &Report) {
 }
 
 fn check_units(what: &str, engine: &Duet) {
-    let sgs = engine.units().iter().map(|u| &u.sg);
+    let sgs = engine.units().iter().map(|u| &*u.sg);
     assert_clean(what, &check_memory_plans(engine.graph(), sgs));
 }
 

@@ -104,7 +104,7 @@ fn chunked(graph: &Graph, k: usize) -> (Vec<Placed>, Vec<Vec<NodeId>>) {
         .iter()
         .enumerate()
         .map(|(i, nodes)| Placed {
-            sg: c.compile_nodes(graph, nodes, format!("c{i}")),
+            sg: c.compile_nodes(graph, nodes, format!("c{i}")).into(),
             device: if i % 2 == 0 {
                 DeviceKind::Cpu
             } else {
@@ -140,7 +140,7 @@ fn model_of(graph: &Graph, placed: &[Placed], node_sets: &[Vec<NodeId>]) -> Plan
             .collect(),
     };
     let mut model = PlanModel::from_facts(graph, &facts).expect("chunked schedule is modelable");
-    let subgraphs = || placed.iter().map(|p| &p.sg);
+    let subgraphs = || placed.iter().map(|p| &*p.sg);
     let timeline = Timeline::new(graph, subgraphs(), &SystemModel::paper_server())
         .expect("chunked schedule covers its graph");
     model.price_with(&timeline, subgraphs());
